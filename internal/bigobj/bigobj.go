@@ -34,7 +34,7 @@ package bigobj
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"io"
 	"strconv"
 	"sync"
@@ -54,6 +54,10 @@ const DefaultChunkSize = 512 << 10
 // strictly first: readers then see a whole-object miss instead of a manifest
 // whose tail chunks expired underneath it.
 const chunkTTLSlack = 2 * time.Second
+
+// castagnoli is the manifest content hash's polynomial: CRC-32C, which the
+// CPU's CRC instructions compute at memory speed.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Backend is the engine surface bigobj needs. Both *cache.Cache and
 // *cache.Sharded satisfy it.
@@ -293,7 +297,7 @@ func (s *Store) Put(key string, r io.Reader, ttl time.Duration) error {
 		chunkTTL = ttl + chunkTTLSlack
 	}
 
-	h := fnv.New64a()
+	var sum uint32
 	var size int64
 	var idx uint32
 	if cap(s.scratch) < chunkHeaderSize+s.chunkSize {
@@ -303,7 +307,7 @@ func (s *Store) Put(key string, r io.Reader, ttl time.Duration) error {
 	for {
 		n, err := io.ReadFull(r, buf[chunkHeaderSize:])
 		if n > 0 {
-			h.Write(buf[chunkHeaderSize : chunkHeaderSize+n])
+			sum = crc32.Update(sum, castagnoli, buf[chunkHeaderSize:chunkHeaderSize+n])
 			encodeChunkHeader(buf, gen, idx, uint32(n))
 			val := buf[:chunkHeaderSize+n]
 			if serr := s.backend.SetTTL(chunkKey(key, idx), val, len(val), chunkTTL); serr != nil {
@@ -327,7 +331,7 @@ func (s *Store) Put(key string, r io.Reader, ttl time.Duration) error {
 		size:       size,
 		chunkSize:  uint32(s.chunkSize),
 		chunkCount: idx,
-		hash:       h.Sum64(),
+		hash:       uint64(sum),
 	}
 	mv := encodeManifest(man)
 	if err := s.backend.SetTTL(key, mv, len(mv), ttl); err != nil {

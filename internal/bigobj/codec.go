@@ -20,7 +20,7 @@ import (
 //	12:20 object size in bytes
 //	20:24 chunk payload size
 //	24:28 chunk count
-//	28:36 FNV-1a hash of the whole content
+//	28:36 CRC-32C of the whole content (low 32 bits)
 const manifestSize = 36
 
 // Chunk header layout (chunkHeaderSize bytes, little-endian), followed by

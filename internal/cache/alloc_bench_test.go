@@ -3,14 +3,64 @@ package cache
 import (
 	"fmt"
 	"testing"
+	"time"
+
+	"znscache/internal/device"
+	"znscache/internal/flash"
+	"znscache/internal/zns"
 )
 
-// sealedGetCache builds an engine whose early regions are all sealed, and
-// returns keys that live in sealed regions, so Get exercises the device-read
-// path (the sector-aligned scratch buffer) on every call.
-func sealedGetCache(b *testing.B, trackValues bool) (*Cache, []string) {
+// zonedStore is the smallest RegionStore over a real zns.Device — one region
+// per zone, as Zone-Cache maps them — so that a fixture's sealed reads pay
+// the zns and flash page path instead of memStore's map lookup.
+type zonedStore struct {
+	dev     *zns.Device
+	scratch []byte // target of metadata-only reads
+}
+
+// newZonedStore builds 32 zones of 256 KiB, memStore's fixture shape.
+func newZonedStore(tb testing.TB, storeData bool) *zonedStore {
+	tb.Helper()
+	dev, err := zns.New(zns.Config{
+		Geometry: flash.Geometry{
+			Channels: 2, DiesPerChan: 2, BlocksPerDie: 32,
+			PagesPerBlock: 16, PageSize: device.SectorSize,
+		},
+		Timing:        flash.DefaultTiming(),
+		BlocksPerZone: 4,
+		MaxOpenZones:  4,
+		StoreData:     storeData,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &zonedStore{dev: dev, scratch: make([]byte, dev.ZoneSize())}
+}
+
+func (s *zonedStore) NumRegions() int   { return s.dev.NumZones() }
+func (s *zonedStore) RegionSize() int64 { return s.dev.ZoneSize() }
+
+func (s *zonedStore) WriteRegion(now time.Duration, id int, data []byte) (time.Duration, error) {
+	return s.dev.Write(now, data, int(s.dev.ZoneSize()), int64(id)*s.dev.ZoneSize())
+}
+
+func (s *zonedStore) ReadRegion(now time.Duration, id int, p []byte, n int, off int64) (time.Duration, error) {
+	if p == nil {
+		p = s.scratch
+	}
+	return s.dev.Read(now, p[:n], int64(id)*s.dev.ZoneSize()+off)
+}
+
+func (s *zonedStore) EvictRegion(now time.Duration, id int) (time.Duration, error) {
+	return s.dev.Reset(now, id)
+}
+
+// sealedGetCache builds an engine over st (32 regions of 256 KiB) whose
+// early regions are all sealed, and returns keys that live in sealed
+// regions, so Get exercises the device-read path (the sector-aligned scratch
+// buffer) on every call.
+func sealedGetCache(b testing.TB, st RegionStore, trackValues bool) (*Cache, []string) {
 	b.Helper()
-	st := newMemStore(32, 256<<10)
 	c, err := New(Config{Store: st, TrackValues: trackValues})
 	if err != nil {
 		b.Fatal(err)
@@ -51,7 +101,7 @@ func sealedGetCache(b *testing.B, trackValues bool) (*Cache, []string) {
 // allocated the full sector-aligned read span (up to a region) per Get; now
 // only the returned value copy allocates. EXPERIMENTS.md records numbers.
 func BenchmarkSealedGetAlloc(b *testing.B) {
-	c, keys := sealedGetCache(b, true)
+	c, keys := sealedGetCache(b, newMemStore(32, 256<<10), true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -64,7 +114,7 @@ func BenchmarkSealedGetAlloc(b *testing.B) {
 // BenchmarkSealedGetMetadataOnly is the same path with TrackValues off
 // (the harness's mode): no scratch buffer, no value copy.
 func BenchmarkSealedGetMetadataOnly(b *testing.B) {
-	c, keys := sealedGetCache(b, false)
+	c, keys := sealedGetCache(b, newMemStore(32, 256<<10), false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -73,6 +123,50 @@ func BenchmarkSealedGetMetadataOnly(b *testing.B) {
 		}
 	}
 }
+
+// TestSealedGetMetadataOnlyDoesNotAllocate is the harness's mode end to end:
+// a metadata-only sealed hit through a real zoned device reads every page of
+// the item's span from the flash array and allocates nothing.
+func TestSealedGetMetadataOnlyDoesNotAllocate(t *testing.T) {
+	st := newZonedStore(t, false)
+	c, keys := sealedGetCache(t, st, false)
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, ok, err := c.Get(keys[i%len(keys)]); err != nil || !ok {
+			t.Fatalf("Get: ok=%v err=%v", ok, err)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("metadata-only sealed Get allocates %.0f objects per call, want 0", allocs)
+	}
+	if st.dev.Array().Reads.Load() == 0 {
+		t.Fatal("sealed Gets never reached the flash array")
+	}
+}
+
+// BenchmarkItemChecksum prices the on-flash header digest at a small item, a
+// page, and a bigobj chunk.
+func BenchmarkItemChecksum(b *testing.B) {
+	for _, size := range []int{512, 4 << 10, 128 << 10} {
+		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
+			val := make([]byte, size)
+			for i := range val {
+				val[i] = byte(i)
+			}
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			var sum uint64
+			for i := 0; i < b.N; i++ {
+				sum += itemChecksum("obj-000042/7", val)
+			}
+			benchChecksum = sum
+		})
+	}
+}
+
+// benchChecksum keeps BenchmarkItemChecksum's result live.
+var benchChecksum uint64
 
 // BenchmarkSetInsertAlloc measures per-Set allocations on the fill path:
 // the packed key log amortizes to zero steady-state allocations where the

@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"time"
 
@@ -600,26 +601,25 @@ func (c *Cache) appendItem(key string, value []byte, valLen int, owned bool) {
 	}
 }
 
-// itemChecksum hashes key and value for the on-flash header: FNV-1a over
-// key then value, inlined (no hash.Hash allocation, no []byte(key) copy)
-// because it runs on every tracked set. The digest is identical to
-// fnv.New64a over the same bytes, so snapshots written before this was
-// inlined still verify.
+// castagnoli is CRC-32C, the polynomial the CPU's CRC instructions compute.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// itemChecksum digests key and value for the on-flash header. It runs on
+// every tracked set and every sealed hit, so the value — the bulk of the
+// bytes — goes through hardware CRC-32C, and the key through a byte loop
+// (32-bit FNV-1a: no []byte(key) copy) whose result seeds the CRC. The
+// header's 8 bytes hold keyHash<<32 | crc: the right bytes under the wrong
+// key fail both halves.
 func itemChecksum(key string, value []byte) uint64 {
 	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
+		offset32 = 2166136261
+		prime32  = 16777619
 	)
-	h := uint64(offset64)
+	kh := uint32(offset32)
 	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
+		kh = (kh ^ uint32(key[i])) * prime32
 	}
-	for _, b := range value {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
+	return uint64(kh)<<32 | uint64(crc32.Update(kh, castagnoli, value))
 }
 
 // retryStore runs one store operation with bounded retries: up to

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"znscache/internal/device"
 )
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
@@ -148,37 +150,112 @@ func TestNoReinsertionWhenDisabled(t *testing.T) {
 	}
 }
 
+// TestChecksumDetectsCorruption damages a sealed item that spans several
+// sectors in every way a store, a migration or stale recovery metadata
+// could, one way per case. The engine must never serve such bytes: each case
+// is a miss that drops the key and counts it lost.
 func TestChecksumDetectsCorruption(t *testing.T) {
-	st := newMemStore(8, 4096)
-	c, _ := New(Config{Store: st, TrackValues: true})
-	want := bytes.Repeat([]byte{0x42}, 1000)
-	c.Set("victim", want, 0)
-	// Seal the victim's region by rolling past it.
-	for i := 0; c.Stats().Flushes < 2; i++ {
-		c.Set(fmt.Sprintf("fill-%04d", i), bytes.Repeat([]byte{9}, 1000), 0)
+	const sector = device.SectorSize
+	want := make([]byte, 3*sector)
+	for i := range want {
+		want[i] = byte(i*7 + i/sector)
 	}
-	c.Drain()
-	// Sanity: intact read passes the checksum.
-	if _, ok, err := c.Get("victim"); !ok || err != nil {
-		t.Fatalf("pre-corruption Get = (%v, %v)", ok, err)
+	// fixture is a cache with "victim" (the first item of its region) sealed
+	// beside at least one more sealed region of other items.
+	type fixture struct {
+		c                *Cache
+		st               *memStore
+		e                entry  // the victim's index entry
+		data             []byte // the victim's region as stored
+		valStart, valEnd int    // the victim's value within data
 	}
-	// Corrupt the stored bytes of region 0 (where "victim" lives). The
-	// engine must never serve the corrupt value: the checksum mismatch
-	// degrades to a miss and the key is dropped as lost.
-	e := c.index["victim"]
-	data := st.data[int(e.region)]
-	data[e.offset+itemHeaderSize+uint32(e.keyLen)+5] ^= 0xFF
-	val, ok, err := c.Get("victim")
-	if err != nil {
-		t.Fatalf("corrupted Get errored: %v", err)
+	build := func(t *testing.T) fixture {
+		t.Helper()
+		st := newMemStore(8, 8*sector)
+		c, err := New(Config{Store: st, TrackValues: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Set("victim", want, 0)
+		for i := 0; c.Stats().Flushes < 2; i++ {
+			c.Set(fmt.Sprintf("fill-%04d", i), bytes.Repeat([]byte{byte(9 + i)}, 5000), 0)
+		}
+		c.Drain()
+		// Sanity: the intact item passes the checksum.
+		if got, ok, err := c.Get("victim"); !ok || err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("pre-corruption Get = (%v, %v)", ok, err)
+		}
+		e := c.index["victim"]
+		valStart := int(e.offset) + itemHeaderSize + int(e.keyLen)
+		return fixture{c, st, e, st.data[int(e.region)], valStart, valStart + int(e.valLen)}
 	}
-	if ok || val != nil {
-		t.Fatal("corrupted value passed the checksum")
+	f := build(t)
+	firstSec, lastSec := f.valStart/sector, (f.valEnd-1)/sector
+	if lastSec-firstSec < 2 {
+		t.Fatalf("victim spans sectors %d..%d, want at least three", firstSec, lastSec)
 	}
-	if c.Contains("victim") {
-		t.Fatal("unverifiable key still indexed")
+	midSector := func(data []byte) []byte { return data[(firstSec+1)*sector : (firstSec+2)*sector] }
+
+	// Each case damages the stored item (or the index) and returns the key
+	// to look up.
+	cases := map[string]func(t *testing.T, f fixture) string{
+		"sector zeroed": func(t *testing.T, f fixture) string {
+			clear(midSector(f.data))
+			return "victim"
+		},
+		"sector of another region": func(t *testing.T, f fixture) string {
+			for id, other := range f.st.data {
+				if id == int(f.e.region) {
+					continue
+				}
+				if bytes.Equal(midSector(f.data), midSector(other)) {
+					t.Fatalf("regions %d and %d hold the same sector: the case damages nothing", f.e.region, id)
+				}
+				copy(midSector(f.data), midSector(other))
+				return "victim"
+			}
+			t.Fatal("no second sealed region")
+			return ""
+		},
+		// Stale recovery metadata: an index entry that points at another
+		// key's intact item.
+		"right bytes, different key of equal length": func(t *testing.T, f fixture) string {
+			f.c.index["mictiv"] = f.e
+			return "mictiv"
+		},
 	}
-	if got := c.Stats().LostKeys; got == 0 {
-		t.Fatal("checksum drop not counted as a lost key")
+	for sec := firstSec; sec <= lastSec; sec++ {
+		at := sec*sector + 9
+		if at < f.valStart {
+			at = f.valStart
+		}
+		if at >= f.valEnd {
+			at = f.valEnd - 1
+		}
+		cases[fmt.Sprintf("bit flip in sector %d", sec)] = func(t *testing.T, f fixture) string {
+			f.data[at] ^= 0x10
+			return "victim"
+		}
+	}
+
+	for name, damage := range cases {
+		t.Run(name, func(t *testing.T) {
+			f := build(t)
+			key := damage(t, f)
+			lost := f.c.Stats().LostKeys
+			val, ok, err := f.c.Get(key)
+			if err != nil {
+				t.Fatalf("corrupted Get errored: %v", err)
+			}
+			if ok || val != nil {
+				t.Fatal("corrupted value passed the checksum")
+			}
+			if f.c.Contains(key) {
+				t.Fatal("unverifiable key still indexed")
+			}
+			if got := f.c.Stats().LostKeys; got != lost+1 {
+				t.Fatalf("LostKeys went %d -> %d, want one checksum drop counted", lost, got)
+			}
+		})
 	}
 }

@@ -135,8 +135,9 @@ type FS struct {
 	liveBlocks   int64 // file data blocks currently mapped
 
 	// cleaning state: adopted victim being drained incrementally
-	victim     int   // zone, -1 when none
-	victimScan int64 // next block within victim to examine
+	victim     int    // zone, -1 when none
+	victimScan int64  // next block within victim to examine
+	cleanBuf   []byte // the block being migrated; the device copies what it is handed
 
 	// Observability.
 	WA          stats.WriteAmp // host file bytes vs device bytes (data+node+cleaning)
@@ -193,6 +194,7 @@ func Mount(dev zns.Zoned, cfg Config) (*FS, error) {
 		dataSeg:      -1,
 		nodeSeg:      -1,
 		victim:       -1,
+		cleanBuf:     make([]byte, BlockSize),
 		usableBlocks: int64(n-reserve) * (dev.ZoneSize() / BlockSize),
 		CleanStalls:  stats.NewHistogram(),
 	}
@@ -560,7 +562,7 @@ func (fs *FS) drainVictimLocked(now time.Duration, quantum int) (time.Duration, 
 			continue
 		}
 		// Read the live block and append it to the proper log.
-		buf := make([]byte, BlockSize)
+		buf := fs.cleanBuf
 		rlat, err := fs.dev.Read(now, buf, blockOffset(b))
 		if err != nil {
 			return now, false, fmt.Errorf("f2fs: clean read: %w", err)

@@ -169,7 +169,10 @@ var (
 
 // blockMeta is per-block bookkeeping.
 type blockMeta struct {
-	states     []PageState
+	states []PageState
+	// pages maps page -> payload. It is allocated on the block's first
+	// payload program; a nil entry (or a nil table) is zero content.
+	pages      [][]byte
 	writeFront int // next programmable page (NAND in-block program order)
 	eraseCount uint32
 	valid      int // live page count, maintained for GC victim selection
@@ -182,8 +185,8 @@ type Array struct {
 
 	mu        sync.Mutex
 	blocks    []blockMeta
-	data      map[int64][]byte // page index -> payload; nil when !storeData
 	storeData bool
+	zeroPage  []byte // what Read returns for a page without payload; never written
 
 	dies     []sim.Busy // die-level service
 	channels []sim.Busy // bus-level transfer
@@ -209,9 +212,7 @@ func NewArray(geo Geometry, timing Timing, storeData bool) (*Array, error) {
 		dies:      make([]sim.Busy, geo.Dies()),
 		channels:  make([]sim.Busy, geo.Channels),
 		storeData: storeData,
-	}
-	if storeData {
-		a.data = make(map[int64][]byte)
+		zeroPage:  make([]byte, geo.PageSize),
 	}
 	for i := range a.blocks {
 		a.blocks[i].states = make([]PageState, geo.PagesPerBlock)
@@ -239,10 +240,6 @@ func (a *Array) checkAddr(addr Addr) error {
 		return fmt.Errorf("%w: %v", ErrOutOfRange, addr)
 	}
 	return nil
-}
-
-func (a *Array) pageIndex(addr Addr) int64 {
-	return int64(addr.Block)*int64(a.geo.PagesPerBlock) + int64(addr.Page)
 }
 
 // occupy reserves die + channel for one operation arriving at now with die
@@ -282,9 +279,10 @@ func (a *Array) Program(now time.Duration, addr Addr, data []byte) (time.Duratio
 	b.writeFront++
 	b.valid++
 	if a.storeData && data != nil {
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		a.data[a.pageIndex(addr)] = buf
+		if b.pages == nil {
+			b.pages = make([][]byte, a.geo.PagesPerBlock)
+		}
+		b.pages[addr.Page] = append([]byte(nil), data...)
 	}
 	a.mu.Unlock()
 
@@ -295,6 +293,11 @@ func (a *Array) Program(now time.Duration, addr Addr, data []byte) (time.Duratio
 // Read returns the page payload (zero-filled when payloads are not stored)
 // and the completion time. Reading a free page is an error: it means the
 // layer above lost track of its mapping.
+//
+// The returned slice is the stored page itself (or the array's shared zero
+// page) and is read-only: callers copy out of it and never write to it. It
+// stays valid for as long as it is held — a programmed page is immutable
+// and Erase only drops the array's reference to it, never reuses the buffer.
 func (a *Array) Read(now time.Duration, addr Addr) (time.Duration, []byte, error) {
 	if err := a.checkAddr(addr); err != nil {
 		return now, nil, err
@@ -305,17 +308,11 @@ func (a *Array) Read(now time.Duration, addr Addr) (time.Duration, []byte, error
 		a.mu.Unlock()
 		return now, nil, fmt.Errorf("%w: %v", ErrReadFree, addr)
 	}
-	var out []byte
-	if a.storeData {
-		if d, ok := a.data[a.pageIndex(addr)]; ok {
-			out = make([]byte, len(d))
-			copy(out, d)
-		}
+	out := a.zeroPage
+	if b.pages != nil && b.pages[addr.Page] != nil {
+		out = b.pages[addr.Page]
 	}
 	a.mu.Unlock()
-	if out == nil {
-		out = make([]byte, a.geo.PageSize)
-	}
 
 	a.Reads.Inc()
 	return a.occupy(now, addr.Block, a.timing.ReadPage), out, nil
@@ -346,10 +343,8 @@ func (a *Array) Erase(now time.Duration, block int) (time.Duration, error) {
 	b := &a.blocks[block]
 	for i := range b.states {
 		b.states[i] = PageFree
-		if a.storeData {
-			delete(a.data, a.pageIndex(Addr{Block: block, Page: i}))
-		}
 	}
+	clear(b.pages)
 	b.writeFront = 0
 	b.valid = 0
 	b.eraseCount++

@@ -3,6 +3,7 @@ package flash
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -60,8 +61,14 @@ func TestGeometryValidate(t *testing.T) {
 func TestProgramReadRoundTrip(t *testing.T) {
 	a := newTestArray(t, true)
 	want := bytes.Repeat([]byte{0xAB}, 512)
-	if _, err := a.Program(0, Addr{Block: 3, Page: 0}, want); err != nil {
+	buf := append([]byte(nil), want...)
+	if _, err := a.Program(0, Addr{Block: 3, Page: 0}, buf); err != nil {
 		t.Fatalf("Program: %v", err)
+	}
+	// Program copies: callers reuse their buffers (region buffers, the f2fs
+	// cleaner's block), so scribbling on it must not reach the stored page.
+	for i := range buf {
+		buf[i] = 0xEE
 	}
 	_, got, err := a.Read(0, Addr{Block: 3, Page: 0})
 	if err != nil {
@@ -69,6 +76,84 @@ func TestProgramReadRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("read-back mismatch")
+	}
+}
+
+// TestReadPageOutlivesErase pins the contract that lets Read hand out the
+// stored page without copying it: a slice obtained before the block is
+// erased and the same address programmed again still holds the old bytes,
+// while a new Read sees the new ones. The holder keeps reading while the
+// block cycles, so under -race a store that reused the buffer is a reported
+// data race, not only a wrong byte.
+func TestReadPageOutlivesErase(t *testing.T) {
+	a := newTestArray(t, true)
+	addr := Addr{Block: 2, Page: 0}
+	old := bytes.Repeat([]byte{0x11}, 512)
+	if _, err := a.Program(0, addr, old); err != nil {
+		t.Fatalf("Program: %v", err)
+	}
+	_, held, err := a.Read(0, addr)
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			if !bytes.Equal(held, old) {
+				t.Error("page held across Erase changed")
+				return
+			}
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	for gen := byte(1); gen <= 50; gen++ {
+		if _, err := a.Erase(0, addr.Block); err != nil {
+			t.Fatalf("Erase: %v", err)
+		}
+		fresh := bytes.Repeat([]byte{0x11 + gen}, 512)
+		if _, err := a.Program(0, addr, fresh); err != nil {
+			t.Fatalf("re-Program: %v", err)
+		}
+		_, got, err := a.Read(0, addr)
+		if err != nil {
+			t.Fatalf("Read after re-Program: %v", err)
+		}
+		if !bytes.Equal(got, fresh) {
+			t.Fatalf("generation %d: Read returned stale bytes", gen)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestReadDoesNotAllocate: Read returns the stored page (or the shared zero
+// page), so a read costs no allocation with or without payloads.
+func TestReadDoesNotAllocate(t *testing.T) {
+	for _, store := range []bool{true, false} {
+		a := newTestArray(t, store)
+		if _, err := a.Program(0, Addr{}, bytes.Repeat([]byte{7}, 512)); err != nil {
+			t.Fatalf("Program: %v", err)
+		}
+		mustProgram(t, a, Addr{Page: 1}) // no payload: the zero page
+		for page := 0; page < 2; page++ {
+			addr := Addr{Page: page}
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, _, err := a.Read(0, addr); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("storeData=%v page %d: Read allocates %.0f objects per call, want 0", store, page, allocs)
+			}
+		}
 	}
 }
 
@@ -88,16 +173,33 @@ func TestMetadataOnlyReadsZeros(t *testing.T) {
 
 func TestProgramNilDataAllowed(t *testing.T) {
 	a := newTestArray(t, true)
-	if _, err := a.Program(0, Addr{}, nil); err != nil {
-		t.Fatalf("nil-data Program: %v", err)
+	zeros := make([]byte, 512)
+	// A payload-free page reads back as zeros whether its block holds no
+	// payload at all, holds payload beside it, or held payload at the same
+	// address before an erase.
+	check := func(addr Addr) {
+		t.Helper()
+		if _, err := a.Program(0, addr, nil); err != nil {
+			t.Fatalf("nil-data Program: %v", err)
+		}
+		_, got, err := a.Read(0, addr)
+		if err != nil {
+			t.Fatalf("Read: %v", err)
+		}
+		if !bytes.Equal(got, zeros) {
+			t.Fatalf("%v: nil-data page read back %d bytes, not a zero page", addr, len(got))
+		}
 	}
-	_, got, err := a.Read(0, Addr{})
-	if err != nil {
-		t.Fatalf("Read: %v", err)
+	check(Addr{})
+	if _, err := a.Program(0, Addr{Page: 1}, bytes.Repeat([]byte{5}, 512)); err != nil {
+		t.Fatalf("Program: %v", err)
 	}
-	if len(got) != 512 {
-		t.Fatalf("read returned %d bytes, want full page", len(got))
+	check(Addr{Page: 2})
+	if _, err := a.Erase(0, 0); err != nil {
+		t.Fatalf("Erase: %v", err)
 	}
+	check(Addr{})
+	check(Addr{Page: 1})
 }
 
 func TestProgramOutOfOrderRejected(t *testing.T) {
@@ -408,5 +510,81 @@ func TestStripeValidate(t *testing.T) {
 		if !c.ok && err == nil {
 			t.Errorf("Validate(%+v, ppb=%d) = nil, want error", c.s, c.ppb)
 		}
+	}
+}
+
+// benchGeo is a 16 MiB array of the 4 KiB pages the devices use.
+func benchGeo() Geometry {
+	return Geometry{Channels: 2, DiesPerChan: 2, BlocksPerDie: 4, PagesPerBlock: 256, PageSize: 4096}
+}
+
+var benchModes = []struct {
+	name  string
+	store bool
+}{{"payload", true}, {"metadata", false}}
+
+// benchPage is where BenchmarkArrayRead leaves its result, so the call
+// cannot be optimized away.
+var benchPage []byte
+
+// BenchmarkArrayProgram programs pages block after block, erasing each block
+// before its second pass (one erase per 256 programs).
+func BenchmarkArrayProgram(b *testing.B) {
+	for _, mode := range benchModes {
+		b.Run(mode.name, func(b *testing.B) {
+			geo := benchGeo()
+			a, err := NewArray(geo, DefaultTiming(), mode.store)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var data []byte
+			if mode.store {
+				data = bytes.Repeat([]byte{0x5A}, geo.PageSize)
+			}
+			b.SetBytes(int64(geo.PageSize))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				addr := Addr{Block: i / geo.PagesPerBlock % geo.Blocks(), Page: i % geo.PagesPerBlock}
+				if addr.Page == 0 && i >= geo.Pages() {
+					if _, err := a.Erase(0, addr.Block); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, err := a.Program(0, addr, data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkArrayRead reads every page of a full array in turn.
+func BenchmarkArrayRead(b *testing.B) {
+	for _, mode := range benchModes {
+		b.Run(mode.name, func(b *testing.B) {
+			geo := benchGeo()
+			a, err := NewArray(geo, DefaultTiming(), mode.store)
+			if err != nil {
+				b.Fatal(err)
+			}
+			data := bytes.Repeat([]byte{0x5A}, geo.PageSize)
+			for i := 0; i < geo.Pages(); i++ {
+				if _, err := a.Program(0, Addr{Block: i / geo.PagesPerBlock, Page: i % geo.PagesPerBlock}, data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(geo.PageSize))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				j := i % geo.Pages()
+				_, page, err := a.Read(0, Addr{Block: j / geo.PagesPerBlock, Page: j % geo.PagesPerBlock})
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchPage = page
+			}
+		})
 	}
 }

@@ -555,7 +555,8 @@ func (l *Layer) pickVictimLocked() (int, bool) {
 	best, bestValid := -1, l.regionsPerZone+1
 	for z := range l.full {
 		v := bits.OnesCount64(l.zones[z].bitmap)
-		if v < bestValid {
+		// Ties go to the lowest zone: map order must not pick the victim.
+		if v < bestValid || (v == bestValid && z < best) {
 			best, bestValid = z, v
 		}
 	}

@@ -132,6 +132,20 @@ func TestEmergencyGCRefusesFullyValidVictim(t *testing.T) {
 	if v := bits.OnesCount64(l.zones[victim].bitmap); v == l.regionsPerZone {
 		t.Fatalf("picked victim %d is fully valid", victim)
 	}
+	// Equally valid victims: the lowest zone wins every time, so a replay
+	// does not depend on the order the full-zone map happens to yield.
+	lowest := -1
+	for z := range l.full {
+		l.invalidateLocked(l.zones[z].regions[0]) // no-op where already dead
+		if lowest == -1 || z < lowest {
+			lowest = z
+		}
+	}
+	for i := 0; i < 64; i++ {
+		if victim, _ := l.pickVictimLocked(); victim != lowest {
+			t.Fatalf("pick %d: victim %d among equally valid zones, want the lowest (%d)", i, victim, lowest)
+		}
+	}
 	l.empty = saved
 }
 

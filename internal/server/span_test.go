@@ -32,6 +32,12 @@ func TestSpanStageSumMatchesRequestLatency(t *testing.T) {
 		}
 	}
 
+	// The server settles a batch's span after it has written the reply, so
+	// the last Get can return before its stages are recorded: wait for them.
+	for deadline := time.Now().Add(2 * time.Second); rec.SampledCount() < 2*ops && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+
 	// Each synchronous command is one single-op batch, so per-op and
 	// per-batch accounting coincide and the comparison is exact.
 	lat := s.m.reqLatency.Snapshot()

@@ -397,3 +397,55 @@ func TestZoneStateInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// writtenRegion returns a device whose zone 0 holds one region-sized write
+// (the whole 256 KiB zone, striped over its four blocks), and a buffer to
+// read it back into.
+func writtenRegion(tb testing.TB, storeData bool) (*Device, []byte) {
+	tb.Helper()
+	cfg := testConfig()
+	cfg.StoreData = storeData
+	d, err := New(cfg)
+	if err != nil {
+		tb.Fatalf("New: %v", err)
+	}
+	region := bytes.Repeat([]byte{0x3C}, int(d.ZoneSize()))
+	if _, err := d.Write(0, region, len(region), 0); err != nil {
+		tb.Fatalf("Write: %v", err)
+	}
+	return d, make([]byte, len(region))
+}
+
+// TestReadRegionDoesNotAllocate: a region read is one copy per page out of
+// the array's stored pages into the caller's buffer — nothing per page, with
+// payloads or without.
+func TestReadRegionDoesNotAllocate(t *testing.T) {
+	for _, storeData := range []bool{true, false} {
+		d, buf := writtenRegion(t, storeData)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := d.Read(0, buf, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("StoreData=%v: reading a %d-page region allocates %.0f objects, want 0",
+				storeData, len(buf)/device.SectorSize, allocs)
+		}
+		if storeData && !bytes.Equal(buf, bytes.Repeat([]byte{0x3C}, len(buf))) {
+			t.Error("region read back wrong bytes")
+		}
+	}
+}
+
+// BenchmarkDeviceReadRegion reads one 256 KiB region with payload.
+func BenchmarkDeviceReadRegion(b *testing.B) {
+	d, buf := writtenRegion(b, true)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Read(0, buf, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
