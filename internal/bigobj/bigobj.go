@@ -60,7 +60,9 @@ const chunkTTLSlack = 2 * time.Second
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Backend is the engine surface bigobj needs. Both *cache.Cache and
-// *cache.Sharded satisfy it.
+// *cache.Sharded satisfy it. A backend that also offers cache.Cache's
+// GetBuf has range reads fetch chunks into buffers the store recycles;
+// otherwise every fetch takes Get's private copy.
 type Backend interface {
 	SetTTL(key string, value []byte, valLen int, ttl time.Duration) error
 	Get(key string) ([]byte, bool, error)
@@ -125,10 +127,17 @@ type Store struct {
 	chunkSize int
 	admit     cache.Admission
 
+	// get fetches a chunk. New resolves it once: the backend's GetBuf, which
+	// reads into the buffer it is handed (recycle is then true), or Get with
+	// the buffer ignored.
+	get     func(key string, buf []byte) ([]byte, bool, error)
+	recycle bool
+
 	mu      sync.Mutex
 	genNext uint64
 	pins    map[pinKey]*pin
-	scratch []byte // chunk encode buffer, reused across Puts (guarded by mu)
+	scratch []byte   // chunk encode buffer, reused across Puts (guarded by mu)
+	bufs    [][]byte // chunk read buffers released by pins (guarded by mu)
 
 	puts              stats.Counter
 	putBytes          stats.Counter
@@ -163,6 +172,13 @@ func New(cfg Config) (*Store, error) {
 		admit:     cfg.Admission,
 		pins:      make(map[pinKey]*pin),
 		genNext:   1,
+	}
+	if gb, ok := cfg.Backend.(interface {
+		GetBuf(key string, buf []byte) ([]byte, bool, error)
+	}); ok {
+		s.get, s.recycle = gb.GetBuf, true
+	} else {
+		s.get = func(key string, _ []byte) ([]byte, bool, error) { return cfg.Backend.Get(key) }
 	}
 	if cfg.Clock == nil {
 		if c, ok := cfg.Backend.(interface{ Clock() *sim.Clock }); ok {

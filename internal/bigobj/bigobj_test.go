@@ -13,11 +13,39 @@ import (
 	"znscache/internal/sim"
 )
 
+// fetchPath is one of the two chunk-fetch paths bigobj.New resolves: the
+// engine's GetBuf into store-recycled buffers, or the Get-only fallback that
+// cache.Sharded and decorating backends take.
+type fetchPath struct {
+	name string
+	wrap func(*cache.Cache) bigobj.Backend
+}
+
+var fetchPaths = []fetchPath{
+	{"GetBuf", func(c *cache.Cache) bigobj.Backend { return c }},
+	{"Get", func(c *cache.Cache) bigobj.Backend { return getOnly{c} }},
+}
+
+// getOnly exposes nothing of the engine but bigobj.Backend's methods.
+type getOnly struct{ bigobj.Backend }
+
+// forEachFetchPath runs fn as one subtest per fetch path.
+func forEachFetchPath(t *testing.T, fn func(t *testing.T, fp fetchPath)) {
+	for _, fp := range fetchPaths {
+		t.Run(fp.name, func(t *testing.T) { fn(t, fp) })
+	}
+}
+
 // testStore builds a bigobj store over a tiny real rig of the given scheme.
 // 10 × 256 KiB zones, 64 KiB regions, values tracked — the same profile the
 // crash harness uses, so every structure (flush, seal, eviction, GC) cycles
 // even in unit tests.
 func testStore(t *testing.T, scheme harness.Scheme, chunkSize int) (*bigobj.Store, *harness.Rig) {
+	return testStoreVia(t, scheme, chunkSize, fetchPaths[0])
+}
+
+// testStoreVia is testStore with the store reading chunks through fp.
+func testStoreVia(t *testing.T, scheme harness.Scheme, chunkSize int, fp fetchPath) (*bigobj.Store, *harness.Rig) {
 	t.Helper()
 	hw := harness.HWProfile{Zones: 10, BlocksPerZone: 4, PagesPerBlock: 16, Channels: 4, DiesPerChan: 1}
 	rig, err := harness.Build(harness.RigConfig{
@@ -30,7 +58,7 @@ func testStore(t *testing.T, scheme harness.Scheme, chunkSize int) (*bigobj.Stor
 	if err != nil {
 		t.Fatalf("build rig: %v", err)
 	}
-	st, err := bigobj.New(bigobj.Config{Backend: rig.Engine, ChunkSize: chunkSize, Clock: rig.Clock})
+	st, err := bigobj.New(bigobj.Config{Backend: fp.wrap(rig.Engine), ChunkSize: chunkSize, Clock: rig.Clock})
 	if err != nil {
 		t.Fatalf("bigobj.New: %v", err)
 	}
@@ -49,43 +77,53 @@ func pattern(seed uint64, n int) []byte {
 func TestPutReadRoundTrip(t *testing.T) {
 	for _, scheme := range harness.AllSchemes {
 		t.Run(scheme.String(), func(t *testing.T) {
-			st, _ := testStore(t, scheme, 8<<10)
-			// Sizes around every boundary: sub-chunk, exact multiples,
-			// straddles, and empty.
-			sizes := []int{0, 1, 100, 8 << 10, 8<<10 + 1, 16 << 10, 40<<10 - 7}
-			for i, n := range sizes {
-				key := "obj-" + string(rune('a'+i))
-				want := pattern(uint64(i+1), n)
-				if err := st.Put(key, bytes.NewReader(want), 0); err != nil {
-					t.Fatalf("Put(%q, %d bytes): %v", key, n, err)
-				}
-				stat, err := st.Stat(key)
-				if err != nil {
-					t.Fatalf("Stat(%q): %v", key, err)
-				}
-				if stat.Size != int64(n) {
-					t.Fatalf("Stat(%q).Size = %d, want %d", key, stat.Size, n)
-				}
-				wantChunks := (n + 8<<10 - 1) / (8 << 10)
-				if stat.ChunkCount != wantChunks {
-					t.Fatalf("Stat(%q).ChunkCount = %d, want %d", key, stat.ChunkCount, wantChunks)
-				}
-				got := make([]byte, n)
-				rn, err := st.ReadAt(key, got, 0)
-				if err != nil && err != io.EOF {
-					t.Fatalf("ReadAt(%q): %v", key, err)
-				}
-				if rn != n || !bytes.Equal(got, want) {
-					t.Fatalf("ReadAt(%q) = %d bytes, mismatch=%v", key, rn, !bytes.Equal(got, want))
-				}
-			}
+			forEachFetchPath(t, func(t *testing.T, fp fetchPath) {
+				testPutReadRoundTrip(t, scheme, fp)
+			})
 		})
 	}
 }
 
+func testPutReadRoundTrip(t *testing.T, scheme harness.Scheme, fp fetchPath) {
+	st, _ := testStoreVia(t, scheme, 8<<10, fp)
+	// Sizes around every boundary: sub-chunk, exact multiples, straddles,
+	// and empty.
+	sizes := []int{0, 1, 100, 8 << 10, 8<<10 + 1, 16 << 10, 40<<10 - 7}
+	for i, n := range sizes {
+		key := "obj-" + string(rune('a'+i))
+		want := pattern(uint64(i+1), n)
+		if err := st.Put(key, bytes.NewReader(want), 0); err != nil {
+			t.Fatalf("Put(%q, %d bytes): %v", key, n, err)
+		}
+		stat, err := st.Stat(key)
+		if err != nil {
+			t.Fatalf("Stat(%q): %v", key, err)
+		}
+		if stat.Size != int64(n) {
+			t.Fatalf("Stat(%q).Size = %d, want %d", key, stat.Size, n)
+		}
+		wantChunks := (n + 8<<10 - 1) / (8 << 10)
+		if stat.ChunkCount != wantChunks {
+			t.Fatalf("Stat(%q).ChunkCount = %d, want %d", key, stat.ChunkCount, wantChunks)
+		}
+		got := make([]byte, n)
+		rn, err := st.ReadAt(key, got, 0)
+		if err != nil && err != io.EOF {
+			t.Fatalf("ReadAt(%q): %v", key, err)
+		}
+		if rn != n || !bytes.Equal(got, want) {
+			t.Fatalf("ReadAt(%q) = %d bytes, mismatch=%v", key, rn, !bytes.Equal(got, want))
+		}
+	}
+}
+
 func TestRangeReadEdgeCases(t *testing.T) {
+	forEachFetchPath(t, testRangeReadEdgeCases)
+}
+
+func testRangeReadEdgeCases(t *testing.T, fp fetchPath) {
 	const chunk = 8 << 10
-	st, _ := testStore(t, harness.RegionCache, chunk)
+	st, _ := testStoreVia(t, harness.RegionCache, chunk, fp)
 	size := 3*chunk + 100 // 4 chunks, short tail
 	want := pattern(7, size)
 	if err := st.Put("obj", bytes.NewReader(want), 0); err != nil {

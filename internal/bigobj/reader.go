@@ -14,6 +14,8 @@ package bigobj
 import (
 	"fmt"
 	"io"
+
+	"znscache/internal/cache"
 )
 
 // pinKey identifies one pinned chunk. The generation is part of the key so
@@ -26,10 +28,13 @@ type pinKey struct {
 }
 
 // pin is one pin-table entry: a refcount of active readers that still need
-// the chunk, plus the chunk payload once any of them has fetched it.
+// the chunk, plus the chunk payload once any of them has fetched it. buf is
+// the store-owned read buffer data lives in (nil over a Get-only backend);
+// the pin owns it and unpinLocked recycles it at refcount zero.
 type pin struct {
 	refs int
 	data []byte
+	buf  []byte
 }
 
 // RangeReader streams a byte range of one object. It is not safe for
@@ -147,7 +152,13 @@ func (r *RangeReader) fetch(idx uint32) error {
 		return nil
 	}
 
+	ck := chunkKey(r.key, idx)
+	var buf []byte
+	if s.recycle {
+		buf = s.takeBufLocked(cache.ReadSpan(len(ck), chunkHeaderSize+int(r.man.chunkSize)))
+	}
 	fail := func(detail string) error {
+		s.putBufLocked(buf)
 		s.chunkMisses.Inc()
 		s.partialMisses.Inc()
 		s.dropManifest(r.key, r.man.gen)
@@ -156,7 +167,7 @@ func (r *RangeReader) fetch(idx uint32) error {
 		return r.err
 	}
 
-	raw, ok, err := s.backend.Get(chunkKey(r.key, idx))
+	raw, ok, err := s.get(ck, buf)
 	if err != nil {
 		return fail(fmt.Sprintf("backend: %v", err))
 	}
@@ -182,10 +193,38 @@ func (r *RangeReader) fetch(idx uint32) error {
 	}
 	s.chunkHits.Inc()
 	if p := s.pins[pk]; p != nil {
-		p.data = payload // retain for this reader and any concurrent ones
+		// Retain for this reader and any concurrent ones; the pin owns buf.
+		p.data, p.buf = payload, buf
 	}
 	r.cache, r.cacheIdx = payload, idx
 	return nil
+}
+
+// maxFreeBufs bounds the recycled read buffers kept between fetches: a
+// sequential reader needs one, and a burst of concurrent readers should not
+// leave its peak behind on the heap.
+const maxFreeBufs = 4
+
+// takeBufLocked returns a recycled chunk read buffer of capacity at least n,
+// or a fresh one. Called with mu held.
+func (s *Store) takeBufLocked(n int) []byte {
+	if k := len(s.bufs) - 1; k >= 0 {
+		b := s.bufs[k]
+		s.bufs[k] = nil
+		s.bufs = s.bufs[:k]
+		if cap(b) >= n {
+			return b
+		}
+	}
+	return make([]byte, n)
+}
+
+// putBufLocked recycles a chunk read buffer no reader can reach any more.
+// Called with mu held.
+func (s *Store) putBufLocked(b []byte) {
+	if b != nil && len(s.bufs) < maxFreeBufs {
+		s.bufs = append(s.bufs, b)
+	}
 }
 
 // advance releases pins on chunks the read has fully passed.
@@ -240,7 +279,11 @@ func (r *RangeReader) Close() error {
 
 // unpinLocked decrements one pin and, at zero, retires the entry. If the pin
 // retained chunk bytes that the engine has meanwhile evicted, that eviction
-// was absorbed by the pin — count it. Called with mu held.
+// was absorbed by the pin — count it. Retiring recycles the pin's read
+// buffer: every reader that pinned the chunk has read past it (a reader
+// releases chunk k only once its offset has left k, and Close drops its
+// cached view), and once the entry leaves the table no fetch can hand the
+// bytes out again. Called with mu held.
 func (s *Store) unpinLocked(pk pinKey) {
 	p := s.pins[pk]
 	if p == nil {
@@ -254,6 +297,7 @@ func (s *Store) unpinLocked(pk pinKey) {
 		s.evictionsDeferred.Inc()
 	}
 	delete(s.pins, pk)
+	s.putBufLocked(p.buf)
 }
 
 // ReadAt reads len(p) bytes at offset off into p, with io.ReaderAt

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -142,6 +143,129 @@ func TestSealedGetMetadataOnlyDoesNotAllocate(t *testing.T) {
 	}
 	if st.dev.Array().Reads.Load() == 0 {
 		t.Fatal("sealed Gets never reached the flash array")
+	}
+}
+
+// getBufFixture builds an engine over a data-storing zoned device with one
+// multi-sector payload item in each region state a hit can find — sealed,
+// flushing (in flight, with spare buffers) and open — and returns the keys by
+// state, plus the shared value.
+func getBufFixture(t *testing.T) (*Cache, map[string]string, []byte) {
+	t.Helper()
+	st := newZonedStore(t, true)
+	c, err := New(Config{Store: st, TrackValues: true, BufferMemory: 4 * st.RegionSize()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 3000)
+	for i := range val {
+		val[i] = byte(i*13 + 1)
+	}
+	fill := func(flushes uint64) {
+		for i := 0; c.Stats().Flushes < flushes; i++ {
+			if err := c.Set(fmt.Sprintf("fill-%d-%04d", flushes, i), val, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	keys := map[string]string{"sealed": "item-s", "flushing": "item-f", "open": "item-o"}
+	c.Set(keys["sealed"], val, 0)
+	fill(1)
+	c.Drain()
+	c.Set(keys["flushing"], val, 0)
+	fill(2)
+	c.Set(keys["open"], val, 0)
+	for name, want := range map[string]regionState{"sealed": regionSealed, "flushing": regionFlushing, "open": regionOpen} {
+		if got := c.regions[c.index[keys[name]].region].state; got != want {
+			t.Fatalf("%s item's region is in state %d, want %d", name, got, want)
+		}
+	}
+	return c, keys, val
+}
+
+// TestGetBufAliasesCallerBuffer: in every region state, a GetBuf whose
+// buffer fits returns the value inside that buffer, byte-equal to Get's
+// private copy.
+func TestGetBufAliasesCallerBuffer(t *testing.T) {
+	c, keys, val := getBufFixture(t)
+	for name, key := range keys {
+		t.Run(name, func(t *testing.T) {
+			buf := make([]byte, ReadSpan(len(key), len(val)))
+			got, ok, err := c.GetBuf(key, buf)
+			if !ok || err != nil {
+				t.Fatalf("GetBuf = (%v, %v)", ok, err)
+			}
+			want, _, _ := c.Get(key)
+			if !bytes.Equal(got, want) || !bytes.Equal(got, val) {
+				t.Fatal("GetBuf bytes differ from Get's")
+			}
+			for i := range buf {
+				buf[i] = ^buf[i]
+			}
+			if got[0] != ^val[0] || got[len(got)-1] != ^val[len(val)-1] {
+				t.Fatal("GetBuf value does not alias the caller's buffer")
+			}
+		})
+	}
+}
+
+// TestGetBufDoesNotAllocate: a GetBuf hit into a buffer of ReadSpan capacity
+// allocates nothing in any region state — the sealed read lands in the
+// buffer, is verified there, and is returned from there.
+func TestGetBufDoesNotAllocate(t *testing.T) {
+	c, keys, val := getBufFixture(t)
+	for name, key := range keys {
+		t.Run(name, func(t *testing.T) {
+			buf := make([]byte, ReadSpan(len(key), len(val)))
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, ok, err := c.GetBuf(key, buf); !ok || err != nil {
+					t.Fatalf("GetBuf = (%v, %v)", ok, err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%s GetBuf allocates %.0f objects per call, want 0", name, allocs)
+			}
+		})
+	}
+}
+
+// BenchmarkSealedGetBuf reads a sealed 128 KiB value — a bigobj chunk — from
+// a data-storing zoned device: Get's private copy against GetBuf into a
+// reused buffer.
+func BenchmarkSealedGetBuf(b *testing.B) {
+	const valLen = 128 << 10
+	c, err := New(Config{Store: newZonedStore(b, true), TrackValues: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	val := make([]byte, valLen)
+	for i := range val {
+		val[i] = byte(i)
+	}
+	keys := make([]string, 8)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("obj-%04d/%d", i, i)
+		if err := c.Set(keys[i], val, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := c.SealOpen(); err != nil {
+		b.Fatal(err)
+	}
+	buf := make([]byte, ReadSpan(len(keys[0]), valLen))
+	for _, bc := range []struct {
+		name string
+		buf  []byte
+	}{{"Get", nil}, {"GetBuf", buf}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(valLen)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok, err := c.GetBuf(keys[i%len(keys)], bc.buf); !ok || err != nil {
+					b.Fatalf("GetBuf = (%v, %v)", ok, err)
+				}
+			}
+		})
 	}
 }
 

@@ -296,9 +296,10 @@ type Cache struct {
 	firstEvictSeq uint64 // noEvictSeq until the first Evicted record
 
 	// readBuf pools the sector-aligned scratch buffers sealed-region Gets
-	// read into. The payload is copied out before the buffer is returned, so
-	// pooling is invisible to callers; it removes the largest per-Get
-	// allocation (up to a region of bytes per lookup).
+	// read into when the caller supplied no buffer that fits. The payload is
+	// copied out before the buffer is returned, so pooling is invisible to
+	// callers; it removes the largest per-Get allocation (up to a region of
+	// bytes per lookup).
 	readBuf sync.Pool
 
 	// orderVer counts mutations of the eviction order; coldSet caches, per
@@ -1002,9 +1003,27 @@ func (c *Cache) WouldBlock(keyLen, valLen int) bool {
 	return c.regions[oldest].flushDone > c.clock.Now()
 }
 
-// Get looks up key. With TrackValues it returns the payload; otherwise it
-// returns nil with found=true and all timing/accounting still exact.
-func (c *Cache) Get(key string) ([]byte, bool, error) {
+// ReadSpan bounds the bytes a sealed-region read of one item with the given
+// key and value lengths transfers: the item plus at most one partial sector
+// at each end. A GetBuf buffer of this capacity always receives the read.
+func ReadSpan(keyLen, valLen int) int {
+	return itemHeaderSize + keyLen + valLen + 2*device.SectorSize
+}
+
+// Get looks up key. With TrackValues it returns a private copy of the
+// payload; otherwise it returns nil with found=true and all timing/accounting
+// still exact.
+func (c *Cache) Get(key string) ([]byte, bool, error) { return c.GetBuf(key, nil) }
+
+// GetBuf is Get reading into a buffer the caller owns. When the item's read
+// fits cap(buf) — a sealed item's sector-aligned span (size buf with
+// ReadSpan), an open or flushing item's value — the returned value aliases
+// buf: it is read-only and valid until the caller reuses buf. These are not
+// append semantics: a sealed value sits inside the span, past the leading
+// sector slack and the item header, and moving it to buf[0] would cost the
+// copy GetBuf exists to avoid. When the read does not fit (buf nil or short)
+// the value is a private copy, as from Get. The engine never retains buf.
+func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 	start := c.clock.Now()
 	c.gets.Inc()
 	c.clock.Advance(c.cpu.IndexLookup)
@@ -1032,18 +1051,12 @@ func (c *Cache) Get(key string) ([]byte, bool, error) {
 	m := &c.regions[e.region]
 	var val []byte
 	switch m.state {
-	case regionOpen:
-		// Served straight from the in-memory buffer.
+	case regionOpen, regionFlushing:
+		// Served straight from the in-memory buffer — for a flushing region
+		// the in-flight buffer, as real Navy does: memory-speed access.
 		if c.cfg.TrackValues {
 			base := int64(e.offset) + itemHeaderSize + int64(e.keyLen)
-			val = append([]byte(nil), m.buf[base:base+int64(e.valLen)]...)
-		}
-	case regionFlushing:
-		// The buffer is being written out; real Navy serves such reads
-		// from the in-flight buffer. Model the same: memory-speed access.
-		if c.cfg.TrackValues {
-			base := int64(e.offset) + itemHeaderSize + int64(e.keyLen)
-			val = append([]byte(nil), m.buf[base:base+int64(e.valLen)]...)
+			val = append(buf[:0], m.buf[base:base+int64(e.valLen)]...)
 		}
 	case regionSealed:
 		// Device read of the sector-aligned span covering the item.
@@ -1055,11 +1068,15 @@ func (c *Cache) Get(key string) ([]byte, bool, error) {
 			alignedEnd = c.store.RegionSize()
 		}
 		n := int(alignedEnd - alignedStart)
-		var pv *[]byte
+		var pv *[]byte // pooled scratch, when the span does not fit buf
 		var p []byte
 		if c.cfg.TrackValues {
-			pv = c.getScratch(n)
-			p = *pv
+			if cap(buf) >= n {
+				p = buf[:n]
+			} else {
+				pv = c.getScratch(n)
+				p = *pv
+			}
 		}
 		lat, err := c.sampledRetryStore(func(t time.Duration) (time.Duration, error) {
 			return c.store.ReadRegion(t, int(e.region), p, n, alignedStart)
@@ -1078,14 +1095,20 @@ func (c *Cache) Get(key string) ([]byte, bool, error) {
 		if c.cfg.TrackValues {
 			head := itemStart - alignedStart
 			base := head + itemHeaderSize + int64(e.keyLen)
-			val = append([]byte(nil), p[base:base+int64(e.valLen)]...)
-			// Verify the on-flash header checksum: corruption in the store,
-			// a GC migration, or stale recovery metadata surfaces here and
-			// becomes a miss — the cache never serves unverified bytes.
+			end := base + int64(e.valLen)
+			val = p[base:end:end]
+			// Verify the on-flash header checksum in place: corruption in the
+			// store, a GC migration, or stale recovery metadata surfaces here
+			// and becomes a miss — the cache never serves unverified bytes.
 			want := binary.LittleEndian.Uint64(p[head+8 : head+16])
-			got := itemChecksum(key, val)
-			c.putScratch(pv)
-			if !c.cfg.SkipChecksum && got != want {
+			verified := c.cfg.SkipChecksum || itemChecksum(key, val) == want
+			if pv != nil {
+				if verified {
+					val = append([]byte(nil), val...)
+				}
+				c.putScratch(pv)
+			}
+			if !verified {
 				c.loseKey(key, e)
 				c.hitRatio.Miss()
 				c.getLat.Observe(c.clock.Now() - start)
@@ -1093,6 +1116,8 @@ func (c *Cache) Get(key string) ([]byte, bool, error) {
 			}
 			// Promote the verified bytes into the read index so later Gets
 			// for this (restored or metadata-published) key go lock-free.
+			// promoteRead publishes its own copy: the index never retains
+			// the caller's buf.
 			c.promoteRead(key, e, val)
 		}
 	default:

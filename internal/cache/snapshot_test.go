@@ -238,24 +238,85 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 		}
 	}
 
+	// Each case is read both ways: through Get's private copy, and through
+	// GetBuf verifying in place in a caller's buffer.
+	reads := []struct {
+		name string
+		get  func(c *Cache, key string) ([]byte, bool, error)
+	}{
+		{"Get", (*Cache).Get},
+		{"GetBuf", func(c *Cache, key string) ([]byte, bool, error) {
+			return c.GetBuf(key, make([]byte, ReadSpan(len(key), len(want))))
+		}},
+	}
 	for name, damage := range cases {
 		t.Run(name, func(t *testing.T) {
-			f := build(t)
-			key := damage(t, f)
-			lost := f.c.Stats().LostKeys
-			val, ok, err := f.c.Get(key)
-			if err != nil {
-				t.Fatalf("corrupted Get errored: %v", err)
-			}
-			if ok || val != nil {
-				t.Fatal("corrupted value passed the checksum")
-			}
-			if f.c.Contains(key) {
-				t.Fatal("unverifiable key still indexed")
-			}
-			if got := f.c.Stats().LostKeys; got != lost+1 {
-				t.Fatalf("LostKeys went %d -> %d, want one checksum drop counted", lost, got)
+			for _, via := range reads {
+				t.Run(via.name, func(t *testing.T) {
+					f := build(t)
+					key := damage(t, f)
+					lost := f.c.Stats().LostKeys
+					val, ok, err := via.get(f.c, key)
+					if err != nil {
+						t.Fatalf("corrupted read errored: %v", err)
+					}
+					if ok || val != nil {
+						t.Fatal("corrupted value passed the checksum")
+					}
+					if f.c.Contains(key) {
+						t.Fatal("unverifiable key still indexed")
+					}
+					if got := f.c.Stats().LostKeys; got != lost+1 {
+						t.Fatalf("LostKeys went %d -> %d, want one checksum drop counted", lost, got)
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestGetBufPromotionKeepsOwnCopy: a restored engine's read index holds
+// unservable entries until a verified sealed read promotes them. When that
+// read lands in a caller's buffer, the index must publish its own copy, so
+// scribbling on the buffer afterwards cannot change what TryFastGet serves.
+func TestGetBufPromotionKeepsOwnCopy(t *testing.T) {
+	st := newMemStore(8, 4096)
+	cfg := Config{Store: st, TrackValues: true, ReadIndex: true}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 900)
+	for i := range want {
+		want[i] = byte(i*5 + 3)
+	}
+	c.Set("k", want, 0)
+	for i := 0; c.Stats().Flushes < 2; i++ {
+		c.Set(fmt.Sprintf("fill-%04d", i), bytes.Repeat([]byte{byte(i)}, 900), 0)
+	}
+	c.Drain()
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Restore(cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, done := r.TryFastGet("k"); done {
+		t.Fatal("restored entry served lock-free before any verified read")
+	}
+	buf := make([]byte, ReadSpan(len("k"), len(want)))
+	got, ok, err := r.GetBuf("k", buf)
+	if !ok || err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("sealed GetBuf = (%v, %v), bytes equal %v", ok, err, bytes.Equal(got, want))
+	}
+	clear(buf)
+	v, found, done := r.TryFastGet("k")
+	if !done || !found {
+		t.Fatalf("TryFastGet after promotion = (found %v, done %v)", found, done)
+	}
+	if !bytes.Equal(v, want) {
+		t.Fatal("read index serves the caller's scribbled buffer")
 	}
 }

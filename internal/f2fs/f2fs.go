@@ -22,9 +22,12 @@
 package f2fs
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -130,7 +133,8 @@ type FS struct {
 	refs     map[int64]blockRef // device block index -> owner
 
 	dirtyNodes   map[nodeKey]struct{}
-	sinceCkpt    int64 // host bytes since last checkpoint
+	ckptOrder    []nodeKey // dirtyNodes sorted for a checkpoint, reused
+	sinceCkpt    int64     // host bytes since last checkpoint
 	usableBlocks int64
 	liveBlocks   int64 // file data blocks currently mapped
 
@@ -441,10 +445,21 @@ func (f *File) Size() int64 { return f.size }
 // (the cache's file store) can account for the synchronous share of writes.
 func (f *File) MetaCostPerBlock() time.Duration { return f.fs.cfg.MetaLatency }
 
-// checkpointLocked flushes dirty node blocks to the node log.
+// checkpointLocked flushes dirty node blocks to the node log, in (file name,
+// node index) order so node-log placement never depends on map iteration.
 func (fs *FS) checkpointLocked(now time.Duration) (time.Duration, error) {
 	latest := now
+	fs.ckptOrder = fs.ckptOrder[:0]
 	for k := range fs.dirtyNodes {
+		fs.ckptOrder = append(fs.ckptOrder, k)
+	}
+	slices.SortFunc(fs.ckptOrder, func(a, b nodeKey) int {
+		if c := strings.Compare(a.file.name, b.file.name); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	for _, k := range fs.ckptOrder {
 		if old := k.file.nodeLive[k.idx]; old != -1 {
 			fs.invalidateLocked(old)
 		}
@@ -458,7 +473,7 @@ func (fs *FS) checkpointLocked(now time.Duration) (time.Duration, error) {
 			latest = done
 		}
 	}
-	fs.dirtyNodes = make(map[nodeKey]struct{})
+	clear(fs.dirtyNodes)
 	fs.sinceCkpt = 0
 	fs.Checkpoints.Inc()
 	return latest, nil

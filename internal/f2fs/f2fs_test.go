@@ -3,6 +3,7 @@ package f2fs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -158,6 +159,58 @@ func TestCheckpointWritesNodeBlocks(t *testing.T) {
 	// Media bytes must exceed host bytes: the node block was also written.
 	if fs.WA.Media() <= fs.WA.Host() {
 		t.Fatalf("media %d not above host %d after checkpoint", fs.WA.Media(), fs.WA.Host())
+	}
+}
+
+// TestCheckpointPlacementDeterministic: a checkpoint places dirty node blocks
+// of several files in the same node-log blocks on every fresh run — replay
+// determinism must not hang on map iteration order.
+func TestCheckpointPlacementDeterministic(t *testing.T) {
+	const nodeSpan = PointersPerNode * BlockSize
+	placement := func() string {
+		// 256 zones of 64 KiB: room for two files of three node blocks each.
+		dev, err := zns.New(zns.Config{
+			Geometry: flash.Geometry{
+				Channels: 2, DiesPerChan: 2, BlocksPerDie: 256,
+				PagesPerBlock: 16, PageSize: device.SectorSize,
+			},
+			Timing:        flash.DefaultTiming(),
+			BlocksPerZone: 4,
+			MaxOpenZones:  8,
+		})
+		if err != nil {
+			t.Fatalf("zns.New: %v", err)
+		}
+		fs, err := Mount(dev, Config{OPRatio: 0.25})
+		if err != nil {
+			t.Fatalf("Mount: %v", err)
+		}
+		var files []*File
+		for _, name := range []string{"b", "a"} {
+			f, err := fs.Create(name, 3*nodeSpan)
+			if err != nil {
+				t.Fatalf("Create(%s): %v", name, err)
+			}
+			files = append(files, f)
+		}
+		// One block under every node block of both files: six dirty nodes.
+		for node := int64(2); node >= 0; node-- {
+			for _, f := range files {
+				if _, err := f.WriteAt(0, nil, BlockSize, node*nodeSpan); err != nil {
+					t.Fatalf("WriteAt: %v", err)
+				}
+			}
+		}
+		if _, err := fs.Sync(0); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+		return fmt.Sprint(files[0].nodeLive, files[1].nodeLive)
+	}
+	first := placement()
+	for run := 1; run < 20; run++ {
+		if got := placement(); got != first {
+			t.Fatalf("run %d placed node blocks %s, run 0 placed %s", run, got, first)
+		}
 	}
 }
 
