@@ -379,9 +379,6 @@ func (a *DynamicRandomAdmit) Probability() float64 {
 	return math.Float64frombits(a.p.Load())
 }
 
-// Budget returns the configured write budget in bytes per simulated second.
-func (a *DynamicRandomAdmit) Budget() float64 { return a.budget }
-
 // retarget closes the current rate window: compare the observed byte rate
 // against the budget and scale the probability toward the target, bounded
 // per step so a single noisy window cannot slam the policy shut (or open).

@@ -11,8 +11,9 @@
 //     at once. This amortizes flash GC cost but, with zone-sized regions,
 //     throws away ~1 GiB of possibly-hot objects in one stroke (the
 //     Zone-Cache hit-ratio cliff of §4.2).
-//   - Flushes pipeline: up to BufferMemory/RegionSize region buffers may be
-//     in flight at once. Small regions afford several buffers and overlap
+//   - Flushes pipeline: the engine holds at most BufferMemory/RegionSize
+//     region buffers, and every one but the filling buffer may be in
+//     flight at once. Small regions afford several buffers and overlap
 //     device writes; a zone-sized region affords one, serializing fill and
 //     flush — the paper's "coarse-grained parallelism" penalty (§3.2).
 //
@@ -43,6 +44,9 @@ type RegionStore interface {
 	// RegionSize is the fixed region size in bytes (sector-aligned).
 	RegionSize() int64
 	// WriteRegion persists a full region. data may be nil (metadata-only).
+	// Implementations copy data before returning and never retain it: the
+	// engine recycles the buffer for another region once the flush
+	// completes.
 	WriteRegion(now time.Duration, id int, data []byte) (time.Duration, error)
 	// ReadRegion reads n bytes at sector-aligned offset off within region
 	// id into p (p may be nil for a metadata-only read of n bytes).
@@ -133,10 +137,12 @@ type Config struct {
 	// AdmissionSeed seeds the policy instance built by AdmissionFactory
 	// (decorrelate shards with ShardSeed). Ignored when Admission is set.
 	AdmissionSeed uint64
-	// BufferMemory bounds DRAM spent on region buffers. One buffer is
-	// always filling; the remaining BufferMemory/RegionSize − 1 may hold
-	// in-flight flushes, so a budget of exactly one region makes flushes
-	// synchronous. Default 64 MiB.
+	// BufferMemory bounds DRAM spent on region buffers: the engine holds at
+	// most BufferMemory/RegionSize of them (with TrackValues; none without).
+	// One buffer is always filling; the rest may hold in-flight flushes, so
+	// a budget of exactly one region makes flushes synchronous. A buffer is
+	// recycled for the next open region once its flush completes. Default
+	// 64 MiB.
 	BufferMemory int64
 	// TrackValues keeps payload bytes in region buffers so Get returns
 	// real data (requires a data-storing device for sealed regions).
@@ -234,7 +240,7 @@ type regionMeta struct {
 	flushDone time.Duration
 	openedAt  time.Duration
 	elem      *list.Element // position in eviction order (sealed/flushing)
-	buf       []byte        // non-nil while open/flushing and TrackValues
+	buf       []byte        // non-nil only while open/flushing and TrackValues
 	fails     int           // exhausted-retry failures; quarantine trigger
 }
 
@@ -284,6 +290,10 @@ type Cache struct {
 	// flush pipeline: regions written but not yet completed, oldest first
 	inflight    []int
 	maxInflight int
+	// spare holds region buffers whose flush has completed; openRegion takes
+	// from it before allocating. Every buffer is held by the open region, an
+	// in-flight flush, or this list, so at most maxInflight+1 ever exist.
+	spare [][]byte
 
 	// fillLog is a bounded ring over the most recent FillRecords (cap
 	// fillCap; unbounded when fillCap <= 0). fillStart is the ring's oldest
@@ -338,6 +348,9 @@ type Cache struct {
 	quarantines stats.Counter // regions withdrawn after repeated failures
 	lostKeys    stats.Counter // keys dropped because their bytes became unreachable
 	restoreDrop stats.Counter // snapshot entries dropped by the Restore repair pass
+	// bufBytes counts bytes allocated for region buffers. Buffers are only
+	// ever recycled, never freed, so it is also their DRAM footprint.
+	bufBytes stats.Counter
 	// EvictedKeys is called (if set) with every key dropped by a region
 	// eviction — used by integrations that must mirror the cache contents.
 	EvictedKeys func(keys []string)
@@ -445,12 +458,30 @@ func (c *Cache) openRegion(id int) {
 	m.live = 0
 	m.openedAt = c.clock.Now()
 	m.elem = nil
-	if c.cfg.TrackValues {
-		if m.buf == nil {
+	if c.cfg.TrackValues && m.buf == nil {
+		// A recycled buffer keeps an earlier region's bytes past fill; nothing
+		// reads past fill (index offsets stay below it, item checksums guard
+		// every read), so it is not zeroed.
+		if n := len(c.spare); n > 0 {
+			m.buf = c.spare[n-1]
+			c.spare = c.spare[:n-1]
+		} else {
 			m.buf = make([]byte, c.store.RegionSize())
+			c.bufBytes.Add(uint64(len(m.buf)))
 		}
 	}
 	c.open = id
+}
+
+// releaseBuf moves region id's buffer, if it holds one, to the spare list.
+// Called once the region no longer serves reads from DRAM: its flush
+// completed (reads go to the store), or failed (its keys are dropped).
+func (c *Cache) releaseBuf(id int) {
+	m := &c.regions[id]
+	if m.buf != nil {
+		c.spare = append(c.spare, m.buf)
+		m.buf = nil
+	}
 }
 
 // Set inserts or replaces key with a value of length valLen. value may be
@@ -777,6 +808,7 @@ func (c *Cache) rollRegion() error {
 		// region returns to the free pool, or is quarantined once it has
 		// burned its failure budget.
 		c.dropRegionKeys(id)
+		c.releaseBuf(id)
 		if c.regionFailed(id) {
 			m.state = regionQuarantined
 			c.quarantines.Inc()
@@ -852,16 +884,15 @@ type reinsertItem struct {
 }
 
 // completeFlush retires an in-flight flush, advancing the clock to its
-// completion if it has not finished yet.
+// completion if it has not finished yet. The region is sealed — its reads go
+// to the store — so its buffer is recycled.
 func (c *Cache) completeFlush(id int) {
 	m := &c.regions[id]
 	c.clock.AdvanceTo(m.flushDone)
 	if m.state == regionFlushing {
 		m.state = regionSealed
 	}
-	if !c.cfg.TrackValues {
-		m.buf = nil
-	}
+	c.releaseBuf(id)
 }
 
 // evictVictim drops the least-recently-used sealed region and returns its
@@ -1406,6 +1437,8 @@ func (c *Cache) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	r.Counter("region_quarantined_total", "Regions withdrawn after repeated store failures", ls, &c.quarantines)
 	r.Counter("cache_fault_lost_keys_total", "Keys dropped because their bytes became unreachable", ls, &c.lostKeys)
 	r.Counter("cache_restore_dropped_entries_total", "Snapshot entries dropped by the Restore repair pass", ls, &c.restoreDrop)
+	r.Gauge("cache_region_buffer_bytes", "DRAM held in region buffers (open, in-flight and spare)", ls,
+		func() float64 { return float64(c.bufBytes.Load()) })
 	if c.reads != nil {
 		r.Counter("cache_fast_get_hits_total", "Gets answered lock-free from the read index", ls, &c.reads.fastHits)
 		r.Counter("cache_fast_get_misses_total", "Misses answered lock-free from the read index", ls, &c.reads.fastMisses)

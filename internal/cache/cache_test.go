@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"znscache/internal/obs"
 )
 
 // memStore is an in-memory RegionStore with configurable latencies, used to
@@ -334,6 +336,77 @@ func TestFlushPipelineBounded(t *testing.T) {
 	// (10ms) must have been waited on.
 	if c.Clock().Now() < 10*time.Millisecond {
 		t.Fatalf("clock %v: pipeline never stalled on flush completion", c.Clock().Now())
+	}
+}
+
+// checkBufferBound asserts that the region-buffer bytes c holds, over its
+// regions and the spare list, stay within Config.BufferMemory, and that the
+// cache_region_buffer_bytes gauge reports exactly that sum.
+func checkBufferBound(t *testing.T, c *Cache) {
+	t.Helper()
+	var held int64
+	for i := range c.regions {
+		held += int64(cap(c.regions[i].buf))
+	}
+	for _, b := range c.spare {
+		held += int64(cap(b))
+	}
+	if held > c.cfg.BufferMemory {
+		t.Fatalf("region buffers hold %d bytes, BufferMemory is %d", held, c.cfg.BufferMemory)
+	}
+	reg := obs.NewRegistry()
+	c.MetricsInto(reg, obs.Labels{})
+	if got := gatherSum(t, reg, "cache_region_buffer_bytes"); got != float64(held) {
+		t.Fatalf("cache_region_buffer_bytes = %v, buffers hold %d", got, held)
+	}
+}
+
+// TestRegionBuffersWithinBufferMemory runs each pipeline depth and policy
+// through several full turn-overs of the region table and checks, after
+// every set, that buffers stay within BufferMemory while every indexed key —
+// open, flushing or sealed — reads back its own bytes through Get and
+// GetBuf. Recycled buffers carry an earlier region's bytes past fill, so a
+// read that strayed past what its own region wrote would show here.
+func TestRegionBuffersWithinBufferMemory(t *testing.T) {
+	const regions, regionSize = 8, 4096
+	for _, depth := range []int64{1, 2, 4} {
+		for _, policy := range []Policy{FIFO, LRU} {
+			t.Run(fmt.Sprintf("buffers=%d/policy=%d", depth, policy), func(t *testing.T) {
+				c, _ := newTestCache(t, regions, regionSize, func(cfg *Config) {
+					cfg.BufferMemory = depth * regionSize
+					cfg.Policy = policy
+				})
+				vals := map[string][]byte{}
+				seen := map[regionState]bool{}
+				for i := 0; c.Stats().Evictions < 3*regions; i++ {
+					k := fmt.Sprintf("key-%05d", i)
+					v := bytes.Repeat([]byte{byte(i), byte(i >> 8)}, 350+(i*37)%300)
+					vals[k] = v
+					if err := c.Set(k, v, 0); err != nil {
+						t.Fatalf("Set(%s): %v", k, err)
+					}
+					checkBufferBound(t, c)
+					for k := range c.index {
+						seen[c.regions[c.index[k].region].state] = true
+						want := vals[k]
+						got, ok, err := c.Get(k)
+						if !ok || err != nil || !bytes.Equal(got, want) {
+							t.Fatalf("Get(%s) = (%v, %v), bytes equal %v", k, ok, err, bytes.Equal(got, want))
+						}
+						got, ok, err = c.GetBuf(k, make([]byte, ReadSpan(len(k), len(want))))
+						if !ok || err != nil || !bytes.Equal(got, want) {
+							t.Fatalf("GetBuf(%s) = (%v, %v), bytes equal %v", k, ok, err, bytes.Equal(got, want))
+						}
+					}
+				}
+				want := map[regionState]bool{regionOpen: true, regionSealed: true, regionFlushing: depth > 1}
+				for st, w := range want {
+					if seen[st] != w {
+						t.Errorf("read items in state %d: %v, want %v", st, seen[st], w)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ func newFlakyCache(t *testing.T) (*Cache, *flakyStore) {
 	t.Helper()
 	fs := &flakyStore{memStore: newMemStore(8, 4096)}
 	c, err := New(Config{
-		Store: fs, TrackValues: true,
+		Store: fs, TrackValues: true, BufferMemory: 2 * 4096,
 		MaxRetries: 2, RetryBackoff: time.Microsecond, QuarantineAfter: 1,
 	})
 	if err != nil {
@@ -51,9 +51,9 @@ func newFlakyCache(t *testing.T) (*Cache, *flakyStore) {
 	return c, fs
 }
 
-// gatherCounter sums a registry counter's samples by name, skipping
-// per-kind breakdown series so totals are not double counted.
-func gatherCounter(t *testing.T, r *obs.Registry, name string) float64 {
+// gatherSum sums a registry series' samples by name, skipping per-kind
+// breakdown series so totals are not double counted.
+func gatherSum(t *testing.T, r *obs.Registry, name string) float64 {
 	t.Helper()
 	total, found := 0.0, false
 	for _, s := range r.Gather() {
@@ -73,7 +73,8 @@ func gatherCounter(t *testing.T, r *obs.Registry, name string) float64 {
 // flush that fails fewer times than it has attempts succeeds transparently,
 // while one that exhausts its attempts loses the region's keys and
 // quarantines the region — and both outcomes are visible in Stats and the
-// obs registry.
+// obs registry. A failed flush's buffer is recycled like a completed one's,
+// so the engine stays within its two-region BufferMemory either way.
 func TestFlushRetryAndQuarantine(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -128,12 +129,13 @@ func TestFlushRetryAndQuarantine(t *testing.T) {
 
 			reg := obs.NewRegistry()
 			c.MetricsInto(reg, obs.Labels{})
-			if got := gatherCounter(t, reg, "cache_store_retries_total"); got != float64(tc.wantRetries) {
+			if got := gatherSum(t, reg, "cache_store_retries_total"); got != float64(tc.wantRetries) {
 				t.Errorf("cache_store_retries_total = %v, want %d", got, tc.wantRetries)
 			}
-			if got := gatherCounter(t, reg, "region_quarantined_total"); got != float64(tc.wantQuar) {
+			if got := gatherSum(t, reg, "region_quarantined_total"); got != float64(tc.wantQuar) {
 				t.Errorf("region_quarantined_total = %v, want %d", got, tc.wantQuar)
 			}
+			checkBufferBound(t, c)
 		})
 	}
 }

@@ -285,7 +285,10 @@ func Restore(cfg Config, snapshot []byte) (*Cache, error) {
 	}
 	c.free = append(c.free, s.Free...)
 	c.free = append(c.free, repairedFree...)
-	// Reopen the snapshot's open region as a fresh buffer.
+	// Reopen the snapshot's open region as a fresh buffer: the one New gave
+	// region 0 goes to the spare list first, so no sealed or free region
+	// keeps it.
+	c.releaseBuf(c.open)
 	c.open = s.Open
 	c.openRegion(s.Open)
 	if c.reads != nil {

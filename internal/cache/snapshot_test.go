@@ -10,7 +10,10 @@ import (
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	st := newMemStore(8, 4096)
-	c, err := New(Config{Store: st, TrackValues: true})
+	// One region of BufferMemory: the restored engine may hold exactly one
+	// buffer, so the one New gave region 0 must move to the open region.
+	cfg := Config{Store: st, TrackValues: true, BufferMemory: 4096}
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,10 +38,14 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	// "Restart": a brand-new engine over the same store contents.
-	r, err := Restore(Config{Store: st, TrackValues: true}, snap)
+	r, err := Restore(cfg, snap)
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
+	if r.open == 0 {
+		t.Fatal("snapshot's open region is 0: the buffer hand-over goes untested")
+	}
+	checkBufferBound(t, r)
 
 	recoveredHits := 0
 	for k, wasThere := range before {
@@ -69,6 +76,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if !r.Contains("new-0029") {
 		t.Fatal("post-restore inserts not readable")
 	}
+	checkBufferBound(t, r)
 }
 
 func TestSnapshotDropsOpenRegionKeys(t *testing.T) {

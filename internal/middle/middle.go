@@ -712,11 +712,4 @@ func (l *Layer) RegionReadableBytes(id int) (int64, bool) {
 	return l.cfg.RegionSize, true
 }
 
-// ZoneValidRatio reports the live fraction of a zone (tests, zonectl).
-func (l *Layer) ZoneValidRatio(z int) float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return float64(bits.OnesCount64(l.zones[z].bitmap)) / float64(l.regionsPerZone)
-}
-
 var _ cache.RegionStore = (*Layer)(nil)

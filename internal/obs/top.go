@@ -134,18 +134,6 @@ func (p *PromSnapshot) Sum(name string, pairs ...string) float64 {
 	return sum
 }
 
-// CountWhere counts matching samples whose value equals v — e.g. zones in a
-// given state.
-func (p *PromSnapshot) CountWhere(name string, v float64, pairs ...string) int {
-	n := 0
-	for _, s := range p.Samples {
-		if s.Name == name && s.Value == v && labelsMatch(s.Labels, pairs) {
-			n++
-		}
-	}
-	return n
-}
-
 func labelsMatch(ls map[string]string, pairs []string) bool {
 	for i := 0; i+1 < len(pairs); i += 2 {
 		if ls[pairs[i]] != pairs[i+1] {

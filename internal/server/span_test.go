@@ -78,6 +78,10 @@ func TestForcedSlowRequestExemplar(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The span settles after the reply is written: wait for the exemplar.
+	for deadline := time.Now().Add(2 * time.Second); rec.SlowTotal() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if rec.SlowTotal() == 0 {
 		t.Fatal("no exemplar recorded with a 1ns threshold")
 	}

@@ -447,8 +447,9 @@ func (d *Device) addrFor(z int, sector int64) flash.Addr {
 // programRange programs count sectors of zone z starting at startSector.
 // payloads[i] is the content of sector startSector+i; a nil slice (or a nil
 // payloads when every sector is metadata-only) programs a zero page. Called
-// outside the device lock — the flash array does its own locking and the
-// range was reserved by the caller.
+// with d.mu held from the write-pointer update through the last page: NAND
+// programs a block's pages strictly in order, so two writers to one zone
+// must not interleave between reserving their sectors and programming them.
 func (d *Device) programRange(now time.Duration, z int, startSector, count int64, payloads [][]byte) (time.Duration, error) {
 	latest := now
 	tm := d.array.Timing()
@@ -489,6 +490,14 @@ func (d *Device) programRange(now time.Duration, z int, startSector, count int64
 // committed; a write extending past the window end implicitly commits
 // everything below (end − ZRWABytes), holes included.
 func (d *Device) Write(now time.Duration, data []byte, n int, off int64) (time.Duration, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.writeLocked(now, data, n, off)
+}
+
+// writeLocked is Write with d.mu held by the caller, which keeps it held
+// until the sectors are programmed.
+func (d *Device) writeLocked(now time.Duration, data []byte, n int, off int64) (time.Duration, error) {
 	if err := device.CheckRange(off, n, d.Size()); err != nil {
 		return 0, err
 	}
@@ -503,18 +512,15 @@ func (d *Device) Write(now time.Duration, data []byte, n int, off int64) (time.D
 		return 0, fmt.Errorf("%w: [%d,+%d)", ErrCrossZone, off, n)
 	}
 
-	d.mu.Lock()
 	zStart := int64(z) * d.zoneSize
 	wp := d.wp[z]
 	a := (off - zStart) / device.SectorSize
 	b := a + int64(n)/device.SectorSize
 	if d.state[z] == ZoneFull {
-		d.mu.Unlock()
 		return 0, fmt.Errorf("%w: zone %d", ErrZoneFull, z)
 	}
 	if a < wp || a > wp+d.winSec {
 		wpOff := zStart + wp*device.SectorSize
-		d.mu.Unlock()
 		if d.winSec > 0 {
 			return 0, fmt.Errorf("%w: zone %d zrwa=[%d,%d) got=%d",
 				ErrNotWritePointer, z, wpOff, wpOff+d.cfg.ZRWABytes, off)
@@ -522,7 +528,6 @@ func (d *Device) Write(now time.Duration, data []byte, n int, off int64) (time.D
 		return 0, fmt.Errorf("%w: zone %d wp=%d got=%d", ErrNotWritePointer, z, wpOff, off)
 	}
 	if err := d.implicitOpenLocked(z); err != nil {
-		d.mu.Unlock()
 		return 0, err
 	}
 
@@ -588,7 +593,6 @@ func (d *Device) Write(now time.Duration, data []byte, n int, off int64) (time.D
 		d.state[z] = ZoneFull
 		d.zrwa[z] = nil
 	}
-	d.mu.Unlock()
 
 	latest := now
 	tm := d.array.Timing()
@@ -631,15 +635,21 @@ func (d *Device) Write(now time.Duration, data []byte, n int, off int64) (time.D
 
 // Append writes n bytes at zone z's current write pointer, returning the
 // assigned device offset — the zone-append primitive that lets multiple
-// writers share a zone without coordinating on the write pointer.
+// writers share a zone without coordinating on the write pointer. The
+// offset is resolved and programmed in one critical section, so concurrent
+// appends to a zone get distinct offsets that tile it.
 func (d *Device) Append(now time.Duration, data []byte, n int, z int) (time.Duration, int64, error) {
 	if z < 0 || z >= d.numZones {
 		return 0, 0, fmt.Errorf("%w: %d", ErrZoneRange, z)
 	}
 	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.state[z] == ZoneFull {
+		// The write pointer sits at the next zone's start; do not spill there.
+		return 0, 0, fmt.Errorf("%w: zone %d", ErrZoneFull, z)
+	}
 	off := int64(z)*d.zoneSize + d.wp[z]*device.SectorSize
-	d.mu.Unlock()
-	lat, err := d.Write(now, data, n, off)
+	lat, err := d.writeLocked(now, data, n, off)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -664,10 +674,10 @@ func (d *Device) CommitZRWA(now time.Duration, z int, upTo int64) (time.Duration
 		return 0, fmt.Errorf("zns: commit offset %d: %w", upTo, device.ErrAlignment)
 	}
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	target := upTo / device.SectorSize
 	wp := d.wp[z]
 	if target <= wp {
-		d.mu.Unlock()
 		return 0, nil
 	}
 	spz := d.zoneSize / device.SectorSize
@@ -676,12 +686,10 @@ func (d *Device) CommitZRWA(now time.Duration, z int, upTo int64) (time.Duration
 		limit = spz
 	}
 	if target > limit {
-		d.mu.Unlock()
 		return 0, fmt.Errorf("%w: zone %d commit to %d beyond window end %d",
 			ErrNotWritePointer, z, upTo, limit*device.SectorSize)
 	}
 	if err := d.implicitOpenLocked(z); err != nil {
-		d.mu.Unlock()
 		return 0, err
 	}
 	w := d.zrwa[z]
@@ -695,7 +703,6 @@ func (d *Device) CommitZRWA(now time.Duration, z int, upTo int64) (time.Duration
 		d.state[z] = ZoneFull
 		d.zrwa[z] = nil
 	}
-	d.mu.Unlock()
 
 	latest, err := d.programRange(now, z, wp, target-wp, payloads)
 	if err != nil {
@@ -838,13 +845,10 @@ func (d *Device) Reset(now time.Duration, z int) (time.Duration, error) {
 	d.wp[z] = 0
 	d.zrwa[z] = nil
 	d.reset[z]++
-	d.mu.Unlock()
-	if d.Trace != nil {
-		d.Trace.Emit(obs.Event{T: now, Type: obs.EvZoneReset, Zone: int32(z), Region: -1, Bytes: wasWritten})
-	}
 
-	// Erase the zone's blocks; they sit on different dies and proceed in
-	// parallel, so the reset cost is ~one block-erase of queueing.
+	// Erase the zone's blocks before a writer can see the zone empty; they
+	// sit on different dies and proceed in parallel, so the reset cost is
+	// ~one block-erase of queueing.
 	var latest time.Duration = now
 	for b := 0; b < d.cfg.BlocksPerZone; b++ {
 		blk := z*d.cfg.BlocksPerZone + b
@@ -853,11 +857,16 @@ func (d *Device) Reset(now time.Duration, z int) (time.Duration, error) {
 		}
 		done, err := d.array.Erase(now, blk)
 		if err != nil {
+			d.mu.Unlock()
 			return 0, fmt.Errorf("zns: reset erase: %w", err)
 		}
 		if done > latest {
 			latest = done
 		}
+	}
+	d.mu.Unlock()
+	if d.Trace != nil {
+		d.Trace.Emit(obs.Event{T: now, Type: obs.EvZoneReset, Zone: int32(z), Region: -1, Bytes: wasWritten})
 	}
 	d.Resets.Inc()
 	return latest - now, nil
@@ -890,17 +899,18 @@ func (d *Device) Finish(now time.Duration, z int) (time.Duration, error) {
 	d.state[z] = ZoneFull
 	d.zrwa[z] = nil
 	d.Finishes.Inc()
-	d.mu.Unlock()
 
 	latest := now
 	if fill > 0 {
 		done, err := d.programRange(now, z, start, fill, payloads)
 		if err != nil {
+			d.mu.Unlock()
 			return 0, fmt.Errorf("zns: finish fill: %w", err)
 		}
 		latest = done
 		d.FinishFill.Add(uint64(fill))
 	}
+	d.mu.Unlock()
 	if d.Trace != nil {
 		d.Trace.Emit(obs.Event{T: now, Type: obs.EvZoneFinish, Zone: int32(z), Region: -1})
 	}
