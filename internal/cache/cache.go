@@ -247,9 +247,9 @@ type regionMeta struct {
 // FillRecord is one entry of the Figure 3 log: how long it took to fill a
 // region buffer, including any stalls from flushing and eviction.
 type FillRecord struct {
-	Seq      uint64
-	Duration time.Duration
-	Evicted  bool // an eviction was needed to open this region's successor
+	Seq      uint64        `json:"seq"`
+	Duration time.Duration `json:"duration_ns"`
+	Evicted  bool          `json:"evicted"` // an eviction was needed to open this region's successor
 }
 
 // Stats is a snapshot of engine counters.

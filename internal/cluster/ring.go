@@ -81,11 +81,6 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 // ring's own; treat it as read-only.
 func (r *Ring) Nodes() []string { return r.nodes }
 
-// Owner returns the node owning key (the primary replica).
-func (r *Ring) Owner(key string) string {
-	return r.nodes[r.points[r.firstPoint(key)].node]
-}
-
 // OwnersInto appends key's replica set — the first n distinct nodes
 // clockwise from the key's hash, primary first — to dst and returns it.
 // Fewer than n nodes in the ring yields all of them.

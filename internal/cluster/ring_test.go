@@ -52,7 +52,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 	moved := 0
 	for _, k := range keys {
-		bo, ao := before.Owner(k), after.Owner(k)
+		bo, ao := before.OwnersInto(k, 1, nil)[0], after.OwnersInto(k, 1, nil)[0]
 		if bo != ao {
 			moved++
 			if ao != "n5" {
@@ -75,7 +75,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 	moved = 0
 	for _, k := range keys {
-		bo, so := before.Owner(k), smaller.Owner(k)
+		bo, so := before.OwnersInto(k, 1, nil)[0], smaller.OwnersInto(k, 1, nil)[0]
 		if bo != so {
 			moved++
 			if bo != "n2" {
@@ -113,9 +113,9 @@ func TestRingReplicaSetDisjoint(t *testing.T) {
 				}
 				seen[o] = true
 			}
-			if owners[0] != r.Owner(k) {
+			if primary := r.OwnersInto(k, 1, nil)[0]; owners[0] != primary {
 				t.Fatalf("replica set for %q does not start at the primary: %v vs %s",
-					k, owners, r.Owner(k))
+					k, owners, primary)
 			}
 		}
 	}
@@ -132,7 +132,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	keys := testKeys(40000)
 	for _, k := range keys {
-		counts[r.Owner(k)]++
+		counts[r.OwnersInto(k, 1, nil)[0]]++
 	}
 	ideal := len(keys) / len(nodes)
 	for _, n := range nodes {

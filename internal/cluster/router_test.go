@@ -197,7 +197,7 @@ func TestJoinWarmsNewOwner(t *testing.T) {
 	}
 	captured := 0
 	for _, k := range keys {
-		if rt.ring.Owner(k) != "n2" {
+		if rt.ring.OwnersInto(k, 1, nil)[0] != "n2" {
 			continue
 		}
 		captured++
@@ -214,50 +214,6 @@ func TestJoinWarmsNewOwner(t *testing.T) {
 	}
 	if moved != captured {
 		t.Fatalf("moved %d keys but new node owns %d", moved, captured)
-	}
-}
-
-// TestLeaveRehomesKeys: a graceful leave copies the departing node's keys to
-// their new owners before the node's pool closes.
-func TestLeaveRehomesKeys(t *testing.T) {
-	nodes := startNodes(t, "n0", "n1", "n2")
-	rt, err := New(Config{Nodes: nodeList(nodes, "n0", "n1", "n2"), Replication: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-
-	keys := testKeys(300)
-	for _, k := range keys {
-		if err := rt.Set(k, []byte("v-"+k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	departed := 0
-	for _, k := range keys {
-		if rt.ring.Owner(k) == "n1" {
-			departed++
-		}
-	}
-	if departed == 0 {
-		t.Fatal("test needs n1 to own some keys")
-	}
-
-	moved, err := rt.Leave("n1", keys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != departed {
-		t.Fatalf("leave moved %d keys, departing node owned %d", moved, departed)
-	}
-	for _, k := range keys {
-		v, hit, gerr := rt.Get(k)
-		if gerr != nil || !hit || !bytes.Equal(v, []byte("v-"+k)) {
-			t.Fatalf("Get(%s) after leave = (%q, %v, %v)", k, v, hit, gerr)
-		}
-	}
-	if containsStr(rt.Nodes(), "n1") {
-		t.Fatal("departed node still in the ring")
 	}
 }
 

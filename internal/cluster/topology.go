@@ -51,77 +51,10 @@ func (rt *Router) Join(n Node, warmKeys []string) (int, error) {
 	return moved, nil
 }
 
-// Leave gracefully removes node name: keys (typically the departing node's
-// snapshot keys) are re-resolved under the shrunk ring, and every key whose
-// new replica set gained a node is copied there from a current owner — the
-// departing node is still serving, so its data is the warm source. The
-// node's pool closes once warming finishes.
-func (rt *Router) Leave(name string, keys []string) (int, error) {
-	rt.mu.Lock()
-	departing := rt.members[name]
-	if departing == nil {
-		rt.mu.Unlock()
-		return 0, fmt.Errorf("cluster: unknown node %q", name)
-	}
-	oldRing := rt.ring
-	remaining := make([]string, 0, len(oldRing.Nodes())-1)
-	for _, n := range oldRing.Nodes() {
-		if n != name {
-			remaining = append(remaining, n)
-		}
-	}
-	if len(remaining) == 0 {
-		rt.mu.Unlock()
-		return 0, fmt.Errorf("cluster: cannot remove the last node %q", name)
-	}
-	newRing, err := NewRing(remaining, rt.cfg.VirtualNodes)
-	if err != nil {
-		rt.mu.Unlock()
-		return 0, err
-	}
-	// Publish the shrunk ring first so new writes land on the successors;
-	// the departing member stays resolvable for warming reads until the end.
-	rt.ring = newRing
-	rt.mu.Unlock()
-	rt.m.rebalances.Inc()
-
-	moved := 0
-	for _, key := range keys {
-		oldOwners := oldRing.OwnersInto(key, rt.r, nil)
-		if !containsStr(oldOwners, name) {
-			continue
-		}
-		newOwners := newRing.OwnersInto(key, rt.r, nil)
-		v, hit, gerr := rt.getFailover(key, rt.membersFor(oldOwners), 0, nil)
-		if gerr != nil || !hit {
-			continue
-		}
-		copied := false
-		for _, owner := range newOwners {
-			if containsStr(oldOwners, owner) {
-				continue // already holds it from the replicated write
-			}
-			if mb := rt.memberOf(owner); mb != nil && rt.setOn(mb, key, v, 0) == nil {
-				copied = true
-			}
-		}
-		if copied {
-			moved++
-			rt.m.ringMoves.Inc()
-		}
-	}
-
-	rt.mu.Lock()
-	delete(rt.members, name)
-	rt.mu.Unlock()
-	departing.pool.close()
-	return moved, nil
-}
-
 // MarkDown removes a crashed node: no warming (the node is gone), the ring
 // shrinks, and surviving replicas take over. Keys replicated only on the
 // dead node surface as misses — the lost-key accounting the failure drill
-// asserts. Unknown names are a no-op (a drill may race a leave).
+// asserts. Unknown names are a no-op (a drill may mark a node down twice).
 func (rt *Router) MarkDown(name string) {
 	rt.mu.Lock()
 	mb := rt.members[name]
@@ -160,12 +93,6 @@ func (rt *Router) membersFor(names []string) []*member {
 		}
 	}
 	return ms
-}
-
-func (rt *Router) memberOf(name string) *member {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.members[name]
 }
 
 func containsStr(xs []string, want string) bool {

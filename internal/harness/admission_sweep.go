@@ -11,23 +11,23 @@ import (
 // sweep: the usual bc-mix result plus the write-path quantities admission
 // control exists to trade — device bytes written against hit ratio.
 type AdmissionRow struct {
-	Scheme Scheme
+	Scheme Scheme `json:"scheme"`
 	// Policy is the admission spec the row ran under ("all", "reject-first",
 	// "frequency", "dynamic-random", ...).
-	Policy string
-	Result SchemeResult
+	Policy string       `json:"policy"`
+	Result SchemeResult `json:"result"`
 	// HostWriteBytes / DeviceWriteBytes are measured-window byte deltas; the
 	// device figure includes region padding and GC, so DeviceWriteBytes /
 	// HostWriteBytes is the end-to-end write cost per accepted item byte.
-	HostWriteBytes   uint64
-	DeviceWriteBytes uint64
+	HostWriteBytes   uint64 `json:"host_write_bytes"`
+	DeviceWriteBytes uint64 `json:"device_write_bytes"`
 	// DeviceBytesPerSec is DeviceWriteBytes over the measured simulated time.
-	DeviceBytesPerSec float64
+	DeviceBytesPerSec float64 `json:"device_bytes_per_sec"`
 	// BudgetBytesPerSec is dynamic-random's configured device-write budget
 	// (0 for every other policy).
-	BudgetBytesPerSec float64
+	BudgetBytesPerSec float64 `json:"budget_bytes_per_sec"`
 	// AdmitRejects counts inserts the policy refused in the window.
-	AdmitRejects uint64
+	AdmitRejects uint64 `json:"admit_rejects"`
 }
 
 // AdmissionSweepParams sizes the admission sweep. The sweep runs in two
@@ -213,22 +213,4 @@ func PrintAdmission(w io.Writer, rows []AdmissionRow) {
 			float64(r.DeviceWriteBytes)/mib, r.DeviceBytesPerSec/mib, budget,
 			r.AdmitRejects)
 	}
-}
-
-// NewAdmissionReport wraps admission sweep rows as a Report.
-func NewAdmissionReport(rows []AdmissionRow) *Report {
-	rep := &Report{Schema: ReportSchema, Experiment: "admission"}
-	for _, r := range rows {
-		rep.Admission = append(rep.Admission, AdmissionRowJSON{
-			Scheme:            r.Scheme.String(),
-			Policy:            r.Policy,
-			Result:            schemeResultJSON(r.Result),
-			HostWriteBytes:    r.HostWriteBytes,
-			DeviceWriteBytes:  r.DeviceWriteBytes,
-			DeviceBytesPerSec: r.DeviceBytesPerSec,
-			BudgetBytesPerSec: r.BudgetBytesPerSec,
-			AdmitRejects:      r.AdmitRejects,
-		})
-	}
-	return rep
 }

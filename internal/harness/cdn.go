@@ -83,42 +83,36 @@ func (p *CDNParams) fillDefaults() {
 
 // CDNRow is one (scheme, chunk size) cell of the sweep.
 type CDNRow struct {
-	Scheme     Scheme
-	ChunkBytes int
+	Scheme     Scheme `json:"scheme"`
+	ChunkBytes int    `json:"chunk_bytes"`
 	// Ops is the measured-window op count; SimTime the simulated time it
 	// took; OpsPerSec their ratio.
-	Ops       int
-	SimTime   time.Duration
-	OpsPerSec float64
+	Ops       int           `json:"ops"`
+	SimTime   time.Duration `json:"sim_elapsed_ns"`
+	OpsPerSec float64       `json:"ops_per_sec"`
 	// Reads partition into ObjectHits (range served entirely from cache)
 	// and Fills (whole-object refetch after a miss — whole-object or
 	// partial). Reads == ObjectHits + Fills.
-	Reads      int
-	ObjectHits int
-	Fills      int
+	Reads      int `json:"reads"`
+	ObjectHits int `json:"object_hits"`
+	Fills      int `json:"fills"`
 	// Deletes are origin purges applied in the window.
-	Deletes int
+	Deletes int `json:"deletes"`
+	// ObjectHitRatio is ObjectHits over Reads.
+	ObjectHitRatio float64 `json:"object_hit_ratio"`
 	// ServedBytes is payload returned to readers; FillBytes is payload
-	// streamed in by fills.
-	ServedBytes uint64
-	FillBytes   uint64
+	// streamed in by fills. Both exclude chunk headers and manifests.
+	ServedBytes uint64 `json:"served_bytes"`
+	FillBytes   uint64 `json:"fill_bytes"`
 	// Bigobj counter deltas over the window.
-	ChunkHits         uint64
-	ChunkMisses       uint64
-	PartialMisses     uint64
-	ManifestRepairs   uint64
-	EvictionsDeferred uint64
+	ChunkHits         uint64 `json:"chunk_hits"`
+	ChunkMisses       uint64 `json:"chunk_misses"`
+	PartialMisses     uint64 `json:"partial_object_misses"`
+	ManifestRepairs   uint64 `json:"manifest_repairs"`
+	EvictionsDeferred uint64 `json:"pinned_evictions_deferred"`
 	// WAFactor is the device write amplification over the whole run
 	// (cumulative, like the other experiments report it).
-	WAFactor float64
-}
-
-// ObjectHitRatio is hits over reads in the measured window.
-func (r CDNRow) ObjectHitRatio() float64 {
-	if r.Reads == 0 {
-		return 0
-	}
-	return float64(r.ObjectHits) / float64(r.Reads)
+	WAFactor float64 `json:"wa_factor"`
 }
 
 // RunCDN sweeps chunk size × scheme. Rows come back scheme-major in
@@ -263,6 +257,9 @@ func runCDNPoint(rig *Rig, chunkSize int, p CDNParams) (*CDNRow, error) {
 	row.SimTime = rig.Clock.Now() - t0
 	if secs := row.SimTime.Seconds(); secs > 0 {
 		row.OpsPerSec = float64(row.Ops) / secs
+	}
+	if row.Reads > 0 {
+		row.ObjectHitRatio = float64(row.ObjectHits) / float64(row.Reads)
 	}
 	row.ChunkHits = s1.ChunkHits - s0.ChunkHits
 	row.ChunkMisses = s1.ChunkMisses - s0.ChunkMisses

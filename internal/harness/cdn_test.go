@@ -45,7 +45,7 @@ func TestRunCDNSmoke(t *testing.T) {
 			t.Errorf("%v chunk=%d: degenerate window (reads=%d fills=%d)",
 				r.Scheme, r.ChunkBytes, r.Reads, r.Fills)
 		}
-		if ratio := r.ObjectHitRatio(); ratio < 0 || ratio > 1 {
+		if ratio := r.ObjectHitRatio; ratio < 0 || ratio > 1 {
 			t.Errorf("%v chunk=%d: hit ratio %v out of range", r.Scheme, r.ChunkBytes, ratio)
 		}
 		if r.ServedBytes == 0 || r.FillBytes == 0 {

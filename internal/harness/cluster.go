@@ -79,32 +79,33 @@ func (p *ClusterParams) fillDefaults() {
 
 // ClusterResult is one benchmark point's measurements.
 type ClusterResult struct {
-	Nodes       int
-	Replication int
-	ZipfTheta   float64
-	HotWindow   int
+	Nodes       int     `json:"nodes"`
+	Replication int     `json:"replication"`
+	ZipfTheta   float64 `json:"zipf_theta"`
+	HotWindow   int     `json:"hot_window"`
 
-	Ops       uint64
-	Gets      uint64
-	Sets      uint64
-	Hits      uint64
-	Misses    uint64
-	HitRatio  float64
-	OpsPerSec float64
-	Elapsed   time.Duration
-	P50, P99  time.Duration
+	OpsPerSec float64       `json:"ops_per_sec"`
+	HitRatio  float64       `json:"hit_ratio"`
+	Ops       uint64        `json:"ops"`
+	Gets      uint64        `json:"gets"`
+	Sets      uint64        `json:"sets"`
+	Hits      uint64        `json:"hits"`
+	Misses    uint64        `json:"misses"`
+	Elapsed   time.Duration `json:"elapsed_ns"`
+	P50       time.Duration `json:"p50_ns"`
+	P99       time.Duration `json:"p99_ns"`
 
 	// NodeGets is cmd_get per node, in sorted node-name order. Balance is
 	// max(NodeGets)/mean(NodeGets): 1.0 is perfectly even; hot-key read
 	// replication should pull a skewed workload's balance toward 1.
-	NodeGets []uint64
-	Balance  float64
+	NodeGets []uint64 `json:"node_gets"`
+	Balance  float64  `json:"balance"`
 
 	// Router counters for the point.
-	HotReads     uint64
-	ReplicaReads uint64
-	Failovers    uint64
-	BackendErrs  uint64
+	HotReads     uint64 `json:"hot_reads"`
+	ReplicaReads uint64 `json:"replica_reads"`
+	Failovers    uint64 `json:"failovers"`
+	BackendErrs  uint64 `json:"backend_errors"`
 }
 
 // clusterHW is the per-node profile cluster runs use: 1 MiB zones, 16 zones,

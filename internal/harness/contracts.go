@@ -10,18 +10,18 @@ import (
 // counters. Block-Cache runs on a conventional SSD and ignores the limits —
 // it is the flat control row the zoned schemes are read against.
 type ContractsRow struct {
-	Scheme Scheme
+	Scheme Scheme `json:"scheme"`
 	// MaxOpen / MaxActive are the device limits the row ran under.
-	MaxOpen   int
-	MaxActive int
-	Result    SchemeResult
+	MaxOpen   int          `json:"max_open_zones"`
+	MaxActive int          `json:"max_active_zones"`
+	Result    SchemeResult `json:"result"`
 	// BudgetStalls / ZoneFinishes / StallTime are Region-Cache's middle-layer
 	// budget counters (zero for the other schemes): flushes that had to
 	// close, finish, or reset another zone before the device would accept
 	// them, zones finished early, and the simulated time lost to that work.
-	BudgetStalls uint64
-	ZoneFinishes uint64
-	StallTime    time.Duration
+	BudgetStalls uint64        `json:"budget_stalls"`
+	ZoneFinishes uint64        `json:"zone_finishes"`
+	StallTime    time.Duration `json:"stall_ns"`
 }
 
 // ContractsParams sizes the unwritten-contracts sweep (the §2 zone-resource

@@ -90,13 +90,14 @@ func fig5HW(zones int) HWProfile {
 
 // Fig5Row is one (scheme, ER) cell of Figure 5.
 type Fig5Row struct {
-	Scheme    Scheme
-	ER        float64
-	OpsPerSec float64
+	Scheme    Scheme  `json:"scheme"`
+	ER        float64 `json:"er"`
+	OpsPerSec float64 `json:"ops_per_sec"`
 	// SecondaryHitRatio is Figure 5(b)'s metric.
-	SecondaryHitRatio float64
-	P50, P99          time.Duration
-	SimTime           time.Duration
+	SecondaryHitRatio float64       `json:"secondary_hit_ratio"`
+	P50               time.Duration `json:"p50_ns"`
+	P99               time.Duration `json:"p99_ns"`
+	SimTime           time.Duration `json:"sim_time_ns"`
 }
 
 // BuildFig5Rig builds a scheme with the Figure 5 flash-cache sizing. A nil
@@ -242,10 +243,10 @@ func RunFig5(p Fig5Params) ([]Fig5Row, error) {
 
 // Table2Row is one cache-size cell of Table 2.
 type Table2Row struct {
-	Zones     int
-	CacheGiB  float64 // paper-scale label (zones × 1077 MiB ≈ GiB steps)
-	OpsPerSec float64
-	HitRatio  float64
+	Zones     int     `json:"zones"`
+	CacheGiB  float64 `json:"cache_gib"` // paper-scale label (zones × 1077 MiB ≈ GiB steps)
+	OpsPerSec float64 `json:"ops_per_sec"`
+	HitRatio  float64 `json:"hit_ratio"`
 }
 
 // RunTable2 reruns Table 2: Zone-Cache under growing cache sizes at ER 25.

@@ -10,17 +10,17 @@ import (
 
 // SchemeResult is one scheme's micro-benchmark outcome.
 type SchemeResult struct {
-	Scheme     Scheme
-	OpsPerSec  float64
-	HitRatio   float64
-	WAFactor   float64
-	SetP50     time.Duration
-	SetP99     time.Duration
-	GetP50     time.Duration
-	GetP99     time.Duration
-	CacheBytes int64
-	SimTime    time.Duration
-	Ops        uint64
+	Scheme     Scheme        `json:"scheme"`
+	OpsPerSec  float64       `json:"ops_per_sec"`
+	HitRatio   float64       `json:"hit_ratio"`
+	WAFactor   float64       `json:"wa_factor"`
+	SetP50     time.Duration `json:"set_p50_ns"`
+	SetP99     time.Duration `json:"set_p99_ns"`
+	GetP50     time.Duration `json:"get_p50_ns"`
+	GetP99     time.Duration `json:"get_p99_ns"`
+	CacheBytes int64         `json:"cache_bytes"`
+	SimTime    time.Duration `json:"sim_time_ns"`
+	Ops        uint64        `json:"ops"`
 }
 
 // RunBC drives the CacheBench bc mix against a rig: a warmup phase sized to
@@ -176,13 +176,14 @@ func RunFig2(p Fig2Params) ([]SchemeResult, error) {
 
 // Fig3Result is the fill-time log of one region-size configuration.
 type Fig3Result struct {
-	Label       string
-	RegionBytes int64
-	Records     []cache.FillRecord
+	Label       string `json:"label"`
+	RegionBytes int64  `json:"region_bytes"`
 	// EvictionOnsetSeq is the first sequence that required an eviction.
-	EvictionOnsetSeq uint64
+	EvictionOnsetSeq uint64 `json:"eviction_onset_seq"`
 	// MeanBefore/MeanAfter average the fill time before and after onset.
-	MeanBefore, MeanAfter time.Duration
+	MeanBefore time.Duration      `json:"mean_before_ns"`
+	MeanAfter  time.Duration      `json:"mean_after_ns"`
+	Records    []cache.FillRecord `json:"records"`
 }
 
 // Fig3Params sizes the insertion-time experiment (§3.2, Figure 3).
@@ -282,11 +283,12 @@ func RunFig3(p Fig3Params) ([]Fig3Result, error) {
 	return out, nil
 }
 
-// Fig4Row is one (scheme, OP) cell of Figure 4 and Table 1.
+// Fig4Row is one (scheme, OP) cell of Figure 4 and Table 1 (the WA factor
+// lives inside Result).
 type Fig4Row struct {
-	Scheme  Scheme
-	OPRatio float64
-	Result  SchemeResult
+	Scheme  Scheme       `json:"scheme"`
+	OPRatio float64      `json:"op_ratio"`
+	Result  SchemeResult `json:"result"`
 }
 
 // Fig4Params sizes the OP sweep (§4.1, 220 zones at paper scale).

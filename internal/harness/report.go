@@ -167,84 +167,24 @@ func PrintSmallZone(w io.Writer, rows []SmallZoneRow) {
 const ReportSchema = "znscache/bench-report/v1"
 
 // Report is one experiment's machine-readable result. Exactly one section is
-// populated, selected by Experiment. All durations are int64 nanoseconds
-// (fields suffixed _ns) so documents round-trip exactly through JSON —
-// float64 seconds would not.
+// populated, selected by Experiment. The sections hold the experiments' own
+// row types, whose json tags are the wire schema. Durations encode as int64
+// nanoseconds (keys suffixed _ns) so documents round-trip exactly through
+// JSON — float64 seconds would not — and schemes by their paper names.
 type Report struct {
-	Schema     string             `json:"schema"`
-	Experiment string             `json:"experiment"`
-	Fig2       []SchemeResultJSON `json:"fig2,omitempty"`
-	Fig3       []Fig3JSON         `json:"fig3,omitempty"`
-	Fig4Table1 []Fig4RowJSON      `json:"fig4_table1,omitempty"`
-	Fig5       []Fig5RowJSON      `json:"fig5,omitempty"`
-	Table2     []Table2RowJSON    `json:"table2,omitempty"`
-	SmallZone  []SmallZoneRowJSON `json:"smallzone,omitempty"`
-	Admission  []AdmissionRowJSON `json:"admission,omitempty"`
-	Serve      []ServeRowJSON     `json:"serve,omitempty"`
-	Contracts  []ContractsRowJSON `json:"contracts,omitempty"`
-	Cluster    []ClusterRowJSON   `json:"cluster,omitempty"`
-	CDN        []CDNRowJSON       `json:"cdn,omitempty"`
-}
-
-// CDNRowJSON is one CDN sweep cell (CDNRow) in wire form. Reads partition
-// exactly into object_hits + fills; bytes are payload (chunk headers and
-// manifests excluded); wa_factor is cumulative device write amplification.
-type CDNRowJSON struct {
-	Scheme            string  `json:"scheme"`
-	ChunkBytes        int     `json:"chunk_bytes"`
-	Ops               int     `json:"ops"`
-	SimElapsedNs      int64   `json:"sim_elapsed_ns"`
-	OpsPerSec         float64 `json:"ops_per_sec"`
-	Reads             int     `json:"reads"`
-	ObjectHits        int     `json:"object_hits"`
-	Fills             int     `json:"fills"`
-	Deletes           int     `json:"deletes"`
-	ObjectHitRatio    float64 `json:"object_hit_ratio"`
-	ServedBytes       uint64  `json:"served_bytes"`
-	FillBytes         uint64  `json:"fill_bytes"`
-	ChunkHits         uint64  `json:"chunk_hits"`
-	ChunkMisses       uint64  `json:"chunk_misses"`
-	PartialMisses     uint64  `json:"partial_object_misses"`
-	ManifestRepairs   uint64  `json:"manifest_repairs"`
-	EvictionsDeferred uint64  `json:"pinned_evictions_deferred"`
-	WAFactor          float64 `json:"wa_factor"`
-}
-
-// ClusterRowJSON is one cluster benchmark point (ClusterResult) in wire
-// form. Balance is max per-node gets over the mean (1.0 = perfectly even);
-// node_gets is per-node cmd_get in sorted node-name order.
-type ClusterRowJSON struct {
-	Nodes         int      `json:"nodes"`
-	Replication   int      `json:"replication"`
-	ZipfTheta     float64  `json:"zipf_theta"`
-	HotWindow     int      `json:"hot_window"`
-	OpsPerSec     float64  `json:"ops_per_sec"`
-	HitRatio      float64  `json:"hit_ratio"`
-	Ops           uint64   `json:"ops"`
-	Gets          uint64   `json:"gets"`
-	Sets          uint64   `json:"sets"`
-	Hits          uint64   `json:"hits"`
-	Misses        uint64   `json:"misses"`
-	ElapsedNs     int64    `json:"elapsed_ns"`
-	P50Ns         int64    `json:"p50_ns"`
-	P99Ns         int64    `json:"p99_ns"`
-	NodeGets      []uint64 `json:"node_gets"`
-	Balance       float64  `json:"balance"`
-	HotReads      uint64   `json:"hot_reads"`
-	ReplicaReads  uint64   `json:"replica_reads"`
-	Failovers     uint64   `json:"failovers"`
-	BackendErrors uint64   `json:"backend_errors"`
-}
-
-// ContractsRowJSON is ContractsRow in wire form.
-type ContractsRowJSON struct {
-	Scheme       string           `json:"scheme"`
-	MaxOpen      int              `json:"max_open_zones"`
-	MaxActive    int              `json:"max_active_zones"`
-	Result       SchemeResultJSON `json:"result"`
-	BudgetStalls uint64           `json:"budget_stalls"`
-	ZoneFinishes uint64           `json:"zone_finishes"`
-	StallNs      int64            `json:"stall_ns"`
+	Schema     string          `json:"schema"`
+	Experiment string          `json:"experiment"`
+	Fig2       []SchemeResult  `json:"fig2,omitempty"`
+	Fig3       []Fig3Result    `json:"fig3,omitempty"`
+	Fig4Table1 []Fig4Row       `json:"fig4_table1,omitempty"`
+	Fig5       []Fig5Row       `json:"fig5,omitempty"`
+	Table2     []Table2Row     `json:"table2,omitempty"`
+	SmallZone  []SmallZoneRow  `json:"smallzone,omitempty"`
+	Admission  []AdmissionRow  `json:"admission,omitempty"`
+	Serve      []ServeRowJSON  `json:"serve,omitempty"`
+	Contracts  []ContractsRow  `json:"contracts,omitempty"`
+	Cluster    []ClusterResult `json:"cluster,omitempty"`
+	CDN        []CDNRow        `json:"cdn,omitempty"`
 }
 
 // ServeRowJSON is one serving-benchmark run (cmd/loadgen against
@@ -297,178 +237,39 @@ type ServeIntervalJSON struct {
 	P99Ns int64   `json:"p99_ns"`
 }
 
-// AdmissionRowJSON is AdmissionRow in wire form.
-type AdmissionRowJSON struct {
-	Scheme            string           `json:"scheme"`
-	Policy            string           `json:"policy"`
-	Result            SchemeResultJSON `json:"result"`
-	HostWriteBytes    uint64           `json:"host_write_bytes"`
-	DeviceWriteBytes  uint64           `json:"device_write_bytes"`
-	DeviceBytesPerSec float64          `json:"device_bytes_per_sec"`
-	BudgetBytesPerSec float64          `json:"budget_bytes_per_sec"`
-	AdmitRejects      uint64           `json:"admit_rejects"`
-}
-
-// SchemeResultJSON is SchemeResult in wire form.
-type SchemeResultJSON struct {
-	Scheme     string  `json:"scheme"`
-	OpsPerSec  float64 `json:"ops_per_sec"`
-	HitRatio   float64 `json:"hit_ratio"`
-	WAFactor   float64 `json:"wa_factor"`
-	SetP50Ns   int64   `json:"set_p50_ns"`
-	SetP99Ns   int64   `json:"set_p99_ns"`
-	GetP50Ns   int64   `json:"get_p50_ns"`
-	GetP99Ns   int64   `json:"get_p99_ns"`
-	CacheBytes int64   `json:"cache_bytes"`
-	SimTimeNs  int64   `json:"sim_time_ns"`
-	Ops        uint64  `json:"ops"`
-}
-
-// FillRecordJSON is one Figure 3 fill-log entry in wire form.
-type FillRecordJSON struct {
-	Seq        uint64 `json:"seq"`
-	DurationNs int64  `json:"duration_ns"`
-	Evicted    bool   `json:"evicted"`
-}
-
-// Fig3JSON is Fig3Result in wire form, with the full retained fill series.
-type Fig3JSON struct {
-	Label            string           `json:"label"`
-	RegionBytes      int64            `json:"region_bytes"`
-	EvictionOnsetSeq uint64           `json:"eviction_onset_seq"`
-	MeanBeforeNs     int64            `json:"mean_before_ns"`
-	MeanAfterNs      int64            `json:"mean_after_ns"`
-	Records          []FillRecordJSON `json:"records"`
-}
-
-// Fig4RowJSON is Fig4Row in wire form (also carries Table 1: the WA factor
-// lives inside Result).
-type Fig4RowJSON struct {
-	Scheme  string           `json:"scheme"`
-	OPRatio float64          `json:"op_ratio"`
-	Result  SchemeResultJSON `json:"result"`
-}
-
-// Fig5RowJSON is Fig5Row in wire form.
-type Fig5RowJSON struct {
-	Scheme            string  `json:"scheme"`
-	ER                float64 `json:"er"`
-	OpsPerSec         float64 `json:"ops_per_sec"`
-	SecondaryHitRatio float64 `json:"secondary_hit_ratio"`
-	P50Ns             int64   `json:"p50_ns"`
-	P99Ns             int64   `json:"p99_ns"`
-	SimTimeNs         int64   `json:"sim_time_ns"`
-}
-
-// Table2RowJSON is Table2Row in wire form.
-type Table2RowJSON struct {
-	Zones     int     `json:"zones"`
-	CacheGiB  float64 `json:"cache_gib"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	HitRatio  float64 `json:"hit_ratio"`
-}
-
-// SmallZoneRowJSON is SmallZoneRow in wire form.
-type SmallZoneRowJSON struct {
-	Label   string           `json:"label"`
-	ZoneMiB int              `json:"zone_mib"`
-	Result  SchemeResultJSON `json:"result"`
-}
-
-func schemeResultJSON(r SchemeResult) SchemeResultJSON {
-	return SchemeResultJSON{
-		Scheme:     r.Scheme.String(),
-		OpsPerSec:  r.OpsPerSec,
-		HitRatio:   r.HitRatio,
-		WAFactor:   r.WAFactor,
-		SetP50Ns:   int64(r.SetP50),
-		SetP99Ns:   int64(r.SetP99),
-		GetP50Ns:   int64(r.GetP50),
-		GetP99Ns:   int64(r.GetP99),
-		CacheBytes: r.CacheBytes,
-		SimTimeNs:  int64(r.SimTime),
-		Ops:        r.Ops,
-	}
-}
-
 // NewFig2Report wraps Figure 2 rows as a Report.
 func NewFig2Report(rows []SchemeResult) *Report {
-	rep := &Report{Schema: ReportSchema, Experiment: "fig2"}
-	for _, r := range rows {
-		rep.Fig2 = append(rep.Fig2, schemeResultJSON(r))
-	}
-	return rep
+	return &Report{Schema: ReportSchema, Experiment: "fig2", Fig2: rows}
 }
 
 // NewFig3Report wraps Figure 3 rows as a Report.
 func NewFig3Report(rows []Fig3Result) *Report {
-	rep := &Report{Schema: ReportSchema, Experiment: "fig3"}
-	for _, r := range rows {
-		j := Fig3JSON{
-			Label:            r.Label,
-			RegionBytes:      r.RegionBytes,
-			EvictionOnsetSeq: r.EvictionOnsetSeq,
-			MeanBeforeNs:     int64(r.MeanBefore),
-			MeanAfterNs:      int64(r.MeanAfter),
-		}
-		for _, rec := range r.Records {
-			j.Records = append(j.Records, FillRecordJSON{
-				Seq: rec.Seq, DurationNs: int64(rec.Duration), Evicted: rec.Evicted,
-			})
-		}
-		rep.Fig3 = append(rep.Fig3, j)
-	}
-	return rep
+	return &Report{Schema: ReportSchema, Experiment: "fig3", Fig3: rows}
 }
 
 // NewFig4Table1Report wraps the OP sweep (Figure 4 + Table 1) as a Report.
 func NewFig4Table1Report(rows []Fig4Row) *Report {
-	rep := &Report{Schema: ReportSchema, Experiment: "fig4_table1"}
-	for _, r := range rows {
-		rep.Fig4Table1 = append(rep.Fig4Table1, Fig4RowJSON{
-			Scheme: r.Scheme.String(), OPRatio: r.OPRatio, Result: schemeResultJSON(r.Result),
-		})
-	}
-	return rep
+	return &Report{Schema: ReportSchema, Experiment: "fig4_table1", Fig4Table1: rows}
 }
 
 // NewFig5Report wraps Figure 5 rows as a Report.
 func NewFig5Report(rows []Fig5Row) *Report {
-	rep := &Report{Schema: ReportSchema, Experiment: "fig5"}
-	for _, r := range rows {
-		rep.Fig5 = append(rep.Fig5, Fig5RowJSON{
-			Scheme:            r.Scheme.String(),
-			ER:                r.ER,
-			OpsPerSec:         r.OpsPerSec,
-			SecondaryHitRatio: r.SecondaryHitRatio,
-			P50Ns:             int64(r.P50),
-			P99Ns:             int64(r.P99),
-			SimTimeNs:         int64(r.SimTime),
-		})
-	}
-	return rep
+	return &Report{Schema: ReportSchema, Experiment: "fig5", Fig5: rows}
 }
 
 // NewTable2Report wraps Table 2 rows as a Report.
 func NewTable2Report(rows []Table2Row) *Report {
-	rep := &Report{Schema: ReportSchema, Experiment: "table2"}
-	for _, r := range rows {
-		rep.Table2 = append(rep.Table2, Table2RowJSON{
-			Zones: r.Zones, CacheGiB: r.CacheGiB, OpsPerSec: r.OpsPerSec, HitRatio: r.HitRatio,
-		})
-	}
-	return rep
+	return &Report{Schema: ReportSchema, Experiment: "table2", Table2: rows}
 }
 
 // NewSmallZoneReport wraps the small-zone sweep as a Report.
 func NewSmallZoneReport(rows []SmallZoneRow) *Report {
-	rep := &Report{Schema: ReportSchema, Experiment: "smallzone"}
-	for _, r := range rows {
-		rep.SmallZone = append(rep.SmallZone, SmallZoneRowJSON{
-			Label: r.Label, ZoneMiB: r.ZoneMiB, Result: schemeResultJSON(r.Result),
-		})
-	}
-	return rep
+	return &Report{Schema: ReportSchema, Experiment: "smallzone", SmallZone: rows}
+}
+
+// NewAdmissionReport wraps admission sweep rows as a Report.
+func NewAdmissionReport(rows []AdmissionRow) *Report {
+	return &Report{Schema: ReportSchema, Experiment: "admission", Admission: rows}
 }
 
 // NewServeReport wraps serving-benchmark rows as a Report.
@@ -478,77 +279,17 @@ func NewServeReport(rows []ServeRowJSON) *Report {
 
 // NewContractsReport wraps the unwritten-contracts sweep as a Report.
 func NewContractsReport(rows []ContractsRow) *Report {
-	rep := &Report{Schema: ReportSchema, Experiment: "contracts"}
-	for _, r := range rows {
-		rep.Contracts = append(rep.Contracts, ContractsRowJSON{
-			Scheme:       r.Scheme.String(),
-			MaxOpen:      r.MaxOpen,
-			MaxActive:    r.MaxActive,
-			Result:       schemeResultJSON(r.Result),
-			BudgetStalls: r.BudgetStalls,
-			ZoneFinishes: r.ZoneFinishes,
-			StallNs:      int64(r.StallTime),
-		})
-	}
-	return rep
+	return &Report{Schema: ReportSchema, Experiment: "contracts", Contracts: rows}
 }
 
 // NewClusterReport wraps cluster sweep rows as a Report.
 func NewClusterReport(rows []ClusterResult) *Report {
-	rep := &Report{Schema: ReportSchema, Experiment: "cluster"}
-	for _, r := range rows {
-		rep.Cluster = append(rep.Cluster, ClusterRowJSON{
-			Nodes:         r.Nodes,
-			Replication:   r.Replication,
-			ZipfTheta:     r.ZipfTheta,
-			HotWindow:     r.HotWindow,
-			OpsPerSec:     r.OpsPerSec,
-			HitRatio:      r.HitRatio,
-			Ops:           r.Ops,
-			Gets:          r.Gets,
-			Sets:          r.Sets,
-			Hits:          r.Hits,
-			Misses:        r.Misses,
-			ElapsedNs:     int64(r.Elapsed),
-			P50Ns:         int64(r.P50),
-			P99Ns:         int64(r.P99),
-			NodeGets:      r.NodeGets,
-			Balance:       r.Balance,
-			HotReads:      r.HotReads,
-			ReplicaReads:  r.ReplicaReads,
-			Failovers:     r.Failovers,
-			BackendErrors: r.BackendErrs,
-		})
-	}
-	return rep
+	return &Report{Schema: ReportSchema, Experiment: "cluster", Cluster: rows}
 }
 
 // NewCDNReport wraps CDN sweep rows as a Report.
 func NewCDNReport(rows []CDNRow) *Report {
-	rep := &Report{Schema: ReportSchema, Experiment: "cdn"}
-	for _, r := range rows {
-		rep.CDN = append(rep.CDN, CDNRowJSON{
-			Scheme:            r.Scheme.String(),
-			ChunkBytes:        r.ChunkBytes,
-			Ops:               r.Ops,
-			SimElapsedNs:      int64(r.SimTime),
-			OpsPerSec:         r.OpsPerSec,
-			Reads:             r.Reads,
-			ObjectHits:        r.ObjectHits,
-			Fills:             r.Fills,
-			Deletes:           r.Deletes,
-			ObjectHitRatio:    r.ObjectHitRatio(),
-			ServedBytes:       r.ServedBytes,
-			FillBytes:         r.FillBytes,
-			ChunkHits:         r.ChunkHits,
-			ChunkMisses:       r.ChunkMisses,
-			PartialMisses:     r.PartialMisses,
-			ManifestRepairs:   r.ManifestRepairs,
-			EvictionsDeferred: r.EvictionsDeferred,
-			WAFactor:          r.WAFactor,
-		})
-	}
-	return rep
+	return &Report{Schema: ReportSchema, Experiment: "cdn", CDN: rows}
 }
 
 // PrintCDN renders the CDN sweep.
@@ -558,7 +299,7 @@ func PrintCDN(w io.Writer, rows []CDNRow) {
 		"scheme", "chunkKiB", "ops/sec", "hit-ratio", "fills", "partial", "repairs", "servedMB", "filledMB", "pinned", "WA")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-13s %9d %10.0f %8.2f%% %7d %7d %8d %9.1f %9.1f %8d %7.2f\n",
-			r.Scheme, r.ChunkBytes>>10, r.OpsPerSec, r.ObjectHitRatio()*100,
+			r.Scheme, r.ChunkBytes>>10, r.OpsPerSec, r.ObjectHitRatio*100,
 			r.Fills, r.PartialMisses, r.ManifestRepairs,
 			float64(r.ServedBytes)/(1<<20), float64(r.FillBytes)/(1<<20),
 			r.EvictionsDeferred, r.WAFactor)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -29,10 +28,11 @@ func sampleSchemeResult(s Scheme) SchemeResult {
 	}
 }
 
-// TestReportRoundTrip locks the wire schema: every builder's document must
-// encode, parse, and compare equal — emit → parse → equal.
-func TestReportRoundTrip(t *testing.T) {
-	reports := map[string]*Report{
+// sampleReports builds one document per experiment from fixed rows with a
+// non-zero value in every field, so a dropped or renamed key shows up as a
+// golden mismatch.
+func sampleReports() map[string]*Report {
+	return map[string]*Report{
 		"fig2": NewFig2Report([]SchemeResult{
 			sampleSchemeResult(ZoneCache), sampleSchemeResult(RegionCache),
 		}),
@@ -40,10 +40,10 @@ func TestReportRoundTrip(t *testing.T) {
 			Label:       "Region-Cache 1 MiB",
 			RegionBytes: 1 << 20,
 			Records: []cache.FillRecord{
-				{Seq: 0, Duration: 5 * time.Millisecond},
-				{Seq: 1, Duration: 80 * time.Millisecond, Evicted: true},
+				{Seq: 41, Duration: 5 * time.Millisecond},
+				{Seq: 42, Duration: 80 * time.Millisecond, Evicted: true},
 			},
-			EvictionOnsetSeq: 1,
+			EvictionOnsetSeq: 42,
 			MeanBefore:       5 * time.Millisecond,
 			MeanAfter:        80 * time.Millisecond,
 		}}),
@@ -60,21 +60,82 @@ func TestReportRoundTrip(t *testing.T) {
 		"smallzone": NewSmallZoneReport([]SmallZoneRow{
 			{Label: "Zone-Cache 4 MiB", ZoneMiB: 4, Result: sampleSchemeResult(ZoneCache)},
 		}),
+		"admission": NewAdmissionReport([]AdmissionRow{{
+			Scheme: FileCache, Policy: "dynamic-random", Result: sampleSchemeResult(FileCache),
+			HostWriteBytes: 300 << 20, DeviceWriteBytes: 450 << 20,
+			DeviceBytesPerSec: 26.5e6, BudgetBytesPerSec: 13.25e6, AdmitRejects: 4321,
+		}}),
+		"serve": NewServeReport([]ServeRowJSON{{
+			Mode: "open", Conns: 8, Pipeline: 16, TargetQPS: 30000, AchievedQPS: 29876.5,
+			Ops: 448000, Gets: 224000, Sets: 134400, Deletes: 89600,
+			Hits: 201600, Misses: 22400, Fills: 22400, Errors: 3, HitRatio: 0.9,
+			ElapsedNs: int64(15 * time.Second), P50Ns: 45000, P90Ns: 90000,
+			P99Ns: 310000, P999Ns: 1200000, MeanNs: 52000, MaxNs: 8000000,
+			Multiget:         4,
+			GetBatchSizes:    map[int]uint64{1: 100, 4: 55000},
+			ValueSizeBuckets: map[int]uint64{128: 60000, 4096: 74400},
+			Timeline: []ServeIntervalJSON{
+				{TNs: int64(time.Second), Ops: 29000, QPS: 29000, P50Ns: 44000, P99Ns: 300000},
+				{TNs: int64(2 * time.Second), Ops: 30100, QPS: 30100, P50Ns: 46000, P99Ns: 320000},
+			},
+		}}),
+		"contracts": NewContractsReport([]ContractsRow{{
+			Scheme: RegionCache, MaxOpen: 4, MaxActive: 6, Result: sampleSchemeResult(RegionCache),
+			BudgetStalls: 17, ZoneFinishes: 9, StallTime: 250 * time.Millisecond,
+		}}),
+		"cluster": NewClusterReport([]ClusterResult{{
+			Nodes: 3, Replication: 2, ZipfTheta: 0.99, HotWindow: 64,
+			Ops: 20000, Gets: 18000, Sets: 2000, Hits: 16200, Misses: 1800,
+			HitRatio: 0.9, OpsPerSec: 41234.5, Elapsed: 485 * time.Millisecond,
+			P50: 20 * time.Microsecond, P99: 150 * time.Microsecond,
+			NodeGets: []uint64{6100, 5900, 6000}, Balance: 1.0166,
+			HotReads: 700, ReplicaReads: 350, Failovers: 2, BackendErrs: 1,
+		}}),
+		"cdn": NewCDNReport([]CDNRow{{
+			Scheme: ZoneCache, ChunkBytes: 128 << 10, Ops: 2500,
+			SimTime: 3 * time.Second, OpsPerSec: 833.25,
+			Reads: 2000, ObjectHits: 1500, Fills: 500, Deletes: 500,
+			ObjectHitRatio: 0.75, ServedBytes: 900 << 20, FillBytes: 300 << 20,
+			ChunkHits: 7000, ChunkMisses: 900, PartialMisses: 40,
+			ManifestRepairs: 5, EvictionsDeferred: 12, WAFactor: 1.75,
+		}}),
+	}
+}
+
+// TestReportRoundTrip locks the wire schema byte for byte: every
+// experiment's document must emit exactly testdata/report_<experiment>.json,
+// and parsing that golden and emitting it again must reproduce it. The
+// goldens change only with a ReportSchema version bump, by hand.
+func TestReportRoundTrip(t *testing.T) {
+	reports := sampleReports()
+	if len(reports) != 11 {
+		t.Fatalf("%d sample reports, want one per experiment (11)", len(reports))
 	}
 	for experiment, rep := range reports {
 		if rep.Experiment != experiment {
 			t.Errorf("builder for %q stamped experiment %q", experiment, rep.Experiment)
 		}
+		golden, err := os.ReadFile(filepath.Join("testdata", "report_"+experiment+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
 		var buf bytes.Buffer
 		if err := rep.WriteJSON(&buf); err != nil {
 			t.Fatalf("%s: WriteJSON: %v", experiment, err)
 		}
-		parsed, err := ParseReport(buf.Bytes())
+		if !bytes.Equal(buf.Bytes(), golden) {
+			t.Errorf("%s: emitted document differs from golden.\ngot:\n%s\nwant:\n%s", experiment, buf.Bytes(), golden)
+		}
+		parsed, err := ParseReport(golden)
 		if err != nil {
 			t.Fatalf("%s: ParseReport: %v", experiment, err)
 		}
-		if !reflect.DeepEqual(rep, parsed) {
-			t.Errorf("%s: round trip drifted.\nemitted: %+v\nparsed:  %+v", experiment, rep, parsed)
+		buf.Reset()
+		if err := parsed.WriteJSON(&buf); err != nil {
+			t.Fatalf("%s: re-emit: %v", experiment, err)
+		}
+		if !bytes.Equal(buf.Bytes(), golden) {
+			t.Errorf("%s: parse → emit drifted from golden.\ngot:\n%s\nwant:\n%s", experiment, buf.Bytes(), golden)
 		}
 	}
 }
@@ -100,9 +161,21 @@ func TestReportValidate(t *testing.T) {
 		t.Error("missing section accepted")
 	}
 	bad = *good
-	bad.Fig2 = []SchemeResultJSON{{}}
+	bad.Fig2 = []SchemeResult{{}}
 	if err := bad.Validate(); err == nil {
 		t.Error("extra section accepted")
+	}
+
+	// Scheme names are checked both ways: a misspelt name must not parse
+	// as Region-Cache, and an out-of-range Scheme must not reach disk.
+	doc := `{"schema": "` + ReportSchema + `", "experiment": "fig2",
+		"fig2": [{"scheme": "Regoin-Cache"}]}`
+	if _, err := ParseReport([]byte(doc)); err == nil {
+		t.Error("unknown scheme name parsed")
+	}
+	var buf bytes.Buffer
+	if err := NewFig2Report([]SchemeResult{{Scheme: Scheme(7)}}).WriteJSON(&buf); err == nil {
+		t.Errorf("out-of-range scheme encoded: %s", buf.Bytes())
 	}
 }
 
@@ -124,7 +197,7 @@ func TestReportWriteFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed.Fig2[0].Scheme != "Zone-Cache" || parsed.Fig2[0].SimTimeNs != int64(17*time.Second) {
+	if parsed.Fig2[0].Scheme != ZoneCache || parsed.Fig2[0].SimTime != 17*time.Second {
 		t.Fatalf("parsed file content wrong: %+v", parsed.Fig2[0])
 	}
 	// An invalid document must not reach disk.

@@ -58,6 +58,26 @@ func (s Scheme) String() string {
 	return fmt.Sprintf("Scheme(%d)", int(s))
 }
 
+// MarshalText encodes the scheme by its paper name, so report documents
+// carry "Region-Cache" rather than an integer.
+func (s Scheme) MarshalText() ([]byte, error) {
+	if s < RegionCache || s > BlockCache {
+		return nil, fmt.Errorf("harness: cannot encode unknown scheme %d", int(s))
+	}
+	return []byte(s.String()), nil
+}
+
+// UnmarshalText accepts exactly the four names String produces.
+func (s *Scheme) UnmarshalText(text []byte) error {
+	for _, known := range AllSchemes {
+		if string(text) == known.String() {
+			*s = known
+			return nil
+		}
+	}
+	return fmt.Errorf("harness: unknown scheme %q", text)
+}
+
 // AllSchemes lists the four schemes in the paper's presentation order.
 var AllSchemes = []Scheme{RegionCache, ZoneCache, FileCache, BlockCache}
 

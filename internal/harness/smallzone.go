@@ -15,10 +15,10 @@ import "fmt"
 // SmallZoneRow is one zone-size data point.
 type SmallZoneRow struct {
 	// Label names the configuration.
-	Label string
+	Label string `json:"label"`
 	// ZoneMiB is the zone size (Zone-Cache rows) or 0 for the reference.
-	ZoneMiB int
-	Result  SchemeResult
+	ZoneMiB int          `json:"zone_mib"`
+	Result  SchemeResult `json:"result"`
 }
 
 // SmallZoneParams sizes the experiment.
