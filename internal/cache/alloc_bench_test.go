@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -226,6 +227,86 @@ func TestGetBufDoesNotAllocate(t *testing.T) {
 				t.Fatalf("%s GetBuf allocates %.0f objects per call, want 0", name, allocs)
 			}
 		})
+	}
+}
+
+// discardStore is a memStore that keeps no payload, for fixtures whose hits
+// are all answered from the read index.
+type discardStore struct{ *memStore }
+
+func (s discardStore) WriteRegion(now time.Duration, id int, data []byte) (time.Duration, error) {
+	return s.memStore.WriteRegion(now, id, nil)
+}
+
+// fastGetCache builds the serving configuration — FIFO, values tracked, read
+// index on — with n published keys whose values run 128–512 B, and returns
+// it with the keys. Values are set owned, as the server sets them, so the
+// published copies alias one shared pool.
+func fastGetCache(tb testing.TB, n int) (*Cache, []string) {
+	tb.Helper()
+	c, err := New(Config{
+		Store:        discardStore{newMemStore(128, 1<<20)},
+		Policy:       FIFO,
+		TrackValues:  true,
+		ReadIndex:    true,
+		BufferMemory: 2 << 20,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pool := make([]byte, 512)
+	for i := range pool {
+		pool[i] = byte(i)
+	}
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key-%07d", i)
+		if err := c.SetOwned(keys[i], pool[:128+(i*37)%385], 0); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return c, keys
+}
+
+// BenchmarkFastGet prices a lock-free hit over 2^18 published keys, visited
+// in a scattered order, on one goroutine and on GOMAXPROCS goroutines.
+func BenchmarkFastGet(b *testing.B) {
+	c, keys := fastGetCache(b, 1<<18)
+	mask := len(keys) - 1
+	get := func(b *testing.B, i int) {
+		if _, found, done := c.TryFastGet(keys[(i*40503)&mask]); !found || !done {
+			b.Fatalf("TryFastGet = (found %v, done %v)", found, done)
+		}
+	}
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			get(b, i)
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		var start atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			for i := int(start.Add(1)) << 12; pb.Next(); i++ {
+				get(b, i)
+			}
+		})
+	})
+}
+
+// TestFastGetDoesNotAllocate: a lock-free hit allocates nothing.
+func TestFastGetDoesNotAllocate(t *testing.T) {
+	c, keys := fastGetCache(t, 1024)
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, found, done := c.TryFastGet(keys[i%len(keys)]); !found || !done {
+			t.Fatalf("TryFastGet = (found %v, done %v)", found, done)
+		}
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("lock-free hit allocates %.0f objects per call, want 0", allocs)
 	}
 }
 

@@ -22,6 +22,7 @@
 package cache
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/binary"
 	"errors"
@@ -150,7 +151,11 @@ type Config struct {
 	// ReinsertHits enables Navy's hits-based reinsertion policy: when a
 	// region is evicted, items accessed at least this many times since
 	// insertion are rewritten into the open region instead of dropped.
-	// Zero disables reinsertion.
+	// Zero disables reinsertion, and with it the per-item hit counter: hits
+	// are counted only when reinsertion reads them, so with zero a snapshot
+	// records 0 hits for every item. The counter is advisory either way —
+	// lock-free hits reach it through deferred notes, which drop on
+	// overflow.
 	ReinsertHits uint8
 	// CPU overrides the software cost model; zero value = defaults.
 	CPU CPUModel
@@ -182,10 +187,12 @@ type Config struct {
 	// data being served.
 	SkipChecksum bool
 	// ReadIndex enables the lock-free read path (readindex.go): mutators
-	// additionally publish an immutable copy-on-write view of each key into
-	// a concurrent read index, and TryFastGet/TryFastContains answer lookups
-	// against it without the shard lock. Off by default — single-threaded
-	// replays keep the exact classic accounting; the serving layer opts in.
+	// additionally publish each key's value copy and TTL deadline into a
+	// striped read index, and TryFastGet/TryFastContains answer lookups
+	// against it under one stripe read lock instead of the shard lock. Its
+	// value bytes are reported as cache_dram_bytes. Off by default —
+	// single-threaded replays keep the exact classic accounting; the serving
+	// layer opts in.
 	ReadIndex bool
 	// Spans, when non-nil, samples wall-clock engine stage timings
 	// (fast/locked gets, set publish, region flush, store I/O) into the
@@ -421,7 +428,7 @@ func New(cfg Config) (*Cache, error) {
 		spans:         cfg.Spans,
 	}
 	if cfg.ReadIndex {
-		c.reads = newReadIndex()
+		c.reads = newReadIndex(cfg.Policy == LRU || cfg.ReinsertHits > 0)
 	}
 	// One buffer is always the one being filled; only the remainder can
 	// hold in-flight flushes. A single zone-sized buffer therefore flushes
@@ -626,7 +633,8 @@ func (c *Cache) appendItem(key string, value []byte, valLen int, owned bool) {
 			if owned {
 				rv = value[:valLen:valLen]
 			} else {
-				rv = append([]byte(nil), value[:valLen]...)
+				// Clone keeps a zero-length value non-nil: servable.
+				rv = bytes.Clone(value[:valLen])
 			}
 		}
 		c.reads.publish(key, rv, 0)
@@ -973,7 +981,7 @@ func (c *Cache) evictOnce() (int, []reinsertItem, error) {
 			if regionBytes != nil {
 				base := int64(e.offset) + itemHeaderSize + int64(e.keyLen)
 				if base+int64(e.valLen) <= int64(len(regionBytes)) {
-					it.value = append([]byte(nil), regionBytes[base:base+int64(e.valLen)]...)
+					it.value = bytes.Clone(regionBytes[base : base+int64(e.valLen)])
 				}
 			}
 			reinsert = append(reinsert, it)
@@ -1135,7 +1143,7 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 			verified := c.cfg.SkipChecksum || itemChecksum(key, val) == want
 			if pv != nil {
 				if verified {
-					val = append([]byte(nil), val...)
+					val = bytes.Clone(val)
 				}
 				c.putScratch(pv)
 			}
@@ -1162,7 +1170,7 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 			c.orderVer++
 		}
 	}
-	if e.hits < ^uint8(0) {
+	if c.cfg.ReinsertHits > 0 && e.hits < ^uint8(0) {
 		e.hits++
 		c.index[key] = e
 	}
@@ -1440,6 +1448,8 @@ func (c *Cache) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	r.Gauge("cache_region_buffer_bytes", "DRAM held in region buffers (open, in-flight and spare)", ls,
 		func() float64 { return float64(c.bufBytes.Load()) })
 	if c.reads != nil {
+		r.Gauge("cache_dram_bytes", "Value bytes held by the lock-free read index", ls,
+			func() float64 { return float64(c.reads.dramBytes.Load()) })
 		r.Counter("cache_fast_get_hits_total", "Gets answered lock-free from the read index", ls, &c.reads.fastHits)
 		r.Counter("cache_fast_get_misses_total", "Misses answered lock-free from the read index", ls, &c.reads.fastMisses)
 		r.Counter("cache_read_note_drops_total", "Deferred read notes shed on queue overflow", ls, &c.reads.noteDrops)

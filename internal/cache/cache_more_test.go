@@ -67,16 +67,33 @@ func TestOverwriteDecrementsOldRegionLive(t *testing.T) {
 	}
 }
 
+// TestHitsSaturateWithoutOverflow: with reinsertion on, the hit counter
+// saturates at 255; with it off nothing reads the counter, so it stays 0.
 func TestHitsSaturateWithoutOverflow(t *testing.T) {
-	c, _ := newTestCache(t, 4, 64<<10)
-	c.Set("k", nil, 10)
-	for i := 0; i < 300; i++ { // > 255 accesses
-		if _, ok, _ := c.Get("k"); !ok {
-			t.Fatal("lost key")
-		}
-	}
-	if c.index["k"].hits != 255 {
-		t.Fatalf("hits = %d, want saturated 255", c.index["k"].hits)
+	for _, tc := range []struct {
+		name     string
+		policy   Policy
+		reinsert uint8
+		want     uint8
+	}{
+		{"LRU/reinsert=1", LRU, 1, 255},
+		{"FIFO/reinsert=0", FIFO, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, _ := newTestCache(t, 4, 64<<10, func(cfg *Config) {
+				cfg.Policy = tc.policy
+				cfg.ReinsertHits = tc.reinsert
+			})
+			c.Set("k", nil, 10)
+			for i := 0; i < 300; i++ { // > 255 accesses
+				if _, ok, _ := c.Get("k"); !ok {
+					t.Fatal("lost key")
+				}
+			}
+			if got := c.index["k"].hits; got != tc.want {
+				t.Fatalf("hits = %d, want %d", got, tc.want)
+			}
+		})
 	}
 }
 

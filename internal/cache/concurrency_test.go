@@ -1,21 +1,30 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"znscache/internal/obs"
 )
 
 // newTestShardedFast builds n independent engines with the lock-free read
 // index enabled and wraps them in a Sharded frontend — the serving-layer
-// configuration (Config.ReadIndex on, values tracked).
-func newTestShardedFast(t testing.TB, n, regions int, regionSize int64) *Sharded {
+// configuration (Config.ReadIndex on, values tracked). opts adjust each
+// engine's Config.
+func newTestShardedFast(t testing.TB, n, regions int, regionSize int64, opts ...func(*Config)) *Sharded {
 	t.Helper()
 	engines := make([]*Cache, n)
 	for i := range engines {
-		st := newMemStore(regions, regionSize)
-		c, err := New(Config{Store: st, TrackValues: true, ReadIndex: true})
+		cfg := Config{Store: newMemStore(regions, regionSize), TrackValues: true, ReadIndex: true}
+		for _, o := range opts {
+			o(&cfg)
+		}
+		c, err := New(cfg)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
 		}
@@ -40,18 +49,54 @@ func (r *testRNG) next() uint64 {
 }
 
 // TestFastReadStressOneShard hammers a single shard from many goroutines at
-// once — lock-free Gets and Contains racing locked Sets, Deletes, periodic
-// SealOpen via WithShard, and whole-cache Len/Stats cuts. Run under -race
-// this is the read-path's memory-safety oracle; the assertions below check
-// the counters still reconcile after the storm.
+// once — lock-free Gets and Contains racing locked Sets, TTL sets, Deletes,
+// clock advances and periodic SealOpen via WithShard, and whole-cache
+// Len/Stats cuts — under every policy setting that changes which notes the
+// fast path queues. Run under -race this is the read path's memory-safety
+// oracle. Once the storm is over, the read index must mirror the
+// authoritative index: every fast answer equals the locked Get's, a
+// zero-length value is served lock-free, cache_dram_bytes equals the value
+// bytes the stripes hold, and touch notes are queued only when a policy
+// reads them.
 func TestFastReadStressOneShard(t *testing.T) {
-	s := newTestShardedFast(t, 1, 8, 32<<10)
-	const keys = 200
-	key := func(i uint64) string { return fmt.Sprintf("stress-%03d", i%keys) }
+	for _, tc := range []struct {
+		name     string
+		policy   Policy
+		reinsert uint8
+	}{
+		{"FIFO", FIFO, 0},
+		{"LRU", LRU, 0},
+		{"LRU/reinsert=2", LRU, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestShardedFast(t, 1, 8, 32<<10, func(cfg *Config) {
+				cfg.Policy = tc.policy
+				cfg.ReinsertHits = tc.reinsert
+			})
+			stressOneShard(t, s)
+			checkReadIndexMirror(t, s, tc.policy == LRU || tc.reinsert > 0)
+		})
+	}
+}
 
+const stressKeys = 200
+
+func stressKey(i uint64) string { return fmt.Sprintf("stress-%03d", i%stressKeys) }
+
+// stressEmptyKey always holds a zero-length value.
+var stressEmptyKey = stressKey(0)
+
+func stressValue(k string) []byte {
+	if k == stressEmptyKey {
+		return []byte{}
+	}
+	return []byte(k)
+}
+
+func stressOneShard(t *testing.T, s *Sharded) {
 	// Warm the shard so readers see a mix of hits and misses from the start.
-	for i := uint64(0); i < keys; i += 2 {
-		if err := s.Set(key(i), []byte(key(i)), 0); err != nil {
+	for i := uint64(0); i < stressKeys; i += 2 {
+		if err := s.Set(stressKey(i), stressValue(stressKey(i)), 0); err != nil {
 			t.Fatalf("warm Set: %v", err)
 		}
 	}
@@ -62,22 +107,35 @@ func TestFastReadStressOneShard(t *testing.T) {
 		opsEach = 3000
 	)
 	var wg sync.WaitGroup
+	var writing atomic.Int32 // writers still running
+	writing.Store(writers)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
+			defer writing.Add(-1)
 			rng := testRNG{s: seed}
 			for i := 0; i < opsEach; i++ {
 				r := rng.next()
-				k := key(r)
-				switch {
-				case r%10 < 6:
-					if err := s.Set(k, []byte(k), 0); err != nil {
+				k := stressKey(r)
+				switch r % 20 {
+				case 0, 1, 2, 3, 4, 5, 6, 7:
+					if err := s.Set(k, stressValue(k), 0); err != nil {
 						t.Errorf("Set(%s): %v", k, err)
 						return
 					}
-				case r%10 < 8:
+				case 8, 9, 10, 11:
+					ttl := time.Second + time.Duration(r>>32%1000)*time.Millisecond
+					if err := s.SetTTL(k, stressValue(k), 0, ttl); err != nil {
+						t.Errorf("SetTTL(%s): %v", k, err)
+						return
+					}
+				case 12, 13, 14, 15:
 					s.Delete(k)
+				case 16, 17, 18:
+					// Move the shard clock so TTL'd items expire under the
+					// readers, on both the fast and the locked path.
+					s.WithShard(0, func(c *Cache) { c.Clock().Advance(100 * time.Millisecond) })
 				default:
 					// Seal the open region mid-traffic: readers must keep
 					// serving across the open→sealed transition.
@@ -86,21 +144,23 @@ func TestFastReadStressOneShard(t *testing.T) {
 			}
 		}(uint64(w) + 1)
 	}
+	// Readers keep going until the writers finish, so every write, TTL
+	// deadline and seal lands under concurrent lookups.
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
 			rng := testRNG{s: seed}
-			for i := 0; i < opsEach; i++ {
+			for i := 0; i < opsEach || writing.Load() > 0; i++ {
 				r := rng.next()
-				k := key(r)
+				k := stressKey(r)
 				if r%2 == 0 {
 					v, ok, err := s.Get(k)
 					if err != nil {
 						t.Errorf("Get(%s): %v", k, err)
 						return
 					}
-					if ok && string(v) != k {
+					if ok && !bytes.Equal(v, stressValue(k)) {
 						t.Errorf("Get(%s) returned %q", k, v)
 						return
 					}
@@ -115,7 +175,7 @@ func TestFastReadStressOneShard(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			if n := s.Len(); n < 0 || n > keys {
+			if n := s.Len(); n < 0 || n > stressKeys {
 				t.Errorf("Len = %d out of range", n)
 				return
 			}
@@ -135,6 +195,72 @@ func TestFastReadStressOneShard(t *testing.T) {
 	if fastHits+fastMisses > st.Gets {
 		t.Fatalf("fast gets %d exceed total gets %d", fastHits+fastMisses, st.Gets)
 	}
+	if st.Expirations == 0 {
+		t.Fatal("no TTL expired; the clock advances exercised nothing")
+	}
+}
+
+// checkReadIndexMirror is the quiescent half of the oracle, run on shard 0
+// under its lock once no other goroutine touches s.
+func checkReadIndexMirror(t *testing.T, s *Sharded, wantTouches bool) {
+	s.WithShard(0, func(c *Cache) {
+		ri := c.reads
+		// Start at a whole second: the checks below advance the clock by far
+		// less than one, so no TTL deadline falls between a fast and a locked
+		// lookup of the same key.
+		c.Clock().AdvanceTo((c.Clock().Now()/time.Second + 1) * time.Second)
+
+		// A zero-length value is answered lock-free, open and sealed.
+		if err := c.Set(stressEmptyKey, []byte{}, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, where := range []string{"open", "sealed"} {
+			if where == "sealed" {
+				if err := c.SealOpen(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			v, found, done := c.TryFastGet(stressEmptyKey)
+			if !done || !found || len(v) != 0 {
+				t.Errorf("%s zero-length value: TryFastGet = (%q, found %v, done %v), want a lock-free hit", where, v, found, done)
+			}
+		}
+
+		for i := uint64(0); i < stressKeys; i++ {
+			k := stressKey(i)
+			fv, ffound, done := c.TryFastGet(k)
+			lv, lfound, err := c.Get(k)
+			if err != nil {
+				t.Fatalf("Get(%s): %v", k, err)
+			}
+			if done && (ffound != lfound || !bytes.Equal(fv, lv)) {
+				t.Errorf("%s: fast path (%q, %v), locked Get (%q, %v)", k, fv, ffound, lv, lfound)
+			}
+		}
+
+		var held int64
+		for i := range ri.stripes {
+			for _, e := range ri.stripes[i].m {
+				held += int64(len(e.val))
+			}
+		}
+		reg := obs.NewRegistry()
+		c.MetricsInto(reg, obs.Labels{})
+		if got := gatherSum(t, reg, "cache_dram_bytes"); got != float64(held) {
+			t.Errorf("cache_dram_bytes = %v, stripes hold %d value bytes", got, held)
+		}
+
+		// Nothing drained the queue since the lookups above, and they hit.
+		touches := 0
+		for _, n := range ri.notes {
+			if !n.expire {
+				touches++
+			}
+		}
+		if (touches > 0) != wantTouches {
+			t.Errorf("%d touch notes queued, want them only when a policy reads them (%v)", touches, wantTouches)
+		}
+	})
 }
 
 // TestShardedFastReadReplayDeterminism replays the same seeded per-shard op

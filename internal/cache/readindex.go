@@ -1,48 +1,67 @@
 package cache
 
 import (
+	"bytes"
+	"hash/maphash"
 	"sync"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"znscache/internal/stats"
 )
 
-// This file implements the lock-free read path (DESIGN.md §12): an RCU-style
-// copy-on-write read index maintained alongside the engine's authoritative
-// index. The engine itself stays single-threaded — every structure it owns
-// (index map, region table, eviction order) is only touched under the shard
-// write lock — but mutators additionally publish an immutable per-key view
-// into a sync.Map that concurrent readers may consult without any lock.
+// This file implements the lock-free read path (DESIGN.md §12): a striped
+// read index maintained alongside the engine's authoritative index. The
+// engine itself stays single-threaded — every structure it owns (index map,
+// region table, eviction order) is only touched under the shard write lock —
+// but mutators additionally publish a per-key view (value copy + TTL
+// deadline) into a fixed table of readStripes stripes that concurrent
+// readers consult without the shard lock.
 //
 // The contract:
 //
-//   - A readEntry is immutable after publication. Mutators never modify a
-//     published entry; they Store a fresh one (copy-on-write) or Delete it.
-//     Readers therefore only ever observe a complete, consistent view.
+//   - Readers never take the shard lock. A lookup is one stripe read lock
+//     around one map lookup; entries are stored by value and replaced or
+//     updated whole under the stripe's write lock, so a reader always copies
+//     out a complete entry. Published value bytes are never written again.
+//   - Stripe locks are leaf locks: never nested, never held across a call out
+//     of this file, never taken under noteMu.
 //   - The read index mirrors the authoritative index: every insert publishes
 //     (appendItem), every removal unpublishes (delete/expiry/eviction/loss).
 //     A reader that misses the read index may correctly report a miss; the
 //     only transient skew a concurrent reader can observe is a spurious miss
 //     mid-eviction-reinsert — never stale or wrong bytes.
-//   - Side effects a classic Get performs under the lock (LRU recency, the
-//     reinsertion hit counter, lazy TTL removal) are deferred: the fast path
-//     enqueues a note into a bounded queue, and mutators drain the queue at
-//     the top of every locked operation. The queue drops on overflow (the
-//     drop is counted) — recency hints are advisory, correctness never
-//     depends on a note being processed.
+//   - The one mutation a reader makes is lazy TTL removal: under the stripe
+//     write lock it deletes the key only if the key's current entry is still
+//     expired at the reader's clock reading. The clock is monotonic, so the
+//     fresh entry of a concurrent re-Set survives.
+//   - Side effects a classic Get performs under the lock are deferred as
+//     notes into a bounded queue that mutators drain at the top of every
+//     locked operation: always the authoritative TTL removal, and a touch
+//     (LRU recency, the reinsertion hit counter) only when something reads
+//     it — Policy LRU or ReinsertHits > 0. The queue drops on overflow (the
+//     drop is counted) — these are hints, correctness never depends on a note
+//     being processed.
 //   - Fast reads do not advance the virtual clock. The simulated-time model
 //     belongs to the single-threaded replay; a concurrent serving workload
 //     observes the constant index-lookup cost in the latency histogram and
 //     leaves the clock to the mutators.
 
-// readEntry is one published item: an immutable value copy plus the TTL
-// deadline. val is nil for metadata-only items (or TrackValues off), in
-// which case servable is false and value-returning reads fall back to the
-// locked path (which may promote the entry after a verified sealed read).
+// readEntry is one published item: a value copy plus the TTL deadline. val
+// is nil when the bytes are not in DRAM (a metadata-only insert, or a
+// restored entry not yet promoted by a verified sealed read); with
+// TrackValues on, such an entry sends value-returning reads to the locked
+// path. A zero-length value is published as a non-nil empty slice.
 type readEntry struct {
 	val      []byte
-	servable bool
 	expireAt uint32 // virtual-clock second; 0 = no TTL
+}
+
+// expired reports whether the entry's TTL deadline has passed at virtual
+// time now.
+func (e readEntry) expired(now time.Duration) bool {
+	return e.expireAt != 0 && now >= time.Duration(e.expireAt)*time.Second
 }
 
 // readNote is one deferred side effect observed by the lock-free path.
@@ -56,11 +75,35 @@ type readNote struct {
 // recency hints are shed rather than memory grown.
 const readNoteCap = 4096
 
-// readIndex is the lock-free view. All mutation happens on the engine's
-// (locked, single-threaded) side; Load and the note queue are the only
-// concurrent surfaces.
+// readStripes is the read index's stripe count. A key's stripe is fixed by
+// its hash, so readers of different keys rarely meet on one lock.
+const readStripes = 64
+
+type stripeState struct {
+	mu sync.RWMutex
+	m  map[string]readEntry
+}
+
+// stripe pads stripeState to 128 bytes — a cache line pair, the unit the
+// adjacent-line prefetcher moves — so reader-count updates on one stripe's
+// lock do not invalidate its neighbours'.
+type stripe struct {
+	stripeState
+	_ [128 - unsafe.Sizeof(stripeState{})%128]byte
+}
+
+// readIndex is the view readers consult without the shard lock. All
+// mutation except reader-side expiry happens on the engine's (locked,
+// single-threaded) side.
 type readIndex struct {
-	m sync.Map // string -> *readEntry
+	seed maphash.Seed
+	// touch records whether hits queue touch notes: only LRU recency and the
+	// reinsertion hit counter read them.
+	touch   bool
+	stripes [readStripes]stripe
+	// dramBytes is the sum of len(val) over published entries, adjusted
+	// under the owning stripe's write lock (gauge cache_dram_bytes).
+	dramBytes atomic.Int64
 
 	noteMu sync.Mutex
 	notes  []readNote
@@ -71,31 +114,77 @@ type readIndex struct {
 	noteDrops  stats.Counter // deferred notes shed on queue overflow
 }
 
-func newReadIndex() *readIndex {
-	return &readIndex{
+func newReadIndex(touch bool) *readIndex {
+	ri := &readIndex{
+		seed:  maphash.MakeSeed(),
+		touch: touch,
 		notes: make([]readNote, 0, readNoteCap),
 		spare: make([]readNote, 0, readNoteCap),
 	}
-}
-
-// publish installs a fresh immutable entry for key. val must be a private
-// copy the caller relinquishes; it is served to concurrent readers as-is.
-func (ri *readIndex) publish(key string, val []byte, expireAt uint32) {
-	ri.m.Store(key, &readEntry{val: val, servable: val != nil, expireAt: expireAt})
-}
-
-// setExpire re-publishes key with a new TTL deadline (copy-on-write: the
-// value slice is shared between the old and new entry — both immutable).
-func (ri *readIndex) setExpire(key string, expireAt uint32) {
-	if v, ok := ri.m.Load(key); ok {
-		old := v.(*readEntry)
-		ri.m.Store(key, &readEntry{val: old.val, servable: old.servable, expireAt: expireAt})
+	for i := range ri.stripes {
+		ri.stripes[i].m = make(map[string]readEntry)
 	}
+	return ri
+}
+
+func (ri *readIndex) stripe(key string) *stripe {
+	return &ri.stripes[maphash.String(ri.seed, key)%readStripes]
+}
+
+// load returns key's current entry.
+func (ri *readIndex) load(key string) (readEntry, bool) {
+	s := ri.stripe(key)
+	s.mu.RLock()
+	e, ok := s.m[key]
+	s.mu.RUnlock()
+	return e, ok
+}
+
+// publish installs an entry for key, replacing any previous one. val must be
+// a private copy the caller relinquishes; it is served to concurrent readers
+// as-is and never written again.
+func (ri *readIndex) publish(key string, val []byte, expireAt uint32) {
+	s := ri.stripe(key)
+	s.mu.Lock()
+	old := s.m[key]
+	s.m[key] = readEntry{val: val, expireAt: expireAt}
+	ri.dramBytes.Add(int64(len(val) - len(old.val)))
+	s.mu.Unlock()
+}
+
+// setExpire sets key's TTL deadline in place.
+func (ri *readIndex) setExpire(key string, expireAt uint32) {
+	s := ri.stripe(key)
+	s.mu.Lock()
+	if e, ok := s.m[key]; ok {
+		e.expireAt = expireAt
+		s.m[key] = e
+	}
+	s.mu.Unlock()
 }
 
 // unpublish removes key from the read index.
 func (ri *readIndex) unpublish(key string) {
-	ri.m.Delete(key)
+	s := ri.stripe(key)
+	s.mu.Lock()
+	if e, ok := s.m[key]; ok {
+		delete(s.m, key)
+		ri.dramBytes.Add(-int64(len(e.val)))
+	}
+	s.mu.Unlock()
+}
+
+// dropExpired is the reader-side lazy expiry: it removes key only if its
+// current entry is still expired at now, so an entry a concurrent Set
+// published after the reader's lookup survives.
+func (ri *readIndex) dropExpired(key string, now time.Duration) {
+	s := ri.stripe(key)
+	s.mu.Lock()
+	if e, ok := s.m[key]; ok && e.expired(now) {
+		delete(s.m, key)
+		ri.dramBytes.Add(-int64(len(e.val)))
+	}
+	s.mu.Unlock()
 }
 
 // note enqueues a deferred side effect, dropping it if the queue is full.
@@ -110,16 +199,10 @@ func (ri *readIndex) note(n readNote) {
 	ri.noteMu.Unlock()
 }
 
-// expired reports whether the entry's TTL deadline has passed at virtual
-// time now.
-func (e *readEntry) expired(now time.Duration) bool {
-	return e.expireAt != 0 && now >= time.Duration(e.expireAt)*time.Second
-}
-
 // TryFastGet attempts to answer a Get without the shard lock. done reports
 // whether the lookup was fully answered; when done is false the caller must
 // retry on the locked path. On a hit the returned slice is the read index's
-// immutable copy — callers must treat it as read-only.
+// copy — callers must treat it as read-only.
 //
 // Accounting on the fast path: the op and hit/miss counters are atomic and
 // updated immediately; the latency histogram observes the constant index
@@ -130,36 +213,32 @@ func (c *Cache) TryFastGet(key string) (val []byte, found, done bool) {
 	if ri == nil {
 		return nil, false, false
 	}
-	v, ok := ri.m.Load(key)
-	if !ok {
-		c.gets.Inc()
-		c.hitRatio.Miss()
-		c.getLat.Observe(c.cpu.IndexLookup)
-		ri.fastMisses.Inc()
-		return nil, false, true
+	e, ok := ri.load(key)
+	if ok {
+		if now := c.clock.Now(); e.expired(now) {
+			// Reader-side lazy expiry; the authoritative cleanup is left to a
+			// mutator via the note queue.
+			ri.dropExpired(key, now)
+			ri.note(readNote{key: key, expire: true})
+			ok = false
+		} else if e.val == nil && c.cfg.TrackValues {
+			// Value bytes not in DRAM (metadata-only insert, or a restored
+			// entry not yet promoted): the locked path must perform the
+			// device read.
+			return nil, false, false
+		}
 	}
-	e := v.(*readEntry)
-	if e.expired(c.clock.Now()) {
-		// Reader-side lazy expiry: remove exactly the entry we loaded (a
-		// concurrent re-Set's fresh entry survives the CompareAndDelete) and
-		// leave the authoritative cleanup to a mutator via the note queue.
-		ri.m.CompareAndDelete(key, v)
-		ri.note(readNote{key: key, expire: true})
-		c.gets.Inc()
-		c.hitRatio.Miss()
-		c.getLat.Observe(c.cpu.IndexLookup)
-		ri.fastMisses.Inc()
-		return nil, false, true
-	}
-	if !e.servable && c.cfg.TrackValues {
-		// Value bytes not in DRAM (metadata-only insert, or a restored entry
-		// not yet promoted): the locked path must perform the device read.
-		return nil, false, false
-	}
-	ri.note(readNote{key: key})
 	c.gets.Inc()
-	c.hitRatio.Hit()
 	c.getLat.Observe(c.cpu.IndexLookup)
+	if !ok {
+		c.hitRatio.Miss()
+		ri.fastMisses.Inc()
+		return nil, false, true
+	}
+	if ri.touch {
+		ri.note(readNote{key: key})
+	}
+	c.hitRatio.Hit()
 	ri.fastHits.Inc()
 	return e.val, true, true
 }
@@ -171,13 +250,12 @@ func (c *Cache) TryFastContains(key string) (found, done bool) {
 	if ri == nil {
 		return false, false
 	}
-	v, ok := ri.m.Load(key)
+	e, ok := ri.load(key)
 	if !ok {
 		return false, true
 	}
-	e := v.(*readEntry)
-	if e.expired(c.clock.Now()) {
-		ri.m.CompareAndDelete(key, v)
+	if now := c.clock.Now(); e.expired(now) {
+		ri.dropExpired(key, now)
 		ri.note(readNote{key: key, expire: true})
 		return false, true
 	}
@@ -225,7 +303,7 @@ func (c *Cache) drainReadNotes() {
 		}
 		// Touch: the recency and reinsertion-counter effects of a classic
 		// locked Get.
-		if e.hits < ^uint8(0) {
+		if c.cfg.ReinsertHits > 0 && e.hits < ^uint8(0) {
 			e.hits++
 			c.index[n.key] = e
 		}
@@ -241,16 +319,16 @@ func (c *Cache) drainReadNotes() {
 
 // promoteRead publishes a servable copy of val for key after a verified
 // sealed-region read, so subsequent Gets are answered lock-free. No-op when
-// the entry is already servable.
+// the entry already holds its bytes.
 func (c *Cache) promoteRead(key string, e entry, val []byte) {
 	ri := c.reads
 	if ri == nil || val == nil {
 		return
 	}
-	if v, ok := ri.m.Load(key); ok && v.(*readEntry).servable {
+	if cur, ok := ri.load(key); ok && cur.val != nil {
 		return
 	}
-	ri.publish(key, append([]byte(nil), val...), e.expireAt)
+	ri.publish(key, bytes.Clone(val), e.expireAt)
 }
 
 // FastReadStats reports the lock-free path's counters: gets answered without

@@ -271,11 +271,15 @@ func Restore(cfg Config, snapshot []byte) (*Cache, error) {
 			}
 			continue
 		}
-		c.index[e.Key] = entry{
+		ent := entry{
 			region: e.Region, offset: e.Offset,
 			keyLen: e.KeyLen, valLen: e.ValLen, hits: e.Hits,
 			expireAt: e.ExpireAt,
 		}
+		if cfg.ReinsertHits == 0 {
+			ent.hits = 0 // hits are kept only where reinsertion reads them
+		}
+		c.index[e.Key] = ent
 	}
 	for _, id := range s.Order {
 		if id == s.Open || c.regions[id].state != regionSealed {
@@ -292,8 +296,8 @@ func Restore(cfg Config, snapshot []byte) (*Cache, error) {
 	c.open = s.Open
 	c.openRegion(s.Open)
 	if c.reads != nil {
-		// Restored values live on flash, not DRAM: publish non-servable
-		// entries so the lock-free path answers Contains and misses, and a
+		// Restored values live on flash, not DRAM: publish entries without
+		// bytes so the lock-free path answers Contains and misses, and a
 		// verified sealed read promotes each key to servable on first touch.
 		for k, e := range c.index {
 			c.reads.publish(k, nil, e.expireAt)

@@ -284,47 +284,52 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 }
 
 // TestGetBufPromotionKeepsOwnCopy: a restored engine's read index holds
-// unservable entries until a verified sealed read promotes them. When that
+// entries without bytes until a verified sealed read promotes them. When that
 // read lands in a caller's buffer, the index must publish its own copy, so
-// scribbling on the buffer afterwards cannot change what TryFastGet serves.
+// scribbling on the buffer afterwards cannot change what TryFastGet serves. A
+// zero-length value is promoted too.
 func TestGetBufPromotionKeepsOwnCopy(t *testing.T) {
-	st := newMemStore(8, 4096)
-	cfg := Config{Store: st, TrackValues: true, ReadIndex: true}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]byte, 900)
-	for i := range want {
-		want[i] = byte(i*5 + 3)
-	}
-	c.Set("k", want, 0)
-	for i := 0; c.Stats().Flushes < 2; i++ {
-		c.Set(fmt.Sprintf("fill-%04d", i), bytes.Repeat([]byte{byte(i)}, 900), 0)
-	}
-	c.Drain()
-	snap, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Restore(cfg, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, done := r.TryFastGet("k"); done {
-		t.Fatal("restored entry served lock-free before any verified read")
-	}
-	buf := make([]byte, ReadSpan(len("k"), len(want)))
-	got, ok, err := r.GetBuf("k", buf)
-	if !ok || err != nil || !bytes.Equal(got, want) {
-		t.Fatalf("sealed GetBuf = (%v, %v), bytes equal %v", ok, err, bytes.Equal(got, want))
-	}
-	clear(buf)
-	v, found, done := r.TryFastGet("k")
-	if !done || !found {
-		t.Fatalf("TryFastGet after promotion = (found %v, done %v)", found, done)
-	}
-	if !bytes.Equal(v, want) {
-		t.Fatal("read index serves the caller's scribbled buffer")
+	for _, n := range []int{900, 0} {
+		t.Run(fmt.Sprintf("%dB", n), func(t *testing.T) {
+			st := newMemStore(8, 4096)
+			cfg := Config{Store: st, TrackValues: true, ReadIndex: true}
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]byte, n)
+			for i := range want {
+				want[i] = byte(i*5 + 3)
+			}
+			c.Set("k", want, 0)
+			for i := 0; c.Stats().Flushes < 2; i++ {
+				c.Set(fmt.Sprintf("fill-%04d", i), bytes.Repeat([]byte{byte(i)}, 900), 0)
+			}
+			c.Drain()
+			snap, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := Restore(cfg, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, done := r.TryFastGet("k"); done {
+				t.Fatal("restored entry served lock-free before any verified read")
+			}
+			buf := make([]byte, ReadSpan(len("k"), len(want)))
+			got, ok, err := r.GetBuf("k", buf)
+			if !ok || err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("sealed GetBuf = (%v, %v), bytes equal %v", ok, err, bytes.Equal(got, want))
+			}
+			clear(buf)
+			v, found, done := r.TryFastGet("k")
+			if !done || !found {
+				t.Fatalf("TryFastGet after promotion = (found %v, done %v)", found, done)
+			}
+			if !bytes.Equal(v, want) {
+				t.Fatal("read index serves the caller's scribbled buffer")
+			}
+		})
 	}
 }
