@@ -105,7 +105,7 @@ func (c *Config) fillDefaults() {
 }
 
 // blockRef identifies the logical owner of one live device block, needed to
-// relocate it during cleaning.
+// relocate it during cleaning. The zero value (file nil) is a dead block.
 type blockRef struct {
 	file   *File
 	idx    int64 // file block index, or node block index when isNode
@@ -128,9 +128,12 @@ type FS struct {
 	files    map[string]*File
 	segs     []segment // indexed by zone
 	freeZone []int
-	dataSeg  int                // zone of the open data segment, -1 if none
-	nodeSeg  int                // zone of the open node segment, -1 if none
-	refs     map[int64]blockRef // device block index -> owner
+	dataSeg  int // zone of the open data segment, -1 if none
+	nodeSeg  int // zone of the open node segment, -1 if none
+	// refs is the reverse map, a flat table indexed by device block (zones ×
+	// blocks per zone): the owner of each live block, the zero blockRef for
+	// a dead or never-written one.
+	refs []blockRef
 
 	dirtyNodes   map[nodeKey]struct{}
 	ckptOrder    []nodeKey // dirtyNodes sorted for a checkpoint, reused
@@ -193,7 +196,7 @@ func Mount(dev zns.Zoned, cfg Config) (*FS, error) {
 		cfg:          cfg,
 		files:        make(map[string]*File),
 		segs:         make([]segment, n),
-		refs:         make(map[int64]blockRef),
+		refs:         make([]blockRef, int64(n)*(dev.ZoneSize()/BlockSize)),
 		dirtyNodes:   make(map[nodeKey]struct{}),
 		dataSeg:      -1,
 		nodeSeg:      -1,
@@ -334,7 +337,7 @@ func (fs *FS) invalidateLocked(b int64) {
 	blocksPerZone := fs.dev.ZoneSize() / BlockSize
 	z := int(b / blocksPerZone)
 	fs.segs[z].valid--
-	delete(fs.refs, b)
+	fs.refs[b] = blockRef{}
 }
 
 // WriteAt writes block-aligned data. Returns the simulated latency,
@@ -572,8 +575,8 @@ func (fs *FS) drainVictimLocked(now time.Duration, quantum int) (time.Duration, 
 	for fs.victimScan < blocksPerZone && moved < quantum {
 		b := int64(z)*blocksPerZone + fs.victimScan
 		fs.victimScan++
-		ref, live := fs.refs[b]
-		if !live {
+		ref := fs.refs[b]
+		if ref.file == nil {
 			continue
 		}
 		// Read the live block and append it to the proper log.

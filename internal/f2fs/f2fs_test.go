@@ -15,7 +15,7 @@ import (
 
 // testDev builds a small ZNS device: 32 zones × 16 blocks × 4 KiB = 2 MiB
 // zones... (4 blocks/zone, 64 KiB zones, 32 zones, 2 MiB total).
-func testDev(t *testing.T, store bool) *zns.Device {
+func testDev(t testing.TB, store bool) *zns.Device {
 	t.Helper()
 	d, err := zns.New(zns.Config{
 		Geometry: flash.Geometry{

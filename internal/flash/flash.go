@@ -17,7 +17,6 @@ package flash
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"znscache/internal/sim"
@@ -178,12 +177,15 @@ type blockMeta struct {
 	valid      int // live page count, maintained for GC victim selection
 }
 
-// Array is a simulated NAND array. It is safe for concurrent use.
+// Array is a simulated NAND array. It is not safe for concurrent use and
+// takes no lock of its own: the device that owns it (zns.Device, ssd.SSD)
+// calls it only under that device's lock, which therefore guards the page
+// tables and the die/channel ledger too. Only the Reads/Programs/Erases
+// counters may be read from other goroutines while the device runs.
 type Array struct {
 	geo    Geometry
 	timing Timing
 
-	mu        sync.Mutex
 	blocks    []blockMeta
 	storeData bool
 	zeroPage  []byte // what Read returns for a page without payload; never written
@@ -265,14 +267,11 @@ func (a *Array) Program(now time.Duration, addr Addr, data []byte) (time.Duratio
 	if data != nil && len(data) != a.geo.PageSize {
 		return now, fmt.Errorf("%w: got %d want %d", ErrDataSize, len(data), a.geo.PageSize)
 	}
-	a.mu.Lock()
 	b := &a.blocks[addr.Block]
 	if addr.Page != b.writeFront {
-		a.mu.Unlock()
 		return now, fmt.Errorf("%w: block %d next=%d got=%d", ErrProgramOrder, addr.Block, b.writeFront, addr.Page)
 	}
 	if b.states[addr.Page] != PageFree {
-		a.mu.Unlock()
 		return now, fmt.Errorf("%w: %v", ErrProgramTwice, addr)
 	}
 	b.states[addr.Page] = PageValid
@@ -284,8 +283,6 @@ func (a *Array) Program(now time.Duration, addr Addr, data []byte) (time.Duratio
 		}
 		b.pages[addr.Page] = append([]byte(nil), data...)
 	}
-	a.mu.Unlock()
-
 	a.Programs.Inc()
 	return a.occupy(now, addr.Block, a.timing.ProgPage), nil
 }
@@ -302,18 +299,14 @@ func (a *Array) Read(now time.Duration, addr Addr) (time.Duration, []byte, error
 	if err := a.checkAddr(addr); err != nil {
 		return now, nil, err
 	}
-	a.mu.Lock()
 	b := &a.blocks[addr.Block]
 	if b.states[addr.Page] == PageFree {
-		a.mu.Unlock()
 		return now, nil, fmt.Errorf("%w: %v", ErrReadFree, addr)
 	}
 	out := a.zeroPage
 	if b.pages != nil && b.pages[addr.Page] != nil {
 		out = b.pages[addr.Page]
 	}
-	a.mu.Unlock()
-
 	a.Reads.Inc()
 	return a.occupy(now, addr.Block, a.timing.ReadPage), out, nil
 }
@@ -324,8 +317,6 @@ func (a *Array) Invalidate(addr Addr) error {
 	if err := a.checkAddr(addr); err != nil {
 		return err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	b := &a.blocks[addr.Block]
 	if b.states[addr.Page] == PageValid {
 		b.states[addr.Page] = PageInvalid
@@ -339,7 +330,6 @@ func (a *Array) Erase(now time.Duration, block int) (time.Duration, error) {
 	if block < 0 || block >= a.geo.Blocks() {
 		return now, fmt.Errorf("%w: block %d", ErrOutOfRange, block)
 	}
-	a.mu.Lock()
 	b := &a.blocks[block]
 	for i := range b.states {
 		b.states[i] = PageFree
@@ -348,8 +338,6 @@ func (a *Array) Erase(now time.Duration, block int) (time.Duration, error) {
 	b.writeFront = 0
 	b.valid = 0
 	b.eraseCount++
-	a.mu.Unlock()
-
 	a.Erases.Inc()
 	return a.occupy(now, block, a.timing.EraseBlock), nil
 }
@@ -359,38 +347,22 @@ func (a *Array) State(addr Addr) (PageState, error) {
 	if err := a.checkAddr(addr); err != nil {
 		return PageFree, err
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.blocks[addr.Block].states[addr.Page], nil
 }
 
 // ValidPages returns the live-page count of a block (for GC victim choice).
-func (a *Array) ValidPages(block int) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.blocks[block].valid
-}
+func (a *Array) ValidPages(block int) int { return a.blocks[block].valid }
 
 // WriteFront returns the next programmable page index of a block.
-func (a *Array) WriteFront(block int) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.blocks[block].writeFront
-}
+func (a *Array) WriteFront(block int) int { return a.blocks[block].writeFront }
 
 // EraseCount returns the wear count of a block.
-func (a *Array) EraseCount(block int) uint32 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.blocks[block].eraseCount
-}
+func (a *Array) EraseCount(block int) uint32 { return a.blocks[block].eraseCount }
 
 // MaxEraseCount returns the highest wear across all blocks, a proxy for the
 // lifespan arguments in the paper (§1: "additional in-device data movements
 // will further decrease the lifespan").
 func (a *Array) MaxEraseCount() uint32 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	var max uint32
 	for i := range a.blocks {
 		if a.blocks[i].eraseCount > max {

@@ -49,7 +49,8 @@ func (c *Config) fillDefaults() {
 }
 
 // Disk is a simulated HDD. Safe for concurrent use; the single arm is the
-// serialization point, exactly as on real hardware.
+// serialization point, exactly as on real hardware, and mu guards it along
+// with the head position and payloads.
 type Disk struct {
 	cfg Config
 

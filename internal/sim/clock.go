@@ -10,7 +10,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -61,8 +60,13 @@ func (c *Clock) AdvanceTo(t time.Duration) time.Duration {
 // delay without running an event loop: an operation that needs the resource
 // at time t for duration d experiences waiting time max(0, free-t) and the
 // resource's free time becomes start+d.
+//
+// Busy is not safe for concurrent use: it is a field of the device that
+// models the resource (a flash array's dies and channels, a zone's stripe
+// lanes, a disk arm), and that device's lock guards it like the rest of its
+// state — FEMU's per-plane next-available times are kept the same way, by
+// the one FTL thread that owns them.
 type Busy struct {
-	mu   sync.Mutex
 	free time.Duration
 }
 
@@ -70,8 +74,6 @@ type Busy struct {
 // total latency observed by the caller (queueing delay plus service time)
 // and the completion time.
 func (b *Busy) Acquire(now, d time.Duration) (latency, done time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	start := now
 	if b.free > start {
 		start = b.free
@@ -82,8 +84,4 @@ func (b *Busy) Acquire(now, d time.Duration) (latency, done time.Duration) {
 }
 
 // FreeAt returns the time at which the resource becomes idle.
-func (b *Busy) FreeAt() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.free
-}
+func (b *Busy) FreeAt() time.Duration { return b.free }

@@ -78,9 +78,9 @@ var (
 
 const unmapped = int64(-1)
 
-// SSD is a simulated regular SSD. It is safe for concurrent use; internally
-// a single lock serializes FTL state, which also models the serialization
-// cost of the device's internal mapping structures.
+// SSD is a simulated regular SSD. It is safe for concurrent use: mu is the
+// one lock of the device, guarding the FTL tables and the flash array (page
+// tables and die/channel ledger), which takes no lock of its own.
 type SSD struct {
 	cfg   Config
 	array *flash.Array
@@ -180,7 +180,9 @@ func New(cfg Config) (*SSD, error) {
 // Size returns host-visible capacity.
 func (s *SSD) Size() int64 { return s.exported }
 
-// Array exposes the underlying NAND for wear inspection by the harness.
+// Array exposes the underlying NAND for wear inspection by the harness. The
+// array is guarded by s.mu, so while other goroutines use the SSD only its
+// counters may be read.
 func (s *SSD) Array() *flash.Array { return s.array }
 
 // takeFreeLocked pops a free block; caller holds mu and has ensured supply.

@@ -224,25 +224,30 @@ func (w *zrwaWin) slide(shift int64) {
 	}
 }
 
-// takeCommitted copies out the payloads of the first k window sectors; nil
-// entries are holes or metadata-only sectors (programmed as zeros).
-func (w *zrwaWin) takeCommitted(k int64) [][]byte {
-	out := make([][]byte, k)
-	if w == nil {
-		return out
+// takeCommitted copies out the payloads of the first k window sectors, up to
+// the highest buffered one, in the form programRange takes: holes are zeros,
+// and nil means no payloads (none stored, or nothing buffered).
+func (w *zrwaWin) takeCommitted(k int64) []byte {
+	if w == nil || w.data == nil {
+		return nil
 	}
-	for i := int64(0); i < k && i < int64(len(w.written)); i++ {
-		if !w.written[i] || w.data == nil {
-			continue
+	k = min(k, w.high)
+	if k <= 0 {
+		return nil
+	}
+	out := make([]byte, k*device.SectorSize)
+	for i := int64(0); i < k; i++ {
+		if w.written[i] {
+			copy(out[i*device.SectorSize:(i+1)*device.SectorSize], w.data[i*device.SectorSize:])
 		}
-		buf := make([]byte, device.SectorSize)
-		copy(buf, w.data[i*device.SectorSize:(i+1)*device.SectorSize])
-		out[i] = buf
 	}
 	return out
 }
 
-// Device is a simulated ZNS SSD. Safe for concurrent use.
+// Device is a simulated ZNS SSD. Safe for concurrent use: mu is the one
+// lock of the device, guarding the zone table, the stripe lanes and the
+// flash array (page tables and die/channel ledger), none of which lock on
+// their own.
 type Device struct {
 	cfg      Config
 	array    *flash.Array
@@ -384,7 +389,8 @@ func (d *Device) MaxOpenZones() int { return d.cfg.MaxOpenZones }
 // MaxActiveZones returns the active-zone budget.
 func (d *Device) MaxActiveZones() int { return d.cfg.MaxActiveZones }
 
-// Array exposes the NAND for wear inspection.
+// Array exposes the NAND for wear inspection. The array is guarded by d.mu,
+// so while other goroutines use the device only its counters may be read.
 func (d *Device) Array() *flash.Array { return d.array }
 
 // ZoneInfo returns a snapshot of zone z.
@@ -445,19 +451,20 @@ func (d *Device) addrFor(z int, sector int64) flash.Addr {
 }
 
 // programRange programs count sectors of zone z starting at startSector.
-// payloads[i] is the content of sector startSector+i; a nil slice (or a nil
-// payloads when every sector is metadata-only) programs a zero page. Called
+// Sector startSector+i holds data[i*SectorSize:(i+1)*SectorSize]; a sector
+// past the end of data (every sector, when data is nil) is programmed as a
+// zero page. The array copies each page, so nothing here allocates. Called
 // with d.mu held from the write-pointer update through the last page: NAND
 // programs a block's pages strictly in order, so two writers to one zone
 // must not interleave between reserving their sectors and programming them.
-func (d *Device) programRange(now time.Duration, z int, startSector, count int64, payloads [][]byte) (time.Duration, error) {
+func (d *Device) programRange(now time.Duration, z int, startSector, count int64, data []byte) (time.Duration, error) {
 	latest := now
 	tm := d.array.Timing()
 	nlanes := int64(len(d.lanes[z]))
 	for i := int64(0); i < count; i++ {
 		var page []byte
-		if payloads != nil {
-			page = payloads[i]
+		if end := (i + 1) * device.SectorSize; end <= int64(len(data)) {
+			page = data[end-device.SectorSize : end]
 		}
 		sector := startSector + i
 		// Per-zone bandwidth cap: each sector occupies one of the zone's
@@ -537,15 +544,12 @@ func (d *Device) writeLocked(now time.Duration, data []byte, n int, off int64) (
 	if newWP < wp {
 		newWP = wp
 	}
-	// Buffered payloads committed ahead of the incoming data (sectors below
+	// Buffered sectors committed ahead of the incoming data (sectors below
 	// a); the incoming part [a, newWP) is sliced straight from data in the
 	// program loop, keeping the strict path allocation-free.
-	var fromWin [][]byte
+	var fromWin []byte
 	w := d.zrwa[z]
-	bufLow := newWP
-	if bufLow > a {
-		bufLow = a
-	}
+	bufLow := min(newWP, a)
 	if bufLow > wp {
 		fromWin = w.takeCommitted(bufLow - wp)
 	}
@@ -598,8 +602,8 @@ func (d *Device) writeLocked(now time.Duration, data []byte, n int, off int64) (
 	tm := d.array.Timing()
 	// Commit the buffered prefix, then the committed part of the incoming
 	// data.
-	if len(fromWin) > 0 {
-		done, err := d.programRange(now, z, wp, int64(len(fromWin)), fromWin)
+	if bufLow > wp {
+		done, err := d.programRange(now, z, wp, bufLow-wp, fromWin)
 		if err != nil {
 			return 0, err
 		}
@@ -608,14 +612,7 @@ func (d *Device) writeLocked(now time.Duration, data []byte, n int, off int64) (
 		}
 	}
 	if newWP > a {
-		var payloads [][]byte
-		if data != nil {
-			payloads = make([][]byte, 0, newWP-a)
-			for s := a; s < newWP; s++ {
-				payloads = append(payloads, data[(s-a)*device.SectorSize:(s-a+1)*device.SectorSize])
-			}
-		}
-		done, err := d.programRange(now, z, a, newWP-a, payloads)
+		done, err := d.programRange(now, z, a, newWP-a, data)
 		if err != nil {
 			return 0, err
 		}
@@ -759,6 +756,11 @@ func (d *Device) releaseLocked(z int) {
 // Read reads len(p) bytes at off. Reads are random-access but must not
 // cross the write pointer — except for ZRWA window sectors that have been
 // written, which are served from the (uncommitted) window buffer.
+//
+// d.mu is held from the write-pointer check through the last page copy: the
+// flash array has no lock of its own, and a Reset or rewrite of the zone
+// must not land between the check and the copy, so a read sees exactly one
+// generation of the zone.
 func (d *Device) Read(now time.Duration, p []byte, off int64) (time.Duration, error) {
 	n := len(p)
 	if err := device.CheckRange(off, n, d.Size()); err != nil {
@@ -776,17 +778,14 @@ func (d *Device) Read(now time.Duration, p []byte, off int64) (time.Duration, er
 	bSec := aSec + int64(n)/device.SectorSize
 
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	wp := d.wp[z]
 	var buffered int64
 	if bSec > wp {
 		w := d.zrwa[z]
-		lo := aSec
-		if lo < wp {
-			lo = wp
-		}
+		lo := max(aSec, wp)
 		for s := lo; s < bSec; s++ {
 			if w == nil || s-wp >= int64(len(w.written)) || !w.written[s-wp] {
-				d.mu.Unlock()
 				return 0, fmt.Errorf("%w: zone %d wp=%d read end=%d",
 					ErrReadBeyondWP, z, zStart+wp*device.SectorSize, off+int64(n))
 			}
@@ -803,14 +802,9 @@ func (d *Device) Read(now time.Duration, p []byte, off int64) (time.Duration, er
 		}
 		buffered = bSec - lo
 	}
-	d.mu.Unlock()
 
-	flashEnd := bSec
-	if flashEnd > wp {
-		flashEnd = wp
-	}
 	latest := now
-	for s := aSec; s < flashEnd; s++ {
+	for s := aSec; s < min(bSec, wp); s++ {
 		done, page, err := d.array.Read(now, d.addrFor(z, s))
 		if err != nil {
 			return 0, fmt.Errorf("zns: read: %w", err)
@@ -890,10 +884,7 @@ func (d *Device) Finish(now time.Duration, z int) (time.Duration, error) {
 	start := d.wp[z]
 	spz := d.zoneSize / device.SectorSize
 	fill := spz - start
-	var payloads [][]byte
-	if w := d.zrwa[z]; w != nil && w.high > 0 {
-		payloads = w.takeCommitted(fill)
-	}
+	payloads := d.zrwa[z].takeCommitted(fill)
 	d.releaseLocked(z)
 	d.wp[z] = spz
 	d.state[z] = ZoneFull

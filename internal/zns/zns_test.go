@@ -3,6 +3,7 @@ package zns
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -384,6 +385,70 @@ func TestAppendConcurrentOffsetsUnique(t *testing.T) {
 	}
 }
 
+// TestReadDuringResetSeesOneGeneration: the device is shared by a writer
+// that fills a zone in four writes of one tag and resets it, over and over,
+// and a reader of the zone's first half. Every read must either find the
+// half not yet written (ErrReadBeyondWP) or return one generation's bytes
+// throughout — never a page the reset already erased, never two
+// generations mixed.
+func TestReadDuringResetSeesOneGeneration(t *testing.T) {
+	const zone, generations, parts = 2, 300, 4
+	d := newTestDev(t)
+	zs := d.ZoneSize()
+	base := int64(zone) * zs
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for gen := 1; gen <= generations; gen++ {
+			part := bytes.Repeat([]byte{byte(gen%255 + 1)}, int(zs/parts))
+			for i := int64(0); i < parts; i++ {
+				if _, err := d.Write(0, part, len(part), base+i*int64(len(part))); err != nil {
+					t.Errorf("generation %d write %d: %v", gen, i, err)
+					return
+				}
+			}
+			if _, err := d.Reset(0, zone); err != nil {
+				t.Errorf("generation %d reset: %v", gen, err)
+				return
+			}
+		}
+	}()
+
+	buf := make([]byte, zs/2)
+	var whole, partial int
+	check := func() error {
+		_, err := d.Read(0, buf, base)
+		if errors.Is(err, ErrReadBeyondWP) {
+			partial++
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("read racing a reset: %w", err)
+		}
+		whole++
+		for i, b := range buf {
+			if b == 0 || b != buf[0] {
+				return fmt.Errorf("torn read: tag %d at byte 0, %d at byte %d", buf[0], b, i)
+			}
+		}
+		return nil
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if err := check(); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	<-done
+	t.Logf("%d reads of the written half, %d rejected beyond the write pointer", whole, partial)
+}
+
 func TestAppendToBadZone(t *testing.T) {
 	d := newTestDev(t)
 	if _, _, err := d.Append(0, nil, device.SectorSize, 99); !errors.Is(err, ErrZoneRange) {
@@ -508,6 +573,50 @@ func TestReadRegionDoesNotAllocate(t *testing.T) {
 		}
 		if storeData && !bytes.Equal(buf, bytes.Repeat([]byte{0x3C}, len(buf))) {
 			t.Error("region read back wrong bytes")
+		}
+	}
+}
+
+// TestWriteDoesNotAllocate: a region write hands the array 4 KiB sub-slices
+// of the caller's data, so the device allocates nothing per call. A
+// metadata-only array makes no allocation at all; a payload array makes
+// exactly the one per programmed page that Program's copy is.
+func TestWriteDoesNotAllocate(t *testing.T) {
+	for _, storeData := range []bool{true, false} {
+		d, region := writtenRegion(t, storeData)
+		pages := float64(len(region) / device.SectorSize)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := d.Reset(0, 0); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Write(0, region, len(region), 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		want := 0.0
+		if storeData {
+			want = pages
+		}
+		if allocs != want {
+			t.Errorf("StoreData=%v: resetting and writing a %.0f-page region allocates %.0f objects, want %.0f",
+				storeData, pages, allocs, want)
+		}
+	}
+}
+
+// BenchmarkDeviceWrite writes one 256 KiB region to a metadata-only device,
+// resetting the zone each time: the device's own cost per region write.
+func BenchmarkDeviceWrite(b *testing.B) {
+	d, region := writtenRegion(b, false)
+	b.SetBytes(int64(len(region)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d.Reset(0, 0); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.Write(0, region, len(region), 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
