@@ -269,7 +269,9 @@ func fastGetCache(tb testing.TB, n int) (*Cache, []string) {
 }
 
 // BenchmarkFastGet prices a lock-free hit over 2^18 published keys, visited
-// in a scattered order, on one goroutine and on GOMAXPROCS goroutines.
+// in a scattered order, on one goroutine and on GOMAXPROCS goroutines. The
+// multi32 cases send the same lookups 32 at a time through Sharded.GetMulti,
+// a pipelined batch's path, and report the cost per key.
 func BenchmarkFastGet(b *testing.B) {
 	c, keys := fastGetCache(b, 1<<18)
 	mask := len(keys) - 1
@@ -293,6 +295,52 @@ func BenchmarkFastGet(b *testing.B) {
 			}
 		})
 	})
+
+	s, err := NewSharded([]*Cache{c})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// batch returns a lookup of the 32 keys from scattered position i on,
+	// with its own result buffers.
+	batch := func(b *testing.B) func(i int) {
+		const width = 32
+		ks, vals := make([]string, width), make([][]byte, width)
+		hits, errs := make([]bool, width), make([]error, width)
+		return func(i int) {
+			for j := range ks {
+				ks[j] = keys[((i*width+j)*40503)&mask]
+			}
+			s.GetMulti(ks, vals, hits, errs)
+			for j := range ks {
+				if !hits[j] || errs[j] != nil {
+					b.Fatalf("GetMulti %s = (hit %v, %v)", ks[j], hits[j], errs[j])
+				}
+			}
+		}
+	}
+	perKey := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*32), "ns/key")
+	}
+	b.Run("multi32/serial", func(b *testing.B) {
+		get := batch(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			get(i)
+		}
+		perKey(b)
+	})
+	b.Run("multi32/parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		var start atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			get := batch(b)
+			for i := int(start.Add(1)) << 12; pb.Next(); i++ {
+				get(i)
+			}
+		})
+		perKey(b)
+	})
 }
 
 // TestFastGetDoesNotAllocate: a lock-free hit allocates nothing.
@@ -307,6 +355,19 @@ func TestFastGetDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("lock-free hit allocates %.0f objects per call, want 0", allocs)
+	}
+
+	s, err := NewSharded([]*Cache{c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const width = 32
+	vals, hits, errs := make([][]byte, width), make([]bool, width), make([]error, width)
+	allocs = testing.AllocsPerRun(200, func() {
+		s.GetMulti(keys[:width], vals, hits, errs)
+	})
+	if allocs != 0 {
+		t.Fatalf("a batch of %d lock-free hits allocates %.0f objects per call, want 0", width, allocs)
 	}
 }
 

@@ -49,15 +49,16 @@ func (r *testRNG) next() uint64 {
 }
 
 // TestFastReadStressOneShard hammers a single shard from many goroutines at
-// once — lock-free Gets and Contains racing locked Sets, TTL sets, Deletes,
-// clock advances and periodic SealOpen via WithShard, and whole-cache
-// Len/Stats cuts — under every policy setting that changes which notes the
-// fast path queues. Run under -race this is the read path's memory-safety
-// oracle. Once the storm is over, the read index must mirror the
-// authoritative index: every fast answer equals the locked Get's, a
-// zero-length value is served lock-free, cache_dram_bytes equals the value
-// bytes the stripes hold, and touch notes are queued only when a policy
-// reads them.
+// once — lock-free Gets, GetMulti batches and Contains racing locked Sets,
+// TTL sets, Deletes, clock advances and periodic SealOpen via WithShard, and
+// whole-cache Len/Stats cuts — under every policy setting that changes which
+// notes the fast path queues. Run under -race this is the read path's
+// memory-safety oracle. Once the storm is over, the get counters must hold
+// exactly the lookups the readers issued, batched or not, and the read index
+// must mirror the authoritative index: every fast answer equals the locked
+// Get's, a zero-length value is served lock-free, cache_dram_bytes equals
+// the value bytes the stripes hold, and touch notes are queued only when a
+// policy reads them.
 func TestFastReadStressOneShard(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -145,27 +146,55 @@ func stressOneShard(t *testing.T, s *Sharded) {
 		}(uint64(w) + 1)
 	}
 	// Readers keep going until the writers finish, so every write, TTL
-	// deadline and seal lands under concurrent lookups.
+	// deadline and seal lands under concurrent lookups. They alternate single
+	// Gets with GetMulti batches of 1–32 keys, duplicates included, and count
+	// every lookup they issue and every hit they are told of.
+	var lookups, hits atomic.Uint64
 	for g := 0; g < readers; g++ {
 		wg.Add(1)
 		go func(seed uint64) {
 			defer wg.Done()
 			rng := testRNG{s: seed}
+			var (
+				keys  = make([]string, 32)
+				vals  = make([][]byte, 32)
+				found = make([]bool, 32)
+				errs  = make([]error, 32)
+			)
 			for i := 0; i < opsEach || writing.Load() > 0; i++ {
 				r := rng.next()
-				k := stressKey(r)
-				if r%2 == 0 {
-					v, ok, err := s.Get(k)
-					if err != nil {
-						t.Errorf("Get(%s): %v", k, err)
+				n := 1
+				switch r % 3 {
+				case 0:
+					keys[0] = stressKey(r)
+					vals[0], found[0], errs[0] = s.Get(keys[0])
+				case 1:
+					n = 1 + int(r>>8%32)
+					for j := 0; j < n; j++ {
+						if j > 0 && rng.next()%4 == 0 {
+							keys[j] = keys[j-1]
+						} else {
+							keys[j] = stressKey(rng.next())
+						}
+					}
+					s.GetMulti(keys[:n], vals[:n], found[:n], errs[:n])
+				default:
+					s.Contains(stressKey(r))
+					continue
+				}
+				lookups.Add(uint64(n))
+				for j, k := range keys[:n] {
+					if errs[j] != nil {
+						t.Errorf("get %s: %v", k, errs[j])
 						return
 					}
-					if ok && !bytes.Equal(v, stressValue(k)) {
-						t.Errorf("Get(%s) returned %q", k, v)
-						return
+					if found[j] {
+						hits.Add(1)
+						if !bytes.Equal(vals[j], stressValue(k)) {
+							t.Errorf("get %s returned %q", k, vals[j])
+							return
+						}
 					}
-				} else {
-					s.Contains(k)
 				}
 			}
 		}(uint64(100 + g))
@@ -184,16 +213,20 @@ func stressOneShard(t *testing.T, s *Sharded) {
 	}()
 	wg.Wait()
 
+	// Per-key and batched lookups are accounted alike: the counters hold
+	// exactly the lookups issued and the hits returned. Every value set here
+	// has its bytes in DRAM, so the lock-free path answered all of them.
 	st := s.Stats()
-	if st.Gets != st.Hits+st.Misses {
-		t.Fatalf("gets=%d but hits+misses=%d", st.Gets, st.Hits+st.Misses)
+	n, h := lookups.Load(), hits.Load()
+	if st.Gets != n || st.Hits != h || st.Misses != n-h || st.GetLatency.Count != n {
+		t.Fatalf("stats gets=%d hits=%d misses=%d latency count=%d; readers issued %d lookups, %d hits",
+			st.Gets, st.Hits, st.Misses, st.GetLatency.Count, n, h)
 	}
-	fastHits, fastMisses, _ := s.FastReadStats()
-	if fastHits+fastMisses == 0 {
-		t.Fatal("lock-free path never answered a get; stress test exercised nothing")
+	if fastHits, fastMisses, _ := s.FastReadStats(); fastHits != h || fastMisses != n-h {
+		t.Fatalf("fast reads %d hits / %d misses; readers issued %d lookups, %d hits", fastHits, fastMisses, n, h)
 	}
-	if fastHits+fastMisses > st.Gets {
-		t.Fatalf("fast gets %d exceed total gets %d", fastHits+fastMisses, st.Gets)
+	if h == 0 || h == n {
+		t.Fatalf("%d hits in %d lookups: the stress exercised only one outcome", h, n)
 	}
 	if st.Expirations == 0 {
 		t.Fatal("no TTL expired; the clock advances exercised nothing")
@@ -265,11 +298,13 @@ func checkReadIndexMirror(t *testing.T, s *Sharded, wantTouches bool) {
 
 // TestShardedFastReadReplayDeterminism replays the same seeded per-shard op
 // sequences twice — one goroutine per shard, lock-free reads enabled — and
-// requires identical merged Stats. This is the determinism contract from the
-// Sharded doc comment extended to the fast-read path: deferred notes drain at
-// locked-op boundaries, so with a single goroutine per shard the note
-// processing points (and thus recency, expiry, and every counter) depend only
-// on the op sequence, not on cross-shard goroutine interleaving.
+// requires identical merged and per-shard Stats. This is the determinism
+// contract from the Sharded doc comment extended to the fast-read path:
+// deferred notes drain at locked-op boundaries, so with a single goroutine
+// per shard the note processing points (and thus recency, expiry, and every
+// counter) depend only on the op sequence, not on cross-shard goroutine
+// interleaving. The second replay sends each run of consecutive gets as one
+// GetMulti, so it also pins batched gets to the per-key path's effects.
 func TestShardedFastReadReplayDeterminism(t *testing.T) {
 	const (
 		shards  = 4
@@ -277,7 +312,7 @@ func TestShardedFastReadReplayDeterminism(t *testing.T) {
 		opsEach = 4000
 		seed    = 99
 	)
-	run := func() (Stats, [shards]Stats) {
+	run := func(batched bool) (Stats, [shards]Stats) {
 		s := newTestShardedFast(t, shards, 8, 16<<10)
 		// Pre-partition the keyspace so each goroutine only ever touches its
 		// own shard: per-shard serialization is what makes the replay
@@ -295,10 +330,30 @@ func TestShardedFastReadReplayDeterminism(t *testing.T) {
 				defer wg.Done()
 				rng := testRNG{s: ShardSeed(seed, sh)}
 				mine := perShard[sh]
+				var run []string // batched: consecutive gets not yet sent
+				flush := func() {
+					if len(run) == 0 {
+						return
+					}
+					errs := make([]error, len(run))
+					s.GetMulti(run, make([][]byte, len(run)), make([]bool, len(run)), errs)
+					for j, err := range errs {
+						if err != nil {
+							t.Errorf("shard %d GetMulti(%s): %v", sh, run[j], err)
+						}
+					}
+					run = run[:0]
+				}
+				defer flush()
 				for i := 0; i < opsEach; i++ {
 					r := rng.next()
 					k := mine[r%uint64(len(mine))]
+					if r%10 >= 5 {
+						flush()
+					}
 					switch {
+					case r%10 < 5 && batched:
+						run = append(run, k)
 					case r%10 < 5:
 						if _, _, err := s.Get(k); err != nil {
 							t.Errorf("shard %d Get(%s): %v", sh, k, err)
@@ -325,14 +380,14 @@ func TestShardedFastReadReplayDeterminism(t *testing.T) {
 		return s.Stats(), per
 	}
 
-	merged1, per1 := run()
-	merged2, per2 := run()
+	merged1, per1 := run(false)
+	merged2, per2 := run(true)
 	if !reflect.DeepEqual(merged1, merged2) {
-		t.Fatalf("merged stats differ across identical replays:\n run1: %+v\n run2: %+v", merged1, merged2)
+		t.Fatalf("merged stats differ between per-key and batched replays:\n Get:      %+v\n GetMulti: %+v", merged1, merged2)
 	}
 	for i := range per1 {
 		if !reflect.DeepEqual(per1[i], per2[i]) {
-			t.Fatalf("shard %d stats differ across identical replays:\n run1: %+v\n run2: %+v", i, per1[i], per2[i])
+			t.Fatalf("shard %d stats differ between per-key and batched replays:\n Get:      %+v\n GetMulti: %+v", i, per1[i], per2[i])
 		}
 	}
 	if merged1.Gets == 0 || merged1.Sets == 0 {

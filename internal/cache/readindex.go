@@ -205,10 +205,42 @@ func (ri *readIndex) note(n readNote) {
 // copy — callers must treat it as read-only.
 //
 // Accounting on the fast path: the op and hit/miss counters are atomic and
-// updated immediately; the latency histogram observes the constant index
+// updated before return; the latency histogram observes the constant index
 // lookup cost; recency/TTL side effects become deferred notes. The virtual
 // clock is not advanced.
 func (c *Cache) TryFastGet(key string) (val []byte, found, done bool) {
+	var t fastTally
+	val, found, done = c.fastLookup(key, &t)
+	c.accountFast(t)
+	return val, found, done
+}
+
+// fastTally counts lock-free answers not yet folded into an engine's
+// counters, so a batch of lookups on one shard is accounted in one step.
+type fastTally struct{ hits, misses uint64 }
+
+// accountFast folds t into the engine's counters: the op count, the hit
+// ratio, the fast-path split and one latency observation per lookup at the
+// constant index cost. The totals equal those of one TryFastGet per lookup.
+func (c *Cache) accountFast(t fastTally) {
+	n := t.hits + t.misses
+	if n == 0 {
+		return
+	}
+	c.gets.Add(n)
+	c.getLat.ObserveN(c.cpu.IndexLookup, int(n))
+	c.hitRatio.Add(t.hits, t.misses)
+	if t.hits > 0 {
+		c.reads.fastHits.Add(t.hits)
+	}
+	if t.misses > 0 {
+		c.reads.fastMisses.Add(t.misses)
+	}
+}
+
+// fastLookup is TryFastGet with the answer counted into t instead of the
+// engine's counters; the caller settles t with accountFast.
+func (c *Cache) fastLookup(key string, t *fastTally) (val []byte, found, done bool) {
 	ri := c.reads
 	if ri == nil {
 		return nil, false, false
@@ -228,18 +260,14 @@ func (c *Cache) TryFastGet(key string) (val []byte, found, done bool) {
 			return nil, false, false
 		}
 	}
-	c.gets.Inc()
-	c.getLat.Observe(c.cpu.IndexLookup)
 	if !ok {
-		c.hitRatio.Miss()
-		ri.fastMisses.Inc()
+		t.misses++
 		return nil, false, true
 	}
 	if ri.touch {
 		ri.note(readNote{key: key})
 	}
-	c.hitRatio.Hit()
-	ri.fastHits.Inc()
+	t.hits++
 	return e.val, true, true
 }
 

@@ -157,6 +157,37 @@ func (s *Sharded) SetTTL(key string, value []byte, valLen int, ttl time.Duration
 // back to the classic path under the shard write lock.
 func (s *Sharded) Get(key string) ([]byte, bool, error) {
 	sh := &s.shards[s.ShardFor(key)]
+	var t fastTally
+	val, found, err := sh.get(key, &t)
+	sh.c.accountFast(t)
+	return val, found, err
+}
+
+// GetMulti is Get over every key, in order, with results written to the
+// parallel slices (server.MultiGetter): each slot holds what Get(keys[i])
+// would return. Lock-free answers are counted per shard and folded into
+// each touched shard's counters once per call; keys the fast path cannot
+// answer take Get's locked path one by one, so the totals, the notes and
+// every simulated effect equal those of len(keys) Gets.
+func (s *Sharded) GetMulti(keys []string, vals [][]byte, hits []bool, errs []error) {
+	var buf [16]fastTally // stays on the stack for up to 16 shards
+	tally := buf[:]
+	if len(s.shards) > len(buf) {
+		tally = make([]fastTally, len(s.shards))
+	}
+	for j, key := range keys {
+		i := s.ShardFor(key)
+		vals[j], hits[j], errs[j] = s.shards[i].get(key, &tally[i])
+	}
+	for i := range s.shards {
+		s.shards[i].c.accountFast(tally[i])
+	}
+}
+
+// get answers one lookup: lock-free when the read index can (counted into
+// t, which the caller settles with accountFast), otherwise under the shard
+// write lock with the engine's own accounting.
+func (sh *shard) get(key string, t *fastTally) ([]byte, bool, error) {
 	// Span sampling: 1-in-N gets time the path taken (lock-free fast path
 	// vs locked fallback) on the wall clock. The sampling decision is one
 	// atomic add; unsampled gets touch no clock.
@@ -166,7 +197,7 @@ func (s *Sharded) Get(key string) ([]byte, bool, error) {
 	if sampled {
 		w0 = time.Now()
 	}
-	if val, found, done := sh.c.TryFastGet(key); done {
+	if val, found, done := sh.c.fastLookup(key, t); done {
 		if sampled {
 			rec.Observe(obs.StageFastGet, time.Since(w0))
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -215,11 +216,14 @@ func (rt *Router) getFrom(mb *member, key string) ([]byte, bool, error) {
 		mb.pool.drop(cl)
 		return nil, false, err
 	}
+	// r.Value aliases the client's value arena, which the client's next
+	// checkout reuses: copy it before the client goes back to the pool.
+	val := bytes.Clone(r.Value)
 	mb.pool.put(cl)
 	if r.Err != "" {
 		return nil, false, fmt.Errorf("cluster: %s: %s", mb.node.Name, r.Err)
 	}
-	return r.Value, r.Hit, nil
+	return val, r.Hit, nil
 }
 
 // GetMulti scatter-gathers one multiget per backend: keys group by their
@@ -282,11 +286,8 @@ func (rt *Router) execGroup(mb *member, idx []int, keys []string, vals [][]byte,
 	var rs []server.Resp
 	if err == nil {
 		cl.QueueGetMulti(gk)
-		rs, err = cl.Exchange()
-		if err != nil {
+		if rs, err = cl.Exchange(); err != nil {
 			mb.pool.drop(cl)
-		} else {
-			mb.pool.put(cl)
 		}
 	}
 	if err != nil {
@@ -296,19 +297,24 @@ func (rt *Router) execGroup(mb *member, idx []int, keys []string, vals [][]byte,
 		}
 		return
 	}
+	// The responses and their values live in the client's reused buffers,
+	// which the client's next checkout overwrites: scatter copies of them
+	// before the client goes back to the pool.
+	var unresolved []int
 	for j, i := range idx {
-		r := rs[j]
-		if r.Err != "" {
-			// Unresolved under the truncated response: this key may or may
-			// not exist on mb — ask another replica rather than report a
-			// fabricated miss.
-			rt.m.backendErrors.Inc()
-			vals[i], hits[i], errs[i] = rt.getFailover(keys[i], sets[i], 0, mb)
-			continue
+		if r := rs[j]; r.Err != "" {
+			unresolved = append(unresolved, i)
+		} else {
+			vals[i], hits[i], errs[i] = bytes.Clone(r.Value), r.Hit, nil
 		}
-		// Resp.Value is a per-response allocation, safe to retain after the
-		// client returns to the pool.
-		vals[i], hits[i], errs[i] = r.Value, r.Hit, nil
+	}
+	mb.pool.put(cl)
+	for _, i := range unresolved {
+		// Unresolved under the truncated response: this key may or may not
+		// exist on mb — ask another replica rather than report a fabricated
+		// miss.
+		rt.m.backendErrors.Inc()
+		vals[i], hits[i], errs[i] = rt.getFailover(keys[i], sets[i], 0, mb)
 	}
 }
 

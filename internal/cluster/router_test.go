@@ -252,6 +252,54 @@ func TestGetMultiScatterGather(t *testing.T) {
 	}
 }
 
+// TestPooledClientResultsOutliveCheckin: goroutines share one pooled
+// connection to a node, so each checkout's Exchange reuses the buffers the
+// previous holder's responses and values live in. Every value the router
+// returns must be its own copy, taken before the client went back to the
+// pool: under -race a late read is a data race, and without it a value
+// overwritten by another goroutine's exchange fails the comparison.
+func TestPooledClientResultsOutliveCheckin(t *testing.T) {
+	nodes := startNodes(t, "n0")
+	rt, err := New(Config{Nodes: nodeList(nodes, "n0"), PoolIdle: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	keys := testKeys(16)
+	for _, k := range keys {
+		if err := rt.Set(k, []byte("v-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			vals := make([][]byte, len(keys))
+			hits := make([]bool, len(keys))
+			errs := make([]error, len(keys))
+			for i := 0; i < 200; i++ {
+				rt.GetMulti(keys, vals, hits, errs)
+				k := keys[(g+i)%len(keys)]
+				v, hit, err := rt.Get(k)
+				if err != nil || !hit || string(v) != "v-"+k {
+					t.Errorf("Get(%s) = (%q, %v, %v)", k, v, hit, err)
+					return
+				}
+				for j, k := range keys {
+					if errs[j] != nil || !hits[j] || string(vals[j]) != "v-"+k {
+						t.Errorf("GetMulti %s = (%q, %v, %v)", k, vals[j], hits[j], errs[j])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
 // TestHotKeyReadsSpreadOverReplicas: once the detector promotes a key, its
 // reads rotate across the whole replica set instead of hammering the primary.
 func TestHotKeyReadsSpreadOverReplicas(t *testing.T) {

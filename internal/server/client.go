@@ -22,17 +22,17 @@ type Client struct {
 	bw      *bufio.Writer
 	pending []pend   // one entry per queued request
 	mkeys   []string // key arena for queued multigets, spanned by pend.k0/k1
-	scratch []byte   // reused body buffer when DiscardValues
 	fields  [][]byte // reused tokenizer scratch for VALUE headers
 	resps   []Resp   // reused Exchange result backing array
+	vals    []byte   // value arena: one Exchange's VALUE bodies, reused by the next
 	// Timeout bounds each Exchange's network reads and writes (default 30s).
 	Timeout time.Duration
-	// DiscardValues, when set, drops fetched value bytes into a reused
-	// scratch buffer instead of allocating a fresh slice per hit: Resp.Value
-	// is nil but Hit/Flags/Cas are intact. The load generator sets it — it
-	// cares about outcomes and latency, not payload contents.
-	DiscardValues bool
 }
+
+// maxValArena is the value arena capacity a client keeps between exchanges;
+// one that grew past it for a batch of large values is dropped, so a burst
+// does not pin its memory for the connection's life.
+const maxValArena = 1 << 20
 
 // pend records one queued request: kind 'g' (single get), 'm' (multiget,
 // keys in mkeys[k0:k1]), 's' (set), or 'd' (delete).
@@ -44,6 +44,11 @@ type pend struct {
 // Resp is one request's outcome. Hit means: value found (get), stored
 // (set), or key existed (delete). Err carries a server-reported error line
 // verbatim (ERROR / CLIENT_ERROR ... / SERVER_ERROR ...), empty on success.
+//
+// Value aliases the client's value arena and is valid until the next
+// Exchange (or Get, Gets, Set, Delete) on the same client, which reuses the
+// arena; copy it to keep it longer. Its cap equals its len, so an append
+// never writes over a neighbouring value.
 type Resp struct {
 	Hit   bool
 	Flags uint32
@@ -133,9 +138,10 @@ func (c *Client) QueueDelete(key string) {
 // A transport error poisons the connection; a server-reported error is
 // returned per-response in Resp.Err.
 //
-// The returned slice is valid until the next Exchange on this client: its
-// backing array is reused across calls so a pipelined caller does not pay
-// one allocation per batch. Copy it to retain responses longer.
+// The returned slice, and every Resp.Value in it, is valid until the next
+// Exchange on this client: the response array and the value arena are both
+// reused across calls, so a pipelined caller allocates nothing per batch in
+// steady state. Copy what must outlive the next Exchange.
 func (c *Client) Exchange() ([]Resp, error) {
 	if len(c.pending) == 0 {
 		return nil, nil
@@ -177,9 +183,16 @@ func (c *Client) Exchange() ([]Resp, error) {
 	return out, nil
 }
 
+// reset readies the client for the next batch. The values just returned
+// keep their arena array (an arena dropped here stays alive while they
+// reference it); the next Exchange reads over it from the start.
 func (c *Client) reset() {
 	c.pending = c.pending[:0]
 	c.mkeys = c.mkeys[:0]
+	c.vals = c.vals[:0]
+	if cap(c.vals) > maxValArena {
+		c.vals = nil
+	}
 }
 
 // readResp parses one response for a request of the given kind.
@@ -237,24 +250,23 @@ func (c *Client) readValueHeader(line []byte) (key []byte, r Resp, n int, err er
 	return key, r, int(n64), nil
 }
 
-// consumeValueBody reads the n-byte data block plus its CRLF. With
-// DiscardValues the bytes land in the reused scratch buffer and the returned
-// slice is nil; otherwise a fresh copy is returned.
+// consumeValueBody reads the n-byte data block plus its CRLF into the value
+// arena and returns the data, capped at its length. An arena too small for
+// the block is replaced by a larger one rather than grown in place: values
+// already returned by this Exchange keep pointing at the old array.
 func (c *Client) consumeValueBody(n int) ([]byte, error) {
-	if c.DiscardValues {
-		if cap(c.scratch) < n+2 {
-			c.scratch = make([]byte, n+2)
-		}
-		if _, err := io.ReadFull(c.br, c.scratch[:n+2]); err != nil {
-			return nil, err
-		}
-		return nil, nil
+	off := len(c.vals)
+	if cap(c.vals)-off < n+2 {
+		c.vals = make([]byte, 0, max(2*cap(c.vals), n+2, 4<<10))
+		off = 0
 	}
-	body := make([]byte, n+2)
-	if _, err := io.ReadFull(c.br, body); err != nil {
+	c.vals = c.vals[:off+n+2]
+	if _, err := io.ReadFull(c.br, c.vals[off:]); err != nil {
 		return nil, err
 	}
-	return body[:n], nil
+	// The CRLF is not part of the value: the next block reads over it.
+	c.vals = c.vals[:off+n]
+	return c.vals[off : off+n : off+n], nil
 }
 
 // readGetResp parses zero or one VALUE blocks terminated by END.
@@ -345,13 +357,15 @@ func (c *Client) readMultiGetResp(keys []string, out []Resp) ([]Resp, error) {
 	}
 }
 
-// Get fetches one key.
+// Get fetches one key. The returned Value is valid until the client's next
+// request (see Resp).
 func (c *Client) Get(key string) (Resp, error) {
 	c.QueueGet(key, false)
 	return c.one()
 }
 
-// Gets fetches one key with its cas token.
+// Gets fetches one key with its cas token. The returned Value is valid until
+// the client's next request (see Resp).
 func (c *Client) Gets(key string) (Resp, error) {
 	c.QueueGet(key, true)
 	return c.one()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"znscache"
+	"znscache/internal/obs"
 	"znscache/internal/server"
 )
 
@@ -238,6 +239,67 @@ func TestLoadgenMultigetEndToEnd(t *testing.T) {
 	// zero, so none were truncated).
 	if total != res.Gets {
 		t.Fatalf("batch sizes sum to %d gets, loadgen classified %d", total, res.Gets)
+	}
+}
+
+// TestBatchedFastReadSpans: a pipelined batch's gets reach a sharded cache
+// as one GetMulti call, and span sampling still times each key's path. With
+// every get sampled, a batch of N hits over four shards records N fast_get
+// samples and no locked_get.
+func TestBatchedFastReadSpans(t *testing.T) {
+	rec := obs.NewSpanRecorder(obs.SpanConfig{SampleEvery: 1})
+	c, err := znscache.OpenSharded(znscache.ShardedConfig{
+		Config: znscache.Config{Zones: 16, TrackValues: true, FastReads: true, Spans: rec},
+		Shards: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close() //nolint:errcheck
+	s, err := server.New(server.Config{Backend: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve() //nolint:errcheck
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx) //nolint:errcheck
+	}()
+	cl, err := server.Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close() //nolint:errcheck
+
+	const n = 32
+	for i := 0; i < n; i++ {
+		cl.QueueSet(fmt.Sprintf("span:%02d", i), 0, 0, []byte("v"))
+	}
+	if _, err := cl.Exchange(); err != nil {
+		t.Fatal(err)
+	}
+	fast0 := rec.StageSnapshot(obs.StageFastGet).Count
+	locked0 := rec.StageSnapshot(obs.StageLockedGet).Count
+	for i := 0; i < n; i++ {
+		cl.QueueGet(fmt.Sprintf("span:%02d", i), false)
+	}
+	rs, err := cl.Exchange()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rs {
+		if !r.Hit {
+			t.Fatalf("get %d missed", i)
+		}
+	}
+	// The cache records each sample before the server writes the batch's
+	// responses, so all of them are in by now.
+	if got := rec.StageSnapshot(obs.StageFastGet).Count - fast0; got != n {
+		t.Fatalf("%d fast_get samples for a batch of %d hits", got, n)
+	}
+	if got := rec.StageSnapshot(obs.StageLockedGet).Count - locked0; got != 0 {
+		t.Fatalf("%d locked_get samples for a batch of lock-free hits", got)
 	}
 }
 

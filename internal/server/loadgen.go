@@ -362,10 +362,6 @@ func runConn(cl *Client, cfg *LoadConfig, gen *workload.BC, hist *stats.Histogra
 	ctr *loadCounters, budget *atomic.Int64,
 	deadline, start time.Time, interval time.Duration, connIdx int) {
 
-	// The loadgen only classifies hit/miss; fetched value bytes go straight
-	// to a reused scratch buffer instead of a fresh allocation per hit.
-	cl.DiscardValues = true
-
 	// payload is a shared template the value bytes are sliced from; the
 	// client's buffered writer copies on write, so sharing is safe. 16 KiB
 	// covers workload.BCConfig's default size distribution.

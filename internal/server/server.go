@@ -71,11 +71,12 @@ type ShardClocked interface {
 	ShardNow(key string) time.Duration
 }
 
-// MultiGetter is an optional Backend extension: fetch a whole multi-key get
-// in one call. The cluster proxy implements it to scatter-gather one batch
-// per backend node instead of paying one round trip per key. The three result
-// slices are parallel to keys and fully owned by the caller; every slot must
-// be written (hit, miss, or error).
+// MultiGetter is an optional Backend extension: fetch many keys in one call.
+// The cluster proxy implements it to scatter-gather one batch per backend
+// node instead of paying one round trip per key; znscache.ShardedCache
+// implements it to account a batch's lock-free lookups once per shard. The
+// three result slices are parallel to keys and fully owned by the caller;
+// every slot must be written (hit, miss, or error).
 type MultiGetter interface {
 	GetMulti(keys []string, vals [][]byte, hits []bool, errs []error)
 }
@@ -236,7 +237,8 @@ type Server struct {
 	// clocked is non-nil when Backend implements ShardClocked; absolute
 	// exptimes then resolve on the shard clock instead of the wall clock.
 	// multi is non-nil when Backend implements MultiGetter; multi-key gets
-	// on the inline path then execute as one batched backend call.
+	// on the inline path, and every phase's gets on the sharded path, then
+	// execute as one batched backend call.
 	clocked    ShardClocked
 	multi      MultiGetter
 	sharded    ShardedBackend

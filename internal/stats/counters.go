@@ -71,6 +71,17 @@ func (h *HitRatio) Hit() { h.hits.Add(1) }
 // Miss records a cache miss.
 func (h *HitRatio) Miss() { h.misses.Add(1) }
 
+// Add records hits and misses in one call, touching only the counts that
+// change: the batched form of Hit and Miss.
+func (h *HitRatio) Add(hits, misses uint64) {
+	if hits > 0 {
+		h.hits.Add(hits)
+	}
+	if misses > 0 {
+		h.misses.Add(misses)
+	}
+}
+
 // Hits returns the hit count.
 func (h *HitRatio) Hits() uint64 { return h.hits.Load() }
 

@@ -139,6 +139,20 @@ func (c *ShardedCache) Get(key string) ([]byte, bool, error) {
 	return c.sh.Get(key)
 }
 
+// GetMulti is Get over every key in one call, results written to the
+// parallel slices; it satisfies the serving layer's MultiGetter, so a
+// pipelined batch's gets are accounted once per shard instead of once per
+// key. On a closed cache every key reports ErrClosed.
+func (c *ShardedCache) GetMulti(keys []string, vals [][]byte, hits []bool, errs []error) {
+	if c.closed.Load() {
+		for i := range keys {
+			vals[i], hits[i], errs[i] = nil, false, ErrClosed
+		}
+		return
+	}
+	c.sh.GetMulti(keys, vals, hits, errs)
+}
+
 // Contains reports whether key is cached (TTL-expired items count as
 // absent), without recency side effects.
 func (c *ShardedCache) Contains(key string) bool {

@@ -226,6 +226,11 @@ func TestShardedCloseReopen(t *testing.T) {
 	if err := c.Set("late", []byte("x")); err != ErrClosed {
 		t.Fatalf("Set after Close = %v, want ErrClosed", err)
 	}
+	errs := make([]error, 2)
+	c.GetMulti([]string{"persist:000", "late"}, make([][]byte, 2), make([]bool, 2), errs)
+	if errs[0] != ErrClosed || errs[1] != ErrClosed {
+		t.Fatalf("GetMulti after Close = %v, want ErrClosed for every key", errs)
+	}
 
 	r, err := c.Reopen()
 	if err != nil {
