@@ -7,11 +7,6 @@
 // Shutdown ordering matters: on SIGINT/SIGTERM the server first drains
 // in-flight connections (server.Shutdown), and only then Closes the cache so
 // the snapshot covers every request that received a response.
-//
-// With -top, cacheserver is instead a live terminal dashboard: it polls the
-// /metrics endpoint named by -metrics-addr (of an already-running server)
-// and renders ops/s, hit ratio, stage latencies, zones, GC, and SLO burn in
-// place.
 package main
 
 import (
@@ -81,26 +76,7 @@ func main() {
 	flag.StringVar(&o.sloProfileDir, "slo-profile-dir", "", "capture CPU+mutex pprof profiles into this directory on sustained SLO burn")
 	lockProf := flag.Int("lock-profile", 0, "runtime mutex/block profiling rate for -metrics-addr pprof (0 disables)")
 	gogc := flag.Int("gogc", 400, "GC target percentage (SetGCPercent); 0 leaves the runtime default")
-	top := flag.Bool("top", false, "live dashboard: poll -metrics-addr's /metrics and render serving headlines in place (starts no server)")
-	topInterval := flag.Duration("top-interval", 2*time.Second, "dashboard poll interval for -top")
 	flag.Parse()
-
-	if *top {
-		if o.metricsAddr == "" {
-			fmt.Fprintln(os.Stderr, "cacheserver: -top needs -metrics-addr pointing at a running server")
-			os.Exit(1)
-		}
-		err := obs.RunTop(obs.TopConfig{
-			URL:      "http://" + o.metricsAddr + "/metrics",
-			Interval: *topInterval,
-			Out:      os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cacheserver: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *gogc > 0 {
 		// A cache server's live heap is dominated by its fixed-size region
@@ -129,8 +105,8 @@ func run(o options) error {
 
 	// The registry exists before the cache is built and is installed as the
 	// harness's global hook, so every layer of every shard's rig (cache_*,
-	// zns_*, middle_*, ...) registers at Build time — that is what makes the
-	// dashboard's zone and GC panels live, not just the server_* series.
+	// zns_*, middle_*, ...) registers at Build time and /metrics exposes the
+	// device and GC series, not just the server_* ones.
 	reg := obs.NewRegistry()
 	harness.SetMetricsRegistry(reg)
 	defer harness.SetMetricsRegistry(nil)
@@ -152,6 +128,15 @@ func run(o options) error {
 		objectives, err := obs.ParseObjectives(o.sloSpec)
 		if err != nil {
 			return err
+		}
+		// server.New resolves exactly these verbs; an objective on any other
+		// would register its series and never observe a request.
+		for _, obj := range objectives {
+			switch obj.Verb {
+			case "get", "set", "delete":
+			default:
+				return fmt.Errorf("slo: verb %q is not tracked (the server tracks get, set and delete)", obj.Verb)
+			}
 		}
 		slo = obs.NewSLOTracker(obs.SLOConfig{
 			Objectives: objectives,

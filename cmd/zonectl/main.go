@@ -5,7 +5,6 @@
 //	zonectl -zones 8 -zone-mib 16 -exercise seq    # fill a few zones
 //	zonectl -zones 8 -exercise churn               # fill/reset cycles
 //	zonectl -zones 8 -exercise cache               # run a Region-Cache on top
-//	zonectl -top 127.0.0.1:9090                    # live serving dashboard
 package main
 
 import (
@@ -13,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"time"
 
 	"znscache/internal/device"
 	"znscache/internal/flash"
@@ -25,28 +23,13 @@ import (
 
 func main() {
 	var (
-		zones       = flag.Int("zones", 8, "zone count")
-		zoneMiB     = flag.Int("zone-mib", 16, "zone size in MiB")
-		exercise    = flag.String("exercise", "seq", "seq|churn|cache|none")
-		ops         = flag.Int("ops", 50_000, "cache exercise op count")
-		watch       = flag.Int("watch", 0, "print N per-zone snapshots (from the metrics registry) during the exercise")
-		top         = flag.String("top", "", "live dashboard: poll HOST:PORT/metrics (a cacheserver's -metrics-addr) and render serving headlines in place")
-		topInterval = flag.Duration("top-interval", 2*time.Second, "dashboard poll interval for -top")
+		zones    = flag.Int("zones", 8, "zone count")
+		zoneMiB  = flag.Int("zone-mib", 16, "zone size in MiB")
+		exercise = flag.String("exercise", "seq", "seq|churn|cache|none")
+		ops      = flag.Int("ops", 50_000, "cache exercise op count")
+		watch    = flag.Int("watch", 0, "print N per-zone snapshots (from the metrics registry) during the exercise")
 	)
 	flag.Parse()
-
-	if *top != "" {
-		err := obs.RunTop(obs.TopConfig{
-			URL:      "http://" + *top + "/metrics",
-			Interval: *topInterval,
-			Out:      os.Stdout,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "zonectl:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	hw := harness.DefaultHW(*zones)
 	hw.BlocksPerZone = *zoneMiB

@@ -13,10 +13,8 @@ import (
 // no more open zones than the device's cap — and the zone-resource budget:
 // open + closed zones must match the device's reported active count and
 // stay within the active budget, which itself can never sit below the open
-// cap. ZRWA bounds are audited per zone: pending window bytes only on
-// open/closed zones, never beyond the window size or the zone end. Tests
-// call it after any run that touched a zoned device; a non-nil error lists
-// every violation.
+// cap. Tests call it after any run that touched a zoned device; a non-nil
+// error lists every violation.
 //
 // It deliberately takes the zns.Zoned interface so the same check runs
 // against the raw device and against the fault wrapper (whose CheckContract
@@ -44,12 +42,10 @@ func CheckZoneContract(dev zns.Zoned) error {
 				bad = append(bad, fmt.Sprintf("zone %d: FULL with wp %d != %d", z, info.WP, size))
 			}
 		case zns.ZoneOpen, zns.ZoneClosed:
-			// A zone holding resources must have something in flight: a
-			// nonzero write pointer, or (with ZRWA) bytes buffered in the
-			// window ahead of a still-zero write pointer.
-			if (info.WP == 0 && info.ZRWAPending == 0) || info.WP > size {
-				bad = append(bad, fmt.Sprintf("zone %d: %v with wp %d and no pending window bytes",
-					z, info.State, info.WP))
+			// A zone holding resources has been written: the first write is
+			// what opens it.
+			if info.WP == 0 || info.WP > size {
+				bad = append(bad, fmt.Sprintf("zone %d: %v with wp %d", z, info.State, info.WP))
 			}
 			if info.State == zns.ZoneOpen {
 				open++
@@ -57,26 +53,6 @@ func CheckZoneContract(dev zns.Zoned) error {
 			active++
 		default:
 			bad = append(bad, fmt.Sprintf("zone %d: unknown state %v", z, info.State))
-		}
-		// ZRWA window bounds: pending bytes can only exist on a zone that is
-		// holding resources, must fit the window, and must not run past the
-		// zone end.
-		if info.ZRWAPending < 0 {
-			bad = append(bad, fmt.Sprintf("zone %d: negative zrwa pending %d", z, info.ZRWAPending))
-		}
-		if info.ZRWAPending > 0 {
-			if info.ZRWAWindow == 0 {
-				bad = append(bad, fmt.Sprintf("zone %d: zrwa pending %d without a window", z, info.ZRWAPending))
-			}
-			if info.State != zns.ZoneOpen && info.State != zns.ZoneClosed {
-				bad = append(bad, fmt.Sprintf("zone %d: %v with zrwa pending %d", z, info.State, info.ZRWAPending))
-			}
-		}
-		if info.ZRWAWindow > 0 && info.ZRWAPending > info.ZRWAWindow {
-			bad = append(bad, fmt.Sprintf("zone %d: zrwa pending %d exceeds window %d", z, info.ZRWAPending, info.ZRWAWindow))
-		}
-		if info.ZRWAPending > 0 && info.WP+info.ZRWAPending > size {
-			bad = append(bad, fmt.Sprintf("zone %d: zrwa pending %d past zone end (wp %d)", z, info.ZRWAPending, info.WP))
 		}
 	}
 	if cap := dev.MaxOpenZones(); open > cap {

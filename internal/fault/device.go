@@ -249,38 +249,6 @@ func (d *ZonedDevice) Finish(now time.Duration, z int) (time.Duration, error) {
 	return lat, err
 }
 
-// CommitZRWA implements zns.ZRWACommitter when the inner device supports
-// it. A commit is a write-class operation for injection purposes: it can
-// fail, spike, tear (committing only a prefix of the requested sectors),
-// or crash, mirroring what a power cut does to an in-flight commit.
-func (d *ZonedDevice) CommitZRWA(now time.Duration, z int, upTo int64) (time.Duration, error) {
-	zc, ok := d.inner.(zns.ZRWACommitter)
-	if !ok {
-		return 0, fmt.Errorf("fault: inner device has no ZRWA support")
-	}
-	info, err := d.inner.ZoneInfo(z)
-	if err != nil {
-		return 0, err
-	}
-	sectors := int((upTo - info.WP) / device.SectorSize)
-	if sectors < 0 {
-		sectors = 0
-	}
-	dec := d.inj.decideWrite(sectors)
-	if dec.err != nil {
-		if k := dec.tornSectors; k > 0 {
-			zc.CommitZRWA(now, z, info.WP+int64(k)*device.SectorSize) //nolint:errcheck
-			d.observe(z, false)
-		}
-		return 0, dec.err
-	}
-	lat, err := zc.CommitZRWA(now, z, upTo)
-	if err == nil {
-		d.observe(z, false)
-	}
-	return lat + dec.spike, err
-}
-
 // CheckContract returns an error describing every zone-contract violation
 // the wrapper observed plus any static inconsistency in the current device
 // state; nil when the contract held.

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -147,17 +148,17 @@ func TestCrashReviveAndArm(t *testing.T) {
 	}
 }
 
-// badZoned wraps a healthy device but lies about one zone's state, so the
+// badZoned wraps a healthy device but lies about zone 0's state, so the
 // invariant checker has a real violation to catch.
 type badZoned struct {
 	zns.Zoned
+	lie func(*zns.Zone)
 }
 
 func (b *badZoned) ZoneInfo(z int) (zns.Zone, error) {
 	info, err := b.Zoned.ZoneInfo(z)
 	if z == 0 && err == nil {
-		info.State = zns.ZoneEmpty
-		info.WP = b.ZoneSize() + 1 // empty zone with an out-of-range WP
+		b.lie(&info)
 	}
 	return info, err
 }
@@ -174,11 +175,31 @@ func TestCheckZoneContractDetectsViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Zone 0 really is open, so the open and active counts agree with the
+	// lie in the second row and only the write-pointer rule can catch it.
+	if _, err := dev.Write(0, nil, device.SectorSize, 0); err != nil {
+		t.Fatal(err)
+	}
 	if err := CheckZoneContract(dev); err != nil {
 		t.Fatalf("healthy device flagged: %v", err)
 	}
-	if err := CheckZoneContract(&badZoned{Zoned: dev}); err == nil {
-		t.Fatal("checker missed an empty zone with wp past the zone size")
+	for _, tc := range []struct {
+		name string
+		lie  func(*zns.Zone)
+		want string
+	}{
+		{"empty zone with wp past the zone size", func(info *zns.Zone) {
+			info.State = zns.ZoneEmpty
+			info.WP = dev.ZoneSize() + 1
+		}, "zone 0: EMPTY with wp"},
+		{"open zone at wp 0", func(info *zns.Zone) {
+			info.WP = 0
+		}, "zone 0: OPEN with wp 0"},
+	} {
+		err := CheckZoneContract(&badZoned{Zoned: dev, lie: tc.lie})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to report %q", tc.name, err, tc.want)
+		}
 	}
 }
 

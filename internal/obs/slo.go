@@ -32,18 +32,25 @@ type Objective struct {
 
 // ParseObjectives parses a comma-separated objective list of the form
 // "get=2ms@0.999,set=10ms@0.99". The goal defaults to 0.999 when the @ part
-// is omitted.
+// is omitted. Each verb may appear once: the tracker keeps one objective
+// per verb, so a second would be silently shadowed.
 func ParseObjectives(s string) ([]Objective, error) {
 	var out []Objective
+	seen := map[string]bool{}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
 		verb, spec, ok := strings.Cut(part, "=")
-		if !ok {
+		verb = strings.ToLower(strings.TrimSpace(verb))
+		if !ok || verb == "" {
 			return nil, fmt.Errorf("slo: %q: want verb=latency[@goal]", part)
 		}
+		if seen[verb] {
+			return nil, fmt.Errorf("slo: %q: verb %q already has an objective", part, verb)
+		}
+		seen[verb] = true
 		latStr, goalStr, hasGoal := strings.Cut(spec, "@")
 		target, err := time.ParseDuration(latStr)
 		if err != nil || target <= 0 {
@@ -52,11 +59,12 @@ func ParseObjectives(s string) ([]Objective, error) {
 		goal := 0.999
 		if hasGoal {
 			goal, err = strconv.ParseFloat(goalStr, 64)
-			if err != nil || goal <= 0 || goal >= 1 {
+			// Written so NaN fails too: every comparison with NaN is false.
+			if err != nil || !(goal > 0 && goal < 1) {
 				return nil, fmt.Errorf("slo: %q: goal must be in (0,1)", part)
 			}
 		}
-		out = append(out, Objective{Verb: strings.ToLower(verb), Target: target, Goal: goal})
+		out = append(out, Objective{Verb: verb, Target: target, Goal: goal})
 	}
 	return out, nil
 }

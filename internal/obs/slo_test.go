@@ -27,7 +27,8 @@ func TestParseObjectives(t *testing.T) {
 			t.Fatalf("objective %d = %+v, want %+v", i, o, want[i])
 		}
 	}
-	for _, bad := range []string{"get", "get=fast", "get=0s", "get=2ms@1.5", "get=2ms@0", "get=2ms@x"} {
+	for _, bad := range []string{"get", "get=fast", "get=0s", "get=2ms@1.5", "get=2ms@0", "get=2ms@x",
+		"get=1ms,get=2ms", "get=1ms,GET=2ms", "get=2ms@NaN", "get=2ms@Inf", "=2ms", " =2ms"} {
 		if _, err := ParseObjectives(bad); err == nil {
 			t.Errorf("ParseObjectives(%q) accepted", bad)
 		}

@@ -180,8 +180,8 @@ func TestSpanRecorderConcurrent(t *testing.T) {
 	}
 }
 
-// TestSpanAndSLOMetricsGolden pins the exported series names: the dashboard,
-// the CI scrape assertions, and EXPERIMENTS.md all address these literally.
+// TestSpanAndSLOMetricsGolden pins the exported series names: the CI scrape
+// assertions and EXPERIMENTS.md address these literally.
 func TestSpanAndSLOMetricsGolden(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewSpanRecorder(SpanConfig{})

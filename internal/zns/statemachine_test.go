@@ -1,9 +1,9 @@
 // Randomized zone state-machine property suite: thousands of seeded op
-// sequences (write, append, read, reset, finish, close, ZRWA commit) run
-// against the simulated device and an independent reference model of the
-// ZNS state diagram, with every step cross-checked — returned error class,
-// zone state, write pointer, ZRWA pending bytes, open/active budget
-// accounting, and read-back data — followed by a full zone-contract audit.
+// sequences (write, append, read, reset, finish, close) run against the
+// simulated device and an independent reference model of the ZNS state
+// diagram, with every step cross-checked — returned error class, zone
+// state, write pointer, open/active budget accounting, and read-back data —
+// followed by a full zone-contract audit.
 // A fault-injected variant replays the same op grammar through the fault
 // wrapper, resynchronizing the model after injected failures, so torn
 // writes and injected errors can never drive the device out of its own
@@ -40,36 +40,29 @@ type smBudget struct {
 	name      string
 	maxOpen   int
 	maxActive int
-	zrwa      bool
-	winSec    int64
 }
 
 // smBudgets are the four budget configurations every sequence count runs
-// against: budget == cap, budget above cap, and tight/loose ZRWA variants.
+// against: budget == cap and budget above cap, each loose and tight.
 func smBudgets() []smBudget {
 	return []smBudget{
 		{name: "open4-active4", maxOpen: 4, maxActive: 4},
 		{name: "open2-active4", maxOpen: 2, maxActive: 4},
-		{name: "open1-active2-zrwa", maxOpen: 1, maxActive: 2, zrwa: true, winSec: 3},
-		{name: "open3-active3-zrwa", maxOpen: 3, maxActive: 3, zrwa: true, winSec: 2},
+		{name: "open1-active2", maxOpen: 1, maxActive: 2},
+		{name: "open3-active3", maxOpen: 3, maxActive: 3},
 	}
 }
 
 func smDevice(tb testing.TB, b smBudget) *zns.Device {
 	tb.Helper()
-	cfg := zns.Config{
+	d, err := zns.New(zns.Config{
 		Geometry:       smGeometry(),
 		Timing:         flash.DefaultTiming(),
 		BlocksPerZone:  2, // 8 zones, 8 sectors each
 		MaxOpenZones:   b.maxOpen,
 		MaxActiveZones: b.maxActive,
 		StoreData:      true,
-	}
-	if b.zrwa {
-		cfg.ZRWA = true
-		cfg.ZRWABytes = b.winSec * device.SectorSize
-	}
-	d, err := zns.New(cfg)
+	})
 	if err != nil {
 		tb.Fatalf("New: %v", err)
 	}
@@ -87,29 +80,12 @@ type mZone struct {
 	state zns.ZoneState
 	wp    int64   // sectors
 	flash []int16 // per sector: tagUnwritten, tagUnknown, or 0..255 (0 = zero fill)
-	win   []int16 // per window slot ahead of wp: tagUnwritten or 0..255
 	dirty bool    // an injected fault touched this zone; skip predictions
 }
 
-func (z *mZone) winHigh() int64 {
-	high := int64(0)
-	for i, t := range z.win {
-		if t != tagUnwritten {
-			high = int64(i) + 1
-		}
-	}
-	return high
-}
-
-func (z *mZone) clearWin() {
-	for i := range z.win {
-		z.win[i] = tagUnwritten
-	}
-}
-
 // model is an independent implementation of the ZNS state diagram: zone
-// states, write-pointer motion, window commits, and open/active budgets. It
-// intentionally shares no code with the device.
+// states, write-pointer motion, and open/active budgets. It intentionally
+// shares no code with the device.
 type model struct {
 	b      smBudget
 	spz    int64 // sectors per zone
@@ -125,8 +101,6 @@ func newModel(b smBudget, numZones int, spz int64) *model {
 		for s := range m.zones[i].flash {
 			m.zones[i].flash[s] = tagUnwritten
 		}
-		m.zones[i].win = make([]int16, b.winSec)
-		m.zones[i].clearWin()
 	}
 	return m
 }
@@ -178,96 +152,19 @@ func (m *model) write(zi int, a, n int64, tag int16) error {
 	if z.state == zns.ZoneFull {
 		return zns.ErrZoneFull
 	}
-	if a < z.wp || a > z.wp+m.b.winSec {
+	if a != z.wp {
 		return zns.ErrNotWritePointer
 	}
 	if err := m.implicitOpen(z); err != nil {
 		return err
 	}
-	b := a + n
-	newWP := b - m.b.winSec
-	if newWP < z.wp {
-		newWP = z.wp
+	for s := a; s < a+n; s++ {
+		z.flash[s] = tag
 	}
-	// Commit [wp, newWP): incoming data where the write covers it, buffered
-	// window contents below that, zero-filled holes elsewhere.
-	for s := z.wp; s < newWP; s++ {
-		switch {
-		case s >= a:
-			z.flash[s] = tag
-		case z.win[s-z.wp] != tagUnwritten:
-			z.flash[s] = z.win[s-z.wp]
-		default:
-			z.flash[s] = 0
-		}
-	}
-	// Slide the window and buffer the uncommitted tail.
-	if shift := newWP - z.wp; shift > 0 && len(z.win) > 0 {
-		copy(z.win, z.win[min64(shift, int64(len(z.win))):])
-		for i := int64(len(z.win)) - shift; i < int64(len(z.win)); i++ {
-			if i >= 0 {
-				z.win[i] = tagUnwritten
-			}
-		}
-	}
-	for s := max64(a, newWP); s < b; s++ {
-		z.win[s-newWP] = tag
-	}
-	z.wp = newWP
+	z.wp += n
 	if z.wp == m.spz {
 		m.release(z)
 		z.state = zns.ZoneFull
-		z.clearWin()
-	}
-	return nil
-}
-
-// commit mirrors Device.CommitZRWA.
-func (m *model) commit(zi int, upTo int64) error {
-	if !m.b.zrwa {
-		return zns.ErrZRWADisabled
-	}
-	if upTo < 0 || upTo > m.spz*device.SectorSize {
-		return device.ErrOutOfRange
-	}
-	if upTo%device.SectorSize != 0 {
-		return device.ErrAlignment
-	}
-	z := &m.zones[zi]
-	target := upTo / device.SectorSize
-	if target <= z.wp {
-		return nil
-	}
-	limit := z.wp + m.b.winSec
-	if limit > m.spz {
-		limit = m.spz
-	}
-	if target > limit {
-		return zns.ErrNotWritePointer
-	}
-	if err := m.implicitOpen(z); err != nil {
-		return err
-	}
-	for s := z.wp; s < target; s++ {
-		if z.win[s-z.wp] != tagUnwritten {
-			z.flash[s] = z.win[s-z.wp]
-		} else {
-			z.flash[s] = 0
-		}
-	}
-	if shift := target - z.wp; len(z.win) > 0 {
-		copy(z.win, z.win[min64(shift, int64(len(z.win))):])
-		for i := int64(len(z.win)) - shift; i < int64(len(z.win)); i++ {
-			if i >= 0 {
-				z.win[i] = tagUnwritten
-			}
-		}
-	}
-	z.wp = target
-	if z.wp == m.spz {
-		m.release(z)
-		z.state = zns.ZoneFull
-		z.clearWin()
 	}
 	return nil
 }
@@ -276,18 +173,10 @@ func (m *model) commit(zi int, upTo int64) error {
 // the expected per-sector tags.
 func (m *model) read(zi int, a, n int64) ([]int16, error) {
 	z := &m.zones[zi]
-	tags := make([]int16, n)
-	for s := a; s < a+n; s++ {
-		switch {
-		case s < z.wp:
-			tags[s-a] = z.flash[s]
-		case s-z.wp < int64(len(z.win)) && z.win[s-z.wp] != tagUnwritten:
-			tags[s-a] = z.win[s-z.wp]
-		default:
-			return nil, zns.ErrReadBeyondWP
-		}
+	if a+n > z.wp {
+		return nil, zns.ErrReadBeyondWP
 	}
-	return tags, nil
+	return z.flash[a : a+n], nil
 }
 
 func (m *model) reset(zi int) {
@@ -298,7 +187,6 @@ func (m *model) reset(zi int) {
 	for s := range z.flash {
 		z.flash[s] = tagUnwritten
 	}
-	z.clearWin()
 	z.dirty = false // a reset re-establishes fully known state
 }
 
@@ -308,16 +196,11 @@ func (m *model) finish(zi int) {
 		return
 	}
 	for s := z.wp; s < m.spz; s++ {
-		if s-z.wp < int64(len(z.win)) && z.win[s-z.wp] != tagUnwritten {
-			z.flash[s] = z.win[s-z.wp]
-		} else {
-			z.flash[s] = 0
-		}
+		z.flash[s] = 0
 	}
 	m.release(z)
 	z.wp = m.spz
 	z.state = zns.ZoneFull
-	z.clearWin()
 }
 
 func (m *model) close(zi int) {
@@ -348,29 +231,9 @@ func (m *model) resync(dev zns.Zoned, zi int) {
 			z.flash[s] = tagUnwritten
 		}
 	}
-	z.clearWin()
-	if high := info.ZRWAPending / device.SectorSize; high > 0 {
-		// Which window slots below the high-water mark hold data is not
-		// observable; mark the zone dirty so reads stop being predicted.
-		z.dirty = true
-	}
 	z.dirty = z.dirty || info.WP > 0 || info.State != zns.ZoneEmpty
 	m.open = dev.OpenZones()
 	m.active = dev.ActiveZones()
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // opKind is the decoded operation class.
@@ -383,13 +246,12 @@ const (
 	opReset
 	opFinish
 	opClose
-	opCommit
 )
 
 // decodeOp maps three raw bytes onto an op against the current model state:
 // writes are addressed relative to the zone's write pointer (one sector
-// behind it through one past the window end), so sequences keep hitting the
-// interesting boundaries no matter how the state evolved.
+// behind it through two past it), so sequences keep hitting the interesting
+// boundaries no matter how the state evolved.
 func decodeOp(m *model, b0, b1, b2 byte) (kind opKind, zi int, p1, p2 int64, tag int16) {
 	zi = int(b1) % len(m.zones)
 	z := &m.zones[zi]
@@ -397,7 +259,7 @@ func decodeOp(m *model, b0, b1, b2 byte) (kind opKind, zi int, p1, p2 int64, tag
 	switch {
 	case sel < 38:
 		kind = opWrite
-		delta := int64(b2%byte(m.b.winSec+3)) - 1 // -1 .. winSec+1
+		delta := int64(b2%4) - 1 // -1 .. +2
 		a := z.wp + delta
 		if a < 0 {
 			a = 0
@@ -432,12 +294,8 @@ func decodeOp(m *model, b0, b1, b2 byte) (kind opKind, zi int, p1, p2 int64, tag
 		return opReset, zi, 0, 0, 0
 	case sel < 81:
 		return opFinish, zi, 0, 0, 0
-	case sel < 88:
-		return opClose, zi, 0, 0, 0
 	default:
-		kind = opCommit
-		target := z.wp + int64(b2)%(m.b.winSec+2) // 0 .. winSec+1 past wp
-		return kind, zi, target * device.SectorSize, 0, 0
+		return opClose, zi, 0, 0, 0
 	}
 }
 
@@ -457,7 +315,6 @@ func sectorFill(tag int16, n int64) []byte {
 func smRun(tb testing.TB, b smBudget, dev zns.Zoned, inner *zns.Device, raw []byte, faulty bool) {
 	tb.Helper()
 	spz := inner.ZoneSize() / device.SectorSize
-	zc := dev.(zns.ZRWACommitter) // both the raw device and the fault wrapper commit
 	m := newModel(b, inner.NumZones(), spz)
 	tag := int16(0)
 	nextTag := func() int16 {
@@ -532,13 +389,6 @@ func smRun(tb testing.TB, b smBudget, dev zns.Zoned, inner *zns.Device, raw []by
 			if gotErr == nil && !skip {
 				m.close(zi)
 			}
-		case opCommit:
-			if skip {
-				_, gotErr = zc.CommitZRWA(0, zi, p1)
-			} else {
-				wantErr = m.commit(zi, p1)
-				_, gotErr = zc.CommitZRWA(0, zi, p1)
-			}
 		}
 
 		// Injected faults end prediction for the zone until a clean reset;
@@ -561,9 +411,6 @@ func smRun(tb testing.TB, b smBudget, dev zns.Zoned, inner *zns.Device, raw []by
 			}
 			if info.WP != mz.wp*device.SectorSize {
 				tb.Fatalf("%s: wp %d, model %d", step, info.WP, mz.wp*device.SectorSize)
-			}
-			if info.ZRWAPending != mz.winHigh()*device.SectorSize {
-				tb.Fatalf("%s: pending %d, model %d", step, info.ZRWAPending, mz.winHigh()*device.SectorSize)
 			}
 			if !faulty {
 				if got := inner.OpenZones(); got != m.open {
@@ -609,7 +456,7 @@ func TestZoneStateMachine(t *testing.T) {
 // TestZoneStateMachineFaulty replays the op grammar through the fault
 // wrapper with injected errors and torn writes. Zones touched by a fault
 // stop being predicted until reset, but the zone contract — budgets, state
-// diagram, WP monotonicity, ZRWA bounds — must survive every schedule.
+// diagram, WP monotonicity — must survive every schedule.
 func TestZoneStateMachineFaulty(t *testing.T) {
 	seqs := 400
 	if testing.Short() {

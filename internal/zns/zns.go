@@ -18,10 +18,6 @@
 //     open zones plus closed-but-unfinished zones. Only finishing or
 //     resetting a zone returns its active slot; exceeding the budget fails
 //     with ErrTooManyActive.
-//   - Opt-in ZRWA (zone random write area): a per-zone window ahead of the
-//     write pointer that accepts random and overlapping writes, committed
-//     to flash explicitly (CommitZRWA) or implicitly when writes land past
-//     the window end.
 package zns
 
 import (
@@ -76,7 +72,6 @@ var (
 	ErrTooManyActive   = errors.New("zns: maximum active zones exceeded")
 	ErrZoneRange       = errors.New("zns: zone index out of range")
 	ErrCrossZone       = errors.New("zns: I/O crosses a zone boundary")
-	ErrZRWADisabled    = errors.New("zns: ZRWA not enabled on this device")
 )
 
 // Config parameterizes the device.
@@ -108,15 +103,6 @@ type Config struct {
 	// NAND page worth of data per die. Zero picks the largest divisor of
 	// PagesPerBlock at most 2; an explicit value must divide PagesPerBlock.
 	StripeChunkSectors int
-	// ZRWA enables a zone random write area: a window of ZRWABytes ahead of
-	// each zone's write pointer that accepts random and overlapping writes.
-	// Window contents live in device RAM until committed (explicitly via
-	// CommitZRWA, or implicitly when a write lands beyond the window end),
-	// so overwrites inside the window are absorbed without flash programs.
-	ZRWA bool
-	// ZRWABytes is the per-zone window size (sector multiple; default
-	// 64 KiB, clamped to the zone size). Only meaningful with ZRWA set.
-	ZRWABytes int64
 	// StoreData retains payloads for read-back.
 	StoreData bool
 }
@@ -131,12 +117,6 @@ type Zone struct {
 	WP int64
 	// Resets counts lifecycle cycles (wear proxy at zone granularity).
 	Resets uint64
-	// ZRWAWindow is the configured random-write window size in bytes; zero
-	// when ZRWA is disabled.
-	ZRWAWindow int64
-	// ZRWAPending is the high-water mark of uncommitted window bytes: the
-	// distance from WP to just past the highest buffered sector.
-	ZRWAPending int64
 }
 
 // Zoned is the zone-op interface the upper layers (the F2FS model, the
@@ -163,14 +143,12 @@ type Zoned interface {
 	// ZoneInfo returns a snapshot of zone z.
 	ZoneInfo(z int) (Zone, error)
 	// Write appends n bytes at offset off (must equal the zone's write
-	// pointer, or fall inside the ZRWA window when enabled). data may be
-	// nil for a metadata-only write.
+	// pointer). data may be nil for a metadata-only write.
 	Write(now time.Duration, data []byte, n int, off int64) (time.Duration, error)
 	// Append writes n bytes at zone z's write pointer, returning the
 	// assigned device offset.
 	Append(now time.Duration, data []byte, n int, z int) (time.Duration, int64, error)
-	// Read reads len(p) bytes at off; must not cross the write pointer
-	// (uncommitted ZRWA window sectors that were written are readable).
+	// Read reads len(p) bytes at off; must not cross the write pointer.
 	Read(now time.Duration, p []byte, off int64) (time.Duration, error)
 	// Reset erases zone z.
 	Reset(now time.Duration, z int) (time.Duration, error)
@@ -178,70 +156,6 @@ type Zoned interface {
 	Finish(now time.Duration, z int) (time.Duration, error)
 	// Close transitions an open zone to closed.
 	Close(z int) error
-}
-
-// ZRWACommitter is the optional interface of zoned devices with ZRWA
-// support; *Device and the fault wrapper implement it.
-type ZRWACommitter interface {
-	// CommitZRWA makes the first upTo bytes of zone z durable: buffered
-	// window sectors below upTo are programmed in order (holes as zeros)
-	// and the write pointer advances to upTo (zone-relative, sector
-	// aligned, at most one window past the current write pointer).
-	CommitZRWA(now time.Duration, z int, upTo int64) (time.Duration, error)
-}
-
-// zrwaWin is one zone's random-write window, indexed relative to the
-// zone's current write pointer. data is nil unless payloads are stored.
-type zrwaWin struct {
-	written []bool
-	data    []byte
-	high    int64 // 1 + highest written index; 0 when nothing buffered
-}
-
-// slide advances the window origin by shift sectors (after a commit).
-func (w *zrwaWin) slide(shift int64) {
-	if shift <= 0 {
-		return
-	}
-	n := int64(len(w.written))
-	if shift >= n {
-		for i := range w.written {
-			w.written[i] = false
-		}
-		w.high = 0
-		return
-	}
-	copy(w.written, w.written[shift:])
-	for i := n - shift; i < n; i++ {
-		w.written[i] = false
-	}
-	if w.data != nil {
-		copy(w.data, w.data[shift*device.SectorSize:])
-	}
-	w.high -= shift
-	if w.high < 0 {
-		w.high = 0
-	}
-}
-
-// takeCommitted copies out the payloads of the first k window sectors, up to
-// the highest buffered one, in the form programRange takes: holes are zeros,
-// and nil means no payloads (none stored, or nothing buffered).
-func (w *zrwaWin) takeCommitted(k int64) []byte {
-	if w == nil || w.data == nil {
-		return nil
-	}
-	k = min(k, w.high)
-	if k <= 0 {
-		return nil
-	}
-	out := make([]byte, k*device.SectorSize)
-	for i := int64(0); i < k; i++ {
-		if w.written[i] {
-			copy(out[i*device.SectorSize:(i+1)*device.SectorSize], w.data[i*device.SectorSize:])
-		}
-	}
-	return out
 }
 
 // Device is a simulated ZNS SSD. Safe for concurrent use: mu is the one
@@ -254,15 +168,13 @@ type Device struct {
 	zoneSize int64
 	numZones int
 	stripe   flash.Stripe
-	winSec   int64 // ZRWA window in sectors; 0 when disabled
 
 	mu     sync.Mutex
 	state  []ZoneState
-	wp     []int64 // sectors written (committed), per zone
+	wp     []int64 // sectors written, per zone
 	reset  []uint64
 	open   int
 	active int
-	zrwa   []*zrwaWin   // lazily allocated per open zone; nil when disabled
 	lanes  [][]sim.Busy // per-zone write-bandwidth lanes
 
 	// Observability. The device never writes on its own behalf (finishing a
@@ -276,12 +188,6 @@ type Device struct {
 	// FinishFill counts pages programmed to fill unwritten tails at finish —
 	// the zone-finish cost of partially written zones.
 	FinishFill stats.Counter
-	// ZRWACommits counts explicit commits; ZRWAImplicit counts writes that
-	// rolled the window forward; ZRWAAbsorbed counts sector overwrites the
-	// window absorbed without a flash program.
-	ZRWACommits  stats.Counter
-	ZRWAImplicit stats.Counter
-	ZRWAAbsorbed stats.Counter
 	// Trace receives zone lifecycle events; nil disables tracing.
 	Trace *obs.Tracer
 }
@@ -333,23 +239,6 @@ func New(cfg Config) (*Device, error) {
 	if err := stripe.Validate(ppb); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	zoneSize := int64(cfg.BlocksPerZone) * cfg.Geometry.BlockBytes()
-	var winSec int64
-	if cfg.ZRWA {
-		if cfg.ZRWABytes == 0 {
-			cfg.ZRWABytes = 16 * device.SectorSize
-		}
-		if cfg.ZRWABytes < 0 || cfg.ZRWABytes%device.SectorSize != 0 {
-			return nil, fmt.Errorf("%w: ZRWABytes %d must be a positive sector multiple",
-				ErrBadConfig, cfg.ZRWABytes)
-		}
-		if cfg.ZRWABytes > zoneSize {
-			cfg.ZRWABytes = zoneSize
-		}
-		winSec = cfg.ZRWABytes / device.SectorSize
-	} else if cfg.ZRWABytes != 0 {
-		return nil, fmt.Errorf("%w: ZRWABytes %d set without ZRWA", ErrBadConfig, cfg.ZRWABytes)
-	}
 	arr, err := flash.NewArray(cfg.Geometry, cfg.Timing, cfg.StoreData)
 	if err != nil {
 		return nil, err
@@ -362,14 +251,12 @@ func New(cfg Config) (*Device, error) {
 	return &Device{
 		cfg:      cfg,
 		array:    arr,
-		zoneSize: zoneSize,
+		zoneSize: int64(cfg.BlocksPerZone) * cfg.Geometry.BlockBytes(),
 		numZones: n,
 		stripe:   stripe,
-		winSec:   winSec,
 		state:    make([]ZoneState, n),
 		wp:       make([]int64, n),
 		reset:    make([]uint64, n),
-		zrwa:     make([]*zrwaWin, n),
 		lanes:    lanes,
 	}, nil
 }
@@ -400,20 +287,13 @@ func (d *Device) ZoneInfo(z int) (Zone, error) {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	info := Zone{
+	return Zone{
 		Index:  z,
 		State:  d.state[z],
 		Start:  int64(z) * d.zoneSize,
 		WP:     d.wp[z] * device.SectorSize,
 		Resets: d.reset[z],
-	}
-	if d.cfg.ZRWA {
-		info.ZRWAWindow = d.cfg.ZRWABytes
-		if w := d.zrwa[z]; w != nil {
-			info.ZRWAPending = w.high * device.SectorSize
-		}
-	}
-	return info, nil
+	}, nil
 }
 
 // Zones returns snapshots of all zones.
@@ -487,15 +367,10 @@ func (d *Device) programRange(now time.Duration, z int, startSector, count int64
 }
 
 // Write appends n bytes at offset off, which must equal the target zone's
-// write pointer — or, with ZRWA enabled, fall anywhere inside the window
-// [wp, wp+ZRWABytes). data may be nil for a metadata-only write. Implicitly
-// opens an empty/closed zone, honouring the open-zone cap and active-zone
-// budget; a write that fills the zone transitions it to full and releases
-// both slots.
-//
-// With ZRWA, sectors are buffered in the window and only programmed when
-// committed; a write extending past the window end implicitly commits
-// everything below (end − ZRWABytes), holes included.
+// write pointer. data may be nil for a metadata-only write. Implicitly opens
+// an empty/closed zone, honouring the open-zone cap and active-zone budget;
+// a write that fills the zone transitions it to full and releases both
+// slots.
 func (d *Device) Write(now time.Duration, data []byte, n int, off int64) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -518,113 +393,25 @@ func (d *Device) writeLocked(now time.Duration, data []byte, n int, off int64) (
 	if d.zoneOf(off+int64(n)-1) != z {
 		return 0, fmt.Errorf("%w: [%d,+%d)", ErrCrossZone, off, n)
 	}
-
-	zStart := int64(z) * d.zoneSize
-	wp := d.wp[z]
-	a := (off - zStart) / device.SectorSize
-	b := a + int64(n)/device.SectorSize
 	if d.state[z] == ZoneFull {
 		return 0, fmt.Errorf("%w: zone %d", ErrZoneFull, z)
 	}
-	if a < wp || a > wp+d.winSec {
-		wpOff := zStart + wp*device.SectorSize
-		if d.winSec > 0 {
-			return 0, fmt.Errorf("%w: zone %d zrwa=[%d,%d) got=%d",
-				ErrNotWritePointer, z, wpOff, wpOff+d.cfg.ZRWABytes, off)
-		}
+	wp := d.wp[z]
+	if wpOff := int64(z)*d.zoneSize + wp*device.SectorSize; off != wpOff {
 		return 0, fmt.Errorf("%w: zone %d wp=%d got=%d", ErrNotWritePointer, z, wpOff, off)
 	}
 	if err := d.implicitOpenLocked(z); err != nil {
 		return 0, err
 	}
-
-	// Everything the window can no longer hold commits now; with ZRWA off
-	// (winSec 0) that is the whole write, the strict sequential path.
-	newWP := b - d.winSec
-	if newWP < wp {
-		newWP = wp
-	}
-	// Buffered sectors committed ahead of the incoming data (sectors below
-	// a); the incoming part [a, newWP) is sliced straight from data in the
-	// program loop, keeping the strict path allocation-free.
-	var fromWin []byte
-	w := d.zrwa[z]
-	bufLow := min(newWP, a)
-	if bufLow > wp {
-		fromWin = w.takeCommitted(bufLow - wp)
-	}
-	if d.winSec > 0 && newWP > wp {
-		d.ZRWAImplicit.Inc()
-	}
-	if d.winSec > 0 {
-		if w == nil {
-			w = &zrwaWin{written: make([]bool, d.winSec)}
-			if d.cfg.StoreData {
-				w.data = make([]byte, d.winSec*device.SectorSize)
-			}
-			d.zrwa[z] = w
-		}
-		w.slide(newWP - wp)
-		// Buffer the uncommitted tail of the write.
-		for s := a; s < b; s++ {
-			if s < newWP {
-				continue
-			}
-			idx := s - newWP
-			if w.written[idx] {
-				d.ZRWAAbsorbed.Inc()
-			} else {
-				w.written[idx] = true
-			}
-			if w.data != nil {
-				dst := w.data[idx*device.SectorSize : (idx+1)*device.SectorSize]
-				if data != nil {
-					copy(dst, data[(s-a)*device.SectorSize:(s-a+1)*device.SectorSize])
-				} else {
-					for i := range dst {
-						dst[i] = 0
-					}
-				}
-			}
-			if idx+1 > w.high {
-				w.high = idx + 1
-			}
-		}
-	}
-	d.wp[z] = newWP
-	if newWP*device.SectorSize == d.zoneSize {
+	count := int64(n) / device.SectorSize
+	d.wp[z] = wp + count
+	if d.wp[z]*device.SectorSize == d.zoneSize {
 		d.releaseLocked(z)
 		d.state[z] = ZoneFull
-		d.zrwa[z] = nil
 	}
-
-	latest := now
-	tm := d.array.Timing()
-	// Commit the buffered prefix, then the committed part of the incoming
-	// data.
-	if bufLow > wp {
-		done, err := d.programRange(now, z, wp, bufLow-wp, fromWin)
-		if err != nil {
-			return 0, err
-		}
-		if done > latest {
-			latest = done
-		}
-	}
-	if newWP > a {
-		done, err := d.programRange(now, z, a, newWP-a, data)
-		if err != nil {
-			return 0, err
-		}
-		if done > latest {
-			latest = done
-		}
-	}
-	// Buffered sectors only cross the bus into device RAM.
-	if buffered := b - newWP; buffered > 0 {
-		if t := now + time.Duration(buffered)*tm.Transfer; t > latest {
-			latest = t
-		}
+	latest, err := d.programRange(now, z, wp, count, data)
+	if err != nil {
+		return 0, err
 	}
 	d.HostWrites.Add(uint64(n))
 	return latest - now, nil
@@ -652,61 +439,6 @@ func (d *Device) Append(now time.Duration, data []byte, n int, z int) (time.Dura
 	}
 	d.Appends.Inc()
 	return lat, off, nil
-}
-
-// CommitZRWA implements ZRWACommitter. Committing at or behind the write
-// pointer is a no-op; committing past the window end (or the zone end) is
-// rejected. A commit that reaches the zone end transitions it to full.
-func (d *Device) CommitZRWA(now time.Duration, z int, upTo int64) (time.Duration, error) {
-	if z < 0 || z >= d.numZones {
-		return 0, fmt.Errorf("%w: %d", ErrZoneRange, z)
-	}
-	if !d.cfg.ZRWA {
-		return 0, fmt.Errorf("%w: zone %d", ErrZRWADisabled, z)
-	}
-	if upTo < 0 || upTo > d.zoneSize {
-		return 0, fmt.Errorf("zns: commit offset %d outside zone: %w", upTo, device.ErrOutOfRange)
-	}
-	if upTo%device.SectorSize != 0 {
-		return 0, fmt.Errorf("zns: commit offset %d: %w", upTo, device.ErrAlignment)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	target := upTo / device.SectorSize
-	wp := d.wp[z]
-	if target <= wp {
-		return 0, nil
-	}
-	spz := d.zoneSize / device.SectorSize
-	limit := wp + d.winSec
-	if limit > spz {
-		limit = spz
-	}
-	if target > limit {
-		return 0, fmt.Errorf("%w: zone %d commit to %d beyond window end %d",
-			ErrNotWritePointer, z, upTo, limit*device.SectorSize)
-	}
-	if err := d.implicitOpenLocked(z); err != nil {
-		return 0, err
-	}
-	w := d.zrwa[z]
-	payloads := w.takeCommitted(target - wp)
-	if w != nil {
-		w.slide(target - wp)
-	}
-	d.wp[z] = target
-	if target == spz {
-		d.releaseLocked(z)
-		d.state[z] = ZoneFull
-		d.zrwa[z] = nil
-	}
-
-	latest, err := d.programRange(now, z, wp, target-wp, payloads)
-	if err != nil {
-		return 0, err
-	}
-	d.ZRWACommits.Inc()
-	return latest - now, nil
 }
 
 // implicitOpenLocked transitions empty/closed → open, enforcing the open
@@ -754,8 +486,7 @@ func (d *Device) releaseLocked(z int) {
 }
 
 // Read reads len(p) bytes at off. Reads are random-access but must not
-// cross the write pointer — except for ZRWA window sectors that have been
-// written, which are served from the (uncommitted) window buffer.
+// cross the write pointer.
 //
 // d.mu is held from the write-pointer check through the last page copy: the
 // flash array has no lock of its own, and a Reset or rewrite of the zone
@@ -779,32 +510,12 @@ func (d *Device) Read(now time.Duration, p []byte, off int64) (time.Duration, er
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	wp := d.wp[z]
-	var buffered int64
-	if bSec > wp {
-		w := d.zrwa[z]
-		lo := max(aSec, wp)
-		for s := lo; s < bSec; s++ {
-			if w == nil || s-wp >= int64(len(w.written)) || !w.written[s-wp] {
-				return 0, fmt.Errorf("%w: zone %d wp=%d read end=%d",
-					ErrReadBeyondWP, z, zStart+wp*device.SectorSize, off+int64(n))
-			}
-		}
-		for s := lo; s < bSec; s++ {
-			dst := p[(s-aSec)*device.SectorSize : (s-aSec+1)*device.SectorSize]
-			if w.data != nil {
-				copy(dst, w.data[(s-wp)*device.SectorSize:(s-wp+1)*device.SectorSize])
-			} else {
-				for i := range dst {
-					dst[i] = 0
-				}
-			}
-		}
-		buffered = bSec - lo
+	if wp := d.wp[z]; bSec > wp {
+		return 0, fmt.Errorf("%w: zone %d wp=%d read end=%d",
+			ErrReadBeyondWP, z, zStart+wp*device.SectorSize, off+int64(n))
 	}
-
 	latest := now
-	for s := aSec; s < min(bSec, wp); s++ {
+	for s := aSec; s < bSec; s++ {
 		done, page, err := d.array.Read(now, d.addrFor(z, s))
 		if err != nil {
 			return 0, fmt.Errorf("zns: read: %w", err)
@@ -812,12 +523,6 @@ func (d *Device) Read(now time.Duration, p []byte, off int64) (time.Duration, er
 		copy(p[(s-aSec)*device.SectorSize:(s-aSec+1)*device.SectorSize], page)
 		if done > latest {
 			latest = done
-		}
-	}
-	// Window sectors come out of device RAM: bus transfer only.
-	if buffered > 0 {
-		if t := now + time.Duration(buffered)*d.array.Timing().Transfer; t > latest {
-			latest = t
 		}
 	}
 	return latest - now, nil
@@ -837,7 +542,6 @@ func (d *Device) Reset(now time.Duration, z int) (time.Duration, error) {
 	wasWritten := d.wp[z] * device.SectorSize
 	d.state[z] = ZoneEmpty
 	d.wp[z] = 0
-	d.zrwa[z] = nil
 	d.reset[z]++
 
 	// Erase the zone's blocks before a writer can see the zone empty; they
@@ -867,8 +571,7 @@ func (d *Device) Reset(now time.Duration, z int) (time.Duration, error) {
 }
 
 // Finish moves zone z's write pointer to the end, transitioning it to full
-// and releasing its open/active slots. Buffered ZRWA sectors are persisted;
-// the unwritten tail is filled with zero pages at real program cost — the
+// and releasing its open/active slots. The unwritten tail is filled with zero pages at real program cost — the
 // zone-finish penalty that makes finishing a barely written zone expensive
 // on real drives. Finishing an already full zone is free.
 func (d *Device) Finish(now time.Duration, z int) (time.Duration, error) {
@@ -884,16 +587,14 @@ func (d *Device) Finish(now time.Duration, z int) (time.Duration, error) {
 	start := d.wp[z]
 	spz := d.zoneSize / device.SectorSize
 	fill := spz - start
-	payloads := d.zrwa[z].takeCommitted(fill)
 	d.releaseLocked(z)
 	d.wp[z] = spz
 	d.state[z] = ZoneFull
-	d.zrwa[z] = nil
 	d.Finishes.Inc()
 
 	latest := now
 	if fill > 0 {
-		done, err := d.programRange(now, z, start, fill, payloads)
+		done, err := d.programRange(now, z, start, fill, nil)
 		if err != nil {
 			d.mu.Unlock()
 			return 0, fmt.Errorf("zns: finish fill: %w", err)
@@ -919,9 +620,6 @@ func (d *Device) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	r.Counter("zns_zone_appends_total", "Zone append commands executed", ls, &d.Appends)
 	r.Counter("zns_zone_finishes_total", "Zone finish commands executed", ls, &d.Finishes)
 	r.Counter("zns_finish_fill_pages_total", "Pages programmed to fill unwritten tails at zone finish", ls, &d.FinishFill)
-	r.Counter("zns_zrwa_commits_total", "Explicit ZRWA commits", ls, &d.ZRWACommits)
-	r.Counter("zns_zrwa_implicit_commits_total", "Writes that implicitly rolled the ZRWA window", ls, &d.ZRWAImplicit)
-	r.Counter("zns_zrwa_absorbed_writes_total", "Sector overwrites absorbed by the ZRWA window", ls, &d.ZRWAAbsorbed)
 	r.Gauge("zns_open_zones", "Zones currently in the open state", ls, func() float64 {
 		return float64(d.OpenZones())
 	})
@@ -949,10 +647,7 @@ func (d *Device) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	}
 }
 
-var (
-	_ Zoned         = (*Device)(nil)
-	_ ZRWACommitter = (*Device)(nil)
-)
+var _ Zoned = (*Device)(nil)
 
 // Close transitions an open zone to closed, releasing its open slot while
 // preserving the write pointer and its active slot (a closed zone still
