@@ -3,10 +3,10 @@
 // objects (hundreds of KiB to multiple MiB, served as byte ranges) cannot
 // live in it directly. bigobj splits each object into fixed-size chunks
 // stored as ordinary engine values keyed "<objkey>/<n>", plus a small
-// manifest value under the object key recording size, chunk geometry, a
-// generation number, and a content hash. ZNCache makes the same move on raw
-// ZNS zones — fixed-size chunk caching with active-reader tracking — because
-// per-chunk eviction means one hot byte range never pins a whole object.
+// manifest value under the object key recording size, chunk geometry and a
+// generation number. ZNCache makes the same move on raw ZNS zones —
+// fixed-size chunk caching with active-reader tracking — because per-chunk
+// eviction means one hot byte range never pins a whole object.
 //
 // Correctness model:
 //
@@ -34,7 +34,6 @@ package bigobj
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"strconv"
 	"sync"
@@ -54,10 +53,6 @@ const DefaultChunkSize = 512 << 10
 // strictly first: readers then see a whole-object miss instead of a manifest
 // whose tail chunks expired underneath it.
 const chunkTTLSlack = 2 * time.Second
-
-// castagnoli is the manifest content hash's polynomial: CRC-32C, which the
-// CPU's CRC instructions compute at memory speed.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Backend is the engine surface bigobj needs. Both *cache.Cache and
 // *cache.Sharded satisfy it. A backend that also offers cache.Cache's
@@ -313,7 +308,6 @@ func (s *Store) Put(key string, r io.Reader, ttl time.Duration) error {
 		chunkTTL = ttl + chunkTTLSlack
 	}
 
-	var sum uint32
 	var size int64
 	var idx uint32
 	if cap(s.scratch) < chunkHeaderSize+s.chunkSize {
@@ -323,7 +317,6 @@ func (s *Store) Put(key string, r io.Reader, ttl time.Duration) error {
 	for {
 		n, err := io.ReadFull(r, buf[chunkHeaderSize:])
 		if n > 0 {
-			sum = crc32.Update(sum, castagnoli, buf[chunkHeaderSize:chunkHeaderSize+n])
 			encodeChunkHeader(buf, gen, idx, uint32(n))
 			val := buf[:chunkHeaderSize+n]
 			if serr := s.backend.SetTTL(chunkKey(key, idx), val, len(val), chunkTTL); serr != nil {
@@ -347,7 +340,6 @@ func (s *Store) Put(key string, r io.Reader, ttl time.Duration) error {
 		size:       size,
 		chunkSize:  uint32(s.chunkSize),
 		chunkCount: idx,
-		hash:       uint64(sum),
 	}
 	mv := encodeManifest(man)
 	if err := s.backend.SetTTL(key, mv, len(mv), ttl); err != nil {
@@ -385,7 +377,6 @@ type Stat struct {
 	Size       int64
 	ChunkSize  int
 	ChunkCount int
-	Hash       uint64
 }
 
 // Stat returns the manifest view of key, or ErrNotFound.
@@ -400,7 +391,6 @@ func (s *Store) Stat(key string) (Stat, error) {
 		Size:       m.size,
 		ChunkSize:  int(m.chunkSize),
 		ChunkCount: int(m.chunkCount),
-		Hash:       m.hash,
 	}, nil
 }
 

@@ -20,7 +20,8 @@ import (
 //	12:20 object size in bytes
 //	20:24 chunk payload size
 //	24:28 chunk count
-//	28:36 CRC-32C of the whole content (low 32 bits)
+//	28:36 reserved, written as zero (every byte is already checksummed by
+//	      the engine's per-item CRC)
 const manifestSize = 36
 
 // Chunk header layout (chunkHeaderSize bytes, little-endian), followed by
@@ -46,7 +47,6 @@ type manifest struct {
 	size       int64
 	chunkSize  uint32
 	chunkCount uint32
-	hash       uint64
 }
 
 // encodeManifest renders m into a fresh value buffer.
@@ -57,7 +57,6 @@ func encodeManifest(m manifest) []byte {
 	binary.LittleEndian.PutUint64(b[12:20], uint64(m.size))
 	binary.LittleEndian.PutUint32(b[20:24], m.chunkSize)
 	binary.LittleEndian.PutUint32(b[24:28], m.chunkCount)
-	binary.LittleEndian.PutUint64(b[28:36], m.hash)
 	return b
 }
 
@@ -71,7 +70,6 @@ func decodeManifest(b []byte) (manifest, error) {
 		size:       int64(binary.LittleEndian.Uint64(b[12:20])),
 		chunkSize:  binary.LittleEndian.Uint32(b[20:24]),
 		chunkCount: binary.LittleEndian.Uint32(b[24:28]),
-		hash:       binary.LittleEndian.Uint64(b[28:36]),
 	}
 	if m.size < 0 || m.chunkSize == 0 {
 		return manifest{}, fmt.Errorf("%w: bad geometry", errNotManifest)

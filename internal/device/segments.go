@@ -1,0 +1,102 @@
+package device
+
+import "sync"
+
+// segmentBytes is the payload store's segment size before NewSegments fits
+// it to the zone size.
+const segmentBytes = 256 << 10
+
+// Segments is a sparse payload store over a device's byte address space. The
+// simulated SSDs keep host bytes here, addressed by device offset (zns) or by
+// LBA (ssd), while their flash array models only page state, time and wear —
+// the split FEMU's zftl and NVMeVirt make between one flat data store and the
+// NAND model. A payload write or read is therefore one copy, however many
+// flash pages it spans.
+//
+// Space is held in fixed-size segments, each allocated on the first payload
+// write that touches it; a missing segment reads as zeros. A segment that
+// Write allocates has its bytes before the write zeroed and its bytes after
+// it undefined until written: a zone is written at its write pointer and
+// never read past it, and the FTL zeroes the sectors it reports unmapped.
+//
+// A nil *Segments is a metadata-only device's store: it keeps nothing and
+// reads as zeros. Segments takes no lock: the owning device's lock guards it.
+type Segments struct {
+	size int64     // bytes per segment
+	segs []*[]byte // by offset / size; nil reads as zeros
+	free sync.Pool // *[]byte segments released by Zero, reused by Write
+}
+
+// NewSegments returns an empty store over size bytes. With zone > 0 the
+// segment size is halved until it divides zone, so no segment straddles two
+// zones and zeroing a whole zone releases all of its segments.
+func NewSegments(size, zone int64) *Segments {
+	seg := int64(segmentBytes)
+	for zone > 0 && zone%seg != 0 {
+		seg /= 2
+	}
+	return &Segments{size: seg, segs: make([]*[]byte, (size+seg-1)/seg)}
+}
+
+// Write copies data to off.
+func (s *Segments) Write(off int64, data []byte) {
+	for s != nil && len(data) > 0 {
+		i, in := off/s.size, off%s.size
+		seg := s.segs[i]
+		if seg == nil {
+			seg = s.alloc()
+			clear((*seg)[:in])
+			s.segs[i] = seg
+		}
+		n := copy((*seg)[in:], data)
+		data = data[n:]
+		off += int64(n)
+	}
+}
+
+// Read fills p with the bytes at off.
+func (s *Segments) Read(p []byte, off int64) {
+	if s == nil {
+		clear(p)
+		return
+	}
+	for len(p) > 0 {
+		i, in := off/s.size, off%s.size
+		n := min(int64(len(p)), s.size-in)
+		if seg := s.segs[i]; seg != nil {
+			copy(p[:n], (*seg)[in:])
+		} else {
+			clear(p[:n])
+		}
+		p = p[n:]
+		off += n
+	}
+}
+
+// Zero makes [off, off+n) read as zeros: a segment the range covers whole
+// goes back to the pool, a partly covered one has the range cleared.
+func (s *Segments) Zero(off, n int64) {
+	for s != nil && n > 0 {
+		i, in := off/s.size, off%s.size
+		k := min(n, s.size-in)
+		if seg := s.segs[i]; seg != nil {
+			if k == s.size {
+				s.free.Put(seg)
+				s.segs[i] = nil
+			} else {
+				clear((*seg)[in : in+k])
+			}
+		}
+		off += k
+		n -= k
+	}
+}
+
+// alloc takes a released segment, or makes one.
+func (s *Segments) alloc() *[]byte {
+	if seg, ok := s.free.Get().(*[]byte); ok {
+		return seg
+	}
+	b := make([]byte, s.size)
+	return &b
+}

@@ -200,9 +200,12 @@ type Array struct {
 }
 
 // NewArray builds an array. storeData controls whether page payloads are
-// retained: correctness tests use true; large benchmarks use false, in
-// which case reads return zero-filled pages while all state transitions,
-// ordering rules, timing, and wear accounting remain exact.
+// retained; without it reads return zero-filled pages while all state
+// transitions, ordering rules, timing, and wear accounting remain exact.
+// The simulated devices build their arrays without it and keep host bytes
+// in their own device.Segments, by device offset or LBA, so a payload
+// write or read is one copy rather than one per page; only the array's own
+// tests and probes store payload here.
 func NewArray(geo Geometry, timing Timing, storeData bool) (*Array, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err

@@ -45,7 +45,8 @@ type Config struct {
 	// Zero defaults to 2 (the model's 4 KiB pages make that one real
 	// multi-plane NAND page), clamped to PagesPerBlock.
 	StripeChunkPages int
-	// StoreData retains page payloads for read-back (tests, examples).
+	// StoreData retains payloads for read-back (tests, examples), in a
+	// segment store addressed by LBA; without it reads return zeros.
 	StoreData bool
 }
 
@@ -73,17 +74,22 @@ func (c *Config) fillDefaults() {
 // Errors specific to the SSD model.
 var (
 	ErrBadConfig = errors.New("ssd: invalid configuration")
-	ErrReadHole  = errors.New("ssd: read of unwritten sector")
+	// errBadMapping means l2p and p2l disagree about a mapped sector: the
+	// payload is kept by LBA, so a wrong l2p entry would otherwise go
+	// unnoticed.
+	errBadMapping = errors.New("ssd: l2p and p2l disagree")
 )
 
 const unmapped = int64(-1)
 
 // SSD is a simulated regular SSD. It is safe for concurrent use: mu is the
-// one lock of the device, guarding the FTL tables and the flash array (page
-// tables and die/channel ledger), which takes no lock of its own.
+// one lock of the device, guarding the FTL tables, the payload segments and
+// the flash array (page tables and die/channel ledger), none of which lock
+// on their own.
 type SSD struct {
 	cfg   Config
-	array *flash.Array
+	array *flash.Array     // page state, timing and wear; holds no payload
+	data  *device.Segments // payload by LBA; nil without StoreData
 
 	mu       sync.Mutex
 	l2p      []int64 // logical page -> physical page (block*ppb+page)
@@ -119,7 +125,7 @@ func New(cfg Config) (*SSD, error) {
 	if cfg.OPRatio < 0 || cfg.OPRatio >= 1 {
 		return nil, fmt.Errorf("%w: OP ratio %v", ErrBadConfig, cfg.OPRatio)
 	}
-	arr, err := flash.NewArray(cfg.Geometry, cfg.Timing, cfg.StoreData)
+	arr, err := flash.NewArray(cfg.Geometry, cfg.Timing, false)
 	if err != nil {
 		return nil, err
 	}
@@ -155,6 +161,9 @@ func New(cfg Config) (*SSD, error) {
 		fullBlks: make(map[int]struct{}),
 		exported: exportedPages * int64(geo.PageSize),
 		GCStalls: stats.NewHistogram(),
+	}
+	if cfg.StoreData {
+		s.data = device.NewSegments(s.exported, 0)
 	}
 	for i := range s.l2p {
 		s.l2p[i] = unmapped
@@ -240,7 +249,9 @@ func (s *SSD) addrOf(ppn int64) flash.Addr {
 // WriteAt implements device.BlockDevice. Each sector is written
 // out-of-place: the old physical page (if any) is invalidated and a fresh
 // page programmed. If the free-block pool is below the watermark, garbage
-// collection runs first and its full latency is charged to this write.
+// collection runs first and its full latency is charged to this write. The
+// payload (zeros, for nil data) is then copied in by LBA in one pass, before
+// WriteAt returns.
 func (s *SSD) WriteAt(now time.Duration, data []byte, n int, off int64) (time.Duration, error) {
 	if err := device.CheckRange(off, n, s.exported); err != nil {
 		return 0, err
@@ -277,11 +288,7 @@ func (s *SSD) WriteAt(now time.Duration, data []byte, n int, off int64) (time.Du
 			s.p2l[old] = unmapped
 		}
 		addr := s.allocPageLocked()
-		var page []byte
-		if data != nil {
-			page = data[i*device.SectorSize : (i+1)*device.SectorSize]
-		}
-		done, err := s.array.Program(now, addr, page)
+		done, err := s.array.Program(now, addr, nil)
 		if err != nil {
 			s.mu.Unlock()
 			return 0, fmt.Errorf("ssd: program: %w", err)
@@ -292,6 +299,11 @@ func (s *SSD) WriteAt(now time.Duration, data []byte, n int, off int64) (time.Du
 		if done > latest {
 			latest = done
 		}
+	}
+	if data != nil {
+		s.data.Write(off, data)
+	} else {
+		s.data.Zero(off, int64(n))
 	}
 	s.mu.Unlock()
 
@@ -305,7 +317,9 @@ func (s *SSD) WriteAt(now time.Duration, data []byte, n int, off int64) (time.Du
 
 // ReadAt implements device.BlockDevice. Reading an unwritten sector fills
 // zeros (fresh-device semantics) rather than erroring, matching real block
-// devices.
+// devices. The payload comes out in one copy by LBA; each mapped sector's
+// page is read from the flash array for its die/channel time and state
+// check, and must map back to its LBA.
 func (s *SSD) ReadAt(now time.Duration, p []byte, off int64) (time.Duration, error) {
 	n := len(p)
 	if err := device.CheckRange(off, n, s.exported); err != nil {
@@ -316,22 +330,28 @@ func (s *SSD) ReadAt(now time.Duration, p []byte, off int64) (time.Duration, err
 	var latest time.Duration = now
 
 	s.mu.Lock()
+	s.data.Read(p, off)
 	lpnBase := off / device.SectorSize
 	for i := 0; i < sectors; i++ {
-		dst := p[i*device.SectorSize : (i+1)*device.SectorSize]
-		ppn := s.l2p[lpnBase+int64(i)]
+		lpn := lpnBase + int64(i)
+		ppn := s.l2p[lpn]
 		if ppn == unmapped {
-			for j := range dst {
-				dst[j] = 0
-			}
+			// An unmapped sector reads as zeros whatever its segment
+			// holds: bytes past the write that took a segment from the
+			// pool are stale.
+			clear(p[i*device.SectorSize : (i+1)*device.SectorSize])
 			continue
 		}
-		done, page, err := s.array.Read(now, s.addrOf(ppn))
+		if back := s.p2l[ppn]; back != lpn {
+			s.mu.Unlock()
+			return 0, fmt.Errorf("ssd: read: lpn %d maps to ppn %d, which maps back to lpn %d: %w",
+				lpn, ppn, back, errBadMapping)
+		}
+		done, _, err := s.array.Read(now, s.addrOf(ppn))
 		if err != nil {
 			s.mu.Unlock()
 			return 0, fmt.Errorf("ssd: read: %w", err)
 		}
-		copy(dst, page)
 		if done > latest {
 			latest = done
 		}
@@ -342,7 +362,8 @@ func (s *SSD) ReadAt(now time.Duration, p []byte, off int64) (time.Duration, err
 
 // Discard implements device.BlockDevice (TRIM). Unmapping dead sectors is
 // how the cache layer above keeps device WA down; CacheLib issues discards
-// when it drops regions.
+// when it drops regions. Payload segments the range covers whole are
+// released, and the rest of the range is zeroed.
 func (s *SSD) Discard(off, n int64) error {
 	if err := device.CheckRange(off, int(n), s.exported); err != nil {
 		return err
@@ -358,6 +379,7 @@ func (s *SSD) Discard(off, n int64) error {
 			s.l2p[lpn] = unmapped
 		}
 	}
+	s.data.Zero(off, n)
 	return nil
 }
 
@@ -406,7 +428,8 @@ func (s *SSD) pickVictimLocked() (int, bool) {
 // migrateAndEraseLocked relocates the victim's live pages and erases it.
 // Migrated bytes count as media (not host) writes — the WA source. Reads
 // serialize on the victim's die; the rewrites fan out across the open
-// blocks' dies in parallel, as a real FTL's copy path does.
+// blocks' dies in parallel, as a real FTL's copy path does. No payload moves:
+// it is kept by LBA, which migration does not change.
 func (s *SSD) migrateAndEraseLocked(now time.Duration, victim int) time.Duration {
 	geo := s.cfg.Geometry
 	base := int64(victim) * int64(geo.PagesPerBlock)
@@ -418,12 +441,12 @@ func (s *SSD) migrateAndEraseLocked(now time.Duration, victim int) time.Duration
 			continue
 		}
 		addr := flash.Addr{Block: victim, Page: p}
-		rDone, page, err := s.array.Read(now, addr)
+		rDone, _, err := s.array.Read(now, addr)
 		if err != nil {
 			panic(fmt.Sprintf("ssd: GC read of live page failed: %v", err))
 		}
 		dst := s.allocPageLocked()
-		wDone, err := s.array.Program(rDone, dst, page)
+		wDone, err := s.array.Program(rDone, dst, nil)
 		if err != nil {
 			panic(fmt.Sprintf("ssd: GC program failed: %v", err))
 		}

@@ -74,20 +74,10 @@ func TestWritesAfterHeavyChurnStillReadable(t *testing.T) {
 	for i := int64(0); i < sectors*8; i++ {
 		s.WriteAt(0, nil, device.SectorSize, rng.Int63n(sectors)*device.SectorSize)
 	}
-	// p2l/l2p must agree for every mapped page.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	live := 0
-	for lpn, ppn := range s.l2p {
-		if ppn == unmapped {
-			continue
-		}
-		live++
-		if s.p2l[ppn] != int64(lpn) {
-			t.Fatalf("l2p/p2l disagree: lpn %d -> ppn %d -> lpn %d", lpn, ppn, s.p2l[ppn])
-		}
+	if err := checkMapping(s); err != nil {
+		t.Fatal(err)
 	}
-	if live == 0 {
+	if s.MappedSectors() == 0 {
 		t.Fatal("no live mappings after churn")
 	}
 }
@@ -133,7 +123,8 @@ func TestGCStallsVisibleInHistogram(t *testing.T) {
 // owning a disjoint quarter of its LBAs. Each writes tagged generations to
 // random sectors of its quarter and reads the whole quarter back after every
 // write; every sector must hold its owner's last generation while foreground
-// GC, tripped by any of the four, migrates pages of all of them.
+// GC, tripped by any of the four, migrates pages of all of them. Afterwards
+// l2p and p2l must be inverse maps over the live pages.
 func TestConcurrentRangesSurviveGC(t *testing.T) {
 	const owners = 4
 	cfg := testConfig()
@@ -185,6 +176,9 @@ func TestConcurrentRangesSurviveGC(t *testing.T) {
 	}
 	if got := s.MappedSectors(); got != written {
 		t.Fatalf("MappedSectors = %d, want the %d sectors written", got, written)
+	}
+	if err := checkMapping(s); err != nil {
+		t.Fatalf("mapping after GC: %v", err)
 	}
 }
 

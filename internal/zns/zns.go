@@ -103,7 +103,8 @@ type Config struct {
 	// NAND page worth of data per die. Zero picks the largest divisor of
 	// PagesPerBlock at most 2; an explicit value must divide PagesPerBlock.
 	StripeChunkSectors int
-	// StoreData retains payloads for read-back.
+	// StoreData retains payloads for read-back, in a segment store
+	// addressed by device offset; without it reads return zeros.
 	StoreData bool
 }
 
@@ -159,12 +160,13 @@ type Zoned interface {
 }
 
 // Device is a simulated ZNS SSD. Safe for concurrent use: mu is the one
-// lock of the device, guarding the zone table, the stripe lanes and the
-// flash array (page tables and die/channel ledger), none of which lock on
-// their own.
+// lock of the device, guarding the zone table, the stripe lanes, the payload
+// segments and the flash array (page tables and die/channel ledger), none of
+// which lock on their own.
 type Device struct {
 	cfg      Config
-	array    *flash.Array
+	array    *flash.Array     // page state, timing and wear; holds no payload
+	data     *device.Segments // payload by device offset; nil without StoreData
 	zoneSize int64
 	numZones int
 	stripe   flash.Stripe
@@ -239,7 +241,7 @@ func New(cfg Config) (*Device, error) {
 	if err := stripe.Validate(ppb); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	arr, err := flash.NewArray(cfg.Geometry, cfg.Timing, cfg.StoreData)
+	arr, err := flash.NewArray(cfg.Geometry, cfg.Timing, false)
 	if err != nil {
 		return nil, err
 	}
@@ -248,10 +250,16 @@ func New(cfg Config) (*Device, error) {
 	for z := range lanes {
 		lanes[z] = make([]sim.Busy, cfg.ZoneStripeLanes)
 	}
+	zoneSize := int64(cfg.BlocksPerZone) * cfg.Geometry.BlockBytes()
+	var data *device.Segments
+	if cfg.StoreData {
+		data = device.NewSegments(zoneSize*int64(n), zoneSize)
+	}
 	return &Device{
 		cfg:      cfg,
 		array:    arr,
-		zoneSize: int64(cfg.BlocksPerZone) * cfg.Geometry.BlockBytes(),
+		data:     data,
+		zoneSize: zoneSize,
 		numZones: n,
 		stripe:   stripe,
 		state:    make([]ZoneState, n),
@@ -330,29 +338,24 @@ func (d *Device) addrFor(z int, sector int64) flash.Addr {
 	return d.stripe.Addr(z*d.cfg.BlocksPerZone, sector)
 }
 
-// programRange programs count sectors of zone z starting at startSector.
-// Sector startSector+i holds data[i*SectorSize:(i+1)*SectorSize]; a sector
-// past the end of data (every sector, when data is nil) is programmed as a
-// zero page. The array copies each page, so nothing here allocates. Called
-// with d.mu held from the write-pointer update through the last page: NAND
-// programs a block's pages strictly in order, so two writers to one zone
-// must not interleave between reserving their sectors and programming them.
-func (d *Device) programRange(now time.Duration, z int, startSector, count int64, data []byte) (time.Duration, error) {
+// programRange programs count sectors of zone z starting at startSector:
+// page state, timing and wear only; the caller moves the payload into
+// d.data. Called with d.mu held from the write-pointer update through
+// the last page: NAND programs a block's pages strictly in order, so two
+// writers to one zone must not interleave between reserving their sectors
+// and programming them.
+func (d *Device) programRange(now time.Duration, z int, startSector, count int64) (time.Duration, error) {
 	latest := now
 	tm := d.array.Timing()
 	nlanes := int64(len(d.lanes[z]))
 	for i := int64(0); i < count; i++ {
-		var page []byte
-		if end := (i + 1) * device.SectorSize; end <= int64(len(data)) {
-			page = data[end-device.SectorSize : end]
-		}
 		sector := startSector + i
 		// Per-zone bandwidth cap: each sector occupies one of the zone's
 		// stripe lanes for a program slot, independent of physical die
 		// availability. The observed completion is the later of the two.
 		lane := &d.lanes[z][sector%nlanes]
 		_, laneDone := lane.Acquire(now, tm.ProgPage+tm.Transfer)
-		done, err := d.array.Program(now, d.addrFor(z, sector), page)
+		done, err := d.array.Program(now, d.addrFor(z, sector), nil)
 		if err != nil {
 			return 0, fmt.Errorf("zns: program: %w", err)
 		}
@@ -367,10 +370,11 @@ func (d *Device) programRange(now time.Duration, z int, startSector, count int64
 }
 
 // Write appends n bytes at offset off, which must equal the target zone's
-// write pointer. data may be nil for a metadata-only write. Implicitly opens
-// an empty/closed zone, honouring the open-zone cap and active-zone budget;
-// a write that fills the zone transitions it to full and releases both
-// slots.
+// write pointer. data may be nil for a metadata-only write, which reads back
+// as zeros. Implicitly opens an empty/closed zone, honouring the open-zone
+// cap and active-zone budget; a write that fills the zone transitions it to
+// full and releases both slots. The payload is copied before Write returns,
+// so the caller may reuse data at once.
 func (d *Device) Write(now time.Duration, data []byte, n int, off int64) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -409,9 +413,14 @@ func (d *Device) writeLocked(now time.Duration, data []byte, n int, off int64) (
 		d.releaseLocked(z)
 		d.state[z] = ZoneFull
 	}
-	latest, err := d.programRange(now, z, wp, count, data)
+	latest, err := d.programRange(now, z, wp, count)
 	if err != nil {
 		return 0, err
+	}
+	if data != nil {
+		d.data.Write(off, data)
+	} else {
+		d.data.Zero(off, int64(n))
 	}
 	d.HostWrites.Add(uint64(n))
 	return latest - now, nil
@@ -488,10 +497,12 @@ func (d *Device) releaseLocked(z int) {
 // Read reads len(p) bytes at off. Reads are random-access but must not
 // cross the write pointer.
 //
-// d.mu is held from the write-pointer check through the last page copy: the
-// flash array has no lock of its own, and a Reset or rewrite of the zone
-// must not land between the check and the copy, so a read sees exactly one
-// generation of the zone.
+// Each page is read from the flash array for its state check and its
+// die/channel time; the payload then comes out of d.data in one copy (a
+// clear, without StoreData). d.mu is held from the write-pointer check
+// through that copy: neither the array nor the segments lock on their own,
+// and a Reset or rewrite of the zone must not land between the check and the
+// copy, so a read sees exactly one generation of the zone.
 func (d *Device) Read(now time.Duration, p []byte, off int64) (time.Duration, error) {
 	n := len(p)
 	if err := device.CheckRange(off, n, d.Size()); err != nil {
@@ -516,15 +527,15 @@ func (d *Device) Read(now time.Duration, p []byte, off int64) (time.Duration, er
 	}
 	latest := now
 	for s := aSec; s < bSec; s++ {
-		done, page, err := d.array.Read(now, d.addrFor(z, s))
+		done, _, err := d.array.Read(now, d.addrFor(z, s))
 		if err != nil {
 			return 0, fmt.Errorf("zns: read: %w", err)
 		}
-		copy(p[(s-aSec)*device.SectorSize:(s-aSec+1)*device.SectorSize], page)
 		if done > latest {
 			latest = done
 		}
 	}
+	d.data.Read(p, off)
 	return latest - now, nil
 }
 
@@ -543,6 +554,7 @@ func (d *Device) Reset(now time.Duration, z int) (time.Duration, error) {
 	d.state[z] = ZoneEmpty
 	d.wp[z] = 0
 	d.reset[z]++
+	d.data.Zero(int64(z)*d.zoneSize, d.zoneSize)
 
 	// Erase the zone's blocks before a writer can see the zone empty; they
 	// sit on different dies and proceed in parallel, so the reset cost is
@@ -571,9 +583,10 @@ func (d *Device) Reset(now time.Duration, z int) (time.Duration, error) {
 }
 
 // Finish moves zone z's write pointer to the end, transitioning it to full
-// and releasing its open/active slots. The unwritten tail is filled with zero pages at real program cost — the
-// zone-finish penalty that makes finishing a barely written zone expensive
-// on real drives. Finishing an already full zone is free.
+// and releasing its open/active slots. The unwritten tail is filled with zero
+// pages at real program cost — the zone-finish penalty that makes finishing
+// a barely written zone expensive on real drives — and reads back as zeros.
+// Finishing an already full zone is free.
 func (d *Device) Finish(now time.Duration, z int) (time.Duration, error) {
 	if z < 0 || z >= d.numZones {
 		return 0, fmt.Errorf("%w: %d", ErrZoneRange, z)
@@ -594,11 +607,12 @@ func (d *Device) Finish(now time.Duration, z int) (time.Duration, error) {
 
 	latest := now
 	if fill > 0 {
-		done, err := d.programRange(now, z, start, fill, nil)
+		done, err := d.programRange(now, z, start, fill)
 		if err != nil {
 			d.mu.Unlock()
 			return 0, fmt.Errorf("zns: finish fill: %w", err)
 		}
+		d.data.Zero(int64(z)*d.zoneSize+start*device.SectorSize, fill*device.SectorSize)
 		latest = done
 		d.FinishFill.Add(uint64(fill))
 	}

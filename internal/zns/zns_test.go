@@ -556,9 +556,9 @@ func writtenRegion(tb testing.TB, storeData bool) (*Device, []byte) {
 	return d, make([]byte, len(region))
 }
 
-// TestReadRegionDoesNotAllocate: a region read is one copy per page out of
-// the array's stored pages into the caller's buffer — nothing per page, with
-// payloads or without.
+// TestReadRegionDoesNotAllocate: a region read is one copy out of the
+// payload segments (one clear, without payloads) into the caller's buffer —
+// nothing per page.
 func TestReadRegionDoesNotAllocate(t *testing.T) {
 	for _, storeData := range []bool{true, false} {
 		d, buf := writtenRegion(t, storeData)
@@ -577,14 +577,17 @@ func TestReadRegionDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestWriteDoesNotAllocate: a region write hands the array 4 KiB sub-slices
-// of the caller's data, so the device allocates nothing per call. A
-// metadata-only array makes no allocation at all; a payload array makes
-// exactly the one per programmed page that Program's copy is.
+// TestWriteDoesNotAllocate: a region write programs page state with no
+// payload and copies the bytes into the zone's segments, which Reset hands
+// back to the pool the next write takes them from — so once the pool is warm
+// nothing allocates, with payloads or without. (The race detector makes
+// sync.Pool drop items at random, so the payload case is skipped under it.)
 func TestWriteDoesNotAllocate(t *testing.T) {
 	for _, storeData := range []bool{true, false} {
+		if storeData && raceEnabled {
+			continue
+		}
 		d, region := writtenRegion(t, storeData)
-		pages := float64(len(region) / device.SectorSize)
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, err := d.Reset(0, 0); err != nil {
 				t.Fatal(err)
@@ -593,43 +596,54 @@ func TestWriteDoesNotAllocate(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		want := 0.0
-		if storeData {
-			want = pages
-		}
-		if allocs != want {
-			t.Errorf("StoreData=%v: resetting and writing a %.0f-page region allocates %.0f objects, want %.0f",
-				storeData, pages, allocs, want)
+		if allocs != 0 {
+			t.Errorf("StoreData=%v: resetting and writing a %d-page region allocates %.0f objects, want 0",
+				storeData, len(region)/device.SectorSize, allocs)
 		}
 	}
 }
 
-// BenchmarkDeviceWrite writes one 256 KiB region to a metadata-only device,
-// resetting the zone each time: the device's own cost per region write.
+// BenchmarkDeviceWrite writes one 256 KiB region, resetting the zone each
+// time: the device's own cost per region write, without and with payload.
 func BenchmarkDeviceWrite(b *testing.B) {
-	d, region := writtenRegion(b, false)
-	b.SetBytes(int64(len(region)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Reset(0, 0); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := d.Write(0, region, len(region), 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, mode := range []struct {
+		name      string
+		storeData bool
+	}{{"metadata", false}, {"payload", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			d, region := writtenRegion(b, mode.storeData)
+			b.SetBytes(int64(len(region)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.Reset(0, 0); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := d.Write(0, region, len(region), 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// BenchmarkDeviceReadRegion reads one 256 KiB region with payload.
+// BenchmarkDeviceReadRegion reads one 256 KiB region, without and with
+// payload.
 func BenchmarkDeviceReadRegion(b *testing.B) {
-	d, buf := writtenRegion(b, true)
-	b.SetBytes(int64(len(buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Read(0, buf, 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, mode := range []struct {
+		name      string
+		storeData bool
+	}{{"metadata", false}, {"payload", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			d, buf := writtenRegion(b, mode.storeData)
+			b.SetBytes(int64(len(buf)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.Read(0, buf, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
