@@ -240,8 +240,8 @@ func (s discardStore) WriteRegion(now time.Duration, id int, data []byte) (time.
 
 // fastGetCache builds the serving configuration — FIFO, values tracked, read
 // index on — with n published keys whose values run 128–512 B, and returns
-// it with the keys. Values are set owned, as the server sets them, so the
-// published copies alias one shared pool.
+// it with the keys. The store keeps no payload, so every hit is served from
+// a region buffer.
 func fastGetCache(tb testing.TB, n int) (*Cache, []string) {
 	tb.Helper()
 	c, err := New(Config{
@@ -261,7 +261,7 @@ func fastGetCache(tb testing.TB, n int) (*Cache, []string) {
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%07d", i)
-		if err := c.SetOwned(keys[i], pool[:128+(i*37)%385], 0); err != nil {
+		if err := c.Set(keys[i], pool[:128+(i*37)%385], 0); err != nil {
 			tb.Fatal(err)
 		}
 	}

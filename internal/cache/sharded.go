@@ -152,7 +152,8 @@ func (s *Sharded) SetTTL(key string, value []byte, valLen int, ttl time.Duration
 
 // Get looks up key on its shard. With the engine's read index enabled
 // (Config.ReadIndex) most lookups are answered lock-free; such hits return
-// the index's immutable value copy, which callers must treat as read-only.
+// the value in place in its region image, which never changes and which
+// callers must treat as read-only.
 // Lookups the fast path cannot answer (value bytes not in DRAM yet) fall
 // back to the classic path under the shard write lock.
 func (s *Sharded) Get(key string) ([]byte, bool, error) {

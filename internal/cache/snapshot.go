@@ -289,10 +289,11 @@ func Restore(cfg Config, snapshot []byte) (*Cache, error) {
 	}
 	c.free = append(c.free, s.Free...)
 	c.free = append(c.free, repairedFree...)
-	// Reopen the snapshot's open region as a fresh buffer: the one New gave
-	// region 0 goes to the spare list first, so no sealed or free region
-	// keeps it.
+	// Reopen the snapshot's open region as a fresh buffer: the buffer and
+	// image New gave region 0 are let go first, so no sealed or free region
+	// keeps them.
 	c.releaseBuf(c.open)
+	c.dropImage(c.open)
 	c.open = s.Open
 	c.openRegion(s.Open)
 	if c.reads != nil {
@@ -300,7 +301,7 @@ func Restore(cfg Config, snapshot []byte) (*Cache, error) {
 		// bytes so the lock-free path answers Contains and misses, and a
 		// verified sealed read promotes each key to servable on first touch.
 		for k, e := range c.index {
-			c.reads.publish(k, nil, e.expireAt)
+			c.reads.publish(k, readEntry{expireAt: e.expireAt})
 		}
 	}
 	return c, nil

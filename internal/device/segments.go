@@ -21,10 +21,17 @@ const segmentBytes = 256 << 10
 //
 // A nil *Segments is a metadata-only device's store: it keeps nothing and
 // reads as zeros. Segments takes no lock: the owning device's lock guards it.
+//
+// View hands out bytes in place, to be read with no lock at all. The bytes
+// behind a view never change: the owner writes and zeroes only above its
+// write pointer, never below a viewed range, and Zero drops a viewed segment
+// instead of pooling it, so the view keeps the old array alive and the next
+// Write there starts a new one.
 type Segments struct {
-	size int64     // bytes per segment
-	segs []*[]byte // by offset / size; nil reads as zeros
-	free sync.Pool // *[]byte segments released by Zero, reused by Write
+	size   int64     // bytes per segment
+	segs   []*[]byte // by offset / size; nil reads as zeros
+	viewed []bool    // by segment: handed out by View since it was allocated
+	free   sync.Pool // *[]byte segments released by Zero, reused by Write
 }
 
 // NewSegments returns an empty store over size bytes. With zone > 0 the
@@ -35,7 +42,23 @@ func NewSegments(size, zone int64) *Segments {
 	for zone > 0 && zone%seg != 0 {
 		seg /= 2
 	}
-	return &Segments{size: seg, segs: make([]*[]byte, (size+seg-1)/seg)}
+	n := (size + seg - 1) / seg
+	return &Segments{size: seg, segs: make([]*[]byte, n), viewed: make([]bool, n)}
+}
+
+// View returns the n bytes at off in place, read-only, when they lie in one
+// written segment; ok is false otherwise (a nil store, a range across two
+// segments, or one never written).
+func (s *Segments) View(off int64, n int) (p []byte, ok bool) {
+	if s == nil || n <= 0 {
+		return nil, false
+	}
+	i, in := off/s.size, off%s.size
+	if in+int64(n) > s.size || s.segs[i] == nil {
+		return nil, false
+	}
+	s.viewed[i] = true
+	return (*s.segs[i])[in : in+int64(n) : in+int64(n)], true
 }
 
 // Write copies data to off.
@@ -74,15 +97,18 @@ func (s *Segments) Read(p []byte, off int64) {
 }
 
 // Zero makes [off, off+n) read as zeros: a segment the range covers whole
-// goes back to the pool, a partly covered one has the range cleared.
+// goes back to the pool (or, once viewed, to the views that hold it), a
+// partly covered one has the range cleared.
 func (s *Segments) Zero(off, n int64) {
 	for s != nil && n > 0 {
 		i, in := off/s.size, off%s.size
 		k := min(n, s.size-in)
 		if seg := s.segs[i]; seg != nil {
 			if k == s.size {
-				s.free.Put(seg)
-				s.segs[i] = nil
+				if !s.viewed[i] {
+					s.free.Put(seg)
+				}
+				s.segs[i], s.viewed[i] = nil, false
 			} else {
 				clear((*seg)[in : in+k])
 			}

@@ -1,0 +1,77 @@
+package device
+
+import (
+	"bytes"
+	"testing"
+)
+
+// TestSegmentsView: a view is the stored bytes in place, capped at its
+// length, and only a range inside one written segment is lent.
+func TestSegmentsView(t *testing.T) {
+	s := NewSegments(4*segmentBytes, segmentBytes)
+	data := bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7}, 1000)
+	s.Write(segmentBytes+100, data)
+
+	v, ok := s.View(segmentBytes+100, len(data))
+	if !ok || !bytes.Equal(v, data) || cap(v) != len(data) {
+		t.Fatalf("View = (%d bytes, cap %d, %v), want the %d written bytes", len(v), cap(v), ok, len(data))
+	}
+	s.Read(make([]byte, 8), segmentBytes+100) // reads copy out; the view is untouched
+	if &v[0] != &(*s.segs[1])[100] {
+		t.Fatal("View copied instead of lending the segment's bytes")
+	}
+	var nilStore *Segments
+	for _, c := range []struct {
+		name string
+		s    *Segments
+		off  int64
+		n    int
+	}{
+		{"unwritten segment", s, 0, 10},
+		{"across two segments", s, 2*segmentBytes - 10, 20},
+		{"empty range", s, segmentBytes + 100, 0},
+		{"metadata-only store", nilStore, 0, 10},
+	} {
+		if _, ok := c.s.View(c.off, c.n); ok {
+			t.Errorf("%s: View lent bytes", c.name)
+		}
+	}
+}
+
+// TestSegmentsDropViewed: zeroing a segment that lent a view drops it
+// instead of pooling it, so the view keeps its bytes while the offset is
+// written again, and the new segment is not marked viewed.
+func TestSegmentsDropViewed(t *testing.T) {
+	s := NewSegments(2*segmentBytes, segmentBytes)
+	old := bytes.Repeat([]byte{0xAB}, 4096)
+	s.Write(0, old)
+	v, ok := s.View(0, len(old))
+	if !ok {
+		t.Fatal("View lent nothing")
+	}
+	first := s.segs[0]
+	s.Zero(0, segmentBytes)
+	if s.segs[0] != nil || s.viewed[0] {
+		t.Fatal("Zero of a whole viewed segment kept it")
+	}
+	// Enough writes to take back anything the pool holds.
+	for i := 0; i < 4; i++ {
+		s.Write(0, bytes.Repeat([]byte{byte(i)}, 4096))
+		if s.segs[0] == first {
+			t.Fatal("a viewed segment came back from the pool")
+		}
+		s.Zero(0, segmentBytes)
+	}
+	s.Write(0, bytes.Repeat([]byte{0xCD}, 4096))
+	if !bytes.Equal(v, old) {
+		t.Fatal("a view's bytes changed after its segment was zeroed and the offset rewritten")
+	}
+	if s.viewed[0] {
+		t.Fatal("a fresh segment inherited the viewed mark")
+	}
+	got := make([]byte, 4096)
+	s.Read(got, 0)
+	if got[0] != 0xCD {
+		t.Fatalf("read %#x after the rewrite, want 0xcd", got[0])
+	}
+}

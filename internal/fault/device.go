@@ -224,6 +224,10 @@ func (d *ZonedDevice) Read(now time.Duration, p []byte, off int64) (time.Duratio
 	return lat + dec.spike, err
 }
 
+// View implements zns.Zoned. It injects nothing: a view is not a device
+// command, and its bytes were already written through Write.
+func (d *ZonedDevice) View(off int64, n int) ([]byte, bool) { return d.inner.View(off, n) }
+
 // Reset implements zns.Zoned.
 func (d *ZonedDevice) Reset(now time.Duration, z int) (time.Duration, error) {
 	dec := d.inj.decideReset()

@@ -514,6 +514,19 @@ func (l *Layer) ReadRegion(now time.Duration, id int, p []byte, n int, off int64
 	return lat, nil
 }
 
+// RegionView implements cache.RegionViewer: region id's bytes where they lie
+// on the device. A GC migration moves the region but not the view, which
+// keeps the old copy alive until its holder lets go.
+func (l *Layer) RegionView(id int) ([]byte, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	m, ok := l.mapTable[id]
+	if !ok {
+		return nil, false
+	}
+	return l.dev.View(int64(m.zone)*l.dev.ZoneSize()+int64(m.slot)*l.cfg.RegionSize, int(l.cfg.RegionSize))
+}
+
 // EvictRegion implements cache.RegionStore: purely a metadata operation —
 // clear the mapping and bitmap bit. The space comes back when GC (or a
 // whole-zone invalidation) reclaims the zone.
@@ -712,4 +725,7 @@ func (l *Layer) RegionReadableBytes(id int) (int64, bool) {
 	return l.cfg.RegionSize, true
 }
 
-var _ cache.RegionStore = (*Layer)(nil)
+var (
+	_ cache.RegionStore  = (*Layer)(nil)
+	_ cache.RegionViewer = (*Layer)(nil)
+)

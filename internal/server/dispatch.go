@@ -83,7 +83,7 @@ type op struct {
 	shard   int32
 	k0, k1  int           // opGet: key span in batch.keys
 	key     string        // opSet/opDel key
-	body    []byte        // opSet: flags-prefixed value, ready for the store
+	body    []byte        // opSet: flags-prefixed value in batch.bodies
 	ttl     time.Duration // opSet: TTL (setTTL) or backend-clock deadline (setTTLAbs)
 	msg     string        // opMsg response line
 	err     error         // opSet execution error
@@ -92,22 +92,41 @@ type op struct {
 
 // batch accumulates one pipeline batch worth of parsed ops. Get keys and
 // their results live in parallel slices indexed by op.k0..k1 so per-key
-// storage is reused across batches.
+// storage is reused across batches, and set bodies in an arena that the
+// next batch reads over: a Backend keeps no value past its call.
 type batch struct {
 	ops       []op
 	keys      []string
 	vals      [][]byte
 	hits      []bool
 	errs      []error
+	bodies    []byte
 	bodyBytes int
 }
+
+// maxBodyArena is the body arena capacity a connection keeps between
+// batches; a larger one, grown for a burst of big sets, is dropped.
+const maxBodyArena = 1 << 20
 
 func (b *batch) addMsg(msg string) {
 	b.ops = append(b.ops, op{kind: opMsg, msg: msg})
 }
 
-// reset clears the batch for reuse, dropping references so bodies and
-// values are released to the collector.
+// body returns n bytes of the body arena, capped at n. An arena too small is
+// replaced by a larger one rather than grown in place: bodies already handed
+// out keep pointing at the old array.
+func (b *batch) body(n int) []byte {
+	off := len(b.bodies)
+	if cap(b.bodies)-off < n {
+		b.bodies = make([]byte, 0, max(2*cap(b.bodies), n, 4<<10))
+		off = 0
+	}
+	b.bodies = b.bodies[:off+n]
+	return b.bodies[off : off+n : off+n]
+}
+
+// reset clears the batch for reuse, dropping references so values are
+// released to the collector; the body arena is read over by the next batch.
 func (b *batch) reset() {
 	for i := range b.ops {
 		b.ops[i] = op{}
@@ -126,6 +145,10 @@ func (b *batch) reset() {
 		b.errs[i] = nil
 	}
 	b.errs = b.errs[:0]
+	b.bodies = b.bodies[:0]
+	if cap(b.bodies) > maxBodyArena {
+		b.bodies = nil
+	}
 	b.bodyBytes = 0
 }
 
@@ -342,8 +365,8 @@ func (s *Server) parseGet(c *conn, withCas bool) {
 // data chunk. The bytes field is parsed first: without it the stream cannot
 // be resynced past the body, so a bad length is fatal; every other malformed
 // field is reported after the body has been consumed and the connection
-// survives. The value is stored with its 4-byte flags prefix written in
-// place, so the body is read exactly once into its final buffer.
+// survives. The body is read once, into the batch's body arena, behind room
+// for the 4-byte flags prefix the value is stored with.
 func (s *Server) parseSet(c *conn, br *bufio.Reader) parseResult {
 	b := &c.b
 	args := c.fields[1:]
@@ -387,7 +410,7 @@ func (s *Server) parseSet(c *conn, br *bufio.Reader) parseResult {
 		}
 		return parseOK
 	}
-	body := make([]byte, 4+n+2)
+	body := b.body(4 + n + 2)
 	if s.readBody(c, br, body[4:]) != nil {
 		return parseFatal // transport failure mid-body; nothing sane to reply
 	}
@@ -405,7 +428,7 @@ func (s *Server) parseSet(c *conn, br *bufio.Reader) parseResult {
 		return parseOK
 	}
 	binary.BigEndian.PutUint32(body, uint32(flags))
-	o := op{kind: opSet, noreply: noreply, key: key, body: body[:4+n]}
+	o := op{kind: opSet, noreply: noreply, key: key, body: body[: 4+n : 4+n]}
 	switch {
 	case exptime == 0:
 		o.setMode = setStore
@@ -709,17 +732,14 @@ func (s *Server) execShardGroup(b *batch, shard int, idxs []int32) {
 			case opSet:
 				switch o.setMode {
 				case setStore:
-					// o.body is a fresh per-request allocation the server
-					// never touches again — hand it to the engine so the
-					// read-index publish skips its defensive copy.
-					o.err = eng.SetOwned(o.key, o.body, 0)
+					o.err = eng.Set(o.key, o.body, 0)
 				case setTTL:
-					o.err = eng.SetTTLOwned(o.key, o.body, 0, o.ttl)
+					o.err = eng.SetTTL(o.key, o.body, 0, o.ttl)
 				case setTTLAbs:
 					if ttl := o.ttl - eng.Clock().Now(); ttl <= 0 {
 						eng.Delete(o.key)
 					} else {
-						o.err = eng.SetTTLOwned(o.key, o.body, 0, ttl)
+						o.err = eng.SetTTL(o.key, o.body, 0, ttl)
 					}
 				case setDelete:
 					eng.Delete(o.key)

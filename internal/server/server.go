@@ -47,9 +47,13 @@ import (
 // directly; tests substitute a map. Implementations must be safe for
 // concurrent use — the server calls them from one goroutine per connection.
 type Backend interface {
-	// Get returns the value for key and whether it was present.
+	// Get returns the value for key and whether it was present. The server
+	// only reads the value, until the response carrying it is written.
 	Get(key string) ([]byte, bool, error)
-	// Set inserts or replaces key.
+	// Set inserts or replaces key. value is valid only during the call: it
+	// lies in the connection's body arena, which the next batch reads over,
+	// so a backend that keeps it copies it. The same holds for SetWithTTL
+	// and for ExecShard's engine calls.
 	Set(key string, value []byte) error
 	// SetWithTTL inserts key with a time-to-live.
 	SetWithTTL(key string, value []byte, ttl time.Duration) error

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -388,6 +390,41 @@ func TestOversizedValueRefusedConnectionSurvives(t *testing.T) {
 	got = rawOn(t, nc, "set ok 0 0 2\r\nhi\r\nget ok\r\n")
 	if !strings.Contains(got, "STORED") || !strings.Contains(got, "VALUE ok 0 2") {
 		t.Fatalf("connection desynced after oversized set: %q", got)
+	}
+}
+
+// TestSetBodiesSurviveArenaGrowth pipelines sets that outgrow the body arena
+// mid-batch, twice over so the second batch reads over the first's arena,
+// and reads every value back.
+func TestSetBodiesSurviveArenaGrowth(t *testing.T) {
+	s := startServer(t, Config{Backend: newMapBackend()})
+	cl, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close() //nolint:errcheck
+	val := func(round, i int) []byte {
+		return bytes.Repeat([]byte{byte('a' + round), byte('0' + i)}, 100<<i)
+	}
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 12; i++ {
+			cl.QueueSet(fmt.Sprintf("k%d", i), 0, 0, val(round, i))
+		}
+		if _, err := cl.Exchange(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 12; i++ {
+			cl.QueueGet(fmt.Sprintf("k%d", i), false)
+		}
+		rs, err := cl.Exchange()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range rs {
+			if !r.Hit || !bytes.Equal(r.Value, val(round, i)) {
+				t.Fatalf("round %d: k%d read back %d bytes (hit %v), want its %d", round, i, len(r.Value), r.Hit, len(val(round, i)))
+			}
+		}
 	}
 }
 

@@ -149,3 +149,54 @@ func TestPayloadRecycledZoneReadsZeros(t *testing.T) {
 		})
 	}
 }
+
+// TestPayloadViewOutlivesReset: View lends written bytes below the write
+// pointer of one zone, and those bytes stay as they were after the zone is
+// reset and rewritten while another goroutine reads them.
+func TestPayloadViewOutlivesReset(t *testing.T) {
+	d, err := New(payloadConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sectorPattern(8*device.SectorSize, 3)
+	if _, err := d.Write(0, want, len(want), 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		off  int64
+		n    int
+	}{
+		{"past the write pointer", 0, 9 * device.SectorSize},
+		{"across two segments", 256<<10 - device.SectorSize, 2 * device.SectorSize},
+		{"past the device", d.Size() - device.SectorSize, 2 * device.SectorSize},
+	} {
+		if _, ok := d.View(c.off, c.n); ok {
+			t.Errorf("%s: View lent bytes", c.name)
+		}
+	}
+	v, ok := d.View(device.SectorSize, 4*device.SectorSize)
+	if !ok || !bytes.Equal(v, want[device.SectorSize:5*device.SectorSize]) {
+		t.Fatalf("View = (%v), or wrong bytes", ok)
+	}
+	done := make(chan bool)
+	go func() {
+		same := true
+		for i := 0; i < 200; i++ {
+			same = same && bytes.Equal(v, want[device.SectorSize:5*device.SectorSize])
+		}
+		done <- same
+	}()
+	zs := int(d.ZoneSize())
+	for i := 0; i < 4; i++ {
+		if _, err := d.Reset(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Write(0, bytes.Repeat([]byte{byte(i)}, zs), zs, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !<-done || !bytes.Equal(v, want[device.SectorSize:5*device.SectorSize]) {
+		t.Fatal("a view's bytes changed under zone resets and rewrites")
+	}
+}

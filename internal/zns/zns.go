@@ -151,6 +151,12 @@ type Zoned interface {
 	Append(now time.Duration, data []byte, n int, z int) (time.Duration, int64, error)
 	// Read reads len(p) bytes at off; must not cross the write pointer.
 	Read(now time.Duration, p []byte, off int64) (time.Duration, error)
+	// View returns the n written bytes at off in place, read-only and
+	// unchanging for as long as the caller holds them, or ok=false when the
+	// device cannot lend them (no payload store, or not in one segment).
+	// It is free on the device clock: callers that serve from it model a
+	// DRAM copy, not a flash read.
+	View(off int64, n int) (p []byte, ok bool)
 	// Reset erases zone z.
 	Reset(now time.Duration, z int) (time.Duration, error)
 	// Finish moves zone z's write pointer to the end (state full).
@@ -537,6 +543,23 @@ func (d *Device) Read(now time.Duration, p []byte, off int64) (time.Duration, er
 	}
 	d.data.Read(p, off)
 	return latest - now, nil
+}
+
+// View implements Zoned over the payload segments: the range must lie in
+// one zone, below its write pointer. Zones are append-only below the write
+// pointer and Reset drops a viewed segment rather than recycling it
+// (device.Segments), so the bytes stay as they are after a Reset too.
+func (d *Device) View(off int64, n int) ([]byte, bool) {
+	if n <= 0 || off < 0 || off+int64(n) > d.Size() {
+		return nil, false
+	}
+	z := d.zoneOf(off)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if off+int64(n) > int64(z)*d.zoneSize+d.wp[z]*device.SectorSize {
+		return nil, false
+	}
+	return d.data.View(off, n)
 }
 
 // Reset erases zone z, returning it to empty with the write pointer at the
