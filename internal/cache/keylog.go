@@ -61,7 +61,8 @@ func (kl *keyLog) setStrings(keys []string) {
 }
 
 // each calls fn for every key in insertion order until fn returns false. The
-// byte slice passed to fn aliases the log's buffer: valid only for the call.
+// byte slice passed to fn aliases the log's buffer: valid until the log is
+// next appended to or reset.
 func (kl *keyLog) each(fn func(k []byte) bool) {
 	for off := 0; off+2 <= len(kl.data); {
 		n := int(binary.LittleEndian.Uint16(kl.data[off:]))

@@ -285,50 +285,61 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 
 // TestGetBufPromotionKeepsOwnCopy: a restored engine's read index holds
 // entries without bytes until a verified sealed read promotes them. When that
-// read lands in a caller's buffer, the index must publish its own copy, so
-// scribbling on the buffer afterwards cannot change what TryFastGet serves. A
-// zero-length value is promoted too.
+// read lands in a caller's buffer, the index must not keep the buffer: it
+// points the key into the store's view of the region, or, over a store that
+// lends no view, into a copy of its own. Scribbling on the buffer afterwards
+// cannot change what TryFastGet serves. A zero-length value is promoted too.
 func TestGetBufPromotionKeepsOwnCopy(t *testing.T) {
 	for _, n := range []int{900, 0} {
 		t.Run(fmt.Sprintf("%dB", n), func(t *testing.T) {
-			st := newMemStore(8, 4096)
-			cfg := Config{Store: st, TrackValues: true, ReadIndex: true}
-			c, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := make([]byte, n)
-			for i := range want {
-				want[i] = byte(i*5 + 3)
-			}
-			c.Set("k", want, 0)
-			for i := 0; c.Stats().Flushes < 2; i++ {
-				c.Set(fmt.Sprintf("fill-%04d", i), bytes.Repeat([]byte{byte(i)}, 900), 0)
-			}
-			c.Drain()
-			snap, err := c.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := Restore(cfg, snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, _, done := r.TryFastGet("k"); done {
-				t.Fatal("restored entry served lock-free before any verified read")
-			}
-			buf := make([]byte, ReadSpan(len("k"), len(want)))
-			got, ok, err := r.GetBuf("k", buf)
-			if !ok || err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("sealed GetBuf = (%v, %v), bytes equal %v", ok, err, bytes.Equal(got, want))
-			}
-			clear(buf)
-			v, found, done := r.TryFastGet("k")
-			if !done || !found {
-				t.Fatalf("TryFastGet after promotion = (found %v, done %v)", found, done)
-			}
-			if !bytes.Equal(v, want) {
-				t.Fatal("read index serves the caller's scribbled buffer")
+			for _, view := range []bool{true, false} {
+				t.Run(fmt.Sprintf("view=%v", view), func(t *testing.T) {
+					var st RegionStore = newMemStore(8, 4096)
+					if !view {
+						st = viewlessStore{st}
+					}
+					cfg := Config{Store: st, TrackValues: true, ReadIndex: true}
+					c, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := make([]byte, n)
+					for i := range want {
+						want[i] = byte(i*5 + 3)
+					}
+					c.Set("k", want, 0)
+					for i := 0; c.Stats().Flushes < 2; i++ {
+						c.Set(fmt.Sprintf("fill-%04d", i), bytes.Repeat([]byte{byte(i)}, 900), 0)
+					}
+					c.Drain()
+					snap, err := c.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					r, err := Restore(cfg, snap)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, _, done := r.TryFastGet("k"); done {
+						t.Fatal("restored entry served lock-free before any verified read")
+					}
+					buf := make([]byte, ReadSpan(len("k"), len(want)))
+					got, ok, err := r.GetBuf("k", buf)
+					if !ok || err != nil || !bytes.Equal(got, want) {
+						t.Fatalf("sealed GetBuf = (%v, %v), bytes equal %v", ok, err, bytes.Equal(got, want))
+					}
+					clear(buf)
+					v, found, done := r.TryFastGet("k")
+					if !done || !found {
+						t.Fatalf("TryFastGet after promotion = (found %v, done %v)", found, done)
+					}
+					if !bytes.Equal(v, want) {
+						t.Fatal("read index serves the caller's scribbled buffer")
+					}
+					if ib := r.regions[r.index["k"].region].img; view && (ib == nil || !ib.p.Load().onStore) {
+						t.Fatal("promotion over a store that lends views did not point into the view")
+					}
+				})
 			}
 		})
 	}
