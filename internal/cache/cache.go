@@ -198,14 +198,14 @@ type Config struct {
 	// checksum is what stands between corrupt recovery metadata and wrong
 	// data being served.
 	SkipChecksum bool
-	// ReadIndex enables the lock-free read path (readindex.go): mutators
-	// additionally publish where each key's value lies (in its region's
-	// buffer, later the store's view of the region) and its TTL deadline
-	// into a striped read index, and TryFastGet/TryFastContains answer
-	// lookups against it under one stripe read lock instead of the shard
-	// lock. Region buffers are then never recycled. Off by default —
-	// single-threaded replays keep the exact classic accounting; the serving
-	// layer opts in.
+	// ReadIndex enables the lock-free read path (readindex.go): the engine's
+	// index is split into 64 stripes whose writes take a stripe lock, each
+	// entry also records where its value lies in memory (its region's
+	// buffer, later the store's view of the region), and
+	// TryFastGet/TryFastContains answer lookups against the index under one
+	// stripe read lock instead of the shard lock. Region buffers are then
+	// never recycled. Off by default — single-threaded replays keep the exact
+	// classic accounting; the serving layer opts in.
 	ReadIndex bool
 	// Spans, when non-nil, samples wall-clock engine stage timings
 	// (fast/locked gets, set publish, region flush, store I/O) into the
@@ -219,22 +219,59 @@ type Config struct {
 // in Figure 3's small-region arm) with room to spare.
 const defaultFillLogCap = 4096
 
-// entry is one index record: where an item lives, plus a saturating
-// access counter driving the reinsertion policy.
+// entry is one index record, 24 bytes: where an item lives, where its
+// value lies in memory, its TTL deadline, and a saturating access counter
+// driving the reinsertion policy. The key's length is the map key's, so it
+// is not stored; like CacheLib's packed index records, the counter shares a
+// word with the region id.
 type entry struct {
-	region int32
+	// img is the region image the value lies in; nil when its bytes are not
+	// in memory (the read index is off, a metadata-only insert, or a restored
+	// entry not yet promoted by a verified sealed read). With TrackValues on,
+	// such an entry sends lock-free reads to the locked path.
+	img *image
+	// loc holds the region id in its low regionBits bits — noRegion while a
+	// reinsertion candidate waits, between its region's eviction and its
+	// re-append — and the hit counter in the rest.
+	loc    uint32
 	offset uint32 // item start within region
-	keyLen uint16
 	valLen uint32
-	hits   uint8
 	// expireAt is the virtual-clock second after which the item is dead
 	// (0 = no TTL). Second granularity keeps the entry compact, as
 	// CacheLib does.
 	expireAt uint32
 }
 
-func (e entry) itemSize() int64 {
-	return itemHeaderSize + int64(e.keyLen) + int64(e.valLen)
+const (
+	regionBits = 24
+	// noRegion is the region of a reinsertion candidate: it counts in no
+	// region's live items. Region ids are below it.
+	noRegion = 1<<regionBits - 1
+)
+
+// region returns the id of the region the item lives in.
+func (e entry) region() int { return int(e.loc & noRegion) }
+
+// hits returns the access counter.
+func (e entry) hits() uint8 { return uint8(e.loc >> regionBits) }
+
+// hit counts one access; the caller checks hits is below 255.
+func (e *entry) hit() { e.loc += 1 << regionBits }
+
+// valueOff returns where the value starts in its region: past the item
+// header and the key.
+func (e entry) valueOff(keyLen int) uint32 {
+	return e.offset + itemHeaderSize + uint32(keyLen)
+}
+
+func (e entry) itemSize(keyLen int) int64 {
+	return itemHeaderSize + int64(keyLen) + int64(e.valLen)
+}
+
+// expired reports whether the entry's TTL deadline has passed at virtual
+// time now.
+func (e entry) expired(now time.Duration) bool {
+	return e.expireAt != 0 && now >= time.Duration(e.expireAt)*time.Second
 }
 
 // regionState is the lifecycle of a region slot.
@@ -301,7 +338,9 @@ type Cache struct {
 	clock *sim.Clock
 	cpu   CPUModel
 
-	index   map[string]entry
+	// idx is the key index (readindex.go). Only the engine writes it; with
+	// Config.ReadIndex, lock-free readers read it too.
+	idx     *index
 	regions []regionMeta
 	free    []int
 	order   *list.List // eviction order: front = MRU, back = LRU victim
@@ -349,11 +388,6 @@ type Cache struct {
 	trace *obs.Tracer       // nil when tracing is disabled
 	spans *obs.SpanRecorder // nil when span sampling is disabled
 
-	// reads is the lock-free read index (nil unless Config.ReadIndex). All
-	// mutation of it happens on the engine's single-threaded side; see
-	// readindex.go for the concurrency contract.
-	reads *readIndex
-
 	// metrics
 	hitRatio    stats.HitRatio
 	getLat      *stats.Histogram
@@ -387,9 +421,9 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("%w: nil store", ErrBadConfig)
 	}
-	if cfg.Store.NumRegions() < 2 {
-		return nil, fmt.Errorf("%w: need at least 2 regions, store has %d",
-			ErrBadConfig, cfg.Store.NumRegions())
+	if n := cfg.Store.NumRegions(); n < 2 || n >= noRegion {
+		return nil, fmt.Errorf("%w: need 2 to %d regions, store has %d",
+			ErrBadConfig, noRegion-1, n)
 	}
 	if cfg.Store.RegionSize() <= 0 || cfg.Store.RegionSize()%device.SectorSize != 0 {
 		return nil, fmt.Errorf("%w: region size %d", ErrBadConfig, cfg.Store.RegionSize())
@@ -436,7 +470,7 @@ func New(cfg Config) (*Cache, error) {
 		store:         cfg.Store,
 		clock:         cfg.Clock,
 		cpu:           cfg.CPU,
-		index:         make(map[string]entry),
+		idx:           newIndex(cfg.ReadIndex, cfg.Policy == LRU || cfg.ReinsertHits > 0),
 		regions:       make([]regionMeta, n),
 		order:         list.New(),
 		getLat:        stats.NewHistogram(),
@@ -445,9 +479,6 @@ func New(cfg Config) (*Cache, error) {
 		firstEvictSeq: noEvictSeq,
 		trace:         cfg.Trace,
 		spans:         cfg.Spans,
-	}
-	if cfg.ReadIndex {
-		c.reads = newReadIndex(cfg.Policy == LRU || cfg.ReinsertHits > 0)
 	}
 	// One buffer is always the one being filled; only the remainder can
 	// hold in-flight flushes. A single zone-sized buffer therefore flushes
@@ -495,8 +526,8 @@ func (c *Cache) openRegion(id int) {
 			m.buf = make([]byte, c.store.RegionSize())
 			c.bufBytes.Add(int64(len(m.buf)))
 		}
-		if c.reads != nil {
-			m.img = c.reads.dramImage(m.buf)
+		if c.idx.shared {
+			m.img = c.idx.dramImage(m.buf, nil)
 		}
 	}
 	c.open = id
@@ -513,7 +544,7 @@ func (c *Cache) releaseBuf(id int) {
 	if m.buf == nil {
 		return
 	}
-	if c.reads == nil {
+	if !c.idx.shared {
 		c.spare = append(c.spare, m.buf)
 	} else {
 		c.bufBytes.Add(-int64(len(m.buf)))
@@ -525,7 +556,7 @@ func (c *Cache) releaseBuf(id int) {
 // gone. Entries a reader already loaded keep the image, and its bytes, alive.
 func (c *Cache) dropImage(id int) {
 	if m := &c.regions[id]; m.img != nil {
-		c.reads.retire(m.img)
+		c.idx.retire(m.img)
 		m.img = nil
 	}
 }
@@ -594,15 +625,7 @@ func (c *Cache) SetTTL(key string, value []byte, valLen int, ttl time.Duration) 
 			return err
 		}
 	}
-	c.appendItem(key, value, valLen)
-	if ttl > 0 {
-		e := c.index[key]
-		e.expireAt = uint32(((c.clock.Now() + ttl) / time.Second) + 1)
-		c.index[key] = e
-		if c.reads != nil {
-			c.reads.setExpire(key, e.expireAt)
-		}
-	}
+	c.appendItem(key, value, valLen, ttl)
 	c.hostBytes.Add(uint64(size))
 	c.setLat.Observe(c.clock.Now() - start)
 	if sampled {
@@ -616,14 +639,18 @@ func (c *Cache) SetTTL(key string, value []byte, valLen int, ttl time.Duration) 
 // appendItem packs one item into the open region (which must have room)
 // and indexes it. With TrackValues, the on-flash layout is
 // [header: keyLen|valLen|flags|checksum][key][value]; the checksum guards
-// read-back integrity across region stores, migrations, and recovery. The
-// read index publishes where the value now lies in the region's image.
-func (c *Cache) appendItem(key string, value []byte, valLen int) {
+// read-back integrity across region stores, migrations, and recovery. With
+// the read index on, the entry records where the value lies in the region's
+// image. A ttl above zero sets the entry's deadline, counted from the clock
+// after the append.
+func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Duration) {
 	m := &c.regions[c.open]
 	// Replacing an existing key: the old copy becomes dead weight in its
-	// region (reclaimed only when that region is evicted).
-	if old, ok := c.index[key]; ok {
-		if r := &c.regions[old.region]; r.live > 0 {
+	// region (reclaimed only when that region is evicted). A reinsertion
+	// candidate's old copy counts in no region.
+	s, old, ok := c.idx.lookup(key)
+	if ok && old.region() != noRegion {
+		if r := &c.regions[old.region()]; r.live > 0 {
 			r.live--
 		}
 	}
@@ -641,19 +668,14 @@ func (c *Cache) appendItem(key string, value []byte, valLen int) {
 	m.fill += size
 	m.live++
 	m.keys.append(key)
-	c.index[key] = entry{
-		region: int32(c.open),
-		offset: off,
-		keyLen: uint16(len(key)),
-		valLen: uint32(valLen),
+	e := entry{loc: uint32(c.open), offset: off, valLen: uint32(valLen)}
+	if ttl > 0 {
+		e.expireAt = uint32(((c.clock.Now() + ttl) / time.Second) + 1)
 	}
-	if c.reads != nil {
-		var re readEntry
-		if m.img != nil && value != nil {
-			re = readEntry{img: m.img, off: off + itemHeaderSize + uint32(len(key)), n: uint32(valLen)}
-		}
-		c.reads.publish(key, re)
+	if value != nil {
+		e.img = m.img
 	}
+	c.idx.put(s, key, e)
 }
 
 // castagnoli is CRC-32C, the polynomial the CPU's CRC instructions compute.
@@ -724,28 +746,31 @@ func (c *Cache) regionFailed(id int) bool {
 // untrustworthy), and a lost key is a miss, never wrong data.
 func (c *Cache) dropRegionKeys(id int) {
 	m := &c.regions[id]
-	var dropped []string
-	wantDropped := c.EvictedKeys != nil
-	m.keys.each(func(kb []byte) bool {
-		if e, ok := c.index[string(kb)]; ok && int(e.region) == id {
-			delete(c.index, string(kb))
-			if c.reads != nil {
-				c.reads.unpublish(string(kb))
-			}
-			c.lostKeys.Inc()
-			if wantDropped {
-				dropped = append(dropped, string(kb))
-			}
-		}
-		return true
-	})
-	if wantDropped && len(dropped) > 0 {
+	n, dropped := c.unindexRegion(id)
+	c.lostKeys.Add(uint64(n))
+	if len(dropped) > 0 {
 		c.EvictedKeys(dropped)
 	}
 	c.dropImage(id)
 	m.keys.reset()
 	m.live = 0
 	m.fill = 0
+}
+
+// unindexRegion removes every entry still pointing at region id, and returns
+// how many it removed and, when EvictedKeys is set, their keys.
+func (c *Cache) unindexRegion(id int) (n int, dropped []string) {
+	c.regions[id].keys.each(func(kb []byte) bool {
+		if s, e, ok := c.idx.lookupLog(kb); ok && e.region() == id {
+			c.idx.dropLog(s, kb)
+			n++
+			if c.EvictedKeys != nil {
+				dropped = append(dropped, string(kb))
+			}
+		}
+		return true
+	})
+	return n, dropped
 }
 
 // quarantineSealed withdraws a sealed region after repeated read failures:
@@ -763,19 +788,29 @@ func (c *Cache) quarantineSealed(id int) {
 	c.quarantines.Inc()
 }
 
-// loseKey drops key (index entry e) after its sealed bytes proved
-// unreadable or unverifiable, and charges the failure to its region —
-// quarantining the region once it exhausts its budget.
-func (c *Cache) loseKey(key string, e entry) {
-	delete(c.index, key)
-	if c.reads != nil {
-		c.reads.unpublish(key)
-	}
-	id := int(e.region)
-	m := &c.regions[id]
-	if m.live > 0 {
+// unindex removes key's entry e from s, its stripe, and from its region's
+// live items.
+func (c *Cache) unindex(s *stripe, key string, e entry) {
+	c.idx.drop(s, key)
+	if m := &c.regions[e.region()]; m.live > 0 {
 		m.live--
 	}
+}
+
+// expire is lazy TTL expiry: key's entry e, past its deadline, leaves the
+// index; the flash copy dies with its region.
+func (c *Cache) expire(s *stripe, key string, e entry) {
+	c.unindex(s, key, e)
+	c.expirations.Inc()
+}
+
+// loseKey drops key (entry e, in stripe s) after its sealed bytes proved
+// unreadable or unverifiable, and charges the failure to its region —
+// quarantining the region once it exhausts its budget.
+func (c *Cache) loseKey(s *stripe, key string, e entry) {
+	c.unindex(s, key, e)
+	id := e.region()
+	m := &c.regions[id]
 	c.lostKeys.Inc()
 	if c.EvictedKeys != nil {
 		c.EvictedKeys([]string{key})
@@ -884,19 +919,28 @@ func (c *Cache) rollRegion() error {
 	for i, it := range reinsert {
 		size := itemHeaderSize + int64(len(it.key)) + int64(it.valLen)
 		if c.regions[next].fill+size > c.store.RegionSize() {
-			// The remainder is dropped after all: withdraw the read-index
-			// entries kept alive for the reinsert window.
-			if c.reads != nil {
-				for _, rest := range reinsert[i:] {
-					c.reads.unpublish(rest.key)
-				}
-			}
+			c.dropReinsert(reinsert[i:])
 			break
 		}
-		c.appendItem(it.key, it.value, it.valLen)
+		c.appendItem(it.key, it.value, it.valLen, 0)
 		c.reinserts.Inc()
 	}
 	return nil
+}
+
+// dropReinsert removes reinsertion candidates that will not be re-appended
+// after all, and reports them to EvictedKeys: they leave with their region.
+func (c *Cache) dropReinsert(items []reinsertItem) {
+	var keys []string
+	for _, it := range items {
+		c.idx.drop(c.idx.stripe(it.key), it.key)
+		if c.EvictedKeys != nil {
+			keys = append(keys, it.key)
+		}
+	}
+	if len(keys) > 0 {
+		c.EvictedKeys(keys)
+	}
 }
 
 // reinsertItem is a hot item rescued from an evicted region.
@@ -920,7 +964,7 @@ func (c *Cache) completeFlush(id int) {
 		m.state = regionSealed
 		if m.img != nil {
 			if b, ok := c.storeView(id); ok {
-				c.reads.seal(m.img, b)
+				c.idx.seal(m.img, b)
 			} else if m.live < m.keys.len() {
 				c.copyLive(id)
 			}
@@ -929,11 +973,13 @@ func (c *Cache) completeFlush(id int) {
 	c.releaseBuf(id)
 }
 
-// liveSpan is one live value copyLive copies: n bytes at src in the region
-// buffer, at dst in the copy; key is its key-log slice.
+// liveSpan is one live value copyLive copies: key (a key-log slice) has
+// entry e in stripe s, and its value starts at src in the region.
 type liveSpan struct {
-	key         []byte
-	src, n, dst uint32
+	key []byte
+	s   *stripe
+	e   entry
+	src uint32
 }
 
 // copyLive moves region id's image off its buffer onto one copy of the
@@ -946,8 +992,8 @@ func (c *Cache) copyLive(id int) {
 	buf := from.p.Load().b
 	spans := c.live[:0]
 	m.keys.each(func(kb []byte) bool {
-		if src, n, ok := c.reads.on(kb, from); ok {
-			spans = append(spans, liveSpan{key: kb, src: src, n: n})
+		if s, e, ok := c.idx.lookupLog(kb); ok && e.img == from {
+			spans = append(spans, liveSpan{key: kb, s: s, e: e, src: e.valueOff(len(kb))})
 		}
 		return true
 	})
@@ -955,20 +1001,22 @@ func (c *Cache) copyLive(id int) {
 	// its one live item.
 	slices.SortFunc(spans, func(a, b liveSpan) int { return cmp.Compare(a.src, b.src) })
 	spans = slices.CompactFunc(spans, func(a, b liveSpan) bool { return a.src == b.src })
+	moved := make([]movedValue, len(spans))
 	var total uint32
-	for i := range spans {
-		spans[i].dst = total
-		total += spans[i].n
+	for i, sp := range spans {
+		moved[i] = movedValue{from: sp.src, to: total}
+		total += sp.e.valLen
 	}
 	b := make([]byte, total)
-	for _, sp := range spans {
-		copy(b[sp.dst:], buf[sp.src:sp.src+sp.n])
+	for i, sp := range spans {
+		copy(b[moved[i].to:], buf[sp.src:sp.src+sp.e.valLen])
 	}
-	to := c.reads.dramImage(b)
+	to := c.idx.dramImage(b, moved)
 	for _, sp := range spans {
-		c.reads.move(sp.key, from, to, sp.dst)
+		sp.e.img = to
+		c.idx.put(sp.s, string(sp.key), sp.e)
 	}
-	c.reads.retire(from)
+	c.idx.retire(from)
 	m.img = to
 	clear(spans)
 	c.live = spans[:0]
@@ -1043,38 +1091,37 @@ func (c *Cache) evictOnce() (int, []reinsertItem, error) {
 
 	// Index cleanup under the shared lock: the insertion-time spike of
 	// Figure 3a. Zone-sized regions remove tens of thousands of keys here.
-	// The m[string(b)] / delete(m, string(b)) forms below are recognized by
-	// the compiler and do not allocate; string copies are made only for keys
-	// that outlive the eviction.
+	// The lookups and deletes by key-log slice do not allocate; string
+	// copies are made only for keys that outlive the eviction.
 	var dropped []string
 	var reinsert []reinsertItem
 	wantDropped := c.EvictedKeys != nil
 	m.keys.each(func(kb []byte) bool {
-		e, ok := c.index[string(kb)]
-		if !ok || int(e.region) != id {
+		s, e, ok := c.idx.lookupLog(kb)
+		if !ok || e.region() != id {
 			return true
 		}
-		delete(c.index, string(kb))
-		if c.cfg.ReinsertHits > 0 && e.hits >= c.cfg.ReinsertHits {
-			// Reinsert candidates stay published: appendItem re-publishes
-			// them moments later, and a fast reader in the window between
-			// sees at worst the old (identical) bytes, which the victim's
-			// image keeps.
+		if c.cfg.ReinsertHits > 0 && e.hits() >= c.cfg.ReinsertHits {
+			// A reinsert candidate keeps its entry, in no region, until
+			// appendItem re-appends it moments later: the victim is reopened
+			// at once, and must not be charged for the old copy. A fast
+			// reader in the window sees the old (identical) bytes, which the
+			// victim's image keeps.
 			it := reinsertItem{key: string(kb), valLen: int(e.valLen)}
 			if regionBytes != nil {
-				base := int64(e.offset) + itemHeaderSize + int64(e.keyLen)
+				base := int64(e.valueOff(len(kb)))
 				if base+int64(e.valLen) <= int64(len(regionBytes)) {
 					it.value = regionBytes[base : base+int64(e.valLen)]
 				}
 			}
+			e.loc |= noRegion
+			c.idx.put(s, it.key, e)
 			reinsert = append(reinsert, it)
-		} else {
-			if c.reads != nil {
-				c.reads.unpublish(string(kb))
-			}
-			if wantDropped {
-				dropped = append(dropped, string(kb))
-			}
+			return true
+		}
+		c.idx.dropLog(s, kb)
+		if wantDropped {
+			dropped = append(dropped, string(kb))
 		}
 		return true
 	})
@@ -1089,14 +1136,9 @@ func (c *Cache) evictOnce() (int, []reinsertItem, error) {
 		return c.store.EvictRegion(t, id)
 	})
 	if err != nil {
-		// Index is already clean; hand the id back for quarantine. The
-		// reinsert candidates kept published for the reinsert window are
-		// dropped with it.
-		if c.reads != nil {
-			for _, it := range reinsert {
-				c.reads.unpublish(it.key)
-			}
-		}
+		// Hand the id back for quarantine. The reinsert candidates leave
+		// with the region.
+		c.dropReinsert(reinsert)
 		return id, nil, fmt.Errorf("cache: evict region %d: %w", id, err)
 	}
 	c.clock.Advance(lat)
@@ -1150,41 +1192,33 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 	start := c.clock.Now()
 	c.gets.Inc()
 	c.clock.Advance(c.cpu.IndexLookup)
-	e, ok := c.index[key]
+	s, e, ok := c.idx.lookup(key)
 	if !ok {
 		c.hitRatio.Miss()
 		c.getLat.Observe(c.clock.Now() - start)
 		return nil, false, nil
 	}
-	if e.expireAt != 0 && c.clock.Now() >= time.Duration(e.expireAt)*time.Second {
-		// Lazy expiry: drop the index entry; the flash copy dies with its
-		// region.
-		delete(c.index, key)
-		if c.reads != nil {
-			c.reads.unpublish(key)
-		}
-		if m := &c.regions[e.region]; m.live > 0 {
-			m.live--
-		}
-		c.expirations.Inc()
+	if e.expired(c.clock.Now()) {
+		c.expire(s, key, e)
 		c.hitRatio.Miss()
 		c.getLat.Observe(c.clock.Now() - start)
 		return nil, false, nil
 	}
-	m := &c.regions[e.region]
+	m := &c.regions[e.region()]
 	var val []byte
+	dirty := false // e changed and is written back
 	switch m.state {
 	case regionOpen, regionFlushing:
 		// Served straight from the in-memory buffer — for a flushing region
 		// the in-flight buffer, as real Navy does: memory-speed access.
 		if c.cfg.TrackValues {
-			base := int64(e.offset) + itemHeaderSize + int64(e.keyLen)
-			val = append(buf[:0], m.buf[base:base+int64(e.valLen)]...)
+			base := e.valueOff(len(key))
+			val = append(buf[:0], m.buf[base:base+e.valLen]...)
 		}
 	case regionSealed:
 		// Device read of the sector-aligned span covering the item.
 		itemStart := int64(e.offset)
-		itemEnd := itemStart + e.itemSize()
+		itemEnd := itemStart + e.itemSize(len(key))
 		alignedStart := itemStart / device.SectorSize * device.SectorSize
 		alignedEnd := (itemEnd + device.SectorSize - 1) / device.SectorSize * device.SectorSize
 		if alignedEnd > c.store.RegionSize() {
@@ -1202,14 +1236,14 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 			}
 		}
 		lat, err := c.sampledRetryStore(func(t time.Duration) (time.Duration, error) {
-			return c.store.ReadRegion(t, int(e.region), p, n, alignedStart)
+			return c.store.ReadRegion(t, e.region(), p, n, alignedStart)
 		})
 		if err != nil {
 			// Persistent read failure: degrade to a miss. The key is dropped
 			// (its bytes are unreachable — a lost key, never wrong data) and
 			// the region is charged a failure toward quarantine.
 			c.putScratch(pv)
-			c.loseKey(key, e)
+			c.loseKey(s, key, e)
 			c.hitRatio.Miss()
 			c.getLat.Observe(c.clock.Now() - start)
 			return nil, false, nil
@@ -1217,7 +1251,7 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 		c.clock.Advance(lat)
 		if c.cfg.TrackValues {
 			head := itemStart - alignedStart
-			base := head + itemHeaderSize + int64(e.keyLen)
+			base := head + itemHeaderSize + int64(len(key))
 			end := base + int64(e.valLen)
 			val = p[base:end:end]
 			// Verify the on-flash header checksum in place: corruption in the
@@ -1232,19 +1266,19 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 				c.putScratch(pv)
 			}
 			if !verified {
-				c.loseKey(key, e)
+				c.loseKey(s, key, e)
 				c.hitRatio.Miss()
 				c.getLat.Observe(c.clock.Now() - start)
 				return nil, false, nil
 			}
-			// Promote the verified item into the read index so later Gets
-			// for this (restored or metadata-published) key go lock-free.
-			c.promoteRead(key, e, val)
+			// Promote the verified item so later Gets for this restored key
+			// go lock-free.
+			dirty = c.promote(&e, len(key), val)
 		}
 	default:
 		// Entry pointing into a free region would be an index invariant
 		// violation; eviction always removes keys first.
-		return nil, false, fmt.Errorf("cache: index points to free region %d", e.region)
+		return nil, false, fmt.Errorf("cache: index points to free region %d", e.region())
 	}
 	if c.cfg.Policy == LRU && m.elem != nil {
 		if m.elem != c.order.Front() {
@@ -1252,9 +1286,12 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 			c.orderVer++
 		}
 	}
-	if c.cfg.ReinsertHits > 0 && e.hits < ^uint8(0) {
-		e.hits++
-		c.index[key] = e
+	if c.cfg.ReinsertHits > 0 && e.hits() < ^uint8(0) {
+		e.hit()
+		dirty = true
+	}
+	if dirty {
+		c.idx.put(s, key, e)
 	}
 	c.hitRatio.Hit()
 	c.getLat.Observe(c.clock.Now() - start)
@@ -1290,19 +1327,12 @@ func (c *Cache) putScratch(v *[]byte) {
 // absent and are lazily removed, exactly as Get treats them.
 func (c *Cache) Contains(key string) bool {
 	c.clock.Advance(c.cpu.IndexLookup)
-	e, ok := c.index[key]
+	s, e, ok := c.idx.lookup(key)
 	if !ok {
 		return false
 	}
-	if e.expireAt != 0 && c.clock.Now() >= time.Duration(e.expireAt)*time.Second {
-		delete(c.index, key)
-		if c.reads != nil {
-			c.reads.unpublish(key)
-		}
-		if m := &c.regions[e.region]; m.live > 0 {
-			m.live--
-		}
-		c.expirations.Inc()
+	if e.expired(c.clock.Now()) {
+		c.expire(s, key, e)
 		return false
 	}
 	return true
@@ -1313,22 +1343,16 @@ func (c *Cache) Contains(key string) bool {
 func (c *Cache) Delete(key string) bool {
 	c.dels.Inc()
 	c.clock.Advance(c.cpu.IndexRemove)
-	e, ok := c.index[key]
+	s, e, ok := c.idx.lookup(key)
 	if !ok {
 		return false
 	}
-	delete(c.index, key)
-	if c.reads != nil {
-		c.reads.unpublish(key)
-	}
-	if m := &c.regions[e.region]; m.live > 0 {
-		m.live--
-	}
+	c.unindex(s, key, e)
 	return true
 }
 
 // Len returns the number of indexed items.
-func (c *Cache) Len() int { return len(c.index) }
+func (c *Cache) Len() int { return c.idx.len() }
 
 // RegionDroppable reports whether region id is sealed and sits in the
 // coldest coldFrac fraction of the eviction order. It is the cache-side
@@ -1377,20 +1401,7 @@ func (c *Cache) InvalidateRegion(id int) {
 	if m.state != regionSealed {
 		return
 	}
-	var dropped []string
-	wantDropped := c.EvictedKeys != nil
-	m.keys.each(func(kb []byte) bool {
-		if e, ok := c.index[string(kb)]; ok && int(e.region) == id {
-			delete(c.index, string(kb))
-			if c.reads != nil {
-				c.reads.unpublish(string(kb))
-			}
-			if wantDropped {
-				dropped = append(dropped, string(kb))
-			}
-		}
-		return true
-	})
+	_, dropped := c.unindexRegion(id)
 	c.dropImage(id)
 	c.clock.Advance(c.cpu.EvictPerKey * time.Duration(m.keys.len()))
 	if m.elem != nil {
@@ -1403,7 +1414,7 @@ func (c *Cache) InvalidateRegion(id int) {
 	m.live = 0
 	c.free = append(c.free, id)
 	c.drops.Inc()
-	if c.EvictedKeys != nil && len(dropped) > 0 {
+	if len(dropped) > 0 {
 		c.EvictedKeys(dropped)
 	}
 }
@@ -1530,16 +1541,16 @@ func (c *Cache) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	r.Counter("cache_restore_dropped_entries_total", "Snapshot entries dropped by the Restore repair pass", ls, &c.restoreDrop)
 	r.Gauge("cache_region_buffer_bytes", "DRAM held in region buffers (open, in-flight and spare)", ls,
 		func() float64 { return float64(c.bufBytes.Load()) })
-	if c.reads != nil {
+	if ix := c.idx; ix.shared {
 		r.Gauge("cache_dram_bytes", "Bytes held in memory behind read-index images: region buffers and copies of live values", ls,
-			func() float64 { return float64(c.reads.dramBytes.Load()) })
-		r.Counter("cache_fast_get_hits_total", "Gets answered lock-free from the read index", ls, &c.reads.fastHits)
+			func() float64 { return float64(ix.dramBytes.Load()) })
+		r.Counter("cache_fast_get_hits_total", "Gets answered lock-free from the read index", ls, &ix.fastHits)
 		r.Counter("cache_fast_get_tier_hits_total", "Lock-free hits by where the value lay: memory held for the index or the store's view",
-			ls.With("tier", "dram"), &c.reads.dramHits)
+			ls.With("tier", "dram"), &ix.dramHits)
 		r.Counter("cache_fast_get_tier_hits_total", "Lock-free hits by where the value lay: memory held for the index or the store's view",
-			ls.With("tier", "store"), &c.reads.storeHits)
-		r.Counter("cache_fast_get_misses_total", "Misses answered lock-free from the read index", ls, &c.reads.fastMisses)
-		r.Counter("cache_read_note_drops_total", "Deferred read notes shed on queue overflow", ls, &c.reads.noteDrops)
+			ls.With("tier", "store"), &ix.storeHits)
+		r.Counter("cache_fast_get_misses_total", "Misses answered lock-free from the read index", ls, &ix.fastMisses)
+		r.Counter("cache_read_note_drops_total", "Deferred read notes shed on queue overflow", ls, &ix.noteDrops)
 	}
 	if am, ok := c.cfg.Admission.(AdmissionMetrics); ok {
 		am.MetricsInto(r, ls)

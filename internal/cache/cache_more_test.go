@@ -57,9 +57,9 @@ func TestOverwriteDecrementsOldRegionLive(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.Set(fmt.Sprintf("f%d", i), nil, 1000)
 	}
-	oldRegion := c.index["k"].region
+	oldRegion := entryOf(c, "k").region()
 	c.Set("k", nil, 1000)
-	if c.index["k"].region == oldRegion {
+	if entryOf(c, "k").region() == oldRegion {
 		t.Fatal("overwrite stayed in a sealed region")
 	}
 	if c.regions[oldRegion].live != 3 {
@@ -90,7 +90,7 @@ func TestHitsSaturateWithoutOverflow(t *testing.T) {
 					t.Fatal("lost key")
 				}
 			}
-			if got := c.index["k"].hits; got != tc.want {
+			if got := entryOf(c, "k").hits(); got != tc.want {
 				t.Fatalf("hits = %d, want %d", got, tc.want)
 			}
 		})

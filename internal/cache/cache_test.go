@@ -397,8 +397,10 @@ func TestRegionBuffersWithinBufferMemory(t *testing.T) {
 						t.Fatalf("Set(%s): %v", k, err)
 					}
 					checkBufferBound(t, c)
-					for k := range c.index {
-						seen[c.regions[c.index[k].region].state] = true
+					var keys []string
+					c.idx.each(func(k string, _ entry) { keys = append(keys, k) })
+					for _, k := range keys {
+						seen[c.regions[entryOf(c, k).region()].state] = true
 						want := vals[k]
 						got, ok, err := c.Get(k)
 						if !ok || err != nil || !bytes.Equal(got, want) {
@@ -538,12 +540,11 @@ func TestIndexNeverPointsToFreeRegion(t *testing.T) {
 			c.Delete(k)
 		}
 	}
-	for k := range c.index {
-		e := c.index[k]
-		if c.regions[e.region].state == regionFree {
-			t.Fatalf("key %s points to free region %d", k, e.region)
+	c.idx.each(func(k string, e entry) {
+		if c.regions[e.region()].state == regionFree {
+			t.Fatalf("key %s points to free region %d", k, e.region())
 		}
-	}
+	})
 }
 
 func TestMetadataOnlyGetReturnsNil(t *testing.T) {
@@ -586,7 +587,7 @@ func TestCopyLiveKeepsLiveValuesOnly(t *testing.T) {
 	}
 	c.Drain()
 
-	m := &c.regions[c.index["a"].region]
+	m := &c.regions[entryOf(c, "a").region()]
 	if m.state != regionSealed || m.img == nil {
 		t.Fatalf("region state %v, image %v: want a sealed region with an image", m.state, m.img)
 	}
@@ -610,7 +611,7 @@ func TestCopyLiveKeepsLiveValuesOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Drain()
-	if ib := c.regions[c.index["e"].region].img.p.Load(); ib.onStore || len(ib.b) != 4096 {
+	if ib := c.regions[entryOf(c, "e").region()].img.p.Load(); ib.onStore || len(ib.b) != 4096 {
 		t.Fatalf("all-live sealed image: on store %v, %d bytes; want its 4096-byte buffer", ib.onStore, len(ib.b))
 	}
 	if got, found, done := c.TryFastGet("e"); !done || !found || !bytes.Equal(got, want["e"]) {

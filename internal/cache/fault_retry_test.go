@@ -198,3 +198,63 @@ func TestReadRetryAndQuarantine(t *testing.T) {
 		})
 	}
 }
+
+// evictFailStore is a memStore whose region evictions always fail.
+type evictFailStore struct{ *memStore }
+
+func (s evictFailStore) EvictRegion(time.Duration, int) (time.Duration, error) {
+	return 0, errFlaky
+}
+
+// TestEvictFailureReportsReinsertCandidates: when a victim's store-side evict
+// fails, its reinsertion candidates — keys with hits, kept for re-append —
+// leave the cache with the region, and EvictedKeys hears of every key that
+// left, candidates included.
+func TestEvictFailureReportsReinsertCandidates(t *testing.T) {
+	c, err := New(Config{
+		Store: evictFailStore{newMemStore(4, 4096)}, TrackValues: true,
+		Policy: LRU, ReinsertHits: 1, MaxRetries: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reported := map[string]bool{}
+	c.EvictedKeys = func(keys []string) {
+		for _, k := range keys {
+			reported[k] = true
+		}
+	}
+	// Three items fill a region: 12 fill all four, and every other key has
+	// a hit, which makes it a reinsertion candidate.
+	var keys []string
+	for i := 0; i < 12; i++ {
+		k := fmt.Sprintf("e-%02d", i)
+		keys = append(keys, k)
+		if err := c.Set(k, bytes.Repeat([]byte{byte(i)}, 1200), 0); err != nil {
+			t.Fatalf("Set(%s): %v", k, err)
+		}
+		if i%2 == 0 {
+			if _, ok, err := c.Get(k); !ok || err != nil {
+				t.Fatalf("Get(%s) = (%v, %v)", k, ok, err)
+			}
+		}
+	}
+	// The next set needs a region, and every victim's evict fails.
+	c.Set("next", bytes.Repeat([]byte{1}, 1200), 0) //nolint:errcheck
+	gone := 0
+	for _, k := range keys {
+		if c.Contains(k) {
+			continue
+		}
+		gone++
+		if !reported[k] {
+			t.Errorf("%s left the cache without an EvictedKeys call", k)
+		}
+	}
+	if gone == 0 {
+		t.Fatal("no key left the cache: the failed evictions dropped nothing")
+	}
+	if err := regionLiveErr(c); err != nil {
+		t.Error(err)
+	}
+}

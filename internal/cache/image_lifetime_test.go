@@ -204,9 +204,10 @@ func lifetimeStorm(t *testing.T, s *cache.Sharded, seed uint64, sets int) {
 }
 
 // lifetimeQuiescent checks every key once no other goroutine runs: the
-// lock-free answer equals the locked Get's, and memory behind images is
-// bounded by BufferMemory when the store lends views (only the open and
-// in-flight regions' images are on buffers then).
+// lock-free answer equals the locked Get's, memory behind images is bounded
+// by BufferMemory when the store lends views (only the open and in-flight
+// regions' images are on buffers then), and every region's live count
+// matches the index.
 func lifetimeQuiescent(t *testing.T, s *cache.Sharded, view bool) {
 	t.Helper()
 	s.WithShard(0, func(c *cache.Cache) {
@@ -248,6 +249,9 @@ func lifetimeQuiescent(t *testing.T, s *cache.Sharded, view bool) {
 				dram, lifetimeBuffers*lifetimeRegion)
 		case !view && storeHits != 0:
 			t.Errorf("%v lock-free hits served from a store that lends no view", storeHits)
+		}
+		if err := cache.RegionLiveErr(c); err != nil {
+			t.Error(err)
 		}
 	})
 }

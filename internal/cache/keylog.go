@@ -20,7 +20,7 @@ type keyLog struct {
 }
 
 // append records key at the end of the log. Key length fits uint16 by the
-// engine's construction (entry.keyLen is uint16).
+// engine's construction (the item header holds it as a uint16).
 func (kl *keyLog) append(key string) {
 	var pfx [2]byte
 	binary.LittleEndian.PutUint16(pfx[:], uint16(len(key)))

@@ -2,55 +2,52 @@ package cache
 
 import (
 	"bytes"
+	"cmp"
 	"hash/maphash"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 	"unsafe"
 
 	"znscache/internal/stats"
 )
 
-// This file implements the lock-free read path (DESIGN.md §12): a striped
-// read index maintained alongside the engine's authoritative index. The
-// engine itself stays single-threaded — every structure it owns (index map,
-// region table, eviction order) is only touched under the shard write lock —
-// but mutators additionally publish a per-key view (where the value lies in
-// a region image, plus the TTL deadline) into a fixed table of readStripes
-// stripes that concurrent readers consult without the shard lock.
+// This file implements the engine's index and the lock-free read path
+// (DESIGN.md §12). The index is one table of stripes, each a map from key to
+// entry: where the item lies on flash, where its value lies in memory, its
+// TTL deadline and its hit counter. The engine owns the table: every write
+// happens on the engine's single-threaded side, under the shard write lock,
+// and the engine reads its own entries without a stripe lock, because no
+// other goroutine writes them.
 //
-// The contract:
+// With Config.ReadIndex on, concurrent readers consult the same table
+// without the shard lock. The contract:
 //
-//   - Readers never take the shard lock. A lookup is one stripe read lock
-//     around one map lookup; entries are stored by value and replaced or
-//     updated whole under the stripe's write lock, so a reader always copies
-//     out a complete entry. The bytes behind an image are never written
-//     again: a region buffer is appended to only past what it has published
-//     and is never recycled, a copy of live values is written once before
-//     any entry points into it, and a store's view is immutable
-//     (RegionViewer).
+//   - A reader's lookup is one stripe read lock around one map lookup. Every
+//     engine write takes its stripe's write lock and replaces one entry
+//     whole, so a reader always copies out a complete entry. The bytes behind
+//     an image are never written again: a region buffer is appended to only
+//     past what its entries point at and is never recycled, a copy of live
+//     values is written once before any entry points into it, and a store's
+//     view is immutable (RegionViewer).
 //   - Stripe locks are leaf locks: never nested, never held across a call out
 //     of this file, never taken under noteMu.
-//   - The read index mirrors the authoritative index: every insert publishes
-//     (appendItem), every removal unpublishes (delete/expiry/eviction/loss).
-//     A reader that misses the read index may correctly report a miss; the
-//     only transient skew a concurrent reader can observe is a spurious miss
-//     mid-eviction-reinsert — never stale or wrong bytes.
-//   - The one mutation a reader makes is lazy TTL removal: under the stripe
-//     write lock it deletes the key only if the key's current entry is still
-//     expired at the reader's clock reading. The clock is monotonic, so the
-//     fresh entry of a concurrent re-Set survives.
+//   - Readers never write the index. A reader that finds an expired entry
+//     reports a miss and queues an expiry note; the engine deletes the entry
+//     when it drains the note, if the entry is still expired then.
 //   - Side effects a classic Get performs under the lock are deferred as
 //     notes into a bounded queue that mutators drain at the top of every
-//     locked operation: always the authoritative TTL removal, and a touch
-//     (LRU recency, the reinsertion hit counter) only when something reads
-//     it — Policy LRU or ReinsertHits > 0. The queue drops on overflow (the
-//     drop is counted) — these are hints, correctness never depends on a note
-//     being processed.
+//     locked operation: always the TTL removal, and a touch (LRU recency, the
+//     reinsertion hit counter) only when something reads it — Policy LRU or
+//     ReinsertHits > 0. The queue drops on overflow (the drop is counted) —
+//     these are hints, correctness never depends on a note being processed.
 //   - Fast reads do not advance the virtual clock. The simulated-time model
 //     belongs to the single-threaded replay; a concurrent serving workload
 //     observes the constant index-lookup cost in the latency histogram and
 //     leaves the clock to the mutators.
+//
+// Without Config.ReadIndex no reader exists: the table has one stripe, picked
+// without a hash, and the engine takes no stripe lock.
 
 // image is what one region generation's entries point into: the region
 // buffer while the region is open or flushing, and from completeFlush on the
@@ -65,23 +62,23 @@ type image struct{ p atomic.Pointer[imageBytes] }
 type imageBytes struct {
 	b       []byte
 	onStore bool // b is the store's view, not memory held for the index
+	// moved is set on a copy of values: each value's offset in its region,
+	// ascending, and where it starts in b. Nil when b is laid out as the
+	// region is.
+	moved []movedValue
 }
 
-// readEntry is one published item: where its value lies in a region image,
-// plus the TTL deadline. img is nil when the bytes are not in memory (a
-// metadata-only insert, or a restored entry not yet promoted by a verified
-// sealed read); with TrackValues on, such an entry sends value-returning
-// reads to the locked path.
-type readEntry struct {
-	img      *image
-	off, n   uint32 // the value is img's bytes [off, off+n)
-	expireAt uint32 // virtual-clock second; 0 = no TTL
-}
+// movedValue places one copied value: it started at from in its region and
+// starts at to in the copy.
+type movedValue struct{ from, to uint32 }
 
-// expired reports whether the entry's TTL deadline has passed at virtual
-// time now.
-func (e readEntry) expired(now time.Duration) bool {
-	return e.expireAt != 0 && now >= time.Duration(e.expireAt)*time.Second
+// at returns where the value that starts at off in its region lies in b.
+func (ib *imageBytes) at(off uint32) uint32 {
+	if ib.moved == nil {
+		return off
+	}
+	i, _ := slices.BinarySearchFunc(ib.moved, off, func(m movedValue, off uint32) int { return cmp.Compare(m.from, off) })
+	return ib.moved[i].to
 }
 
 // readNote is one deferred side effect observed by the lock-free path.
@@ -95,13 +92,13 @@ type readNote struct {
 // recency hints are shed rather than memory grown.
 const readNoteCap = 4096
 
-// readStripes is the read index's stripe count. A key's stripe is fixed by
-// its hash, so readers of different keys rarely meet on one lock.
+// readStripes is the stripe count with the read index on. A key's stripe is
+// fixed by its hash, so readers of different keys rarely meet on one lock.
 const readStripes = 64
 
 type stripeState struct {
 	mu sync.RWMutex
-	m  map[string]readEntry
+	m  map[string]entry
 }
 
 // stripe pads stripeState to 128 bytes — a cache line pair, the unit the
@@ -112,15 +109,17 @@ type stripe struct {
 	_ [128 - unsafe.Sizeof(stripeState{})%128]byte
 }
 
-// readIndex is the view readers consult without the shard lock. All
-// mutation except reader-side expiry happens on the engine's (locked,
-// single-threaded) side.
-type readIndex struct {
-	seed maphash.Seed
+// index is the engine's key index. Only the engine writes it; with shared
+// set, lock-free readers read it too.
+type index struct {
+	// shared is Config.ReadIndex: readers look entries up concurrently, so
+	// every write takes its stripe's write lock.
+	shared bool
+	seed   maphash.Seed
 	// touch records whether hits queue touch notes: only LRU recency and the
 	// reinsertion hit counter read them.
 	touch   bool
-	stripes [readStripes]stripe
+	stripes []stripe // readStripes when shared, else one
 	// dramBytes is the bytes behind live regions' images that are not on
 	// the store: region buffers and copies of live values (gauge
 	// cache_dram_bytes). The per-key copies of promoted keys are not in it.
@@ -137,129 +136,141 @@ type readIndex struct {
 	noteDrops  stats.Counter // deferred notes shed on queue overflow
 }
 
-// dramImage returns an image over b, memory held for the index: a region
-// buffer or a copy of a region's live values.
-func (ri *readIndex) dramImage(b []byte) *image {
-	img := new(image)
-	img.p.Store(&imageBytes{b: b})
-	ri.dramBytes.Add(int64(len(b)))
-	return img
-}
-
-// seal moves img onto the store's view b.
-func (ri *readIndex) seal(img *image, b []byte) {
-	ri.retire(img)
-	img.p.Store(&imageBytes{b: b, onStore: true})
-}
-
-// retire takes img's bytes, unless they are the store's, out of dramBytes.
-func (ri *readIndex) retire(img *image) {
-	if ib := img.p.Load(); !ib.onStore {
-		ri.dramBytes.Add(-int64(len(ib.b)))
+func newIndex(shared, touch bool) *index {
+	ix := &index{shared: shared, touch: touch}
+	n := 1
+	if shared {
+		n = readStripes
+		ix.seed = maphash.MakeSeed()
+		ix.notes = make([]readNote, 0, readNoteCap)
+		ix.spare = make([]readNote, 0, readNoteCap)
 	}
-}
-
-func newReadIndex(touch bool) *readIndex {
-	ri := &readIndex{
-		seed:  maphash.MakeSeed(),
-		touch: touch,
-		notes: make([]readNote, 0, readNoteCap),
-		spare: make([]readNote, 0, readNoteCap),
+	ix.stripes = make([]stripe, n)
+	for i := range ix.stripes {
+		ix.stripes[i].m = make(map[string]entry)
 	}
-	for i := range ri.stripes {
-		ri.stripes[i].m = make(map[string]readEntry)
+	return ix
+}
+
+// stripe returns key's stripe.
+func (ix *index) stripe(key string) *stripe {
+	if !ix.shared {
+		return &ix.stripes[0]
 	}
-	return ri
+	return &ix.stripes[maphash.String(ix.seed, key)%readStripes]
 }
 
-func (ri *readIndex) stripe(key string) *stripe {
-	return &ri.stripes[maphash.String(ri.seed, key)%readStripes]
+// lookup is the engine's read of key's entry, and returns key's stripe for a
+// write that follows. It takes no stripe lock: only the engine writes.
+func (ix *index) lookup(key string) (*stripe, entry, bool) {
+	s := ix.stripe(key)
+	e, ok := s.m[key]
+	return s, e, ok
 }
 
-// load returns key's current entry.
-func (ri *readIndex) load(key string) (readEntry, bool) {
-	s := ri.stripe(key)
+// lookupLog is lookup for a key-log slice: hashing it as bytes and indexing
+// the map with string(key) copy nothing.
+func (ix *index) lookupLog(key []byte) (*stripe, entry, bool) {
+	s := &ix.stripes[0]
+	if ix.shared {
+		s = &ix.stripes[maphash.Bytes(ix.seed, key)%readStripes]
+	}
+	e, ok := s.m[string(key)]
+	return s, e, ok
+}
+
+// load is a reader's lookup, under the stripe's read lock.
+func (ix *index) load(key string) (entry, bool) {
+	s := ix.stripe(key)
 	s.mu.RLock()
 	e, ok := s.m[key]
 	s.mu.RUnlock()
 	return e, ok
 }
 
-// publish installs e for key, replacing any previous entry.
-func (ri *readIndex) publish(key string, e readEntry) {
-	s := ri.stripe(key)
-	s.mu.Lock()
-	s.m[key] = e
-	s.mu.Unlock()
-}
-
-// on returns where key's value lies in img, if key's entry is on img. key
-// and move's key are key-log slices: hashing them as bytes and indexing the
-// map with string(key) copy nothing.
-func (ri *readIndex) on(key []byte, img *image) (off, n uint32, ok bool) {
-	s := &ri.stripes[maphash.Bytes(ri.seed, key)%readStripes]
-	s.mu.RLock()
-	e, ok := s.m[string(key)]
-	s.mu.RUnlock()
-	if !ok || e.img != img {
-		return 0, 0, false
-	}
-	return e.off, e.n, true
-}
-
-// move points key's entry at offset off of image to, if the entry is on
-// image from.
-func (ri *readIndex) move(key []byte, from, to *image, off uint32) {
-	s := &ri.stripes[maphash.Bytes(ri.seed, key)%readStripes]
-	s.mu.Lock()
-	if e, ok := s.m[string(key)]; ok && e.img == from {
-		e.img, e.off = to, off
-		s.m[string(key)] = e
-	}
-	s.mu.Unlock()
-}
-
-// setExpire sets key's TTL deadline in place.
-func (ri *readIndex) setExpire(key string, expireAt uint32) {
-	s := ri.stripe(key)
-	s.mu.Lock()
-	if e, ok := s.m[key]; ok {
-		e.expireAt = expireAt
+// put installs e as key's entry in s, key's stripe.
+func (ix *index) put(s *stripe, key string, e entry) {
+	if ix.shared {
+		s.mu.Lock()
 		s.m[key] = e
+		s.mu.Unlock()
+		return
 	}
-	s.mu.Unlock()
+	s.m[key] = e
 }
 
-// unpublish removes key from the read index.
-func (ri *readIndex) unpublish(key string) {
-	s := ri.stripe(key)
-	s.mu.Lock()
-	delete(s.m, key)
-	s.mu.Unlock()
-}
-
-// dropExpired is the reader-side lazy expiry: it removes key only if its
-// current entry is still expired at now, so an entry a concurrent Set
-// published after the reader's lookup survives.
-func (ri *readIndex) dropExpired(key string, now time.Duration) {
-	s := ri.stripe(key)
-	s.mu.Lock()
-	if e, ok := s.m[key]; ok && e.expired(now) {
+// drop removes key from s, its stripe.
+func (ix *index) drop(s *stripe, key string) {
+	if ix.shared {
+		s.mu.Lock()
 		delete(s.m, key)
+		s.mu.Unlock()
+		return
 	}
-	s.mu.Unlock()
+	delete(s.m, key)
+}
+
+// dropLog is drop for a key-log slice.
+func (ix *index) dropLog(s *stripe, key []byte) {
+	if ix.shared {
+		s.mu.Lock()
+		delete(s.m, string(key))
+		s.mu.Unlock()
+		return
+	}
+	delete(s.m, string(key))
+}
+
+// len returns the number of entries.
+func (ix *index) len() int {
+	n := 0
+	for i := range ix.stripes {
+		n += len(ix.stripes[i].m)
+	}
+	return n
+}
+
+// each calls fn for every entry, in no particular order.
+func (ix *index) each(fn func(key string, e entry)) {
+	for i := range ix.stripes {
+		for k, e := range ix.stripes[i].m {
+			fn(k, e)
+		}
+	}
+}
+
+// dramImage returns an image over b, memory held for the index: a region
+// buffer (moved nil) or a copy of a region's live values.
+func (ix *index) dramImage(b []byte, moved []movedValue) *image {
+	img := new(image)
+	img.p.Store(&imageBytes{b: b, moved: moved})
+	ix.dramBytes.Add(int64(len(b)))
+	return img
+}
+
+// seal moves img onto the store's view b.
+func (ix *index) seal(img *image, b []byte) {
+	ix.retire(img)
+	img.p.Store(&imageBytes{b: b, onStore: true})
+}
+
+// retire takes img's bytes, unless they are the store's, out of dramBytes.
+func (ix *index) retire(img *image) {
+	if ib := img.p.Load(); !ib.onStore {
+		ix.dramBytes.Add(-int64(len(ib.b)))
+	}
 }
 
 // note enqueues a deferred side effect, dropping it if the queue is full.
-func (ri *readIndex) note(n readNote) {
-	ri.noteMu.Lock()
-	if len(ri.notes) >= readNoteCap {
-		ri.noteMu.Unlock()
-		ri.noteDrops.Inc()
+func (ix *index) note(n readNote) {
+	ix.noteMu.Lock()
+	if len(ix.notes) >= readNoteCap {
+		ix.noteMu.Unlock()
+		ix.noteDrops.Inc()
 		return
 	}
-	ri.notes = append(ri.notes, n)
-	ri.noteMu.Unlock()
+	ix.notes = append(ix.notes, n)
+	ix.noteMu.Unlock()
 }
 
 // TryFastGet attempts to answer a Get without the shard lock. done reports
@@ -298,29 +309,27 @@ func (c *Cache) accountFast(t fastTally) {
 	c.getLat.ObserveN(c.cpu.IndexLookup, int(n))
 	c.hitRatio.Add(t.hits, t.misses)
 	if t.hits > 0 {
-		c.reads.fastHits.Add(t.hits)
-		c.reads.dramHits.Add(t.dramHits)
-		c.reads.storeHits.Add(t.storeHits)
+		c.idx.fastHits.Add(t.hits)
+		c.idx.dramHits.Add(t.dramHits)
+		c.idx.storeHits.Add(t.storeHits)
 	}
 	if t.misses > 0 {
-		c.reads.fastMisses.Add(t.misses)
+		c.idx.fastMisses.Add(t.misses)
 	}
 }
 
 // fastLookup is TryFastGet with the answer counted into t instead of the
 // engine's counters; the caller settles t with accountFast.
 func (c *Cache) fastLookup(key string, t *fastTally) (val []byte, found, done bool) {
-	ri := c.reads
-	if ri == nil {
+	ix := c.idx
+	if !ix.shared {
 		return nil, false, false
 	}
-	e, ok := ri.load(key)
+	e, ok := ix.load(key)
 	if ok {
-		if now := c.clock.Now(); e.expired(now) {
-			// Reader-side lazy expiry; the authoritative cleanup is left to a
-			// mutator via the note queue.
-			ri.dropExpired(key, now)
-			ri.note(readNote{key: key, expire: true})
+		if e.expired(c.clock.Now()) {
+			// The engine deletes the entry when it drains the note.
+			ix.note(readNote{key: key, expire: true})
 			ok = false
 		} else if e.img == nil && c.cfg.TrackValues {
 			// Value bytes not in memory (metadata-only insert, or a restored
@@ -333,8 +342,8 @@ func (c *Cache) fastLookup(key string, t *fastTally) (val []byte, found, done bo
 		t.misses++
 		return nil, false, true
 	}
-	if ri.touch {
-		ri.note(readNote{key: key})
+	if ix.touch {
+		ix.note(readNote{key: key})
 	}
 	t.hits++
 	if e.img == nil {
@@ -346,51 +355,48 @@ func (c *Cache) fastLookup(key string, t *fastTally) (val []byte, found, done bo
 	} else {
 		t.dramHits++
 	}
-	end := e.off + e.n
-	return ib.b[e.off:end:end], true, true
+	off := ib.at(e.valueOff(len(key)))
+	end := off + e.valLen
+	return ib.b[off:end:end], true, true
 }
 
 // TryFastContains answers Contains without the shard lock; done=false means
 // the read index is disabled and the caller must use the locked path.
 func (c *Cache) TryFastContains(key string) (found, done bool) {
-	ri := c.reads
-	if ri == nil {
+	ix := c.idx
+	if !ix.shared {
 		return false, false
 	}
-	e, ok := ri.load(key)
-	if !ok {
-		return false, true
+	e, ok := ix.load(key)
+	if ok && e.expired(c.clock.Now()) {
+		ix.note(readNote{key: key, expire: true})
+		ok = false
 	}
-	if now := c.clock.Now(); e.expired(now) {
-		ri.dropExpired(key, now)
-		ri.note(readNote{key: key, expire: true})
-		return false, true
-	}
-	return true, true
+	return ok, true
 }
 
 // drainReadNotes applies the deferred side effects accumulated by the fast
 // path. It must run under the shard write lock (the engine's single-threaded
-// context): it touches the authoritative index, the eviction order, and the
-// expiry counters. Called at the top of every locked operation so note
-// processing points are deterministic under a per-shard replay.
+// context): it writes the index, the eviction order, and the expiry
+// counters. Called at the top of every locked operation so note processing
+// points are deterministic under a per-shard replay.
 func (c *Cache) drainReadNotes() {
-	ri := c.reads
-	if ri == nil {
+	ix := c.idx
+	if !ix.shared {
 		return
 	}
-	ri.noteMu.Lock()
-	if len(ri.notes) == 0 {
-		ri.noteMu.Unlock()
+	ix.noteMu.Lock()
+	if len(ix.notes) == 0 {
+		ix.noteMu.Unlock()
 		return
 	}
-	batch := ri.notes
-	ri.notes = ri.spare[:0]
-	ri.noteMu.Unlock()
+	batch := ix.notes
+	ix.notes = ix.spare[:0]
+	ix.noteMu.Unlock()
 
 	now := c.clock.Now()
 	for _, n := range batch {
-		e, ok := c.index[n.key]
+		s, e, ok := ix.lookup(n.key)
 		if !ok {
 			continue
 		}
@@ -398,69 +404,57 @@ func (c *Cache) drainReadNotes() {
 			// Re-check: a Set after the reader's observation may have
 			// replaced the item with a live one — only remove if the entry
 			// is still past its deadline.
-			if e.expireAt != 0 && now >= time.Duration(e.expireAt)*time.Second {
-				delete(c.index, n.key)
-				if m := &c.regions[e.region]; m.live > 0 {
-					m.live--
-				}
-				c.expirations.Inc()
-				ri.unpublish(n.key)
+			if e.expired(now) {
+				c.expire(s, n.key, e)
 			}
 			continue
 		}
 		// Touch: the recency and reinsertion-counter effects of a classic
 		// locked Get.
-		if c.cfg.ReinsertHits > 0 && e.hits < ^uint8(0) {
-			e.hits++
-			c.index[n.key] = e
+		if c.cfg.ReinsertHits > 0 && e.hits() < ^uint8(0) {
+			e.hit()
+			ix.put(s, n.key, e)
 		}
 		if c.cfg.Policy == LRU {
-			if m := &c.regions[e.region]; m.elem != nil && m.elem != c.order.Front() {
+			if m := &c.regions[e.region()]; m.elem != nil && m.elem != c.order.Front() {
 				c.order.MoveToFront(m.elem)
 				c.orderVer++
 			}
 		}
 	}
-	ri.spare = batch[:0]
+	ix.spare = batch[:0]
 }
 
-// promoteRead makes key servable lock-free after val, its sealed item e, was
-// read and verified. The entry points into the region's store image, which
-// a restored region gets from the store's view on its first promotion. Over
-// a store that lends no view the key gets an image of its own over a copy
-// of val: the index never keeps the caller's buffer. No-op when the entry
-// is servable already.
-func (c *Cache) promoteRead(key string, e entry, val []byte) {
-	ri := c.reads
-	if ri == nil {
-		return
+// promote makes e, the sealed entry of a key keyLen bytes long whose value
+// val was just read and verified, servable lock-free, and reports whether it
+// changed e; the caller writes e back. The entry points into the region's
+// store image, which a restored region gets from the store's view on its
+// first promotion. Over a store that lends no view the key gets an image of
+// its own over a copy of val: the index never keeps the caller's buffer.
+// No-op when the read index is off or the entry is servable already.
+func (c *Cache) promote(e *entry, keyLen int, val []byte) bool {
+	if !c.idx.shared || e.img != nil {
+		return false
 	}
-	if cur, ok := ri.load(key); ok && cur.img != nil {
-		return
-	}
-	m := &c.regions[e.region]
+	m := &c.regions[e.region()]
 	if m.img == nil {
-		if b, ok := c.storeView(int(e.region)); ok {
+		if b, ok := c.storeView(e.region()); ok {
 			m.img = new(image)
 			m.img.p.Store(&imageBytes{b: b, onStore: true})
 		}
 	}
-	re := readEntry{n: e.valLen, expireAt: e.expireAt}
 	if m.img != nil && m.img.p.Load().onStore {
-		re.img, re.off = m.img, e.offset+itemHeaderSize+uint32(e.keyLen)
+		e.img = m.img
 	} else {
-		re.img = new(image)
-		re.img.p.Store(&imageBytes{b: bytes.Clone(val)})
+		e.img = new(image)
+		e.img.p.Store(&imageBytes{b: bytes.Clone(val), moved: []movedValue{{from: e.valueOff(keyLen)}}})
 	}
-	ri.publish(key, re)
+	return true
 }
 
 // FastReadStats reports the lock-free path's counters: gets answered without
 // the shard lock (hits, misses) and deferred notes dropped on overflow.
 // Zeros when the read index is disabled.
 func (c *Cache) FastReadStats() (fastHits, fastMisses, noteDrops uint64) {
-	if c.reads == nil {
-		return 0, 0, 0
-	}
-	return c.reads.fastHits.Load(), c.reads.fastMisses.Load(), c.reads.noteDrops.Load()
+	return c.idx.fastHits.Load(), c.idx.fastMisses.Load(), c.idx.noteDrops.Load()
 }

@@ -42,21 +42,21 @@ func fillSealed(t *testing.T, ss *sizedStore) (*Cache, map[string][]byte, int, [
 	}
 	c.Drain()
 	byRegion := map[int][]string{}
-	for k, e := range c.index {
-		if int(e.region) != c.open && c.regions[e.region].state == regionSealed {
-			byRegion[int(e.region)] = append(byRegion[int(e.region)], k)
+	c.idx.each(func(k string, e entry) {
+		if e.region() != c.open && c.regions[e.region()].state == regionSealed {
+			byRegion[e.region()] = append(byRegion[e.region()], k)
 		}
-	}
+	})
 	for id, keys := range byRegion {
 		if len(keys) < 2 {
 			continue
 		}
 		sort.Slice(keys, func(a, b int) bool {
-			return c.index[keys[a]].offset < c.index[keys[b]].offset
+			return entryOf(c, keys[a]).offset < entryOf(c, keys[b]).offset
 		})
 		ents := make([]entry, len(keys))
 		for i, k := range keys {
-			ents[i] = c.index[k]
+			ents[i] = entryOf(c, k)
 		}
 		return c, vals, id, ents, keys
 	}
@@ -74,7 +74,7 @@ func TestRestoreTruncatesOverstatedFill(t *testing.T) {
 
 	// The store now claims only the first entry's bytes are readable.
 	first := ents[0]
-	cut := int64(first.offset) + itemHeaderSize + int64(first.keyLen) + int64(first.valLen)
+	cut := int64(first.offset) + first.itemSize(len(keys[0]))
 	ss.avail[victim] = cut
 
 	snap, err := c.Snapshot()

@@ -65,13 +65,13 @@ func (c *Cache) Snapshot() ([]byte, error) {
 		Seq:        c.seq,
 		Free:       append([]int(nil), c.free...),
 	}
-	for k, e := range c.index {
+	c.idx.each(func(k string, e entry) {
 		s.Entries = append(s.Entries, snapEntry{
-			Key: k, Region: e.region, Offset: e.offset,
-			KeyLen: e.keyLen, ValLen: e.valLen, Hits: e.hits,
+			Key: k, Region: int32(e.region()), Offset: e.offset,
+			KeyLen: uint16(len(k)), ValLen: e.valLen, Hits: e.hits(),
 			ExpireAt: e.expireAt,
 		})
-	}
+	})
 	s.Regions = make([]snapRegion, len(c.regions))
 	for i := range c.regions {
 		m := &c.regions[i]
@@ -221,7 +221,6 @@ func Restore(cfg Config, snapshot []byte) (*Cache, error) {
 	}
 
 	// Wipe the fresh-engine scaffolding New installed.
-	c.index = make(map[string]entry, len(s.Entries))
 	c.order.Init()
 	c.free = nil
 	c.seq = s.Seq
@@ -271,15 +270,14 @@ func Restore(cfg Config, snapshot []byte) (*Cache, error) {
 			}
 			continue
 		}
-		ent := entry{
-			region: e.Region, offset: e.Offset,
-			keyLen: e.KeyLen, valLen: e.ValLen, hits: e.Hits,
-			expireAt: e.ExpireAt,
+		ent := entry{loc: uint32(e.Region), offset: e.Offset, valLen: e.ValLen, expireAt: e.ExpireAt}
+		if cfg.ReinsertHits > 0 { // hits are kept only where reinsertion reads them
+			ent.loc |= uint32(e.Hits) << regionBits
 		}
-		if cfg.ReinsertHits == 0 {
-			ent.hits = 0 // hits are kept only where reinsertion reads them
-		}
-		c.index[e.Key] = ent
+		// Restored values live on flash, not in memory: the entry has no
+		// image, so the lock-free path answers Contains and misses, and a
+		// verified sealed read promotes the key to servable on first touch.
+		c.idx.put(c.idx.stripe(e.Key), e.Key, ent)
 	}
 	for _, id := range s.Order {
 		if id == s.Open || c.regions[id].state != regionSealed {
@@ -296,14 +294,6 @@ func Restore(cfg Config, snapshot []byte) (*Cache, error) {
 	c.dropImage(c.open)
 	c.open = s.Open
 	c.openRegion(s.Open)
-	if c.reads != nil {
-		// Restored values live on flash, not DRAM: publish entries without
-		// bytes so the lock-free path answers Contains and misses, and a
-		// verified sealed read promotes each key to servable on first touch.
-		for k, e := range c.index {
-			c.reads.publish(k, readEntry{expireAt: e.expireAt})
-		}
-	}
 	return c, nil
 }
 

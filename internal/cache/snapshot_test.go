@@ -193,9 +193,9 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 		if got, ok, err := c.Get("victim"); !ok || err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("pre-corruption Get = (%v, %v)", ok, err)
 		}
-		e := c.index["victim"]
-		valStart := int(e.offset) + itemHeaderSize + int(e.keyLen)
-		return fixture{c, st, e, st.data[int(e.region)], valStart, valStart + int(e.valLen)}
+		e := entryOf(c, "victim")
+		valStart := int(e.valueOff(len("victim")))
+		return fixture{c, st, e, st.data[e.region()], valStart, valStart + int(e.valLen)}
 	}
 	f := build(t)
 	firstSec, lastSec := f.valStart/sector, (f.valEnd-1)/sector
@@ -213,11 +213,11 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 		},
 		"sector of another region": func(t *testing.T, f fixture) string {
 			for id, other := range f.st.data {
-				if id == int(f.e.region) {
+				if id == f.e.region() {
 					continue
 				}
 				if bytes.Equal(midSector(f.data), midSector(other)) {
-					t.Fatalf("regions %d and %d hold the same sector: the case damages nothing", f.e.region, id)
+					t.Fatalf("regions %d and %d hold the same sector: the case damages nothing", f.e.region(), id)
 				}
 				copy(midSector(f.data), midSector(other))
 				return "victim"
@@ -228,7 +228,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 		// Stale recovery metadata: an index entry that points at another
 		// key's intact item.
 		"right bytes, different key of equal length": func(t *testing.T, f fixture) string {
-			f.c.index["mictiv"] = f.e
+			f.c.idx.put(f.c.idx.stripe("mictiv"), "mictiv", f.e)
 			return "mictiv"
 		},
 	}
@@ -336,7 +336,7 @@ func TestGetBufPromotionKeepsOwnCopy(t *testing.T) {
 					if !bytes.Equal(v, want) {
 						t.Fatal("read index serves the caller's scribbled buffer")
 					}
-					if ib := r.regions[r.index["k"].region].img; view && (ib == nil || !ib.p.Load().onStore) {
+					if ib := r.regions[entryOf(r, "k").region()].img; view && (ib == nil || !ib.p.Load().onStore) {
 						t.Fatal("promotion over a store that lends views did not point into the view")
 					}
 				})

@@ -29,8 +29,6 @@ type Config struct {
 	// TrackSkipBytes: accesses within this distance of the previous one
 	// count as sequential and skip seek+rotation (default 2 MiB).
 	TrackSkipBytes int64
-	// StoreData retains written payloads for read-back.
-	StoreData bool
 }
 
 func (c *Config) fillDefaults() {
@@ -48,16 +46,16 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Disk is a simulated HDD. Safe for concurrent use; the single arm is the
+// Disk is a simulated HDD. It models time only and keeps no payload: a read
+// leaves p as it is. Safe for concurrent use; the single arm is the
 // serialization point, exactly as on real hardware, and mu guards it along
-// with the head position and payloads.
+// with the head position.
 type Disk struct {
 	cfg Config
 
 	mu   sync.Mutex
 	arm  sim.Busy
-	head int64            // byte position of the head after the last I/O
-	data map[int64][]byte // sector -> payload, when StoreData
+	head int64 // byte position of the head after the last I/O
 
 	Reads  stats.Counter
 	Writes stats.Counter
@@ -67,11 +65,7 @@ type Disk struct {
 // New builds a disk.
 func New(cfg Config) *Disk {
 	cfg.fillDefaults()
-	d := &Disk{cfg: cfg, head: -1 << 62}
-	if cfg.StoreData {
-		d.data = make(map[int64][]byte)
-	}
-	return d
+	return &Disk{cfg: cfg, head: -1 << 62}
 }
 
 // Size returns the capacity.
@@ -101,18 +95,6 @@ func (d *Disk) ReadAt(now time.Duration, p []byte, off int64) (time.Duration, er
 	}
 	d.mu.Lock()
 	svc := d.serviceTime(off, len(p))
-	if d.data != nil {
-		for i := 0; i < len(p)/device.SectorSize; i++ {
-			dst := p[i*device.SectorSize : (i+1)*device.SectorSize]
-			if src, ok := d.data[off/device.SectorSize+int64(i)]; ok {
-				copy(dst, src)
-			} else {
-				for j := range dst {
-					dst[j] = 0
-				}
-			}
-		}
-	}
 	lat, _ := d.arm.Acquire(now, svc)
 	d.mu.Unlock()
 	d.Reads.Inc()
@@ -126,13 +108,6 @@ func (d *Disk) WriteAt(now time.Duration, data []byte, n int, off int64) (time.D
 	}
 	d.mu.Lock()
 	svc := d.serviceTime(off, n)
-	if d.data != nil && data != nil {
-		for i := 0; i < n/device.SectorSize; i++ {
-			buf := make([]byte, device.SectorSize)
-			copy(buf, data[i*device.SectorSize:(i+1)*device.SectorSize])
-			d.data[off/device.SectorSize+int64(i)] = buf
-		}
-	}
 	lat, _ := d.arm.Acquire(now, svc)
 	d.mu.Unlock()
 	d.Writes.Inc()

@@ -10,30 +10,37 @@ import (
 )
 
 func newTestDisk() *Disk {
-	return New(Config{Capacity: 1 << 30, StoreData: true})
+	return New(Config{Capacity: 1 << 30})
 }
 
-func TestRoundTrip(t *testing.T) {
+// TestWriteThenReadTiming: a random write pays seek, rotation and transfer;
+// reading the same sectors once the head has moved away costs the same. The
+// disk keeps no payload: the read leaves its buffer as it was.
+func TestWriteThenReadTiming(t *testing.T) {
 	d := newTestDisk()
-	want := bytes.Repeat([]byte{0x42}, 2*device.SectorSize)
-	if _, err := d.WriteAt(0, want, len(want), 8192); err != nil {
+	data := bytes.Repeat([]byte{0x42}, 2*device.SectorSize)
+	wlat, err := d.WriteAt(0, data, len(data), 64<<20)
+	if err != nil {
 		t.Fatalf("WriteAt: %v", err)
 	}
-	got := make([]byte, len(want))
-	if _, err := d.ReadAt(0, got, 8192); err != nil {
+	xfer := time.Duration(int64(len(data)) * int64(time.Second) / (180 << 20))
+	if want := 8500*time.Microsecond + 4160*time.Microsecond + xfer; wlat != want {
+		t.Fatalf("write latency %v, want seek + rotation + transfer = %v", wlat, want)
+	}
+	d.ReadAt(wlat, make([]byte, device.SectorSize), 0) // move the head away
+	got := bytes.Repeat([]byte{1}, len(data))
+	rlat, err := d.ReadAt(time.Second, got, 64<<20)
+	if err != nil {
 		t.Fatalf("ReadAt: %v", err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("round-trip mismatch")
+	if rlat != wlat {
+		t.Fatalf("read latency %v, want the write's %v", rlat, wlat)
 	}
-}
-
-func TestUnwrittenReadsZero(t *testing.T) {
-	d := newTestDisk()
-	got := bytes.Repeat([]byte{1}, device.SectorSize)
-	d.ReadAt(0, got, 0)
-	if !bytes.Equal(got, make([]byte, device.SectorSize)) {
-		t.Fatal("unwritten sector not zero")
+	if !bytes.Equal(got, bytes.Repeat([]byte{1}, len(data))) {
+		t.Fatal("metadata-only read wrote into its buffer")
+	}
+	if d.Reads.Load() != 2 || d.Writes.Load() != 1 || d.Seeks.Load() != 3 {
+		t.Fatalf("reads %d, writes %d, seeks %d; want 2, 1, 3", d.Reads.Load(), d.Writes.Load(), d.Seeks.Load())
 	}
 }
 
@@ -44,6 +51,9 @@ func TestRangeChecks(t *testing.T) {
 	}
 	if _, err := d.WriteAt(0, nil, 100, 0); !errors.Is(err, device.ErrAlignment) {
 		t.Fatalf("misaligned write err = %v", err)
+	}
+	if _, err := d.WriteAt(0, nil, device.SectorSize, d.Size()); !errors.Is(err, device.ErrOutOfRange) {
+		t.Fatalf("oob write err = %v", err)
 	}
 	if err := d.Discard(0, device.SectorSize); err != nil {
 		t.Fatalf("Discard: %v", err)
