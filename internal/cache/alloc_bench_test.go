@@ -88,7 +88,7 @@ func sealedGetCache(b testing.TB, st RegionStore, trackValues bool) (*Cache, []s
 	// Keep only keys outside the open region.
 	sealed := keys[:0]
 	for _, k := range keys {
-		if _, e, ok := c.idx.lookup(k); ok && e.region() != c.open {
+		if _, e, ok := c.idx.lookup(k); ok && e.region() != c.regions.open {
 			sealed = append(sealed, k)
 		}
 	}
@@ -177,7 +177,7 @@ func getBufFixture(t *testing.T) (*Cache, map[string]string, []byte) {
 	fill(2)
 	c.Set(keys["open"], val, 0)
 	for name, want := range map[string]regionState{"sealed": regionSealed, "flushing": regionFlushing, "open": regionOpen} {
-		if got := c.regions[entryOf(c, keys[name]).region()].state; got != want {
+		if got := c.regions.meta[entryOf(c, keys[name]).region()].state; got != want {
 			t.Fatalf("%s item's region is in state %d, want %d", name, got, want)
 		}
 	}

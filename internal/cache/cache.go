@@ -24,14 +24,12 @@ package cache
 import (
 	"bytes"
 	"cmp"
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"znscache/internal/device"
@@ -95,6 +93,7 @@ var (
 	ErrBadConfig    = errors.New("cache: invalid configuration")
 	ErrEmptyKey     = errors.New("cache: empty key")
 	ErrChecksum     = errors.New("cache: on-flash checksum mismatch")
+	errNoRegion     = errors.New("cache: no evictable region")
 )
 
 // itemHeaderSize is the per-item on-flash overhead (lengths + checksum),
@@ -173,26 +172,9 @@ type Config struct {
 	CPU CPUModel
 	// Clock is the virtual clock; a fresh one is created if nil.
 	Clock *sim.Clock
-	// FillLogCap bounds the Figure 3 fill log to the most recent entries so
-	// long runs stop growing memory linearly: 0 uses the default (4096,
-	// ample for every experiment in the harness), a negative value keeps the
-	// log unbounded. FillCount and EvictionOnset stay exact regardless.
-	FillLogCap int
 	// Trace receives admission, seal, and eviction events; nil (the default)
 	// disables tracing at the cost of one pointer test per event site.
 	Trace *obs.Tracer
-	// MaxRetries bounds the extra attempts after a failed store write, read,
-	// or evict before the engine gives the region up (default 2; negative
-	// disables retries). Retries back off on the virtual clock.
-	MaxRetries int
-	// RetryBackoff is the first inter-attempt backoff, doubling per retry
-	// (default 100µs).
-	RetryBackoff time.Duration
-	// QuarantineAfter is how many exhausted-retry failures a region may
-	// accumulate before it is quarantined — withdrawn from allocation and
-	// eviction so a bad zone/region stops eating retries (default 3;
-	// negative disables quarantine).
-	QuarantineAfter int
 	// SkipChecksum disables on-flash checksum verification on sealed-region
 	// reads. Only the crash harness's mutation check sets it: it proves the
 	// checksum is what stands between corrupt recovery metadata and wrong
@@ -214,10 +196,11 @@ type Config struct {
 	Spans *obs.SpanRecorder
 }
 
-// defaultFillLogCap bounds the fill log unless Config.FillLogCap overrides
-// it. 4096 records cover the longest harness experiment (~1300 region fills
-// in Figure 3's small-region arm) with room to spare.
-const defaultFillLogCap = 4096
+// fillLogCap bounds the Figure 3 fill log to the most recent records, so long
+// runs stop growing memory linearly. 4096 records cover the longest harness
+// experiment (~1300 region fills in Figure 3's small-region arm) with room to
+// spare; FillCount and EvictionOnset stay exact regardless.
+const fillLogCap = 4096
 
 // entry is one index record, 24 bytes: where an item lives, where its
 // value lies in memory, its TTL deadline, and a saturating access counter
@@ -274,34 +257,6 @@ func (e entry) expired(now time.Duration) bool {
 	return e.expireAt != 0 && now >= time.Duration(e.expireAt)*time.Second
 }
 
-// regionState is the lifecycle of a region slot.
-type regionState uint8
-
-const (
-	regionFree regionState = iota
-	regionOpen
-	regionFlushing
-	regionSealed
-	// regionQuarantined withdraws a region whose store kept failing: it is
-	// never allocated, flushed to, or evicted again. The capacity loss is
-	// the price of keeping the cache serving around a bad zone.
-	regionQuarantined
-)
-
-// regionMeta tracks one region slot.
-type regionMeta struct {
-	state     regionState
-	keys      keyLog // insertion order, for eviction cleanup
-	fill      int64  // bytes appended
-	live      int    // items still indexed
-	flushDone time.Duration
-	openedAt  time.Duration
-	elem      *list.Element // position in eviction order (sealed/flushing)
-	buf       []byte        // non-nil only while open/flushing and TrackValues
-	img       *image        // read-index image of this generation; nil without one
-	fails     int           // exhausted-retry failures; quarantine trigger
-}
-
 // FillRecord is one entry of the Figure 3 log: how long it took to fill a
 // region buffer, including any stalls from flushing and eviction.
 type FillRecord struct {
@@ -340,31 +295,19 @@ type Cache struct {
 
 	// idx is the key index (readindex.go). Only the engine writes it; with
 	// Config.ReadIndex, lock-free readers read it too.
-	idx     *index
-	regions []regionMeta
-	free    []int
-	order   *list.List // eviction order: front = MRU, back = LRU victim
-	open    int        // open region id
-	seq     uint64     // fill sequence counter
-
-	// flush pipeline: regions written but not yet completed, oldest first
-	inflight    []int
-	maxInflight int
-	// spare holds region buffers whose flush has completed; openRegion takes
-	// from it before allocating. Every buffer is held by the open region, an
-	// in-flight flush, or this list, so at most maxInflight+1 ever exist.
-	// With the read index on it stays empty (releaseBuf).
-	spare [][]byte
+	idx *index
+	// regions owns the region lifecycle (region.go).
+	regions *regionTable
+	seq     uint64 // fill sequence counter
 	// live is copyLive's scratch, reused across flushes.
 	live []liveSpan
 
 	// fillLog is a bounded ring over the most recent FillRecords (cap
-	// fillCap; unbounded when fillCap <= 0). fillStart is the ring's oldest
-	// slot once it has wrapped; fillCount and firstEvictSeq summarize the
-	// whole history so trimming never loses the eviction-onset answer.
+	// fillLogCap). fillStart is the ring's oldest slot once it has wrapped;
+	// fillCount and firstEvictSeq summarize the whole history so trimming
+	// never loses the eviction-onset answer.
 	fillLog       []FillRecord
 	fillStart     int
-	fillCap       int
 	fillCount     uint64
 	firstEvictSeq uint64 // noEvictSeq until the first Evicted record
 
@@ -374,16 +317,6 @@ type Cache struct {
 	// callers; it removes the largest per-Get allocation (up to a region of
 	// bytes per lookup).
 	readBuf sync.Pool
-
-	// orderVer counts mutations of the eviction order; coldSet caches, per
-	// (orderVer, coldFrac), which regions sit in the cold tail that
-	// RegionDroppable reports on. GC probes ask about many regions between
-	// order mutations, so the O(regions) tail walk amortizes to O(1).
-	orderVer     uint64
-	coldVer      uint64
-	coldFrac     float64
-	coldSet      []bool
-	coldSetValid bool
 
 	trace *obs.Tracer       // nil when tracing is disabled
 	spans *obs.SpanRecorder // nil when span sampling is disabled
@@ -403,17 +336,8 @@ type Cache struct {
 	rejects     stats.Counter
 	hostBytes   stats.Counter
 	retriesCtr  stats.Counter // store operations retried after an error
-	quarantines stats.Counter // regions withdrawn after repeated failures
 	lostKeys    stats.Counter // keys dropped because their bytes became unreachable
 	restoreDrop stats.Counter // snapshot entries dropped by the Restore repair pass
-	// bufBytes is the bytes of the region buffers the engine holds: open,
-	// in flight and spare. Without the read index buffers are recycled and
-	// it only grows to its bound; with it a completed flush lets its buffer
-	// go, to the read-index images that may still point into it.
-	bufBytes atomic.Int64
-	// EvictedKeys is called (if set) with every key dropped by a region
-	// eviction — used by integrations that must mirror the cache contents.
-	EvictedKeys func(keys []string)
 }
 
 // New builds an engine over the given store.
@@ -446,53 +370,33 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Admission == nil {
 		cfg.Admission = AdmitAll{}
 	}
-	if cfg.FillLogCap == 0 {
-		cfg.FillLogCap = defaultFillLogCap
+	// One buffer is always the one being filled; only the remainder can
+	// hold in-flight flushes. A single zone-sized buffer therefore flushes
+	// synchronously — the Zone-Cache DRAM-budget penalty of §3.2.
+	maxInflight := int(cfg.BufferMemory/cfg.Store.RegionSize()) - 1
+	if maxInflight < 0 {
+		return nil, fmt.Errorf("%w: BufferMemory %d below region size %d",
+			ErrBadConfig, cfg.BufferMemory, cfg.Store.RegionSize())
 	}
-	switch {
-	case cfg.MaxRetries == 0:
-		cfg.MaxRetries = 2
-	case cfg.MaxRetries < 0:
-		cfg.MaxRetries = 0
+	var bufSize int64
+	if cfg.TrackValues {
+		bufSize = cfg.Store.RegionSize()
 	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 100 * time.Microsecond
-	}
-	switch {
-	case cfg.QuarantineAfter == 0:
-		cfg.QuarantineAfter = 3
-	case cfg.QuarantineAfter < 0:
-		cfg.QuarantineAfter = 0
-	}
-	n := cfg.Store.NumRegions()
+	idx := newIndex(cfg.ReadIndex, cfg.Policy == LRU || cfg.ReinsertHits > 0)
 	c := &Cache{
 		cfg:           cfg,
 		store:         cfg.Store,
 		clock:         cfg.Clock,
 		cpu:           cfg.CPU,
-		idx:           newIndex(cfg.ReadIndex, cfg.Policy == LRU || cfg.ReinsertHits > 0),
-		regions:       make([]regionMeta, n),
-		order:         list.New(),
+		idx:           idx,
+		regions:       newRegionTable(cfg.Store.NumRegions(), maxInflight, cfg.Policy == LRU, bufSize, idx),
 		getLat:        stats.NewHistogram(),
 		setLat:        stats.NewHistogram(),
-		fillCap:       cfg.FillLogCap,
 		firstEvictSeq: noEvictSeq,
 		trace:         cfg.Trace,
 		spans:         cfg.Spans,
 	}
-	// One buffer is always the one being filled; only the remainder can
-	// hold in-flight flushes. A single zone-sized buffer therefore flushes
-	// synchronously — the Zone-Cache DRAM-budget penalty of §3.2.
-	c.maxInflight = int(cfg.BufferMemory/cfg.Store.RegionSize()) - 1
-	if c.maxInflight < 0 {
-		return nil, fmt.Errorf("%w: BufferMemory %d below region size %d",
-			ErrBadConfig, cfg.BufferMemory, cfg.Store.RegionSize())
-	}
-	for i := n - 1; i >= 1; i-- {
-		c.free = append(c.free, i)
-	}
-	c.open = 0
-	c.openRegion(0)
+	c.regions.openNext(c.clock.Now())
 	return c, nil
 }
 
@@ -505,61 +409,6 @@ func (c *Cache) Admission() Admission { return c.cfg.Admission }
 
 // RegionSize returns the store's region size.
 func (c *Cache) RegionSize() int64 { return c.store.RegionSize() }
-
-// openRegion initializes region id as the open region.
-func (c *Cache) openRegion(id int) {
-	m := &c.regions[id]
-	m.state = regionOpen
-	m.keys.reset()
-	m.fill = 0
-	m.live = 0
-	m.openedAt = c.clock.Now()
-	m.elem = nil
-	if c.cfg.TrackValues && m.buf == nil {
-		// A recycled buffer keeps an earlier region's bytes past fill; nothing
-		// reads past fill (index offsets stay below it, item checksums guard
-		// every read), so it is not zeroed.
-		if n := len(c.spare); n > 0 {
-			m.buf = c.spare[n-1]
-			c.spare = c.spare[:n-1]
-		} else {
-			m.buf = make([]byte, c.store.RegionSize())
-			c.bufBytes.Add(int64(len(m.buf)))
-		}
-		if c.idx.shared {
-			m.img = c.idx.dramImage(m.buf, nil)
-		}
-	}
-	c.open = id
-}
-
-// releaseBuf lets go of region id's buffer, if it holds one. Called once the
-// region no longer serves reads from DRAM: its flush completed (reads go to
-// the store), or failed (its keys are dropped). Without the read index the
-// buffer goes to the spare list. With it the buffer is left to the
-// collector: a read-index image, or a value a reader still holds, may point
-// into it, and its bytes must never change.
-func (c *Cache) releaseBuf(id int) {
-	m := &c.regions[id]
-	if m.buf == nil {
-		return
-	}
-	if !c.idx.shared {
-		c.spare = append(c.spare, m.buf)
-	} else {
-		c.bufBytes.Add(-int64(len(m.buf)))
-	}
-	m.buf = nil
-}
-
-// dropImage detaches region id's read-index image once the region's keys are
-// gone. Entries a reader already loaded keep the image, and its bytes, alive.
-func (c *Cache) dropImage(id int) {
-	if m := &c.regions[id]; m.img != nil {
-		c.idx.retire(m.img)
-		m.img = nil
-	}
-}
 
 // Set inserts or replaces key with a value of length valLen. value may be
 // nil for a metadata-only insert (sizes, timing, and index behaviour are
@@ -610,13 +459,14 @@ func (c *Cache) SetTTL(key string, value []byte, valLen int, ttl time.Duration) 
 	var rollDur time.Duration
 
 	c.clock.Advance(c.cpu.IndexInsert)
-	// Roll the open region if the item does not fit.
-	if c.regions[c.open].fill+size > c.store.RegionSize() {
+	// Roll the open region if the item does not fit, or if a failed roll
+	// left none open.
+	if m := &c.regions.meta[c.regions.open]; m.state != regionOpen || m.fill+size > c.store.RegionSize() {
 		var r0 time.Time
 		if rec != nil {
 			r0 = time.Now()
 		}
-		err := c.rollRegion()
+		err := c.rollRegion(size)
 		if rec != nil {
 			rollDur = time.Since(r0)
 			rec.Observe(obs.StageRegionFlush, rollDur)
@@ -625,7 +475,7 @@ func (c *Cache) SetTTL(key string, value []byte, valLen int, ttl time.Duration) 
 			return err
 		}
 	}
-	c.appendItem(key, value, valLen, ttl)
+	c.appendItem(key, value, valLen, ttl, 0)
 	c.hostBytes.Add(uint64(size))
 	c.setLat.Observe(c.clock.Now() - start)
 	if sampled {
@@ -641,16 +491,16 @@ func (c *Cache) SetTTL(key string, value []byte, valLen int, ttl time.Duration) 
 // [header: keyLen|valLen|flags|checksum][key][value]; the checksum guards
 // read-back integrity across region stores, migrations, and recovery. With
 // the read index on, the entry records where the value lies in the region's
-// image. A ttl above zero sets the entry's deadline, counted from the clock
-// after the append.
-func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Duration) {
-	m := &c.regions[c.open]
+// image. The entry's deadline is expireAt (0 = none), or with a ttl above
+// zero, ttl past the clock after the append.
+func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Duration, expireAt uint32) {
+	m := &c.regions.meta[c.regions.open]
 	// Replacing an existing key: the old copy becomes dead weight in its
 	// region (reclaimed only when that region is evicted). A reinsertion
 	// candidate's old copy counts in no region.
 	s, old, ok := c.idx.lookup(key)
 	if ok && old.region() != noRegion {
-		if r := &c.regions[old.region()]; r.live > 0 {
+		if r := &c.regions.meta[old.region()]; r.live > 0 {
 			r.live--
 		}
 	}
@@ -668,7 +518,7 @@ func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Durati
 	m.fill += size
 	m.live++
 	m.keys.append(key)
-	e := entry{loc: uint32(c.open), offset: off, valLen: uint32(valLen)}
+	e := entry{loc: uint32(c.regions.open), offset: off, valLen: uint32(valLen), expireAt: expireAt}
 	if ttl > 0 {
 		e.expireAt = uint32(((c.clock.Now() + ttl) / time.Second) + 1)
 	}
@@ -700,15 +550,15 @@ func itemChecksum(key string, value []byte) uint64 {
 }
 
 // retryStore runs one store operation with bounded retries: up to
-// Config.MaxRetries extra attempts, backing the virtual clock off between
-// them (doubling from Config.RetryBackoff). It returns the last attempt's
+// maxRetries extra attempts, backing the virtual clock off between them
+// (doubling from retryBackoff). It returns the last attempt's
 // latency and error; transient injected faults usually clear within the
 // budget, persistent ones surface to the caller's degradation path.
 func (c *Cache) retryStore(op func(now time.Duration) (time.Duration, error)) (time.Duration, error) {
-	backoff := c.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		lat, err := op(c.clock.Now())
-		if err == nil || attempt >= c.cfg.MaxRetries {
+		if err == nil || attempt >= maxRetries {
 			return lat, err
 		}
 		c.retriesCtr.Inc()
@@ -731,68 +581,50 @@ func (c *Cache) sampledRetryStore(op func(now time.Duration) (time.Duration, err
 	return lat, err
 }
 
-// regionFailed charges one exhausted-retry failure to region id and reports
-// whether it crossed the quarantine threshold (the caller decides what
-// quarantining means for the region's current state).
-func (c *Cache) regionFailed(id int) bool {
-	m := &c.regions[id]
-	m.fails++
-	return c.cfg.QuarantineAfter > 0 && m.fails >= c.cfg.QuarantineAfter
-}
-
 // dropRegionKeys removes every index entry still pointing at region id,
-// counting each as a fault-lost key, and notifies EvictedKeys so mirrors
-// stay consistent. Used by the degradation paths; the data is gone (or
-// untrustworthy), and a lost key is a miss, never wrong data.
+// counting each as a fault-lost key. Used by the degradation paths; the data
+// is gone (or untrustworthy), and a lost key is a miss, never wrong data.
 func (c *Cache) dropRegionKeys(id int) {
-	m := &c.regions[id]
-	n, dropped := c.unindexRegion(id)
+	n, _ := c.unindexRegion(id, 0, nil)
 	c.lostKeys.Add(uint64(n))
-	if len(dropped) > 0 {
-		c.EvictedKeys(dropped)
-	}
-	c.dropImage(id)
-	m.keys.reset()
-	m.live = 0
-	m.fill = 0
 }
 
 // unindexRegion removes every entry still pointing at region id, and returns
-// how many it removed and, when EvictedKeys is set, their keys.
-func (c *Cache) unindexRegion(id int) (n int, dropped []string) {
-	c.regions[id].keys.each(func(kb []byte) bool {
-		if s, e, ok := c.idx.lookupLog(kb); ok && e.region() == id {
-			c.idx.dropLog(s, kb)
-			n++
-			if c.EvictedKeys != nil {
-				dropped = append(dropped, string(kb))
-			}
+// how many it removed. With hot above zero an entry with at least hot hits
+// stays instead, in no region, and is returned as a reinsertion candidate
+// with its value from regionBytes. It counts in no region's live items until
+// appendItem re-appends it moments later; a fast reader in the window sees
+// the old (identical) bytes, which the victim's image keeps. The lookups and
+// deletes by key-log slice do not allocate; string copies are made only for
+// the candidates.
+func (c *Cache) unindexRegion(id int, hot uint8, regionBytes []byte) (n int, reinsert []reinsertItem) {
+	c.regions.meta[id].keys.each(func(kb []byte) bool {
+		s, e, ok := c.idx.lookupLog(kb)
+		if !ok || e.region() != id {
+			return true
 		}
+		if hot > 0 && e.hits() >= hot {
+			it := reinsertItem{key: string(kb), e: e}
+			if base := int(e.valueOff(len(kb))); base+int(e.valLen) <= len(regionBytes) {
+				it.value = regionBytes[base : base+int(e.valLen)]
+			}
+			e.loc |= noRegion
+			c.idx.put(s, it.key, e)
+			reinsert = append(reinsert, it)
+			return true
+		}
+		c.idx.dropLog(s, kb)
+		n++
 		return true
 	})
-	return n, dropped
-}
-
-// quarantineSealed withdraws a sealed region after repeated read failures:
-// its keys are dropped (accounted as lost), it leaves the eviction order,
-// and it never hosts data again.
-func (c *Cache) quarantineSealed(id int) {
-	m := &c.regions[id]
-	c.dropRegionKeys(id)
-	if m.elem != nil {
-		c.order.Remove(m.elem)
-		c.orderVer++
-		m.elem = nil
-	}
-	m.state = regionQuarantined
-	c.quarantines.Inc()
+	return n, reinsert
 }
 
 // unindex removes key's entry e from s, its stripe, and from its region's
 // live items.
 func (c *Cache) unindex(s *stripe, key string, e entry) {
 	c.idx.drop(s, key)
-	if m := &c.regions[e.region()]; m.live > 0 {
+	if m := &c.regions.meta[e.region()]; m.live > 0 {
 		m.live--
 	}
 }
@@ -809,29 +641,31 @@ func (c *Cache) expire(s *stripe, key string, e entry) {
 // quarantining the region once it exhausts its budget.
 func (c *Cache) loseKey(s *stripe, key string, e entry) {
 	c.unindex(s, key, e)
-	id := e.region()
-	m := &c.regions[id]
 	c.lostKeys.Inc()
-	if c.EvictedKeys != nil {
-		c.EvictedKeys([]string{key})
-	}
-	if c.regionFailed(id) && m.state == regionSealed {
-		c.quarantineSealed(id)
+	if id := e.region(); c.regions.charge(id) {
+		c.dropRegionKeys(id)
+		c.regions.quarantine(id)
 	}
 }
 
 // rollRegion flushes the open region and installs a fresh one, evicting the
-// policy victim when the free list is empty. This is the only place the
-// engine stalls: on pipeline saturation and on eviction bookkeeping.
-func (c *Cache) rollRegion() error {
-	id := c.open
-	m := &c.regions[id]
+// policy victim when the free list is empty, with room bytes left free for
+// the item that rolled it. This is the only place the engine stalls: on
+// pipeline saturation and on eviction bookkeeping.
+func (c *Cache) rollRegion(room int64) error {
+	rt := c.regions
+	id := rt.open
+	m := &rt.meta[id]
+	if m.state != regionOpen {
+		// Every other region is quarantined: none is left to fill.
+		return errNoRegion
+	}
 
 	// Figure 3's measurement: time to fill this buffer, stall-inclusive.
 	c.recordFill(FillRecord{
 		Seq:      c.seq,
 		Duration: c.clock.Now() - m.openedAt,
-		Evicted:  len(c.free) == 0,
+		Evicted:  len(rt.free) == 0,
 	})
 	c.seq++
 	// The successor's fill time starts now: everything below (pipeline
@@ -841,10 +675,8 @@ func (c *Cache) rollRegion() error {
 
 	// Pipeline admission: wait for the oldest in-flight flush if all
 	// buffers are busy.
-	if len(c.inflight) > 0 && len(c.inflight) >= c.maxInflight {
-		oldest := c.inflight[0]
-		c.inflight = c.inflight[1:]
-		c.completeFlush(oldest)
+	if rt.full() {
+		c.completeFlush(rt.inflight[0])
 	}
 
 	now := c.clock.Now()
@@ -863,18 +695,9 @@ func (c *Cache) rollRegion() error {
 	if err != nil {
 		// Availability first, CacheLib-style: a flush that keeps failing
 		// loses the buffer's keys (misses, accounted below — never wrong
-		// data) and the engine moves on with a fresh region. The failed
-		// region returns to the free pool, or is quarantined once it has
-		// burned its failure budget.
+		// data) and the engine moves on with a fresh region.
 		c.dropRegionKeys(id)
-		c.releaseBuf(id)
-		if c.regionFailed(id) {
-			m.state = regionQuarantined
-			c.quarantines.Inc()
-		} else {
-			m.state = regionFree
-			c.free = append(c.free, id)
-		}
+		rt.failFlush(id)
 	} else {
 		// The synchronous share of the flush (filesystem CPU, a device GC
 		// stall inside the write syscall) occupies this thread even though
@@ -886,68 +709,54 @@ func (c *Cache) rollRegion() error {
 		if c.trace != nil {
 			c.trace.Emit(obs.Event{T: now, Type: obs.EvRegionSeal, Zone: -1, Region: int32(id), Bytes: m.fill})
 		}
-		m.state = regionFlushing
-		m.flushDone = c.clock.Now() + lat
-		m.elem = c.order.PushFront(id)
-		c.orderVer++
-		if c.maxInflight == 0 {
-			// No spare buffer: the flush completes synchronously.
+		if rt.flush(id, c.clock.Now()+lat) {
 			c.completeFlush(id)
-		} else {
-			c.inflight = append(c.inflight, id)
 		}
 	}
 
-	// Find the next region: free list first, then evict the LRU victim.
-	var next int
+	// The next region comes off the free list, which eviction refills when
+	// it is empty.
 	var reinsert []reinsertItem
-	if len(c.free) > 0 {
-		next = c.free[len(c.free)-1]
-		c.free = c.free[:len(c.free)-1]
-	} else {
-		victim, items, err := c.evictVictim()
-		if err != nil {
+	if len(rt.free) == 0 {
+		if reinsert, err = c.evict(); err != nil {
 			return err
 		}
-		next = victim
-		reinsert = items
 	}
-	c.openRegion(next)
-	c.regions[next].openedAt = rollStart
+	next := rt.openNext(rollStart)
 	// Reinsertion (Navy's hits-based policy): hot items from the evicted
-	// region are rewritten into the fresh buffer, capped at its capacity.
+	// region are rewritten into the fresh buffer, capped at its capacity
+	// less room. One whose TTL ran out meanwhile leaves with its region.
+	var drop []reinsertItem
 	for i, it := range reinsert {
-		size := itemHeaderSize + int64(len(it.key)) + int64(it.valLen)
-		if c.regions[next].fill+size > c.store.RegionSize() {
-			c.dropReinsert(reinsert[i:])
+		if it.e.expired(c.clock.Now()) {
+			drop = append(drop, it)
+			continue
+		}
+		if rt.meta[next].fill+it.e.itemSize(len(it.key))+room > c.store.RegionSize() {
+			drop = append(drop, reinsert[i:]...)
 			break
 		}
-		c.appendItem(it.key, it.value, it.valLen, 0)
+		c.appendItem(it.key, it.value, int(it.e.valLen), 0, it.e.expireAt)
 		c.reinserts.Inc()
 	}
+	c.dropReinsert(drop)
 	return nil
 }
 
 // dropReinsert removes reinsertion candidates that will not be re-appended
-// after all, and reports them to EvictedKeys: they leave with their region.
+// after all: they leave with their region.
 func (c *Cache) dropReinsert(items []reinsertItem) {
-	var keys []string
 	for _, it := range items {
 		c.idx.drop(c.idx.stripe(it.key), it.key)
-		if c.EvictedKeys != nil {
-			keys = append(keys, it.key)
-		}
-	}
-	if len(keys) > 0 {
-		c.EvictedKeys(keys)
 	}
 }
 
-// reinsertItem is a hot item rescued from an evicted region.
+// reinsertItem is a hot item rescued from an evicted region: its key, its
+// value and its entry, whose length and TTL deadline it keeps.
 type reinsertItem struct {
-	key    string
-	value  []byte
-	valLen int
+	key   string
+	value []byte
+	e     entry
 }
 
 // completeFlush retires an in-flight flush, advancing the clock to its
@@ -958,19 +767,16 @@ type reinsertItem struct {
 // live keeps its buffer, whose only other bytes are their keys and headers,
 // rather than pay to re-point every key.
 func (c *Cache) completeFlush(id int) {
-	m := &c.regions[id]
+	m := &c.regions.meta[id]
 	c.clock.AdvanceTo(m.flushDone)
-	if m.state == regionFlushing {
-		m.state = regionSealed
-		if m.img != nil {
-			if b, ok := c.storeView(id); ok {
-				c.idx.seal(m.img, b)
-			} else if m.live < m.keys.len() {
-				c.copyLive(id)
-			}
+	c.regions.seal(id)
+	if m.img != nil {
+		if b, ok := c.storeView(id); ok {
+			c.idx.seal(m.img, b)
+		} else if m.live < m.keys.len() {
+			c.copyLive(id)
 		}
 	}
-	c.releaseBuf(id)
 }
 
 // liveSpan is one live value copyLive copies: key (a key-log slice) has
@@ -987,7 +793,7 @@ type liveSpan struct {
 // keys and headers, can go. The copy is written before any entry moves to
 // it; an entry not yet moved reads the same bytes in the buffer.
 func (c *Cache) copyLive(id int) {
-	m := &c.regions[id]
+	m := &c.regions.meta[id]
 	from := m.img
 	buf := from.p.Load().b
 	spans := c.live[:0]
@@ -1030,124 +836,59 @@ func (c *Cache) storeView(id int) ([]byte, bool) {
 		return nil, false
 	}
 	b, ok := v.RegionView(id)
-	return b, ok && int64(len(b)) >= c.regions[id].fill
+	return b, ok && int64(len(b)) >= c.regions.meta[id].fill
 }
 
-// evictVictim drops the least-recently-used sealed region and returns its
-// id for reuse. Every key the region still indexes is removed — the
-// region-granular eviction CacheLib uses to avoid item-level flash GC.
-// A victim whose store-side evict keeps failing is quarantined and the
-// next victim is tried; eviction itself must not fail transiently.
-func (c *Cache) evictVictim() (int, []reinsertItem, error) {
+// evict reclaims the policy victim for the free list. A victim still
+// flushing lands first. Every key the region still indexes is removed — the
+// region-granular eviction CacheLib uses to avoid item-level flash GC —
+// except the hot ones it returns for reinsertion. A victim whose store-side
+// evict keeps failing is quarantined and the next victim is tried; eviction
+// itself must not fail transiently.
+func (c *Cache) evict() ([]reinsertItem, error) {
 	for {
-		id, reinsert, err := c.evictOnce()
-		if err == nil || id < 0 {
-			return id, reinsert, err
+		id, ok := c.regions.victim()
+		if !ok {
+			return nil, errNoRegion
 		}
-		m := &c.regions[id]
-		m.fails++
-		m.state = regionQuarantined
-		m.keys.reset()
-		m.live = 0
-		m.fill = 0
-		c.quarantines.Inc()
-	}
-}
-
-// evictOnce evicts the current LRU victim. On a store failure it returns
-// the victim's id (index already cleaned) so evictVictim can quarantine it;
-// id -1 means no victim exists at all.
-func (c *Cache) evictOnce() (int, []reinsertItem, error) {
-	back := c.order.Back()
-	if back == nil {
-		return -1, nil, fmt.Errorf("cache: no evictable region")
-	}
-	id := back.Value.(int)
-	m := &c.regions[id]
-	// A still-flushing victim must land before it can be reused.
-	if m.state == regionFlushing {
-		for i, f := range c.inflight {
-			if f == id {
-				c.inflight = append(c.inflight[:i], c.inflight[i+1:]...)
-				break
+		m := &c.regions.meta[id]
+		if m.state == regionFlushing {
+			c.completeFlush(id)
+		}
+		// Snapshot the victim's payload once if reinsertion may need bytes;
+		// when they cannot be read, no item is reinserted.
+		hot := c.cfg.ReinsertHits
+		var regionBytes []byte
+		if hot > 0 && c.cfg.TrackValues && m.fill > 0 {
+			n := int((m.fill + device.SectorSize - 1) / device.SectorSize * device.SectorSize)
+			regionBytes = make([]byte, n)
+			if _, err := c.store.ReadRegion(c.clock.Now(), id, regionBytes, n, 0); err != nil {
+				hot = 0
 			}
 		}
-		c.completeFlush(id)
-	}
-	c.order.Remove(back)
-	c.orderVer++
-	m.elem = nil
+		// Index cleanup under the shared lock: the insertion-time spike of
+		// Figure 3a. Zone-sized regions remove tens of thousands of keys here.
+		_, reinsert := c.unindexRegion(id, hot, regionBytes)
+		c.clock.Advance(c.cpu.EvictPerKey * time.Duration(m.keys.len()))
 
-	// Snapshot the victim's payload once if reinsertion may need bytes.
-	var regionBytes []byte
-	if c.cfg.ReinsertHits > 0 && c.cfg.TrackValues && m.fill > 0 {
-		n := int((m.fill + device.SectorSize - 1) / device.SectorSize * device.SectorSize)
-		regionBytes = make([]byte, n)
-		if _, err := c.store.ReadRegion(c.clock.Now(), id, regionBytes, n, 0); err != nil {
-			// Fall back to dropping everything; eviction must not fail.
-			regionBytes = nil
+		now := c.clock.Now()
+		lat, err := c.retryStore(func(t time.Duration) (time.Duration, error) {
+			return c.store.EvictRegion(t, id)
+		})
+		if err != nil {
+			// The reinsert candidates leave with the region.
+			c.dropReinsert(reinsert)
+			c.regions.quarantine(id)
+			continue
 		}
-	}
-
-	// Index cleanup under the shared lock: the insertion-time spike of
-	// Figure 3a. Zone-sized regions remove tens of thousands of keys here.
-	// The lookups and deletes by key-log slice do not allocate; string
-	// copies are made only for keys that outlive the eviction.
-	var dropped []string
-	var reinsert []reinsertItem
-	wantDropped := c.EvictedKeys != nil
-	m.keys.each(func(kb []byte) bool {
-		s, e, ok := c.idx.lookupLog(kb)
-		if !ok || e.region() != id {
-			return true
+		c.clock.Advance(lat)
+		c.evicts.Inc()
+		if c.trace != nil {
+			c.trace.Emit(obs.Event{T: now, Type: obs.EvEvict, Zone: -1, Region: int32(id), Bytes: int64(m.keys.len())})
 		}
-		if c.cfg.ReinsertHits > 0 && e.hits() >= c.cfg.ReinsertHits {
-			// A reinsert candidate keeps its entry, in no region, until
-			// appendItem re-appends it moments later: the victim is reopened
-			// at once, and must not be charged for the old copy. A fast
-			// reader in the window sees the old (identical) bytes, which the
-			// victim's image keeps.
-			it := reinsertItem{key: string(kb), valLen: int(e.valLen)}
-			if regionBytes != nil {
-				base := int64(e.valueOff(len(kb)))
-				if base+int64(e.valLen) <= int64(len(regionBytes)) {
-					it.value = regionBytes[base : base+int64(e.valLen)]
-				}
-			}
-			e.loc |= noRegion
-			c.idx.put(s, it.key, e)
-			reinsert = append(reinsert, it)
-			return true
-		}
-		c.idx.dropLog(s, kb)
-		if wantDropped {
-			dropped = append(dropped, string(kb))
-		}
-		return true
-	})
-	c.dropImage(id)
-	c.clock.Advance(c.cpu.EvictPerKey * time.Duration(m.keys.len()))
-
-	now := c.clock.Now()
-	if c.EvictedKeys != nil && len(dropped) > 0 {
-		c.EvictedKeys(dropped)
+		c.regions.evicted(id)
+		return reinsert, nil
 	}
-	lat, err := c.retryStore(func(t time.Duration) (time.Duration, error) {
-		return c.store.EvictRegion(t, id)
-	})
-	if err != nil {
-		// Hand the id back for quarantine. The reinsert candidates leave
-		// with the region.
-		c.dropReinsert(reinsert)
-		return id, nil, fmt.Errorf("cache: evict region %d: %w", id, err)
-	}
-	c.clock.Advance(lat)
-	c.evicts.Inc()
-	if c.trace != nil {
-		c.trace.Emit(obs.Event{T: now, Type: obs.EvEvict, Zone: -1, Region: int32(id), Bytes: int64(m.keys.len())})
-	}
-	m.state = regionFree
-	return id, reinsert, nil
 }
 
 // WouldBlock reports whether inserting an item of the given sizes right now
@@ -1158,14 +899,8 @@ func (c *Cache) evictOnce() (int, []reinsertItem, error) {
 // mechanism that couples device stalls to hit ratio in Figure 5.
 func (c *Cache) WouldBlock(keyLen, valLen int) bool {
 	size := itemHeaderSize + int64(keyLen) + int64(valLen)
-	if c.regions[c.open].fill+size <= c.store.RegionSize() {
-		return false
-	}
-	if len(c.inflight) == 0 || len(c.inflight) < c.maxInflight {
-		return false
-	}
-	oldest := c.inflight[0]
-	return c.regions[oldest].flushDone > c.clock.Now()
+	rt := c.regions
+	return rt.meta[rt.open].fill+size > c.store.RegionSize() && rt.full() && rt.meta[rt.inflight[0]].flushDone > c.clock.Now()
 }
 
 // ReadSpan bounds the bytes a sealed-region read of one item with the given
@@ -1204,7 +939,7 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 		c.getLat.Observe(c.clock.Now() - start)
 		return nil, false, nil
 	}
-	m := &c.regions[e.region()]
+	m := &c.regions.meta[e.region()]
 	var val []byte
 	dirty := false // e changed and is written back
 	switch m.state {
@@ -1280,12 +1015,7 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 		// violation; eviction always removes keys first.
 		return nil, false, fmt.Errorf("cache: index points to free region %d", e.region())
 	}
-	if c.cfg.Policy == LRU && m.elem != nil {
-		if m.elem != c.order.Front() {
-			c.order.MoveToFront(m.elem)
-			c.orderVer++
-		}
-	}
+	c.regions.touch(e.region())
 	if c.cfg.ReinsertHits > 0 && e.hits() < ^uint8(0) {
 		e.hit()
 		dirty = true
@@ -1360,86 +1090,43 @@ func (c *Cache) Len() int { return c.idx.len() }
 // cache information or hints, the GC overhead can be effectively minimized
 // without explicitly sacrificing the cache hit ratio".
 func (c *Cache) RegionDroppable(id int, coldFrac float64) bool {
-	if id < 0 || id >= len(c.regions) {
-		return false
-	}
-	m := &c.regions[id]
-	if m.state != regionSealed || m.elem == nil {
-		return false
-	}
-	// The cold tail only changes when the eviction order does, but the GC
-	// probes every candidate region between mutations. Rebuild the
-	// membership set once per (order version, coldFrac) and answer each
-	// probe with an O(1) lookup instead of walking the list from the back.
-	if !c.coldSetValid || c.coldVer != c.orderVer || c.coldFrac != coldFrac {
-		if c.coldSet == nil {
-			c.coldSet = make([]bool, len(c.regions))
-		} else {
-			for i := range c.coldSet {
-				c.coldSet[i] = false
-			}
-		}
-		limit := int(float64(c.order.Len()) * coldFrac)
-		for e, i := c.order.Back(), 0; e != nil && i < limit; e, i = e.Prev(), i+1 {
-			c.coldSet[e.Value.(int)] = true
-		}
-		c.coldVer = c.orderVer
-		c.coldFrac = coldFrac
-		c.coldSetValid = true
-	}
-	return c.coldSet[id]
+	return c.regions.cold(id, coldFrac)
 }
 
 // InvalidateRegion force-evicts region id without a store call: the
 // middle-layer GC already discarded the bytes (co-design drop), so the
 // engine only cleans its index and returns the region to the free pool.
 func (c *Cache) InvalidateRegion(id int) {
-	if id < 0 || id >= len(c.regions) {
+	if !c.regions.sealed(id) {
 		return
 	}
-	m := &c.regions[id]
-	if m.state != regionSealed {
-		return
-	}
-	_, dropped := c.unindexRegion(id)
-	c.dropImage(id)
-	c.clock.Advance(c.cpu.EvictPerKey * time.Duration(m.keys.len()))
-	if m.elem != nil {
-		c.order.Remove(m.elem)
-		c.orderVer++
-		m.elem = nil
-	}
-	m.state = regionFree
-	m.keys.reset()
-	m.live = 0
-	c.free = append(c.free, id)
+	c.unindexRegion(id, 0, nil)
+	c.clock.Advance(c.cpu.EvictPerKey * time.Duration(c.regions.meta[id].keys.len()))
+	c.regions.drop(id)
 	c.drops.Inc()
-	if len(dropped) > 0 {
-		c.EvictedKeys(dropped)
-	}
 }
 
 // noEvictSeq marks firstEvictSeq as "no eviction recorded yet".
 const noEvictSeq = ^uint64(0)
 
 // recordFill appends one FillRecord, overwriting the oldest entry once the
-// configured ring capacity is reached.
+// ring holds fillLogCap.
 func (c *Cache) recordFill(r FillRecord) {
 	if r.Evicted && c.firstEvictSeq == noEvictSeq {
 		c.firstEvictSeq = r.Seq
 	}
 	c.fillCount++
-	if c.fillCap > 0 && len(c.fillLog) == c.fillCap {
+	if len(c.fillLog) == fillLogCap {
 		c.fillLog[c.fillStart] = r
-		c.fillStart = (c.fillStart + 1) % c.fillCap
+		c.fillStart = (c.fillStart + 1) % fillLogCap
 		return
 	}
 	c.fillLog = append(c.fillLog, r)
 }
 
 // FillLog returns the retained per-region buffer fill records (Figure 3) in
-// chronological order. With a bounded Config.FillLogCap only the most recent
-// records survive; the returned slice must not be modified and is valid
+// chronological order. Only the most recent fillLogCap records survive; the
+// returned slice must not be modified and is valid
 // until the next Set.
 func (c *Cache) FillLog() []FillRecord {
 	if c.fillStart == 0 {
@@ -1466,10 +1153,9 @@ func (c *Cache) EvictionOnset() (uint64, bool) {
 // Drain completes all in-flight flushes (used before reading stats so the
 // simulated time covers all issued work).
 func (c *Cache) Drain() {
-	for _, id := range c.inflight {
-		c.completeFlush(id)
+	for len(c.regions.inflight) > 0 {
+		c.completeFlush(c.regions.inflight[0])
 	}
-	c.inflight = c.inflight[:0]
 }
 
 // SealOpen flushes the open region's partially-filled buffer to the store
@@ -1480,8 +1166,8 @@ func (c *Cache) Drain() {
 // region remains it evicts the policy victim (trading the coldest region for
 // the freshest writes). A no-op when the buffer is empty.
 func (c *Cache) SealOpen() error {
-	if c.regions[c.open].fill > 0 {
-		if err := c.rollRegion(); err != nil {
+	if c.regions.meta[c.regions.open].fill > 0 {
+		if err := c.rollRegion(0); err != nil {
 			return err
 		}
 	}
@@ -1506,7 +1192,7 @@ func (c *Cache) Stats() Stats {
 		AdmitRejects:   c.rejects.Load(),
 		HostWriteBytes: c.hostBytes.Load(),
 		StoreRetries:   c.retriesCtr.Load(),
-		Quarantined:    c.quarantines.Load(),
+		Quarantined:    c.regions.quarantines.Load(),
 		LostKeys:       c.lostKeys.Load(),
 		RestoreDrops:   c.restoreDrop.Load(),
 		GetLatency:     c.getLat.Snapshot(),
@@ -1536,11 +1222,11 @@ func (c *Cache) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	r.Counter("cache_admit_rejects_total", "Inserts rejected by the admission policy", ls, &c.rejects)
 	r.Counter("cache_host_write_bytes_total", "Item bytes accepted from the host", ls, &c.hostBytes)
 	r.Counter("cache_store_retries_total", "Store operations retried after an error", ls, &c.retriesCtr)
-	r.Counter("region_quarantined_total", "Regions withdrawn after repeated store failures", ls, &c.quarantines)
+	r.Counter("region_quarantined_total", "Regions withdrawn after repeated store failures", ls, &c.regions.quarantines)
 	r.Counter("cache_fault_lost_keys_total", "Keys dropped because their bytes became unreachable", ls, &c.lostKeys)
 	r.Counter("cache_restore_dropped_entries_total", "Snapshot entries dropped by the Restore repair pass", ls, &c.restoreDrop)
 	r.Gauge("cache_region_buffer_bytes", "DRAM held in region buffers (open, in-flight and spare)", ls,
-		func() float64 { return float64(c.bufBytes.Load()) })
+		func() float64 { return float64(c.regions.bufBytes.Load()) })
 	if ix := c.idx; ix.shared {
 		r.Gauge("cache_dram_bytes", "Bytes held in memory behind read-index images: region buffers and copies of live values", ls,
 			func() float64 { return float64(ix.dramBytes.Load()) })

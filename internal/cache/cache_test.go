@@ -356,10 +356,10 @@ func TestFlushPipelineBounded(t *testing.T) {
 func checkBufferBound(t *testing.T, c *Cache) {
 	t.Helper()
 	var held int64
-	for i := range c.regions {
-		held += int64(cap(c.regions[i].buf))
+	for i := range c.regions.meta {
+		held += int64(cap(c.regions.meta[i].buf))
 	}
-	for _, b := range c.spare {
+	for _, b := range c.regions.spare {
 		held += int64(cap(b))
 	}
 	if held > c.cfg.BufferMemory {
@@ -400,7 +400,7 @@ func TestRegionBuffersWithinBufferMemory(t *testing.T) {
 					var keys []string
 					c.idx.each(func(k string, _ entry) { keys = append(keys, k) })
 					for _, k := range keys {
-						seen[c.regions[entryOf(c, k).region()].state] = true
+						seen[c.regions.meta[entryOf(c, k).region()].state] = true
 						want := vals[k]
 						got, ok, err := c.Get(k)
 						if !ok || err != nil || !bytes.Equal(got, want) {
@@ -490,21 +490,6 @@ func TestProbAdmitFraction(t *testing.T) {
 	}
 }
 
-func TestEvictedKeysCallback(t *testing.T) {
-	c, _ := newTestCache(t, 4, 4096)
-	var dropped []string
-	c.EvictedKeys = func(keys []string) { dropped = append(dropped, keys...) }
-	fillUntilEvictions(t, c, 1000, 1)
-	if len(dropped) == 0 {
-		t.Fatal("eviction callback not invoked")
-	}
-	for _, k := range dropped {
-		if c.Contains(k) {
-			t.Fatalf("callback reported %s but key still present", k)
-		}
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	c, _ := newTestCache(t, 4, 64<<10)
 	c.Set("a", []byte("1"), 0)
@@ -541,7 +526,7 @@ func TestIndexNeverPointsToFreeRegion(t *testing.T) {
 		}
 	}
 	c.idx.each(func(k string, e entry) {
-		if c.regions[e.region()].state == regionFree {
+		if c.regions.meta[e.region()].state == regionFree {
 			t.Fatalf("key %s points to free region %d", k, e.region())
 		}
 	})
@@ -587,7 +572,7 @@ func TestCopyLiveKeepsLiveValuesOnly(t *testing.T) {
 	}
 	c.Drain()
 
-	m := &c.regions[entryOf(c, "a").region()]
+	m := &c.regions.meta[entryOf(c, "a").region()]
 	if m.state != regionSealed || m.img == nil {
 		t.Fatalf("region state %v, image %v: want a sealed region with an image", m.state, m.img)
 	}
@@ -611,15 +596,15 @@ func TestCopyLiveKeepsLiveValuesOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Drain()
-	if ib := c.regions[entryOf(c, "e").region()].img.p.Load(); ib.onStore || len(ib.b) != 4096 {
+	if ib := c.regions.meta[entryOf(c, "e").region()].img.p.Load(); ib.onStore || len(ib.b) != 4096 {
 		t.Fatalf("all-live sealed image: on store %v, %d bytes; want its 4096-byte buffer", ib.onStore, len(ib.b))
 	}
 	if got, found, done := c.TryFastGet("e"); !done || !found || !bytes.Equal(got, want["e"]) {
 		t.Errorf("TryFastGet(e) = (%d bytes, found %v, done %v)", len(got), found, done)
 	}
 	var held int64
-	for i := range c.regions {
-		if img := c.regions[i].img; img != nil && !img.p.Load().onStore {
+	for i := range c.regions.meta {
+		if img := c.regions.meta[i].img; img != nil && !img.p.Load().onStore {
 			held += int64(len(img.p.Load().b))
 		}
 	}

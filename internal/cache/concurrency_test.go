@@ -274,8 +274,8 @@ func checkQuiescentShard(t *testing.T, s *Sharded, wantTouches bool) {
 		// only open and flushing ones are on buffers, and the gauge counts
 		// those.
 		var held int64
-		for i := range c.regions {
-			m := &c.regions[i]
+		for i := range c.regions.meta {
+			m := &c.regions.meta[i]
 			if m.img == nil {
 				continue
 			}

@@ -43,7 +43,6 @@ func newFlakyCache(t *testing.T) (*Cache, *flakyStore) {
 	fs := &flakyStore{memStore: newMemStore(8, 4096)}
 	c, err := New(Config{
 		Store: fs, TrackValues: true, BufferMemory: 2 * 4096,
-		MaxRetries: 2, RetryBackoff: time.Microsecond, QuarantineAfter: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,11 +68,12 @@ func gatherSum(t *testing.T, r *obs.Registry, name string) float64 {
 }
 
 // TestFlushRetryAndQuarantine pins the write-path degradation thresholds:
-// with MaxRetries=2 (three attempts per flush) and QuarantineAfter=1, a
-// flush that fails fewer times than it has attempts succeeds transparently,
-// while one that exhausts its attempts loses the region's keys and
-// quarantines the region — and both outcomes are visible in Stats and the
-// obs registry. A failed flush's buffer is recycled like a completed one's,
+// with two retries (three attempts per flush) and quarantine after three
+// exhausted flushes, a flush that fails fewer times than it has attempts
+// succeeds transparently, while one that exhausts its attempts loses the
+// region's keys. The failed region reopens at once, so three exhausted
+// flushes in a row quarantine it — and both outcomes are visible in Stats
+// and the obs registry. A failed flush's buffer is recycled like a completed one's,
 // so the engine stays within its two-region BufferMemory either way.
 func TestFlushRetryAndQuarantine(t *testing.T) {
 	cases := []struct {
@@ -85,14 +85,14 @@ func TestFlushRetryAndQuarantine(t *testing.T) {
 	}{
 		{"clean", 0, 0, 0, false},
 		{"recovers-within-retries", 2, 2, 0, false},
-		{"exhausts-and-quarantines", 3, 2, 1, true},
+		{"exhausts-and-quarantines", 9, 6, 1, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c, fs := newFlakyCache(t)
 			fs.failWrites = tc.failures
 			vals := map[string][]byte{}
-			for i := 0; i < 12; i++ {
+			for i := 0; i < 20; i++ {
 				k := fmt.Sprintf("w-%02d", i)
 				v := bytes.Repeat([]byte{byte(i + 1)}, 900)
 				vals[k] = v
@@ -142,8 +142,8 @@ func TestFlushRetryAndQuarantine(t *testing.T) {
 
 // TestReadRetryAndQuarantine pins the read path: a sealed-region read that
 // recovers within its retry budget serves the verified value; one that
-// exhausts it degrades to a miss, drops the key, and (QuarantineAfter=1)
-// quarantines the region rather than erroring the lookup.
+// exhausts it degrades to a miss and drops the key rather than erroring the
+// lookup, and the third such key quarantines the region.
 func TestReadRetryAndQuarantine(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -154,7 +154,7 @@ func TestReadRetryAndQuarantine(t *testing.T) {
 	}{
 		{"clean", 0, true, 0, 0},
 		{"recovers-within-retries", 2, true, 2, 0},
-		{"exhausts-drops-and-quarantines", 3, false, 2, 1},
+		{"exhausts-drops-and-quarantines", 9, false, 6, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -170,6 +170,7 @@ func TestReadRetryAndQuarantine(t *testing.T) {
 			c.Drain()
 
 			fs.failReads = tc.failures
+			region := entryOf(c, "victim").region()
 			got, ok, err := c.Get("victim")
 			if err != nil {
 				t.Fatalf("Get errored instead of degrading: %v", err)
@@ -179,6 +180,18 @@ func TestReadRetryAndQuarantine(t *testing.T) {
 			}
 			if tc.wantHit && !bytes.Equal(got, want) {
 				t.Fatal("retried read returned wrong bytes")
+			}
+			// Two more lost keys of the victim's region use up its budget.
+			for _, k := range []string{"fill-000", "fill-001"} {
+				if tc.wantHit {
+					break
+				}
+				if entryOf(c, k).region() != region {
+					t.Fatalf("%s is not in the victim's region", k)
+				}
+				if _, ok, err := c.Get(k); ok || err != nil {
+					t.Fatalf("Get(%s) = (%v, %v), want a miss", k, ok, err)
+				}
 			}
 			st := c.Stats()
 			if st.StoreRetries != tc.wantRetries {
@@ -206,30 +219,21 @@ func (s evictFailStore) EvictRegion(time.Duration, int) (time.Duration, error) {
 	return 0, errFlaky
 }
 
-// TestEvictFailureReportsReinsertCandidates: when a victim's store-side evict
+// TestEvictFailureDropsReinsertCandidates: when a victim's store-side evict
 // fails, its reinsertion candidates — keys with hits, kept for re-append —
-// leave the cache with the region, and EvictedKeys hears of every key that
-// left, candidates included.
-func TestEvictFailureReportsReinsertCandidates(t *testing.T) {
+// leave the cache with the region instead of reappearing in another one.
+func TestEvictFailureDropsReinsertCandidates(t *testing.T) {
 	c, err := New(Config{
 		Store: evictFailStore{newMemStore(4, 4096)}, TrackValues: true,
-		Policy: LRU, ReinsertHits: 1, MaxRetries: -1,
+		Policy: LRU, ReinsertHits: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reported := map[string]bool{}
-	c.EvictedKeys = func(keys []string) {
-		for _, k := range keys {
-			reported[k] = true
-		}
-	}
 	// Three items fill a region: 12 fill all four, and every other key has
 	// a hit, which makes it a reinsertion candidate.
-	var keys []string
 	for i := 0; i < 12; i++ {
 		k := fmt.Sprintf("e-%02d", i)
-		keys = append(keys, k)
 		if err := c.Set(k, bytes.Repeat([]byte{byte(i)}, 1200), 0); err != nil {
 			t.Fatalf("Set(%s): %v", k, err)
 		}
@@ -241,20 +245,51 @@ func TestEvictFailureReportsReinsertCandidates(t *testing.T) {
 	}
 	// The next set needs a region, and every victim's evict fails.
 	c.Set("next", bytes.Repeat([]byte{1}, 1200), 0) //nolint:errcheck
-	gone := 0
-	for _, k := range keys {
-		if c.Contains(k) {
-			continue
-		}
-		gone++
-		if !reported[k] {
-			t.Errorf("%s left the cache without an EvictedKeys call", k)
-		}
+	if c.Stats().Quarantined == 0 {
+		t.Fatal("no victim was quarantined")
 	}
-	if gone == 0 {
-		t.Fatal("no key left the cache: the failed evictions dropped nothing")
+	if c.Stats().Reinsertions != 0 {
+		t.Fatalf("%d candidates of failed evictions reinserted", c.Stats().Reinsertions)
 	}
 	if err := regionLiveErr(c); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReinsertReadFailureDropsCandidates: when the read of an evicted
+// region's bytes for reinsertion fails, its hot items leave with it. They
+// used to be re-appended with no value, and a Get then served whatever the
+// recycled buffer held at their offsets — another key's bytes.
+func TestReinsertReadFailureDropsCandidates(t *testing.T) {
+	fs := &flakyStore{memStore: newMemStore(4, 4096)}
+	c, err := New(Config{Store: fs, TrackValues: true, BufferMemory: 2 * 4096, ReinsertHits: 1, Policy: FIFO})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := bytes.Repeat([]byte{0xAD}, 1000)
+	if err := c.Set("hot", hot, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := c.Get("hot"); !ok {
+		t.Fatal("hot missing before eviction")
+	}
+	// Four items fill a region. Fill the other regions up to the roll that
+	// evicts hot's, and fail the reads from the last free region's opening.
+	for i := 0; c.Stats().Evictions == 0; i++ {
+		if len(c.regions.free) == 0 && fs.failReads == 0 {
+			fs.failReads = 3
+		}
+		if err := c.Set(fmt.Sprintf("k%02d", i), bytes.Repeat([]byte{byte(i)}, 1000), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fs.failReads != 2 {
+		t.Fatalf("%d read failures left, want 2: the eviction's read did not fail", fs.failReads)
+	}
+	if got, ok, err := c.Get("hot"); err != nil || ok && !bytes.Equal(got, hot) {
+		t.Fatalf("Get(hot) = (%d bytes, %v, %v), not its own value", len(got), ok, err)
+	}
+	if err := regionLiveErr(c); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -13,7 +13,7 @@ import "encoding/binary"
 // Lookups against the index during eviction use the m[string(b)] /
 // delete(m, string(b)) forms, which the compiler optimizes to avoid
 // materializing a string; real string copies are made only for keys that
-// outlive the eviction (reinsertion candidates and the EvictedKeys callback).
+// outlive the eviction (reinsertion candidates).
 type keyLog struct {
 	data []byte
 	n    int

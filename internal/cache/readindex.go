@@ -415,12 +415,7 @@ func (c *Cache) drainReadNotes() {
 			e.hit()
 			ix.put(s, n.key, e)
 		}
-		if c.cfg.Policy == LRU {
-			if m := &c.regions[e.region()]; m.elem != nil && m.elem != c.order.Front() {
-				c.order.MoveToFront(m.elem)
-				c.orderVer++
-			}
-		}
+		c.regions.touch(e.region())
 	}
 	ix.spare = batch[:0]
 }
@@ -436,7 +431,7 @@ func (c *Cache) promote(e *entry, keyLen int, val []byte) bool {
 	if !c.idx.shared || e.img != nil {
 		return false
 	}
-	m := &c.regions[e.region()]
+	m := &c.regions.meta[e.region()]
 	if m.img == nil {
 		if b, ok := c.storeView(e.region()); ok {
 			m.img = new(image)

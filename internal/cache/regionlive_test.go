@@ -19,17 +19,17 @@ func entryOf(c *Cache, key string) entry {
 // counts every entry.
 func regionLiveErr(c *Cache) error {
 	c.drainReadNotes()
-	count := make([]int, len(c.regions))
+	count := make([]int, len(c.regions.meta))
 	n := 0
 	var err error
 	c.idx.each(func(k string, e entry) {
 		n++
 		r := e.region()
-		if r >= len(c.regions) {
+		if r >= len(c.regions.meta) {
 			err = fmt.Errorf("key %q: region %d", k, r)
 			return
 		}
-		switch st := c.regions[r].state; st {
+		switch st := c.regions.meta[r].state; st {
 		case regionOpen, regionFlushing, regionSealed:
 			count[r]++
 		default:
@@ -39,8 +39,8 @@ func regionLiveErr(c *Cache) error {
 	if err != nil {
 		return err
 	}
-	for i := range c.regions {
-		m := &c.regions[i]
+	for i := range c.regions.meta {
+		m := &c.regions.meta[i]
 		switch m.state {
 		case regionOpen, regionFlushing, regionSealed:
 			if m.live != count[i] {

@@ -43,7 +43,7 @@ func fillSealed(t *testing.T, ss *sizedStore) (*Cache, map[string][]byte, int, [
 	c.Drain()
 	byRegion := map[int][]string{}
 	c.idx.each(func(k string, e entry) {
-		if e.region() != c.open && c.regions[e.region()].state == regionSealed {
+		if e.region() != c.regions.open && c.regions.meta[e.region()].state == regionSealed {
 			byRegion[e.region()] = append(byRegion[e.region()], k)
 		}
 	})
@@ -85,8 +85,8 @@ func TestRestoreTruncatesOverstatedFill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if r.regions[victim].fill != cut {
-		t.Errorf("region %d fill = %d after repair, want %d", victim, r.regions[victim].fill, cut)
+	if r.regions.meta[victim].fill != cut {
+		t.Errorf("region %d fill = %d after repair, want %d", victim, r.regions.meta[victim].fill, cut)
 	}
 	got, ok, err := r.Get(keys[0])
 	if err != nil || !ok {
@@ -124,7 +124,7 @@ func TestRestoreFreesUnreadableRegion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if st := r.regions[victim].state; st != regionFree {
+	if st := r.regions.meta[victim].state; st != regionFree {
 		t.Errorf("fully unreadable region %d in state %d, want free", victim, st)
 	}
 	for _, k := range keys {

@@ -277,26 +277,23 @@ func TestContainsExpiredItem(t *testing.T) {
 // order, and exact FillCount/EvictionOnset even after trimming.
 func TestFillLogRing(t *testing.T) {
 	st := newMemStore(4, 4096)
-	c, err := New(Config{Store: st, FillLogCap: 5})
+	c, err := New(Config{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 60; i++ {
+	for i := 0; c.FillCount() < fillLogCap+100; i++ {
 		if err := c.Set(fmt.Sprintf("key-%04d", i), nil, 900); err != nil {
 			t.Fatal(err)
 		}
 	}
 	log := c.FillLog()
-	if len(log) > 5 {
-		t.Fatalf("fill log len = %d, cap 5", len(log))
+	if len(log) != fillLogCap {
+		t.Fatalf("fill log len = %d, cap %d", len(log), fillLogCap)
 	}
 	for i := 1; i < len(log); i++ {
 		if log[i].Seq != log[i-1].Seq+1 {
 			t.Fatalf("ring out of order: %d after %d", log[i].Seq, log[i-1].Seq)
 		}
-	}
-	if c.FillCount() <= 5 {
-		t.Fatalf("FillCount = %d, want > cap (whole history)", c.FillCount())
 	}
 	if log[len(log)-1].Seq != c.FillCount()-1 {
 		t.Fatalf("newest record seq %d, want %d", log[len(log)-1].Seq, c.FillCount()-1)
@@ -308,21 +305,6 @@ func TestFillLogRing(t *testing.T) {
 	// With 4 regions the first eviction happens on the 4th roll (seq 3).
 	if onset != 3 {
 		t.Fatalf("eviction onset seq = %d, want 3", onset)
-	}
-}
-
-// TestFillLogUnbounded preserves the pre-ring behaviour when FillLogCap < 0.
-func TestFillLogUnbounded(t *testing.T) {
-	st := newMemStore(4, 4096)
-	c, err := New(Config{Store: st, FillLogCap: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 60; i++ {
-		c.Set(fmt.Sprintf("key-%04d", i), nil, 900)
-	}
-	if got, want := uint64(len(c.FillLog())), c.FillCount(); got != want {
-		t.Fatalf("unbounded log kept %d of %d records", got, want)
 	}
 }
 
@@ -340,12 +322,12 @@ func TestRegionDroppableCachedMatchesScan(t *testing.T) {
 		t.Helper()
 		// Reference: walk the back of the order list directly.
 		want := make(map[int]bool)
-		limit := int(float64(c.order.Len()) * frac)
-		for e, i := c.order.Back(), 0; e != nil && i < limit; e, i = e.Prev(), i+1 {
+		limit := int(float64(c.regions.order.Len()) * frac)
+		for e, i := c.regions.order.Back(), 0; e != nil && i < limit; e, i = e.Prev(), i+1 {
 			want[e.Value.(int)] = true
 		}
 		for id := 0; id < 8; id++ {
-			m := &c.regions[id]
+			m := &c.regions.meta[id]
 			wantDrop := want[id] && m.state == regionSealed && m.elem != nil
 			if got := c.RegionDroppable(id, frac); got != wantDrop {
 				t.Fatalf("RegionDroppable(%d, %.2f) = %v, reference scan says %v",

@@ -38,7 +38,6 @@ type snapRegion struct {
 	State regionState
 	Keys  []string
 	Fill  int64
-	Live  int
 }
 
 type snapshotData struct {
@@ -61,10 +60,9 @@ func (c *Cache) Snapshot() ([]byte, error) {
 		Version:    snapshotVersion,
 		RegionSize: c.store.RegionSize(),
 		NumRegions: c.store.NumRegions(),
-		Open:       c.open,
 		Seq:        c.seq,
-		Free:       append([]int(nil), c.free...),
 	}
+	c.regions.save(&s)
 	c.idx.each(func(k string, e entry) {
 		s.Entries = append(s.Entries, snapEntry{
 			Key: k, Region: int32(e.region()), Offset: e.offset,
@@ -72,19 +70,6 @@ func (c *Cache) Snapshot() ([]byte, error) {
 			ExpireAt: e.expireAt,
 		})
 	})
-	s.Regions = make([]snapRegion, len(c.regions))
-	for i := range c.regions {
-		m := &c.regions[i]
-		s.Regions[i] = snapRegion{
-			State: m.state,
-			Keys:  m.keys.strings(),
-			Fill:  m.fill,
-			Live:  m.live,
-		}
-	}
-	for e := c.order.Front(); e != nil; e = e.Next() {
-		s.Order = append(s.Order, e.Value.(int))
-	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
 		return nil, fmt.Errorf("cache: snapshot encode: %w", err)
@@ -114,8 +99,8 @@ func SnapshotKeys(snapshot []byte) ([]string, error) {
 
 // validate checks the snapshot's structural invariants so a corrupt or
 // truncated snapshot is rejected with an error instead of corrupting the
-// engine — or panicking on an out-of-range index — later. FuzzRestore
-// hammers this path.
+// engine — or panicking on an out-of-range index or a transition from the
+// wrong state — later. FuzzRestore hammers this path.
 func (s *snapshotData) validate() error {
 	n := s.NumRegions
 	if len(s.Regions) != n {
@@ -124,42 +109,27 @@ func (s *snapshotData) validate() error {
 	if s.Open < 0 || s.Open >= n {
 		return fmt.Errorf("cache: snapshot open region %d out of range", s.Open)
 	}
+	// The eviction order and the free list partition the regions by state:
+	// flushing and sealed ones are ordered and free ones free, while the open
+	// region, the one region open, and quarantined ones are in neither.
+	inList := [regionQuarantined + 1]int8{regionFlushing: 1, regionSealed: 1, regionFree: 2}
+	listed := make([]int8, n)
+	for l, ids := range [][]int{s.Order, s.Free} {
+		for _, id := range ids {
+			if id < 0 || id >= n || listed[id] != 0 {
+				return fmt.Errorf("cache: region %d of %d listed twice or out of range", id, n)
+			}
+			listed[id] = int8(l + 1)
+		}
+	}
 	for i := range s.Regions {
 		r := &s.Regions[i]
-		if r.State > regionQuarantined {
-			return fmt.Errorf("cache: region %d: unknown state %d", i, r.State)
+		if r.State > regionQuarantined || listed[i] != inList[r.State] || (r.State == regionOpen) != (i == s.Open) {
+			return fmt.Errorf("cache: region %d in state %d is misplaced", i, r.State)
 		}
 		if r.Fill < 0 || r.Fill > s.RegionSize {
 			return fmt.Errorf("cache: region %d: fill %d outside [0, %d]", i, r.Fill, s.RegionSize)
 		}
-		if r.Live < 0 {
-			return fmt.Errorf("cache: region %d: negative live count", i)
-		}
-	}
-	seen := make([]bool, n)
-	for _, id := range s.Order {
-		if id < 0 || id >= n {
-			return fmt.Errorf("cache: eviction order references region %d of %d", id, n)
-		}
-		if seen[id] {
-			return fmt.Errorf("cache: region %d appears twice in the eviction order", id)
-		}
-		if st := s.Regions[id].State; st != regionSealed && st != regionFlushing {
-			return fmt.Errorf("cache: eviction order holds region %d in state %d", id, st)
-		}
-		seen[id] = true
-	}
-	for _, id := range s.Free {
-		if id < 0 || id >= n {
-			return fmt.Errorf("cache: free list references region %d of %d", id, n)
-		}
-		if seen[id] {
-			return fmt.Errorf("cache: region %d in the free list twice or also ordered", id)
-		}
-		if st := s.Regions[id].State; st != regionFree {
-			return fmt.Errorf("cache: free list holds region %d in state %d", id, st)
-		}
-		seen[id] = true
 	}
 	for i := range s.Entries {
 		e := &s.Entries[i]
@@ -220,37 +190,21 @@ func Restore(cfg Config, snapshot []byte) (*Cache, error) {
 		return nil, err
 	}
 
-	// Wipe the fresh-engine scaffolding New installed.
-	c.order.Init()
-	c.free = nil
 	c.seq = s.Seq
-
-	sizer, hasSizer := c.store.(regionSizer)
-	var repairedFree []int
-	for i := range c.regions {
-		m := &c.regions[i]
-		src := s.Regions[i]
-		m.state = src.State
-		m.keys.setStrings(src.Keys)
-		m.fill = src.Fill
-		m.live = src.Live
-		m.elem = nil
-		// Flushing states cannot survive a restart; the device write either
-		// completed (treat as sealed — the simulation's stores complete
-		// writes they acknowledged) or its entries are dropped by the
-		// cross-check below.
-		if m.state == regionFlushing {
-			m.state = regionSealed
-		}
-		if m.state == regionSealed && i != s.Open && hasSizer {
+	c.regions.load(&s, c.clock.Now())
+	// A flushing record loaded as sealed: its device write either completed
+	// or its entries are dropped by the cross-check below.
+	if sizer, ok := c.store.(regionSizer); ok {
+		for i := range c.regions.meta {
+			m := &c.regions.meta[i]
+			if m.state != regionSealed {
+				continue
+			}
 			if avail, ok := sizer.RegionReadableBytes(i); ok && avail < m.fill {
 				m.fill = avail
 				if m.fill == 0 {
 					// Nothing survives: return the region to the free pool.
-					m.state = regionFree
-					m.keys.reset()
-					m.live = 0
-					repairedFree = append(repairedFree, i)
+					c.regions.drop(i)
 				}
 			}
 		}
@@ -260,16 +214,14 @@ func Restore(cfg Config, snapshot []byte) (*Cache, error) {
 		if int(e.Region) == s.Open {
 			continue
 		}
-		m := &c.regions[e.Region]
+		m := &c.regions.meta[e.Region]
 		end := int64(e.Offset) + itemHeaderSize + int64(e.KeyLen) + int64(e.ValLen)
 		if m.state != regionSealed || end > m.fill {
 			// The bytes this entry points at are not durably readable.
 			c.restoreDrop.Inc()
-			if m.live > 0 {
-				m.live--
-			}
 			continue
 		}
+		m.live++
 		ent := entry{loc: uint32(e.Region), offset: e.Offset, valLen: e.ValLen, expireAt: e.ExpireAt}
 		if cfg.ReinsertHits > 0 { // hits are kept only where reinsertion reads them
 			ent.loc |= uint32(e.Hits) << regionBits
@@ -279,21 +231,6 @@ func Restore(cfg Config, snapshot []byte) (*Cache, error) {
 		// verified sealed read promotes the key to servable on first touch.
 		c.idx.put(c.idx.stripe(e.Key), e.Key, ent)
 	}
-	for _, id := range s.Order {
-		if id == s.Open || c.regions[id].state != regionSealed {
-			continue
-		}
-		c.regions[id].elem = c.order.PushBack(id)
-	}
-	c.free = append(c.free, s.Free...)
-	c.free = append(c.free, repairedFree...)
-	// Reopen the snapshot's open region as a fresh buffer: the buffer and
-	// image New gave region 0 are let go first, so no sealed or free region
-	// keeps them.
-	c.releaseBuf(c.open)
-	c.dropImage(c.open)
-	c.open = s.Open
-	c.openRegion(s.Open)
 	return c, nil
 }
 

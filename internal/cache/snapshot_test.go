@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	if r.open == 0 {
+	if r.regions.open == 0 {
 		t.Fatal("snapshot's open region is 0: the buffer hand-over goes untested")
 	}
 	checkBufferBound(t, r)
@@ -103,6 +104,49 @@ func TestRestoreRejectsMismatchedStore(t *testing.T) {
 	}
 	if _, err := Restore(Config{Store: st}, []byte("garbage")); err == nil {
 		t.Fatal("restore from garbage succeeded")
+	}
+}
+
+// TestRestoreRejectsMisplacedRegions: a snapshot whose eviction order, free
+// list and open region do not partition its regions by state would break a
+// region transition later. Restore rejects it with an error.
+func TestRestoreRejectsMisplacedRegions(t *testing.T) {
+	c, _ := newTestCache(t, 8, 4096)
+	for i := 0; i < 12; i++ {
+		c.Set(fmt.Sprintf("key-%02d", i), bytes.Repeat([]byte{byte(i)}, 900), 0)
+	}
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(s *snapshotData)
+	}{
+		{"open region free", func(s *snapshotData) {
+			s.Regions[s.Open].State = regionFree
+			s.Free = append(s.Free, s.Open)
+		}},
+		{"second open region", func(s *snapshotData) {
+			s.Regions[s.Free[0]].State = regionOpen
+			s.Free = s.Free[1:]
+		}},
+		{"sealed region outside the order", func(s *snapshotData) { s.Order = s.Order[1:] }},
+		{"free region off the free list", func(s *snapshotData) { s.Free = s.Free[1:] }},
+		{"quarantined region in the order", func(s *snapshotData) { s.Regions[s.Order[0]].State = regionQuarantined }},
+	} {
+		var s snapshotData
+		if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&s); err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(&s)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(Config{Store: newMemStore(8, 4096), TrackValues: true}, buf.Bytes()); err == nil {
+			t.Errorf("%s: restored", tc.name)
+		}
 	}
 }
 
@@ -336,7 +380,7 @@ func TestGetBufPromotionKeepsOwnCopy(t *testing.T) {
 					if !bytes.Equal(v, want) {
 						t.Fatal("read index serves the caller's scribbled buffer")
 					}
-					if ib := r.regions[entryOf(r, "k").region()].img; view && (ib == nil || !ib.p.Load().onStore) {
+					if ib := r.regions.meta[entryOf(r, "k").region()].img; view && (ib == nil || !ib.p.Load().onStore) {
 						t.Fatal("promotion over a store that lends views did not point into the view")
 					}
 				})
