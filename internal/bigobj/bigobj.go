@@ -401,12 +401,25 @@ func (s *Store) Contains(key string) bool {
 	return s.backend.Contains(key)
 }
 
-// getManifest fetches and decodes the manifest under key. Called with mu
-// held.
+// notFoundError is the miss error: it names the key and matches
+// ErrNotFound, and builds its message only when asked.
+type notFoundError struct{ key string }
+
+func (e *notFoundError) Error() string { return fmt.Sprintf("%v: %q", ErrNotFound, e.key) }
+
+func (e *notFoundError) Unwrap() error { return ErrNotFound }
+
+// getManifest fetches and decodes the manifest under key. A missing or
+// undecodable manifest is ErrNotFound; a backend failure is returned as
+// itself, with the key, since it says nothing about whether the object
+// exists. Called with mu held.
 func (s *Store) getManifest(key string) (manifest, error) {
 	raw, ok, err := s.backend.Get(key)
-	if err != nil || !ok {
-		return manifest{}, fmt.Errorf("%w: %q", ErrNotFound, key)
+	if err != nil {
+		return manifest{}, fmt.Errorf("bigobj: manifest %q: %w", key, err)
+	}
+	if !ok {
+		return manifest{}, &notFoundError{key}
 	}
 	m, derr := decodeManifest(raw)
 	if derr != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -212,6 +213,50 @@ func TestMissAndDelete(t *testing.T) {
 	s := st.Stats()
 	if s.Deletes != 1 || s.ObjectMisses != 2 {
 		t.Fatalf("stats after delete: %+v", s)
+	}
+}
+
+// failingGet is a backend whose reads fail with errBackend, as an engine
+// whose device keeps failing does.
+type failingGet struct{ bigobj.Backend }
+
+var errBackend = errors.New("backend read failed")
+
+func (failingGet) Get(string) ([]byte, bool, error) { return nil, false, errBackend }
+
+// TestBackendFailureIsNotAMiss: a manifest read that fails in the backend is
+// returned as that failure, naming the key — not as ErrNotFound, which
+// would send a read-through caller to refill over a failing backend — and
+// is not counted as an object miss.
+func TestBackendFailureIsNotAMiss(t *testing.T) {
+	_, rig := testStore(t, harness.RegionCache, 8<<10)
+	st, err := bigobj.New(bigobj.Config{Backend: failingGet{rig.Engine}, ChunkSize: 8 << 10, Clock: rig.Clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = st.NewRangeReader("obj", 0, -1)
+	if !errors.Is(err, errBackend) || errors.Is(err, bigobj.ErrNotFound) || !strings.Contains(err.Error(), `"obj"`) {
+		t.Fatalf("open over a failing backend: %v, want the backend's error with the key", err)
+	}
+	if _, err := st.Stat("obj"); !errors.Is(err, errBackend) {
+		t.Fatalf("Stat over a failing backend: %v, want the backend's error", err)
+	}
+	if s := st.Stats(); s.ObjectMisses != 0 {
+		t.Fatalf("a backend failure counted %d object misses", s.ObjectMisses)
+	}
+}
+
+// TestMissAllocatesAtMostOnce: opening an absent object builds no message,
+// only the small error naming the key, which still matches ErrNotFound.
+func TestMissAllocatesAtMostOnce(t *testing.T) {
+	st, _ := testStore(t, harness.RegionCache, 8<<10)
+	var err error
+	allocs := testing.AllocsPerRun(100, func() { _, err = st.NewRangeReader("ghost", 0, -1) })
+	if !errors.Is(err, bigobj.ErrNotFound) || !strings.Contains(err.Error(), `"ghost"`) {
+		t.Fatalf("open absent object: %v, want ErrNotFound naming the key", err)
+	}
+	if allocs > 1 {
+		t.Fatalf("a miss allocates %.1f objects, want at most 1", allocs)
 	}
 }
 

@@ -12,6 +12,7 @@
 package bigobj
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -61,8 +62,9 @@ type RangeReader struct {
 // NewRangeReader opens a reader over [off, off+length) of the object under
 // key. length < 0 means "to the end of the object"; a range reaching past
 // the tail is truncated at the tail. Opening an absent object returns
-// ErrNotFound. The reader pins its chunk span until Close or until the read
-// advances past each chunk.
+// ErrNotFound and counts an object miss; a backend failure is returned as it
+// is, with the key, and counts none. The reader pins its chunk span until
+// Close or until the read advances past each chunk.
 func (s *Store) NewRangeReader(key string, off, length int64) (*RangeReader, error) {
 	if off < 0 {
 		return nil, fmt.Errorf("bigobj: negative offset %d", off)
@@ -72,7 +74,9 @@ func (s *Store) NewRangeReader(key string, off, length int64) (*RangeReader, err
 	defer s.mu.Unlock()
 	man, err := s.getManifest(key)
 	if err != nil {
-		s.objectMisses.Inc()
+		if errors.Is(err, ErrNotFound) {
+			s.objectMisses.Inc()
+		}
 		return nil, err
 	}
 	end := man.size

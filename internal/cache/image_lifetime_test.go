@@ -18,10 +18,11 @@ import (
 // The image-lifetime oracle: lock-free readers are served values in place —
 // out of region buffers, then out of the device's payload segments or, over a
 // store that lends no view, out of copies of the live values — while a
-// writer rolls regions, completes flushes, evicts, and makes the middle layer
-// migrate regions and reset zones under them. Every served value carries a
-// tag derived from its key and length, so bytes that changed under a reader,
-// or came from another region's generation, fail the check.
+// writer rolls regions, completes flushes, evicts (which drops the evicted
+// region's payload on the device), and makes the middle layer migrate
+// regions and reset zones under them. Every served value carries a tag
+// derived from its key and length, so bytes that changed under a reader, or
+// came from another region's generation, fail the check.
 
 const (
 	lifetimeRegion  = 64 << 10
@@ -60,25 +61,42 @@ func (r *splitmix) next() uint64 {
 // from its buffer to a copy of its live values.
 type hideView struct{ cache.RegionStore }
 
-// lifetimeStack is a one-shard cache over a middle layer on a 16-zone device
-// of 256 KiB zones (one payload segment each) and 64 KiB regions, filled to
-// 48 of the 52 regions the layer allows, so GC migrates live regions.
-func lifetimeStack(t *testing.T, view bool) (*cache.Sharded, cache.Config, *middle.Layer) {
+// lifetimeLayout is how the stack's 64 KiB regions lie on the device's
+// payload segments.
+type lifetimeLayout struct {
+	name          string
+	blocksPerZone int // 64 KiB blocks per zone
+	numRegions    int
+}
+
+var (
+	// Four regions share each 256 KiB zone's one segment, so an eviction
+	// drops no payload: the segment goes at the zone's reset.
+	sharedSegments = lifetimeLayout{"shared", 4, 48}
+	// A 192 KiB zone has 64 KiB segments (device.NewSegments), one per
+	// region, so every eviction releases its region's segment.
+	wholeSegments = lifetimeLayout{"whole", 3, 39}
+)
+
+// lifetimeStack is a one-shard cache over a middle layer on a 16-zone device,
+// filled to all but four of the regions the layer allows, so GC migrates
+// live regions.
+func lifetimeStack(t *testing.T, lay lifetimeLayout, view bool) (*cache.Sharded, cache.Config, *middle.Layer) {
 	t.Helper()
 	dev, err := zns.New(zns.Config{
 		Geometry: flash.Geometry{
-			Channels: 2, DiesPerChan: 2, BlocksPerDie: 16,
+			Channels: 2, DiesPerChan: 2, BlocksPerDie: 4 * lay.blocksPerZone,
 			PagesPerBlock: 16, PageSize: device.SectorSize,
 		},
 		Timing:        flash.DefaultTiming(),
-		BlocksPerZone: 4,
+		BlocksPerZone: lay.blocksPerZone,
 		StoreData:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	layer, err := middle.New(dev, middle.Config{
-		RegionSize: lifetimeRegion, NumRegions: 48, OpenZones: 2, MinEmptyZones: 2,
+		RegionSize: lifetimeRegion, NumRegions: lay.numRegions, OpenZones: 2, MinEmptyZones: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,17 +275,32 @@ func lifetimeQuiescent(t *testing.T, s *cache.Sharded, view bool) {
 }
 
 // TestImageLifetimeOracle runs the storm over a store that lends views and
-// over one that does not, each time once more on an engine restored from a
-// snapshot of the first, whose keys become servable by promotion.
+// over one that does not, with regions sharing payload segments, and over a
+// store that lends views with a segment per region, whose evictions release
+// segments under held views; each time once more on an engine restored from
+// a snapshot of the first, whose keys become servable by promotion.
 func TestImageLifetimeOracle(t *testing.T) {
-	for _, view := range []bool{true, false} {
-		t.Run(fmt.Sprintf("view=%v", view), func(t *testing.T) {
-			s, cfg, layer := lifetimeStack(t, view)
+	for _, c := range []struct {
+		name string
+		lay  lifetimeLayout
+		view bool
+	}{
+		{"view=true", sharedSegments, true},
+		{"view=false", sharedSegments, false},
+		{"segment-per-region", wholeSegments, true},
+	} {
+		view := c.view
+		t.Run(c.name, func(t *testing.T) {
+			s, cfg, layer := lifetimeStack(t, c.lay, view)
 			lifetimeStorm(t, s, 1, 12000)
 			lifetimeQuiescent(t, s, view)
 			if layer.Migrated.Load() == 0 || layer.Resets.Load() == 0 {
 				t.Fatalf("GC migrated %d regions and reset %d zones: the storm never moved bytes under an image",
 					layer.Migrated.Load(), layer.Resets.Load())
+			}
+			_, dropped := layer.Device().(*zns.Device).Payload()
+			if (c.lay == wholeSegments) != (dropped > 0) {
+				t.Fatalf("evictions dropped %d payload bytes with %s segments", dropped, c.lay.name)
 			}
 			snaps, err := s.Snapshot()
 			if err != nil {

@@ -24,14 +24,15 @@ const segmentBytes = 256 << 10
 //
 // View hands out bytes in place, to be read with no lock at all. The bytes
 // behind a view never change: the owner writes and zeroes only above its
-// write pointer, never below a viewed range, and Zero drops a viewed segment
-// instead of pooling it, so the view keeps the old array alive and the next
-// Write there starts a new one.
+// write pointer, never below a viewed range, and Zero and Drop leave a viewed
+// segment to its views instead of pooling it, so the view keeps the old array
+// alive and the next Write there starts a new one.
 type Segments struct {
 	size   int64     // bytes per segment
 	segs   []*[]byte // by offset / size; nil reads as zeros
 	viewed []bool    // by segment: handed out by View since it was allocated
-	free   sync.Pool // *[]byte segments released by Zero, reused by Write
+	held   int64     // bytes of the segments in segs
+	free   sync.Pool // *[]byte segments released by Zero and Drop, reused by Write
 }
 
 // NewSegments returns an empty store over size bytes. With zone > 0 the
@@ -70,6 +71,7 @@ func (s *Segments) Write(off int64, data []byte) {
 			seg = s.alloc()
 			clear((*seg)[:in])
 			s.segs[i] = seg
+			s.held += s.size
 		}
 		n := copy((*seg)[in:], data)
 		data = data[n:]
@@ -105,10 +107,7 @@ func (s *Segments) Zero(off, n int64) {
 		k := min(n, s.size-in)
 		if seg := s.segs[i]; seg != nil {
 			if k == s.size {
-				if !s.viewed[i] {
-					s.free.Put(seg)
-				}
-				s.segs[i], s.viewed[i] = nil, false
+				s.release(i)
 			} else {
 				clear((*seg)[in : in+k])
 			}
@@ -116,6 +115,43 @@ func (s *Segments) Zero(off, n int64) {
 		off += k
 		n -= k
 	}
+}
+
+// Drop forgets [off, off+n), which nobody reads again, and returns the bytes
+// it released: a segment the range covers whole is released as Zero releases
+// it, and a partly covered one keeps all of its bytes. Clearing part of a
+// segment would change bytes behind any view of the rest of it, and nothing
+// reads the part that died.
+func (s *Segments) Drop(off, n int64) (released int64) {
+	for s != nil && n > 0 {
+		i, in := off/s.size, off%s.size
+		k := min(n, s.size-in)
+		if k == s.size && s.segs[i] != nil {
+			s.release(i)
+			released += s.size
+		}
+		off += k
+		n -= k
+	}
+	return released
+}
+
+// Held returns the bytes of the segments the store holds.
+func (s *Segments) Held() int64 {
+	if s == nil {
+		return 0
+	}
+	return s.held
+}
+
+// release gives segment i back to the pool or, once viewed, to the views
+// that hold it.
+func (s *Segments) release(i int64) {
+	if !s.viewed[i] {
+		s.free.Put(s.segs[i])
+	}
+	s.segs[i], s.viewed[i] = nil, false
+	s.held -= s.size
 }
 
 // alloc takes a released segment, or makes one.

@@ -75,3 +75,58 @@ func TestSegmentsDropViewed(t *testing.T) {
 		t.Fatalf("read %#x after the rewrite, want 0xcd", got[0])
 	}
 }
+
+// TestSegmentsDrop: Drop releases the segments a range covers whole — to the
+// pool, or to the views that hold one — and leaves a partly covered segment
+// with every byte it had, while Held counts what the store keeps.
+func TestSegmentsDrop(t *testing.T) {
+	s := NewSegments(4*segmentBytes, segmentBytes)
+	data := make([]byte, 4*segmentBytes)
+	for i := range data {
+		data[i] = byte(i*7 + i/4096)
+	}
+	s.Write(0, data)
+	if got := s.Held(); got != 4*segmentBytes {
+		t.Fatalf("Held = %d after writing four segments, want %d", got, 4*segmentBytes)
+	}
+	v, ok := s.View(segmentBytes, 100)
+	if !ok {
+		t.Fatal("View lent nothing")
+	}
+	viewed := s.segs[1]
+
+	// Segments 1 and 2 whole, the tail of 0 and the head of 3 in part.
+	if got := s.Drop(segmentBytes-4096, 2*segmentBytes+8192); got != 2*segmentBytes {
+		t.Fatalf("Drop released %d bytes, want %d", got, 2*segmentBytes)
+	}
+	if s.segs[1] != nil || s.segs[2] != nil || s.Held() != 2*segmentBytes {
+		t.Fatalf("after Drop: segment 1 held %v, 2 held %v, Held %d", s.segs[1] != nil, s.segs[2] != nil, s.Held())
+	}
+	for _, r := range [][2]int64{{0, segmentBytes}, {3 * segmentBytes, 4 * segmentBytes}} {
+		got := make([]byte, r[1]-r[0])
+		s.Read(got, r[0])
+		if !bytes.Equal(got, data[r[0]:r[1]]) {
+			t.Errorf("partly dropped segment at %d lost bytes", r[0])
+		}
+	}
+	if got := s.Drop(segmentBytes, segmentBytes); got != 0 {
+		t.Errorf("dropping a released segment again released %d bytes", got)
+	}
+
+	// Rewrites take the unviewed segment back from the pool, never the
+	// viewed one, whose view keeps its bytes.
+	for i := 0; i < 4; i++ {
+		s.Write(segmentBytes, bytes.Repeat([]byte{byte(i)}, 2*segmentBytes))
+		if s.segs[1] == viewed || s.segs[2] == viewed {
+			t.Fatal("a viewed segment came back from the pool")
+		}
+		s.Drop(segmentBytes, 2*segmentBytes)
+	}
+	if !bytes.Equal(v, data[segmentBytes:segmentBytes+100]) {
+		t.Fatal("a view's bytes changed after its segment was dropped and the offset rewritten")
+	}
+	var nilStore *Segments
+	if nilStore.Drop(0, segmentBytes) != 0 || nilStore.Held() != 0 {
+		t.Error("a metadata-only store released or held bytes")
+	}
+}

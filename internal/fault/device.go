@@ -228,6 +228,10 @@ func (d *ZonedDevice) Read(now time.Duration, p []byte, off int64) (time.Duratio
 // command, and its bytes were already written through Write.
 func (d *ZonedDevice) View(off int64, n int) ([]byte, bool) { return d.inner.View(off, n) }
 
+// DropPayload implements zns.Zoned. It injects nothing: dropping host bytes
+// is not a device command.
+func (d *ZonedDevice) DropPayload(off, n int64) { d.inner.DropPayload(off, n) }
+
 // Reset implements zns.Zoned.
 func (d *ZonedDevice) Reset(now time.Duration, z int) (time.Duration, error) {
 	dec := d.inj.decideReset()

@@ -107,3 +107,53 @@ func TestBuildWithoutHooksIsClean(t *testing.T) {
 		t.Error("tracer wired without being requested")
 	}
 }
+
+// TestPayloadMetricsFollowEvictions: on a Region-Cache rig whose regions are
+// one payload segment each, every eviction adds its region's bytes to
+// zns_payload_dropped_bytes_total, and zns_payload_bytes is the bytes of the
+// regions the middle layer maps — not of every zone written since its reset.
+func TestPayloadMetricsFollowEvictions(t *testing.T) {
+	rig, err := Build(RigConfig{
+		Scheme:      RegionCache,
+		HW:          HWProfile{Zones: 16, BlocksPerZone: 4, PagesPerBlock: 64, Channels: 2, DiesPerChan: 2},
+		CacheBytes:  6 << 20,
+		TrackValues: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	rig.RegisterMetrics(reg, obs.Labels{})
+	scrape := func() (held, dropped float64) {
+		for _, s := range reg.Gather() {
+			switch s.Name {
+			case "zns_payload_bytes":
+				held = s.Value
+			case "zns_payload_dropped_bytes_total":
+				dropped = s.Value
+			}
+		}
+		return held, dropped
+	}
+	region := float64(rig.Middle.RegionSize())
+	value := make([]byte, 16<<10)
+	for round := 1; round <= 3; round++ {
+		for i := 0; i < 1000; i++ {
+			if err := rig.Engine.Set(fmt.Sprintf("key-%d-%d", round, i), value, len(value)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		held, dropped := scrape()
+		evictions := rig.Engine.Stats().Evictions
+		if evictions == 0 || rig.Middle.Resets.Load() == 0 {
+			t.Fatalf("round %d: %d evictions, %d zone resets: the rig never evicted or reclaimed",
+				round, evictions, rig.Middle.Resets.Load())
+		}
+		if want := float64(evictions) * region; dropped != want {
+			t.Errorf("round %d: zns_payload_dropped_bytes_total = %v after %d evictions, want %v", round, dropped, evictions, want)
+		}
+		if want := float64(rig.Middle.MappedRegions()) * region; held != want {
+			t.Errorf("round %d: zns_payload_bytes = %v with %d regions mapped, want %v", round, held, rig.Middle.MappedRegions(), want)
+		}
+	}
+}

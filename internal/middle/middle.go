@@ -300,7 +300,7 @@ func (l *Layer) placeRegionLocked(now time.Duration, id int, data []byte) (time.
 	}
 	zm := &l.zones[z]
 	slot := zm.written
-	off := int64(z)*l.dev.ZoneSize() + int64(slot)*l.cfg.RegionSize
+	off := l.slotOffset(z, slot)
 	var lat, stall time.Duration
 	stalled := false
 	// Two frees per in-flight zone bounds the juggle: each retry either
@@ -449,7 +449,15 @@ func (l *Layer) abandonZoneLocked(z int) {
 	}
 }
 
-// invalidateLocked clears region id's mapping and bitmap bit if present.
+// slotOffset is the device offset of slot in zone z.
+func (l *Layer) slotOffset(z, slot int) int64 {
+	return int64(z)*l.dev.ZoneSize() + int64(slot)*l.cfg.RegionSize
+}
+
+// invalidateLocked clears region id's mapping and bitmap bit if present, and
+// tells the device to forget the unmapped copy's bytes: nothing reads an
+// unmapped slot, so the host memory behind it goes back now rather than at
+// the zone's reset.
 func (l *Layer) invalidateLocked(id int) {
 	m, ok := l.mapTable[id]
 	if !ok {
@@ -459,6 +467,7 @@ func (l *Layer) invalidateLocked(id int) {
 	zm := &l.zones[m.zone]
 	zm.bitmap &^= 1 << uint(m.slot)
 	zm.regions[m.slot] = -1
+	l.dev.DropPayload(l.slotOffset(m.zone, m.slot), l.cfg.RegionSize)
 }
 
 // WriteRegion implements cache.RegionStore: invalidate any previous copy of
@@ -505,8 +514,7 @@ func (l *Layer) ReadRegion(now time.Duration, id int, p []byte, n int, off int64
 		}
 		p = l.scratch[:n]
 	}
-	devOff := int64(m.zone)*l.dev.ZoneSize() + int64(m.slot)*l.cfg.RegionSize + off
-	lat, err := l.dev.Read(now, p[:n], devOff)
+	lat, err := l.dev.Read(now, p[:n], l.slotOffset(m.zone, m.slot)+off)
 	l.mu.Unlock()
 	if err != nil {
 		return 0, fmt.Errorf("middle: zone read: %w", err)
@@ -524,12 +532,13 @@ func (l *Layer) RegionView(id int) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return l.dev.View(int64(m.zone)*l.dev.ZoneSize()+int64(m.slot)*l.cfg.RegionSize, int(l.cfg.RegionSize))
+	return l.dev.View(l.slotOffset(m.zone, m.slot), int(l.cfg.RegionSize))
 }
 
-// EvictRegion implements cache.RegionStore: purely a metadata operation —
-// clear the mapping and bitmap bit. The space comes back when GC (or a
-// whole-zone invalidation) reclaims the zone.
+// EvictRegion implements cache.RegionStore: a metadata operation on the
+// device — clear the mapping and bitmap bit, and drop the host copy of the
+// bytes (invalidateLocked). The flash comes back when GC (or a whole-zone
+// invalidation) reclaims the zone.
 func (l *Layer) EvictRegion(now time.Duration, id int) (time.Duration, error) {
 	if id < 0 || id >= l.cfg.NumRegions {
 		return 0, fmt.Errorf("%w: %d", ErrRegion, id)
@@ -633,8 +642,7 @@ func (l *Layer) reclaimZoneLocked(now time.Duration, victim int) (time.Duration,
 			l.scratch = make([]byte, n)
 		}
 		buf := l.scratch[:n]
-		src := int64(victim)*l.dev.ZoneSize() + int64(slot)*l.cfg.RegionSize
-		rlat, err := l.dev.Read(cur, buf, src)
+		rlat, err := l.dev.Read(cur, buf, l.slotOffset(victim, slot))
 		if err != nil {
 			l.full[victim] = struct{}{}
 			return 0, fmt.Errorf("middle: GC read: %w", err)
@@ -646,6 +654,8 @@ func (l *Layer) reclaimZoneLocked(now time.Duration, victim int) (time.Duration,
 		}
 		// The old copy in the victim is dead now; clear its slot directly
 		// (invalidateLocked would follow the map table to the new copy).
+		// Its bytes go with the victim's reset below, never before the new
+		// copy has landed.
 		zm.bitmap &^= 1 << uint(slot)
 		zm.regions[slot] = -1
 		cur += rlat + wlat

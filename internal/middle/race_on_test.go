@@ -1,0 +1,5 @@
+//go:build race
+
+package middle
+
+const raceEnabled = true

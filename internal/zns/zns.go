@@ -157,6 +157,12 @@ type Zoned interface {
 	// It is free on the device clock: callers that serve from it model a
 	// DRAM copy, not a flash read.
 	View(off int64, n int) (p []byte, ok bool)
+	// DropPayload tells the device that nothing reads the n bytes at off
+	// again, so it may forget its host copy of them. Reads of the range are
+	// undefined afterwards; views already lent keep their bytes. It changes
+	// no zone state, write pointer or flash page and is free on the device
+	// clock: the flash behind the range comes back when its zone is reset.
+	DropPayload(off, n int64)
 	// Reset erases zone z.
 	Reset(now time.Duration, z int) (time.Duration, error)
 	// Finish moves zone z's write pointer to the end (state full).
@@ -184,6 +190,8 @@ type Device struct {
 	open   int
 	active int
 	lanes  [][]sim.Busy // per-zone write-bandwidth lanes
+	// dropped is the payload bytes DropPayload released.
+	dropped int64
 
 	// Observability. The device never writes on its own behalf (finishing a
 	// partial zone fills the tail, but only when the caller asks), so its WA
@@ -562,6 +570,26 @@ func (d *Device) View(off int64, n int) ([]byte, bool) {
 	return d.data.View(off, n)
 }
 
+// DropPayload implements Zoned: it releases every payload segment the range
+// covers whole (device.Segments.Drop) and keeps a partly covered one as it
+// is. Without StoreData there is nothing to drop.
+func (d *Device) DropPayload(off, n int64) {
+	if d.data == nil || off < 0 || n <= 0 || off+n > d.Size() {
+		return
+	}
+	d.mu.Lock()
+	d.dropped += d.data.Drop(off, n)
+	d.mu.Unlock()
+}
+
+// Payload returns the bytes the payload store holds and the bytes
+// DropPayload has released from it.
+func (d *Device) Payload() (held, dropped int64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.data.Held(), d.dropped
+}
+
 // Reset erases zone z, returning it to empty with the write pointer at the
 // zone start and releasing any open/active slot it held. This is the
 // application-controlled reclaim primitive: Zone-Cache resets a zone per
@@ -665,6 +693,14 @@ func (d *Device) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	})
 	r.Gauge("zns_zones", "Total zones exposed by the device", ls, func() float64 {
 		return float64(d.numZones)
+	})
+	r.Gauge("zns_payload_bytes", "Bytes the payload store holds", ls, func() float64 {
+		held, _ := d.Payload()
+		return float64(held)
+	})
+	r.CounterFunc("zns_payload_dropped_bytes_total", "Payload bytes released because the layer above unmapped them", ls, func() uint64 {
+		_, dropped := d.Payload()
+		return uint64(dropped)
 	})
 	for z := 0; z < d.numZones; z++ {
 		z := z
