@@ -22,11 +22,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
-	"znscache/internal/cache"
-	"znscache/internal/fault"
 	"znscache/internal/harness"
 	"znscache/internal/obs"
 	"znscache/internal/workload"
@@ -56,27 +55,15 @@ func main() {
 	)
 	flag.Parse()
 
-	if *admission != "" {
-		f, err := cache.ParseAdmission(*admission, *admitBudget)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cachebench: %v\n", err)
-			os.Exit(2)
-		}
-		harness.SetAdmissionFactory(f)
-		if f != nil {
-			fmt.Fprintf(os.Stderr, "admission policy armed: %s\n", f.Name())
-		}
+	env, err := harness.ParseEnv(*admission, *admitBudget, *faultRate, *faultSeed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cachebench: %v\n", err)
+		os.Exit(2)
 	}
-
-	if *faultRate > 0 {
-		harness.SetFaultConfig(&fault.Config{
-			Seed:             *faultSeed,
-			ReadErrorRate:    *faultRate,
-			WriteErrorRate:   *faultRate,
-			ResetErrorRate:   *faultRate,
-			TornWriteRate:    *faultRate,
-			LatencySpikeRate: *faultRate,
-		})
+	if env.Admission != nil {
+		fmt.Fprintf(os.Stderr, "admission policy armed: %s\n", env.Admission.Name())
+	}
+	if env.Faults != nil {
 		fmt.Fprintf(os.Stderr, "fault injection armed: rate %g, seed %d\n", *faultRate, *faultSeed)
 	}
 
@@ -91,23 +78,30 @@ func main() {
 		defer srv.Close() //nolint:errcheck
 		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics\n", srv.Addr())
 	}
-	var tracer *obs.Tracer
 	if *eventsFile != "" {
-		tracer = obs.NewTracer(*traceCap)
-		harness.SetTracer(tracer)
+		env.Trace = obs.NewTracer(*traceCap)
 		defer func() {
-			if err := writeEvents(*eventsFile, tracer); err != nil {
+			if err := writeEvents(*eventsFile, env.Trace); err != nil {
 				fmt.Fprintf(os.Stderr, "cachebench events: %v\n", err)
 			}
 		}()
 	}
 
 	if *traceFile != "" {
-		if err := replayTrace(*traceFile, *traceFormat, *scheme, *zones); err != nil {
+		if err := replayTrace(env, *traceFile, *traceFormat, *scheme, *zones); err != nil {
 			fmt.Fprintf(os.Stderr, "cachebench trace: %v\n", err)
 			os.Exit(1)
 		}
 		return
+	}
+	// scale overrides an experiment's size fields with the -zones, -ops,
+	// -warmup, -keys and -seed flags set; nil marks a field it lacks.
+	scale := func(z, o, w *int, k *int64, sd *uint64) {
+		set(z, *zones)
+		set(o, *ops)
+		set(w, *warmup)
+		set(k, *keys)
+		set(sd, *seed)
 	}
 
 	report := func(rep *harness.Report) error {
@@ -122,8 +116,10 @@ func main() {
 		return nil
 	}
 
+	// run runs experiment f when -experiment is all or one of name's
+	// slash-separated names.
 	run := func(name string, f func() error) {
-		if *experiment != "all" && *experiment != name {
+		if *experiment != "all" && !slices.Contains(strings.Split(name, "/"), *experiment) {
 			return
 		}
 		if err := f(); err != nil {
@@ -135,7 +131,8 @@ func main() {
 
 	run("fig2", func() error {
 		p := harness.DefaultFig2()
-		applyFig2(&p, *zones, *ops, *warmup, *keys, *seed)
+		scale(&p.Zones, &p.MeasureOps, &p.WarmupOps, &p.Keys, &p.Seed)
+		p.Env = env
 		rows, err := harness.RunFig2(p)
 		if err != nil {
 			return err
@@ -145,15 +142,8 @@ func main() {
 	})
 	run("smallzone", func() error {
 		p := harness.DefaultSmallZone()
-		if *keys != 0 {
-			p.Keys = *keys
-		}
-		if *ops != 0 {
-			p.MeasureOps = *ops
-		}
-		if *seed != 0 {
-			p.Seed = *seed
-		}
+		scale(nil, &p.MeasureOps, nil, &p.Keys, &p.Seed)
+		p.Env = env
 		rows, err := harness.RunSmallZone(p)
 		if err != nil {
 			return err
@@ -163,24 +153,9 @@ func main() {
 	})
 	run("admission", func() error {
 		p := harness.DefaultAdmissionSweep()
-		if *zones != 0 {
-			p.Zones = *zones
-		}
-		if *ops != 0 {
-			p.MeasureOps = *ops
-		}
-		if *warmup != 0 {
-			p.WarmupOps = *warmup
-		}
-		if *keys != 0 {
-			p.Keys = *keys
-		}
-		if *seed != 0 {
-			p.Seed = *seed
-		}
-		if *admitBudget > 0 {
-			p.BudgetBytesPerSec = *admitBudget
-		}
+		scale(&p.Zones, &p.MeasureOps, &p.WarmupOps, &p.Keys, &p.Seed)
+		set(&p.BudgetBytesPerSec, *admitBudget)
+		p.Env = env
 		rows, err := harness.RunAdmissionSweep(p)
 		if err != nil {
 			return err
@@ -190,21 +165,8 @@ func main() {
 	})
 	run("contracts", func() error {
 		p := harness.DefaultContracts()
-		if *zones != 0 {
-			p.Zones = *zones
-		}
-		if *ops != 0 {
-			p.MeasureOps = *ops
-		}
-		if *warmup != 0 {
-			p.WarmupOps = *warmup
-		}
-		if *keys != 0 {
-			p.Keys = *keys
-		}
-		if *seed != 0 {
-			p.Seed = *seed
-		}
+		scale(&p.Zones, &p.MeasureOps, &p.WarmupOps, &p.Keys, &p.Seed)
+		p.Env = env
 		if *limits != "" {
 			parsed, err := parseLimits(*limits)
 			if err != nil {
@@ -220,22 +182,8 @@ func main() {
 		return report(harness.NewContractsReport(rows))
 	})
 	run("cdn", func() error {
-		var p harness.CDNParams
-		if *zones != 0 {
-			p.Zones = *zones
-		}
-		if *ops != 0 {
-			p.MeasureOps = *ops
-		}
-		if *warmup != 0 {
-			p.WarmupOps = *warmup
-		}
-		if *keys != 0 {
-			p.Objects = *keys
-		}
-		if *seed != 0 {
-			p.Seed = *seed
-		}
+		p := harness.CDNParams{Env: env}
+		scale(&p.Zones, &p.MeasureOps, &p.WarmupOps, &p.Objects, &p.Seed)
 		if *chunkKiB != "" {
 			kib, err := parseLimits(*chunkKiB)
 			if err != nil {
@@ -255,15 +203,9 @@ func main() {
 	run("cluster", func() error {
 		points := harness.DefaultClusterSweep()
 		for i := range points {
-			if *ops != 0 {
-				points[i].Ops = *ops
-			}
-			if *keys != 0 {
-				points[i].Keys = int(*keys)
-			}
-			if *seed != 0 {
-				points[i].Seed = *seed
-			}
+			scale(nil, &points[i].Ops, nil, nil, &points[i].Seed)
+			set(&points[i].Keys, int(*keys))
+			points[i].Env = env
 		}
 		rows, err := harness.RunClusterSweep(points)
 		if err != nil {
@@ -274,12 +216,8 @@ func main() {
 	})
 	run("fig3", func() error {
 		p := harness.DefaultFig3()
-		if *zones != 0 {
-			p.Zones = *zones
-		}
-		if *seed != 0 {
-			p.Seed = *seed
-		}
+		scale(&p.Zones, nil, nil, nil, &p.Seed)
+		p.Env = env
 		rows, err := harness.RunFig3(p)
 		if err != nil {
 			return err
@@ -287,40 +225,18 @@ func main() {
 		harness.PrintFig3(os.Stdout, rows)
 		return report(harness.NewFig3Report(rows))
 	})
-	runFig4 := func() ([]harness.Fig4Row, error) {
+	// fig4 and table1 come from the same runs: either prints both.
+	run("fig4/table1", func() error {
 		p := harness.DefaultFig4()
-		if *zones != 0 {
-			p.Zones = *zones
-		}
-		if *ops != 0 {
-			p.MeasureOps = *ops
-		}
-		if *warmup != 0 {
-			p.WarmupOps = *warmup
-		}
-		if *keys != 0 {
-			p.Keys = *keys
-		}
-		if *seed != 0 {
-			p.Seed = *seed
-		}
-		return harness.RunFig4Table1(p)
-	}
-	// fig4 and table1 come from the same runs; print both when either (or
-	// all) is requested, but run only once.
-	if *experiment == "all" || *experiment == "fig4" || *experiment == "table1" {
-		rows, err := runFig4()
+		scale(&p.Zones, &p.MeasureOps, &p.WarmupOps, &p.Keys, &p.Seed)
+		p.Env = env
+		rows, err := harness.RunFig4Table1(p)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cachebench fig4/table1: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		harness.PrintFig4Table1(os.Stdout, rows)
-		if err := report(harness.NewFig4Table1Report(rows)); err != nil {
-			fmt.Fprintf(os.Stderr, "cachebench fig4/table1: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println()
-	}
+		return report(harness.NewFig4Table1Report(rows))
+	})
 
 	switch *experiment {
 	case "all", "fig2", "fig3", "fig4", "table1", "smallzone", "admission", "contracts", "cluster", "cdn":
@@ -399,8 +315,9 @@ func openTrace(path, format string) (*os.File, opStream, error) {
 	}
 }
 
-// replayTrace runs a trace file against one scheme and reports the outcome.
-func replayTrace(path, format, schemeName string, zones int) error {
+// replayTrace runs a trace file against one scheme, built in env, and reports
+// the outcome.
+func replayTrace(env harness.Env, path, format, schemeName string, zones int) error {
 	schemes := map[string]harness.Scheme{
 		"block": harness.BlockCache, "file": harness.FileCache,
 		"zone": harness.ZoneCache, "region": harness.RegionCache,
@@ -413,7 +330,10 @@ func replayTrace(path, format, schemeName string, zones int) error {
 		zones = 25
 	}
 	hw := harness.DefaultHW(zones)
-	cfg := harness.RigConfig{Scheme: s, HW: hw, CacheBytes: int64(zones) * hw.ZoneBytes() * 8 / 10}
+	cfg := harness.RigConfig{
+		Scheme: s, HW: hw, CacheBytes: int64(zones) * hw.ZoneBytes() * 8 / 10,
+		Trace: env.Trace, Faults: env.Faults, AdmissionFactory: env.Admission,
+	}
 	if s == harness.ZoneCache {
 		cfg.ZoneCount = zones
 	}
@@ -454,20 +374,11 @@ func replayTrace(path, format, schemeName string, zones int) error {
 	return nil
 }
 
-func applyFig2(p *harness.Fig2Params, zones, ops, warmup int, keys int64, seed uint64) {
-	if zones != 0 {
-		p.Zones = zones
-	}
-	if ops != 0 {
-		p.MeasureOps = ops
-	}
-	if warmup != 0 {
-		p.WarmupOps = warmup
-	}
-	if keys != 0 {
-		p.Keys = keys
-	}
-	if seed != 0 {
-		p.Seed = seed
+// set stores a flag's value in *dst unless the flag is zero (not set) or
+// dst is nil.
+func set[T comparable](dst *T, v T) {
+	var unset T
+	if dst != nil && v != unset {
+		*dst = v
 	}
 }

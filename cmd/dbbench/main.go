@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"os"
 
-	"znscache/internal/cache"
-	"znscache/internal/fault"
 	"znscache/internal/harness"
 	"znscache/internal/obs"
 )
@@ -36,27 +34,15 @@ func main() {
 	)
 	flag.Parse()
 
-	if *admission != "" {
-		f, err := cache.ParseAdmission(*admission, *admitBudget)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dbbench: %v\n", err)
-			os.Exit(2)
-		}
-		harness.SetAdmissionFactory(f)
-		if f != nil {
-			fmt.Fprintf(os.Stderr, "admission policy armed: %s\n", f.Name())
-		}
+	env, err := harness.ParseEnv(*admission, *admitBudget, *faultRate, *faultSeed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dbbench: %v\n", err)
+		os.Exit(2)
 	}
-
-	if *faultRate > 0 {
-		harness.SetFaultConfig(&fault.Config{
-			Seed:             *faultSeed,
-			ReadErrorRate:    *faultRate,
-			WriteErrorRate:   *faultRate,
-			ResetErrorRate:   *faultRate,
-			TornWriteRate:    *faultRate,
-			LatencySpikeRate: *faultRate,
-		})
+	if env.Admission != nil {
+		fmt.Fprintf(os.Stderr, "admission policy armed: %s\n", env.Admission.Name())
+	}
+	if env.Faults != nil {
 		fmt.Fprintf(os.Stderr, "fault injection armed: rate %g, seed %d\n", *faultRate, *faultSeed)
 	}
 
@@ -85,48 +71,44 @@ func main() {
 	}
 
 	p := harness.DefaultFig5()
-	if *keys != 0 {
-		p.Keys = *keys
-	}
-	if *reads != 0 {
-		p.Reads = *reads
-	}
-	if *cacheZones != 0 {
-		p.FlashCacheZones = *cacheZones
-	}
-	if *seed != 0 {
-		p.Seed = *seed
-	}
+	set(&p.Keys, *keys)
+	set(&p.Reads, *reads)
+	set(&p.FlashCacheZones, *cacheZones)
+	set(&p.Seed, *seed)
+	p.Env = env
 
+	// fail exits when experiment name failed.
+	fail := func(name string, err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dbbench %s: %v\n", name, err)
+			os.Exit(1)
+		}
+	}
 	if *experiment == "all" || *experiment == "fig5" {
 		rows, err := harness.RunFig5(p)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dbbench fig5: %v\n", err)
-			os.Exit(1)
-		}
+		fail("fig5", err)
 		harness.PrintFig5(os.Stdout, rows)
-		if err := report(harness.NewFig5Report(rows)); err != nil {
-			fmt.Fprintf(os.Stderr, "dbbench fig5: %v\n", err)
-			os.Exit(1)
-		}
+		fail("fig5", report(harness.NewFig5Report(rows)))
 		fmt.Println()
 	}
 	if *experiment == "all" || *experiment == "table2" {
 		rows, err := harness.RunTable2(p)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dbbench table2: %v\n", err)
-			os.Exit(1)
-		}
+		fail("table2", err)
 		harness.PrintTable2(os.Stdout, rows)
-		if err := report(harness.NewTable2Report(rows)); err != nil {
-			fmt.Fprintf(os.Stderr, "dbbench table2: %v\n", err)
-			os.Exit(1)
-		}
+		fail("table2", report(harness.NewTable2Report(rows)))
 	}
 	switch *experiment {
 	case "all", "fig5", "table2":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		os.Exit(2)
+	}
+}
+
+// set stores a flag's value in *dst unless the flag is zero (not set).
+func set[T comparable](dst *T, v T) {
+	var unset T
+	if v != unset {
+		*dst = v
 	}
 }

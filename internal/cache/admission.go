@@ -53,18 +53,6 @@ type AdmissionFactory interface {
 	New(p AdmissionParams) Admission
 }
 
-// CloneableAdmission is implemented by stateful policies that can produce an
-// independent copy of their configuration (not their accumulated state) —
-// the instance-level half of the Factory/Clone seam, for callers that hold a
-// configured policy rather than a factory.
-type CloneableAdmission interface {
-	Admission
-	// CloneAdmission returns a fresh instance with the same configuration
-	// and a new seed. Accumulated state (PRNG position, bloom bits, sketch
-	// counts, rate windows) is not copied.
-	CloneAdmission(p AdmissionParams) Admission
-}
-
 // SharedSafeAdmission marks policies whose Admit is safe to share across
 // concurrently-running engines (stateless, like AdmitAll). Policies without
 // this marker are rejected by NewSharded when one instance appears in more
@@ -149,11 +137,6 @@ func (a *ProbAdmit) Admit(string, int) bool {
 	}
 	a.admits.Inc()
 	return true
-}
-
-// CloneAdmission implements CloneableAdmission.
-func (a *ProbAdmit) CloneAdmission(p AdmissionParams) Admission {
-	return NewProbAdmit(a.P, p.Seed)
 }
 
 // MetricsInto implements AdmissionMetrics.
@@ -252,11 +235,6 @@ func (a *RejectFirstAdmit) Admit(key string, _ int) bool {
 		a.rejects.Inc()
 	}
 	return present
-}
-
-// CloneAdmission implements CloneableAdmission.
-func (a *RejectFirstAdmit) CloneAdmission(p AdmissionParams) Admission {
-	return NewRejectFirstAdmitSeeded(int(a.nbits), a.window, p.Seed)
 }
 
 // MetricsInto implements AdmissionMetrics.
@@ -430,21 +408,6 @@ func (a *DynamicRandomAdmit) Admit(key string, valLen int) bool {
 	a.cumAdmitted += float64(itemHeaderSize + len(key) + valLen)
 	a.admits.Inc()
 	return true
-}
-
-// CloneAdmission implements CloneableAdmission. The clone's clock must be
-// supplied; a clone bound to another engine must read that engine's time.
-func (a *DynamicRandomAdmit) CloneAdmission(p AdmissionParams) Admission {
-	clock := p.Clock
-	if clock == nil {
-		clock = a.clock
-	}
-	c, err := NewDynamicRandomAdmit(a.budget, a.window, clock, p.Seed)
-	if err != nil {
-		// The receiver was validly constructed, so the clone cannot fail.
-		panic(err)
-	}
-	return c
 }
 
 // MetricsInto implements AdmissionMetrics, adding the live probability gauge
@@ -657,11 +620,6 @@ func (a *FrequencyAdmit) halve() {
 	}
 }
 
-// CloneAdmission implements CloneableAdmission.
-func (a *FrequencyAdmit) CloneAdmission(p AdmissionParams) Admission {
-	return NewFrequencyAdmit(int(a.mask)+1, a.threshold, a.halveEvery, p.Seed)
-}
-
 // MetricsInto implements AdmissionMetrics.
 func (a *FrequencyAdmit) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	a.metricsInto(r, labels, "frequency")
@@ -770,10 +728,6 @@ func ParseAdmission(spec string, budgetBytesPerSec float64) (AdmissionFactory, e
 // Interface conformance.
 var (
 	_ SharedSafeAdmission = AdmitAll{}
-	_ CloneableAdmission  = (*ProbAdmit)(nil)
-	_ CloneableAdmission  = (*RejectFirstAdmit)(nil)
-	_ CloneableAdmission  = (*DynamicRandomAdmit)(nil)
-	_ CloneableAdmission  = (*FrequencyAdmit)(nil)
 	_ AdmissionMetrics    = (*ProbAdmit)(nil)
 	_ AdmissionMetrics    = (*RejectFirstAdmit)(nil)
 	_ AdmissionMetrics    = (*DynamicRandomAdmit)(nil)

@@ -330,24 +330,6 @@ func TestAdmissionFactoryDeterminism(t *testing.T) {
 	}
 }
 
-// TestCloneAdmissionIndependence: a clone shares configuration but no state —
-// mutating the original must not leak into the clone.
-func TestCloneAdmissionIndependence(t *testing.T) {
-	clk := sim.NewClock()
-	orig := NewRejectFirstAdmitSeeded(2048, 1<<20, 1)
-	orig.Admit("k", 1)
-	clone := orig.CloneAdmission(AdmissionParams{Seed: 2, Clock: clk}).(*RejectFirstAdmit)
-	if clone.Admit("k", 1) {
-		t.Fatal("clone inherited the original's bloom bits")
-	}
-	fa := NewFrequencyAdmit(1024, 2, 0, 1)
-	fa.Admit("k", 1)
-	fclone := fa.CloneAdmission(AdmissionParams{Seed: 2}).(*FrequencyAdmit)
-	if est := fclone.Estimate("k"); est != 0 {
-		t.Fatalf("clone inherited sketch counts: Estimate = %d", est)
-	}
-}
-
 // newShardedWithAdmission builds an n-shard frontend whose engines each get
 // an independent policy instance from factory, seeded per shard.
 func newShardedWithAdmission(t testing.TB, n int, factory AdmissionFactory, seed uint64) *Sharded {

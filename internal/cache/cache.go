@@ -138,8 +138,8 @@ type Config struct {
 	Policy Policy
 	// Admission filters inserts; nil admits everything. An Admission
 	// instance belongs to exactly one engine — multi-engine frontends must
-	// use AdmissionFactory (or CloneAdmission) so each engine gets its own
-	// instance; NewSharded rejects shared stateful instances.
+	// use AdmissionFactory so each engine gets its own instance; NewSharded
+	// rejects shared stateful instances.
 	Admission Admission
 	// AdmissionFactory, when set (and Admission is nil), builds this
 	// engine's policy instance seeded with AdmissionSeed and bound to the

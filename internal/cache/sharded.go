@@ -59,8 +59,8 @@ func (sh *shard) lock() {
 // goroutine interleaving; sharing a stateful admission instance is a data
 // race (ProbAdmit's PRNG and RejectFirstAdmit's bloom bits mutate unlocked
 // on every Admit) and breaks per-shard replay determinism — both are
-// rejected. Build engines with Config.AdmissionFactory (or CloneAdmission)
-// to get independent per-shard instances; stateless policies marked
+// rejected. Build engines with Config.AdmissionFactory to get independent
+// per-shard instances; stateless policies marked
 // SharedSafeAdmission (AdmitAll) may be shared.
 func NewSharded(engines []*Cache) (*Sharded, error) {
 	if len(engines) == 0 {
@@ -87,7 +87,7 @@ func NewSharded(engines []*Cache) (*Sharded, error) {
 		if a := e.Admission(); a != nil {
 			if _, shared := a.(SharedSafeAdmission); !shared && reflect.TypeOf(a).Comparable() {
 				if j, dup := seen[a]; dup {
-					return nil, fmt.Errorf("%w: shards %d and %d share a stateful admission policy instance (use Config.AdmissionFactory or CloneAdmission for per-shard instances)",
+					return nil, fmt.Errorf("%w: shards %d and %d share a stateful admission policy instance (use Config.AdmissionFactory for per-shard instances)",
 						ErrBadConfig, j, i)
 				}
 				seen[a] = i
@@ -119,11 +119,6 @@ func (s *Sharded) ShardFor(key string) int {
 	}
 	return int(h % uint64(len(s.shards)))
 }
-
-// Shard exposes shard i's engine for setup and inspection. The returned
-// engine is not synchronized; do not call it while other goroutines use the
-// frontend.
-func (s *Sharded) Shard(i int) *Cache { return s.shards[i].c }
 
 // ShardSeed derives shard i's workload seed from a run seed (splitmix64
 // step), so seeded replays split deterministically across shards.

@@ -52,6 +52,9 @@ type AdmissionSweepParams struct {
 	// absolute device-write budget shared by all schemes.
 	BudgetBytesPerSec float64
 	Schemes           []Scheme
+	// Env is the tracer and fault schedule every rig of the sweep gets; the
+	// sweep sets every rig's admission itself.
+	Env Env
 }
 
 // DefaultAdmissionSweep returns scaled defaults matching the Figure 2 rig.
@@ -103,7 +106,7 @@ func RunAdmissionSweep(p AdmissionSweepParams) ([]AdmissionRow, error) {
 	err := forEachPoint(len(p.Schemes), func(i int) error {
 		cfg := admissionRigConfig(p.Schemes[i], hw)
 		cfg.AdmissionFactory = cache.AdmitAllFactory{}
-		rig, err := Build(cfg)
+		rig, err := p.Env.build(cfg)
 		if err != nil {
 			return fmt.Errorf("admission %v baseline: %w", p.Schemes[i], err)
 		}
@@ -151,7 +154,7 @@ func RunAdmissionSweep(p AdmissionSweepParams) ([]AdmissionRow, error) {
 		cfg := admissionRigConfig(s, hw)
 		cfg.AdmissionFactory = factory
 		cfg.AdmissionSeed = cache.ShardSeed(p.Seed, i)
-		rig, err := Build(cfg)
+		rig, err := p.Env.build(cfg)
 		if err != nil {
 			return fmt.Errorf("admission %v %q: %w", s, pt.policy, err)
 		}

@@ -73,6 +73,13 @@ func (r *BigObjCrashReport) Err() error {
 // RunBigObjCrash executes one seeded crash-consistency run over the chunked
 // object layer. Identical params replay identical runs.
 func RunBigObjCrash(p BigObjCrashParams) (*BigObjCrashReport, error) {
+	rep, _, err := runBigObjCrash(p)
+	return rep, err
+}
+
+// runBigObjCrash is RunBigObjCrash, also returning the rig whose Engine is
+// the restored one.
+func runBigObjCrash(p BigObjCrashParams) (*BigObjCrashReport, *Rig, error) {
 	p.fillDefaults()
 	if p.Keys > 24 {
 		// Objects are 1-2 orders larger than the engine oracle's values;
@@ -86,13 +93,13 @@ func RunBigObjCrash(p BigObjCrashParams) (*BigObjCrashReport, error) {
 	p.Faults.Seed = p.Seed
 	rig, err := Build(crashRigConfig(p.CrashParams))
 	if err != nil {
-		return nil, fmt.Errorf("harness: bigobj crash rig: %w", err)
+		return nil, nil, fmt.Errorf("harness: bigobj crash rig: %w", err)
 	}
 	store, err := bigobj.New(bigobj.Config{
 		Backend: rig.Engine, ChunkSize: p.ChunkSize, Clock: rig.Clock,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("harness: bigobj crash store: %w", err)
+		return nil, nil, fmt.Errorf("harness: bigobj crash store: %w", err)
 	}
 
 	rng := sim.NewRand(p.Seed ^ 0xb10b0b1ec7a5a5a5)
@@ -129,7 +136,7 @@ func RunBigObjCrash(p BigObjCrashParams) (*BigObjCrashReport, error) {
 
 	snap, err := rig.Engine.Snapshot()
 	if err != nil {
-		return nil, fmt.Errorf("harness: bigobj snapshot: %w", err)
+		return nil, nil, fmt.Errorf("harness: bigobj snapshot: %w", err)
 	}
 	atSnap := make(map[string][]byte, len(acked))
 	for k, v := range acked {
@@ -152,26 +159,21 @@ func RunBigObjCrash(p BigObjCrashParams) (*BigObjCrashReport, error) {
 
 	// The process dies; restore over the surviving device state.
 	rig.Faults.Revive()
-	restored, err := cache.Restore(cache.Config{
-		Store:       rig.Store,
-		TrackValues: true,
-		Clock:       rig.Clock,
-	}, snap)
-	if err != nil {
-		return nil, fmt.Errorf("harness: bigobj restore: %w", err)
+	if err := rig.Restore(snap); err != nil {
+		return nil, nil, fmt.Errorf("harness: bigobj restore: %w", err)
 	}
 	rstore, err := bigobj.New(bigobj.Config{
-		Backend: restored, ChunkSize: p.ChunkSize, Clock: rig.Clock,
+		Backend: rig.Engine, ChunkSize: p.ChunkSize, Clock: rig.Clock,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("harness: bigobj restored store: %w", err)
+		return nil, nil, fmt.Errorf("harness: bigobj restored store: %w", err)
 	}
-	rep.RestoreDrops = restored.Stats().RestoreDrops
+	rep.RestoreDrops = rig.Engine.Stats().RestoreDrops
 
 	if p.EagerRepair {
 		keys, err := cache.SnapshotKeys(snap)
 		if err != nil {
-			return nil, fmt.Errorf("harness: snapshot keys: %w", err)
+			return nil, nil, fmt.Errorf("harness: snapshot keys: %w", err)
 		}
 		// Chunk keys fail the manifest decode and are skipped; only
 		// object keys are candidates.
@@ -211,17 +213,17 @@ func RunBigObjCrash(p BigObjCrashParams) (*BigObjCrashReport, error) {
 		k := keyOf(rng.Intn(p.Keys))
 		v := value()
 		if err := rstore.Put(k, bytes.NewReader(v), 0); err != nil {
-			return nil, fmt.Errorf("harness: post-recovery bigobj Put: %w", err)
+			return nil, nil, fmt.Errorf("harness: post-recovery bigobj Put: %w", err)
 		}
 		got := make([]byte, len(v))
 		if _, err := rstore.ReadAt(k, got, 0); err != nil {
-			return nil, fmt.Errorf("harness: post-recovery bigobj ReadAt: %w", err)
+			return nil, nil, fmt.Errorf("harness: post-recovery bigobj ReadAt: %w", err)
 		}
 		if !bytes.Equal(got, v) {
-			return nil, fmt.Errorf("harness: post-recovery bigobj read mismatch")
+			return nil, nil, fmt.Errorf("harness: post-recovery bigobj read mismatch")
 		}
 	}
 
 	rep.Repairs = rstore.Stats().ManifestRepairs
-	return rep, nil
+	return rep, rig, nil
 }

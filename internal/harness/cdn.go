@@ -50,6 +50,9 @@ type CDNParams struct {
 	// CDNConfig defaults. Seed and Objects are forced from the params.
 	Workload workload.CDNConfig
 	Schemes  []Scheme
+	// Env is the tracer and fault schedule every rig of the sweep gets;
+	// every engine admits all chunks, whatever Env's admission.
+	Env Env
 }
 
 func (p *CDNParams) fillDefaults() {
@@ -143,14 +146,14 @@ func RunCDN(p CDNParams) ([]CDNRow, error) {
 			RegionBytes: p.RegionBytes,
 			TrackValues: true,
 			// bigobj owns admission at object granularity; the engine
-			// below it must not second-guess individual chunks, so any
-			// process-wide admission factory is overridden here.
+			// below it must not second-guess individual chunks, so Env's
+			// admission factory is overridden here.
 			Admission: cache.AdmitAll{},
 		}
 		if pt.scheme == ZoneCache {
 			cfg.ZoneCount = hw.actualZones()
 		}
-		rig, err := Build(cfg)
+		rig, err := p.Env.build(cfg)
 		if err != nil {
 			return fmt.Errorf("cdn %v chunk=%d: %w", pt.scheme, pt.chunk, err)
 		}

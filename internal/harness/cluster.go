@@ -48,6 +48,9 @@ type ClusterParams struct {
 	// HotWindow/HotTopK/HotMinCount configure the router's hot-key detector;
 	// HotWindow 0 disables hot-key read replication for the point.
 	HotWindow, HotTopK, HotMinCount int
+	// Env is the tracer, fault schedule and admission factory every node's
+	// rig gets.
+	Env Env
 }
 
 func (p *ClusterParams) fillDefaults() {
@@ -162,9 +165,10 @@ func (b *rigBackend) Len() int {
 
 func (b *rigBackend) ShardNow(string) time.Duration { return b.rig.Clock.Now() }
 
-// startClusterNodes builds and serves n scheme rigs on loopback listeners.
+// startClusterNodes builds n scheme rigs in env and serves them on loopback
+// listeners.
 // Nodes are named node-00…; the returned stop func shuts every server down.
-func startClusterNodes(scheme Scheme, n int, hw HWProfile, cacheZones int, regionBytes int64, faults func(i int) *fault.Config) ([]*clusterNode, func(), error) {
+func startClusterNodes(env Env, scheme Scheme, n int, hw HWProfile, cacheZones int, regionBytes int64, faults func(i int) *fault.Config) ([]*clusterNode, func(), error) {
 	nodes := make([]*clusterNode, 0, n)
 	stop := func() {
 		for _, cn := range nodes {
@@ -184,7 +188,7 @@ func startClusterNodes(scheme Scheme, n int, hw HWProfile, cacheZones int, regio
 		if faults != nil {
 			cfg.Faults = faults(i)
 		}
-		rig, err := Build(cfg)
+		rig, err := env.build(cfg)
 		if err != nil {
 			stop()
 			return nil, nil, fmt.Errorf("harness: cluster node %d: %w", i, err)
@@ -212,7 +216,7 @@ func clusterNodeList(nodes []*clusterNode) []cluster.Node {
 // workload driven through a Router over real loopback nodes.
 func RunCluster(p ClusterParams) (*ClusterResult, error) {
 	p.fillDefaults()
-	nodes, stop, err := startClusterNodes(p.Scheme, p.Nodes, clusterHW(), 10, 64<<10, nil)
+	nodes, stop, err := startClusterNodes(p.Env, p.Scheme, p.Nodes, clusterHW(), 10, 64<<10, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -439,7 +443,7 @@ func RunClusterDrill(p ClusterDrillParams) (*ClusterDrillReport, error) {
 	// Small regions so writes reach the device often enough for the armed
 	// crash to fire: traffic splits N ways, and a region's worth of buffered
 	// bytes is the granularity at which a node actually touches flash.
-	nodes, stop, err := startClusterNodes(p.Scheme, p.Nodes, hw, 6, 16<<10, faults)
+	nodes, stop, err := startClusterNodes(Env{}, p.Scheme, p.Nodes, hw, 6, 16<<10, faults)
 	if err != nil {
 		return nil, err
 	}

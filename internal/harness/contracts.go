@@ -48,6 +48,9 @@ type ContractsParams struct {
 	// the contract starts to bite (default 4).
 	MiddleOpenZones int
 	Schemes         []Scheme
+	// Env is the tracer, fault schedule and admission factory every rig of
+	// the run gets.
+	Env Env
 }
 
 // DefaultContracts returns scaled defaults: the ZN540 default cap down to a
@@ -122,7 +125,7 @@ func RunContracts(p ContractsParams) ([]ContractsRow, error) {
 		if pt.scheme == ZoneCache {
 			cfg.ZoneCount = hw.actualZones()
 		}
-		rig, err := Build(cfg)
+		rig, err := p.Env.build(cfg)
 		if err != nil {
 			return fmt.Errorf("contracts %v open=%d: %w", pt.scheme, pt.limit, err)
 		}

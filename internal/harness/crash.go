@@ -129,11 +129,18 @@ func crashRigConfig(p CrashParams) RigConfig {
 // RunCrash executes one seeded crash-consistency run and returns the
 // oracle's report. Identical params replay identical runs.
 func RunCrash(p CrashParams) (*CrashReport, error) {
+	rep, _, err := runCrash(p)
+	return rep, err
+}
+
+// runCrash is RunCrash, also returning the rig whose Engine is the restored
+// one.
+func runCrash(p CrashParams) (*CrashReport, *Rig, error) {
 	p.fillDefaults()
 	p.Faults.Seed = p.Seed
 	rig, err := Build(crashRigConfig(p))
 	if err != nil {
-		return nil, fmt.Errorf("harness: crash rig: %w", err)
+		return nil, nil, fmt.Errorf("harness: crash rig: %w", err)
 	}
 	rng := sim.NewRand(p.Seed ^ 0x9e3779b97f4a7c15)
 	rep := &CrashReport{Scheme: p.Scheme, Seed: p.Seed}
@@ -162,7 +169,7 @@ func RunCrash(p CrashParams) (*CrashReport, error) {
 	// key the recovered index may still serve.
 	snap, err := rig.Engine.Snapshot()
 	if err != nil {
-		return nil, fmt.Errorf("harness: snapshot: %w", err)
+		return nil, nil, fmt.Errorf("harness: snapshot: %w", err)
 	}
 	atSnap := make(map[string][]byte, len(acked))
 	for k, v := range acked {
@@ -198,18 +205,13 @@ func RunCrash(p CrashParams) (*CrashReport, error) {
 	if p.CorruptSnapshot {
 		mutated, ok := cache.CorruptSnapshotForTest(snap)
 		if !ok {
-			return nil, fmt.Errorf("harness: snapshot held no corruptible entry")
+			return nil, nil, fmt.Errorf("harness: snapshot held no corruptible entry")
 		}
 		snap = mutated
 	}
-	restored, err := cache.Restore(cache.Config{
-		Store:        rig.Store,
-		TrackValues:  true,
-		Clock:        rig.Clock,
-		SkipChecksum: p.CorruptSnapshot,
-	}, snap)
-	if err != nil {
-		return nil, fmt.Errorf("harness: restore: %w", err)
+	rig.engineCfg.SkipChecksum = p.CorruptSnapshot
+	if err := rig.Restore(snap); err != nil {
+		return nil, nil, fmt.Errorf("harness: restore: %w", err)
 	}
 
 	// Oracle replay over every key acknowledged at the cut, in a fixed
@@ -220,9 +222,9 @@ func RunCrash(p CrashParams) (*CrashReport, error) {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		v, ok, err := restored.Get(k)
+		v, ok, err := rig.Engine.Get(k)
 		if err != nil {
-			return nil, fmt.Errorf("harness: recovered Get(%q): %w", k, err)
+			return nil, nil, fmt.Errorf("harness: recovered Get(%q): %w", k, err)
 		}
 		if !ok {
 			rep.Lost++
@@ -238,22 +240,22 @@ func RunCrash(p CrashParams) (*CrashReport, error) {
 	// The recovered engine must keep serving: a short smoke workload.
 	for i := 0; i < 32; i++ {
 		k := keyOf(rng.Intn(p.Keys))
-		if err := restored.Set(k, value(), 0); err != nil {
-			return nil, fmt.Errorf("harness: post-recovery Set: %w", err)
+		if err := rig.Engine.Set(k, value(), 0); err != nil {
+			return nil, nil, fmt.Errorf("harness: post-recovery Set: %w", err)
 		}
-		if _, _, err := restored.Get(k); err != nil {
-			return nil, fmt.Errorf("harness: post-recovery Get: %w", err)
+		if _, _, err := rig.Engine.Get(k); err != nil {
+			return nil, nil, fmt.Errorf("harness: post-recovery Get: %w", err)
 		}
 	}
 
-	post := restored.Stats()
+	post := rig.Engine.Stats()
 	rep.RestoreDrops = post.RestoreDrops
 	rep.Quarantined = preStats.Quarantined + post.Quarantined
 	rep.Retries = preStats.StoreRetries + post.StoreRetries
 	if rig.FaultZoned != nil {
 		rep.ContractErr = rig.FaultZoned.CheckContract()
 	}
-	return rep, nil
+	return rep, rig, nil
 }
 
 // matchesOracle reports whether a recovered hit value equals the at-cut

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -78,6 +79,55 @@ func TestCrashRunDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same params, different reports:\n%+v\n%+v", a, b)
 	}
+}
+
+// TestCrashRestoreKeepsBuildConfig: both drills restore through the rig, so
+// the recovered engine evicts in the order Build chose (FIFO), not in the
+// engine package's default (LRU).
+func TestCrashRestoreKeepsBuildConfig(t *testing.T) {
+	for _, sch := range AllSchemes {
+		_, rig, err := runCrash(CrashParams{Scheme: sch, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !evictsOldestFirst(t, rig) {
+			t.Errorf("%v: the engine RunCrash restored keeps a just-read region past its turn", sch)
+		}
+		_, rig, err = runBigObjCrash(BigObjCrashParams{CrashParams: CrashParams{Scheme: sch, Seed: 3}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !evictsOldestFirst(t, rig) {
+			t.Errorf("%v: the engine RunBigObjCrash restored keeps a just-read region past its turn", sch)
+		}
+	}
+}
+
+// evictsOldestFirst fills rig's engine twice over with one item per region,
+// reads the oldest item left and writes one more: FIFO evicts the item just
+// read, LRU keeps it.
+func evictsOldestFirst(t *testing.T, rig *Rig) bool {
+	t.Helper()
+	eng := rig.Engine
+	val := make([]byte, eng.RegionSize()/2) // two items never share a region
+	key := func(i int) string { return fmt.Sprintf("probe-%04d", i) }
+	n := 2 * rig.Store.NumRegions()
+	for i := 0; i < n; i++ {
+		if err := eng.Set(key(i), val, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldest := 0
+	for !eng.Contains(key(oldest)) {
+		oldest++
+	}
+	if _, hit, err := eng.Get(key(oldest)); !hit || err != nil {
+		t.Fatalf("Get(%s) = %v, %v", key(oldest), hit, err)
+	}
+	if err := eng.Set(key(n), val, 0); err != nil {
+		t.Fatal(err)
+	}
+	return !eng.Contains(key(oldest))
 }
 
 // TestCrashHarnessDetectsBrokenRepair is the mutation check: corrupt the

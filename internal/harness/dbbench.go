@@ -59,6 +59,9 @@ type Fig5Params struct {
 	KeyLen, ValLen  int
 	DRAMCacheBytes  int64
 	Seed            uint64
+	// Env is the tracer, fault schedule and admission factory every rig of
+	// the run gets.
+	Env Env
 }
 
 // DefaultFig5 returns scaled defaults: 8 MiB zones for the flash cache
@@ -130,7 +133,7 @@ func BuildFig5Rig(s Scheme, p Fig5Params, clock *sim.Clock) (*Rig, error) {
 		}
 		cfg.HW = fig5HW(zones)
 	}
-	return Build(cfg)
+	return p.Env.build(cfg)
 }
 
 // runDBBench executes fillrandom + readrandom against a DB whose secondary

@@ -118,6 +118,9 @@ type Fig2Params struct {
 	WarmupOps  int
 	MeasureOps int
 	Seed       uint64
+	// Env is the tracer, fault schedule and admission factory every rig of
+	// the run gets.
+	Env Env
 }
 
 // DefaultFig2 returns the scaled default parameters.
@@ -161,7 +164,7 @@ func RunFig2(p Fig2Params) ([]SchemeResult, error) {
 		if s == ZoneCache {
 			cfg.ZoneCount = hw.actualZones() // the whole device, 0% OP
 		}
-		rig, err := Build(cfg)
+		rig, err := p.Env.build(cfg)
 		if err != nil {
 			return fmt.Errorf("fig2 %v: %w", s, err)
 		}
@@ -194,6 +197,9 @@ type Fig3Params struct {
 	// after eviction onset.
 	RegionsAfterOnset int
 	Seed              uint64
+	// Env is the tracer, fault schedule and admission factory every rig of
+	// the run gets.
+	Env Env
 }
 
 // DefaultFig3 returns scaled defaults: zone-sized (16 MiB) regions vs
@@ -228,7 +234,7 @@ func RunFig3(p Fig3Params) ([]Fig3Result, error) {
 		if c.scheme == ZoneCache {
 			rc.ZoneCount = hw.actualZones()
 		}
-		rig, err := Build(rc)
+		rig, err := p.Env.build(rc)
 		if err != nil {
 			return fmt.Errorf("fig3 %s: %w", c.label, err)
 		}
@@ -299,6 +305,9 @@ type Fig4Params struct {
 	WarmupOps  int
 	MeasureOps int
 	Seed       uint64
+	// Env is the tracer, fault schedule and admission factory every rig of
+	// the run gets.
+	Env Env
 }
 
 // DefaultFig4 returns scaled defaults. The warmup must write more than the
@@ -362,7 +371,7 @@ func RunFig4Table1(p Fig4Params) ([]Fig4Row, error) {
 			// into it so File and Region see the same cache size.
 			cfg.FSMetaOverheadSet = true
 		}
-		rig, err := Build(cfg)
+		rig, err := p.Env.build(cfg)
 		if err != nil {
 			return fmt.Errorf("fig4 %v op=%v: %w", pt.scheme, pt.op, err)
 		}

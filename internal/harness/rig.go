@@ -165,9 +165,8 @@ type RigConfig struct {
 	// race the factory seam exists to prevent.
 	Admission cache.Admission
 	// AdmissionFactory builds the engine's admission policy, seeded with
-	// AdmissionSeed and bound to the engine's clock. Nil falls back to the
-	// process-wide factory installed with SetAdmissionFactory (nil there too
-	// admits everything). Ignored when Admission is set.
+	// AdmissionSeed and bound to the engine's clock. Nil admits everything.
+	// Ignored when Admission is set.
 	AdmissionFactory cache.AdmissionFactory
 	AdmissionSeed    uint64
 	// CoDesign enables the §3.4 GC/cache co-design on Region-Cache: GC
@@ -184,16 +183,14 @@ type RigConfig struct {
 	// ReadIndex enables the engine's lock-free read index (the serving
 	// layer's fast-read path); off keeps classic single-threaded accounting.
 	ReadIndex bool
-	// Trace wires an event tracer through every layer of the rig. Nil falls
-	// back to the process-wide tracer installed with SetTracer (nil there too
-	// disables tracing).
+	// Trace wires an event tracer through every layer of the rig; nil
+	// disables tracing.
 	Trace *obs.Tracer
 	// Spans samples wall-clock engine stage timings into the recorder (the
 	// serving layer's request-stage spans); nil disables sampling.
 	Spans *obs.SpanRecorder
-	// Faults threads a fault injector under the scheme's devices. Nil falls
-	// back to the process-wide config installed with SetFaultConfig (nil
-	// there too runs fault-free). The injector is exposed as Rig.Faults.
+	// Faults threads a fault injector under the scheme's devices; nil runs
+	// fault-free. The injector is exposed as Rig.Faults.
 	Faults *fault.Config
 	// MaxOpenZones / MaxActiveZones bound the ZNS device's zone resources
 	// (0 = device defaults: 14 open, active = open cap). Block-Cache runs
@@ -256,69 +253,75 @@ type Rig struct {
 	Faults     *fault.Injector
 	FaultZoned *fault.ZonedDevice
 	FaultBlock *fault.BlockDevice
+
+	// engineCfg is the configuration Build made Engine with; Restore
+	// rebuilds the engine with it.
+	engineCfg cache.Config
 }
 
-// Process-wide observability hooks. The bench binaries install a registry
-// (and optionally a tracer) once at startup; every rig Build() assembles
-// afterwards wires itself in automatically, so sweeps that rebuild rigs per
-// point stay observable without threading the registry through every
-// RunFig*/RunTable* signature. Atomic pointers because experiments build
-// rigs from the forEachPoint worker pool.
+// The metrics registry is the one process-wide hook left: the public
+// facades take no registry, so it is how a server's registry reaches the
+// rigs they build. The binaries install it once at startup, and every rig
+// built afterwards registers itself. Atomic pointers because experiments
+// build rigs from the forEachPoint worker pool.
 var (
 	globalRegistry atomic.Pointer[obs.Registry]
-	globalTracer   atomic.Pointer[obs.Tracer]
-	globalFaults   atomic.Pointer[fault.Config]
-	// globalAdmission boxes the factory interface (atomic.Pointer cannot
-	// hold an interface directly).
-	globalAdmission atomic.Pointer[admissionBox]
-	rigSeq          atomic.Uint64
+	rigSeq         atomic.Uint64
 )
-
-// admissionBox wraps the AdmissionFactory interface for atomic storage.
-type admissionBox struct{ f cache.AdmissionFactory }
 
 // SetMetricsRegistry installs the registry subsequently built rigs register
 // their instruments into (nil uninstalls).
 func SetMetricsRegistry(r *obs.Registry) { globalRegistry.Store(r) }
 
-// SetTracer installs the tracer subsequently built rigs emit events into
-// (nil uninstalls). RigConfig.Trace overrides it per rig.
-func SetTracer(t *obs.Tracer) { globalTracer.Store(t) }
+// Env is what the bench binaries' -events, -faults and -admission flags set:
+// the tracer, fault schedule and admission factory for every rig an
+// experiment builds. A rig whose RigConfig sets one of them keeps its own.
+// The zero Env traces nothing, injects no faults and admits everything.
+type Env struct {
+	Trace     *obs.Tracer
+	Faults    *fault.Config
+	Admission cache.AdmissionFactory
+}
 
-// SetFaultConfig installs a process-wide fault configuration; every rig
-// built afterwards runs on fault-injecting device wrappers seeded from it
-// (nil uninstalls). RigConfig.Faults overrides it per rig. The bench
-// binaries' -faults flag lands here.
-func SetFaultConfig(c *fault.Config) { globalFaults.Store(c) }
-
-// SetAdmissionFactory installs a process-wide admission factory; every rig
-// built afterwards gets its own policy instance from it (nil uninstalls).
-// RigConfig.Admission/AdmissionFactory override it per rig. The bench
-// binaries' -admission flag lands here. Factories are immutable
-// configuration values, so sharing one across concurrently-built rigs is
-// safe — each Build calls New for a fresh instance.
-func SetAdmissionFactory(f cache.AdmissionFactory) {
-	if f == nil {
-		globalAdmission.Store(nil)
-		return
+// ParseEnv builds the Env of the bench binaries' -admission, -admit-budget,
+// -faults and -fault-seed flags; a zero rate injects no faults. The tracer
+// is the caller's.
+func ParseEnv(admission string, admitBudget, faultRate float64, faultSeed uint64) (Env, error) {
+	f, err := cache.ParseAdmission(admission, admitBudget)
+	if err != nil {
+		return Env{}, err
 	}
-	globalAdmission.Store(&admissionBox{f: f})
+	env := Env{Admission: f}
+	if faultRate > 0 {
+		env.Faults = &fault.Config{
+			Seed:             faultSeed,
+			ReadErrorRate:    faultRate,
+			WriteErrorRate:   faultRate,
+			ResetErrorRate:   faultRate,
+			TornWriteRate:    faultRate,
+			LatencySpikeRate: faultRate,
+		}
+	}
+	return env, nil
+}
+
+// build assembles cfg with e filling the settings cfg leaves unset.
+func (e Env) build(cfg RigConfig) (*Rig, error) {
+	if cfg.Trace == nil {
+		cfg.Trace = e.Trace
+	}
+	if cfg.Faults == nil {
+		cfg.Faults = e.Faults
+	}
+	if cfg.Admission == nil && cfg.AdmissionFactory == nil {
+		cfg.AdmissionFactory = e.Admission
+	}
+	return Build(cfg)
 }
 
 // Build assembles a scheme.
 func Build(cfg RigConfig) (*Rig, error) {
 	cfg.fillDefaults()
-	if cfg.Trace == nil {
-		cfg.Trace = globalTracer.Load()
-	}
-	if cfg.Faults == nil {
-		cfg.Faults = globalFaults.Load()
-	}
-	if cfg.Admission == nil && cfg.AdmissionFactory == nil {
-		if box := globalAdmission.Load(); box != nil {
-			cfg.AdmissionFactory = box.f
-		}
-	}
 	geo := cfg.HW.Geometry()
 	timing := flash.DefaultTiming()
 	rig := &Rig{Scheme: cfg.Scheme, Clock: cfg.Clock}
@@ -406,7 +409,7 @@ func Build(cfg RigConfig) (*Rig, error) {
 		}
 		// Size the middle layer's concurrency and watermarks to the OP
 		// actually available: slack zones beyond the live regions.
-		rpz := int(dev0ZoneSize(cfg.HW) / cfg.RegionBytes)
+		rpz := int(cfg.HW.ZoneBytes() / cfg.RegionBytes)
 		numRegions := int(cfg.CacheBytes / cfg.RegionBytes)
 		occupied := (numRegions + rpz - 1) / rpz
 		slack := cfg.HW.actualZones() - occupied
@@ -481,7 +484,7 @@ func Build(cfg RigConfig) (*Rig, error) {
 		f.BytesWritten = rig.DeviceWriteBytes
 		cfg.AdmissionFactory = f
 	}
-	eng, err := cache.New(cache.Config{
+	rig.engineCfg = cache.Config{
 		Store:            st,
 		Policy:           cfg.Policy,
 		Admission:        cfg.Admission,
@@ -494,7 +497,8 @@ func Build(cfg RigConfig) (*Rig, error) {
 		Clock:            cfg.Clock,
 		Trace:            cfg.Trace,
 		Spans:            cfg.Spans,
-	})
+	}
+	eng, err := cache.New(rig.engineCfg)
 	if err != nil {
 		return nil, fmt.Errorf("harness: engine: %w", err)
 	}
@@ -504,6 +508,20 @@ func Build(cfg RigConfig) (*Rig, error) {
 		rig.RegisterMetrics(reg, obs.L("rig", strconv.FormatUint(rigSeq.Add(1), 10)))
 	}
 	return rig, nil
+}
+
+// Restore replaces the rig's engine with one rebuilt from snap, a Snapshot of
+// an engine over the same store, with the configuration Build gave the
+// first: the restart a persistent cache exists to survive. A factory builds
+// the new engine a fresh admission policy; a RigConfig.Admission instance
+// passes to it as it is.
+func (r *Rig) Restore(snap []byte) error {
+	eng, err := cache.Restore(r.engineCfg, snap)
+	if err != nil {
+		return err
+	}
+	r.Engine = eng
+	return nil
 }
 
 // RegisterMetrics registers every layer of the rig into reg, with a scheme
@@ -545,9 +563,6 @@ func (r *Rig) wrapZoned(dev *zns.Device) zns.Zoned {
 	r.FaultZoned = fault.WrapZoned(dev, r.Faults)
 	return r.FaultZoned
 }
-
-// dev0ZoneSize computes the zone size without building a device.
-func dev0ZoneSize(hw HWProfile) int64 { return hw.ZoneBytes() }
 
 func newZNSDevice(cfg RigConfig, geo flash.Geometry, timing flash.Timing) (*zns.Device, error) {
 	dev, err := zns.New(zns.Config{

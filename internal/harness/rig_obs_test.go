@@ -2,8 +2,11 @@ package harness
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
+	"znscache/internal/cache"
+	"znscache/internal/fault"
 	"znscache/internal/obs"
 )
 
@@ -155,5 +158,124 @@ func TestPayloadMetricsFollowEvictions(t *testing.T) {
 		if want := float64(rig.Middle.MappedRegions()) * region; held != want {
 			t.Errorf("round %d: zns_payload_bytes = %v with %d regions mapped, want %v", round, held, rig.Middle.MappedRegions(), want)
 		}
+	}
+}
+
+// TestExperimentsHandEnvToEveryRig runs every cachebench and dbbench
+// experiment, tiny, in an Env of a counting admission factory, a fault
+// schedule and a tracer, and pins per experiment how many rigs it built, how
+// many run on a fault injector and how many engines took their admission
+// policy from Env. The tracer has seen every rig when it holds one admit or
+// reject event per set the rigs' engines counted. The global registry
+// enumerates the rigs, so this test must not run in parallel.
+func TestExperimentsHandEnvToEveryRig(t *testing.T) {
+	cases := []struct {
+		name           string
+		rigs, admitted int
+		run            func(Env) error
+	}{
+		{"fig2", 4, 4, func(env Env) error {
+			_, err := RunFig2(Fig2Params{Zones: 5, Keys: 256, WarmupOps: 100, MeasureOps: 100, Seed: 1, Env: env})
+			return err
+		}},
+		{"fig3", 2, 2, func(env Env) error {
+			_, err := RunFig3(Fig3Params{Zones: 5, ValueLen: 128 << 10, RegionsAfterOnset: 1, Seed: 2, Env: env})
+			return err
+		}},
+		{"fig4_table1", 3, 3, func(env Env) error {
+			_, err := RunFig4Table1(Fig4Params{Zones: 5, OPRatios: []float64{0.2}, Keys: 256, WarmupOps: 100, MeasureOps: 100, Seed: 3, Env: env})
+			return err
+		}},
+		{"smallzone", 2, 2, func(env Env) error {
+			_, err := RunSmallZone(SmallZoneParams{DeviceMiB: 80, ZoneSizesMiB: []int{16}, Keys: 256, WarmupOps: 100, MeasureOps: 100, Seed: 6, Env: env})
+			return err
+		}},
+		// The sweep's rigs take the sweep's own policies.
+		{"admission", 2, 0, func(env Env) error {
+			_, err := RunAdmissionSweep(AdmissionSweepParams{Zones: 5, Keys: 256, WarmupOps: 100, MeasureOps: 100, Seed: 11,
+				Policies: []string{"reject-first"}, Schemes: []Scheme{RegionCache}, Env: env})
+			return err
+		}},
+		{"contracts", 4, 4, func(env Env) error {
+			_, err := RunContracts(ContractsParams{Zones: 5, Keys: 256, WarmupOps: 100, MeasureOps: 100, Seed: 1, Limits: []int{14}, Env: env})
+			return err
+		}},
+		// bigobj owns admission: every cdn engine admits all chunks.
+		{"cdn", 2, 0, func(env Env) error {
+			_, err := RunCDN(CDNParams{Zones: 4, Objects: 20, WarmupOps: 20, MeasureOps: 20, Seed: 42,
+				ChunkSizes: []int{64 << 10}, Schemes: []Scheme{RegionCache, ZoneCache}, Env: env})
+			return err
+		}},
+		{"cluster", 2, 2, func(env Env) error {
+			_, err := RunClusterSweep([]ClusterParams{{Nodes: 2, Keys: 64, Ops: 200, Env: env}})
+			return err
+		}},
+		{"fig5", 4, 4, func(env Env) error {
+			_, err := RunFig5(tinyFig5(env))
+			return err
+		}},
+		{"table2", 5, 5, func(env Env) error {
+			_, err := RunTable2(tinyFig5(env))
+			return err
+		}},
+	}
+	for _, c := range cases {
+		reg := obs.NewRegistry()
+		var built atomic.Int64
+		var events setEvents
+		tr := obs.NewTracer(1)
+		tr.SetSink(&events)
+		SetMetricsRegistry(reg)
+		err := c.run(Env{Trace: tr, Faults: &fault.Config{Seed: 1}, Admission: countingAdmission{&built}})
+		SetMetricsRegistry(nil)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		rigs, faulted := map[string]bool{}, map[string]bool{}
+		var sets float64
+		for _, s := range reg.Gather() {
+			switch s.Name {
+			case "cache_sets_total":
+				rigs[s.Labels.Get("rig")] = true
+				sets += s.Value
+			case "fault_crash_refusals_total":
+				faulted[s.Labels.Get("rig")] = true
+			}
+		}
+		if len(rigs) != c.rigs || len(faulted) != c.rigs || built.Load() != int64(c.admitted) {
+			t.Errorf("%s: %d rigs, %d on a fault injector, %d admission policies from Env; want %d, %d, %d",
+				c.name, len(rigs), len(faulted), built.Load(), c.rigs, c.rigs, c.admitted)
+		}
+		if got := events.n.Load(); sets == 0 || float64(got) != sets {
+			t.Errorf("%s: tracer saw %d admit/reject events for %v sets", c.name, got, sets)
+		}
+	}
+}
+
+// tinyFig5 is the smallest Figure 5 / Table 2 run.
+func tinyFig5(env Env) Fig5Params {
+	return Fig5Params{
+		Keys: 2000, Reads: 300, ERValues: []float64{25},
+		FlashCacheZones: 2, DeviceZones: 8, KeyLen: 16, ValLen: 64,
+		DRAMCacheBytes: 16 << 10, Seed: 4, Env: env,
+	}
+}
+
+// countingAdmission builds admit-all policies and counts them.
+type countingAdmission struct{ built *atomic.Int64 }
+
+func (countingAdmission) Name() string { return "counting" }
+
+func (f countingAdmission) New(cache.AdmissionParams) cache.Admission {
+	f.built.Add(1)
+	return cache.AdmitAll{}
+}
+
+// setEvents counts the admit and reject events, one per engine set.
+type setEvents struct{ n atomic.Int64 }
+
+func (s *setEvents) TraceEvent(e obs.Event) {
+	if e.Type == obs.EvAdmit || e.Type == obs.EvReject {
+		s.n.Add(1)
 	}
 }

@@ -31,6 +31,9 @@ type SmallZoneParams struct {
 	WarmupOps    int
 	MeasureOps   int
 	Seed         uint64
+	// Env is the tracer, fault schedule and admission factory every rig of
+	// the run gets.
+	Env Env
 }
 
 // DefaultSmallZone returns scaled defaults: the ZN540-class 16 MiB zone
@@ -58,7 +61,7 @@ func RunSmallZone(p SmallZoneParams) ([]SmallZoneRow, error) {
 			zm := p.ZoneSizesMiB[i]
 			hw := DefaultHW(p.DeviceMiB / zm)
 			hw.BlocksPerZone = zm // 1 MiB blocks
-			rig, err := Build(RigConfig{
+			rig, err := p.Env.build(RigConfig{
 				Scheme:    ZoneCache,
 				HW:        hw,
 				ZoneCount: hw.actualZones(),
@@ -75,7 +78,7 @@ func RunSmallZone(p SmallZoneParams) ([]SmallZoneRow, error) {
 		}
 		// Reference: Region-Cache on the large-zone device with the usual OP.
 		hw := DefaultHW(p.DeviceMiB / 16)
-		rig, err := Build(RigConfig{
+		rig, err := p.Env.build(RigConfig{
 			Scheme:     RegionCache,
 			HW:         hw,
 			CacheBytes: int64(hw.actualZones()) * hw.ZoneBytes() * 20 / 25,

@@ -30,9 +30,6 @@ type ShardedConfig struct {
 type ShardedCache struct {
 	sh   *cache.Sharded
 	rigs []*harness.Rig
-	// cfg is retained so Reopen can rebuild per-shard engines with the same
-	// policy, value tracking, and admission seeds.
-	cfg ShardedConfig
 	// snaps holds the per-shard recovery snapshots captured by Close.
 	snaps [][]byte
 	// closed is atomic because the network serving layer checks it from
@@ -63,7 +60,7 @@ func OpenSharded(cfg ShardedConfig) (*ShardedCache, error) {
 		shardCfg.CacheBytes = cfg.CacheBytes / int64(cfg.Shards)
 	}
 
-	c := &ShardedCache{rigs: make([]*harness.Rig, cfg.Shards), cfg: cfg}
+	c := &ShardedCache{rigs: make([]*harness.Rig, cfg.Shards)}
 	engines := make([]*cache.Cache, cfg.Shards)
 	for i := range engines {
 		// Each shard's admission policy instance is built by the shared
@@ -263,9 +260,10 @@ func (c *ShardedCache) Close() error {
 // before Close). The slices are the cache's own; treat them as read-only.
 func (c *ShardedCache) Snapshots() [][]byte { return c.snaps }
 
-// Reopen warm-rolls a closed cache: every shard engine is rebuilt from the
-// snapshot Close captured, over the same simulated device stacks, whose
-// regions still hold the data — the restart a persistent cache exists to
+// Reopen warm-rolls a closed cache: every shard's rig rebuilds its engine,
+// with the configuration it was opened with, from the snapshot Close
+// captured, over the same simulated device stacks, whose regions still hold
+// the data — the restart a persistent cache exists to
 // survive. The returned cache serves the snapshot's contents (open-region
 // buffers are DRAM and are dropped, as on a real restart); the receiver
 // stays closed and should be discarded.
@@ -276,33 +274,13 @@ func (c *ShardedCache) Reopen() (*ShardedCache, error) {
 	if c.snaps == nil {
 		return nil, fmt.Errorf("znscache: no snapshots to reopen from (Close failed?)")
 	}
-	nc := &ShardedCache{rigs: c.rigs, cfg: c.cfg}
+	nc := &ShardedCache{rigs: c.rigs}
 	engines := make([]*cache.Cache, len(c.rigs))
 	for i, rig := range c.rigs {
-		cc := cache.Config{
-			Store:        rig.Store,
-			Clock:        rig.Clock,
-			TrackValues:  c.cfg.TrackValues,
-			ReadIndex:    c.cfg.FastReads,
-			ReinsertHits: c.cfg.ReinsertHits,
-			Spans:        c.cfg.Spans,
-		}
-		// Mirror harness.Build's policy defaulting: the Navy-faithful FIFO
-		// unless the configuration explicitly chose one.
-		cc.Policy = cache.FIFO
-		if c.cfg.PolicySet {
-			cc.Policy = c.cfg.Policy
-		}
-		if c.cfg.Admission != nil {
-			cc.AdmissionFactory = c.cfg.Admission
-			cc.AdmissionSeed = cache.ShardSeed(c.cfg.AdmissionSeed, i)
-		}
-		eng, err := cache.Restore(cc, c.snaps[i])
-		if err != nil {
+		if err := rig.Restore(c.snaps[i]); err != nil {
 			return nil, fmt.Errorf("znscache: shard %d reopen: %w", i, err)
 		}
-		rig.Engine = eng
-		engines[i] = eng
+		engines[i] = rig.Engine
 	}
 	sh, err := cache.NewSharded(engines)
 	if err != nil {

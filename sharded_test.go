@@ -2,10 +2,12 @@ package znscache
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"znscache/internal/cache"
 	"znscache/internal/sim"
 )
 
@@ -266,6 +268,60 @@ func TestShardedCloseReopen(t *testing.T) {
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+	t.Run("engines keep their configuration", testReopenKeepsConfig)
+}
+
+// testReopenKeepsConfig reopens a cache closed empty, which puts it in the
+// state of a freshly opened twin: the same operations must then give the
+// same per-shard stats. They do only if Reopen rebuilds each engine as Open
+// built it, down to the in-flight flush bound (sets larger than half a
+// region roll one region each, faster than the device absorbs them), the
+// eviction order (under LRU, gets of old keys would move their regions) and
+// dynamic-random's device byte counter.
+func testReopenKeepsConfig(t *testing.T) {
+	cfg := ShardedConfig{
+		Config: Config{
+			Zones:         16,
+			Admission:     cache.DynamicRandomFactory{BudgetBytesPerSec: 256 << 20},
+			AdmissionSeed: 7,
+		},
+		Shards: 2,
+	}
+	closed, err := OpenSharded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := closed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := closed.Reopen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := OpenSharded(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*ShardedCache{reopened, twin} {
+		for i := 0; i < 1000; i++ {
+			if err := c.SetSized(fmt.Sprintf("big:%04d", i), 130<<10); err != nil {
+				t.Fatal(err)
+			}
+			// Once the shards' ~800 regions fill, this reads keys in
+			// regions near eviction.
+			if i >= 700 {
+				c.Get(fmt.Sprintf("big:%04d", i-700)) //nolint:errcheck
+			}
+		}
+	}
+	for i := 0; i < cfg.Shards; i++ {
+		got, want := reopened.Rig(i).Engine.Stats(), twin.Rig(i).Engine.Stats()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("shard %d: reopened engine: %d flushes, %d evictions, %d admit rejects in %v; twin: %d, %d, %d in %v",
+				i, got.Flushes, got.Evictions, got.AdmitRejects, got.SimulatedTime,
+				want.Flushes, want.Evictions, want.AdmitRejects, want.SimulatedTime)
+		}
 	}
 }
 
