@@ -318,13 +318,9 @@ func openTrace(path, format string) (*os.File, opStream, error) {
 // replayTrace runs a trace file against one scheme, built in env, and reports
 // the outcome.
 func replayTrace(env harness.Env, path, format, schemeName string, zones int) error {
-	schemes := map[string]harness.Scheme{
-		"block": harness.BlockCache, "file": harness.FileCache,
-		"zone": harness.ZoneCache, "region": harness.RegionCache,
-	}
-	s, ok := schemes[schemeName]
-	if !ok {
-		return fmt.Errorf("unknown scheme %q", schemeName)
+	s, err := harness.ParseScheme(schemeName)
+	if err != nil {
+		return err
 	}
 	if zones == 0 {
 		zones = 25

@@ -94,13 +94,9 @@ func main() {
 }
 
 func run(o options) error {
-	schemes := map[string]harness.Scheme{
-		"block": znscache.BlockCache, "file": znscache.FileCache,
-		"zone": znscache.ZoneCache, "region": znscache.RegionCache,
-	}
-	s, ok := schemes[o.scheme]
-	if !ok {
-		return fmt.Errorf("unknown scheme %q", o.scheme)
+	s, err := harness.ParseScheme(o.scheme)
+	if err != nil {
+		return err
 	}
 
 	// The registry exists before the cache is built and is installed as the

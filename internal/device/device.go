@@ -1,6 +1,7 @@
 // Package device defines the narrow interfaces the cache schemes program
-// against: a block device (regular SSD, or a file on a filesystem) and the
-// latency-reporting conventions shared by all simulated hardware.
+// against: a block device (a regular SSD, an HDD, or one preallocated file on
+// the filesystem) and the latency-reporting conventions shared by all
+// simulated hardware.
 //
 // All device operations are 4 KiB-sector addressed, matching the paper's
 // "4KiB I/O unit" for Block-Cache and File-Cache (Figure 1a).
@@ -21,9 +22,11 @@ var (
 	ErrClosed     = errors.New("device: closed")
 )
 
-// BlockDevice is a random-access, sector-addressed device. Implementations
-// return the simulated service latency of each call; callers advance the
-// virtual clock with it and feed their latency histograms.
+// BlockDevice is a random-access, sector-addressed device: a regular SSD's
+// LBAs or a file's byte range. It has no TRIM: a range is dead only once it
+// is overwritten, which is how a cache reuses fixed region slots.
+// Implementations return the simulated service latency of each call; callers
+// advance the virtual clock with it and feed their latency histograms.
 //
 // Data may be nil on WriteAt to perform a metadata-only write of length n:
 // the device accounts for the write (mapping, WA, timing, wear) without
@@ -34,9 +37,6 @@ type BlockDevice interface {
 	// WriteAt writes n bytes at offset off. If data is non-nil it must be
 	// exactly n bytes long.
 	WriteAt(now time.Duration, data []byte, n int, off int64) (time.Duration, error)
-	// Discard drops the mapping for [off, off+n), informing the device the
-	// data is dead (TRIM). It is a metadata operation.
-	Discard(off, n int64) error
 	// Size returns the usable (exported) capacity in bytes.
 	Size() int64
 }

@@ -169,6 +169,9 @@ type File struct {
 	// nodeLive maps node block index -> device block of its latest version
 	// (-1 = never flushed).
 	nodeLive []int64
+	// lastWriteCost is the MetaLatency the latest WriteAt charged, until
+	// TakeLastWriteStall takes it. Guarded by fs.mu.
+	lastWriteCost time.Duration
 }
 
 // Mount formats the device and mounts a fresh filesystem over it.
@@ -354,10 +357,12 @@ func (f *File) WriteAt(now time.Duration, data []byte, n int, off int64) (time.D
 	}
 	fs := f.fs
 	start := now
-	now += fs.cfg.MetaLatency * time.Duration(n/BlockSize)
+	meta := fs.cfg.MetaLatency * time.Duration(n/BlockSize)
+	now += meta
 
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	f.lastWriteCost = meta
 
 	// Contribute a cleaning quantum if reclaim is behind.
 	var err error
@@ -444,9 +449,18 @@ func (f *File) ReadAt(now time.Duration, p []byte, off int64) (time.Duration, er
 // Size returns the file size.
 func (f *File) Size() int64 { return f.size }
 
-// MetaCostPerBlock exposes the configured per-block CPU cost so callers
-// (the cache's file store) can account for the synchronous share of writes.
-func (f *File) MetaCostPerBlock() time.Duration { return f.fs.cfg.MetaLatency }
+// TakeLastWriteStall returns (and clears) the per-block CPU cost of the most
+// recent WriteAt: VFS, page-cache copy and node updates burn the writing
+// thread itself, unlike a raw device's DMA. It is the ssd's foreground-GC
+// stall report under the same name, so a region store charges either one to
+// its flusher.
+func (f *File) TakeLastWriteStall() time.Duration {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	st := f.lastWriteCost
+	f.lastWriteCost = 0
+	return st
+}
 
 // checkpointLocked flushes dirty node blocks to the node log, in (file name,
 // node index) order so node-log placement never depends on map iteration.

@@ -53,14 +53,6 @@ func (d *BlockDevice) WriteAt(now time.Duration, data []byte, n int, off int64) 
 	return lat + dec.spike, err
 }
 
-// Discard implements device.BlockDevice.
-func (d *BlockDevice) Discard(off, n int64) error {
-	if dec := d.inj.decideReset(); dec.err != nil {
-		return dec.err
-	}
-	return d.inner.Discard(off, n)
-}
-
 // Size implements device.BlockDevice.
 func (d *BlockDevice) Size() int64 { return d.inner.Size() }
 

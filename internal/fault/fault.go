@@ -48,7 +48,7 @@ type Config struct {
 	ReadErrorRate float64
 	// WriteErrorRate fails writes with ErrInjected before any byte lands.
 	WriteErrorRate float64
-	// ResetErrorRate fails zone resets (and block discards) with ErrInjected.
+	// ResetErrorRate fails zone resets with ErrInjected.
 	ResetErrorRate float64
 	// TornWriteRate fails writes with ErrTorn after persisting a seeded
 	// sector-aligned prefix — the distinctive ZNS hazard: the write pointer
@@ -198,7 +198,7 @@ func (i *Injector) decideWrite(sectors int) decision {
 	return d
 }
 
-// decideReset draws the fate of a reset/discard operation.
+// decideReset draws the fate of a zone reset.
 func (i *Injector) decideReset() decision {
 	i.mu.Lock()
 	defer i.mu.Unlock()

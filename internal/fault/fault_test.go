@@ -27,8 +27,7 @@ func (f *fakeBlock) WriteAt(now time.Duration, data []byte, n int, off int64) (t
 	return 0, nil
 }
 
-func (f *fakeBlock) Discard(off, n int64) error { return nil }
-func (f *fakeBlock) Size() int64                { return f.size }
+func (f *fakeBlock) Size() int64 { return f.size }
 
 // schedule runs a fixed op sequence through a wrapped fake device and
 // returns the per-op error outcomes.
@@ -120,12 +119,12 @@ func TestCrashReviveAndArm(t *testing.T) {
 	if !inj.Crashed() {
 		t.Fatal("injector not crashed after the trigger write")
 	}
-	// Everything fails while crashed, including reads and discards.
+	// Everything fails while crashed, reads and later writes alike.
 	if _, err := dev.ReadAt(0, buf, 0); !errors.Is(err, ErrCrash) {
 		t.Fatalf("post-crash read err = %v", err)
 	}
-	if err := dev.Discard(0, device.SectorSize); !errors.Is(err, ErrCrash) {
-		t.Fatalf("post-crash discard err = %v", err)
+	if _, err := dev.WriteAt(0, buf, len(buf), 0); !errors.Is(err, ErrCrash) {
+		t.Fatalf("post-crash write err = %v", err)
 	}
 
 	inj.Revive()

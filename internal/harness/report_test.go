@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -176,6 +177,22 @@ func TestReportValidate(t *testing.T) {
 	var buf bytes.Buffer
 	if err := NewFig2Report([]SchemeResult{{Scheme: Scheme(7)}}).WriteJSON(&buf); err == nil {
 		t.Errorf("out-of-range scheme encoded: %s", buf.Bytes())
+	}
+}
+
+// TestParseScheme: the binaries' -scheme names map to the four schemes, and
+// anything else is refused with the name quoted.
+func TestParseScheme(t *testing.T) {
+	want := map[string]Scheme{"block": BlockCache, "file": FileCache, "zone": ZoneCache, "region": RegionCache}
+	for name, s := range want {
+		if got, err := ParseScheme(name); err != nil || got != s {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", name, got, err, s)
+		}
+	}
+	for _, bad := range []string{"", "Zone-Cache", "zones", "Block"} {
+		if _, err := ParseScheme(bad); err == nil || err.Error() != fmt.Sprintf("unknown scheme %q", bad) {
+			t.Errorf("ParseScheme(%q) err = %v", bad, err)
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ package harness
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"znscache/internal/cache"
@@ -80,6 +81,17 @@ func (s *Scheme) UnmarshalText(text []byte) error {
 
 // AllSchemes lists the four schemes in the paper's presentation order.
 var AllSchemes = []Scheme{RegionCache, ZoneCache, FileCache, BlockCache}
+
+// ParseScheme maps a command-line scheme name, the paper name's lower-case
+// stem (block|file|zone|region), to its Scheme.
+func ParseScheme(name string) (Scheme, error) {
+	for _, s := range AllSchemes {
+		if name == strings.ToLower(strings.TrimSuffix(s.String(), "-Cache")) {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scheme %q", name)
+}
 
 // HWProfile describes the simulated hardware both device types share.
 type HWProfile struct {
@@ -170,10 +182,9 @@ type RigConfig struct {
 	AdmissionFactory cache.AdmissionFactory
 	AdmissionSeed    uint64
 	// CoDesign enables the §3.4 GC/cache co-design on Region-Cache: GC
-	// drops regions from the coldest CoDesignColdFrac of the LRU instead
-	// of migrating them.
-	CoDesign         bool
-	CoDesignColdFrac float64
+	// drops regions from the coldest 30% of the LRU instead of migrating
+	// them.
+	CoDesign bool
 	// ReinsertHits enables the engine's hits-based reinsertion policy.
 	ReinsertHits uint8
 	// Clock shares a virtual clock (e.g. with an LSM); nil = fresh clock.
@@ -213,9 +224,6 @@ func (c *RigConfig) fillDefaults() {
 	}
 	if c.BufferMemory == 0 {
 		c.BufferMemory = 16 << 20
-	}
-	if c.CoDesignColdFrac == 0 {
-		c.CoDesignColdFrac = 0.3
 	}
 	if c.Clock == nil {
 		c.Clock = sim.NewClock()
@@ -350,7 +358,7 @@ func Build(cfg RigConfig) (*Rig, error) {
 			rig.FaultBlock = fault.WrapBlock(dev, rig.Faults)
 			bdev = rig.FaultBlock
 		}
-		s, err := store.NewBlockStore(bdev, cfg.RegionBytes, n)
+		s, err := store.NewBlockStore(bdev, "block", cfg.RegionBytes, n)
 		if err != nil {
 			return nil, fmt.Errorf("harness: block store: %w", err)
 		}
@@ -378,7 +386,7 @@ func Build(cfg RigConfig) (*Rig, error) {
 		if err != nil {
 			return nil, fmt.Errorf("harness: cache file: %w", err)
 		}
-		s, err := store.NewFileStore(file, cfg.RegionBytes, 0)
+		s, err := store.NewBlockStore(file, "file", cfg.RegionBytes, 0)
 		if err != nil {
 			return nil, fmt.Errorf("harness: file store: %w", err)
 		}
@@ -452,10 +460,11 @@ func Build(cfg RigConfig) (*Rig, error) {
 			MinEmptyZones: minEmpty,
 		}
 		if cfg.CoDesign {
+			// GC may drop a region from the coldest 30% of the LRU.
+			const coDesignColdFrac = 0.3
 			// The engine does not exist yet; late-bind through the rig.
-			frac := cfg.CoDesignColdFrac
 			mcfg.DropFilter = func(id int) bool {
-				return rig.Engine != nil && rig.Engine.RegionDroppable(id, frac)
+				return rig.Engine != nil && rig.Engine.RegionDroppable(id, coDesignColdFrac)
 			}
 			mcfg.OnDrop = func(id int) {
 				if rig.Engine != nil {

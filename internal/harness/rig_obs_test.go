@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"maps"
 	"sync/atomic"
 	"testing"
 
@@ -11,63 +12,92 @@ import (
 )
 
 // TestBuildRegistersMetrics: with a global registry installed, Build binds
-// every layer's instruments, the series carry the scheme label, and driving
-// the engine moves the scraped values.
+// every layer's instruments for each scheme, the series carry the scheme
+// label, the region store's carry its store label, and driving the engine
+// moves the scraped values.
 func TestBuildRegistersMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
-	SetMetricsRegistry(reg)
-	defer SetMetricsRegistry(nil)
+	stores := map[Scheme]string{BlockCache: "block", FileCache: "file", ZoneCache: "zone"}
+	for _, scheme := range AllSchemes {
+		t.Run(scheme.String(), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			SetMetricsRegistry(reg)
+			defer SetMetricsRegistry(nil)
 
-	rig, err := Build(RigConfig{Scheme: RegionCache, HW: DefaultHW(8)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg.Len() == 0 {
-		t.Fatal("Build with a global registry registered nothing")
-	}
+			hw := DefaultHW(8)
+			cfg := RigConfig{Scheme: scheme, HW: hw, CacheBytes: 4 * hw.ZoneBytes()}
+			rig, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reg.Len() == 0 {
+				t.Fatal("Build with a global registry registered nothing")
+			}
 
-	for i := 0; i < 4000; i++ {
-		key := fmt.Sprintf("key-%d", i%512)
-		if _, hit, _ := rig.Engine.Get(key); !hit {
-			rig.Engine.Set(key, nil, 4096) //nolint:errcheck
-		}
-	}
-	st := rig.Engine.Stats()
+			// ~62 MiB of sets: every scheme flushes, Zone-Cache's 16 MiB
+			// regions included.
+			for i := 0; i < 4000; i++ {
+				key := fmt.Sprintf("key-%d", i)
+				if _, hit, _ := rig.Engine.Get(key); !hit {
+					rig.Engine.Set(key, nil, 16<<10) //nolint:errcheck
+				}
+			}
+			st := rig.Engine.Stats()
+			if st.Flushes == 0 {
+				t.Fatal("workload flushed no region")
+			}
 
-	byKey := map[string]float64{}
-	var schemes, zoneSeries int
-	for _, s := range reg.Gather() {
-		if s.Labels.Get("scheme") == RegionCache.String() {
-			schemes++
-		}
-		if s.Labels.Get("zone") != "" {
-			zoneSeries++
-		}
-		byKey[s.Name+"/"+s.Labels.Get("zone")] = s.Value
-	}
-	if schemes == 0 {
-		t.Error("no series carry the scheme label")
-	}
-	if zoneSeries < 3*8 {
-		t.Errorf("per-zone gauges missing: %d series, want >= %d", zoneSeries, 3*8)
-	}
-	// Stats() and the scrape are views over the same instruments.
-	if got := byKey["cache_gets_total/"]; got != float64(st.Gets) {
-		t.Errorf("scraped cache_gets_total = %v, Stats().Gets = %d", got, st.Gets)
-	}
-	if got := byKey["cache_sets_total/"]; got != float64(st.Sets) {
-		t.Errorf("scraped cache_sets_total = %v, Stats().Sets = %d", got, st.Sets)
-	}
+			byKey := map[string]float64{}
+			var schemes, zoneSeries int
+			storeWrites := map[string]float64{}
+			for _, s := range reg.Gather() {
+				if s.Labels.Get("scheme") == scheme.String() {
+					schemes++
+				}
+				if s.Labels.Get("zone") != "" {
+					zoneSeries++
+				}
+				if s.Name == "store_region_writes_total" {
+					storeWrites[s.Labels.Get("store")] = s.Value
+				}
+				byKey[s.Name+"/"+s.Labels.Get("zone")] = s.Value
+			}
+			if schemes == 0 {
+				t.Error("no series carry the scheme label")
+			}
+			// Every scheme but Block-Cache runs on the ZNS device.
+			if wantZones := 3 * 8; scheme != BlockCache && zoneSeries < wantZones {
+				t.Errorf("per-zone gauges missing: %d series, want >= %d", zoneSeries, wantZones)
+			}
+			// Stats() and the scrape are views over the same instruments.
+			if got := byKey["cache_gets_total/"]; got != float64(st.Gets) {
+				t.Errorf("scraped cache_gets_total = %v, Stats().Gets = %d", got, st.Gets)
+			}
+			if got := byKey["cache_sets_total/"]; got != float64(st.Sets) {
+				t.Errorf("scraped cache_sets_total = %v, Stats().Sets = %d", got, st.Sets)
+			}
+			// The region store's trio carries its own label; Region-Cache's
+			// store is the middle layer, which exports its own series.
+			want := map[string]float64{}
+			if label, ok := stores[scheme]; ok {
+				want[label] = float64(st.Flushes)
+			}
+			if !maps.Equal(storeWrites, want) {
+				t.Errorf("store_region_writes_total by store label = %v, want %v (Stats().Flushes = %d)",
+					storeWrites, want, st.Flushes)
+			}
 
-	// Rebuilding a rig re-binds series rather than duplicating them: the
-	// second build reuses the same rig label only if the label matches, so
-	// series count at most doubles and the registry never errors.
-	before := reg.Len()
-	if _, err := Build(RigConfig{Scheme: RegionCache, HW: DefaultHW(8)}); err != nil {
-		t.Fatal(err)
-	}
-	if reg.Len() <= before {
-		t.Errorf("second rig registered no new series (len %d -> %d)", before, reg.Len())
+			// Rebuilding a rig re-binds series rather than duplicating
+			// them: the second build reuses the same rig label only if the
+			// label matches, so series count at most doubles and the
+			// registry never errors.
+			before := reg.Len()
+			if _, err := Build(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if reg.Len() <= before {
+				t.Errorf("second rig registered no new series (len %d -> %d)", before, reg.Len())
+			}
+		})
 	}
 }
 

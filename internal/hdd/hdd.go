@@ -114,9 +114,4 @@ func (d *Disk) WriteAt(now time.Duration, data []byte, n int, off int64) (time.D
 	return lat, nil
 }
 
-// Discard implements device.BlockDevice; HDDs have no mapping to drop.
-func (d *Disk) Discard(off, n int64) error {
-	return device.CheckRange(off, int(n), d.cfg.Capacity)
-}
-
 var _ device.BlockDevice = (*Disk)(nil)

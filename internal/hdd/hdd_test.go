@@ -55,9 +55,6 @@ func TestRangeChecks(t *testing.T) {
 	if _, err := d.WriteAt(0, nil, device.SectorSize, d.Size()); !errors.Is(err, device.ErrOutOfRange) {
 		t.Fatalf("oob write err = %v", err)
 	}
-	if err := d.Discard(0, device.SectorSize); err != nil {
-		t.Fatalf("Discard: %v", err)
-	}
 }
 
 func TestRandomAccessCostsSeek(t *testing.T) {

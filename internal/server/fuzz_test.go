@@ -190,7 +190,7 @@ func newFuzzSharded(f *testing.F, shards int) *fuzzSharded {
 		if regions > 8 {
 			regions = 8
 		}
-		st, err := store.NewBlockStore(dev, regionBytes, regions)
+		st, err := store.NewBlockStore(dev, "block", regionBytes, regions)
 		if err != nil {
 			f.Fatalf("shard %d store: %v", i, err)
 		}

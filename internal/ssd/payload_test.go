@@ -78,50 +78,33 @@ func TestPayloadCrossesSegments(t *testing.T) {
 }
 
 // TestPayloadRecycledSegmentReadsZerosWhereUnmapped: a segment released by
-// a discard and taken back by a one-sector write keeps stale bytes past that
-// write; the sectors around it are unmapped and must still read as zeros,
-// and a metadata-only write reads as zeros too.
+// a metadata-only write over it and taken back by a one-sector write into
+// a segment never written keeps stale bytes past that write; the sectors
+// around it are unmapped and must still read as zeros, and a metadata-only
+// write reads as zeros too.
 func TestPayloadRecycledSegmentReadsZerosWhereUnmapped(t *testing.T) {
 	s := newTestSSD(t)
 	stale := bytes.Repeat([]byte{0xEE}, sectors(64))
 	if _, err := s.WriteAt(0, stale, len(stale), int64(sectors(64))); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Discard(int64(sectors(64)), int64(sectors(64))); err != nil {
+	if _, err := s.WriteAt(0, nil, sectors(64), int64(sectors(64))); err != nil {
 		t.Fatal(err)
+	}
+	if got := readSectors(t, s, 64, 64); !bytes.Equal(got, make([]byte, sectors(64))) {
+		t.Fatal("metadata-only write over a written segment did not read back as zeros")
 	}
 	one := bytes.Repeat([]byte{0xAB}, sectors(1))
-	if _, err := s.WriteAt(0, one, len(one), int64(sectors(70))); err != nil {
+	if _, err := s.WriteAt(0, one, len(one), int64(sectors(134))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.WriteAt(0, nil, sectors(3), int64(sectors(71))); err != nil {
+	if _, err := s.WriteAt(0, nil, sectors(3), int64(sectors(135))); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]byte, sectors(64))
 	copy(want[sectors(6):], one)
-	if got := readSectors(t, s, 64, 64); !bytes.Equal(got, want) {
+	if got := readSectors(t, s, 128, 64); !bytes.Equal(got, want) {
 		t.Fatal("recycled segment shows stale bytes where nothing with payload was written")
-	}
-}
-
-// TestPayloadPartialDiscardZerosOnlyThatRange discards ten sectors in the
-// middle of a written segment: those read as zeros, their neighbours keep
-// their bytes.
-func TestPayloadPartialDiscardZerosOnlyThatRange(t *testing.T) {
-	s := newTestSSD(t)
-	want := bytes.Repeat([]byte{0x3C}, sectors(64))
-	if _, err := s.WriteAt(0, want, len(want), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Discard(int64(sectors(10)), int64(sectors(10))); err != nil {
-		t.Fatal(err)
-	}
-	clear(want[sectors(10):sectors(20)])
-	if got := readSectors(t, s, 0, 64); !bytes.Equal(got, want) {
-		t.Fatal("partial discard did not zero exactly its range")
-	}
-	if got := s.MappedSectors(); got != 54 {
-		t.Fatalf("MappedSectors = %d, want 54", got)
 	}
 }
 

@@ -360,29 +360,6 @@ func (s *SSD) ReadAt(now time.Duration, p []byte, off int64) (time.Duration, err
 	return latest - start, nil
 }
 
-// Discard implements device.BlockDevice (TRIM). Unmapping dead sectors is
-// how the cache layer above keeps device WA down; CacheLib issues discards
-// when it drops regions. Payload segments the range covers whole are
-// released, and the rest of the range is zeroed.
-func (s *SSD) Discard(off, n int64) error {
-	if err := device.CheckRange(off, int(n), s.exported); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	lpnBase := off / device.SectorSize
-	for i := int64(0); i < n/device.SectorSize; i++ {
-		lpn := lpnBase + i
-		if old := s.l2p[lpn]; old != unmapped {
-			s.array.Invalidate(s.addrOf(old))
-			s.p2l[old] = unmapped
-			s.l2p[lpn] = unmapped
-		}
-	}
-	s.data.Zero(off, n)
-	return nil
-}
-
 // collectLocked runs greedy GC until the free pool reaches the high
 // watermark. Returns the completion time and whether any work happened.
 func (s *SSD) collectLocked(now time.Duration) (time.Duration, bool) {

@@ -12,34 +12,6 @@ import (
 	"znscache/internal/sim"
 )
 
-func TestDiscardReducesGCWork(t *testing.T) {
-	// Trimmed LBAs must not be migrated: with half the space discarded
-	// before each overwrite round, WA stays lower than without trims.
-	run := func(trim bool) float64 {
-		cfg := testConfig()
-		cfg.StoreData = false
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sectors := s.Size() / device.SectorSize
-		rng := sim.NewRand(21)
-		for i := int64(0); i < sectors*6; i++ {
-			lpn := rng.Int63n(sectors)
-			if trim && i%4 == 0 {
-				s.Discard(lpn*device.SectorSize, device.SectorSize)
-				continue
-			}
-			s.WriteAt(0, nil, device.SectorSize, lpn*device.SectorSize)
-		}
-		return s.WA.Factor()
-	}
-	with, without := run(true), run(false)
-	if with >= without {
-		t.Fatalf("WA with trims (%v) not below WA without (%v)", with, without)
-	}
-}
-
 func TestLastWriteStallConsumedOnce(t *testing.T) {
 	cfg := testConfig()
 	cfg.StoreData = false

@@ -109,8 +109,8 @@ func TestAlignmentAndRangeErrors(t *testing.T) {
 	if _, err := s.WriteAt(0, nil, device.SectorSize, s.Size()); !errors.Is(err, device.ErrOutOfRange) {
 		t.Fatalf("out-of-range write err = %v", err)
 	}
-	if err := s.Discard(-4096, 4096); !errors.Is(err, device.ErrOutOfRange) {
-		t.Fatalf("negative discard err = %v", err)
+	if _, err := s.WriteAt(0, nil, device.SectorSize, -device.SectorSize); !errors.Is(err, device.ErrOutOfRange) {
+		t.Fatalf("negative write err = %v", err)
 	}
 }
 
@@ -121,23 +121,6 @@ func TestMetadataOnlyWrite(t *testing.T) {
 	}
 	if s.MappedSectors() != 4 {
 		t.Fatalf("MappedSectors = %d, want 4", s.MappedSectors())
-	}
-}
-
-func TestDiscardUnmaps(t *testing.T) {
-	s := newTestSSD(t)
-	s.WriteAt(0, nil, 8*device.SectorSize, 0)
-	if err := s.Discard(0, 4*device.SectorSize); err != nil {
-		t.Fatalf("Discard: %v", err)
-	}
-	if s.MappedSectors() != 4 {
-		t.Fatalf("MappedSectors after discard = %d, want 4", s.MappedSectors())
-	}
-	// Discarded sectors read back as zeros.
-	got := bytes.Repeat([]byte{0xFF}, device.SectorSize)
-	s.ReadAt(0, got, 0)
-	if !bytes.Equal(got, make([]byte, device.SectorSize)) {
-		t.Fatal("discarded sector not zeroed")
 	}
 }
 

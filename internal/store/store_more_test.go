@@ -5,25 +5,26 @@ import (
 	"testing"
 
 	"znscache/internal/device"
-	"znscache/internal/f2fs"
 )
 
 func TestBlockStoreScratchReads(t *testing.T) {
 	// nil destination: a metadata-only read through the reusable scratch.
-	s, _ := NewBlockStore(newSSD(t), testRegion, 2)
-	s.WriteRegion(0, 0, nil)
-	if _, err := s.ReadRegion(0, 0, nil, testRegion, 0); err != nil {
-		t.Fatalf("scratch read: %v", err)
-	}
-	// Second scratch read reuses the buffer (no growth path).
-	if _, err := s.ReadRegion(0, 0, nil, device.SectorSize, 0); err != nil {
-		t.Fatalf("second scratch read: %v", err)
-	}
+	forBlockCases(t, func(t *testing.T, tc blockCase) {
+		s, _ := NewBlockStore(tc.dev, tc.label, testRegion, 2)
+		s.WriteRegion(0, 1, nil)
+		if _, err := s.ReadRegion(0, 1, nil, testRegion, 0); err != nil {
+			t.Fatalf("scratch read: %v", err)
+		}
+		// Second scratch read reuses the buffer (no growth path).
+		if _, err := s.ReadRegion(0, 1, nil, device.SectorSize, 0); err != nil {
+			t.Fatalf("second scratch read: %v", err)
+		}
+	})
 }
 
 func TestBlockStoreSyncCostReportsGCStall(t *testing.T) {
 	dev := newSSD(t)
-	s, _ := NewBlockStore(dev, testRegion, 0)
+	s, _ := NewBlockStore(dev, "block", testRegion, 0)
 	// Before any GC, sync cost is zero.
 	if c := s.WriteSyncCost(); c != 0 {
 		t.Fatalf("idle sync cost = %v", c)
@@ -46,42 +47,6 @@ func TestBlockStoreSyncCostReportsGCStall(t *testing.T) {
 	}
 }
 
-func TestFileStoreScratchAndBounds(t *testing.T) {
-	fs, _ := f2fs.Mount(newZNS(t), f2fs.Config{OPRatio: 0.25})
-	f, _ := fs.Create("c", 4*testRegion)
-	s, _ := NewFileStore(f, testRegion, 0)
-	s.WriteRegion(0, 1, nil)
-	if _, err := s.ReadRegion(0, 1, nil, device.SectorSize, 0); err != nil {
-		t.Fatalf("scratch read: %v", err)
-	}
-	if _, err := s.ReadRegion(0, 9, nil, device.SectorSize, 0); !errors.Is(err, ErrRegion) {
-		t.Fatalf("oob region err = %v", err)
-	}
-	if _, err := s.WriteRegion(0, -1, nil); !errors.Is(err, ErrRegion) {
-		t.Fatalf("negative region err = %v", err)
-	}
-	if _, err := s.ReadRegion(0, 1, nil, testRegion, device.SectorSize); !errors.Is(err, ErrBounds) {
-		t.Fatalf("overrun err = %v", err)
-	}
-	if _, err := s.EvictRegion(0, 1); err != nil {
-		t.Fatalf("evict: %v", err)
-	}
-	if s.WriteSyncCost() <= 0 {
-		t.Fatal("file store reports no per-flush CPU cost")
-	}
-}
-
-func TestFileStoreBadConfig(t *testing.T) {
-	fs, _ := f2fs.Mount(newZNS(t), f2fs.Config{OPRatio: 0.25})
-	f, _ := fs.Create("c", 4*testRegion)
-	if _, err := NewFileStore(f, 1000, 0); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("unaligned region size err = %v", err)
-	}
-	if _, err := NewFileStore(f, testRegion, 99); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("too many regions err = %v", err)
-	}
-}
-
 func TestZoneStoreScratchAndBounds(t *testing.T) {
 	dev := newZNS(t)
 	s, _ := NewZoneStore(dev, 3)
@@ -94,9 +59,6 @@ func TestZoneStoreScratchAndBounds(t *testing.T) {
 	}
 	if _, err := s.ReadRegion(0, -1, nil, device.SectorSize, 0); !errors.Is(err, ErrRegion) {
 		t.Fatalf("negative region err = %v", err)
-	}
-	if s.Device() != dev {
-		t.Fatal("Device accessor wrong")
 	}
 	if _, err := NewZoneStore(dev, -2); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("negative count err = %v", err)

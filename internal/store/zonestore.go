@@ -124,7 +124,4 @@ func (s *ZoneStore) MetricsInto(r *obs.Registry, labels obs.Labels) {
 		&s.RegionWrites, &s.RegionReads, &s.Evictions)
 }
 
-// Device exposes the underlying ZNS device for stats.
-func (s *ZoneStore) Device() zns.Zoned { return s.dev }
-
 var _ cache.RegionStore = (*ZoneStore)(nil)
