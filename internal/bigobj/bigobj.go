@@ -39,7 +39,6 @@ import (
 	"sync"
 	"time"
 
-	"znscache/internal/cache"
 	"znscache/internal/obs"
 	"znscache/internal/sim"
 	"znscache/internal/stats"
@@ -76,8 +75,6 @@ var (
 	// corrupt. The read fails clean — no bytes from the broken chunk are
 	// returned — and the manifest is dropped so later reads miss whole.
 	ErrPartialObject = errors.New("bigobj: partial object")
-	// ErrRejected reports that the admission policy declined the object.
-	ErrRejected = errors.New("bigobj: admission rejected object")
 )
 
 // Config configures a Store.
@@ -88,10 +85,6 @@ type Config struct {
 	// DefaultChunkSize. Chunk values (payload + header) must fit the
 	// engine's region size or every put fails with cache.ErrItemTooLarge.
 	ChunkSize int
-	// Admission is consulted once per object (not per chunk) with the
-	// object's total size. Nil admits everything. Reuses the PR 4 policy
-	// instances; the instance belongs to this store's backend engine.
-	Admission cache.Admission
 	// Clock, when set, seeds generation numbers from virtual time so a
 	// store built over a restored engine never reissues a generation an
 	// earlier incarnation used. The harness always provides it.
@@ -102,7 +95,6 @@ type Config struct {
 type Stats struct {
 	Puts              uint64 // objects committed (manifest written)
 	PutBytes          uint64 // payload bytes streamed into committed puts
-	PutRejects        uint64 // objects refused by admission
 	PutErrors         uint64 // puts aborted by stream/backend errors
 	Opens             uint64 // NewRangeReader/ReadAt calls
 	ObjectMisses      uint64 // opens that found no manifest
@@ -120,7 +112,6 @@ type Stats struct {
 type Store struct {
 	backend   Backend
 	chunkSize int
-	admit     cache.Admission
 
 	// get fetches a chunk. New resolves it once: the backend's GetBuf, which
 	// reads into the buffer it is handed (recycle is then true), or Get with
@@ -136,7 +127,6 @@ type Store struct {
 
 	puts              stats.Counter
 	putBytes          stats.Counter
-	putRejects        stats.Counter
 	putErrors         stats.Counter
 	opens             stats.Counter
 	objectMisses      stats.Counter
@@ -164,7 +154,6 @@ func New(cfg Config) (*Store, error) {
 	s := &Store{
 		backend:   cfg.Backend,
 		chunkSize: cs,
-		admit:     cfg.Admission,
 		pins:      make(map[pinKey]*pin),
 		genNext:   1,
 	}
@@ -205,7 +194,6 @@ func (s *Store) Stats() Stats {
 	return Stats{
 		Puts:              s.puts.Load(),
 		PutBytes:          s.putBytes.Load(),
-		PutRejects:        s.putRejects.Load(),
 		PutErrors:         s.putErrors.Load(),
 		Opens:             s.opens.Load(),
 		ObjectMisses:      s.objectMisses.Load(),
@@ -223,7 +211,6 @@ func (s *Store) Stats() Stats {
 func (s *Store) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	r.Counter("bigobj_puts_total", "objects committed (manifest written)", labels, &s.puts)
 	r.Counter("bigobj_put_bytes_total", "payload bytes streamed into committed puts", labels, &s.putBytes)
-	r.Counter("bigobj_put_rejects_total", "objects refused by the admission policy", labels, &s.putRejects)
 	r.Counter("bigobj_put_errors_total", "puts aborted by stream or backend errors", labels, &s.putErrors)
 	r.Counter("bigobj_opens_total", "range reader opens (NewRangeReader/ReadAt)", labels, &s.opens)
 	r.Counter("bigobj_object_misses_total", "opens that found no manifest", labels, &s.objectMisses)
@@ -246,25 +233,8 @@ func chunkKey(key string, i uint32) string {
 	return key + "/" + strconv.FormatUint(uint64(i), 10)
 }
 
-// sizeHint extracts a total-size hint from readers that know their length
-// (bytes.Reader, strings.Reader, io.LimitedReader...). Returns -1 when the
-// reader is opaque.
-func sizeHint(r io.Reader) int64 {
-	switch v := r.(type) {
-	case interface{ Size() int64 }:
-		return v.Size()
-	case interface{ Len() int }:
-		return int64(v.Len())
-	case *io.LimitedReader:
-		return v.N
-	}
-	return -1
-}
-
 // Put streams r into the cache as a chunked object under key, replacing any
-// existing object. The admission policy is consulted once for the whole
-// object using the reader's size hint (falling back to one chunk when the
-// reader is opaque). Chunks are written first and the manifest last, so a
+// existing object. Chunks are written first and the manifest last, so a
 // failed put never leaves a readable object; the previous object (if any)
 // stays readable until the new manifest commits, modulo chunk-key overlap.
 // ttl <= 0 stores without expiry.
@@ -272,21 +242,6 @@ func (s *Store) Put(key string, r io.Reader, ttl time.Duration) error {
 	if key == "" {
 		return errors.New("bigobj: empty key")
 	}
-	if s.admit != nil {
-		hint := sizeHint(r)
-		if hint < 0 {
-			hint = int64(s.chunkSize)
-		}
-		admitLen := hint
-		if admitLen > int64(maxInt) {
-			admitLen = int64(maxInt)
-		}
-		if !s.admit.Admit(key, int(admitLen)) {
-			s.putRejects.Inc()
-			return fmt.Errorf("%w: key %q", ErrRejected, key)
-		}
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -502,5 +457,3 @@ func (s *Store) Repair(keys []string) int {
 	}
 	return dropped
 }
-
-const maxInt = int(^uint(0) >> 1)

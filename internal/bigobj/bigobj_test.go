@@ -304,47 +304,6 @@ func TestOverwriteShrinksAndBumpsGeneration(t *testing.T) {
 	}
 }
 
-func TestAdmissionPerObject(t *testing.T) {
-	rejectBig := admitUnder{limit: 10 << 10}
-	hw := harness.HWProfile{Zones: 10, BlocksPerZone: 4, PagesPerBlock: 16, Channels: 4, DiesPerChan: 1}
-	rig, err := harness.Build(harness.RigConfig{
-		Scheme:      harness.RegionCache,
-		HW:          hw,
-		CacheBytes:  6 * hw.ZoneBytes(),
-		RegionBytes: 64 << 10,
-		TrackValues: true,
-	})
-	if err != nil {
-		t.Fatalf("build rig: %v", err)
-	}
-	st, err := bigobj.New(bigobj.Config{
-		Backend: rig.Engine, ChunkSize: 4 << 10, Clock: rig.Clock, Admission: rejectBig,
-	})
-	if err != nil {
-		t.Fatalf("bigobj.New: %v", err)
-	}
-	// A 20 KiB object is rejected as one object even though every 4 KiB
-	// chunk individually would pass the policy.
-	if err := st.Put("big", bytes.NewReader(pattern(1, 20<<10)), 0); !errors.Is(err, bigobj.ErrRejected) {
-		t.Fatalf("Put big: %v, want ErrRejected", err)
-	}
-	if st.Contains("big") {
-		t.Fatalf("rejected object present")
-	}
-	if err := st.Put("small", bytes.NewReader(pattern(2, 8<<10)), 0); err != nil {
-		t.Fatalf("Put small: %v", err)
-	}
-	s := st.Stats()
-	if s.PutRejects != 1 || s.Puts != 1 {
-		t.Fatalf("stats: %+v", s)
-	}
-}
-
-// admitUnder admits objects strictly smaller than limit.
-type admitUnder struct{ limit int }
-
-func (a admitUnder) Admit(_ string, valLen int) bool { return valLen < a.limit }
-
 func TestPartialObjectMissAfterChunkLoss(t *testing.T) {
 	const chunk = 8 << 10
 	st, rig := testStore(t, harness.RegionCache, chunk)

@@ -625,12 +625,10 @@ func (a *FrequencyAdmit) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	a.metricsInto(r, labels, "frequency")
 }
 
-// FrequencyFactory builds FrequencyAdmit policies. Zero values take the
-// NewFrequencyAdmit defaults.
+// FrequencyFactory builds FrequencyAdmit policies of the default sketch
+// size. A zero Threshold takes the default.
 type FrequencyFactory struct {
-	Counters   int
-	Threshold  uint8
-	HalveEvery int
+	Threshold uint8
 }
 
 // Name implements AdmissionFactory.
@@ -642,11 +640,7 @@ func (f FrequencyFactory) New(p AdmissionParams) Admission {
 	if threshold == 0 {
 		threshold = frequencyDefaultThreshold
 	}
-	counters := f.Counters
-	if counters == 0 {
-		counters = frequencyDefaultCounters
-	}
-	return NewFrequencyAdmit(counters, threshold, f.HalveEvery, p.Seed)
+	return NewFrequencyAdmit(frequencyDefaultCounters, threshold, 0, p.Seed)
 }
 
 // ---------------------------------------------------------------------------

@@ -23,12 +23,10 @@ package cache
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"slices"
 	"sync"
 	"time"
 
@@ -299,8 +297,6 @@ type Cache struct {
 	// regions owns the region lifecycle (region.go).
 	regions *regionTable
 	seq     uint64 // fill sequence counter
-	// live is copyLive's scratch, reused across flushes.
-	live []liveSpan
 
 	// fillLog is a bounded ring over the most recent FillRecords (cap
 	// fillLogCap). fillStart is the ring's oldest slot once it has wrapped;
@@ -762,81 +758,26 @@ type reinsertItem struct {
 // completeFlush retires an in-flight flush, advancing the clock to its
 // completion if it has not finished yet. The region is sealed — its reads go
 // to the store — so it lets go of its buffer, and its read-index image moves
-// to the store's view of the region. When the store lends no view, a region
-// with dead items moves to a copy of its live values; one whose items all
-// live keeps its buffer, whose only other bytes are their keys and headers,
-// rather than pay to re-point every key.
+// to the store's view of the region, or to no bytes when the store lends no
+// view.
 func (c *Cache) completeFlush(id int) {
 	m := &c.regions.meta[id]
 	c.clock.AdvanceTo(m.flushDone)
 	c.regions.seal(id)
 	if m.img != nil {
-		if b, ok := c.storeView(id); ok {
-			c.idx.seal(m.img, b)
-		} else if m.live < m.keys.len() {
-			c.copyLive(id)
-		}
+		c.idx.seal(m.img, c.storeView(id))
 	}
-}
-
-// liveSpan is one live value copyLive copies: key (a key-log slice) has
-// entry e in stripe s, and its value starts at src in the region.
-type liveSpan struct {
-	key []byte
-	s   *stripe
-	e   entry
-	src uint32
-}
-
-// copyLive moves region id's image off its buffer onto one copy of the
-// values whose entries point into it, so the buffer, with its dead items,
-// keys and headers, can go. The copy is written before any entry moves to
-// it; an entry not yet moved reads the same bytes in the buffer.
-func (c *Cache) copyLive(id int) {
-	m := &c.regions.meta[id]
-	from := m.img
-	buf := from.p.Load().b
-	spans := c.live[:0]
-	m.keys.each(func(kb []byte) bool {
-		if s, e, ok := c.idx.lookupLog(kb); ok && e.img == from {
-			spans = append(spans, liveSpan{key: kb, s: s, e: e, src: e.valueOff(len(kb))})
-		}
-		return true
-	})
-	// A key set twice in the region is logged twice; both log entries find
-	// its one live item.
-	slices.SortFunc(spans, func(a, b liveSpan) int { return cmp.Compare(a.src, b.src) })
-	spans = slices.CompactFunc(spans, func(a, b liveSpan) bool { return a.src == b.src })
-	moved := make([]movedValue, len(spans))
-	var total uint32
-	for i, sp := range spans {
-		moved[i] = movedValue{from: sp.src, to: total}
-		total += sp.e.valLen
-	}
-	b := make([]byte, total)
-	for i, sp := range spans {
-		copy(b[moved[i].to:], buf[sp.src:sp.src+sp.e.valLen])
-	}
-	to := c.idx.dramImage(b, moved)
-	for _, sp := range spans {
-		sp.e.img = to
-		c.idx.put(sp.s, string(sp.key), sp.e)
-	}
-	c.idx.retire(from)
-	m.img = to
-	clear(spans)
-	c.live = spans[:0]
 }
 
 // storeView returns the store's view of region id when the store lends one
-// covering every byte the region holds.
-func (c *Cache) storeView(id int) ([]byte, bool) {
-	v, ok := c.store.(RegionViewer)
-	if !ok {
-		return nil, false
+// covering every byte the region holds, and nil otherwise.
+func (c *Cache) storeView(id int) []byte {
+	if v, ok := c.store.(RegionViewer); ok {
+		if b, ok := v.RegionView(id); ok && int64(len(b)) >= c.regions.meta[id].fill {
+			return b
+		}
 	}
-	b, ok := v.RegionView(id)
-	return b, ok && int64(len(b)) >= c.regions.meta[id].fill
+	return nil
 }
 
 // evict reclaims the policy victim for the free list. A victim still
@@ -1008,7 +949,7 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 			}
 			// Promote the verified item so later Gets for this restored key
 			// go lock-free.
-			dirty = c.promote(&e, len(key), val)
+			dirty = c.promote(&e)
 		}
 	default:
 		// Entry pointing into a free region would be an index invariant
@@ -1228,7 +1169,7 @@ func (c *Cache) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	r.Gauge("cache_region_buffer_bytes", "DRAM held in region buffers (open, in-flight and spare)", ls,
 		func() float64 { return float64(c.regions.bufBytes.Load()) })
 	if ix := c.idx; ix.shared {
-		r.Gauge("cache_dram_bytes", "Bytes held in memory behind read-index images: region buffers and copies of live values", ls,
+		r.Gauge("cache_dram_bytes", "Bytes of the region buffers behind read-index images: the open and flushing regions'", ls,
 			func() float64 { return float64(ix.dramBytes.Load()) })
 		r.Counter("cache_fast_get_hits_total", "Gets answered lock-free from the read index", ls, &ix.fastHits)
 		r.Counter("cache_fast_get_tier_hits_total", "Lock-free hits by where the value lay: memory held for the index or the store's view",

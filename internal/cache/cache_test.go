@@ -20,6 +20,7 @@ type memStore struct {
 	evictLat   time.Duration
 	data       map[int][]byte
 	writes     int
+	reads      int
 	evictions  int
 }
 
@@ -45,6 +46,7 @@ func (s *memStore) WriteRegion(now time.Duration, id int, data []byte) (time.Dur
 }
 
 func (s *memStore) ReadRegion(now time.Duration, id int, p []byte, n int, off int64) (time.Duration, error) {
+	s.reads++
 	if p != nil {
 		if d, ok := s.data[id]; ok {
 			copy(p, d[off:off+int64(n)])
@@ -545,13 +547,14 @@ func TestMetadataOnlyGetReturnsNil(t *testing.T) {
 	}
 }
 
-// TestCopyLiveKeepsLiveValuesOnly: over a store that lends no view, a sealed
-// region with dead items gets an image that is a copy of exactly its live
-// values — not the replaced copy of a key set twice in the region, not a
-// deleted key, no keys or headers — and every key is still served lock-free
-// with its bytes. A sealed region whose items all live keeps its buffer.
-func TestCopyLiveKeepsLiveValuesOnly(t *testing.T) {
-	c, err := New(Config{Store: viewlessStore{newMemStore(8, 4096)}, TrackValues: true, ReadIndex: true})
+// TestViewlessSealedReadsStore: over a store that lends no view, a sealed
+// region's image holds no bytes. Its keys are not served lock-free; the
+// locked Get reads each from the store, charging the read to the clock. A
+// deleted key is not served, keys in the open region still are, and the
+// memory behind images is the open and in-flight buffers only.
+func TestViewlessSealedReadsStore(t *testing.T) {
+	st := newMemStore(8, 4096)
+	c, err := New(Config{Store: viewlessStore{st}, TrackValues: true, ReadIndex: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,45 +575,43 @@ func TestCopyLiveKeepsLiveValuesOnly(t *testing.T) {
 	}
 	c.Drain()
 
-	m := &c.regions.meta[entryOf(c, "a").region()]
-	if m.state != regionSealed || m.img == nil {
-		t.Fatalf("region state %v, image %v: want a sealed region with an image", m.state, m.img)
-	}
-	ib := m.img.p.Load()
-	if ib.onStore || len(ib.b) != 500 {
-		t.Fatalf("sealed image: on store %v, %d bytes; want a 500-byte copy of the live values", ib.onStore, len(ib.b))
+	if m := &c.regions.meta[entryOf(c, "a").region()]; m.state != regionSealed || m.img.p.Load().b != nil {
+		t.Fatalf("region state %v: want a sealed region whose image has no bytes", m.state)
 	}
 	for k, v := range want {
-		got, found, done := c.TryFastGet(k)
-		if !done || !found || !bytes.Equal(got, v) {
-			t.Errorf("TryFastGet(%s) = (%d bytes, found %v, done %v), want its %d bytes", k, len(got), found, done, len(v))
+		if _, _, done := c.TryFastGet(k); done {
+			t.Errorf("TryFastGet(%s) answered lock-free from a sealed region over a store that lends no view", k)
+		}
+		reads, now := st.reads, c.clock.Now()
+		got, found, err := c.Get(k)
+		if err != nil || !found || !bytes.Equal(got, v) {
+			t.Errorf("Get(%s) = (%d bytes, found %v, %v), want its %d bytes", k, len(got), found, err, len(v))
+		}
+		if st.reads != reads+1 || c.clock.Now() <= now {
+			t.Errorf("Get(%s): %d store reads, clock %v -> %v; want one read that advances the clock", k, st.reads-reads, now, c.clock.Now())
 		}
 	}
 	if _, found, _ := c.TryFastGet("c"); found {
+		t.Error("deleted key served lock-free")
+	}
+	if _, found, _ := c.Get("c"); found {
 		t.Error("deleted key served")
 	}
 
 	want["e"] = bytes.Repeat([]byte{5}, 100)
 	c.Set("e", want["e"], 100)
-	if err := c.SealOpen(); err != nil {
-		t.Fatal(err)
-	}
-	c.Drain()
-	if ib := c.regions.meta[entryOf(c, "e").region()].img.p.Load(); ib.onStore || len(ib.b) != 4096 {
-		t.Fatalf("all-live sealed image: on store %v, %d bytes; want its 4096-byte buffer", ib.onStore, len(ib.b))
-	}
 	if got, found, done := c.TryFastGet("e"); !done || !found || !bytes.Equal(got, want["e"]) {
-		t.Errorf("TryFastGet(e) = (%d bytes, found %v, done %v)", len(got), found, done)
+		t.Errorf("TryFastGet(e) in the open region = (%d bytes, found %v, done %v)", len(got), found, done)
 	}
 	var held int64
 	for i := range c.regions.meta {
-		if img := c.regions.meta[i].img; img != nil && !img.p.Load().onStore {
-			held += int64(len(img.p.Load().b))
+		if s := c.regions.meta[i].state; s == regionOpen || s == regionFlushing {
+			held += st.regionSize
 		}
 	}
 	reg := obs.NewRegistry()
 	c.MetricsInto(reg, obs.Labels{})
 	if got := gatherSum(t, reg, "cache_dram_bytes"); got != float64(held) {
-		t.Errorf("cache_dram_bytes = %v, images hold %d bytes in memory", got, held)
+		t.Errorf("cache_dram_bytes = %v, the open and in-flight buffers are %d bytes", got, held)
 	}
 }

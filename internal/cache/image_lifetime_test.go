@@ -17,7 +17,7 @@ import (
 
 // The image-lifetime oracle: lock-free readers are served values in place —
 // out of region buffers, then out of the device's payload segments or, over a
-// store that lends no view, out of copies of the live values — while a
+// store that lends no view, by a locked read of the store — while a
 // writer rolls regions, completes flushes, evicts (which drops the evicted
 // region's payload on the device), and makes the middle layer migrate
 // regions and reset zones under them. Every served value carries a tag
@@ -58,7 +58,7 @@ func (r *splitmix) next() uint64 {
 }
 
 // hideView is a store that lends no view, so a sealed region's image moves
-// from its buffer to a copy of its live values.
+// from its buffer to no bytes.
 type hideView struct{ cache.RegionStore }
 
 // lifetimeLayout is how the stack's 64 KiB regions lie on the device's
@@ -222,10 +222,9 @@ func lifetimeStorm(t *testing.T, s *cache.Sharded, seed uint64, sets int) {
 }
 
 // lifetimeQuiescent checks every key once no other goroutine runs: the
-// lock-free answer equals the locked Get's, memory behind images is bounded
-// by BufferMemory when the store lends views (only the open and in-flight
-// regions' images are on buffers then), and every region's live count
-// matches the index.
+// lock-free answer equals the locked Get's, memory behind images is the open
+// and in-flight region buffers (the cache_region_buffer_bytes gauge), within
+// BufferMemory, and every region's live count matches the index.
 func lifetimeQuiescent(t *testing.T, s *cache.Sharded, view bool) {
 	t.Helper()
 	s.WithShard(0, func(c *cache.Cache) {
@@ -245,11 +244,13 @@ func lifetimeQuiescent(t *testing.T, s *cache.Sharded, view bool) {
 		}
 		reg := obs.NewRegistry()
 		c.MetricsInto(reg, obs.Labels{})
-		var dram, dramHits, storeHits float64
+		var dram, bufs, dramHits, storeHits float64
 		for _, smp := range reg.Gather() {
 			switch {
 			case smp.Name == "cache_dram_bytes":
 				dram = smp.Value
+			case smp.Name == "cache_region_buffer_bytes":
+				bufs = smp.Value
 			case smp.Name == "cache_fast_get_tier_hits_total" && smp.Labels.Get("tier") == "dram":
 				dramHits = smp.Value
 			case smp.Name == "cache_fast_get_tier_hits_total" && smp.Labels.Get("tier") == "store":
@@ -259,12 +260,13 @@ func lifetimeQuiescent(t *testing.T, s *cache.Sharded, view bool) {
 		if dramHits == 0 {
 			t.Error("no lock-free hit was served from memory held for the index")
 		}
+		if dram != bufs || dram > lifetimeBuffers*lifetimeRegion {
+			t.Errorf("images hold %v bytes; the open and in-flight buffers are %v bytes, BufferMemory %d",
+				dram, bufs, lifetimeBuffers*lifetimeRegion)
+		}
 		switch {
 		case view && storeHits == 0:
 			t.Error("no lock-free hit was served from the store's view")
-		case view && dram > lifetimeBuffers*lifetimeRegion:
-			t.Errorf("images hold %v bytes of region buffers over a store that lends views; BufferMemory is %d",
-				dram, lifetimeBuffers*lifetimeRegion)
 		case !view && storeHits != 0:
 			t.Errorf("%v lock-free hits served from a store that lends no view", storeHits)
 		}

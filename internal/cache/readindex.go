@@ -1,10 +1,7 @@
 package cache
 
 import (
-	"bytes"
-	"cmp"
 	"hash/maphash"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -27,9 +24,10 @@ import (
 //     engine write takes its stripe's write lock and replaces one entry
 //     whole, so a reader always copies out a complete entry. The bytes behind
 //     an image are never written again: a region buffer is appended to only
-//     past what its entries point at and is never recycled, a copy of live
-//     values is written once before any entry points into it, and a store's
-//     view is immutable (RegionViewer).
+//     past what its entries point at and is never recycled, and a store's
+//     view is immutable (RegionViewer). A sealed region over a store that
+//     lends no view has an image without bytes: its reads take the locked
+//     path, which reads the store.
 //   - Stripe locks are leaf locks: never nested, never held across a call out
 //     of this file, never taken under noteMu.
 //   - Readers never write the index. A reader that finds an expired entry
@@ -51,34 +49,16 @@ import (
 
 // image is what one region generation's entries point into: the region
 // buffer while the region is open or flushing, and from completeFlush on the
-// store's view of the region. Over a store that lends no view it becomes a
-// copy of the region's live values (copyLive), or stays on the buffer when
-// every item in the region lives. Every generation gets a fresh image,
-// so an entry a reader loaded before an eviction still reads its own
-// generation's bytes. A restored key promoted over a store that lends no
-// view gets an image of its own, over a copy of its value.
+// store's view of the region, or no bytes when the store lends no view. Every
+// generation gets a fresh image, so an entry a reader loaded before an
+// eviction still reads its own generation's bytes.
 type image struct{ p atomic.Pointer[imageBytes] }
 
+// imageBytes is laid out as the region is; b is nil once a region sealed
+// over a store that lends no view.
 type imageBytes struct {
 	b       []byte
-	onStore bool // b is the store's view, not memory held for the index
-	// moved is set on a copy of values: each value's offset in its region,
-	// ascending, and where it starts in b. Nil when b is laid out as the
-	// region is.
-	moved []movedValue
-}
-
-// movedValue places one copied value: it started at from in its region and
-// starts at to in the copy.
-type movedValue struct{ from, to uint32 }
-
-// at returns where the value that starts at off in its region lies in b.
-func (ib *imageBytes) at(off uint32) uint32 {
-	if ib.moved == nil {
-		return off
-	}
-	i, _ := slices.BinarySearchFunc(ib.moved, off, func(m movedValue, off uint32) int { return cmp.Compare(m.from, off) })
-	return ib.moved[i].to
+	onStore bool // b is the store's view (or nil), not memory held for the index
 }
 
 // readNote is one deferred side effect observed by the lock-free path.
@@ -120,9 +100,8 @@ type index struct {
 	// reinsertion hit counter read them.
 	touch   bool
 	stripes []stripe // readStripes when shared, else one
-	// dramBytes is the bytes behind live regions' images that are not on
-	// the store: region buffers and copies of live values (gauge
-	// cache_dram_bytes). The per-key copies of promoted keys are not in it.
+	// dramBytes is the bytes of the region buffers behind images: the open
+	// and flushing regions' (gauge cache_dram_bytes).
 	dramBytes atomic.Int64
 
 	noteMu sync.Mutex
@@ -131,7 +110,7 @@ type index struct {
 
 	fastHits   stats.Counter // gets answered without the shard lock
 	fastMisses stats.Counter // misses answered without the shard lock
-	dramHits   stats.Counter // fast hits whose image was a buffer or a copy
+	dramHits   stats.Counter // fast hits whose image was a region buffer
 	storeHits  stats.Counter // fast hits whose image was the store's view
 	noteDrops  stats.Counter // deferred notes shed on queue overflow
 }
@@ -239,16 +218,16 @@ func (ix *index) each(fn func(key string, e entry)) {
 	}
 }
 
-// dramImage returns an image over b, memory held for the index: a region
-// buffer (moved nil) or a copy of a region's live values.
-func (ix *index) dramImage(b []byte, moved []movedValue) *image {
+// dramImage returns an image over b, a region buffer.
+func (ix *index) dramImage(b []byte) *image {
 	img := new(image)
-	img.p.Store(&imageBytes{b: b, moved: moved})
+	img.p.Store(&imageBytes{b: b})
 	ix.dramBytes.Add(int64(len(b)))
 	return img
 }
 
-// seal moves img onto the store's view b.
+// seal moves img off its buffer onto the store's view b, or onto no bytes
+// when b is nil.
 func (ix *index) seal(img *image, b []byte) {
 	ix.retire(img)
 	img.p.Store(&imageBytes{b: b, onStore: true})
@@ -275,8 +254,8 @@ func (ix *index) note(n readNote) {
 
 // TryFastGet attempts to answer a Get without the shard lock. done reports
 // whether the lookup was fully answered; when done is false the caller must
-// retry on the locked path. On a hit the returned slice lies in a region
-// image — a region buffer, a copy of values or the store's bytes — which
+// retry on the locked path, which reads the store. On a hit the returned
+// slice lies in a region image — a region buffer or the store's view — which
 // never changes: callers may keep it as long as they like, and must treat
 // it as read-only.
 //
@@ -326,36 +305,39 @@ func (c *Cache) fastLookup(key string, t *fastTally) (val []byte, found, done bo
 		return nil, false, false
 	}
 	e, ok := ix.load(key)
-	if ok {
-		if e.expired(c.clock.Now()) {
-			// The engine deletes the entry when it drains the note.
-			ix.note(readNote{key: key, expire: true})
-			ok = false
-		} else if e.img == nil && c.cfg.TrackValues {
-			// Value bytes not in memory (metadata-only insert, or a restored
-			// entry not yet promoted): the locked path must perform the
-			// device read.
-			return nil, false, false
-		}
+	if ok && e.expired(c.clock.Now()) {
+		// The engine deletes the entry when it drains the note.
+		ix.note(readNote{key: key, expire: true})
+		ok = false
 	}
 	if !ok {
 		t.misses++
 		return nil, false, true
 	}
+	// The image is loaded once: a seal may take its bytes away at any time.
+	var ib *imageBytes
+	if e.img != nil {
+		ib = e.img.p.Load()
+	}
+	if c.cfg.TrackValues && (ib == nil || ib.b == nil) {
+		// Value bytes not in memory (a metadata-only insert, a restored entry
+		// not yet promoted, or a region sealed over a store that lends no
+		// view): the locked path must perform the device read.
+		return nil, false, false
+	}
 	if ix.touch {
 		ix.note(readNote{key: key})
 	}
 	t.hits++
-	if e.img == nil {
+	if ib == nil {
 		return nil, true, true
 	}
-	ib := e.img.p.Load()
 	if ib.onStore {
 		t.storeHits++
 	} else {
 		t.dramHits++
 	}
-	off := ib.at(e.valueOff(len(key)))
+	off := e.valueOff(len(key))
 	end := off + e.valLen
 	return ib.b[off:end:end], true, true
 }
@@ -420,30 +402,26 @@ func (c *Cache) drainReadNotes() {
 	ix.spare = batch[:0]
 }
 
-// promote makes e, the sealed entry of a key keyLen bytes long whose value
-// val was just read and verified, servable lock-free, and reports whether it
-// changed e; the caller writes e back. The entry points into the region's
-// store image, which a restored region gets from the store's view on its
-// first promotion. Over a store that lends no view the key gets an image of
-// its own over a copy of val: the index never keeps the caller's buffer.
-// No-op when the read index is off or the entry is servable already.
-func (c *Cache) promote(e *entry, keyLen int, val []byte) bool {
+// promote points e, a sealed entry whose value was just read and verified, at
+// its region's image so later reads of the key go lock-free, and reports
+// whether it changed e; the caller writes e back. A restored region gets its
+// image from the store's view on its first promotion. No-op when the read
+// index is off, the entry has an image already, or its region has none and
+// the store lends no view.
+func (c *Cache) promote(e *entry) bool {
 	if !c.idx.shared || e.img != nil {
 		return false
 	}
 	m := &c.regions.meta[e.region()]
 	if m.img == nil {
-		if b, ok := c.storeView(e.region()); ok {
-			m.img = new(image)
-			m.img.p.Store(&imageBytes{b: b, onStore: true})
+		b := c.storeView(e.region())
+		if b == nil {
+			return false
 		}
+		m.img = new(image)
+		m.img.p.Store(&imageBytes{b: b, onStore: true})
 	}
-	if m.img != nil && m.img.p.Load().onStore {
-		e.img = m.img
-	} else {
-		e.img = new(image)
-		e.img.p.Store(&imageBytes{b: bytes.Clone(val), moved: []movedValue{{from: e.valueOff(keyLen)}}})
-	}
+	e.img = m.img
 	return true
 }
 

@@ -126,7 +126,7 @@ func (r *regionTable) openNext(at time.Duration) int {
 			r.bufBytes.Add(r.bufSize)
 		}
 		if r.idx.shared {
-			m.img = r.idx.dramImage(m.buf, nil)
+			m.img = r.idx.dramImage(m.buf)
 		}
 	}
 	r.open = id

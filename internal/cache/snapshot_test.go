@@ -331,8 +331,9 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 // entries without bytes until a verified sealed read promotes them. When that
 // read lands in a caller's buffer, the index must not keep the buffer: it
 // points the key into the store's view of the region, or, over a store that
-// lends no view, into a copy of its own. Scribbling on the buffer afterwards
-// cannot change what TryFastGet serves. A zero-length value is promoted too.
+// lends no view, leaves the key to the locked path, which reads the store
+// again. Scribbling on the buffer afterwards cannot change what either path
+// serves. A zero-length value is promoted too.
 func TestGetBufPromotionKeepsOwnCopy(t *testing.T) {
 	for _, n := range []int{900, 0} {
 		t.Run(fmt.Sprintf("%dB", n), func(t *testing.T) {
@@ -372,9 +373,18 @@ func TestGetBufPromotionKeepsOwnCopy(t *testing.T) {
 					if !ok || err != nil || !bytes.Equal(got, want) {
 						t.Fatalf("sealed GetBuf = (%v, %v), bytes equal %v", ok, err, bytes.Equal(got, want))
 					}
-					clear(buf)
+					for i := range buf {
+						buf[i] = 0xAA
+					}
 					v, found, done := r.TryFastGet("k")
-					if !done || !found {
+					if !view {
+						if done || entryOf(r, "k").img != nil {
+							t.Fatalf("TryFastGet over a store that lends no view = (found %v, done %v), want the locked path", found, done)
+						}
+						if v, found, _ = r.Get("k"); !found {
+							t.Fatal("locked Get after the sealed read missed")
+						}
+					} else if !done || !found {
 						t.Fatalf("TryFastGet after promotion = (found %v, done %v)", found, done)
 					}
 					if !bytes.Equal(v, want) {

@@ -14,10 +14,8 @@ const segmentBytes = 256 << 10
 // flash pages it spans.
 //
 // Space is held in fixed-size segments, each allocated on the first payload
-// write that touches it; a missing segment reads as zeros. A segment that
-// Write allocates has its bytes before the write zeroed and its bytes after
-// it undefined until written: a zone is written at its write pointer and
-// never read past it, and the FTL zeroes the sectors it reports unmapped.
+// write that touches it; a segment reads zeros wherever it was not written,
+// and a missing one reads as zeros throughout.
 //
 // A nil *Segments is a metadata-only device's store: it keeps nothing and
 // reads as zeros. Segments takes no lock: the owning device's lock guards it.
@@ -68,8 +66,11 @@ func (s *Segments) Write(off int64, data []byte) {
 		i, in := off/s.size, off%s.size
 		seg := s.segs[i]
 		if seg == nil {
-			seg = s.alloc()
-			clear((*seg)[:in])
+			var recycled bool
+			if seg, recycled = s.alloc(); recycled {
+				clear((*seg)[:in])
+				clear((*seg)[min(in+int64(len(data)), s.size):])
+			}
 			s.segs[i] = seg
 			s.held += s.size
 		}
@@ -154,11 +155,12 @@ func (s *Segments) release(i int64) {
 	s.held -= s.size
 }
 
-// alloc takes a released segment, or makes one.
-func (s *Segments) alloc() *[]byte {
+// alloc takes a released segment (recycled is true), or makes one, which is
+// zero already.
+func (s *Segments) alloc() (seg *[]byte, recycled bool) {
 	if seg, ok := s.free.Get().(*[]byte); ok {
-		return seg
+		return seg, true
 	}
 	b := make([]byte, s.size)
-	return &b
+	return &b, false
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"sync/atomic"
@@ -188,6 +189,63 @@ func TestPayloadMetricsFollowEvictions(t *testing.T) {
 		if want := float64(rig.Middle.MappedRegions()) * region; held != want {
 			t.Errorf("round %d: zns_payload_bytes = %v with %d regions mapped, want %v", round, held, rig.Middle.MappedRegions(), want)
 		}
+	}
+}
+
+// TestSealedGetByScheme: with the read index on, a Get of a sealed key is
+// served lock-free out of the store's view on Region-Cache, whose 256 KiB
+// regions are one payload segment each, and reads the store on Block-, File-
+// and Zone-Cache, whose stores lend no view. Both return the key's bytes.
+func TestSealedGetByScheme(t *testing.T) {
+	for _, scheme := range AllSchemes {
+		t.Run(scheme.String(), func(t *testing.T) {
+			hw := DefaultHW(8)
+			rig, err := Build(RigConfig{
+				Scheme: scheme, HW: hw, CacheBytes: 4 * hw.ZoneBytes(),
+				TrackValues: true, ReadIndex: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			rig.RegisterMetrics(reg, obs.Labels{})
+			scrape := func() (storeHits, storeReads float64) {
+				for _, s := range reg.Gather() {
+					switch {
+					case s.Name == "cache_fast_get_tier_hits_total" && s.Labels.Get("tier") == "store":
+						storeHits = s.Value
+					case s.Name == "store_region_reads_total":
+						storeReads += s.Value
+					}
+				}
+				return storeHits, storeReads
+			}
+			want := bytes.Repeat([]byte("sealed"), 700)
+			if err := rig.Engine.Set("k", want, len(want)); err != nil {
+				t.Fatal(err)
+			}
+			if err := rig.Engine.SealOpen(); err != nil {
+				t.Fatal(err)
+			}
+			sh, err := cache.NewSharded([]*cache.Cache{rig.Engine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hits, reads := scrape()
+			got, ok, err := sh.Get("k")
+			if err != nil || !ok || !bytes.Equal(got, want) {
+				t.Fatalf("Get = (%d bytes, %v, %v), want its %d bytes", len(got), ok, err, len(want))
+			}
+			hits2, reads2 := scrape()
+			wantHits, wantReads := hits, reads+1
+			if scheme == RegionCache {
+				wantHits, wantReads = hits+1, reads
+			}
+			if hits2 != wantHits || reads2 != wantReads {
+				t.Errorf("tier=store hits %v -> %v, store_region_reads_total %v -> %v; want %v and %v",
+					hits, hits2, reads, reads2, wantHits, wantReads)
+			}
+		})
 	}
 }
 

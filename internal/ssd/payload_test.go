@@ -108,6 +108,40 @@ func TestPayloadRecycledSegmentReadsZerosWhereUnmapped(t *testing.T) {
 	}
 }
 
+// TestPayloadRecycledSegmentZerosMetadataSectors: a metadata-only write over
+// a whole segment releases it, a metadata-only write maps the next segment,
+// and a one-sector payload write there takes the released segment. The
+// sectors the metadata-only write mapped must read as zeros, not as the
+// released segment's stale bytes.
+func TestPayloadRecycledSegmentZerosMetadataSectors(t *testing.T) {
+	s := newTestSSD(t)
+	stale := bytes.Repeat([]byte{0xEE}, sectors(64))
+	if _, err := s.WriteAt(0, stale, len(stale), int64(sectors(64))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WriteAt(0, nil, sectors(64), int64(sectors(64))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WriteAt(0, nil, sectors(64), int64(sectors(128))); err != nil {
+		t.Fatal(err)
+	}
+	one := bytes.Repeat([]byte{0xAB}, sectors(1))
+	if _, err := s.WriteAt(0, one, len(one), int64(sectors(128))); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, sectors(64))
+	copy(want, one)
+	if got := readSectors(t, s, 128, 64); !bytes.Equal(got, want) {
+		n := 0
+		for i := range got {
+			if got[i] != want[i] {
+				n++
+			}
+		}
+		t.Fatalf("%d bytes read stale where a metadata-only write mapped zeros", n)
+	}
+}
+
 // TestPayloadReadDetectsBrokenMapping: payload is kept by LBA, so a wrong
 // l2p entry no longer shows as wrong bytes. ReadAt checks each mapped sector
 // against p2l instead.

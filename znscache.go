@@ -112,10 +112,10 @@ type Config struct {
 	TrackValues bool
 	// FastReads enables the engine's lock-free read index: Gets on a warm
 	// key are answered without taking the shard lock, with the value where
-	// it lies — in a region buffer, in the device's payload bytes, or in a
-	// copy of a sealed region's live values when the store lends no view
-	// (see internal/cache readindex.go). Values returned by Get must then be
-	// treated as read-only. Off by default so single-threaded
+	// it lies — in a region buffer or in the device's payload bytes. A
+	// sealed region over a store that lends no view is read from the store
+	// under the lock (see internal/cache readindex.go). Values returned by
+	// Get must then be treated as read-only. Off by default so single-threaded
 	// experiment replays keep the classic exact accounting; the network
 	// serving layer turns it on.
 	FastReads bool
