@@ -224,15 +224,6 @@ func BenchmarkAblationAdmission(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationReinsertion(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ablationRun(b, "no_reinsert", nil)
-		ablationRun(b, "reinsert_hits2", func(c *harness.RigConfig) {
-			c.ReinsertHits = 2
-		})
-	}
-}
-
 func BenchmarkAblationGCThresholds(b *testing.B) {
 	// Covered in depth by examples/gctuning; here the watermark sweep runs
 	// through the public facade at one OP point.

@@ -157,15 +157,6 @@ type Config struct {
 	// TrackValues keeps payload bytes in region buffers so Get returns
 	// real data (requires a data-storing device for sealed regions).
 	TrackValues bool
-	// ReinsertHits enables Navy's hits-based reinsertion policy: when a
-	// region is evicted, items accessed at least this many times since
-	// insertion are rewritten into the open region instead of dropped.
-	// Zero disables reinsertion, and with it the per-item hit counter: hits
-	// are counted only when reinsertion reads them, so with zero a snapshot
-	// records 0 hits for every item. The counter is advisory either way —
-	// lock-free hits reach it through deferred notes, which drop on
-	// overflow.
-	ReinsertHits uint8
 	// CPU overrides the software cost model; zero value = defaults.
 	CPU CPUModel
 	// Clock is the virtual clock; a fresh one is created if nil.
@@ -201,20 +192,15 @@ type Config struct {
 const fillLogCap = 4096
 
 // entry is one index record, 24 bytes: where an item lives, where its
-// value lies in memory, its TTL deadline, and a saturating access counter
-// driving the reinsertion policy. The key's length is the map key's, so it
-// is not stored; like CacheLib's packed index records, the counter shares a
-// word with the region id.
+// value lies in memory, and its TTL deadline. The key's length is the map
+// key's, so it is not stored.
 type entry struct {
 	// img is the region image the value lies in; nil when its bytes are not
 	// in memory (the read index is off, a metadata-only insert, or a restored
 	// entry not yet promoted by a verified sealed read). With TrackValues on,
 	// such an entry sends lock-free reads to the locked path.
-	img *image
-	// loc holds the region id in its low regionBits bits — noRegion while a
-	// reinsertion candidate waits, between its region's eviction and its
-	// re-append — and the hit counter in the rest.
-	loc    uint32
+	img    *image
+	region uint32 // id of the region the item lives in
 	offset uint32 // item start within region
 	valLen uint32
 	// expireAt is the virtual-clock second after which the item is dead
@@ -222,22 +208,6 @@ type entry struct {
 	// CacheLib does.
 	expireAt uint32
 }
-
-const (
-	regionBits = 24
-	// noRegion is the region of a reinsertion candidate: it counts in no
-	// region's live items. Region ids are below it.
-	noRegion = 1<<regionBits - 1
-)
-
-// region returns the id of the region the item lives in.
-func (e entry) region() int { return int(e.loc & noRegion) }
-
-// hits returns the access counter.
-func (e entry) hits() uint8 { return uint8(e.loc >> regionBits) }
-
-// hit counts one access; the caller checks hits is below 255.
-func (e *entry) hit() { e.loc += 1 << regionBits }
 
 // valueOff returns where the value starts in its region: past the item
 // header and the key.
@@ -269,7 +239,7 @@ type Stats struct {
 	Hits, Misses           uint64
 	HitRatio               float64
 	Evictions, Flushes     uint64
-	Reinsertions           uint64
+	Reinsertions           uint64 // always 0: the engine does not reinsert; benchmark/layers.go reads it
 	Expirations            uint64
 	CoDesignDrops          uint64
 	AdmitRejects           uint64
@@ -326,7 +296,6 @@ type Cache struct {
 	dels        stats.Counter
 	evicts      stats.Counter
 	drops       stats.Counter
-	reinserts   stats.Counter
 	expirations stats.Counter
 	flushes     stats.Counter
 	rejects     stats.Counter
@@ -341,9 +310,8 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("%w: nil store", ErrBadConfig)
 	}
-	if n := cfg.Store.NumRegions(); n < 2 || n >= noRegion {
-		return nil, fmt.Errorf("%w: need 2 to %d regions, store has %d",
-			ErrBadConfig, noRegion-1, n)
+	if n := cfg.Store.NumRegions(); n < 2 {
+		return nil, fmt.Errorf("%w: need at least 2 regions, store has %d", ErrBadConfig, n)
 	}
 	if cfg.Store.RegionSize() <= 0 || cfg.Store.RegionSize()%device.SectorSize != 0 {
 		return nil, fmt.Errorf("%w: region size %d", ErrBadConfig, cfg.Store.RegionSize())
@@ -378,7 +346,7 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.TrackValues {
 		bufSize = cfg.Store.RegionSize()
 	}
-	idx := newIndex(cfg.ReadIndex, cfg.Policy == LRU || cfg.ReinsertHits > 0)
+	idx := newIndex(cfg.ReadIndex, cfg.Policy == LRU)
 	c := &Cache{
 		cfg:           cfg,
 		store:         cfg.Store,
@@ -462,7 +430,7 @@ func (c *Cache) SetTTL(key string, value []byte, valLen int, ttl time.Duration) 
 		if rec != nil {
 			r0 = time.Now()
 		}
-		err := c.rollRegion(size)
+		err := c.rollRegion()
 		if rec != nil {
 			rollDur = time.Since(r0)
 			rec.Observe(obs.StageRegionFlush, rollDur)
@@ -471,7 +439,7 @@ func (c *Cache) SetTTL(key string, value []byte, valLen int, ttl time.Duration) 
 			return err
 		}
 	}
-	c.appendItem(key, value, valLen, ttl, 0)
+	c.appendItem(key, value, valLen, ttl)
 	c.hostBytes.Add(uint64(size))
 	c.setLat.Observe(c.clock.Now() - start)
 	if sampled {
@@ -487,16 +455,15 @@ func (c *Cache) SetTTL(key string, value []byte, valLen int, ttl time.Duration) 
 // [header: keyLen|valLen|flags|checksum][key][value]; the checksum guards
 // read-back integrity across region stores, migrations, and recovery. With
 // the read index on, the entry records where the value lies in the region's
-// image. The entry's deadline is expireAt (0 = none), or with a ttl above
-// zero, ttl past the clock after the append.
-func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Duration, expireAt uint32) {
+// image. With a ttl above zero, the entry's deadline is ttl past the clock
+// after the append.
+func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Duration) {
 	m := &c.regions.meta[c.regions.open]
 	// Replacing an existing key: the old copy becomes dead weight in its
-	// region (reclaimed only when that region is evicted). A reinsertion
-	// candidate's old copy counts in no region.
+	// region (reclaimed only when that region is evicted).
 	s, old, ok := c.idx.lookup(key)
-	if ok && old.region() != noRegion {
-		if r := &c.regions.meta[old.region()]; r.live > 0 {
+	if ok {
+		if r := &c.regions.meta[old.region]; r.live > 0 {
 			r.live--
 		}
 	}
@@ -514,7 +481,7 @@ func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Durati
 	m.fill += size
 	m.live++
 	m.keys.append(key)
-	e := entry{loc: uint32(c.regions.open), offset: off, valLen: uint32(valLen), expireAt: expireAt}
+	e := entry{region: uint32(c.regions.open), offset: off, valLen: uint32(valLen)}
 	if ttl > 0 {
 		e.expireAt = uint32(((c.clock.Now() + ttl) / time.Second) + 1)
 	}
@@ -581,46 +548,28 @@ func (c *Cache) sampledRetryStore(op func(now time.Duration) (time.Duration, err
 // counting each as a fault-lost key. Used by the degradation paths; the data
 // is gone (or untrustworthy), and a lost key is a miss, never wrong data.
 func (c *Cache) dropRegionKeys(id int) {
-	n, _ := c.unindexRegion(id, 0, nil)
-	c.lostKeys.Add(uint64(n))
+	c.lostKeys.Add(uint64(c.unindexRegion(id)))
 }
 
 // unindexRegion removes every entry still pointing at region id, and returns
-// how many it removed. With hot above zero an entry with at least hot hits
-// stays instead, in no region, and is returned as a reinsertion candidate
-// with its value from regionBytes. It counts in no region's live items until
-// appendItem re-appends it moments later; a fast reader in the window sees
-// the old (identical) bytes, which the victim's image keeps. The lookups and
-// deletes by key-log slice do not allocate; string copies are made only for
-// the candidates.
-func (c *Cache) unindexRegion(id int, hot uint8, regionBytes []byte) (n int, reinsert []reinsertItem) {
+// how many it removed. The lookups and deletes by key-log slice do not
+// allocate.
+func (c *Cache) unindexRegion(id int) (n int) {
 	c.regions.meta[id].keys.each(func(kb []byte) bool {
-		s, e, ok := c.idx.lookupLog(kb)
-		if !ok || e.region() != id {
-			return true
+		if s, e, ok := c.idx.lookupLog(kb); ok && int(e.region) == id {
+			c.idx.dropLog(s, kb)
+			n++
 		}
-		if hot > 0 && e.hits() >= hot {
-			it := reinsertItem{key: string(kb), e: e}
-			if base := int(e.valueOff(len(kb))); base+int(e.valLen) <= len(regionBytes) {
-				it.value = regionBytes[base : base+int(e.valLen)]
-			}
-			e.loc |= noRegion
-			c.idx.put(s, it.key, e)
-			reinsert = append(reinsert, it)
-			return true
-		}
-		c.idx.dropLog(s, kb)
-		n++
 		return true
 	})
-	return n, reinsert
+	return n
 }
 
 // unindex removes key's entry e from s, its stripe, and from its region's
 // live items.
 func (c *Cache) unindex(s *stripe, key string, e entry) {
 	c.idx.drop(s, key)
-	if m := &c.regions.meta[e.region()]; m.live > 0 {
+	if m := &c.regions.meta[e.region]; m.live > 0 {
 		m.live--
 	}
 }
@@ -638,17 +587,16 @@ func (c *Cache) expire(s *stripe, key string, e entry) {
 func (c *Cache) loseKey(s *stripe, key string, e entry) {
 	c.unindex(s, key, e)
 	c.lostKeys.Inc()
-	if id := e.region(); c.regions.charge(id) {
+	if id := int(e.region); c.regions.charge(id) {
 		c.dropRegionKeys(id)
 		c.regions.quarantine(id)
 	}
 }
 
 // rollRegion flushes the open region and installs a fresh one, evicting the
-// policy victim when the free list is empty, with room bytes left free for
-// the item that rolled it. This is the only place the engine stalls: on
-// pipeline saturation and on eviction bookkeeping.
-func (c *Cache) rollRegion(room int64) error {
+// policy victim when the free list is empty. This is the only place the
+// engine stalls: on pipeline saturation and on eviction bookkeeping.
+func (c *Cache) rollRegion() error {
 	rt := c.regions
 	id := rt.open
 	m := &rt.meta[id]
@@ -712,47 +660,13 @@ func (c *Cache) rollRegion(room int64) error {
 
 	// The next region comes off the free list, which eviction refills when
 	// it is empty.
-	var reinsert []reinsertItem
 	if len(rt.free) == 0 {
-		if reinsert, err = c.evict(); err != nil {
+		if err := c.evict(); err != nil {
 			return err
 		}
 	}
-	next := rt.openNext(rollStart)
-	// Reinsertion (Navy's hits-based policy): hot items from the evicted
-	// region are rewritten into the fresh buffer, capped at its capacity
-	// less room. One whose TTL ran out meanwhile leaves with its region.
-	var drop []reinsertItem
-	for i, it := range reinsert {
-		if it.e.expired(c.clock.Now()) {
-			drop = append(drop, it)
-			continue
-		}
-		if rt.meta[next].fill+it.e.itemSize(len(it.key))+room > c.store.RegionSize() {
-			drop = append(drop, reinsert[i:]...)
-			break
-		}
-		c.appendItem(it.key, it.value, int(it.e.valLen), 0, it.e.expireAt)
-		c.reinserts.Inc()
-	}
-	c.dropReinsert(drop)
+	rt.openNext(rollStart)
 	return nil
-}
-
-// dropReinsert removes reinsertion candidates that will not be re-appended
-// after all: they leave with their region.
-func (c *Cache) dropReinsert(items []reinsertItem) {
-	for _, it := range items {
-		c.idx.drop(c.idx.stripe(it.key), it.key)
-	}
-}
-
-// reinsertItem is a hot item rescued from an evicted region: its key, its
-// value and its entry, whose length and TTL deadline it keeps.
-type reinsertItem struct {
-	key   string
-	value []byte
-	e     entry
 }
 
 // completeFlush retires an in-flight flush, advancing the clock to its
@@ -782,34 +696,22 @@ func (c *Cache) storeView(id int) []byte {
 
 // evict reclaims the policy victim for the free list. A victim still
 // flushing lands first. Every key the region still indexes is removed — the
-// region-granular eviction CacheLib uses to avoid item-level flash GC —
-// except the hot ones it returns for reinsertion. A victim whose store-side
-// evict keeps failing is quarantined and the next victim is tried; eviction
-// itself must not fail transiently.
-func (c *Cache) evict() ([]reinsertItem, error) {
+// region-granular eviction CacheLib uses to avoid item-level flash GC. A
+// victim whose store-side evict keeps failing is quarantined and the next
+// victim is tried; eviction itself must not fail transiently.
+func (c *Cache) evict() error {
 	for {
 		id, ok := c.regions.victim()
 		if !ok {
-			return nil, errNoRegion
+			return errNoRegion
 		}
 		m := &c.regions.meta[id]
 		if m.state == regionFlushing {
 			c.completeFlush(id)
 		}
-		// Snapshot the victim's payload once if reinsertion may need bytes;
-		// when they cannot be read, no item is reinserted.
-		hot := c.cfg.ReinsertHits
-		var regionBytes []byte
-		if hot > 0 && c.cfg.TrackValues && m.fill > 0 {
-			n := int((m.fill + device.SectorSize - 1) / device.SectorSize * device.SectorSize)
-			regionBytes = make([]byte, n)
-			if _, err := c.store.ReadRegion(c.clock.Now(), id, regionBytes, n, 0); err != nil {
-				hot = 0
-			}
-		}
 		// Index cleanup under the shared lock: the insertion-time spike of
 		// Figure 3a. Zone-sized regions remove tens of thousands of keys here.
-		_, reinsert := c.unindexRegion(id, hot, regionBytes)
+		c.unindexRegion(id)
 		c.clock.Advance(c.cpu.EvictPerKey * time.Duration(m.keys.len()))
 
 		now := c.clock.Now()
@@ -817,8 +719,6 @@ func (c *Cache) evict() ([]reinsertItem, error) {
 			return c.store.EvictRegion(t, id)
 		})
 		if err != nil {
-			// The reinsert candidates leave with the region.
-			c.dropReinsert(reinsert)
 			c.regions.quarantine(id)
 			continue
 		}
@@ -828,7 +728,7 @@ func (c *Cache) evict() ([]reinsertItem, error) {
 			c.trace.Emit(obs.Event{T: now, Type: obs.EvEvict, Zone: -1, Region: int32(id), Bytes: int64(m.keys.len())})
 		}
 		c.regions.evicted(id)
-		return reinsert, nil
+		return nil
 	}
 }
 
@@ -880,9 +780,8 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 		c.getLat.Observe(c.clock.Now() - start)
 		return nil, false, nil
 	}
-	m := &c.regions.meta[e.region()]
+	m := &c.regions.meta[e.region]
 	var val []byte
-	dirty := false // e changed and is written back
 	switch m.state {
 	case regionOpen, regionFlushing:
 		// Served straight from the in-memory buffer — for a flushing region
@@ -912,7 +811,7 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 			}
 		}
 		lat, err := c.sampledRetryStore(func(t time.Duration) (time.Duration, error) {
-			return c.store.ReadRegion(t, e.region(), p, n, alignedStart)
+			return c.store.ReadRegion(t, int(e.region), p, n, alignedStart)
 		})
 		if err != nil {
 			// Persistent read failure: degrade to a miss. The key is dropped
@@ -949,21 +848,16 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 			}
 			// Promote the verified item so later Gets for this restored key
 			// go lock-free.
-			dirty = c.promote(&e)
+			if c.promote(&e) {
+				c.idx.put(s, key, e)
+			}
 		}
 	default:
 		// Entry pointing into a free region would be an index invariant
 		// violation; eviction always removes keys first.
-		return nil, false, fmt.Errorf("cache: index points to free region %d", e.region())
+		return nil, false, fmt.Errorf("cache: index points to free region %d", e.region)
 	}
-	c.regions.touch(e.region())
-	if c.cfg.ReinsertHits > 0 && e.hits() < ^uint8(0) {
-		e.hit()
-		dirty = true
-	}
-	if dirty {
-		c.idx.put(s, key, e)
-	}
+	c.regions.touch(int(e.region))
 	c.hitRatio.Hit()
 	c.getLat.Observe(c.clock.Now() - start)
 	return val, true, nil
@@ -1041,7 +935,7 @@ func (c *Cache) InvalidateRegion(id int) {
 	if !c.regions.sealed(id) {
 		return
 	}
-	c.unindexRegion(id, 0, nil)
+	c.unindexRegion(id)
 	c.clock.Advance(c.cpu.EvictPerKey * time.Duration(c.regions.meta[id].keys.len()))
 	c.regions.drop(id)
 	c.drops.Inc()
@@ -1108,7 +1002,7 @@ func (c *Cache) Drain() {
 // the freshest writes). A no-op when the buffer is empty.
 func (c *Cache) SealOpen() error {
 	if c.regions.meta[c.regions.open].fill > 0 {
-		if err := c.rollRegion(0); err != nil {
+		if err := c.rollRegion(); err != nil {
 			return err
 		}
 	}
@@ -1126,7 +1020,6 @@ func (c *Cache) Stats() Stats {
 		Misses:         c.hitRatio.Misses(),
 		HitRatio:       c.hitRatio.Ratio(),
 		Evictions:      c.evicts.Load(),
-		Reinsertions:   c.reinserts.Load(),
 		Expirations:    c.expirations.Load(),
 		CoDesignDrops:  c.drops.Load(),
 		Flushes:        c.flushes.Load(),
@@ -1157,7 +1050,6 @@ func (c *Cache) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	r.Counter("cache_deletes_total", "Delete operations", ls, &c.dels)
 	r.Counter("cache_evictions_total", "Region evictions", ls, &c.evicts)
 	r.Counter("cache_codesign_drops_total", "Regions invalidated by GC co-design drops", ls, &c.drops)
-	r.Counter("cache_reinsertions_total", "Hot items reinserted at eviction", ls, &c.reinserts)
 	r.Counter("cache_expirations_total", "TTL expirations", ls, &c.expirations)
 	r.Counter("cache_flushes_total", "Region flushes", ls, &c.flushes)
 	r.Counter("cache_admit_rejects_total", "Inserts rejected by the admission policy", ls, &c.rejects)

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -58,43 +57,13 @@ func TestOverwriteDecrementsOldRegionLive(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.Set(fmt.Sprintf("f%d", i), nil, 1000)
 	}
-	oldRegion := entryOf(c, "k").region()
+	oldRegion := entryOf(c, "k").region
 	c.Set("k", nil, 1000)
-	if entryOf(c, "k").region() == oldRegion {
+	if entryOf(c, "k").region == oldRegion {
 		t.Fatal("overwrite stayed in a sealed region")
 	}
 	if c.regions.meta[oldRegion].live != 3 {
 		t.Fatalf("old region live = %d, want 3 after overwrite", c.regions.meta[oldRegion].live)
-	}
-}
-
-// TestHitsSaturateWithoutOverflow: with reinsertion on, the hit counter
-// saturates at 255; with it off nothing reads the counter, so it stays 0.
-func TestHitsSaturateWithoutOverflow(t *testing.T) {
-	for _, tc := range []struct {
-		name     string
-		policy   Policy
-		reinsert uint8
-		want     uint8
-	}{
-		{"LRU/reinsert=1", LRU, 1, 255},
-		{"FIFO/reinsert=0", FIFO, 0, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c, _ := newTestCache(t, 4, 64<<10, func(cfg *Config) {
-				cfg.Policy = tc.policy
-				cfg.ReinsertHits = tc.reinsert
-			})
-			c.Set("k", nil, 10)
-			for i := 0; i < 300; i++ { // > 255 accesses
-				if _, ok, _ := c.Get("k"); !ok {
-					t.Fatal("lost key")
-				}
-			}
-			if got := entryOf(c, "k").hits(); got != tc.want {
-				t.Fatalf("hits = %d, want %d", got, tc.want)
-			}
-		})
 	}
 }
 
@@ -183,19 +152,6 @@ func TestBufferMemoryBelowRegionRejected(t *testing.T) {
 	}
 }
 
-func TestStatsReinsertionsCounted(t *testing.T) {
-	st := newMemStore(4, 4096)
-	c, _ := New(Config{Store: st, ReinsertHits: 1, Policy: FIFO})
-	c.Set("hot", nil, 1000)
-	c.Get("hot")
-	for i := 0; c.Stats().Evictions < 3; i++ {
-		c.Set(fmt.Sprintf("cold%05d", i), nil, 1000)
-	}
-	if c.Stats().Reinsertions == 0 {
-		t.Fatal("reinsertions not counted in stats")
-	}
-}
-
 func TestTTLExpiryOnVirtualClock(t *testing.T) {
 	c, _ := newTestCache(t, 4, 64<<10)
 	if err := c.SetTTL("short", []byte("v"), 0, 2*time.Second); err != nil {
@@ -247,58 +203,5 @@ func TestTTLSurvivesSnapshot(t *testing.T) {
 	clock.Advance(time.Hour)
 	if _, ok, _ := r.Get("k"); ok {
 		t.Fatal("TTL lost across snapshot/restore")
-	}
-}
-
-// TestReinsertionKeepsTTL: a reinserted item keeps its TTL deadline; it used
-// to be re-appended without one and served long past it.
-func TestReinsertionKeepsTTL(t *testing.T) {
-	c, _ := newTestCache(t, 4, 4096, func(cfg *Config) {
-		cfg.ReinsertHits = 1
-		cfg.Policy = FIFO
-	})
-	if err := c.SetTTL("hot", bytes.Repeat([]byte{0xAD}, 1000), 0, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	c.Get("hot")
-	for i := 0; c.Stats().Reinsertions == 0; i++ {
-		c.Set(fmt.Sprintf("cold-%04d", i), bytes.Repeat([]byte{1}, 1000), 0)
-	}
-	if c.Clock().Now() >= 10*time.Second {
-		t.Fatalf("reinsertion came after the deadline, at %v", c.Clock().Now())
-	}
-	c.Clock().Advance(20 * time.Second)
-	if _, ok, _ := c.Get("hot"); ok {
-		t.Fatal("reinserted item served past its TTL")
-	}
-}
-
-// TestReinsertionLeavesRoomForRollingItem: reinsertion into the fresh region
-// stops short of the room the item that rolled it needs. It used to fill the
-// region, and the item then overran it.
-func TestReinsertionLeavesRoomForRollingItem(t *testing.T) {
-	c, _ := newTestCache(t, 4, 4096, func(cfg *Config) {
-		cfg.ReinsertHits = 1
-		cfg.Policy = FIFO
-	})
-	// Four 1000-byte items fill a region: the first region's are all hot.
-	val := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 1000) }
-	for i := 0; c.Stats().Evictions == 0; i++ {
-		k := fmt.Sprintf("k%02d", i)
-		if err := c.Set(k, val(i), 0); err != nil {
-			t.Fatal(err)
-		}
-		if i < 4 {
-			c.Get(k)
-		}
-		if got, ok, _ := c.Get(k); !ok || !bytes.Equal(got, val(i)) {
-			t.Fatalf("Get(%s) after its Set = (%d bytes, %v)", k, len(got), ok)
-		}
-		if m := &c.regions.meta[c.regions.open]; m.fill > 4096 {
-			t.Fatalf("open region holds %d bytes", m.fill)
-		}
-	}
-	if c.Stats().Reinsertions == 0 {
-		t.Fatal("nothing was reinserted")
 	}
 }

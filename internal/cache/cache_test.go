@@ -402,7 +402,7 @@ func TestRegionBuffersWithinBufferMemory(t *testing.T) {
 					var keys []string
 					c.idx.each(func(k string, _ entry) { keys = append(keys, k) })
 					for _, k := range keys {
-						seen[c.regions.meta[entryOf(c, k).region()].state] = true
+						seen[c.regions.meta[entryOf(c, k).region].state] = true
 						want := vals[k]
 						got, ok, err := c.Get(k)
 						if !ok || err != nil || !bytes.Equal(got, want) {
@@ -528,8 +528,8 @@ func TestIndexNeverPointsToFreeRegion(t *testing.T) {
 		}
 	}
 	c.idx.each(func(k string, e entry) {
-		if c.regions.meta[e.region()].state == regionFree {
-			t.Fatalf("key %s points to free region %d", k, e.region())
+		if c.regions.meta[e.region].state == regionFree {
+			t.Fatalf("key %s points to free region %d", k, e.region)
 		}
 	})
 }
@@ -575,7 +575,7 @@ func TestViewlessSealedReadsStore(t *testing.T) {
 	}
 	c.Drain()
 
-	if m := &c.regions.meta[entryOf(c, "a").region()]; m.state != regionSealed || m.img.p.Load().b != nil {
+	if m := &c.regions.meta[entryOf(c, "a").region]; m.state != regionSealed || m.img.p.Load().b != nil {
 		t.Fatalf("region state %v: want a sealed region whose image has no bytes", m.state)
 	}
 	for k, v := range want {

@@ -61,21 +61,18 @@ func (r *testRNG) next() uint64 {
 // count matches the index.
 func TestFastReadStressOneShard(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		policy   Policy
-		reinsert uint8
+		name   string
+		policy Policy
 	}{
-		{"FIFO", FIFO, 0},
-		{"LRU", LRU, 0},
-		{"LRU/reinsert=2", LRU, 2},
+		{"FIFO", FIFO},
+		{"LRU", LRU},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newTestShardedFast(t, 1, 8, 32<<10, func(cfg *Config) {
 				cfg.Policy = tc.policy
-				cfg.ReinsertHits = tc.reinsert
 			})
 			stressOneShard(t, s)
-			checkQuiescentShard(t, s, tc.policy == LRU || tc.reinsert > 0)
+			checkQuiescentShard(t, s, tc.policy == LRU)
 		})
 	}
 }

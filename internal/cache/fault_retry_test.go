@@ -170,7 +170,7 @@ func TestReadRetryAndQuarantine(t *testing.T) {
 			c.Drain()
 
 			fs.failReads = tc.failures
-			region := entryOf(c, "victim").region()
+			region := int(entryOf(c, "victim").region)
 			got, ok, err := c.Get("victim")
 			if err != nil {
 				t.Fatalf("Get errored instead of degrading: %v", err)
@@ -186,7 +186,7 @@ func TestReadRetryAndQuarantine(t *testing.T) {
 				if tc.wantHit {
 					break
 				}
-				if entryOf(c, k).region() != region {
+				if int(entryOf(c, k).region) != region {
 					t.Fatalf("%s is not in the victim's region", k)
 				}
 				if _, ok, err := c.Get(k); ok || err != nil {
@@ -219,19 +219,18 @@ func (s evictFailStore) EvictRegion(time.Duration, int) (time.Duration, error) {
 	return 0, errFlaky
 }
 
-// TestEvictFailureDropsReinsertCandidates: when a victim's store-side evict
-// fails, its reinsertion candidates — keys with hits, kept for re-append —
-// leave the cache with the region instead of reappearing in another one.
-func TestEvictFailureDropsReinsertCandidates(t *testing.T) {
+// TestEvictFailureQuarantinesVictims: when a victim's store-side evict
+// fails, the victim is quarantined and its keys leave the cache with it, so
+// every region's live count still matches the index.
+func TestEvictFailureQuarantinesVictims(t *testing.T) {
 	c, err := New(Config{
-		Store: evictFailStore{newMemStore(4, 4096)}, TrackValues: true,
-		Policy: LRU, ReinsertHits: 1,
+		Store: evictFailStore{newMemStore(4, 4096)}, TrackValues: true, Policy: LRU,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Three items fill a region: 12 fill all four, and every other key has
-	// a hit, which makes it a reinsertion candidate.
+	// a hit, which reorders the LRU.
 	for i := 0; i < 12; i++ {
 		k := fmt.Sprintf("e-%02d", i)
 		if err := c.Set(k, bytes.Repeat([]byte{byte(i)}, 1200), 0); err != nil {
@@ -248,48 +247,7 @@ func TestEvictFailureDropsReinsertCandidates(t *testing.T) {
 	if c.Stats().Quarantined == 0 {
 		t.Fatal("no victim was quarantined")
 	}
-	if c.Stats().Reinsertions != 0 {
-		t.Fatalf("%d candidates of failed evictions reinserted", c.Stats().Reinsertions)
-	}
 	if err := regionLiveErr(c); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestReinsertReadFailureDropsCandidates: when the read of an evicted
-// region's bytes for reinsertion fails, its hot items leave with it. They
-// used to be re-appended with no value, and a Get then served whatever the
-// recycled buffer held at their offsets — another key's bytes.
-func TestReinsertReadFailureDropsCandidates(t *testing.T) {
-	fs := &flakyStore{memStore: newMemStore(4, 4096)}
-	c, err := New(Config{Store: fs, TrackValues: true, BufferMemory: 2 * 4096, ReinsertHits: 1, Policy: FIFO})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot := bytes.Repeat([]byte{0xAD}, 1000)
-	if err := c.Set("hot", hot, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := c.Get("hot"); !ok {
-		t.Fatal("hot missing before eviction")
-	}
-	// Four items fill a region. Fill the other regions up to the roll that
-	// evicts hot's, and fail the reads from the last free region's opening.
-	for i := 0; c.Stats().Evictions == 0; i++ {
-		if len(c.regions.free) == 0 && fs.failReads == 0 {
-			fs.failReads = 3
-		}
-		if err := c.Set(fmt.Sprintf("k%02d", i), bytes.Repeat([]byte{byte(i)}, 1000), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if fs.failReads != 2 {
-		t.Fatalf("%d read failures left, want 2: the eviction's read did not fail", fs.failReads)
-	}
-	if got, ok, err := c.Get("hot"); err != nil || ok && !bytes.Equal(got, hot) {
-		t.Fatalf("Get(hot) = (%d bytes, %v, %v), not its own value", len(got), ok, err)
-	}
-	if err := regionLiveErr(c); err != nil {
-		t.Fatal(err)
 	}
 }

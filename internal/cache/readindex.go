@@ -11,8 +11,8 @@ import (
 
 // This file implements the engine's index and the lock-free read path
 // (DESIGN.md §12). The index is one table of stripes, each a map from key to
-// entry: where the item lies on flash, where its value lies in memory, its
-// TTL deadline and its hit counter. The engine owns the table: every write
+// entry: where the item lies on flash, where its value lies in memory and
+// its TTL deadline. The engine owns the table: every write
 // happens on the engine's single-threaded side, under the shard write lock,
 // and the engine reads its own entries without a stripe lock, because no
 // other goroutine writes them.
@@ -35,10 +35,10 @@ import (
 //     when it drains the note, if the entry is still expired then.
 //   - Side effects a classic Get performs under the lock are deferred as
 //     notes into a bounded queue that mutators drain at the top of every
-//     locked operation: always the TTL removal, and a touch (LRU recency, the
-//     reinsertion hit counter) only when something reads it — Policy LRU or
-//     ReinsertHits > 0. The queue drops on overflow (the drop is counted) —
-//     these are hints, correctness never depends on a note being processed.
+//     locked operation: always the TTL removal, and a touch (LRU recency)
+//     only under Policy LRU. The queue drops on overflow (the drop is
+//     counted) — these are hints, correctness never depends on a note
+//     being processed.
 //   - Fast reads do not advance the virtual clock. The simulated-time model
 //     belongs to the single-threaded replay; a concurrent serving workload
 //     observes the constant index-lookup cost in the latency histogram and
@@ -64,7 +64,7 @@ type imageBytes struct {
 // readNote is one deferred side effect observed by the lock-free path.
 type readNote struct {
 	key    string
-	expire bool // true: TTL expiry observed; false: touch (recency + hits)
+	expire bool // true: TTL expiry observed; false: touch (recency)
 }
 
 // readNoteCap bounds the deferred-note queue. Overflow drops notes (counted
@@ -96,8 +96,8 @@ type index struct {
 	// every write takes its stripe's write lock.
 	shared bool
 	seed   maphash.Seed
-	// touch records whether hits queue touch notes: only LRU recency and the
-	// reinsertion hit counter read them.
+	// touch records whether hits queue touch notes: only LRU recency reads
+	// them.
 	touch   bool
 	stripes []stripe // readStripes when shared, else one
 	// dramBytes is the bytes of the region buffers behind images: the open
@@ -391,13 +391,8 @@ func (c *Cache) drainReadNotes() {
 			}
 			continue
 		}
-		// Touch: the recency and reinsertion-counter effects of a classic
-		// locked Get.
-		if c.cfg.ReinsertHits > 0 && e.hits() < ^uint8(0) {
-			e.hit()
-			ix.put(s, n.key, e)
-		}
-		c.regions.touch(e.region())
+		// Touch: the recency effect of a classic locked Get.
+		c.regions.touch(int(e.region))
 	}
 	ix.spare = batch[:0]
 }
@@ -412,9 +407,9 @@ func (c *Cache) promote(e *entry) bool {
 	if !c.idx.shared || e.img != nil {
 		return false
 	}
-	m := &c.regions.meta[e.region()]
+	m := &c.regions.meta[e.region]
 	if m.img == nil {
-		b := c.storeView(e.region())
+		b := c.storeView(int(e.region))
 		if b == nil {
 			return false
 		}

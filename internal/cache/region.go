@@ -108,7 +108,7 @@ func (r *regionTable) slot(id int, from ...regionState) *regionMeta {
 
 // openNext is free→open: the last free region opens at at, with a buffer when
 // values are tracked. The free list must not be empty.
-func (r *regionTable) openNext(at time.Duration) int {
+func (r *regionTable) openNext(at time.Duration) {
 	id := r.free[len(r.free)-1]
 	r.free = r.free[:len(r.free)-1]
 	m := r.slot(id, regionFree)
@@ -130,7 +130,6 @@ func (r *regionTable) openNext(at time.Duration) int {
 		}
 	}
 	r.open = id
-	return id
 }
 
 // flush is open→flushing: region id's write lands at done. It reports whether

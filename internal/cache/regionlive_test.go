@@ -24,7 +24,7 @@ func regionLiveErr(c *Cache) error {
 	var err error
 	c.idx.each(func(k string, e entry) {
 		n++
-		r := e.region()
+		r := int(e.region)
 		if r >= len(c.regions.meta) {
 			err = fmt.Errorf("key %q: region %d", k, r)
 			return
@@ -65,19 +65,16 @@ func TestRegionLiveMatchesIndex(t *testing.T) {
 		ops  = 20000
 	)
 	for _, tc := range []struct {
-		name     string
-		policy   Policy
-		reinsert uint8
+		name   string
+		policy Policy
 	}{
-		{"FIFO", FIFO, 0},
-		{"LRU", LRU, 0},
-		{"LRU/reinsert=2", LRU, 2},
+		{"FIFO", FIFO},
+		{"LRU", LRU},
 	} {
 		for _, fast := range []bool{true, false} {
 			t.Run(fmt.Sprintf("%s/readindex=%v", tc.name, fast), func(t *testing.T) {
 				c, err := New(Config{
-					Store: newMemStore(6, 4096), TrackValues: true, ReadIndex: fast,
-					Policy: tc.policy, ReinsertHits: tc.reinsert,
+					Store: newMemStore(6, 4096), TrackValues: true, ReadIndex: fast, Policy: tc.policy,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -116,9 +113,9 @@ func TestRegionLiveMatchesIndex(t *testing.T) {
 					}
 				}
 				st := s.Stats()
-				if st.Evictions == 0 || st.Expirations == 0 || (tc.reinsert > 0) != (st.Reinsertions > 0) {
-					t.Fatalf("%d evictions, %d expirations, %d reinsertions: the run exercised too little",
-						st.Evictions, st.Expirations, st.Reinsertions)
+				if st.Evictions == 0 || st.Expirations == 0 {
+					t.Fatalf("%d evictions, %d expirations: the run exercised too little",
+						st.Evictions, st.Expirations)
 				}
 			})
 		}

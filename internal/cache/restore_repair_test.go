@@ -43,8 +43,8 @@ func fillSealed(t *testing.T, ss *sizedStore) (*Cache, map[string][]byte, int, [
 	c.Drain()
 	byRegion := map[int][]string{}
 	c.idx.each(func(k string, e entry) {
-		if e.region() != c.regions.open && c.regions.meta[e.region()].state == regionSealed {
-			byRegion[e.region()] = append(byRegion[e.region()], k)
+		if int(e.region) != c.regions.open && c.regions.meta[e.region].state == regionSealed {
+			byRegion[int(e.region)] = append(byRegion[int(e.region)], k)
 		}
 	})
 	for id, keys := range byRegion {

@@ -372,7 +372,6 @@ func (s *Sharded) Stats() Stats {
 		out.Misses += st.Misses
 		out.Evictions += st.Evictions
 		out.Flushes += st.Flushes
-		out.Reinsertions += st.Reinsertions
 		out.Expirations += st.Expirations
 		out.CoDesignDrops += st.CoDesignDrops
 		out.AdmitRejects += st.AdmitRejects

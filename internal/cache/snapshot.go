@@ -29,7 +29,6 @@ type snapEntry struct {
 	Offset   uint32
 	KeyLen   uint16
 	ValLen   uint32
-	Hits     uint8
 	ExpireAt uint32
 }
 
@@ -65,8 +64,8 @@ func (c *Cache) Snapshot() ([]byte, error) {
 	c.regions.save(&s)
 	c.idx.each(func(k string, e entry) {
 		s.Entries = append(s.Entries, snapEntry{
-			Key: k, Region: int32(e.region()), Offset: e.offset,
-			KeyLen: uint16(len(k)), ValLen: e.valLen, Hits: e.hits(),
+			Key: k, Region: int32(e.region), Offset: e.offset,
+			KeyLen: uint16(len(k)), ValLen: e.valLen,
 			ExpireAt: e.expireAt,
 		})
 	})
@@ -222,10 +221,7 @@ func Restore(cfg Config, snapshot []byte) (*Cache, error) {
 			continue
 		}
 		m.live++
-		ent := entry{loc: uint32(e.Region), offset: e.Offset, valLen: e.ValLen, expireAt: e.ExpireAt}
-		if cfg.ReinsertHits > 0 { // hits are kept only where reinsertion reads them
-			ent.loc |= uint32(e.Hits) << regionBits
-		}
+		ent := entry{region: uint32(e.Region), offset: e.Offset, valLen: e.ValLen, expireAt: e.ExpireAt}
 		// Restored values live on flash, not in memory: the entry has no
 		// image, so the lock-free path answers Contains and misses, and a
 		// verified sealed read promotes the key to servable on first touch.

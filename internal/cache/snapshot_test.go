@@ -150,58 +150,6 @@ func TestRestoreRejectsMisplacedRegions(t *testing.T) {
 	}
 }
 
-func TestReinsertionKeepsHotItems(t *testing.T) {
-	st := newMemStore(4, 4096)
-	// FIFO: the region holding "hot" is evicted on schedule regardless of
-	// accesses, so survival must come from reinsertion alone.
-	c, err := New(Config{Store: st, TrackValues: true, ReinsertHits: 2, Policy: FIFO})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hot := bytes.Repeat([]byte{0xAD}, 1000)
-	c.Set("hot", hot, 0)
-	// Make it hot: ≥2 accesses.
-	c.Get("hot")
-	c.Get("hot")
-	c.Get("hot")
-	// Fill until the region holding "hot" is evicted at least once.
-	for i := 0; c.Stats().Evictions < 2; i++ {
-		c.Set(fmt.Sprintf("cold-%05d", i), bytes.Repeat([]byte{1}, 1000), 0)
-		// Keep touching hot so it stays above the threshold in new regions.
-		if i%4 == 0 {
-			c.Get("hot")
-		}
-	}
-	if c.Stats().Reinsertions == 0 {
-		t.Fatal("no reinsertions happened")
-	}
-	got, ok, err := c.Get("hot")
-	if err != nil || !ok {
-		t.Fatalf("hot key lost despite reinsertion: (%v, %v)", ok, err)
-	}
-	if !bytes.Equal(got, hot) {
-		t.Fatal("hot key corrupted across reinsertion")
-	}
-}
-
-func TestNoReinsertionWhenDisabled(t *testing.T) {
-	st := newMemStore(4, 4096)
-	c, _ := New(Config{Store: st, TrackValues: true})
-	c.Set("hot", bytes.Repeat([]byte{2}, 1000), 0)
-	for i := 0; i < 5; i++ {
-		c.Get("hot")
-	}
-	for i := 0; c.Stats().Evictions < 4; i++ {
-		c.Set(fmt.Sprintf("cold-%05d", i), nil, 1000)
-	}
-	if c.Stats().Reinsertions != 0 {
-		t.Fatal("reinsertion ran while disabled")
-	}
-	if c.Contains("hot") {
-		t.Fatal("hot key survived 4 evictions with reinsertion disabled")
-	}
-}
-
 // TestChecksumDetectsCorruption damages a sealed item that spans several
 // sectors in every way a store, a migration or stale recovery metadata
 // could, one way per case. The engine must never serve such bytes: each case
@@ -239,7 +187,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 		}
 		e := entryOf(c, "victim")
 		valStart := int(e.valueOff(len("victim")))
-		return fixture{c, st, e, st.data[e.region()], valStart, valStart + int(e.valLen)}
+		return fixture{c, st, e, st.data[int(e.region)], valStart, valStart + int(e.valLen)}
 	}
 	f := build(t)
 	firstSec, lastSec := f.valStart/sector, (f.valEnd-1)/sector
@@ -257,11 +205,11 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 		},
 		"sector of another region": func(t *testing.T, f fixture) string {
 			for id, other := range f.st.data {
-				if id == f.e.region() {
+				if id == int(f.e.region) {
 					continue
 				}
 				if bytes.Equal(midSector(f.data), midSector(other)) {
-					t.Fatalf("regions %d and %d hold the same sector: the case damages nothing", f.e.region(), id)
+					t.Fatalf("regions %d and %d hold the same sector: the case damages nothing", f.e.region, id)
 				}
 				copy(midSector(f.data), midSector(other))
 				return "victim"
@@ -390,7 +338,7 @@ func TestGetBufPromotionKeepsOwnCopy(t *testing.T) {
 					if !bytes.Equal(v, want) {
 						t.Fatal("read index serves the caller's scribbled buffer")
 					}
-					if ib := r.regions.meta[entryOf(r, "k").region()].img; view && (ib == nil || !ib.p.Load().onStore) {
+					if ib := r.regions.meta[entryOf(r, "k").region].img; view && (ib == nil || !ib.p.Load().onStore) {
 						t.Fatal("promotion over a store that lends views did not point into the view")
 					}
 				})

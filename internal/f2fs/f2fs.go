@@ -63,9 +63,6 @@ type Config struct {
 	// CheckpointBytes triggers a node-log flush after this many host bytes
 	// (default 16 MiB).
 	CheckpointBytes int64
-	// CleanLowZones starts the cleaner when free zones drop below it
-	// (default: half the reserve, minimum 3).
-	CleanLowZones int
 	// CleanQuantumBlocks bounds migration work charged to one host write
 	// (default 64 blocks). Lower = smoother tail, slower reclaim.
 	CleanQuantumBlocks int
@@ -142,6 +139,7 @@ type FS struct {
 	liveBlocks   int64 // file data blocks currently mapped
 
 	// cleaning state: adopted victim being drained incrementally
+	cleanLow   int    // the cleaner starts when free zones drop below it: half the reserve, minimum 3
 	victim     int    // zone, -1 when none
 	victimScan int64  // next block within victim to examine
 	cleanBuf   []byte // the block being migrated; the device copies what it is handed
@@ -188,12 +186,6 @@ func Mount(dev zns.Zoned, cfg Config) (*FS, error) {
 	if reserve >= n {
 		return nil, fmt.Errorf("%w: %d zones cannot hold %d reserved", ErrBadConfig, n, reserve)
 	}
-	if cfg.CleanLowZones == 0 {
-		cfg.CleanLowZones = reserve / 2
-		if cfg.CleanLowZones < 3 {
-			cfg.CleanLowZones = 3
-		}
-	}
 	fs := &FS{
 		dev:          dev,
 		cfg:          cfg,
@@ -204,6 +196,7 @@ func Mount(dev zns.Zoned, cfg Config) (*FS, error) {
 		dataSeg:      -1,
 		nodeSeg:      -1,
 		victim:       -1,
+		cleanLow:     max(reserve/2, 3),
 		cleanBuf:     make([]byte, BlockSize),
 		usableBlocks: int64(n-reserve) * (dev.ZoneSize() / BlockSize),
 		CleanStalls:  stats.NewHistogram(),
@@ -510,7 +503,7 @@ func (fs *FS) Sync(now time.Duration) (time.Duration, error) {
 // until a zone is recovered (the rare foreground stall).
 func (fs *FS) cleanQuantumLocked(now time.Duration) (time.Duration, error) {
 	emergency := len(fs.freeZone) <= 1
-	if fs.victim == -1 && len(fs.freeZone) >= fs.cfg.CleanLowZones {
+	if fs.victim == -1 && len(fs.freeZone) >= fs.cleanLow {
 		return now, nil
 	}
 	start := now
@@ -529,7 +522,7 @@ func (fs *FS) cleanQuantumLocked(now time.Duration) (time.Duration, error) {
 		// Urgency scaling: the further below the watermark the free pool
 		// falls, the more work each host write contributes, so the cleaner
 		// converges instead of sliding into emergency full drains.
-		urgency := fs.cfg.CleanLowZones - len(fs.freeZone) + 1
+		urgency := fs.cleanLow - len(fs.freeZone) + 1
 		if urgency < 1 {
 			urgency = 1
 		}

@@ -185,8 +185,6 @@ type RigConfig struct {
 	// drops regions from the coldest 30% of the LRU instead of migrating
 	// them.
 	CoDesign bool
-	// ReinsertHits enables the engine's hits-based reinsertion policy.
-	ReinsertHits uint8
 	// Clock shares a virtual clock (e.g. with an LSM); nil = fresh clock.
 	Clock *sim.Clock
 	// TrackValues / StoreData enable full-fidelity payloads.
@@ -502,7 +500,6 @@ func Build(cfg RigConfig) (*Rig, error) {
 		BufferMemory:     cfg.BufferMemory,
 		TrackValues:      cfg.TrackValues,
 		ReadIndex:        cfg.ReadIndex,
-		ReinsertHits:     cfg.ReinsertHits,
 		Clock:            cfg.Clock,
 		Trace:            cfg.Trace,
 		Spans:            cfg.Spans,

@@ -33,42 +33,9 @@ type Config struct {
 	// OPRatio is the fraction of raw capacity hidden from the host for GC
 	// headroom. Regular SSDs ship with 7–28% (paper §2.2); 0.07 default.
 	OPRatio float64
-	// GCLowBlocks triggers collection when free blocks fall below it;
-	// GCHighBlocks is the refill target. Zero values pick defaults sized
-	// from the geometry (dies+2 and +4).
-	GCLowBlocks  int
-	GCHighBlocks int
-	// StripeChunkPages is how many consecutive page allocations stay on one
-	// open block (one die) before rotating to the next — the FTL-side twin
-	// of the ZNS zone stripe chunk, so both devices show the same die-level
-	// asymmetry: sub-chunk I/O serializes on one die, long runs spread.
-	// Zero defaults to 2 (the model's 4 KiB pages make that one real
-	// multi-plane NAND page), clamped to PagesPerBlock.
-	StripeChunkPages int
 	// StoreData retains payloads for read-back (tests, examples), in a
 	// segment store addressed by LBA; without it reads return zeros.
 	StoreData bool
-}
-
-func (c *Config) fillDefaults() {
-	if c.OPRatio == 0 {
-		c.OPRatio = 0.07
-	}
-	if c.GCLowBlocks == 0 {
-		c.GCLowBlocks = c.Geometry.Dies()/2 + 2
-		if max := c.Geometry.Blocks()/16 + 2; c.GCLowBlocks > max {
-			c.GCLowBlocks = max
-		}
-	}
-	if c.GCHighBlocks == 0 {
-		c.GCHighBlocks = c.GCLowBlocks + 4
-	}
-	if c.StripeChunkPages <= 0 {
-		c.StripeChunkPages = 2
-	}
-	if c.StripeChunkPages > c.Geometry.PagesPerBlock {
-		c.StripeChunkPages = c.Geometry.PagesPerBlock
-	}
 }
 
 // Errors specific to the SSD model.
@@ -98,6 +65,16 @@ type SSD struct {
 	openNext int     // round-robin cursor over openBlks
 	allocRun int     // consecutive allocations on the current open block
 	freeBlks []int
+	// chunkPages is how many consecutive page allocations stay on one open
+	// block (one die) before rotating to the next — the FTL-side twin of
+	// the ZNS zone stripe chunk, so both devices show the same die-level
+	// asymmetry: sub-chunk I/O serializes on one die, long runs spread. It
+	// is 2 (the model's 4 KiB pages make that one real multi-plane NAND
+	// page), clamped to PagesPerBlock.
+	chunkPages int
+	// GC starts when free blocks fall below gcLow, min(dies/2+2,
+	// blocks/16+2), and refills the pool to gcHigh, gcLow+4.
+	gcLow, gcHigh int
 	// reserveBlks is a dedicated pool only GC migrations may draw from; it
 	// guarantees collection can always complete one victim even when the
 	// general free pool is exhausted (the classic FTL GC reserve).
@@ -117,7 +94,9 @@ type SSD struct {
 
 // New builds the SSD and formats it empty.
 func New(cfg Config) (*SSD, error) {
-	cfg.fillDefaults()
+	if cfg.OPRatio == 0 {
+		cfg.OPRatio = 0.07
+	}
 	if cfg.Geometry.PageSize != device.SectorSize {
 		return nil, fmt.Errorf("%w: flash page size %d must equal sector size %d",
 			ErrBadConfig, cfg.Geometry.PageSize, device.SectorSize)
@@ -145,7 +124,9 @@ func New(cfg Config) (*SSD, error) {
 		openBlocks = 1
 	}
 	reserveTarget := openBlocks + 2
-	minSlack := int64(openBlocks+reserveTarget+cfg.GCHighBlocks) * int64(geo.PagesPerBlock)
+	gcLow := min(geo.Dies()/2+2, geo.Blocks()/16+2)
+	gcHigh := gcLow + 4
+	minSlack := int64(openBlocks+reserveTarget+gcHigh) * int64(geo.PagesPerBlock)
 	if int64(totalPages)-exportedPages < minSlack {
 		exportedPages = int64(totalPages) - minSlack
 	}
@@ -154,13 +135,16 @@ func New(cfg Config) (*SSD, error) {
 	}
 
 	s := &SSD{
-		cfg:      cfg,
-		array:    arr,
-		l2p:      make([]int64, exportedPages),
-		p2l:      make([]int64, totalPages),
-		fullBlks: make(map[int]struct{}),
-		exported: exportedPages * int64(geo.PageSize),
-		GCStalls: stats.NewHistogram(),
+		cfg:        cfg,
+		array:      arr,
+		l2p:        make([]int64, exportedPages),
+		p2l:        make([]int64, totalPages),
+		fullBlks:   make(map[int]struct{}),
+		exported:   exportedPages * int64(geo.PageSize),
+		chunkPages: min(2, geo.PagesPerBlock),
+		gcLow:      gcLow,
+		gcHigh:     gcHigh,
+		GCStalls:   stats.NewHistogram(),
 	}
 	if cfg.StoreData {
 		s.data = device.NewSegments(s.exported, 0)
@@ -203,7 +187,7 @@ func (s *SSD) takeFreeLocked() int {
 }
 
 // allocPageLocked returns the physical page to program next, rotating over
-// the per-die open blocks in chunks of StripeChunkPages so consecutive
+// the per-die open blocks in chunks of chunkPages so consecutive
 // writes share a die until the chunk fills. Caller holds mu and has ensured
 // free supply.
 func (s *SSD) allocPageLocked() flash.Addr {
@@ -212,7 +196,7 @@ func (s *SSD) allocPageLocked() flash.Addr {
 		front := s.array.WriteFront(blk)
 		if front < s.cfg.Geometry.PagesPerBlock {
 			s.allocRun++
-			if s.allocRun >= s.cfg.StripeChunkPages {
+			if s.allocRun >= s.chunkPages {
 				s.allocRun = 0
 				s.openNext = (s.openNext + 1) % len(s.openBlks)
 			}
@@ -363,13 +347,13 @@ func (s *SSD) ReadAt(now time.Duration, p []byte, off int64) (time.Duration, err
 // collectLocked runs greedy GC until the free pool reaches the high
 // watermark. Returns the completion time and whether any work happened.
 func (s *SSD) collectLocked(now time.Duration) (time.Duration, bool) {
-	if len(s.freeBlks) >= s.cfg.GCLowBlocks {
+	if len(s.freeBlks) >= s.gcLow {
 		return now, false
 	}
 	s.GCRuns.Inc()
 	s.inGC = true
 	cur := now
-	for len(s.freeBlks) < s.cfg.GCHighBlocks {
+	for len(s.freeBlks) < s.gcHigh {
 		victim, ok := s.pickVictimLocked()
 		if !ok {
 			break // nothing collectable; device is pathologically full

@@ -96,13 +96,6 @@ type Config struct {
 	// the paper's middle layer "supports concurrent writing of multiple
 	// zones" (§3.3) and why one-zone-at-a-time Zone-Cache flushes lag.
 	ZoneStripeLanes int
-	// StripeChunkSectors is how many consecutive zone sectors map to one
-	// flash block before the zone/flash mapping advances to the next block
-	// (and therefore the next die). The model's pages are 4 KiB bandwidth
-	// units, so the default chunk of 2 approximates one real multi-plane
-	// NAND page worth of data per die. Zero picks the largest divisor of
-	// PagesPerBlock at most 2; an explicit value must divide PagesPerBlock.
-	StripeChunkSectors int
 	// StoreData retains payloads for read-back, in a segment store
 	// addressed by device offset; without it reads return zeros.
 	StoreData bool
@@ -240,18 +233,18 @@ func New(cfg Config) (*Device, error) {
 	if cfg.ZoneStripeLanes > cfg.BlocksPerZone {
 		cfg.ZoneStripeLanes = cfg.BlocksPerZone
 	}
+	// The stripe chunk is how many consecutive zone sectors map to one
+	// flash block before the zone/flash mapping advances to the next block
+	// (and therefore the next die). The model's pages are 4 KiB bandwidth
+	// units, so a chunk of 2 approximates one real multi-plane NAND page
+	// worth of data per die; it must divide PagesPerBlock, so odd blocks
+	// take 1.
 	ppb := cfg.Geometry.PagesPerBlock
-	if cfg.StripeChunkSectors == 0 {
-		c := 2
-		if c > ppb {
-			c = ppb
-		}
-		for ppb%c != 0 {
-			c--
-		}
-		cfg.StripeChunkSectors = c
+	chunk := 2
+	if ppb%2 != 0 {
+		chunk = 1
 	}
-	stripe := flash.Stripe{Blocks: cfg.BlocksPerZone, ChunkPages: cfg.StripeChunkSectors}
+	stripe := flash.Stripe{Blocks: cfg.BlocksPerZone, ChunkPages: chunk}
 	if err := stripe.Validate(ppb); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
@@ -345,7 +338,7 @@ func (d *Device) ActiveZones() int {
 func (d *Device) zoneOf(off int64) int { return int(off / d.zoneSize) }
 
 // addrFor maps (zone, sector-within-zone) to a flash page via the chunked
-// stripe: StripeChunkSectors consecutive sectors share a block (one die);
+// stripe: a chunk of consecutive sectors shares a block (one die);
 // longer runs spread across the zone's blocks, which interleave across
 // dies, so sequential zone writes parallelize like FTL-striped writes do.
 func (d *Device) addrFor(z int, sector int64) flash.Addr {

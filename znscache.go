@@ -50,9 +50,6 @@ const (
 	RegionCache = harness.RegionCache
 )
 
-// Policy selects region eviction order.
-type Policy = cache.Policy
-
 // AdmissionFactory builds per-engine admission policy instances; see
 // package cache for the available factories (AdmitAllFactory,
 // ProbAdmitFactory, RejectFirstFactory, DynamicRandomFactory,
@@ -66,24 +63,12 @@ func ParseAdmission(spec string, budgetBytesPerSec float64) (AdmissionFactory, e
 	return cache.ParseAdmission(spec, budgetBytesPerSec)
 }
 
-// Eviction policies.
-const (
-	// FIFO evicts regions in allocation order (Navy's behaviour; default).
-	FIFO = cache.FIFO
-	// LRU evicts the least recently accessed region.
-	LRU = cache.LRU
-)
-
 // Config describes the cache to open.
 type Config struct {
 	// Scheme picks the backend design (default RegionCache).
 	Scheme Scheme
-	// Zones sizes the simulated flash: Zones × ZoneMiB of capacity
-	// (default 25 zones).
+	// Zones sizes the simulated flash in 16 MiB zones (default 25).
 	Zones int
-	// ZoneMiB is the zone size in MiB (default 16; must make the zone a
-	// multiple of the region size).
-	ZoneMiB int
 	// CacheBytes is the cache capacity. For ZoneCache the value is rounded
 	// down to whole zones; for the other schemes the gap between
 	// CacheBytes and the device is over-provisioning (default: 80% of the
@@ -92,20 +77,6 @@ type Config struct {
 	// RegionBytes is the region size for Block/File/Region schemes
 	// (default 256 KiB; ZoneCache regions are zone-sized).
 	RegionBytes int64
-	// OPRatio is the device/filesystem over-provisioning for Block and
-	// File schemes (default 0.20).
-	OPRatio float64
-	// Policy overrides the region eviction order when PolicySet is true;
-	// otherwise the Navy-faithful default (FIFO, allocation order) is used.
-	Policy    Policy
-	PolicySet bool
-	// CoDesign enables the §3.4 cache/GC co-design on RegionCache: zone GC
-	// drops cold regions instead of migrating them.
-	CoDesign bool
-	// ReinsertHits enables hits-based reinsertion: items read at least this
-	// many times are rewritten rather than dropped when their region is
-	// evicted. Zero disables it.
-	ReinsertHits uint8
 	// TrackValues stores payload bytes so Get returns real data. Off, the
 	// cache tracks only metadata (sizes, latencies, hit ratios) — the mode
 	// benchmarks use to keep memory flat.
@@ -176,9 +147,6 @@ func Open(cfg Config) (*Cache, error) {
 		cfg.Zones = 25
 	}
 	hw := harness.DefaultHW(cfg.Zones)
-	if cfg.ZoneMiB != 0 {
-		hw.BlocksPerZone = cfg.ZoneMiB // 1 MiB blocks
-	}
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = int64(cfg.Zones) * hw.ZoneBytes() * 8 / 10
 	}
@@ -187,11 +155,6 @@ func Open(cfg Config) (*Cache, error) {
 		HW:               hw,
 		CacheBytes:       cfg.CacheBytes,
 		RegionBytes:      cfg.RegionBytes,
-		OPRatio:          cfg.OPRatio,
-		Policy:           cfg.Policy,
-		PolicySet:        cfg.PolicySet,
-		CoDesign:         cfg.CoDesign,
-		ReinsertHits:     cfg.ReinsertHits,
 		TrackValues:      cfg.TrackValues,
 		ReadIndex:        cfg.FastReads,
 		AdmissionFactory: cfg.Admission,
