@@ -230,22 +230,15 @@ func TestGetBufDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// discardStore is a memStore that keeps no payload, for fixtures whose hits
-// are all answered from the read index.
-type discardStore struct{ *memStore }
-
-func (s discardStore) WriteRegion(now time.Duration, id int, data []byte) (time.Duration, error) {
-	return s.memStore.WriteRegion(now, id, nil)
-}
-
 // fastGetCache builds the serving configuration — FIFO, values tracked, read
 // index on — with n published keys whose values run 128–512 B, and returns
-// it with the keys. The store keeps no payload, so every hit is served from
-// a region buffer.
+// it with the keys. The store lends views of its regions, so every hit is
+// answered lock-free: from a region buffer while its region fills or
+// flushes, then from the store's copy of the sealed region.
 func fastGetCache(tb testing.TB, n int) (*Cache, []string) {
 	tb.Helper()
 	c, err := New(Config{
-		Store:        discardStore{newMemStore(128, 1<<20)},
+		Store:        newMemStore(128, 1<<20),
 		Policy:       FIFO,
 		TrackValues:  true,
 		ReadIndex:    true,

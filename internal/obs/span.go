@@ -37,11 +37,12 @@ const (
 	StageSockRead Stage = iota
 	// StageParse is command parsing, including set-body consumption.
 	StageParse
-	// StageQueueWait is time a batch's shard write groups waited in the
-	// dispatch queues before a worker picked them up (max across groups).
+	// StageQueueWait is time a batch's shard write groups waited for their
+	// shard's lock, summed over the groups: they run one after another on
+	// the connection goroutine.
 	StageQueueWait
-	// StageExec is batch execution minus queue wait: engine work on the
-	// shard workers plus lock-free gets on the connection goroutine.
+	// StageExec is batch execution minus queue wait: engine work under the
+	// shard locks plus the gets, all on the connection goroutine.
 	StageExec
 	// StageFlush is the response writev.
 	StageFlush

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"net"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"znscache/internal/cache"
@@ -16,9 +14,10 @@ import (
 // This file is the raw-speed serving path (DESIGN.md §12): commands are
 // parsed into a per-connection batch without executing them, the batch is
 // executed at the pipeline boundary with shard-affinity dispatch (each
-// shard's write lock is taken at most once per batch, gets run lock-free on
-// the connection goroutine), and the responses are rendered in request
-// order into a reusable response ring flushed with one writev.
+// shard's write lock is taken at most once per phase, and the gets run
+// lock-free, all on the connection goroutine), and the responses are
+// rendered in request order into a reusable response ring flushed with one
+// writev.
 
 // ShardedBackend is the optional Backend extension the dispatch path needs:
 // a shard-partitioned store whose mutations can be grouped per shard and
@@ -32,7 +31,8 @@ type ShardedBackend interface {
 	// ShardFor returns the shard index key maps to.
 	ShardFor(key string) int
 	// ExecShard runs fn against shard i's engine under that shard's write
-	// lock. It returns an error (without running fn) when the backend can
+	// lock. Connection goroutines call it concurrently; the lock orders
+	// them. It returns an error (without running fn) when the backend can
 	// no longer execute (closed).
 	ExecShard(shard int, fn func(*cache.Cache)) error
 }
@@ -226,60 +226,6 @@ func (w *respWriter) reset() {
 	if cap(w.arena) > 1<<20 {
 		w.arena = nil
 	}
-}
-
-// shardTask is one shard's write group from one batch, executed by that
-// shard's worker goroutine. enq/qw are set only with spans enabled: the
-// worker folds this group's queue wait into qw as a running max (groups of
-// one batch wait concurrently, so the batch's queue-wait stage is the
-// longest individual wait, not the sum).
-type shardTask struct {
-	s     *Server
-	b     *batch
-	ops   []int32
-	shard int
-	wg    *sync.WaitGroup
-	enq   time.Time
-	qw    *atomic.Int64
-}
-
-// startWorkers launches one worker goroutine per shard. Each worker applies
-// write groups for its shard serially, so cross-connection writes to one
-// shard queue here instead of contending on the shard mutex.
-func (s *Server) startWorkers(n int) {
-	s.shardQ = make([]chan shardTask, n)
-	for i := range s.shardQ {
-		ch := make(chan shardTask, 64)
-		s.shardQ[i] = ch
-		s.workerWG.Add(1)
-		go func() {
-			defer s.workerWG.Done()
-			for t := range ch {
-				if t.qw != nil {
-					w := int64(time.Since(t.enq))
-					for {
-						cur := t.qw.Load()
-						if w <= cur || t.qw.CompareAndSwap(cur, w) {
-							break
-						}
-					}
-				}
-				t.s.execShardGroup(t.b, t.shard, t.ops)
-				t.wg.Done()
-			}
-		}()
-	}
-}
-
-// stopWorkers closes the worker queues. Callers must guarantee no further
-// dispatches (every connection goroutine has exited).
-func (s *Server) stopWorkers() {
-	s.workerOnce.Do(func() {
-		for _, ch := range s.shardQ {
-			close(ch)
-		}
-		s.workerWG.Wait()
-	})
 }
 
 // parseResult is parseCommand's verdict for the connection loop.
@@ -508,16 +454,15 @@ func (s *Server) execBatch(c *conn) {
 }
 
 // spanExec folds one executed batch into the connection's span. The
-// execution window splits as queue_wait (longest shard-group queue wait,
-// recorded by the workers into c.qwait) plus exec (everything else), so
-// queue_wait + exec always equals the batch's server_request_latency
-// observation exactly. The first op of the pipeline batch supplies the
-// slow-request exemplar identity.
+// execution window splits as queue_wait (the shard-lock waits of the
+// batch's write groups, summed into c.qwait: the groups run one after
+// another inside the window) plus exec (everything else), so queue_wait +
+// exec always equals the batch's server_request_latency observation
+// exactly. The first op of the pipeline batch supplies the slow-request
+// exemplar identity.
 func (s *Server) spanExec(c *conn, b *batch, lat time.Duration) {
-	qw := time.Duration(c.qwait.Swap(0))
-	if qw > lat {
-		qw = lat
-	}
+	qw := c.qwait
+	c.qwait = 0
 	c.sp.Add(obs.StageQueueWait, qw)
 	c.sp.Add(obs.StageExec, lat-qw)
 	c.spExec += lat
@@ -600,35 +545,20 @@ func (s *Server) execInline(b *batch) {
 	}
 }
 
-// execPhases executes a batch against a sharded backend. The batch is split
-// into phases at in-batch data dependencies — a get of a key written earlier
-// in the phase (read-after-write) or a write of a key an earlier get read
-// (write-after-read) starts a new phase — so ops within one phase are
-// conflict-free and can run concurrently while batch-order semantics
-// survive. Write-after-write on one key needs no split: same key means same
-// shard, and a shard group applies its ops in request order.
+// execPhases executes a batch against a sharded backend. A phase applies
+// its writes before its gets, so a get observes every earlier write of the
+// batch; to keep it from observing a later one, a write of a key that an
+// earlier get in the phase read starts a new phase. Write-after-write on one
+// key needs no split: same key means same shard, and a shard group applies
+// its ops in request order.
 func (s *Server) execPhases(c *conn, b *batch) {
-	w, r := c.phaseW, c.phaseR
-	clear(w)
+	r := c.phaseR
 	clear(r)
 	p0 := 0
 	for i := range b.ops {
 		o := &b.ops[i]
 		switch o.kind {
 		case opGet:
-			conflict := false
-			for j := o.k0; j < o.k1; j++ {
-				if _, ok := w[b.keys[j]]; ok {
-					conflict = true
-					break
-				}
-			}
-			if conflict {
-				s.execPhase(c, b, p0, i)
-				p0 = i
-				clear(w)
-				clear(r)
-			}
 			for j := o.k0; j < o.k1; j++ {
 				r[b.keys[j]] = struct{}{}
 			}
@@ -636,21 +566,19 @@ func (s *Server) execPhases(c *conn, b *batch) {
 			if _, ok := r[o.key]; ok {
 				s.execPhase(c, b, p0, i)
 				p0 = i
-				clear(w)
 				clear(r)
 			}
-			w[o.key] = struct{}{}
 		}
 	}
 	s.execPhase(c, b, p0, len(b.ops))
 }
 
-// execPhase runs one conflict-free phase: write ops are grouped by shard and
-// each group applied in one critical section (the shard's write lock is
-// taken at most once per phase), gets run on the connection goroutine over
-// the lock-free read path, overlapping the workers' writes. Only get ops
-// append keys, so the phase's gets own one contiguous span b.keys[k0:k1],
-// handed to a MultiGetter backend in one call.
+// execPhase runs one phase on the connection goroutine: write ops are
+// grouped by shard and each group applied in one critical section (the
+// shard's write lock is taken at most once per phase), then the gets run
+// over the lock-free read path. Only get ops append keys, so the
+// phase's gets own one contiguous span b.keys[k0:k1], handed to a
+// MultiGetter backend in one call.
 func (s *Server) execPhase(c *conn, b *batch, lo, hi int) {
 	if lo >= hi {
 		return
@@ -677,32 +605,8 @@ func (s *Server) execPhase(c *conn, b *batch, lo, hi int) {
 			c.groups[sh] = append(c.groups[sh], int32(i))
 		}
 	}
-	// With nothing to overlap against, the last (or only) group runs on
-	// this goroutine — one channel round trip saved; the lock is still
-	// taken once for the whole group.
-	inlineGroup := -1
-	dispatched := 0
-	if len(active) > 0 {
-		if !hasGets {
-			inlineGroup = active[len(active)-1]
-		}
-		var enq time.Time
-		var qw *atomic.Int64
-		if s.spans != nil {
-			enq = time.Now()
-			qw = &c.qwait
-		}
-		for _, sh := range active {
-			if sh == inlineGroup {
-				continue
-			}
-			c.wg.Add(1)
-			s.shardQ[sh] <- shardTask{s: s, b: b, ops: c.groups[sh], shard: sh, wg: &c.wg, enq: enq, qw: qw}
-			dispatched++
-		}
-	}
-	if inlineGroup >= 0 {
-		s.execShardGroup(b, inlineGroup, c.groups[inlineGroup])
+	for _, sh := range active {
+		s.execShardGroup(c, sh)
 	}
 	if hasGets && s.multi != nil {
 		s.multi.GetMulti(b.keys[k0:k1], b.vals[k0:k1], b.hits[k0:k1], b.errs[k0:k1])
@@ -710,9 +614,6 @@ func (s *Server) execPhase(c *conn, b *batch, lo, hi int) {
 		for j := k0; j < k1; j++ {
 			b.vals[j], b.hits[j], b.errs[j] = s.cfg.Backend.Get(b.keys[j])
 		}
-	}
-	if dispatched > 0 {
-		c.wg.Wait()
 	}
 	s.m.dispatchPhases.Inc()
 	s.m.dispatchGroups.Add(uint64(len(active)))
@@ -722,10 +623,19 @@ func (s *Server) execPhase(c *conn, b *batch, lo, hi int) {
 	c.active = active[:0]
 }
 
-// execShardGroup applies one shard's write group in a single critical
-// section, in request order.
-func (s *Server) execShardGroup(b *batch, shard int, idxs []int32) {
+// execShardGroup applies the connection's write group for shard in a single
+// critical section, in request order. With spans on, the wait for the
+// shard's lock (ExecShard entry to fn start) adds to c.qwait.
+func (s *Server) execShardGroup(c *conn, shard int) {
+	b, idxs := &c.b, c.groups[shard]
+	var t0 time.Time
+	if s.spans != nil {
+		t0 = time.Now()
+	}
 	err := s.sharded.ExecShard(shard, func(eng *cache.Cache) {
+		if s.spans != nil {
+			c.qwait += time.Since(t0)
+		}
 		for _, i := range idxs {
 			o := &b.ops[i]
 			switch o.kind {

@@ -94,9 +94,9 @@ func fuzzOneInput(t *testing.T, srv *Server, data []byte) {
 }
 
 // FuzzProto targets the batched parse/dispatch path over the real sharded
-// cache: multi-key gets, pipelined mixed batches with read-after-write
-// conflicts, and mid-batch malformed commands all flow through the phase
-// splitter and per-shard workers. Same invariants as FuzzProtocol — no
+// cache: multi-key gets, pipelined mixed batches with read-after-write and
+// write-after-read pairs, and mid-batch malformed commands all flow through
+// the phase splitter and the shard write groups. Same invariants as FuzzProtocol — no
 // panics, server stays responsive — but the seeds aim at the batch
 // machinery (phase boundaries, batch caps, multiget rendering) rather than
 // single-command parsing.
@@ -148,8 +148,8 @@ func FuzzProto(f *testing.F) {
 }
 
 // fuzzSharded adapts cache.Sharded to this package's Backend +
-// ShardedBackend, so FuzzProto exercises the phase splitter and per-shard
-// batch workers against real cache engines without importing the root
+// ShardedBackend, so FuzzProto exercises the phase splitter and the shard
+// write groups against real cache engines without importing the root
 // package (which would close an import cycle through harness).
 type fuzzSharded struct{ sh *cache.Sharded }
 
@@ -170,8 +170,8 @@ func (b *fuzzSharded) ExecShard(i int, fn func(*cache.Cache)) error {
 // newFuzzSharded builds shards small block-cache engines, each over its own
 // tiny emulated SSD so values survive region flushes and Get returns real
 // payload bytes.
-func newFuzzSharded(f *testing.F, shards int) *fuzzSharded {
-	f.Helper()
+func newFuzzSharded(tb testing.TB, shards int) *fuzzSharded {
+	tb.Helper()
 	const regionBytes = 64 << 10
 	engines := make([]*cache.Cache, shards)
 	for i := range engines {
@@ -184,7 +184,7 @@ func newFuzzSharded(f *testing.F, shards int) *fuzzSharded {
 			StoreData: true,
 		})
 		if err != nil {
-			f.Fatalf("shard %d ssd: %v", i, err)
+			tb.Fatalf("shard %d ssd: %v", i, err)
 		}
 		regions := int(dev.Size() / regionBytes)
 		if regions > 8 {
@@ -192,17 +192,17 @@ func newFuzzSharded(f *testing.F, shards int) *fuzzSharded {
 		}
 		st, err := store.NewBlockStore(dev, "block", regionBytes, regions)
 		if err != nil {
-			f.Fatalf("shard %d store: %v", i, err)
+			tb.Fatalf("shard %d store: %v", i, err)
 		}
 		eng, err := cache.New(cache.Config{Store: st, TrackValues: true})
 		if err != nil {
-			f.Fatalf("shard %d engine: %v", i, err)
+			tb.Fatalf("shard %d engine: %v", i, err)
 		}
 		engines[i] = eng
 	}
 	sh, err := cache.NewSharded(engines)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	return &fuzzSharded{sh: sh}
 }

@@ -1,8 +1,11 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math/rand/v2"
+	"sync"
 	"testing"
 	"time"
 
@@ -141,9 +144,9 @@ func TestMultigetAcrossShards(t *testing.T) {
 
 // TestPipelinedReadAfterWriteAcrossShards sends one pipelined batch that
 // writes and immediately reads the same keys (plus deletes), spanning every
-// shard. The dispatcher splits the batch into phases at write→read conflicts,
-// so each get must observe the write that precedes it in the stream even
-// though writes run on per-shard workers.
+// shard. Each get must observe the write that precedes it in the stream,
+// though the dispatcher groups writes by shard and runs a phase's writes
+// before its gets.
 func TestPipelinedReadAfterWriteAcrossShards(t *testing.T) {
 	_, s := startSharded(t)
 	cl, err := server.Dial(s.Addr())
@@ -194,6 +197,133 @@ func TestPipelinedReadAfterWriteAcrossShards(t *testing.T) {
 				t.Fatalf("get-after-delete %s: hit=%v err=%q", k, r.Hit, r.Err)
 			}
 			j++
+		}
+	}
+}
+
+// TestPipelinedLargeBodiesAcrossShards is the sharded twin of
+// TestPipelinedLargeBodiesOneBatch: four connections pipeline 4–12 KiB sets
+// over one shared set of keys, each set followed by a get of its key, so
+// shard write groups run on several connection goroutines at once. Every
+// get must return a whole value written to its key and, when that value is
+// the connection's own, the one it has just written.
+func TestPipelinedLargeBodiesAcrossShards(t *testing.T) {
+	_, s := startSharded(t)
+	const conns, rounds, pairs, keys = 4, 6, 8, 16
+	// value is connection c's round-r write of key i: a header naming all
+	// three, then filler up to a size of 4–12 KiB.
+	value := func(i, c, r int) []byte {
+		v := fmt.Appendf(nil, "%d|%d|%d|", i, c, r)
+		size := 4<<10 + (c*7+r*5+i*3)%9<<10
+		return append(v, bytes.Repeat([]byte{byte('a' + (c+r+i)%26)}, size-len(v))...)
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < conns; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl, err := server.Dial(s.Addr())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer cl.Close() //nolint:errcheck
+			for r := 0; r < rounds; r++ {
+				for j := 0; j < pairs; j++ {
+					i := (c*4 + r*8 + j) % keys
+					cl.QueueSet(fmt.Sprintf("big:%02d", i), 0, 0, value(i, c, r))
+					cl.QueueGet(fmt.Sprintf("big:%02d", i), false)
+				}
+				rs, err := cl.Exchange()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j := 0; j < pairs; j++ {
+					i := (c*4 + r*8 + j) % keys
+					set, get := rs[2*j], rs[2*j+1]
+					if set.Err != "" || !get.Hit {
+						t.Errorf("conn %d round %d key %d: set %+v, get hit %v", c, r, i, set, get.Hit)
+						return
+					}
+					var gi, gc, gr int
+					if _, err := fmt.Sscanf(string(get.Value), "%d|%d|%d|", &gi, &gc, &gr); err != nil ||
+						gi != i || !bytes.Equal(get.Value, value(gi, gc, gr)) {
+						t.Errorf("conn %d round %d key %d: got a %d-byte value that no set wrote to it", c, r, i, len(get.Value))
+						return
+					}
+					if gc == c && gr != r {
+						t.Errorf("conn %d round %d key %d: read its own round-%d write", c, r, i, gr)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestPipelinedBatchesMatchSerialOrder is the phase splitter's oracle:
+// seeded pipelines of sets, deletes, gets and two-key gets over a dozen keys
+// on every shard, dense in read-after-write and write-after-read pairs, must
+// be answered exactly as applying the commands one at a time, in request
+// order, answers them.
+func TestPipelinedBatchesMatchSerialOrder(t *testing.T) {
+	_, s := startSharded(t)
+	cl, err := server.Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close() //nolint:errcheck
+
+	type want struct {
+		hit bool
+		val string // a get's value; "" for sets and deletes
+	}
+	rng := rand.New(rand.NewPCG(40, 1))
+	model := map[string]string{}
+	key := func() string { return fmt.Sprintf("ord:%02d", rng.IntN(12)) }
+	for batch := 0; batch < 200; batch++ {
+		var wants []want
+		get := func(k string) {
+			v, ok := model[k]
+			wants = append(wants, want{ok, v})
+		}
+		for n := 0; n < 32; n++ {
+			switch k := key(); rng.IntN(4) {
+			case 0:
+				v := fmt.Sprintf("%s@%d.%d", k, batch, n)
+				cl.QueueSet(k, 0, 0, []byte(v))
+				model[k] = v
+				wants = append(wants, want{hit: true})
+			case 1:
+				cl.QueueDelete(k)
+				_, ok := model[k]
+				delete(model, k)
+				wants = append(wants, want{hit: ok})
+			case 2:
+				cl.QueueGet(k, false)
+				get(k)
+			case 3:
+				k2 := key()
+				cl.QueueGetMulti([]string{k, k2})
+				get(k)
+				get(k2)
+			}
+		}
+		rs, err := cl.Exchange()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rs) != len(wants) {
+			t.Fatalf("batch %d: %d responses, want %d", batch, len(rs), len(wants))
+		}
+		for i, r := range rs {
+			w := wants[i]
+			if r.Err != "" || r.Hit != w.hit || (w.val != "" && string(r.Value) != w.val) {
+				t.Fatalf("batch %d response %d: hit %v value %q err %q, want hit %v value %q",
+					batch, i, r.Hit, r.Value, r.Err, w.hit, w.val)
+			}
 		}
 	}
 }

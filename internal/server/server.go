@@ -19,14 +19,18 @@
 // resolved against ShardClocked.ShardNow at execution time, so a pinned
 // WallBase makes same-seed replays with absolute exptimes deterministic.
 //
-// Concurrency model: one goroutine per connection over buffered readers and
-// writers. Responses are batched — the writer flushes only when the read
-// buffer is empty, so a pipelined batch of N requests costs one flush, not
-// N. A connection limit is enforced as accept backpressure (the semaphore is
-// taken before Accept, so excess connections queue in the kernel instead of
-// being churned through accept/close). Graceful shutdown stops accepting,
-// lets every in-flight request finish and flush, and only then returns, so
-// the process can snapshot the cache knowing no accepted work was dropped.
+// Concurrency model: one goroutine per connection does all of that
+// connection's work — read, parse, execute (a sharded backend's write groups
+// under each shard's lock, then the gets) and flush — so parallelism across
+// shards comes from connections, as in memcached's thread-per-connection
+// model. A batch ends when the read buffer is empty: the client's pipeline
+// has been read, so a pipelined batch of N requests costs one execution pass
+// and one flush, not N. A connection limit is enforced as accept
+// backpressure (the semaphore is taken before Accept, so excess connections
+// queue in the kernel instead of being churned through accept/close).
+// Graceful shutdown stops accepting, lets every in-flight request finish and
+// flush, and only then returns, so the process can snapshot the cache
+// knowing no accepted work was dropped.
 package server
 
 import (
@@ -96,8 +100,10 @@ type Config struct {
 	// is applied as accept backpressure: connection attempts beyond it wait
 	// in the kernel's accept queue rather than being refused.
 	MaxConns int
-	// MaxLineBytes bounds one command line (default 4096). A longer line is
-	// a protocol error that closes the offending connection.
+	// MaxLineBytes bounds one command line, CRLF included (default 4096). A
+	// longer line is a protocol error that closes the offending connection.
+	// It does not size the read buffer, which holds
+	// max(MaxLineBytes, readBufBytes).
 	MaxLineBytes int
 	// MaxValueBytes bounds one stored value (default 1 MiB, memcached's
 	// classic limit). An oversized set is swallowed and refused with
@@ -185,10 +191,17 @@ const graceRead = 20 * time.Millisecond
 // on idle connections (a connection can slip back to idle after a poke).
 const pokeInterval = 25 * time.Millisecond
 
+// readBufBytes is the smallest read buffer a connection gets. An empty
+// buffer is the batch boundary, and bufio reads a body remainder at least
+// the buffer's size straight into the body, leaving the buffer empty: so
+// pipelined set bodies up to this size do not cut the client's pipeline
+// into several batches.
+const readBufBytes = 16 << 10
+
 // conn is one served connection, including its reusable batch-serving state
 // (see dispatch.go): parsed-op batch, response ring, and the scratch used by
 // the shard-affinity dispatcher. All of it is touched only by the connection
-// goroutine (the WaitGroup synchronizes the shard workers' phase work).
+// goroutine, which runs the batch's shard write groups itself.
 type conn struct {
 	nc    net.Conn
 	state atomic.Int32
@@ -199,12 +212,11 @@ type conn struct {
 	fields [][]byte   // tokenizer scratch, aliases the current line
 	b      batch      // parsed ops awaiting the batch boundary
 	rw     respWriter // response ring, flushed once per batch
-	wg     sync.WaitGroup
 
 	// Span state (Config.Spans non-nil only). sp accumulates the current
 	// pipeline batch's stage durations; it settles in flushResp. The
 	// identity fields carry the batch's first op into the slow-request
-	// exemplar. qwait is written by shard workers (max group queue wait);
+	// exemplar. qwait sums the executing batch's shard-lock waits;
 	// spExec subtracts nested execBatch time out of the parse stage.
 	sp        obs.Span
 	spanOps   int
@@ -212,10 +224,9 @@ type conn struct {
 	spanKey   string
 	spanShard int32
 	spExec    time.Duration
-	qwait     atomic.Int64
+	qwait     time.Duration
 
 	// Shard-dispatch scratch (sharded backends only).
-	phaseW map[string]struct{} // keys written in the current phase
 	phaseR map[string]struct{} // keys read in the current phase
 	groups [][]int32           // per-shard op-index groups
 	active []int               // shards with a non-empty group
@@ -243,12 +254,9 @@ type Server struct {
 	// multi is non-nil when Backend implements MultiGetter; multi-key gets
 	// on the inline path, and every phase's gets on the sharded path, then
 	// execute as one batched backend call.
-	clocked    ShardClocked
-	multi      MultiGetter
-	sharded    ShardedBackend
-	shardQ     []chan shardTask
-	workerWG   sync.WaitGroup
-	workerOnce sync.Once
+	clocked ShardClocked
+	multi   MultiGetter
+	sharded ShardedBackend
 
 	// spans is cfg.Spans; sloGet/sloSet/sloDel are cfg.SLO's per-verb
 	// handles resolved once here so the render loop never does a map walk
@@ -297,7 +305,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if sb, ok := cfg.Backend.(ShardedBackend); ok && sb.NumShards() > 0 {
 		s.sharded = sb
-		s.startWorkers(sb.NumShards())
 	}
 	return s, nil
 }
@@ -359,9 +366,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
-		// Every connection goroutine has exited, so no further shard
-		// dispatches can happen: the workers can be retired.
-		s.stopWorkers()
 		close(done)
 	}()
 	past := time.Unix(1, 0) // any past time expires the read immediately
@@ -413,10 +417,9 @@ func (s *Server) serveConn(c *conn) {
 	// the raw connection by flushResp (so net.Buffers reaches the TCPConn's
 	// writev) and counted there.
 	cc := &countConn{Conn: c.nc, in: &s.m.bytesIn, out: &s.m.bytesOut}
-	br := bufio.NewReaderSize(cc, s.cfg.MaxLineBytes)
+	br := bufio.NewReaderSize(cc, max(s.cfg.MaxLineBytes, readBufBytes))
 	if s.sharded != nil {
 		c.groups = make([][]int32, s.sharded.NumShards())
-		c.phaseW = make(map[string]struct{}, 32)
 		c.phaseR = make(map[string]struct{}, 32)
 	}
 
@@ -424,8 +427,8 @@ func (s *Server) serveConn(c *conn) {
 		if br.Buffered() == 0 && len(c.partial) == 0 {
 			// Pipeline batch boundary: every command received so far is
 			// parsed, so execute the batch and pay the whole batch's one
-			// flush (the pipelining tests assert batching through the flush
-			// counter).
+			// flush (the pipelining tests assert batching through the batch
+			// and flush counters).
 			s.execBatch(c)
 			if s.flushResp(c) != nil {
 				return
@@ -451,7 +454,7 @@ func (s *Server) serveConn(c *conn) {
 		if timedRead {
 			t0 = time.Now()
 		}
-		line, err := c.readCommand(br)
+		line, err := c.readCommand(br, s.cfg.MaxLineBytes)
 		c.state.Store(connBusy)
 		if timedRead {
 			c.sp.Add(obs.StageSockRead, time.Since(t0))
@@ -478,7 +481,7 @@ func (s *Server) serveConn(c *conn) {
 				// short real read before closing.
 				c.state.Store(connGrace)
 				c.nc.SetReadDeadline(time.Now().Add(graceRead)) //nolint:errcheck
-				line, err = c.readCommand(br)
+				line, err = c.readCommand(br, s.cfg.MaxLineBytes)
 				c.state.Store(connBusy)
 				if err != nil {
 					s.execBatch(c)
@@ -522,34 +525,32 @@ func (s *Server) serveConn(c *conn) {
 // fatal to the connection.
 var errLineTooLong = errors.New("server: command line too long")
 
-// readCommand reads one \n-terminated command line with the trailing
-// (\r)\n stripped. A read deadline can fire mid-line — bufio hands the
-// fragment to the caller — so fragments accumulate in c.partial across
-// calls and the command is lost only if the connection actually dies.
-func (c *conn) readCommand(br *bufio.Reader) ([]byte, error) {
-	for {
-		frag, err := br.ReadSlice('\n')
-		if err == nil {
-			if len(c.partial) == 0 {
-				return trimEOL(frag), nil
-			}
-			line := append(c.partial, frag...)
+// readCommand reads one \n-terminated command line of at most limit bytes
+// (its \r\n included) and returns it with the trailing (\r)\n stripped. A
+// read deadline can fire mid-line — bufio hands the fragment to the caller —
+// so fragments accumulate in c.partial across calls and the command is lost
+// only if the connection actually dies.
+func (c *conn) readCommand(br *bufio.Reader, limit int) ([]byte, error) {
+	frag, err := br.ReadSlice('\n')
+	if err == nil {
+		line := frag
+		if len(c.partial) > 0 {
+			line = append(c.partial, frag...)
 			c.partial = nil
-			return trimEOL(line), nil
 		}
-		if len(frag) > 0 {
-			c.partial = append(c.partial, frag...)
-		}
-		if errors.Is(err, bufio.ErrBufferFull) {
-			// The buffer is sized to MaxLineBytes, so a full buffer without
-			// a delimiter is a too-long line by construction.
+		if len(line) > limit {
 			return nil, errLineTooLong
 		}
-		if len(c.partial) >= br.Size() {
-			return nil, errLineTooLong
-		}
-		return nil, err
+		return trimEOL(line), nil
 	}
+	c.partial = append(c.partial, frag...)
+	// The buffer holds at least limit bytes, so a full buffer without a
+	// delimiter is a too-long line, and so is a fragment of limit bytes
+	// still waiting for its \n.
+	if errors.Is(err, bufio.ErrBufferFull) || len(c.partial) >= limit {
+		return nil, errLineTooLong
+	}
+	return nil, err
 }
 
 // trimEOL strips a trailing \n and optional \r.

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -455,6 +458,142 @@ func TestPipelinedBatchFlushesOnce(t *testing.T) {
 	// across reads, so allow a little slack, but far below one per op.
 	if flushes > pipelined/4 {
 		t.Fatalf("%d flushes for %d pipelined ops; batching is broken", flushes, pipelined)
+	}
+}
+
+// TestPipelinedLargeBodiesOneBatch pins that a batch is the client's
+// pipeline: one write of eight 6 KiB sets, each followed by a get of its key,
+// executes as one batch with one flush, although every body is longer than
+// the command-line limit, and every get returns its set's bytes.
+func TestPipelinedLargeBodiesOneBatch(t *testing.T) {
+	s := startServer(t, Config{Backend: newMapBackend()})
+	nc, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close() //nolint:errcheck
+
+	const pairs, size = 8, 6 << 10
+	var req, want bytes.Buffer
+	for i := 0; i < pairs; i++ {
+		val := bytes.Repeat([]byte{byte('a' + i)}, size)
+		fmt.Fprintf(&req, "set big%d 0 0 %d\r\n%s\r\nget big%d\r\n", i, size, val, i)
+		fmt.Fprintf(&want, "STORED\r\nVALUE big%d 0 %d\r\n%s\r\nEND\r\n", i, size, val)
+	}
+	batches, flushes := s.m.batches.Load(), s.m.flushes.Load()
+	nc.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	if _, err := nc.Write(req.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, want.Len())
+	if _, err := io.ReadFull(nc, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("responses differ from the sets' values")
+	}
+	if n := s.m.batches.Load() - batches; n != 1 {
+		t.Errorf("one pipelined write ran as %d batches, want 1", n)
+	}
+	if n := s.m.flushes.Load() - flushes; n != 1 {
+		t.Errorf("one pipelined write cost %d flushes, want 1", n)
+	}
+}
+
+// getLine returns a get command of exactly n bytes, CRLF included.
+func getLine(n int) string {
+	var b strings.Builder
+	b.WriteString("get")
+	for rest := n - len("get\r\n"); rest > 0; {
+		k := min(rest-1, 200)
+		b.WriteByte(' ')
+		b.WriteString(strings.Repeat("k", k))
+		rest -= 1 + k
+	}
+	b.WriteString("\r\n")
+	return b.String()
+}
+
+// TestLineLimit pins MaxLineBytes, CRLF included, now that the read buffer
+// is larger than the default limit; a larger limit admits a line longer
+// than that buffer.
+func TestLineLimit(t *testing.T) {
+	cases := []struct {
+		name  string
+		limit int
+		n     int
+		want  string
+	}{
+		{"4096 at the default limit", 0, 4096, "END\r\n"},
+		{"4097 at the default limit", 0, 4097, "CLIENT_ERROR line too long\r\n"},
+		{"20 KiB under a 32 KiB limit", 32 << 10, 20 << 10, "END\r\n"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := startServer(t, Config{Backend: newMapBackend(), MaxLineBytes: tc.limit})
+			nc, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close() //nolint:errcheck
+			req := getLine(tc.n)
+			if !strings.HasPrefix(tc.want, "CLIENT_ERROR") {
+				req += "quit\r\n" // the server answers, then closes
+			}
+			nc.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+			if _, err := nc.Write([]byte(req)); err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(nc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != tc.want {
+				t.Fatalf("a %d-byte line got %q, want %q", tc.n, got, tc.want)
+			}
+		})
+	}
+}
+
+// scriptReader hands out one chunk per Read; a nil chunk reads as an
+// expired read deadline.
+type scriptReader [][]byte
+
+func (r *scriptReader) Read(p []byte) (int, error) {
+	if len(*r) == 0 {
+		return 0, io.EOF
+	}
+	chunk := (*r)[0]
+	*r = (*r)[1:]
+	if chunk == nil {
+		return 0, os.ErrDeadlineExceeded
+	}
+	return copy(p, chunk), nil
+}
+
+// TestLineLimitAcrossReadDeadline sends a line in two parts with a read
+// deadline between them, so its first part waits in c.partial: the limit
+// counts both parts.
+func TestLineLimitAcrossReadDeadline(t *testing.T) {
+	const limit, first = 4096, 2000
+	for _, n := range []int{limit, limit + 1} {
+		line := getLine(n)
+		r := scriptReader{[]byte(line[:first]), nil, []byte(line[first:])}
+		br := bufio.NewReaderSize(&r, readBufBytes)
+		var c conn
+		if _, err := c.readCommand(br, limit); !isTimeout(err) || len(c.partial) != first {
+			t.Fatalf("%d bytes: first read = %v with %d bytes kept, want a timeout with %d", n, err, len(c.partial), first)
+		}
+		got, err := c.readCommand(br, limit)
+		if n > limit {
+			if err != errLineTooLong {
+				t.Fatalf("%d bytes: err = %v, want errLineTooLong", n, err)
+			}
+			continue
+		}
+		if err != nil || string(got) != strings.TrimSuffix(line, "\r\n") {
+			t.Fatalf("%d bytes: got %d bytes, %v; want the line", n, len(got), err)
+		}
 	}
 }
 

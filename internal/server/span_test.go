@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -11,54 +12,97 @@ import (
 // TestSpanStageSumMatchesRequestLatency checks the stage-sum invariant with
 // every batch sampled: queue_wait + exec partitions the measured request
 // window exactly, so their histogram sums and counts must equal the
-// server_request_latency histogram's.
+// server_request_latency histogram's. Over the map backend each command is a
+// one-op batch; over a sharded backend each pipeline is one batch of sets
+// spread over the shards, whose groups each wait for their shard's lock.
 func TestSpanStageSumMatchesRequestLatency(t *testing.T) {
+	t.Run("map", func(t *testing.T) {
+		rec, s, cl := spanServer(t, newMapBackend())
+		const ops = 50
+		for i := 0; i < ops; i++ {
+			if _, err := cl.Set("k", 0, 0, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if r, err := cl.Get("k"); err != nil || !r.Hit {
+				t.Fatalf("Get = %+v, %v", r, err)
+			}
+		}
+		checkStageSum(t, rec, s, 2*ops, 1)
+		if qw := rec.StageSnapshot(obs.StageQueueWait); qw.Sum != 0 {
+			t.Fatalf("queue_wait = %v without shard groups, want 0", qw.Sum)
+		}
+	})
+	t.Run("sharded", func(t *testing.T) {
+		rec, s, cl := spanServer(t, newFuzzSharded(t, 4))
+		const batches, width = 25, 8
+		for n := 0; n < batches; n++ {
+			for i := 0; i < width; i++ {
+				cl.QueueSet(fmt.Sprintf("k%d", i), 0, 0, []byte("v"))
+			}
+			rs, err := cl.Exchange()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rs {
+				if r.Err != "" {
+					t.Fatalf("set: %+v", r)
+				}
+			}
+		}
+		checkStageSum(t, rec, s, batches, width)
+		if g, p := s.m.dispatchGroups.Load(), s.m.dispatchPhases.Load(); g <= p {
+			t.Fatalf("%d shard groups in %d phases: the sets did not spread over the shards", g, p)
+		}
+		if qw := rec.StageSnapshot(obs.StageQueueWait); qw.Sum <= 0 {
+			t.Fatalf("queue_wait = %v over %d shard groups, want > 0", qw.Sum, s.m.dispatchGroups.Load())
+		}
+	})
+}
+
+// spanServer serves be with every batch's span sampled and dials it.
+func spanServer(t *testing.T, be Backend) (*obs.SpanRecorder, *Server, *Client) {
+	t.Helper()
 	rec := obs.NewSpanRecorder(obs.SpanConfig{SampleEvery: 1, SlowThreshold: -1})
-	b := newMapBackend()
-	s := startServer(t, Config{Backend: b, Spans: rec})
+	s := startServer(t, Config{Backend: be, Spans: rec})
 	cl, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close() //nolint:errcheck
+	t.Cleanup(func() { cl.Close() }) //nolint:errcheck
+	return rec, s, cl
+}
 
-	const ops = 50
-	for i := 0; i < ops; i++ {
-		if _, err := cl.Set("k", 0, 0, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-		if r, err := cl.Get("k"); err != nil || !r.Hit {
-			t.Fatalf("Get = %+v, %v", r, err)
-		}
-	}
-
+// checkStageSum asserts that s served batches batches of width ops each,
+// one batch per span, and that every span's queue_wait + exec equals the
+// latency each of its batch's requests observed.
+func checkStageSum(t *testing.T, rec *obs.SpanRecorder, s *Server, batches, width int) {
+	t.Helper()
 	// The server settles a batch's span after it has written the reply, so
-	// the last Get can return before its stages are recorded: wait for them.
-	for deadline := time.Now().Add(2 * time.Second); rec.SampledCount() < 2*ops && time.Now().Before(deadline); {
+	// the last exchange can return before its stages are recorded: wait.
+	for deadline := time.Now().Add(2 * time.Second); rec.SampledCount() < uint64(batches) && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
-
-	// Each synchronous command is one single-op batch, so per-op and
-	// per-batch accounting coincide and the comparison is exact.
+	if n := s.m.batches.Load(); n != uint64(batches) {
+		t.Fatalf("%d batches executed, want %d", n, batches)
+	}
 	lat := s.m.reqLatency.Snapshot()
 	qw := rec.StageSnapshot(obs.StageQueueWait)
 	ex := rec.StageSnapshot(obs.StageExec)
-	if lat.Count != 2*ops {
-		t.Fatalf("request latency count = %d, want %d", lat.Count, 2*ops)
+	if lat.Count != uint64(batches*width) {
+		t.Fatalf("request latency count = %d, want %d", lat.Count, batches*width)
 	}
-	if qw.Count != lat.Count || ex.Count != lat.Count {
-		t.Fatalf("stage counts (qw=%d exec=%d) diverge from request count %d",
-			qw.Count, ex.Count, lat.Count)
+	if qw.Count != uint64(batches) || ex.Count != uint64(batches) {
+		t.Fatalf("stage counts (qw=%d exec=%d), want one per batch (%d)", qw.Count, ex.Count, batches)
 	}
-	if qw.Sum+ex.Sum != lat.Sum {
-		t.Fatalf("queue_wait(%v) + exec(%v) = %v, want request latency sum %v",
-			qw.Sum, ex.Sum, qw.Sum+ex.Sum, lat.Sum)
+	if got := time.Duration(width) * (qw.Sum + ex.Sum); got != lat.Sum {
+		t.Fatalf("%d × (queue_wait(%v) + exec(%v)) = %v, want request latency sum %v",
+			width, qw.Sum, ex.Sum, got, lat.Sum)
 	}
-	if rec.SampledCount() != 2*ops {
-		t.Fatalf("SampledCount = %d, want %d (SampleEvery 1)", rec.SampledCount(), 2*ops)
+	if rec.SampledCount() != uint64(batches) {
+		t.Fatalf("SampledCount = %d, want %d (SampleEvery 1)", rec.SampledCount(), batches)
 	}
-	if fl := rec.StageSnapshot(obs.StageFlush); fl.Count != 2*ops {
-		t.Fatalf("flush stage count = %d, want %d", fl.Count, 2*ops)
+	if fl := rec.StageSnapshot(obs.StageFlush); fl.Count != uint64(batches) {
+		t.Fatalf("flush stage count = %d, want %d", fl.Count, batches)
 	}
 }
 
