@@ -9,7 +9,6 @@
 //	cachebench -experiment fig4    # OP-ratio sweep (Figure 4)
 //	cachebench -experiment table1  # WA factors under OP ratios (Table 1)
 //	cachebench -experiment contracts # zone-resource limit sweep (open/active caps)
-//	cachebench -experiment cluster # cluster tier: nodes × replication × skew
 //	cachebench -experiment cdn     # chunked large-object sweep: chunk size × scheme
 //	cachebench -experiment all     # everything
 //
@@ -33,7 +32,7 @@ import (
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "all", "fig2|fig3|fig4|table1|smallzone|admission|contracts|cluster|cdn|all")
+		experiment  = flag.String("experiment", "all", "fig2|fig3|fig4|table1|smallzone|admission|contracts|cdn|all")
 		limits      = flag.String("limits", "", "comma-separated open-zone caps for -experiment contracts (default 14,8,4,2,1)")
 		chunkKiB    = flag.String("chunk-kib", "", "comma-separated bigobj chunk sizes in KiB for -experiment cdn (default 128,512)")
 		admission   = flag.String("admission", "", "admission policy for every rig: all|prob:P|reject-first[:BITS,WINDOW]|dynamic-random[:WINDOW_MS]|frequency[:THRESHOLD]")
@@ -200,20 +199,6 @@ func main() {
 		harness.PrintCDN(os.Stdout, rows)
 		return report(harness.NewCDNReport(rows))
 	})
-	run("cluster", func() error {
-		points := harness.DefaultClusterSweep()
-		for i := range points {
-			scale(nil, &points[i].Ops, nil, nil, &points[i].Seed)
-			set(&points[i].Keys, int(*keys))
-			points[i].Env = env
-		}
-		rows, err := harness.RunClusterSweep(points)
-		if err != nil {
-			return err
-		}
-		harness.PrintCluster(os.Stdout, rows)
-		return report(harness.NewClusterReport(rows))
-	})
 	run("fig3", func() error {
 		p := harness.DefaultFig3()
 		scale(&p.Zones, nil, nil, nil, &p.Seed)
@@ -239,7 +224,7 @@ func main() {
 	})
 
 	switch *experiment {
-	case "all", "fig2", "fig3", "fig4", "table1", "smallzone", "admission", "contracts", "cluster", "cdn":
+	case "all", "fig2", "fig3", "fig4", "table1", "smallzone", "admission", "contracts", "cdn":
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		os.Exit(2)

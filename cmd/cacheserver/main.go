@@ -1,8 +1,8 @@
 // Command cacheserver serves a sharded znscache over the memcached text
 // protocol. It is the network face of the simulation: any memcached client
 // (or cmd/loadgen) can drive the paper's cache designs over TCP, with
-// metrics, request-stage spans, SLO burn tracking, event tracing, and a
-// graceful shutdown that persists the cache snapshot before exit.
+// metrics, request-stage spans, event tracing, and a graceful shutdown that
+// persists the cache snapshot before exit.
 //
 // Shutdown ordering matters: on SIGINT/SIGTERM the server first drains
 // in-flight connections (server.Shutdown), and only then Closes the cache so
@@ -28,27 +28,25 @@ import (
 
 // options collects the flag values run needs.
 type options struct {
-	addr          string
-	scheme        string
-	shards        int
-	zones         int
-	cacheMiB      int64
-	regionKiB     int64
-	admission     string
-	admitBudget   float64
-	maxConns      int
-	maxValue      int
-	idle          time.Duration
-	drain         time.Duration
-	metricsAddr   string
-	eventsFile    string
-	traceCap      int
-	slowMs        int
-	fastReads     bool
-	spanEvery     int
-	slowlogFile   string
-	sloSpec       string
-	sloProfileDir string
+	addr        string
+	scheme      string
+	shards      int
+	zones       int
+	cacheMiB    int64
+	regionKiB   int64
+	admission   string
+	admitBudget float64
+	maxConns    int
+	maxValue    int
+	idle        time.Duration
+	drain       time.Duration
+	metricsAddr string
+	eventsFile  string
+	traceCap    int
+	slowMs      int
+	fastReads   bool
+	spanEvery   int
+	slowlogFile string
 }
 
 func main() {
@@ -72,8 +70,6 @@ func main() {
 	flag.BoolVar(&o.fastReads, "fast-reads", true, "serve gets from the lock-free read index")
 	flag.IntVar(&o.spanEvery, "span", 0, "request-stage spans: observe 1 in N batches into per-stage histograms (0 disables spans entirely)")
 	flag.StringVar(&o.slowlogFile, "slowlog", "", "write the slow-request exemplar log (stage breakdowns) as JSON to this file on exit; requires -span")
-	flag.StringVar(&o.sloSpec, "slo", "", `per-verb latency objectives, e.g. "get=2ms@0.999,set=10ms@0.99"`)
-	flag.StringVar(&o.sloProfileDir, "slo-profile-dir", "", "capture CPU+mutex pprof profiles into this directory on sustained SLO burn")
 	lockProf := flag.Int("lock-profile", 0, "runtime mutex/block profiling rate for -metrics-addr pprof (0 disables)")
 	gogc := flag.Int("gogc", 400, "GC target percentage (SetGCPercent); 0 leaves the runtime default")
 	flag.Parse()
@@ -119,27 +115,6 @@ func run(o options) error {
 		return fmt.Errorf("-slowlog needs -span enabled")
 	}
 
-	var slo *obs.SLOTracker
-	if o.sloSpec != "" {
-		objectives, err := obs.ParseObjectives(o.sloSpec)
-		if err != nil {
-			return err
-		}
-		// server.New resolves exactly these verbs; an objective on any other
-		// would register its series and never observe a request.
-		for _, obj := range objectives {
-			switch obj.Verb {
-			case "get", "set", "delete":
-			default:
-				return fmt.Errorf("slo: verb %q is not tracked (the server tracks get, set and delete)", obj.Verb)
-			}
-		}
-		slo = obs.NewSLOTracker(obs.SLOConfig{
-			Objectives: objectives,
-			ProfileDir: o.sloProfileDir,
-		})
-	}
-
 	cfg := znscache.ShardedConfig{
 		Config: znscache.Config{
 			Scheme:      s,
@@ -178,7 +153,6 @@ func run(o options) error {
 		Tracer:        tracer,
 		SlowThreshold: time.Duration(o.slowMs) * time.Millisecond,
 		Spans:         spans,
-		SLO:           slo,
 		StatsExtra: func() map[string]string {
 			st := c.Stats()
 			return map[string]string{
@@ -196,8 +170,6 @@ func run(o options) error {
 
 	srv.MetricsInto(reg, obs.L("job", "cacheserver"))
 	obs.LockMetricsInto(reg, obs.L("job", "cacheserver"))
-	slo.Start()
-	defer slo.Stop()
 	if o.metricsAddr != "" {
 		ms, err := obs.StartServer(o.metricsAddr, reg)
 		if err != nil {

@@ -459,14 +459,6 @@ func (c *Cache) SetTTL(key string, value []byte, valLen int, ttl time.Duration) 
 // after the append.
 func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Duration) {
 	m := &c.regions.meta[c.regions.open]
-	// Replacing an existing key: the old copy becomes dead weight in its
-	// region (reclaimed only when that region is evicted).
-	s, old, ok := c.idx.lookup(key)
-	if ok {
-		if r := &c.regions.meta[old.region]; r.live > 0 {
-			r.live--
-		}
-	}
 	size := itemHeaderSize + int64(len(key)) + int64(valLen)
 	off := uint32(m.fill)
 	if c.cfg.TrackValues && value != nil {
@@ -479,7 +471,6 @@ func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Durati
 	}
 	c.clock.Advance(c.cpu.AppendItem + c.cpu.AppendPerKiB*time.Duration((size+1023)/1024))
 	m.fill += size
-	m.live++
 	m.keys.append(key)
 	e := entry{region: uint32(c.regions.open), offset: off, valLen: uint32(valLen)}
 	if ttl > 0 {
@@ -488,7 +479,9 @@ func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Durati
 	if value != nil {
 		e.img = m.img
 	}
-	c.idx.put(s, key, e)
+	// A replaced key's old copy becomes dead weight in its region
+	// (reclaimed only when that region is evicted).
+	c.idx.put(c.idx.stripe(key), key, e)
 }
 
 // castagnoli is CRC-32C, the polynomial the CPU's CRC instructions compute.
@@ -565,19 +558,10 @@ func (c *Cache) unindexRegion(id int) (n int) {
 	return n
 }
 
-// unindex removes key's entry e from s, its stripe, and from its region's
-// live items.
-func (c *Cache) unindex(s *stripe, key string, e entry) {
+// expire is lazy TTL expiry: key, past its deadline, leaves its stripe s;
+// the flash copy dies with its region.
+func (c *Cache) expire(s *stripe, key string) {
 	c.idx.drop(s, key)
-	if m := &c.regions.meta[e.region]; m.live > 0 {
-		m.live--
-	}
-}
-
-// expire is lazy TTL expiry: key's entry e, past its deadline, leaves the
-// index; the flash copy dies with its region.
-func (c *Cache) expire(s *stripe, key string, e entry) {
-	c.unindex(s, key, e)
 	c.expirations.Inc()
 }
 
@@ -585,7 +569,7 @@ func (c *Cache) expire(s *stripe, key string, e entry) {
 // unreadable or unverifiable, and charges the failure to its region —
 // quarantining the region once it exhausts its budget.
 func (c *Cache) loseKey(s *stripe, key string, e entry) {
-	c.unindex(s, key, e)
+	c.idx.drop(s, key)
 	c.lostKeys.Inc()
 	if id := int(e.region); c.regions.charge(id) {
 		c.dropRegionKeys(id)
@@ -775,7 +759,7 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 		return nil, false, nil
 	}
 	if e.expired(c.clock.Now()) {
-		c.expire(s, key, e)
+		c.expire(s, key)
 		c.hitRatio.Miss()
 		c.getLat.Observe(c.clock.Now() - start)
 		return nil, false, nil
@@ -897,7 +881,7 @@ func (c *Cache) Contains(key string) bool {
 		return false
 	}
 	if e.expired(c.clock.Now()) {
-		c.expire(s, key, e)
+		c.expire(s, key)
 		return false
 	}
 	return true
@@ -908,11 +892,11 @@ func (c *Cache) Contains(key string) bool {
 func (c *Cache) Delete(key string) bool {
 	c.dels.Inc()
 	c.clock.Advance(c.cpu.IndexRemove)
-	s, e, ok := c.idx.lookup(key)
+	s, _, ok := c.idx.lookup(key)
 	if !ok {
 		return false
 	}
-	c.unindex(s, key, e)
+	c.idx.drop(s, key)
 	return true
 }
 

@@ -50,23 +50,6 @@ func TestDrainIdempotent(t *testing.T) {
 	}
 }
 
-func TestOverwriteDecrementsOldRegionLive(t *testing.T) {
-	c, _ := newTestCache(t, 8, 4096)
-	c.Set("k", nil, 1000)
-	// Push "k"'s region out by filling, then overwrite k.
-	for i := 0; i < 3; i++ {
-		c.Set(fmt.Sprintf("f%d", i), nil, 1000)
-	}
-	oldRegion := entryOf(c, "k").region
-	c.Set("k", nil, 1000)
-	if entryOf(c, "k").region == oldRegion {
-		t.Fatal("overwrite stayed in a sealed region")
-	}
-	if c.regions.meta[oldRegion].live != 3 {
-		t.Fatalf("old region live = %d, want 3 after overwrite", c.regions.meta[oldRegion].live)
-	}
-}
-
 func TestFillLogSeqContinuesAcrossEvictions(t *testing.T) {
 	c, _ := newTestCache(t, 4, 4096)
 	for i := 0; c.Stats().Evictions < 5; i++ {

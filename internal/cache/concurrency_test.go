@@ -57,8 +57,8 @@ func (r *testRNG) next() uint64 {
 // exactly the lookups the readers issued, batched or not: every fast answer
 // equals the locked Get's, a zero-length value is served lock-free,
 // cache_dram_bytes equals the bytes behind images held in memory, touch
-// notes are queued only when a policy reads them, and every region's live
-// count matches the index.
+// notes are queued only when a policy reads them, and every entry points at
+// a live region.
 func TestFastReadStressOneShard(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

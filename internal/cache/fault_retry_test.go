@@ -221,7 +221,7 @@ func (s evictFailStore) EvictRegion(time.Duration, int) (time.Duration, error) {
 
 // TestEvictFailureQuarantinesVictims: when a victim's store-side evict
 // fails, the victim is quarantined and its keys leave the cache with it, so
-// every region's live count still matches the index.
+// no entry points at a quarantined region.
 func TestEvictFailureQuarantinesVictims(t *testing.T) {
 	c, err := New(Config{
 		Store: evictFailStore{newMemStore(4, 4096)}, TrackValues: true, Policy: LRU,

@@ -224,7 +224,7 @@ func lifetimeStorm(t *testing.T, s *cache.Sharded, seed uint64, sets int) {
 // lifetimeQuiescent checks every key once no other goroutine runs: the
 // lock-free answer equals the locked Get's, memory behind images is the open
 // and in-flight region buffers (the cache_region_buffer_bytes gauge), within
-// BufferMemory, and every region's live count matches the index.
+// BufferMemory, and every entry points at a live region.
 func lifetimeQuiescent(t *testing.T, s *cache.Sharded, view bool) {
 	t.Helper()
 	s.WithShard(0, func(c *cache.Cache) {

@@ -387,7 +387,7 @@ func (c *Cache) drainReadNotes() {
 			// replaced the item with a live one — only remove if the entry
 			// is still past its deadline.
 			if e.expired(now) {
-				c.expire(s, n.key, e)
+				c.expire(s, n.key)
 			}
 			continue
 		}

@@ -40,7 +40,6 @@ type regionMeta struct {
 	state     regionState
 	keys      keyLog // insertion order, for eviction cleanup
 	fill      int64  // bytes appended
-	live      int    // items still indexed
 	flushDone time.Duration
 	openedAt  time.Duration
 	elem      *list.Element // position in eviction order (sealed/flushing)
@@ -217,7 +216,6 @@ func (r *regionTable) empty(m *regionMeta) {
 	r.release(m)
 	m.keys.reset()
 	m.fill = 0
-	m.live = 0
 	if m.img != nil {
 		r.idx.retire(m.img)
 		m.img = nil

@@ -510,7 +510,7 @@ func (r *regionRun) check() error {
 		if (rm.buf != nil) != buffered || r.sc.readIndex && buffered && rm.img == nil {
 			return fmt.Errorf("region %d (state %d): buffer %v, image %v", i, rm.state, rm.buf != nil, rm.img != nil)
 		}
-		if (rm.state == regionFree || quarantined) && (rm.img != nil || rm.fill != 0 || rm.live != 0 || rm.keys.len() != 0) {
+		if (rm.state == regionFree || quarantined) && (rm.img != nil || rm.fill != 0 || rm.keys.len() != 0) {
 			return fmt.Errorf("region %d (state %d) keeps content", i, rm.state)
 		}
 		if rm.fill > opRegionSize {

@@ -14,12 +14,11 @@ func entryOf(c *Cache, key string) entry {
 }
 
 // regionLiveErr is the region-live invariant, checked with the read notes
-// drained: every entry points at an open, flushing or sealed region, each
-// such region's live count is the number of entries pointing at it, and Len
-// counts every entry.
+// drained: every entry points at an open, flushing or sealed region whose
+// key log holds the key, and Len counts every entry. The key-log check
+// catches an entry left behind when its region was freed and reopened.
 func regionLiveErr(c *Cache) error {
 	c.drainReadNotes()
-	count := make([]int, len(c.regions.meta))
 	n := 0
 	var err error
 	c.idx.each(func(k string, e entry) {
@@ -31,22 +30,20 @@ func regionLiveErr(c *Cache) error {
 		}
 		switch st := c.regions.meta[r].state; st {
 		case regionOpen, regionFlushing, regionSealed:
-			count[r]++
+			logged := false
+			c.regions.meta[r].keys.each(func(kb []byte) bool {
+				logged = string(kb) == k
+				return !logged
+			})
+			if !logged {
+				err = fmt.Errorf("key %q points at region %d, whose key log lacks it", k, r)
+			}
 		default:
 			err = fmt.Errorf("key %q points at region %d in state %d", k, r, st)
 		}
 	})
 	if err != nil {
 		return err
-	}
-	for i := range c.regions.meta {
-		m := &c.regions.meta[i]
-		switch m.state {
-		case regionOpen, regionFlushing, regionSealed:
-			if m.live != count[i] {
-				return fmt.Errorf("region %d (state %d): live %d, %d entries point at it", i, m.state, m.live, count[i])
-			}
-		}
 	}
 	if got := c.Len(); got != n {
 		return fmt.Errorf("Len %d, index holds %d entries", got, n)

@@ -76,10 +76,9 @@ func (c *Cache) Snapshot() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// SnapshotKeys decodes only the key set a snapshot's index records — the
-// warm set a cluster rebalance replays onto a joining node, without
-// rebuilding an engine. Keys are returned sorted so replays are
-// deterministic.
+// SnapshotKeys decodes only the key set a snapshot's index records, without
+// rebuilding an engine: bigobj's crash drill repairs manifests over it. Keys
+// are returned sorted so replays are deterministic.
 func SnapshotKeys(snapshot []byte) ([]string, error) {
 	var s snapshotData
 	if err := gob.NewDecoder(bytes.NewReader(snapshot)).Decode(&s); err != nil {
@@ -220,7 +219,6 @@ func Restore(cfg Config, snapshot []byte) (*Cache, error) {
 			c.restoreDrop.Inc()
 			continue
 		}
-		m.live++
 		ent := entry{region: uint32(e.Region), offset: e.Offset, valLen: e.ValLen, expireAt: e.ExpireAt}
 		// Restored values live on flash, not in memory: the entry has no
 		// image, so the lock-free path answers Contains and misses, and a

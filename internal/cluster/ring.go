@@ -1,11 +1,6 @@
-// Package cluster is the scale-out tier over the single-node serving layer:
-// a consistent-hash router that spreads keys across N cacheserver backends
-// with R-way replicated writes, hot-key read replication, failover reads,
-// and node join/leave rebalancing that warms the new owner from the
-// overlapping owner's persistent snapshot. The Router implements the serving
-// layer's Backend interface, so cmd/cacheproxy is just a cacheserver whose
-// backend happens to be the rest of the cluster — clients speak the same
-// memcached protocol to a proxy as to a node.
+// Package cluster holds a consistent-hash ring that no serving path routes
+// with. It stays only because the repository benchmark's probe.ring_owners_ns
+// prices Ring.OwnersInto, and it goes together with that probe.
 package cluster
 
 import (
@@ -14,7 +9,7 @@ import (
 	"strconv"
 )
 
-// DefaultVirtualNodes is the per-node vnode count when Config leaves it
+// DefaultVirtualNodes is the per-node vnode count when NewRing is given
 // zero: enough points that per-node key balance lands within a few percent
 // of even, while a 16-node ring still builds in microseconds.
 const DefaultVirtualNodes = 128
@@ -27,7 +22,6 @@ const DefaultVirtualNodes = 128
 // Lookups are lock-free; topology changes build a fresh ring.
 type Ring struct {
 	nodes  []string
-	vnodes int
 	points []ringPoint // sorted by hash
 }
 
@@ -53,7 +47,6 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 	}
 	r := &Ring{
 		nodes:  sorted,
-		vnodes: vnodes,
 		points: make([]ringPoint, 0, len(sorted)*vnodes),
 	}
 	var buf []byte
@@ -76,10 +69,6 @@ func NewRing(nodes []string, vnodes int) (*Ring, error) {
 	})
 	return r, nil
 }
-
-// Nodes returns the ring's node names in sorted order. The slice is the
-// ring's own; treat it as read-only.
-func (r *Ring) Nodes() []string { return r.nodes }
 
 // OwnersInto appends key's replica set — the first n distinct nodes
 // clockwise from the key's hash, primary first — to dst and returns it.

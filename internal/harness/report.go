@@ -172,19 +172,18 @@ const ReportSchema = "znscache/bench-report/v1"
 // nanoseconds (keys suffixed _ns) so documents round-trip exactly through
 // JSON — float64 seconds would not — and schemes by their paper names.
 type Report struct {
-	Schema     string          `json:"schema"`
-	Experiment string          `json:"experiment"`
-	Fig2       []SchemeResult  `json:"fig2,omitempty"`
-	Fig3       []Fig3Result    `json:"fig3,omitempty"`
-	Fig4Table1 []Fig4Row       `json:"fig4_table1,omitempty"`
-	Fig5       []Fig5Row       `json:"fig5,omitempty"`
-	Table2     []Table2Row     `json:"table2,omitempty"`
-	SmallZone  []SmallZoneRow  `json:"smallzone,omitempty"`
-	Admission  []AdmissionRow  `json:"admission,omitempty"`
-	Serve      []ServeRowJSON  `json:"serve,omitempty"`
-	Contracts  []ContractsRow  `json:"contracts,omitempty"`
-	Cluster    []ClusterResult `json:"cluster,omitempty"`
-	CDN        []CDNRow        `json:"cdn,omitempty"`
+	Schema     string         `json:"schema"`
+	Experiment string         `json:"experiment"`
+	Fig2       []SchemeResult `json:"fig2,omitempty"`
+	Fig3       []Fig3Result   `json:"fig3,omitempty"`
+	Fig4Table1 []Fig4Row      `json:"fig4_table1,omitempty"`
+	Fig5       []Fig5Row      `json:"fig5,omitempty"`
+	Table2     []Table2Row    `json:"table2,omitempty"`
+	SmallZone  []SmallZoneRow `json:"smallzone,omitempty"`
+	Admission  []AdmissionRow `json:"admission,omitempty"`
+	Serve      []ServeRowJSON `json:"serve,omitempty"`
+	Contracts  []ContractsRow `json:"contracts,omitempty"`
+	CDN        []CDNRow       `json:"cdn,omitempty"`
 }
 
 // ServeRowJSON is one serving-benchmark run (cmd/loadgen against
@@ -282,11 +281,6 @@ func NewContractsReport(rows []ContractsRow) *Report {
 	return &Report{Schema: ReportSchema, Experiment: "contracts", Contracts: rows}
 }
 
-// NewClusterReport wraps cluster sweep rows as a Report.
-func NewClusterReport(rows []ClusterResult) *Report {
-	return &Report{Schema: ReportSchema, Experiment: "cluster", Cluster: rows}
-}
-
 // NewCDNReport wraps CDN sweep rows as a Report.
 func NewCDNReport(rows []CDNRow) *Report {
 	return &Report{Schema: ReportSchema, Experiment: "cdn", CDN: rows}
@@ -303,19 +297,6 @@ func PrintCDN(w io.Writer, rows []CDNRow) {
 			r.Fills, r.PartialMisses, r.ManifestRepairs,
 			float64(r.ServedBytes)/(1<<20), float64(r.FillBytes)/(1<<20),
 			r.EvictionsDeferred, r.WAFactor)
-	}
-}
-
-// PrintCluster renders the cluster sweep.
-func PrintCluster(w io.Writer, rows []ClusterResult) {
-	fmt.Fprintln(w, "Cluster tier — node count × replication × skew (loopback cacheproxy routing)")
-	fmt.Fprintf(w, "%-6s %3s %6s %8s %12s %10s %8s %10s %10s %9s %9s\n",
-		"nodes", "R", "theta", "hotwin", "ops/sec", "hit-ratio", "balance", "p50", "p99", "hot-rds", "repl-rds")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-6d %3d %6.2f %8d %12.0f %9.2f%% %8.2f %10s %10s %9d %9d\n",
-			r.Nodes, r.Replication, r.ZipfTheta, r.HotWindow, r.OpsPerSec,
-			r.HitRatio*100, r.Balance, fmtDur(r.P50), fmtDur(r.P99),
-			r.HotReads, r.ReplicaReads)
 	}
 }
 
@@ -336,7 +317,6 @@ func (r *Report) Validate() error {
 		"admission":   r.Admission != nil,
 		"serve":       r.Serve != nil,
 		"contracts":   r.Contracts != nil,
-		"cluster":     r.Cluster != nil,
 		"cdn":         r.CDN != nil,
 	}
 	populated, known := sections[r.Experiment]

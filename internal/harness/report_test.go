@@ -84,14 +84,6 @@ func sampleReports() map[string]*Report {
 			Scheme: RegionCache, MaxOpen: 4, MaxActive: 6, Result: sampleSchemeResult(RegionCache),
 			BudgetStalls: 17, ZoneFinishes: 9, StallTime: 250 * time.Millisecond,
 		}}),
-		"cluster": NewClusterReport([]ClusterResult{{
-			Nodes: 3, Replication: 2, ZipfTheta: 0.99, HotWindow: 64,
-			Ops: 20000, Gets: 18000, Sets: 2000, Hits: 16200, Misses: 1800,
-			HitRatio: 0.9, OpsPerSec: 41234.5, Elapsed: 485 * time.Millisecond,
-			P50: 20 * time.Microsecond, P99: 150 * time.Microsecond,
-			NodeGets: []uint64{6100, 5900, 6000}, Balance: 1.0166,
-			HotReads: 700, ReplicaReads: 350, Failovers: 2, BackendErrs: 1,
-		}}),
 		"cdn": NewCDNReport([]CDNRow{{
 			Scheme: ZoneCache, ChunkBytes: 128 << 10, Ops: 2500,
 			SimTime: 3 * time.Second, OpsPerSec: 833.25,
@@ -109,8 +101,8 @@ func sampleReports() map[string]*Report {
 // goldens change only with a ReportSchema version bump, by hand.
 func TestReportRoundTrip(t *testing.T) {
 	reports := sampleReports()
-	if len(reports) != 11 {
-		t.Fatalf("%d sample reports, want one per experiment (11)", len(reports))
+	if len(reports) != 10 {
+		t.Fatalf("%d sample reports, want one per experiment (10)", len(reports))
 	}
 	for experiment, rep := range reports {
 		if rep.Experiment != experiment {

@@ -294,10 +294,6 @@ func TestExperimentsHandEnvToEveryRig(t *testing.T) {
 				ChunkSizes: []int{64 << 10}, Schemes: []Scheme{RegionCache, ZoneCache}, Env: env})
 			return err
 		}},
-		{"cluster", 2, 2, func(env Env) error {
-			_, err := RunClusterSweep([]ClusterParams{{Nodes: 2, Keys: 64, Ops: 200, Env: env}})
-			return err
-		}},
 		{"fig5", 4, 4, func(env Env) error {
 			_, err := RunFig5(tinyFig5(env))
 			return err

@@ -180,17 +180,12 @@ func TestSpanRecorderConcurrent(t *testing.T) {
 	}
 }
 
-// TestSpanAndSLOMetricsGolden pins the exported series names: the CI scrape
+// TestSpanMetricsGolden pins the exported series names: the CI scrape
 // assertions and EXPERIMENTS.md address these literally.
-func TestSpanAndSLOMetricsGolden(t *testing.T) {
+func TestSpanMetricsGolden(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewSpanRecorder(SpanConfig{})
 	rec.MetricsInto(reg, nil)
-	slo := NewSLOTracker(SLOConfig{Objectives: []Objective{
-		{Verb: "get", Target: 2 * time.Millisecond, Goal: 0.999},
-		{Verb: "set", Target: 10 * time.Millisecond, Goal: 0.99},
-	}})
-	slo.MetricsInto(reg, nil)
 	RuntimeMetricsInto(reg, nil)
 
 	var sb strings.Builder
@@ -211,11 +206,6 @@ func TestSpanAndSLOMetricsGolden(t *testing.T) {
 		`cache_stage_latency_count{stage="store_io"}`,
 		"span_sampled_total",
 		"span_slow_requests_total",
-		`slo_good_total{verb="get"}`,
-		`slo_requests_total{verb="set"}`,
-		`slo_objective_seconds{verb="get"} 0.002`,
-		`slo_burn_rate{verb="set"}`,
-		"slo_profile_captures_total",
 		"go_goroutines",
 		"go_heap_objects_bytes",
 		`go_gc_pause_seconds{quantile="0.99"}`,

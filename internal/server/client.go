@@ -342,9 +342,7 @@ func (c *Client) readMultiGetResp(keys []string, out []Resp) ([]Resp, error) {
 			// distinguishes a key the server answered-by-omission from one it
 			// never reached: every key without a VALUE block is unresolved —
 			// including those already skipped past as presumed misses — and
-			// must carry the error rather than read as a plain miss. The
-			// proxy's scatter-gather depends on this: an unresolved key must
-			// not be reported to its client as authoritative absence.
+			// must carry the error rather than read as a plain miss.
 			for i := range keys {
 				if !out[base+i].Hit {
 					out[base+i].Err = string(line)

@@ -738,9 +738,6 @@ func (s *Server) renderBatch(c *conn, b *batch, lat time.Duration) {
 	m.reqLatVerb[verbGet].ObserveN(lat, nGet)
 	m.reqLatVerb[verbSet].ObserveN(lat, nSet)
 	m.reqLatVerb[verbDelete].ObserveN(lat, nDel)
-	s.sloGet.ObserveN(lat, nGet)
-	s.sloSet.ObserveN(lat, nSet)
-	s.sloDel.ObserveN(lat, nDel)
 }
 
 // renderGet writes one get/gets response: VALUE blocks for the hits in

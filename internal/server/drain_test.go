@@ -8,11 +8,11 @@ import (
 	"time"
 )
 
-// TestQuitMidBatchFlushesQueuedReplies pins the drain-vs-pipeline contract
-// the proxy relies on: a pipelined batch terminated by quit, with Shutdown
-// racing the batch mid-execBatch (the backend Get is parked), must still
-// flush every queued reply before the connection closes. The draining check
-// in serveConn sits after flushResp — this test keeps it there.
+// TestQuitMidBatchFlushesQueuedReplies pins the drain-vs-pipeline contract:
+// a pipelined batch terminated by quit, with Shutdown racing the batch
+// mid-execBatch (the backend Get is parked), must still flush every queued
+// reply before the connection closes. The draining check in serveConn sits
+// after flushResp — this test keeps it there.
 func TestQuitMidBatchFlushesQueuedReplies(t *testing.T) {
 	b := newMapBackend()
 	b.m["k"] = encodeValue(0, []byte("v"))

@@ -117,7 +117,4 @@ func (s *Server) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	if s.cfg.Spans != nil {
 		s.cfg.Spans.MetricsInto(r, labels)
 	}
-	if s.cfg.SLO != nil {
-		s.cfg.SLO.MetricsInto(r, labels)
-	}
 }

@@ -25,8 +25,7 @@ func (b *errBackend) Get(key string) ([]byte, bool, error) {
 // server renders hits in request order and cuts the response at the first
 // backend error, so a requested key skipped before the cut (a presumed miss)
 // is in fact unresolved. Every key without a VALUE block must carry the
-// error — a zero-value Resp would be indistinguishable from a true miss,
-// which the proxy would wrongly propagate as authoritative absence.
+// error — a zero-value Resp would be indistinguishable from a true miss.
 func TestMultiGetMidStreamErrorMarksUnresolved(t *testing.T) {
 	b := &errBackend{
 		mapBackend: newMapBackend(),

@@ -80,11 +80,10 @@ type ShardClocked interface {
 }
 
 // MultiGetter is an optional Backend extension: fetch many keys in one call.
-// The cluster proxy implements it to scatter-gather one batch per backend
-// node instead of paying one round trip per key; znscache.ShardedCache
-// implements it to account a batch's lock-free lookups once per shard. The
-// three result slices are parallel to keys and fully owned by the caller;
-// every slot must be written (hit, miss, or error).
+// znscache.ShardedCache implements it to account a batch's lock-free
+// lookups once per shard. The three result slices are parallel to keys and
+// fully owned by the caller; every slot must be written (hit, miss, or
+// error).
 type MultiGetter interface {
 	GetMulti(keys []string, vals [][]byte, hits []bool, errs []error)
 }
@@ -132,9 +131,6 @@ type Config struct {
 	// recorder's histograms (sampled) and slow-request exemplar log. Nil
 	// costs one pointer test per site on the serving path.
 	Spans *obs.SpanRecorder
-	// SLO, when non-nil, tracks per-verb latency objectives: every request
-	// counts against its verb's objective at batch latency.
-	SLO *obs.SLOTracker
 	// WallBase anchors absolute memcached exptimes (unix times past the
 	// 30-day cutoff) to the backend's clock: an absolute exptime T becomes
 	// the deadline T − WallBase on the owning shard's clock (ShardClocked
@@ -258,13 +254,8 @@ type Server struct {
 	multi   MultiGetter
 	sharded ShardedBackend
 
-	// spans is cfg.Spans; sloGet/sloSet/sloDel are cfg.SLO's per-verb
-	// handles resolved once here so the render loop never does a map walk
-	// (all nil-receiver-safe).
-	spans  *obs.SpanRecorder
-	sloGet *obs.SLOVerb
-	sloSet *obs.SLOVerb
-	sloDel *obs.SLOVerb
+	// spans is cfg.Spans.
+	spans *obs.SpanRecorder
 
 	m metrics
 }
@@ -294,9 +285,6 @@ func New(cfg Config) (*Server, error) {
 		s.wallBase = s.start
 	}
 	s.spans = cfg.Spans
-	s.sloGet = cfg.SLO.Verb("get")
-	s.sloSet = cfg.SLO.Verb("set")
-	s.sloDel = cfg.SLO.Verb("delete")
 	if cb, ok := cfg.Backend.(ShardClocked); ok {
 		s.clocked = cb
 	}

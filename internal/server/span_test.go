@@ -226,48 +226,6 @@ func TestPerVerbRequestLatency(t *testing.T) {
 	}
 }
 
-// TestServerSLOIntegration threads a tracker through the serving path and
-// checks the per-verb good/total counters see the traffic.
-func TestServerSLOIntegration(t *testing.T) {
-	objs, err := obs.ParseObjectives("get=1s@0.999,set=1ns@0.999")
-	if err != nil {
-		t.Fatal(err)
-	}
-	slo := obs.NewSLOTracker(obs.SLOConfig{Objectives: objs})
-	b := newMapBackend()
-	s := startServer(t, Config{Backend: b, SLO: slo})
-	cl, err := Dial(s.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close() //nolint:errcheck
-	if _, err := cl.Set("k", 0, 0, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Get("k"); err != nil {
-		t.Fatal(err)
-	}
-
-	reg := obs.NewRegistry()
-	s.MetricsInto(reg, nil)
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	body := sb.String()
-	// A 1s get objective is always met; a 1ns set objective never is.
-	for _, want := range []string{
-		`slo_good_total{verb="get"} 1`,
-		`slo_requests_total{verb="get"} 1`,
-		`slo_good_total{verb="set"} 0`,
-		`slo_requests_total{verb="set"} 1`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-}
-
 // TestLoadgenProgressTimeline drives a short run with progress sampling on
 // and checks the interval series accounts for every completed request.
 func TestLoadgenProgressTimeline(t *testing.T) {
