@@ -70,6 +70,15 @@ func benchFig4Params() harness.Fig4Params {
 	return harness.DefaultFig4()
 }
 
+// fig4Label names an OP sweep row's metrics.
+func fig4Label(r harness.Fig4Row) string {
+	label := fmt.Sprintf("%s_op%.0f", r.Scheme, r.OPRatio*100)
+	if r.CoDesign {
+		label += "_codesign"
+	}
+	return label
+}
+
 func BenchmarkFig4OPSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := harness.RunFig4Table1(benchFig4Params())
@@ -77,7 +86,7 @@ func BenchmarkFig4OPSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			label := fmt.Sprintf("%s_op%.0f", r.Scheme, r.OPRatio*100)
+			label := fig4Label(r)
 			b.ReportMetric(r.Result.OpsPerSec, label+"_ops/s")
 			b.ReportMetric(r.Result.HitRatio*100, label+"_hit%")
 		}
@@ -91,8 +100,7 @@ func BenchmarkTable1WAFactors(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, r := range rows {
-			b.ReportMetric(r.Result.WAFactor,
-				fmt.Sprintf("%s_op%.0f_WAF", r.Scheme, r.OPRatio*100))
+			b.ReportMetric(r.Result.WAFactor, fig4Label(r)+"_WAF")
 		}
 	}
 }
@@ -204,10 +212,10 @@ func BenchmarkAblationCoDesign(b *testing.B) {
 		// the co-design to save.
 		ablationRun(b, "migrate_all", func(c *harness.RigConfig) {
 			c.Policy, c.PolicySet = cache.LRU, true
+			c.MigrateAll = true
 		})
 		ablationRun(b, "codesign_drop", func(c *harness.RigConfig) {
 			c.Policy, c.PolicySet = cache.LRU, true
-			c.CoDesign = true
 		})
 	}
 }

@@ -234,8 +234,8 @@ func cacheExercise(hw harness.HWProfile, ops, watch int) error {
 	fmt.Printf("cache: %d ops in %v simulated — hit %.2f%%, %d evictions, WAF %.2f\n",
 		st.Gets+st.Sets+st.Deletes, st.SimulatedTime, st.HitRatio*100,
 		st.Evictions, rig.WAFactor())
-	fmt.Printf("middle layer: %d GC runs, %d regions migrated, %d empty zones\n\n",
-		rig.Middle.GCRuns.Load(), rig.Middle.Migrated.Load(), rig.Middle.EmptyZones())
+	fmt.Printf("middle layer: %d GC runs, %d regions migrated, %d dropped, %d empty zones\n\n",
+		rig.Middle.GCRuns.Load(), rig.Middle.Migrated.Load(), rig.Middle.Dropped.Load(), rig.Middle.EmptyZones())
 	report(rig.ZNS)
 	return nil
 }

@@ -70,7 +70,7 @@ func buildLayer(minEmpty int, threshold float64, eng **cache.Cache, coDesign boo
 	}
 	if coDesign {
 		mcfg.DropFilter = func(id int) bool {
-			return *eng != nil && (*eng).RegionDroppable(id, 0.3)
+			return *eng != nil && (*eng).RegionDroppable(id)
 		}
 		mcfg.OnDrop = func(id int) {
 			if *eng != nil {

@@ -904,12 +904,12 @@ func (c *Cache) Delete(key string) bool {
 func (c *Cache) Len() int { return c.idx.len() }
 
 // RegionDroppable reports whether region id is sealed and sits in the
-// coldest coldFrac fraction of the eviction order. It is the cache-side
-// answer to the middle layer's co-design question (§3.4): "by using the
-// cache information or hints, the GC overhead can be effectively minimized
-// without explicitly sacrificing the cache hit ratio".
-func (c *Cache) RegionDroppable(id int, coldFrac float64) bool {
-	return c.regions.cold(id, coldFrac)
+// coldest 30% of the eviction order. It is the cache-side answer to the
+// middle layer's co-design question (§3.4): "by using the cache information
+// or hints, the GC overhead can be effectively minimized without explicitly
+// sacrificing the cache hit ratio".
+func (c *Cache) RegionDroppable(id int) bool {
+	return c.regions.cold(id)
 }
 
 // InvalidateRegion force-evicts region id without a store call: the

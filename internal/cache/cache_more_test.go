@@ -99,32 +99,38 @@ func TestInvalidateRegionIgnoresNonSealed(t *testing.T) {
 }
 
 func TestRegionDroppableBounds(t *testing.T) {
-	c, _ := newTestCache(t, 4, 4096)
-	if c.RegionDroppable(-1, 1) || c.RegionDroppable(99, 1) {
+	c, _ := newTestCache(t, 8, 4096)
+	if c.RegionDroppable(-1) || c.RegionDroppable(99) {
 		t.Fatal("out-of-range region droppable")
 	}
-	if c.RegionDroppable(0, 1) {
+	if c.RegionDroppable(0) {
 		t.Fatal("open region droppable")
 	}
-	// Seal regions, then the coldest must be droppable at frac 1.0.
-	for i := 0; i < 12; i++ {
+	// Fill every region: the coldest coldFrac of the order, the victim end,
+	// is droppable; the order's front and the open region are not.
+	for i := 0; i < 24; i++ {
 		c.Set(fmt.Sprintf("k%d", i), nil, 1000)
 	}
 	c.Drain()
-	found := false
-	for id := 0; id < 4; id++ {
-		if c.RegionDroppable(id, 1.0) {
-			found = true
+	order := c.regions.order
+	want := int(float64(order.Len()) * coldFrac)
+	if want == 0 {
+		t.Fatalf("%d regions in the order leave no cold tail", order.Len())
+	}
+	n := 0
+	for id := 0; id < 8; id++ {
+		if c.RegionDroppable(id) {
+			n++
 		}
 	}
-	if !found {
-		t.Fatal("no sealed region droppable at coldFrac=1.0")
+	if n != want {
+		t.Fatalf("%d regions droppable, want %d of %d", n, want, order.Len())
 	}
-	// coldFrac 0 never drops.
-	for id := 0; id < 4; id++ {
-		if c.RegionDroppable(id, 0) {
-			t.Fatal("droppable at coldFrac=0")
-		}
+	if !c.RegionDroppable(order.Back().Value.(int)) {
+		t.Fatal("the eviction victim is not droppable")
+	}
+	if c.RegionDroppable(order.Front().Value.(int)) || c.RegionDroppable(c.regions.open) {
+		t.Fatal("the newest or the open region is droppable")
 	}
 }
 

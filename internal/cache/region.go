@@ -63,12 +63,11 @@ type regionTable struct {
 	order       *list.List // eviction order: front = MRU, back = victim
 	lru         bool       // a hit moves its region to the order's front
 	// orderVer counts mutations of the eviction order; coldSet caches, per
-	// (orderVer, coldFrac), which regions sit in the cold tail that cold
-	// reports on. GC probes ask about many regions between order mutations,
-	// so the O(regions) tail walk amortizes to O(1).
+	// orderVer, which regions sit in the cold tail that cold reports on. GC
+	// probes ask about many regions between order mutations, so the
+	// O(regions) tail walk amortizes to O(1).
 	orderVer uint64
 	coldVer  uint64
-	coldFrac float64
 	coldSet  []bool
 
 	bufSize int64 // region buffer size; 0 without TrackValues
@@ -89,7 +88,7 @@ type regionTable struct {
 // newRegionTable returns a table of n free regions.
 func newRegionTable(n, maxInflight int, lru bool, bufSize int64, idx *index) *regionTable {
 	r := &regionTable{meta: make([]regionMeta, n), maxInflight: maxInflight, order: list.New(), lru: lru,
-		coldFrac: -1, coldSet: make([]bool, n), bufSize: bufSize, idx: idx}
+		coldSet: make([]bool, n), bufSize: bufSize, idx: idx}
 	for i := n - 1; i >= 0; i-- {
 		r.free = append(r.free, i)
 	}
@@ -267,24 +266,28 @@ func (r *regionTable) sealed(id int) bool {
 	return id >= 0 && id < len(r.meta) && r.meta[id].state == regionSealed && r.meta[id].elem != nil
 }
 
+// coldFrac is the share of the eviction order, counted from the victim end,
+// whose sealed regions cold reports as cold.
+const coldFrac = 0.3
+
 // cold reports whether region id is sealed and sits in the coldest coldFrac
-// fraction of the eviction order.
-func (r *regionTable) cold(id int, coldFrac float64) bool {
+// of the eviction order: the LRU tail, or under FIFO the oldest regions.
+func (r *regionTable) cold(id int) bool {
 	if !r.sealed(id) {
 		return false
 	}
 	// The cold tail only changes when the eviction order does, but the GC
 	// probes every candidate region between mutations. Rebuild the
-	// membership set once per (order version, coldFrac) and answer each
-	// probe with an O(1) lookup instead of walking the list from the back.
-	if r.coldVer != r.orderVer || r.coldFrac != coldFrac {
+	// membership set once per order version and answer each probe with an
+	// O(1) lookup instead of walking the list from the back. The empty set
+	// a new table starts with is the empty order's.
+	if r.coldVer != r.orderVer {
 		clear(r.coldSet)
 		limit := int(float64(r.order.Len()) * coldFrac)
 		for e, i := r.order.Back(), 0; e != nil && i < limit; e, i = e.Prev(), i+1 {
 			r.coldSet[e.Value.(int)] = true
 		}
 		r.coldVer = r.orderVer
-		r.coldFrac = coldFrac
 	}
 	return r.coldSet[id]
 }

@@ -318,20 +318,19 @@ func TestRegionDroppableCachedMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := sim.NewRand(11)
-	check := func(frac float64) {
+	check := func() {
 		t.Helper()
 		// Reference: walk the back of the order list directly.
 		want := make(map[int]bool)
-		limit := int(float64(c.regions.order.Len()) * frac)
+		limit := int(float64(c.regions.order.Len()) * coldFrac)
 		for e, i := c.regions.order.Back(), 0; e != nil && i < limit; e, i = e.Prev(), i+1 {
 			want[e.Value.(int)] = true
 		}
 		for id := 0; id < 8; id++ {
 			m := &c.regions.meta[id]
 			wantDrop := want[id] && m.state == regionSealed && m.elem != nil
-			if got := c.RegionDroppable(id, frac); got != wantDrop {
-				t.Fatalf("RegionDroppable(%d, %.2f) = %v, reference scan says %v",
-					id, frac, got, wantDrop)
+			if got := c.RegionDroppable(id); got != wantDrop {
+				t.Fatalf("RegionDroppable(%d) = %v, reference scan says %v", id, got, wantDrop)
 			}
 		}
 	}
@@ -343,9 +342,9 @@ func TestRegionDroppableCachedMatchesScan(t *testing.T) {
 			c.Get(k)
 		}
 		if i%25 == 0 {
+			check()
 			c.Drain()
-			check(0.3)
-			check(0.6) // changing frac must invalidate the cached set
+			check() // the drain's seals must invalidate the cached set
 		}
 	}
 }

@@ -85,6 +85,10 @@ type CrashReport struct {
 	// RestoreDrops is the engine's count of snapshot entries its repair
 	// pass refused to trust.
 	RestoreDrops uint64
+	// GCDrops counts the regions Region-Cache's co-design GC dropped between
+	// the snapshot cut and the crash: regions the snapshot still indexes
+	// whose bytes the device no longer maps.
+	GCDrops uint64
 	// Quarantined/Retries expose the degradation counters accumulated
 	// across the whole run (pre-crash engine + recovered engine).
 	Quarantined, Retries uint64
@@ -171,6 +175,7 @@ func runCrash(p CrashParams) (*CrashReport, *Rig, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: snapshot: %w", err)
 	}
+	cutDrops := rig.Engine.Stats().CoDesignDrops
 	atSnap := make(map[string][]byte, len(acked))
 	for k, v := range acked {
 		atSnap[k] = v
@@ -198,6 +203,7 @@ func runCrash(p CrashParams) (*CrashReport, *Rig, error) {
 	rep.Crashed = rig.Faults.Crashed()
 	rep.CrashWrites = rig.Faults.Writes()
 	preStats := rig.Engine.Stats()
+	rep.GCDrops = preStats.CoDesignDrops - cutDrops
 
 	// The process is dead: drop the engine, revive the device, and rebuild
 	// from the last snapshot over whatever the device really holds now.

@@ -23,8 +23,11 @@ func crashFaults() fault.Config {
 // TestCrashConsistencyProperty is the seeded property test of the recovery
 // contract: across all four schemes and many seeds, a crash at a random
 // device-write count followed by a snapshot restore never serves wrong
-// data and never violates the ZNS zone contract. Failures print the
-// (scheme, seed) pair, which replays the exact run.
+// data and never violates the ZNS zone contract. Region-Cache runs once
+// more with a warm-up long enough to cycle the cache, so its co-design GC
+// drops regions the snapshot still indexes between the cut and the crash.
+// Failures print the (scheme, seed, warm-up) triple, which replays the
+// exact run.
 func TestCrashConsistencyProperty(t *testing.T) {
 	iters := 60
 	if testing.Short() {
@@ -34,32 +37,44 @@ func TestCrashConsistencyProperty(t *testing.T) {
 		sch := sch
 		t.Run(sch.String(), func(t *testing.T) {
 			t.Parallel()
-			var crashed, lost, drops int
-			for i := 0; i < iters; i++ {
-				seed := uint64(i)*0x9e3779b9 + 1
-				rep, err := RunCrash(CrashParams{Scheme: sch, Seed: seed, Faults: crashFaults()})
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
+			warmUps := []int{0} // the default
+			if sch == RegionCache {
+				warmUps = append(warmUps, 1500)
+			}
+			var runs, crashed, lost, drops, gcDrops int
+			for _, warm := range warmUps {
+				for i := 0; i < iters; i++ {
+					seed := uint64(i)*0x9e3779b9 + 1
+					rep, err := RunCrash(CrashParams{Scheme: sch, Seed: seed, WarmOps: warm, Faults: crashFaults()})
+					if err != nil {
+						t.Fatalf("seed %d warm %d: %v", seed, warm, err)
+					}
+					if err := rep.Err(); err != nil {
+						t.Errorf("seed %d warm %d: %v", seed, warm, err)
+					}
+					runs++
+					if rep.Crashed {
+						crashed++
+					}
+					lost += rep.Lost
+					drops += int(rep.RestoreDrops)
+					gcDrops += int(rep.GCDrops)
 				}
-				if err := rep.Err(); err != nil {
-					t.Errorf("seed %d: %v", seed, err)
-				}
-				if rep.Crashed {
-					crashed++
-				}
-				lost += rep.Lost
-				drops += int(rep.RestoreDrops)
 			}
 			// The test must not pass vacuously: the crash point has to fire
-			// in most runs, and recovery has to be actually lossy sometimes
-			// (keys lost, snapshot entries dropped by the repair pass).
-			if crashed < iters/2 {
-				t.Errorf("only %d/%d runs reached their crash point", crashed, iters)
+			// in most runs, recovery has to be actually lossy sometimes
+			// (keys lost, snapshot entries dropped by the repair pass), and
+			// Region-Cache's GC has to drop regions after the cut.
+			if crashed < runs/2 {
+				t.Errorf("only %d/%d runs reached their crash point", crashed, runs)
 			}
 			if lost == 0 {
 				t.Error("no run lost a key; the harness is not exercising recovery")
 			}
-			_ = drops // informative; schemes without repair-visible tears may be 0
+			if sch == RegionCache && (gcDrops == 0 || drops == 0) {
+				t.Errorf("GC dropped %d regions between cut and crash, restore dropped %d entries: "+
+					"the drill never recovers over co-design drops", gcDrops, drops)
+			}
 		})
 	}
 }

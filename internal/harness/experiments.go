@@ -290,11 +290,13 @@ func RunFig3(p Fig3Params) ([]Fig3Result, error) {
 }
 
 // Fig4Row is one (scheme, OP) cell of Figure 4 and Table 1 (the WA factor
-// lives inside Result).
+// lives inside Result). CoDesign marks the Region-Cache rows run with the
+// §3.4 co-design GC; the paper's rows migrate every live region.
 type Fig4Row struct {
-	Scheme  Scheme       `json:"scheme"`
-	OPRatio float64      `json:"op_ratio"`
-	Result  SchemeResult `json:"result"`
+	Scheme   Scheme       `json:"scheme"`
+	OPRatio  float64      `json:"op_ratio"`
+	CoDesign bool         `json:"codesign,omitempty"`
+	Result   SchemeResult `json:"result"`
 }
 
 // Fig4Params sizes the OP sweep (§4.1, 220 zones at paper scale).
@@ -328,6 +330,11 @@ func DefaultFig4() Fig4Params {
 // RunFig4Table1 reruns Figure 4 (throughput & hit ratio under OP ratios)
 // and Table 1 (WA factors); Zone-Cache appears once with 0% OP.
 //
+// The paper's rows run Region-Cache with migrate-all GC: the OP
+// sensitivity they show is the cost of migration. Each OP point also gets
+// a co-design Region-Cache row, right after its paper row, whose GC drops
+// cold regions instead (RigConfig.MigrateAll off).
+//
 // This experiment runs the engine with access-ordered (LRU) region
 // eviction — the policy the paper states for its evaluation (§4.1). Under
 // item-level zipf traffic, region LRU scatters region deaths across zones,
@@ -343,24 +350,27 @@ func RunFig4Table1(p Fig4Params) ([]Fig4Row, error) {
 	// the worker pool; each point builds its own rig and clock, so the rows
 	// replay bit-identically to the serial sweep, in the same order.
 	type point struct {
-		scheme Scheme
-		op     float64
+		scheme   Scheme
+		op       float64
+		codesign bool
 	}
-	points := []point{{ZoneCache, 0}} // whole device, no OP
-	for _, s := range []Scheme{FileCache, RegionCache} {
-		for _, op := range p.OPRatios {
-			points = append(points, point{s, op})
-		}
+	points := []point{{ZoneCache, 0, false}} // whole device, no OP
+	for _, op := range p.OPRatios {
+		points = append(points, point{FileCache, op, false})
+	}
+	for _, op := range p.OPRatios {
+		points = append(points, point{RegionCache, op, false}, point{RegionCache, op, true})
 	}
 
 	out := make([]Fig4Row, len(points))
 	err := forEachPoint(len(points), func(i int) error {
 		pt := points[i]
 		cfg := RigConfig{
-			Scheme:    pt.scheme,
-			HW:        hw,
-			Policy:    cache.LRU,
-			PolicySet: true,
+			Scheme:     pt.scheme,
+			HW:         hw,
+			Policy:     cache.LRU,
+			PolicySet:  true,
+			MigrateAll: !pt.codesign,
 		}
 		if pt.scheme == ZoneCache {
 			cfg.ZoneCount = hw.actualZones()
@@ -373,10 +383,10 @@ func RunFig4Table1(p Fig4Params) ([]Fig4Row, error) {
 		}
 		rig, err := p.Env.build(cfg)
 		if err != nil {
-			return fmt.Errorf("fig4 %v op=%v: %w", pt.scheme, pt.op, err)
+			return fmt.Errorf("fig4 %v op=%v codesign=%v: %w", pt.scheme, pt.op, pt.codesign, err)
 		}
 		out[i] = Fig4Row{
-			Scheme: pt.scheme, OPRatio: pt.op,
+			Scheme: pt.scheme, OPRatio: pt.op, CoDesign: pt.codesign,
 			Result: RunBC(rig, p.Keys, p.WarmupOps, p.MeasureOps, p.Seed),
 		}
 		return nil

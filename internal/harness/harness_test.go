@@ -142,12 +142,12 @@ func TestFig3LargeRegionsSpike(t *testing.T) {
 }
 
 func TestCoDesignReducesWA(t *testing.T) {
-	run := func(codesign bool) (float64, uint64) {
+	run := func(migrateAll bool) (float64, uint64) {
 		hw := DefaultHW(8)
 		rig, err := Build(RigConfig{
 			Scheme: RegionCache, HW: hw,
 			CacheBytes: 5 * hw.ZoneBytes(),
-			CoDesign:   codesign,
+			MigrateAll: migrateAll,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -160,8 +160,8 @@ func TestCoDesignReducesWA(t *testing.T) {
 		}
 		return res.WAFactor, rig.Middle.Dropped.Load()
 	}
-	waOff, _ := run(false)
-	waOn, dropped := run(true)
+	waOff, _ := run(true)
+	waOn, dropped := run(false)
 	if dropped == 0 {
 		t.Fatal("co-design never dropped a region")
 	}

@@ -96,24 +96,30 @@ func fig3SampleIndices(n, maxPoints, must int) []int {
 
 // PrintFig4Table1 renders the OP sweep and the Table 1 WA factors.
 func PrintFig4Table1(w io.Writer, rows []Fig4Row) {
+	label := func(r Fig4Row) string {
+		if r.CoDesign {
+			return r.Scheme.String() + " co-design"
+		}
+		return r.Scheme.String()
+	}
 	fmt.Fprintln(w, "Figure 4 — throughput and hit ratio under OP ratios")
-	fmt.Fprintf(w, "%-14s %6s %12s %10s\n", "scheme", "OP", "ops/sec", "hit-ratio")
+	fmt.Fprintf(w, "%-22s %6s %12s %10s\n", "scheme", "OP", "ops/sec", "hit-ratio")
 	for _, r := range rows {
 		op := "none"
 		if r.OPRatio > 0 {
 			op = fmt.Sprintf("%.0f%%", r.OPRatio*100)
 		}
-		fmt.Fprintf(w, "%-14s %6s %12.0f %9.2f%%\n",
-			r.Scheme, op, r.Result.OpsPerSec, r.Result.HitRatio*100)
+		fmt.Fprintf(w, "%-22s %6s %12.0f %9.2f%%\n",
+			label(r), op, r.Result.OpsPerSec, r.Result.HitRatio*100)
 	}
 	fmt.Fprintln(w, "\nTable 1 — WA factor under OP ratios")
-	fmt.Fprintf(w, "%-14s %6s %8s\n", "scheme", "OP", "WAF")
+	fmt.Fprintf(w, "%-22s %6s %8s\n", "scheme", "OP", "WAF")
 	for _, r := range rows {
 		op := "0%"
 		if r.OPRatio > 0 {
 			op = fmt.Sprintf("%.0f%%", r.OPRatio*100)
 		}
-		fmt.Fprintf(w, "%-14s %6s %8.2f\n", r.Scheme, op, r.Result.WAFactor)
+		fmt.Fprintf(w, "%-22s %6s %8.2f\n", label(r), op, r.Result.WAFactor)
 	}
 }
 

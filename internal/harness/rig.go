@@ -181,10 +181,13 @@ type RigConfig struct {
 	// Ignored when Admission is set.
 	AdmissionFactory cache.AdmissionFactory
 	AdmissionSeed    uint64
-	// CoDesign enables the §3.4 GC/cache co-design on Region-Cache: GC
-	// drops regions from the coldest 30% of the LRU instead of migrating
-	// them.
-	CoDesign bool
+	// MigrateAll turns off Region-Cache's §3.4 GC/cache co-design, which is
+	// on by default: GC drops a live region that sits in the coldest 30% of
+	// the engine's eviction order (the LRU tail, or under FIFO the oldest
+	// regions) instead of migrating it. MigrateAll is the paper's baseline
+	// GC, which migrates every live region; Figure 4 and Table 1's paper
+	// rows measure it.
+	MigrateAll bool
 	// Clock shares a virtual clock (e.g. with an LSM); nil = fresh clock.
 	Clock *sim.Clock
 	// TrackValues / StoreData enable full-fidelity payloads.
@@ -457,12 +460,11 @@ func Build(cfg RigConfig) (*Rig, error) {
 			OpenZones:     open,
 			MinEmptyZones: minEmpty,
 		}
-		if cfg.CoDesign {
-			// GC may drop a region from the coldest 30% of the LRU.
-			const coDesignColdFrac = 0.3
-			// The engine does not exist yet; late-bind through the rig.
+		if !cfg.MigrateAll {
+			// The engine does not exist yet, and Restore replaces it;
+			// late-bind through the rig.
 			mcfg.DropFilter = func(id int) bool {
-				return rig.Engine != nil && rig.Engine.RegionDroppable(id, coDesignColdFrac)
+				return rig.Engine != nil && rig.Engine.RegionDroppable(id)
 			}
 			mcfg.OnDrop = func(id int) {
 				if rig.Engine != nil {

@@ -270,7 +270,7 @@ func TestExperimentsHandEnvToEveryRig(t *testing.T) {
 			_, err := RunFig3(Fig3Params{Zones: 5, ValueLen: 128 << 10, RegionsAfterOnset: 1, Seed: 2, Env: env})
 			return err
 		}},
-		{"fig4_table1", 3, 3, func(env Env) error {
+		{"fig4_table1", 4, 4, func(env Env) error {
 			_, err := RunFig4Table1(Fig4Params{Zones: 5, OPRatios: []float64{0.2}, Keys: 256, WarmupOps: 100, MeasureOps: 100, Seed: 3, Env: env})
 			return err
 		}},

@@ -71,7 +71,8 @@ type Config struct {
 	// asked per live region whether the region may be dropped rather than
 	// migrated. Dropped region IDs are reported through OnDrop.
 	DropFilter func(regionID int) bool
-	// OnDrop is invoked for every region GC dropped via DropFilter.
+	// OnDrop is called for every region GC dropped via DropFilter, under the
+	// layer's lock and within the WriteRegion that ran the GC.
 	OnDrop func(regionID int)
 	// PlacementSeed seeds the open-zone selection noise (deterministic).
 	PlacementSeed uint64
@@ -629,7 +630,7 @@ func (l *Layer) reclaimZoneLocked(now time.Duration, victim int) (time.Duration,
 				l.Trace.Emit(obs.Event{T: cur, Type: obs.EvGCDrop, Zone: int32(victim), Region: int32(id)})
 			}
 			if l.cfg.OnDrop != nil {
-				l.OnDropAsync(id)
+				l.cfg.OnDrop(id)
 			}
 			continue
 		}
@@ -686,14 +687,6 @@ func (l *Layer) reclaimZoneLocked(now time.Duration, victim int) (time.Duration,
 	}
 	l.empty = append(l.empty, victim)
 	return cur - now, nil
-}
-
-// OnDropAsync invokes the drop callback outside the critical path contract;
-// the current implementation calls it synchronously (single-threaded sim).
-func (l *Layer) OnDropAsync(id int) {
-	if l.cfg.OnDrop != nil {
-		l.cfg.OnDrop(id)
-	}
 }
 
 // MetricsInto implements obs.MetricSource: the layer's write amplification,
