@@ -1,25 +1,28 @@
 // Package bigobj is a chunked large-object layer over the region cache
 // engine. The engine stores values no larger than one region, so CDN-shaped
 // objects (hundreds of KiB to multiple MiB, served as byte ranges) cannot
-// live in it directly. bigobj splits each object into fixed-size chunks
-// stored as ordinary engine values keyed "<objkey>/<n>", plus a small
-// manifest value under the object key recording size, chunk geometry and a
-// generation number. ZNCache makes the same move on raw ZNS zones —
+// live in it directly. bigobj splits each object into fixed-size chunks.
+// The manifest value under the object key records size, chunk geometry and
+// a generation number, and carries chunk 0's payload, so an object that
+// fits one chunk costs one engine read; chunks 1..n-1 are ordinary engine
+// values keyed "<objkey>/<n>". ZNCache makes the same move on raw ZNS zones —
 // fixed-size chunk caching with active-reader tracking — because per-chunk
 // eviction means one hot byte range never pins a whole object.
 //
 // Correctness model:
 //
-//   - The manifest is the commit point. Put streams chunks first and writes
-//     the manifest last, so a crash or error mid-put leaves orphan chunks
-//     (reclaimed by normal eviction) but never a readable half-object.
+//   - The manifest is the commit point. Put holds chunk 0, streams chunks
+//     1..n-1 and writes the manifest with chunk 0 last, so a crash or error
+//     mid-put leaves orphan chunks (reclaimed by normal eviction) but never
+//     a readable half-object.
 //   - Every chunk carries the generation of the put that wrote it. A reader
 //     holds the generation from the manifest it opened and rejects any chunk
 //     with a different generation, so an overwrite racing a range read
 //     produces a clean partial-object miss, never a splice of two versions.
 //   - Delete tombstones the manifest first, then drops chunks. Concurrent
 //     readers either finish from pinned chunk data or fail clean.
-//   - Active readers pin the chunks they still need. Pinned chunk bytes are
+//   - Active readers pin the chunks ≥ 1 they still need (chunk 0 lives in
+//     the reader's own copy of the manifest). Pinned chunk bytes are
 //     retained in the pin table across engine eviction, so an in-flight read
 //     is never torn by eviction pressure; eviction of unpinned chunks under
 //     a live manifest surfaces as a counted partial-object miss on the next
@@ -39,6 +42,7 @@ import (
 	"sync"
 	"time"
 
+	"znscache/internal/cache"
 	"znscache/internal/obs"
 	"znscache/internal/sim"
 	"znscache/internal/stats"
@@ -99,7 +103,7 @@ type Stats struct {
 	Opens             uint64 // NewRangeReader/ReadAt calls
 	ObjectMisses      uint64 // opens that found no manifest
 	PartialMisses     uint64 // reads that failed on a missing/mismatched chunk
-	ChunkHits         uint64 // chunk fetches served by the backend or a pin
+	ChunkHits         uint64 // chunks served by the backend (chunk 0 with its manifest) or a pin
 	ChunkMisses       uint64 // chunk fetches the backend could not serve
 	ReadBytes         uint64 // payload bytes returned to readers
 	EvictionsDeferred uint64 // pinned chunks evicted under a reader but served from retained pin data
@@ -122,8 +126,8 @@ type Store struct {
 	mu      sync.Mutex
 	genNext uint64
 	pins    map[pinKey]*pin
-	scratch []byte   // chunk encode buffer, reused across Puts (guarded by mu)
-	bufs    [][]byte // chunk read buffers released by pins (guarded by mu)
+	scratch []byte   // manifest and chunk encode buffers, reused across Puts (guarded by mu)
+	bufs    [][]byte // read buffers released by readers and pins (guarded by mu)
 
 	puts              stats.Counter
 	putBytes          stats.Counter
@@ -177,9 +181,10 @@ func New(cfg Config) (*Store, error) {
 		s.genNext = uint64(cfg.Clock.Now()) + 1
 	}
 	if rs, ok := cfg.Backend.(interface{ RegionSize() int64 }); ok {
-		// A chunk value must fit one region alongside its own header and
-		// the engine's per-item header; fail construction, not every put.
-		if int64(cs+chunkHeaderSize+64) > rs.RegionSize() {
+		// A manifest value (chunk 0 behind the larger header) must fit one
+		// region alongside the engine's per-item header; fail construction,
+		// not every put.
+		if int64(cs+manifestSize+64) > rs.RegionSize() {
 			return nil, fmt.Errorf("bigobj: chunk size %d does not fit region size %d", cs, rs.RegionSize())
 		}
 	}
@@ -215,7 +220,7 @@ func (s *Store) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	r.Counter("bigobj_opens_total", "range reader opens (NewRangeReader/ReadAt)", labels, &s.opens)
 	r.Counter("bigobj_object_misses_total", "opens that found no manifest", labels, &s.objectMisses)
 	r.Counter("bigobj_partial_object_misses_total", "reads failed clean on a missing or mismatched chunk", labels, &s.partialMisses)
-	r.Counter("bigobj_chunk_hits_total", "chunk fetches served from the backend or a pin", labels, &s.chunkHits)
+	r.Counter("bigobj_chunk_hits_total", "chunks served from the backend (chunk 0 with its manifest) or a pin", labels, &s.chunkHits)
 	r.Counter("bigobj_chunk_misses_total", "chunk fetches the backend could not serve", labels, &s.chunkMisses)
 	r.Counter("bigobj_read_bytes_total", "payload bytes returned to readers", labels, &s.readBytes)
 	r.Counter("bigobj_pinned_evictions_deferred_total", "engine evictions of pinned chunks absorbed by retained pin data", labels, &s.evictionsDeferred)
@@ -234,10 +239,11 @@ func chunkKey(key string, i uint32) string {
 }
 
 // Put streams r into the cache as a chunked object under key, replacing any
-// existing object. Chunks are written first and the manifest last, so a
-// failed put never leaves a readable object; the previous object (if any)
-// stays readable until the new manifest commits, modulo chunk-key overlap.
-// ttl <= 0 stores without expiry.
+// existing object. Chunk 0 is held back, chunks 1..n-1 are written, and the
+// manifest carrying chunk 0 goes last, so a failed put never leaves a
+// readable object; the previous object (if any) stays readable until the
+// new manifest commits, modulo chunk-key overlap. ttl <= 0 stores without
+// expiry.
 func (s *Store) Put(key string, r io.Reader, ttl time.Duration) error {
 	if key == "" {
 		return errors.New("bigobj: empty key")
@@ -252,10 +258,8 @@ func (s *Store) Put(key string, r io.Reader, ttl time.Duration) error {
 	// dropped after the new manifest commits (a shrinking overwrite must
 	// not leave old-generation tail chunks pinned in the engine).
 	var prevCount uint32
-	if raw, ok, err := s.backend.Get(key); err == nil && ok {
-		if m, err := decodeManifest(raw); err == nil {
-			prevCount = m.chunkCount
-		}
+	if m, err := s.manifestLocked(key); err == nil {
+		prevCount = m.chunkCount
 	}
 
 	chunkTTL := ttl
@@ -263,14 +267,20 @@ func (s *Store) Put(key string, r io.Reader, ttl time.Duration) error {
 		chunkTTL = ttl + chunkTTLSlack
 	}
 
-	var size int64
-	var idx uint32
-	if cap(s.scratch) < chunkHeaderSize+s.chunkSize {
-		s.scratch = make([]byte, chunkHeaderSize+s.chunkSize)
+	if n := manifestSize + chunkHeaderSize + 2*s.chunkSize; cap(s.scratch) < n {
+		s.scratch = make([]byte, n)
 	}
-	buf := s.scratch[:chunkHeaderSize+s.chunkSize]
-	for {
-		n, err := io.ReadFull(r, buf[chunkHeaderSize:])
+	head := s.scratch[:manifestSize+s.chunkSize]
+	buf := s.scratch[len(head) : len(head)+chunkHeaderSize+s.chunkSize]
+	n0, err := io.ReadFull(r, head[manifestSize:])
+	size := int64(n0)
+	var idx uint32 // chunks read so far
+	if n0 > 0 {
+		idx = 1
+	}
+	for err == nil {
+		var n int
+		n, err = io.ReadFull(r, buf[chunkHeaderSize:])
 		if n > 0 {
 			encodeChunkHeader(buf, gen, idx, uint32(n))
 			val := buf[:chunkHeaderSize+n]
@@ -281,22 +291,19 @@ func (s *Store) Put(key string, r io.Reader, ttl time.Duration) error {
 			size += int64(n)
 			idx++
 		}
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			break
-		}
-		if err != nil {
-			s.abortPut(key, gen, idx)
-			return fmt.Errorf("bigobj: put %q: read: %w", key, err)
-		}
+	}
+	if err != io.EOF && err != io.ErrUnexpectedEOF {
+		s.abortPut(key, gen, idx)
+		return fmt.Errorf("bigobj: put %q: read: %w", key, err)
 	}
 
-	man := manifest{
+	encodeManifest(head, manifest{
 		gen:        gen,
 		size:       size,
 		chunkSize:  uint32(s.chunkSize),
 		chunkCount: idx,
-	}
-	mv := encodeManifest(man)
+	})
+	mv := head[:manifestSize+n0]
 	if err := s.backend.SetTTL(key, mv, len(mv), ttl); err != nil {
 		s.abortPut(key, gen, idx)
 		return fmt.Errorf("bigobj: put %q manifest: %w", key, err)
@@ -304,7 +311,7 @@ func (s *Store) Put(key string, r io.Reader, ttl time.Duration) error {
 	// Commit point passed: drop stale tail chunks from the previous
 	// generation. Readers of the old manifest already fail clean on the
 	// generation check.
-	for i := idx; i < prevCount; i++ {
+	for i := max(idx, 1); i < prevCount; i++ {
 		s.backend.Delete(chunkKey(key, i))
 	}
 	s.puts.Inc()
@@ -317,13 +324,15 @@ func (s *Store) Put(key string, r io.Reader, ttl time.Duration) error {
 // overwritten by a racing newer put is left alone.
 func (s *Store) abortPut(key string, gen uint64, wrote uint32) {
 	s.putErrors.Inc()
-	for i := uint32(0); i < wrote; i++ {
+	for i := uint32(1); i < wrote; i++ {
 		ck := chunkKey(key, i)
-		if raw, ok, err := s.backend.Get(ck); err == nil && ok {
+		raw, buf, ok, err := s.readLocked(key, ck)
+		if err == nil && ok {
 			if g, _, _, herr := decodeChunkHeader(raw); herr == nil && g == gen {
 				s.backend.Delete(ck)
 			}
 		}
+		s.putBufLocked(buf)
 	}
 }
 
@@ -338,7 +347,7 @@ type Stat struct {
 func (s *Store) Stat(key string) (Stat, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, err := s.getManifest(key)
+	m, err := s.manifestLocked(key)
 	if err != nil {
 		return Stat{}, err
 	}
@@ -364,23 +373,48 @@ func (e *notFoundError) Error() string { return fmt.Sprintf("%v: %q", ErrNotFoun
 
 func (e *notFoundError) Unwrap() error { return ErrNotFound }
 
-// getManifest fetches and decodes the manifest under key. A missing or
-// undecodable manifest is ErrNotFound; a backend failure is returned as
-// itself, with the key, since it says nothing about whether the object
-// exists. Called with mu held.
-func (s *Store) getManifest(key string) (manifest, error) {
-	raw, ok, err := s.backend.Get(key)
-	if err != nil {
-		return manifest{}, fmt.Errorf("bigobj: manifest %q: %w", key, err)
+// readLocked fetches the value under k, a key of the object objKey, into a
+// store read buffer (nil over a Get-only backend). The caller hands buf back
+// with putBufLocked once nothing reads the value. Every read buffer is sized
+// for objKey's manifest, which needs more than any of its chunks: the
+// manifest header outgrows the chunk header by more than a uint32 index's
+// "/<n>" key suffix. Called with mu held.
+func (s *Store) readLocked(objKey, k string) (val, buf []byte, ok bool, err error) {
+	if s.recycle {
+		buf = s.takeBufLocked(cache.ReadSpan(len(objKey), manifestSize+s.chunkSize))
 	}
-	if !ok {
-		return manifest{}, &notFoundError{key}
+	val, ok, err = s.get(k, buf)
+	return val, buf, ok, err
+}
+
+// getManifest fetches and decodes the manifest under key into a store read
+// buffer, returning chunk 0's payload and the buffer it lives in, for the
+// caller to hand back with putBufLocked. A missing or undecodable manifest
+// is ErrNotFound; a backend failure is returned as itself, with the key,
+// since it says nothing about whether the object exists. On error the
+// buffer is already recycled. Called with mu held.
+func (s *Store) getManifest(key string) (manifest, []byte, []byte, error) {
+	raw, buf, ok, err := s.readLocked(key, key)
+	if err != nil || !ok {
+		s.putBufLocked(buf)
+		if err != nil {
+			return manifest{}, nil, nil, fmt.Errorf("bigobj: manifest %q: %w", key, err)
+		}
+		return manifest{}, nil, nil, &notFoundError{key}
 	}
-	m, derr := decodeManifest(raw)
+	m, chunk0, derr := decodeManifest(raw)
 	if derr != nil {
-		return manifest{}, fmt.Errorf("%w: %q: %v", ErrNotFound, key, derr)
+		s.putBufLocked(buf)
+		return manifest{}, nil, nil, fmt.Errorf("%w: %q: %v", ErrNotFound, key, derr)
 	}
-	return m, nil
+	return m, chunk0, buf, nil
+}
+
+// manifestLocked is getManifest for callers that need only the manifest.
+func (s *Store) manifestLocked(key string) (manifest, error) {
+	m, _, buf, err := s.getManifest(key)
+	s.putBufLocked(buf)
+	return m, err
 }
 
 // Delete tombstones the manifest first, then drops the object's chunks.
@@ -389,14 +423,14 @@ func (s *Store) getManifest(key string) (manifest, error) {
 func (s *Store) Delete(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, err := s.getManifest(key)
+	m, err := s.manifestLocked(key)
 	if err != nil {
 		// No (readable) manifest; still drop the bare key if present.
 		s.backend.Delete(key)
 		return false
 	}
 	s.backend.Delete(key)
-	for i := uint32(0); i < m.chunkCount; i++ {
+	for i := uint32(1); i < m.chunkCount; i++ {
 		s.backend.Delete(chunkKey(key, i))
 	}
 	s.deletes.Inc()
@@ -408,12 +442,8 @@ func (s *Store) Delete(key string) bool {
 // could destroy chunk slots already rewritten by a racing newer put. Called
 // with mu held.
 func (s *Store) dropManifest(key string, gen uint64) {
-	raw, ok, err := s.backend.Get(key)
-	if err != nil || !ok {
-		return
-	}
-	m, derr := decodeManifest(raw)
-	if derr != nil || m.gen != gen {
+	m, err := s.manifestLocked(key)
+	if err != nil || m.gen != gen {
 		return
 	}
 	s.backend.Delete(key)
@@ -431,23 +461,17 @@ func (s *Store) Repair(keys []string) int {
 	dropped := 0
 	for _, key := range keys {
 		s.mu.Lock()
-		m, err := s.getManifest(key)
+		m, err := s.manifestLocked(key)
 		if err != nil {
 			s.mu.Unlock()
 			continue
 		}
 		broken := false
-		for i := uint32(0); i < m.chunkCount; i++ {
-			raw, ok, gerr := s.backend.Get(chunkKey(key, i))
-			if gerr != nil || !ok {
-				broken = true
-				break
-			}
+		for i := uint32(1); i < m.chunkCount && !broken; i++ {
+			raw, buf, ok, gerr := s.readLocked(key, chunkKey(key, i))
 			g, ci, _, herr := decodeChunkHeader(raw)
-			if herr != nil || g != m.gen || ci != i {
-				broken = true
-				break
-			}
+			broken = gerr != nil || !ok || herr != nil || g != m.gen || ci != i
+			s.putBufLocked(buf)
 		}
 		if broken {
 			s.dropManifest(key, m.gen)

@@ -192,6 +192,75 @@ func testRangeReadEdgeCases(t *testing.T, fp fetchPath) {
 	}
 }
 
+// TestOpenReadsOnlyTheChunksItServes is the read path's count-clock oracle:
+// chunk 0 travels inside the manifest value, so a range read costs exactly
+// one engine get for the manifest plus one per chunk >= 1 it touches, and no
+// put ever leaves an "obj/0" key or a stale tail chunk behind.
+func TestOpenReadsOnlyTheChunksItServes(t *testing.T) {
+	forEachFetchPath(t, testOpenReadsOnlyTheChunksItServes)
+}
+
+func testOpenReadsOnlyTheChunksItServes(t *testing.T, fp fetchPath) {
+	const chunk = 8 << 10
+	st, rig := testStoreVia(t, harness.RegionCache, chunk, fp)
+	gets := func() uint64 { return rig.Engine.Stats().Gets }
+	// noStrayChunks checks that exactly obj/1..obj/<count-1> exist.
+	noStrayChunks := func(size int) {
+		t.Helper()
+		count := (size + chunk - 1) / chunk
+		for i := 0; i <= 4; i++ {
+			ck := "obj/" + string(rune('0'+i))
+			if want := i >= 1 && i < count; rig.Engine.Contains(ck) != want {
+				t.Fatalf("size %d: Contains(%q) = %v, want %v", size, ck, !want, want)
+			}
+		}
+	}
+	ranges := []struct {
+		name        string
+		off, length int64
+	}{
+		{"whole", 0, -1},
+		{"inside chunk 0", 1, chunk / 2},
+		{"from chunk 1", chunk + 1, chunk / 2},
+		{"chunks 0-1", chunk - 10, 20},
+	}
+	// The last size shrinks a three-chunk object to one chunk.
+	for i, size := range []int{0, 1, chunk - 1, chunk, chunk + 1, 3 * chunk, chunk - 1} {
+		want := pattern(uint64(100+i), size)
+		if err := st.Put("obj", bytes.NewReader(want), 0); err != nil {
+			t.Fatalf("Put(%d bytes): %v", size, err)
+		}
+		noStrayChunks(size)
+		for _, rg := range ranges {
+			end := int64(size)
+			if rg.length >= 0 && rg.off+rg.length < end {
+				end = rg.off + rg.length
+			}
+			var touched uint64 // chunks >= 1 the range overlaps
+			if rg.off < end {
+				first := max(rg.off/chunk, 1)
+				touched = uint64(max((end-1)/chunk-first+1, 0))
+			}
+			g0 := gets()
+			rr, err := st.NewRangeReader("obj", rg.off, rg.length)
+			if err != nil {
+				t.Fatalf("size %d %s: open: %v", size, rg.name, err)
+			}
+			got, err := io.ReadAll(rr)
+			rr.Close()
+			if err != nil {
+				t.Fatalf("size %d %s: read: %v", size, rg.name, err)
+			}
+			if d := gets() - g0; d != 1+touched {
+				t.Errorf("size %d %s: %d engine gets, want %d", size, rg.name, d, 1+touched)
+			}
+			if lo := min(rg.off, end); !bytes.Equal(got, want[lo:end]) {
+				t.Errorf("size %d %s: read %d bytes, mismatch with the put", size, rg.name, len(got))
+			}
+		}
+	}
+}
+
 func TestMissAndDelete(t *testing.T) {
 	st, _ := testStore(t, harness.RegionCache, 8<<10)
 	if _, err := st.NewRangeReader("ghost", 0, -1); !errors.Is(err, bigobj.ErrNotFound) {

@@ -13,9 +13,11 @@ import (
 	"fmt"
 )
 
-// Manifest layout (manifestSize bytes, little-endian):
+// Manifest value layout: a manifestSize-byte header (little-endian), then
+// chunk 0's payload, min(size, chunk payload size) bytes. Chunk 0 has no
+// key and no header of its own: the manifest's generation covers it.
 //
-//	0:4   magic "ZBM1"
+//	0:4   magic "ZBM2"
 //	4:12  generation
 //	12:20 object size in bytes
 //	20:24 chunk payload size
@@ -24,8 +26,8 @@ import (
 //	      the engine's per-item CRC)
 const manifestSize = 36
 
-// Chunk header layout (chunkHeaderSize bytes, little-endian), followed by
-// the payload:
+// Chunk header layout of chunks 1..n-1 (chunkHeaderSize bytes,
+// little-endian), followed by the payload:
 //
 //	0:4   magic "ZBC1"
 //	4:12  generation of the put that wrote this chunk
@@ -34,7 +36,7 @@ const manifestSize = 36
 const chunkHeaderSize = 20
 
 var (
-	manifestMagic = [4]byte{'Z', 'B', 'M', '1'}
+	manifestMagic = [4]byte{'Z', 'B', 'M', '2'}
 	chunkMagic    = [4]byte{'Z', 'B', 'C', '1'}
 
 	errNotManifest = errors.New("bigobj: value is not a manifest")
@@ -49,21 +51,22 @@ type manifest struct {
 	chunkCount uint32
 }
 
-// encodeManifest renders m into a fresh value buffer.
-func encodeManifest(m manifest) []byte {
-	b := make([]byte, manifestSize)
+// encodeManifest writes m's header into b[0:manifestSize]; chunk 0's
+// payload follows it in b.
+func encodeManifest(b []byte, m manifest) {
 	copy(b[0:4], manifestMagic[:])
 	binary.LittleEndian.PutUint64(b[4:12], m.gen)
 	binary.LittleEndian.PutUint64(b[12:20], uint64(m.size))
 	binary.LittleEndian.PutUint32(b[20:24], m.chunkSize)
 	binary.LittleEndian.PutUint32(b[24:28], m.chunkCount)
-	return b
+	clear(b[28:manifestSize])
 }
 
-// decodeManifest parses a manifest value, validating magic and geometry.
-func decodeManifest(b []byte) (manifest, error) {
-	if len(b) != manifestSize || [4]byte(b[0:4]) != manifestMagic {
-		return manifest{}, errNotManifest
+// decodeManifest parses a manifest value, validating magic, geometry and
+// chunk 0's payload length, and returns chunk 0's payload.
+func decodeManifest(b []byte) (manifest, []byte, error) {
+	if len(b) < manifestSize || [4]byte(b[0:4]) != manifestMagic {
+		return manifest{}, nil, errNotManifest
 	}
 	m := manifest{
 		gen:        binary.LittleEndian.Uint64(b[4:12]),
@@ -72,14 +75,17 @@ func decodeManifest(b []byte) (manifest, error) {
 		chunkCount: binary.LittleEndian.Uint32(b[24:28]),
 	}
 	if m.size < 0 || m.chunkSize == 0 {
-		return manifest{}, fmt.Errorf("%w: bad geometry", errNotManifest)
+		return manifest{}, nil, fmt.Errorf("%w: bad geometry", errNotManifest)
 	}
 	want := (m.size + int64(m.chunkSize) - 1) / int64(m.chunkSize)
 	if int64(m.chunkCount) != want {
-		return manifest{}, fmt.Errorf("%w: chunk count %d does not cover size %d at chunk size %d",
+		return manifest{}, nil, fmt.Errorf("%w: chunk count %d does not cover size %d at chunk size %d",
 			errNotManifest, m.chunkCount, m.size, m.chunkSize)
 	}
-	return m, nil
+	if c0 := min(m.size, int64(m.chunkSize)); int64(len(b)-manifestSize) != c0 {
+		return manifest{}, nil, fmt.Errorf("%w: chunk 0 payload %d, want %d", errNotManifest, len(b)-manifestSize, c0)
+	}
+	return m, b[manifestSize:], nil
 }
 
 // encodeChunkHeader writes the chunk header into b[0:chunkHeaderSize].

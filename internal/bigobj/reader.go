@@ -1,22 +1,24 @@
 // Range-read path: per-chunk fetch with active-reader pinning.
 //
-// A RangeReader pins every chunk of its span when it opens (refcounts in the
-// store's pin table) and releases each chunk as the read advances past it —
-// "the chunks it still needs", per ZNCache's active-reader tracking. Chunk
-// bytes are attached to the pin at first fetch, so once a reader has seen a
-// chunk, engine eviction cannot tear the in-flight read: the retained bytes
-// serve the rest of that chunk (and any concurrent reader of the same
-// generation). A chunk evicted *before* the reader reaches it fails the read
-// with a clean, counted partial-object miss, and the manifest is dropped so
-// the object misses whole from then on.
+// Opening a reader reads the manifest, and with it chunk 0, into a store
+// read buffer. A range that starts in chunk 0 serves it from that buffer,
+// which the reader alone owns until the read advances past chunk 0 or the
+// reader closes. The reader pins every other chunk of its span when it
+// opens (refcounts in the store's pin table) and releases each chunk as the
+// read advances past it — "the chunks it still needs", per ZNCache's
+// active-reader tracking. Chunk bytes are attached to the pin at first
+// fetch, so once a reader has seen a chunk, engine eviction cannot tear the
+// in-flight read: the retained bytes serve the rest of that chunk (and any
+// concurrent reader of the same generation). A chunk evicted *before* the
+// reader reaches it fails the read with a clean, counted partial-object
+// miss, and the manifest is dropped so the object misses whole from then
+// on.
 package bigobj
 
 import (
 	"errors"
 	"fmt"
 	"io"
-
-	"znscache/internal/cache"
 )
 
 // pinKey identifies one pinned chunk. The generation is part of the key so
@@ -50,7 +52,8 @@ type RangeReader struct {
 	end  int64 // absolute end of the range, exclusive
 	cur  uint32
 	last uint32
-	pins bool // chunks [cur..last] are pinned
+	pins bool   // chunks [cur..last] are pinned
+	head []byte // read buffer holding the manifest and chunk 0, while the read needs chunk 0
 
 	cacheIdx uint32
 	cache    []byte // payload of chunk cacheIdx
@@ -63,8 +66,9 @@ type RangeReader struct {
 // key. length < 0 means "to the end of the object"; a range reaching past
 // the tail is truncated at the tail. Opening an absent object returns
 // ErrNotFound and counts an object miss; a backend failure is returned as it
-// is, with the key, and counts none. The reader pins its chunk span until
-// Close or until the read advances past each chunk.
+// is, with the key, and counts none. The reader holds chunk 0 and pins the
+// rest of its chunk span until Close or until the read advances past each
+// chunk.
 func (s *Store) NewRangeReader(key string, off, length int64) (*RangeReader, error) {
 	if off < 0 {
 		return nil, fmt.Errorf("bigobj: negative offset %d", off)
@@ -72,7 +76,7 @@ func (s *Store) NewRangeReader(key string, off, length int64) (*RangeReader, err
 	s.opens.Inc()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	man, err := s.getManifest(key)
+	man, chunk0, buf, err := s.getManifest(key)
 	if err != nil {
 		if errors.Is(err, ErrNotFound) {
 			s.objectMisses.Inc()
@@ -84,10 +88,17 @@ func (s *Store) NewRangeReader(key string, off, length int64) (*RangeReader, err
 		end = off + length
 	}
 	r := &RangeReader{s: s, key: key, man: man, off: off, end: end}
+	if off >= end || off >= int64(man.chunkSize) {
+		s.putBufLocked(buf)
+	} else {
+		// Chunk 0 came with the manifest: the reader serves it unpinned.
+		s.chunkHits.Inc()
+		r.head, r.cache = buf, chunk0
+	}
 	if off < end {
-		r.cur = uint32(off / int64(man.chunkSize))
+		r.cur = max(uint32(off/int64(man.chunkSize)), 1)
 		r.last = uint32((end - 1) / int64(man.chunkSize))
-		r.pins = true
+		r.pins = r.cur <= r.last
 		for i := r.cur; i <= r.last; i++ {
 			pk := pinKey{key: key, gen: man.gen, idx: i}
 			p := s.pins[pk]
@@ -156,22 +167,17 @@ func (r *RangeReader) fetch(idx uint32) error {
 		return nil
 	}
 
-	ck := chunkKey(r.key, idx)
-	var buf []byte
-	if s.recycle {
-		buf = s.takeBufLocked(cache.ReadSpan(len(ck), chunkHeaderSize+int(r.man.chunkSize)))
-	}
+	raw, buf, ok, err := s.readLocked(r.key, chunkKey(r.key, idx))
 	fail := func(detail string) error {
 		s.putBufLocked(buf)
 		s.chunkMisses.Inc()
 		s.partialMisses.Inc()
 		s.dropManifest(r.key, r.man.gen)
 		r.err = fmt.Errorf("%w: %q chunk %d: %s", ErrPartialObject, r.key, idx, detail)
-		r.releaseLocked()
+		r.releaseLocked(r.last + 1)
 		return r.err
 	}
 
-	raw, ok, err := s.get(ck, buf)
 	if err != nil {
 		return fail(fmt.Sprintf("backend: %v", err))
 	}
@@ -209,7 +215,7 @@ func (r *RangeReader) fetch(idx uint32) error {
 // leave its peak behind on the heap.
 const maxFreeBufs = 4
 
-// takeBufLocked returns a recycled chunk read buffer of capacity at least n,
+// takeBufLocked returns a recycled read buffer of capacity at least n,
 // or a fresh one. Called with mu held.
 func (s *Store) takeBufLocked(n int) []byte {
 	if k := len(s.bufs) - 1; k >= 0 {
@@ -223,7 +229,7 @@ func (s *Store) takeBufLocked(n int) []byte {
 	return make([]byte, n)
 }
 
-// putBufLocked recycles a chunk read buffer no reader can reach any more.
+// putBufLocked recycles a read buffer no reader can reach any more.
 // Called with mu held.
 func (s *Store) putBufLocked(b []byte) {
 	if b != nil && len(s.bufs) < maxFreeBufs {
@@ -231,51 +237,42 @@ func (s *Store) putBufLocked(b []byte) {
 	}
 }
 
-// advance releases pins on chunks the read has fully passed.
+// advance releases chunk 0's buffer and the pins on chunks the read has
+// fully passed.
 func (r *RangeReader) advance() {
-	if !r.pins {
-		return
-	}
-	var upto uint32
-	if r.off >= r.end {
-		upto = r.last + 1
-	} else {
+	upto := r.last + 1
+	if r.off < r.end {
 		upto = uint32(r.off / int64(r.man.chunkSize))
 	}
-	if upto <= r.cur {
-		return
-	}
-	s := r.s
-	s.mu.Lock()
-	for i := r.cur; i < upto && i <= r.last; i++ {
-		s.unpinLocked(pinKey{key: r.key, gen: r.man.gen, idx: i})
-	}
-	s.mu.Unlock()
-	r.cur = upto
-	if r.cur > r.last {
-		r.pins = false
+	if upto > 0 && (r.head != nil || r.pins && upto > r.cur) {
+		r.s.mu.Lock()
+		r.releaseLocked(upto)
+		r.s.mu.Unlock()
 	}
 }
 
-// releaseLocked drops the reader's remaining pins. Called with s.mu held.
-func (r *RangeReader) releaseLocked() {
-	if !r.pins {
-		return
+// releaseLocked drops the reader's hold on chunks below upto, which is
+// above 0: chunk 0's buffer, then the pins. Called with s.mu held.
+func (r *RangeReader) releaseLocked(upto uint32) {
+	if r.head != nil {
+		r.s.putBufLocked(r.head)
+		r.head, r.cache = nil, nil
 	}
-	for i := r.cur; i <= r.last; i++ {
-		r.s.unpinLocked(pinKey{key: r.key, gen: r.man.gen, idx: i})
+	for ; r.pins && r.cur < upto; r.cur++ {
+		r.s.unpinLocked(pinKey{key: r.key, gen: r.man.gen, idx: r.cur})
+		r.pins = r.cur < r.last
 	}
-	r.pins = false
 }
 
-// Close releases any remaining pinned chunks. Safe to call twice.
+// Close releases chunk 0's buffer and any remaining pinned chunks. Safe to
+// call twice.
 func (r *RangeReader) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
 	r.s.mu.Lock()
-	r.releaseLocked()
+	r.releaseLocked(r.last + 1)
 	r.s.mu.Unlock()
 	r.cache = nil
 	return nil

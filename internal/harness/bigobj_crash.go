@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
+	"time"
 
 	"znscache/internal/bigobj"
 	"znscache/internal/cache"
+	"znscache/internal/fault"
 	"znscache/internal/sim"
 )
 
@@ -59,6 +62,29 @@ type BigObjCrashReport struct {
 	// path) on the restored store.
 	Repairs      uint64
 	RestoreDrops uint64
+	// SubChunkAcked and OneChunkAcked count the objects acknowledged at the
+	// snapshot cut that are shorter than one chunk or exactly one chunk:
+	// objects that live wholly in their manifest value.
+	SubChunkAcked, OneChunkAcked int
+	// MidPutCrash reports that the crash fired during a chunk write of a
+	// multi-chunk put, so before that put's manifest write.
+	MidPutCrash bool
+}
+
+// crashProbe is the pre-crash store's backend: the rig's engine, noting
+// whether the crash fired during a chunk write ("<objkey>/<n>"), which only
+// multi-chunk puts make and make before their manifest.
+type crashProbe struct {
+	*cache.Cache
+	faults *fault.Injector
+	midPut bool
+}
+
+func (c *crashProbe) SetTTL(key string, value []byte, valLen int, ttl time.Duration) error {
+	was := c.faults.Crashed()
+	err := c.Cache.SetTTL(key, value, valLen, ttl)
+	c.midPut = c.midPut || !was && c.faults.Crashed() && strings.Contains(key, "/")
+	return err
 }
 
 // Err folds the report into a pass/fail error.
@@ -95,8 +121,9 @@ func runBigObjCrash(p BigObjCrashParams) (*BigObjCrashReport, *Rig, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: bigobj crash rig: %w", err)
 	}
+	probe := &crashProbe{Cache: rig.Engine, faults: rig.Faults}
 	store, err := bigobj.New(bigobj.Config{
-		Backend: rig.Engine, ChunkSize: p.ChunkSize, Clock: rig.Clock,
+		Backend: probe, ChunkSize: p.ChunkSize, Clock: rig.Clock,
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: bigobj crash store: %w", err)
@@ -107,8 +134,17 @@ func runBigObjCrash(p BigObjCrashParams) (*BigObjCrashReport, *Rig, error) {
 
 	keyOf := func(i int) string { return fmt.Sprintf("obj-%03d", i) }
 	value := func() []byte {
-		// 1.5-5 chunks with ragged tails: most objects span regions.
-		b := make([]byte, p.ChunkSize+rng.Intn(4*p.ChunkSize)+rng.Intn(1000))
+		// A quarter of the objects fit one chunk (half of those exactly),
+		// so their manifest carries them whole; the rest run 1-5 chunks
+		// with ragged tails, and most of those span regions.
+		n := p.ChunkSize + rng.Intn(4*p.ChunkSize) + rng.Intn(1000)
+		switch rng.Intn(8) {
+		case 0:
+			n = 1 + rng.Intn(p.ChunkSize-1)
+		case 1:
+			n = p.ChunkSize
+		}
+		b := make([]byte, n)
 		rng.Bytes(b)
 		return b
 	}
@@ -141,6 +177,12 @@ func runBigObjCrash(p BigObjCrashParams) (*BigObjCrashReport, *Rig, error) {
 	atSnap := make(map[string][]byte, len(acked))
 	for k, v := range acked {
 		atSnap[k] = v
+		switch {
+		case len(v) < p.ChunkSize:
+			rep.SubChunkAcked++
+		case len(v) == p.ChunkSize:
+			rep.OneChunkAcked++
+		}
 	}
 	afterSnap := make(map[string][][]byte, p.Keys)
 
@@ -156,6 +198,7 @@ func runBigObjCrash(p BigObjCrashParams) (*BigObjCrashReport, *Rig, error) {
 	}
 	rep.Crashed = rig.Faults.Crashed()
 	rep.CrashWrites = rig.Faults.Writes()
+	rep.MidPutCrash = probe.midPut
 
 	// The process dies; restore over the surviving device state.
 	rig.Faults.Revive()

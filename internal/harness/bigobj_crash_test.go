@@ -1,12 +1,29 @@
 package harness
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // The chunked-object crash oracle across schemes × seeds × repair modes:
 // after a mid-write crash and restore, every object acknowledged at the
 // snapshot cut is served whole or counted lost — never short, never spliced.
+// Over the whole drill, objects that live wholly in their manifest (shorter
+// than a chunk, and exactly one chunk) were acknowledged at the cut, and at
+// least one crash fell between a multi-chunk put's chunk writes and its
+// manifest write.
 func TestBigObjCrashOracle(t *testing.T) {
 	seeds := []uint64{1, 7, 23}
+	var mu sync.Mutex
+	var subChunk, oneChunk, midPut int
+	t.Cleanup(func() { // runs once every parallel subtest is done
+		if subChunk == 0 || oneChunk == 0 {
+			t.Errorf("acknowledged at the cut: %d sub-chunk and %d one-chunk objects, want both > 0", subChunk, oneChunk)
+		}
+		if midPut == 0 {
+			t.Error("no crash fell between a multi-chunk put's chunk writes and its manifest write")
+		}
+	})
 	for _, scheme := range AllSchemes {
 		for _, eager := range []bool{false, true} {
 			for _, seed := range seeds {
@@ -34,14 +51,22 @@ func TestBigObjCrashOracle(t *testing.T) {
 					if rep.Hits+rep.Lost == 0 {
 						t.Fatal("oracle replayed zero objects")
 					}
+					mu.Lock()
+					subChunk += rep.SubChunkAcked
+					oneChunk += rep.OneChunkAcked
+					if rep.MidPutCrash {
+						midPut++
+					}
+					mu.Unlock()
 					if eager && rep.PartialFailures > 0 {
 						// The eager sweep visits every snapshot key before the
 						// replay, so no broken manifest should survive to fail
 						// lazily.
 						t.Errorf("eager repair left %d lazy partial failures", rep.PartialFailures)
 					}
-					t.Logf("scheme=%v seed=%d eager=%v hits=%d lost=%d partial=%d repairs=%d restoreDrops=%d",
-						scheme, seed, eager, rep.Hits, rep.Lost, rep.PartialFailures, rep.Repairs, rep.RestoreDrops)
+					t.Logf("scheme=%v seed=%d eager=%v hits=%d lost=%d partial=%d repairs=%d restoreDrops=%d subChunk=%d oneChunk=%d midPut=%v",
+						scheme, seed, eager, rep.Hits, rep.Lost, rep.PartialFailures, rep.Repairs, rep.RestoreDrops,
+						rep.SubChunkAcked, rep.OneChunkAcked, rep.MidPutCrash)
 				})
 			}
 		}
