@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync"
 	"time"
 
@@ -87,7 +88,7 @@ const (
 
 // Errors returned by the engine.
 var (
-	ErrItemTooLarge = errors.New("cache: item larger than region")
+	ErrItemTooLarge = errors.New("cache: item larger than region or key too long")
 	ErrBadConfig    = errors.New("cache: invalid configuration")
 	ErrEmptyKey     = errors.New("cache: empty key")
 	ErrChecksum     = errors.New("cache: on-flash checksum mismatch")
@@ -97,6 +98,10 @@ var (
 // itemHeaderSize is the per-item on-flash overhead (lengths + checksum),
 // mirroring Navy's entry header.
 const itemHeaderSize = 16
+
+// maxKeyLen is the longest key: the item header and the key log hold a key's
+// length as a uint16.
+const maxKeyLen = math.MaxUint16
 
 // CPUModel is the software-side cost model. Flash dominates end-to-end
 // latency, but index maintenance under the shared lock is what turns
@@ -192,8 +197,8 @@ type Config struct {
 const fillLogCap = 4096
 
 // entry is one index record, 24 bytes: where an item lives, where its
-// value lies in memory, and its TTL deadline. The key's length is the map
-// key's, so it is not stored.
+// value lies in memory, and its TTL deadline. The index keys it by the key's
+// hash; the key, and so its length, is the caller's, so it is not stored.
 type entry struct {
 	// img is the region image the value lies in; nil when its bytes are not
 	// in memory (the read index is off, a metadata-only insert, or a restored
@@ -394,6 +399,9 @@ func (c *Cache) SetTTL(key string, value []byte, valLen int, ttl time.Duration) 
 	}
 	start := c.clock.Now()
 	c.sets.Inc()
+	if len(key) > maxKeyLen {
+		return fmt.Errorf("%w: key %d bytes > %d", ErrItemTooLarge, len(key), maxKeyLen)
+	}
 	size := itemHeaderSize + int64(len(key)) + int64(valLen)
 	if size > c.store.RegionSize() {
 		return fmt.Errorf("%w: item %d > region %d", ErrItemTooLarge, size, c.store.RegionSize())
@@ -453,7 +461,11 @@ func (c *Cache) SetTTL(key string, value []byte, valLen int, ttl time.Duration) 
 // appendItem packs one item into the open region (which must have room)
 // and indexes it. With TrackValues, the on-flash layout is
 // [header: keyLen|valLen|flags|checksum][key][value]; the checksum guards
-// read-back integrity across region stores, migrations, and recovery. With
+// read-back integrity across region stores, migrations, and recovery, and
+// the key length and key let every read check that the item is its key's
+// (itemIs). A nil-value insert writes the header and key but no value, so
+// its open-region reads pass the key check, and its sealed reads of a
+// nonzero valLen fail the checksum over value bytes it never wrote. With
 // the read index on, the entry records where the value lies in the region's
 // image. With a ttl above zero, the entry's deadline is ttl past the clock
 // after the append.
@@ -461,7 +473,7 @@ func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Durati
 	m := &c.regions.meta[c.regions.open]
 	size := itemHeaderSize + int64(len(key)) + int64(valLen)
 	off := uint32(m.fill)
-	if c.cfg.TrackValues && value != nil {
+	if c.cfg.TrackValues {
 		p := m.buf[m.fill:]
 		binary.LittleEndian.PutUint16(p[0:], uint16(len(key)))
 		binary.LittleEndian.PutUint32(p[2:], uint32(valLen))
@@ -481,7 +493,17 @@ func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Durati
 	}
 	// A replaced key's old copy becomes dead weight in its region
 	// (reclaimed only when that region is evicted).
-	c.idx.put(c.idx.stripe(key), key, e)
+	c.idx.put(c.idx.hash(key), e)
+}
+
+// itemIs reports whether the item at the start of b is key's: its header's
+// key length and the key bytes after the header. b must hold the item's
+// header, and its key whenever the header's length is len(key). A miss on
+// the lengths never reads past the header, so a b cut to a shorter key's
+// item is safe.
+func itemIs(b []byte, key string) bool {
+	return int(binary.LittleEndian.Uint16(b)) == len(key) &&
+		string(b[itemHeaderSize:itemHeaderSize+len(key)]) == key
 }
 
 // castagnoli is CRC-32C, the polynomial the CPU's CRC instructions compute.
@@ -549,8 +571,8 @@ func (c *Cache) dropRegionKeys(id int) {
 // allocate.
 func (c *Cache) unindexRegion(id int) (n int) {
 	c.regions.meta[id].keys.each(func(kb []byte) bool {
-		if s, e, ok := c.idx.lookupLog(kb); ok && int(e.region) == id {
-			c.idx.dropLog(s, kb)
+		if h, e, ok := c.idx.lookupLog(kb); ok && int(e.region) == id {
+			c.idx.drop(h)
 			n++
 		}
 		return true
@@ -558,18 +580,18 @@ func (c *Cache) unindexRegion(id int) (n int) {
 	return n
 }
 
-// expire is lazy TTL expiry: key, past its deadline, leaves its stripe s;
-// the flash copy dies with its region.
-func (c *Cache) expire(s *stripe, key string) {
-	c.idx.drop(s, key)
+// expire is lazy TTL expiry: the entry of hash h, past its deadline, leaves
+// the index; the flash copy dies with its region.
+func (c *Cache) expire(h uint64) {
+	c.idx.drop(h)
 	c.expirations.Inc()
 }
 
-// loseKey drops key (entry e, in stripe s) after its sealed bytes proved
+// loseKey drops the entry e of hash h after its sealed bytes proved
 // unreadable or unverifiable, and charges the failure to its region —
 // quarantining the region once it exhausts its budget.
-func (c *Cache) loseKey(s *stripe, key string, e entry) {
-	c.idx.drop(s, key)
+func (c *Cache) loseKey(h uint64, e entry) {
+	c.idx.drop(h)
 	c.lostKeys.Inc()
 	if id := int(e.region); c.regions.charge(id) {
 		c.dropRegionKeys(id)
@@ -752,14 +774,14 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 	start := c.clock.Now()
 	c.gets.Inc()
 	c.clock.Advance(c.cpu.IndexLookup)
-	s, e, ok := c.idx.lookup(key)
+	h, e, ok := c.idx.lookup(key)
 	if !ok {
 		c.hitRatio.Miss()
 		c.getLat.Observe(c.clock.Now() - start)
 		return nil, false, nil
 	}
 	if e.expired(c.clock.Now()) {
-		c.expire(s, key)
+		c.expire(h)
 		c.hitRatio.Miss()
 		c.getLat.Observe(c.clock.Now() - start)
 		return nil, false, nil
@@ -771,6 +793,13 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 		// Served straight from the in-memory buffer — for a flushing region
 		// the in-flight buffer, as real Navy does: memory-speed access.
 		if c.cfg.TrackValues {
+			if !itemIs(m.buf[e.offset:], key) {
+				// Another key's item under key's hash: a miss, and the entry
+				// stays the other key's.
+				c.hitRatio.Miss()
+				c.getLat.Observe(c.clock.Now() - start)
+				return nil, false, nil
+			}
 			base := e.valueOff(len(key))
 			val = append(buf[:0], m.buf[base:base+e.valLen]...)
 		}
@@ -802,7 +831,7 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 			// (its bytes are unreachable — a lost key, never wrong data) and
 			// the region is charged a failure toward quarantine.
 			c.putScratch(pv)
-			c.loseKey(s, key, e)
+			c.loseKey(h, e)
 			c.hitRatio.Miss()
 			c.getLat.Observe(c.clock.Now() - start)
 			return nil, false, nil
@@ -813,11 +842,13 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 			base := head + itemHeaderSize + int64(len(key))
 			end := base + int64(e.valLen)
 			val = p[base:end:end]
-			// Verify the on-flash header checksum in place: corruption in the
-			// store, a GC migration, or stale recovery metadata surfaces here
-			// and becomes a miss — the cache never serves unverified bytes.
+			// Verify the item in place: its header must name key, and its
+			// on-flash checksum must match. Corruption in the store, a GC
+			// migration, or stale recovery metadata surfaces here and becomes
+			// a miss — the cache never serves unverified bytes.
+			keyOK := itemIs(p[head:], key)
 			want := binary.LittleEndian.Uint64(p[head+8 : head+16])
-			verified := c.cfg.SkipChecksum || itemChecksum(key, val) == want
+			verified := keyOK && (c.cfg.SkipChecksum || itemChecksum(key, val) == want)
 			if pv != nil {
 				if verified {
 					val = bytes.Clone(val)
@@ -825,7 +856,16 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 				c.putScratch(pv)
 			}
 			if !verified {
-				c.loseKey(s, key, e)
+				if keyOK {
+					c.loseKey(h, e)
+				} else {
+					// The entry points at another key's item: stale metadata
+					// or a hash shared with that key. The region's bytes are
+					// sound, so only the entry goes; the region is not
+					// charged toward quarantine.
+					c.idx.drop(h)
+					c.lostKeys.Inc()
+				}
 				c.hitRatio.Miss()
 				c.getLat.Observe(c.clock.Now() - start)
 				return nil, false, nil
@@ -833,7 +873,7 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 			// Promote the verified item so later Gets for this restored key
 			// go lock-free.
 			if c.promote(&e) {
-				c.idx.put(s, key, e)
+				c.idx.put(h, e)
 			}
 		}
 	default:
@@ -873,31 +913,29 @@ func (c *Cache) putScratch(v *[]byte) {
 
 // Contains reports whether key is present without touching recency or
 // latency accounting beyond the index lookup. TTL-expired items count as
-// absent and are lazily removed, exactly as Get treats them.
+// absent and are lazily removed, exactly as Get treats them. It reads no
+// item bytes, so it trusts the key's hash.
 func (c *Cache) Contains(key string) bool {
 	c.clock.Advance(c.cpu.IndexLookup)
-	s, e, ok := c.idx.lookup(key)
+	h, e, ok := c.idx.lookup(key)
 	if !ok {
 		return false
 	}
 	if e.expired(c.clock.Now()) {
-		c.expire(s, key)
+		c.expire(h)
 		return false
 	}
 	return true
 }
 
 // Delete removes key from the index. The flash copy stays until its region
-// is evicted (region-granular reclaim).
+// is evicted (region-granular reclaim). It removes the entry of key's hash
+// without reading the item: a key that shares the hash loses its entry too,
+// which only makes it miss.
 func (c *Cache) Delete(key string) bool {
 	c.dels.Inc()
 	c.clock.Advance(c.cpu.IndexRemove)
-	s, _, ok := c.idx.lookup(key)
-	if !ok {
-		return false
-	}
-	c.idx.drop(s, key)
-	return true
+	return c.idx.drop(c.idx.hash(key))
 }
 
 // Len returns the number of indexed items.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -135,6 +136,50 @@ func TestItemTooLarge(t *testing.T) {
 	c, _ := newTestCache(t, 4, 4096)
 	if err := c.Set("k", nil, 5000); !errors.Is(err, ErrItemTooLarge) {
 		t.Fatalf("oversize err = %v", err)
+	}
+}
+
+// admitCounter admits everything and counts the calls.
+type admitCounter struct{ n int }
+
+func (a *admitCounter) Admit(string, int) bool { a.n++; return true }
+
+// TestKeyTooLongRejected: the item header and the key log hold a key's
+// length as a uint16, so a longer key is refused before admission and leaves
+// the index and key logs as they were, while a key of the longest length is
+// served. Small sets that follow roll and evict regions around both.
+func TestKeyTooLongRejected(t *testing.T) {
+	adm := &admitCounter{}
+	c, _ := newTestCache(t, 8, 256<<10, func(cfg *Config) { cfg.Admission = adm })
+	long := strings.Repeat("k", maxKeyLen+1)
+	if err := c.Set(long, []byte("v"), 0); !errors.Is(err, ErrItemTooLarge) {
+		t.Fatalf("Set of a %d-byte key: err = %v, want ErrItemTooLarge", len(long), err)
+	}
+	if adm.n != 0 || c.Len() != 0 {
+		t.Fatalf("refused key reached admission %d times, index holds %d entries", adm.n, c.Len())
+	}
+	longest := strings.Repeat("m", maxKeyLen)
+	if err := c.Set(longest, []byte("longest"), 0); err != nil {
+		t.Fatalf("Set of a %d-byte key: %v", len(longest), err)
+	}
+	if got, ok, err := c.Get(longest); !ok || err != nil || string(got) != "longest" {
+		t.Fatalf("Get of the longest key = (%q, %v, %v)", got, ok, err)
+	}
+	for i := 0; i < 5000; i++ {
+		if err := c.Set(fmt.Sprintf("small-%04d", i), bytes.Repeat([]byte{byte(i)}, 100), 0); err != nil {
+			t.Fatal(err)
+		}
+		if i%500 == 0 {
+			if err := regionLiveErr(c); err != nil {
+				t.Fatalf("after %d small sets: %v", i, err)
+			}
+		}
+	}
+	if err := regionLiveErr(c); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, _ := c.Get(long); ok {
+		t.Fatal("refused key served")
 	}
 }
 
@@ -400,7 +445,7 @@ func TestRegionBuffersWithinBufferMemory(t *testing.T) {
 					}
 					checkBufferBound(t, c)
 					var keys []string
-					c.idx.each(func(k string, _ entry) { keys = append(keys, k) })
+					c.eachEntry(func(k string, _ entry) { keys = append(keys, k) })
 					for _, k := range keys {
 						seen[c.regions.meta[entryOf(c, k).region].state] = true
 						want := vals[k]
@@ -527,7 +572,7 @@ func TestIndexNeverPointsToFreeRegion(t *testing.T) {
 			c.Delete(k)
 		}
 	}
-	c.idx.each(func(k string, e entry) {
+	c.eachEntry(func(k string, e entry) {
 		if c.regions.meta[e.region].state == regionFree {
 			t.Fatalf("key %s points to free region %d", k, e.region)
 		}

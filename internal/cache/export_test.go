@@ -3,3 +3,7 @@ package cache
 // RegionLiveErr exposes the region-live invariant (regionLiveErr) to the
 // package's external tests. Call it under the shard lock.
 var RegionLiveErr = regionLiveErr
+
+// collideHashes narrows c's index hash to 4 bits, so that keys share hashes
+// all the time: the collision oracle's seam. Call it before the first insert.
+func collideHashes(c *Cache) { c.idx.hashMask = 0xF }

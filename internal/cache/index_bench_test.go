@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -52,6 +53,55 @@ func BenchmarkIndexFill(b *testing.B) {
 			}
 			b.ReportMetric(float64(heap)/n, "heapB/key")
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/set")
+		})
+	}
+}
+
+// BenchmarkIndexGet prices one hit's index work: it fills 2^20 distinct
+// 16-byte keys metadata-only, then looks them up in a fixed zipf order
+// (s = 1.1 over the filled keys), so every lookup hits. /locked goes through
+// Get with the read index off, as the replays run; /fast through TryFastGet
+// with it on, as the serving layer runs. FIFO order keeps LRU bookkeeping and
+// touch notes out of the price.
+func BenchmarkIndexGet(b *testing.B) {
+	const n = 1 << 20
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("idx-%012d", i)
+	}
+	z := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, n-1)
+	order := make([]string, 1<<16)
+	for i := range order {
+		order[i] = keys[z.Uint64()]
+	}
+	for _, tc := range []struct {
+		name string
+		fast bool
+	}{{"locked", false}, {"fast", true}} {
+		c, err := New(Config{Store: newMemStore(64, 1<<20), ReadIndex: tc.fast, Policy: FIFO})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range keys {
+			if err := c.Set(k, nil, 16); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				k := order[i&(len(order)-1)]
+				var found bool
+				if tc.fast {
+					_, found, _ = c.TryFastGet(k)
+				} else {
+					_, found, _ = c.Get(k)
+				}
+				if !found {
+					b.Fatalf("%s missed", k)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/get")
 		})
 	}
 }

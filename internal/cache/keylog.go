@@ -10,16 +10,16 @@ import "encoding/binary"
 // bytes] per entry) that is reused across region generations, so steady-state
 // appends never allocate and region metadata holds exactly one pointer.
 //
-// Lookups against the index during eviction use the m[string(b)] /
-// delete(m, string(b)) forms, which the compiler optimizes to avoid
-// materializing a string.
+// The index keeps only key hashes, so the logs are where every indexed key
+// lives (eachEntry, Snapshot). Eviction hashes each logged key's bytes in
+// place (index.hashLog) to find and drop its entry, materializing no string.
 type keyLog struct {
 	data []byte
 	n    int
 }
 
-// append records key at the end of the log. Key length fits uint16 by the
-// engine's construction (the item header holds it as a uint16).
+// append records key at the end of the log. Key length fits uint16: SetTTL
+// refuses longer keys (maxKeyLen).
 func (kl *keyLog) append(key string) {
 	var pfx [2]byte
 	binary.LittleEndian.PutUint16(pfx[:], uint16(len(key)))

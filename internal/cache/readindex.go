@@ -2,6 +2,7 @@ package cache
 
 import (
 	"hash/maphash"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -10,24 +11,34 @@ import (
 )
 
 // This file implements the engine's index and the lock-free read path
-// (DESIGN.md §12). The index is one table of stripes, each a map from key to
-// entry: where the item lies on flash, where its value lies in memory and
-// its TTL deadline. The engine owns the table: every write
-// happens on the engine's single-threaded side, under the shard write lock,
-// and the engine reads its own entries without a stripe lock, because no
-// other goroutine writes them.
+// (DESIGN.md §12). The index is keyed by hash, as Navy's is: a table of
+// stripes, each an open-addressed table of 32-byte slots that hold a key's
+// 64-bit hash and its entry — where the item lies on flash, where its value
+// lies in memory and its TTL deadline. The key itself is not stored. Where
+// the item's bytes are in memory or being read anyway, the reader checks the
+// item header's key length and key bytes against the key it looked up, and a
+// mismatch is a miss (itemIs). The metadata-only engine (TrackValues off),
+// Contains and Delete have no item bytes at hand and trust the hash. Two
+// keys share a slot only when their 64-bit hashes are equal: among n keys
+// that happens with probability about n²/2⁶⁵, under 10⁻⁷ at 2²⁰ keys. Keys
+// for snapshots come from the region key logs, which hold every indexed key
+// (eachEntry).
+//
+// The engine owns the table: every write happens on the engine's
+// single-threaded side, under the shard write lock, and the engine reads its
+// own entries without a stripe lock, because no other goroutine writes them.
 //
 // With Config.ReadIndex on, concurrent readers consult the same table
 // without the shard lock. The contract:
 //
-//   - A reader's lookup is one stripe read lock around one map lookup. Every
-//     engine write takes its stripe's write lock and replaces one entry
-//     whole, so a reader always copies out a complete entry. The bytes behind
-//     an image are never written again: a region buffer is appended to only
-//     past what its entries point at and is never recycled, and a store's
-//     view is immutable (RegionViewer). A sealed region over a store that
-//     lends no view has an image without bytes: its reads take the locked
-//     path, which reads the store.
+//   - A reader's lookup is one stripe read lock around one probe. Every
+//     engine write takes its stripe's write lock and replaces one slot whole
+//     (or moves slots, or doubles the table), so a reader always copies out a
+//     complete entry. The bytes behind an image are never written again: a
+//     region buffer is appended to only past what its entries point at and is
+//     never recycled, and a store's view is immutable (RegionViewer). A sealed
+//     region over a store that lends no view has an image without bytes: its
+//     reads take the locked path, which reads the store.
 //   - Stripe locks are leaf locks: never nested, never held across a call out
 //     of this file, never taken under noteMu.
 //   - Readers never write the index. A reader that finds an expired entry
@@ -44,8 +55,8 @@ import (
 //     observes the constant index-lookup cost in the latency histogram and
 //     leaves the clock to the mutators.
 //
-// Without Config.ReadIndex no reader exists: the table has one stripe, picked
-// without a hash, and the engine takes no stripe lock.
+// Without Config.ReadIndex no reader exists: the table has one stripe and
+// the engine takes no stripe lock.
 
 // image is what one region generation's entries point into: the region
 // buffer while the region is open or flushing, and from completeFlush on the
@@ -61,9 +72,10 @@ type imageBytes struct {
 	onStore bool // b is the store's view (or nil), not memory held for the index
 }
 
-// readNote is one deferred side effect observed by the lock-free path.
+// readNote is one deferred side effect observed by the lock-free path, for
+// the key of index hash h.
 type readNote struct {
-	key    string
+	h      uint64
 	expire bool // true: TTL expiry observed; false: touch (recency)
 }
 
@@ -76,9 +88,109 @@ const readNoteCap = 4096
 // fixed by its hash, so readers of different keys rarely meet on one lock.
 const readStripes = 64
 
+// slot is one index record, 32 bytes: a key's hash and its entry.
+type slot struct {
+	hash uint64 // 0 marks an empty slot; the index hash is never 0
+	e    entry
+}
+
+// table is an open-addressed hash table of slots. A hash's home slot is its
+// top bits (a stripe is picked by its low bits); lookups probe linearly from
+// there to the first empty slot. Deletion shifts the rest of the probe run
+// back, so no tombstones build up, and the table doubles before it is more
+// than maxLoadNum/maxLoadDen full.
+type table struct {
+	slots []slot // a power of two long, or nil
+	shift uint8  // 64 - log2(len(slots)): h>>shift is h's home slot
+	n     int    // occupied slots
+}
+
+const (
+	minSlots   = 8
+	maxLoadNum = 3
+	maxLoadDen = 4
+)
+
+// get returns h's entry.
+func (t *table) get(h uint64) (entry, bool) {
+	if t.n == 0 {
+		return entry{}, false
+	}
+	mask := len(t.slots) - 1
+	for i := int(h >> t.shift); ; i = (i + 1) & mask {
+		switch t.slots[i].hash {
+		case h:
+			return t.slots[i].e, true
+		case 0:
+			return entry{}, false
+		}
+	}
+}
+
+// set installs e as h's entry.
+func (t *table) set(h uint64, e entry) {
+	if (t.n+1)*maxLoadDen > len(t.slots)*maxLoadNum {
+		t.grow()
+	}
+	mask := len(t.slots) - 1
+	i := int(h >> t.shift)
+	for t.slots[i].hash != h && t.slots[i].hash != 0 {
+		i = (i + 1) & mask
+	}
+	if t.slots[i].hash == 0 {
+		t.n++
+	}
+	t.slots[i] = slot{hash: h, e: e}
+}
+
+// remove deletes h's entry and reports whether there was one.
+func (t *table) remove(h uint64) bool {
+	if t.n == 0 {
+		return false
+	}
+	mask := len(t.slots) - 1
+	i := int(h >> t.shift)
+	for t.slots[i].hash != h {
+		if t.slots[i].hash == 0 {
+			return false
+		}
+		i = (i + 1) & mask
+	}
+	// Backward shift: a later slot of the run moves into the hole at i when
+	// its home lies at or before i, that is when it sits at least as far from
+	// its home as from the hole.
+	for j := (i + 1) & mask; t.slots[j].hash != 0; j = (j + 1) & mask {
+		if home := int(t.slots[j].hash >> t.shift); (j-home)&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = slot{}
+	t.n--
+	return true
+}
+
+// grow doubles the table, or makes its first minSlots slots.
+func (t *table) grow() {
+	old := t.slots
+	t.slots = make([]slot, max(2*len(old), minSlots))
+	t.shift = uint8(64 - bits.TrailingZeros(uint(len(t.slots))))
+	mask := len(t.slots) - 1
+	for _, s := range old {
+		if s.hash == 0 {
+			continue
+		}
+		i := int(s.hash >> t.shift)
+		for t.slots[i].hash != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
+}
+
 type stripeState struct {
 	mu sync.RWMutex
-	m  map[string]entry
+	table
 }
 
 // stripe pads stripeState to 128 bytes — a cache line pair, the unit the
@@ -96,6 +208,9 @@ type index struct {
 	// every write takes its stripe's write lock.
 	shared bool
 	seed   maphash.Seed
+	// hashMask is ANDed into every key hash. It keeps all 64 bits; only the
+	// collision oracle narrows it, so that keys share hashes all the time.
+	hashMask uint64
 	// touch records whether hits queue touch notes: only LRU recency reads
 	// them.
 	touch   bool
@@ -116,105 +231,132 @@ type index struct {
 }
 
 func newIndex(shared, touch bool) *index {
-	ix := &index{shared: shared, touch: touch}
+	ix := &index{shared: shared, touch: touch, seed: maphash.MakeSeed(), hashMask: ^uint64(0)}
 	n := 1
 	if shared {
 		n = readStripes
-		ix.seed = maphash.MakeSeed()
 		ix.notes = make([]readNote, 0, readNoteCap)
 		ix.spare = make([]readNote, 0, readNoteCap)
 	}
 	ix.stripes = make([]stripe, n)
-	for i := range ix.stripes {
-		ix.stripes[i].m = make(map[string]entry)
-	}
 	return ix
 }
 
-// stripe returns key's stripe.
-func (ix *index) stripe(key string) *stripe {
+// hash returns key's index hash, computed once per operation: its low bits
+// pick the stripe and its top bits the home slot.
+func (ix *index) hash(key string) uint64 { return ix.nonzero(maphash.String(ix.seed, key)) }
+
+// hashLog is hash for a key-log slice; equal bytes hash equal.
+func (ix *index) hashLog(key []byte) uint64 { return ix.nonzero(maphash.Bytes(ix.seed, key)) }
+
+// nonzero masks h and moves the empty slot's mark, 0, to 1.
+func (ix *index) nonzero(h uint64) uint64 {
+	if h &= ix.hashMask; h != 0 {
+		return h
+	}
+	return 1
+}
+
+// stripe returns the stripe of hash h.
+func (ix *index) stripe(h uint64) *stripe {
 	if !ix.shared {
 		return &ix.stripes[0]
 	}
-	return &ix.stripes[maphash.String(ix.seed, key)%readStripes]
+	return &ix.stripes[h%readStripes]
 }
 
-// lookup is the engine's read of key's entry, and returns key's stripe for a
-// write that follows. It takes no stripe lock: only the engine writes.
-func (ix *index) lookup(key string) (*stripe, entry, bool) {
-	s := ix.stripe(key)
-	e, ok := s.m[key]
-	return s, e, ok
+// get is the engine's read of h's entry. It takes no stripe lock: only the
+// engine writes.
+func (ix *index) get(h uint64) (entry, bool) { return ix.stripe(h).get(h) }
+
+// lookup is get by key, and returns key's hash for a write that follows.
+func (ix *index) lookup(key string) (uint64, entry, bool) {
+	h := ix.hash(key)
+	e, ok := ix.get(h)
+	return h, e, ok
 }
 
-// lookupLog is lookup for a key-log slice: hashing it as bytes and indexing
-// the map with string(key) copy nothing.
-func (ix *index) lookupLog(key []byte) (*stripe, entry, bool) {
-	s := &ix.stripes[0]
-	if ix.shared {
-		s = &ix.stripes[maphash.Bytes(ix.seed, key)%readStripes]
-	}
-	e, ok := s.m[string(key)]
-	return s, e, ok
+// lookupLog is lookup for a key-log slice.
+func (ix *index) lookupLog(key []byte) (uint64, entry, bool) {
+	h := ix.hashLog(key)
+	e, ok := ix.get(h)
+	return h, e, ok
 }
 
 // load is a reader's lookup, under the stripe's read lock.
-func (ix *index) load(key string) (entry, bool) {
-	s := ix.stripe(key)
+func (ix *index) load(h uint64) (entry, bool) {
+	s := ix.stripe(h)
 	s.mu.RLock()
-	e, ok := s.m[key]
+	e, ok := s.get(h)
 	s.mu.RUnlock()
 	return e, ok
 }
 
-// put installs e as key's entry in s, key's stripe.
-func (ix *index) put(s *stripe, key string, e entry) {
+// put installs e as the entry of hash h.
+func (ix *index) put(h uint64, e entry) {
+	s := ix.stripe(h)
 	if ix.shared {
 		s.mu.Lock()
-		s.m[key] = e
+		s.set(h, e)
 		s.mu.Unlock()
 		return
 	}
-	s.m[key] = e
+	s.set(h, e)
 }
 
-// drop removes key from s, its stripe.
-func (ix *index) drop(s *stripe, key string) {
+// drop removes the entry of hash h and reports whether there was one.
+func (ix *index) drop(h uint64) bool {
+	s := ix.stripe(h)
 	if ix.shared {
 		s.mu.Lock()
-		delete(s.m, key)
+		ok := s.remove(h)
 		s.mu.Unlock()
-		return
+		return ok
 	}
-	delete(s.m, key)
-}
-
-// dropLog is drop for a key-log slice.
-func (ix *index) dropLog(s *stripe, key []byte) {
-	if ix.shared {
-		s.mu.Lock()
-		delete(s.m, string(key))
-		s.mu.Unlock()
-		return
-	}
-	delete(s.m, string(key))
+	return s.remove(h)
 }
 
 // len returns the number of entries.
 func (ix *index) len() int {
 	n := 0
 	for i := range ix.stripes {
-		n += len(ix.stripes[i].m)
+		n += ix.stripes[i].n
 	}
 	return n
 }
 
-// each calls fn for every entry, in no particular order.
-func (ix *index) each(fn func(key string, e entry)) {
-	for i := range ix.stripes {
-		for k, e := range ix.stripes[i].m {
-			fn(k, e)
+// eachEntry calls fn for every entry and its key, region by region in id
+// order and within a region in key-log order, so two walks of an unchanged
+// engine agree. The index keeps no keys, but the key logs hold every indexed
+// key (the region-live invariant): an entry's key is the last one its region
+// logged under the entry's hash, since every later Set of that hash went to
+// the same region or a newer one.
+func (c *Cache) eachEntry(fn func(key string, e entry)) {
+	last := make(map[uint64]int) // hash -> ordinal of its last key in the log
+	for id := range c.regions.meta {
+		kl := &c.regions.meta[id].keys
+		if kl.len() == 0 {
+			continue
 		}
+		clear(last)
+		i := 0
+		kl.each(func(kb []byte) bool {
+			if h, e, ok := c.idx.lookupLog(kb); ok && int(e.region) == id {
+				last[h] = i
+			}
+			i++
+			return true
+		})
+		i = 0
+		kl.each(func(kb []byte) bool {
+			h := c.idx.hashLog(kb)
+			if j, ok := last[h]; ok && j == i {
+				e, _ := c.idx.get(h)
+				fn(string(kb), e)
+			}
+			i++
+			return true
+		})
 	}
 }
 
@@ -304,10 +446,11 @@ func (c *Cache) fastLookup(key string, t *fastTally) (val []byte, found, done bo
 	if !ix.shared {
 		return nil, false, false
 	}
-	e, ok := ix.load(key)
+	h := ix.hash(key)
+	e, ok := ix.load(h)
 	if ok && e.expired(c.clock.Now()) {
 		// The engine deletes the entry when it drains the note.
-		ix.note(readNote{key: key, expire: true})
+		ix.note(readNote{h: h, expire: true})
 		ok = false
 	}
 	if !ok {
@@ -325,8 +468,14 @@ func (c *Cache) fastLookup(key string, t *fastTally) (val []byte, found, done bo
 		// view): the locked path must perform the device read.
 		return nil, false, false
 	}
+	if ib != nil && !itemIs(ib.b[e.offset:], key) {
+		// Another key's item under key's hash: a miss, and the entry stays
+		// the other key's.
+		t.misses++
+		return nil, false, true
+	}
 	if ix.touch {
-		ix.note(readNote{key: key})
+		ix.note(readNote{h: h})
 	}
 	t.hits++
 	if ib == nil {
@@ -343,15 +492,17 @@ func (c *Cache) fastLookup(key string, t *fastTally) (val []byte, found, done bo
 }
 
 // TryFastContains answers Contains without the shard lock; done=false means
-// the read index is disabled and the caller must use the locked path.
+// the read index is disabled and the caller must use the locked path. Like
+// Contains it reads no item bytes, so it trusts the key's hash.
 func (c *Cache) TryFastContains(key string) (found, done bool) {
 	ix := c.idx
 	if !ix.shared {
 		return false, false
 	}
-	e, ok := ix.load(key)
+	h := ix.hash(key)
+	e, ok := ix.load(h)
 	if ok && e.expired(c.clock.Now()) {
-		ix.note(readNote{key: key, expire: true})
+		ix.note(readNote{h: h, expire: true})
 		ok = false
 	}
 	return ok, true
@@ -378,7 +529,7 @@ func (c *Cache) drainReadNotes() {
 
 	now := c.clock.Now()
 	for _, n := range batch {
-		s, e, ok := ix.lookup(n.key)
+		e, ok := ix.get(n.h)
 		if !ok {
 			continue
 		}
@@ -387,7 +538,7 @@ func (c *Cache) drainReadNotes() {
 			// replaced the item with a live one — only remove if the entry
 			// is still past its deadline.
 			if e.expired(now) {
-				c.expire(s, n.key)
+				c.expire(n.h)
 			}
 			continue
 		}

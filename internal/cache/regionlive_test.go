@@ -15,38 +15,51 @@ func entryOf(c *Cache, key string) entry {
 
 // regionLiveErr is the region-live invariant, checked with the read notes
 // drained: every entry points at an open, flushing or sealed region whose
-// key log holds the key, and Len counts every entry. The key-log check
-// catches an entry left behind when its region was freed and reopened.
+// key log holds a key of the entry's hash, a probe from its home slot finds
+// it, Len counts every entry, and eachEntry finds a key for each. The
+// key-log check catches an entry left behind when its region was freed and
+// reopened.
 func regionLiveErr(c *Cache) error {
 	c.drainReadNotes()
+	logged := make([]map[uint64]bool, len(c.regions.meta)) // hashes each region's key log holds
+	for id := range c.regions.meta {
+		logged[id] = map[uint64]bool{}
+		c.regions.meta[id].keys.each(func(kb []byte) bool {
+			logged[id][c.idx.hashLog(kb)] = true
+			return true
+		})
+	}
 	n := 0
-	var err error
-	c.idx.each(func(k string, e entry) {
-		n++
-		r := int(e.region)
-		if r >= len(c.regions.meta) {
-			err = fmt.Errorf("key %q: region %d", k, r)
-			return
-		}
-		switch st := c.regions.meta[r].state; st {
-		case regionOpen, regionFlushing, regionSealed:
-			logged := false
-			c.regions.meta[r].keys.each(func(kb []byte) bool {
-				logged = string(kb) == k
-				return !logged
-			})
-			if !logged {
-				err = fmt.Errorf("key %q points at region %d, whose key log lacks it", k, r)
+	for i := range c.idx.stripes {
+		for _, s := range c.idx.stripes[i].slots {
+			if s.hash == 0 {
+				continue
 			}
-		default:
-			err = fmt.Errorf("key %q points at region %d in state %d", k, r, st)
+			n++
+			if e, ok := c.idx.get(s.hash); !ok || e != s.e {
+				return fmt.Errorf("entry of hash %#x: a probe finds (%+v, %v), the slot holds %+v", s.hash, e, ok, s.e)
+			}
+			r := int(s.e.region)
+			if r >= len(c.regions.meta) {
+				return fmt.Errorf("entry of hash %#x: region %d", s.hash, r)
+			}
+			switch st := c.regions.meta[r].state; st {
+			case regionOpen, regionFlushing, regionSealed:
+				if !logged[r][s.hash] {
+					return fmt.Errorf("entry of hash %#x points at region %d, whose key log holds no key of that hash", s.hash, r)
+				}
+			default:
+				return fmt.Errorf("entry of hash %#x points at region %d in state %d", s.hash, r, st)
+			}
 		}
-	})
-	if err != nil {
-		return err
 	}
 	if got := c.Len(); got != n {
 		return fmt.Errorf("Len %d, index holds %d entries", got, n)
+	}
+	keyed := 0
+	c.eachEntry(func(string, entry) { keyed++ })
+	if keyed != n {
+		return fmt.Errorf("eachEntry finds keys for %d of %d entries", keyed, n)
 	}
 	return nil
 }
@@ -119,10 +132,14 @@ func TestRegionLiveMatchesIndex(t *testing.T) {
 	}
 }
 
-// TestEntryIs24Bytes pins the index entry's size: one entry per key is the
-// index's whole per-key cost beside the map's own slot.
+// TestEntryIs24Bytes pins the index entry's size, and the slot's: a 64-bit
+// hash and one entry are the index's whole per-key cost beside the table's
+// empty slots.
 func TestEntryIs24Bytes(t *testing.T) {
 	if n := unsafe.Sizeof(entry{}); n != 24 {
 		t.Fatalf("entry is %d bytes, want 24", n)
+	}
+	if n := unsafe.Sizeof(slot{}); n != 32 {
+		t.Fatalf("slot is %d bytes, want 32", n)
 	}
 }

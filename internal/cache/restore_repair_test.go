@@ -42,7 +42,7 @@ func fillSealed(t *testing.T, ss *sizedStore) (*Cache, map[string][]byte, int, [
 	}
 	c.Drain()
 	byRegion := map[int][]string{}
-	c.idx.each(func(k string, e entry) {
+	c.eachEntry(func(k string, e entry) {
 		if int(e.region) != c.regions.open && c.regions.meta[e.region].state == regionSealed {
 			byRegion[int(e.region)] = append(byRegion[int(e.region)], k)
 		}

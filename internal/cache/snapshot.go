@@ -62,7 +62,9 @@ func (c *Cache) Snapshot() ([]byte, error) {
 		Seq:        c.seq,
 	}
 	c.regions.save(&s)
-	c.idx.each(func(k string, e entry) {
+	// Entries come in key-log order, so an unchanged engine snapshots to the
+	// same bytes.
+	c.eachEntry(func(k string, e entry) {
 		s.Entries = append(s.Entries, snapEntry{
 			Key: k, Region: int32(e.region), Offset: e.offset,
 			KeyLen: uint16(len(k)), ValLen: e.valLen,
@@ -223,7 +225,7 @@ func Restore(cfg Config, snapshot []byte) (*Cache, error) {
 		// Restored values live on flash, not in memory: the entry has no
 		// image, so the lock-free path answers Contains and misses, and a
 		// verified sealed read promotes the key to servable on first touch.
-		c.idx.put(c.idx.stripe(e.Key), e.Key, ent)
+		c.idx.put(c.idx.hash(e.Key), ent)
 	}
 	return c, nil
 }

@@ -9,6 +9,55 @@ import (
 	"znscache/internal/device"
 )
 
+// TestSnapshotBytesRepeat: two snapshots of an idle engine are the same
+// bytes, because entries come in key-log order, and hold every indexed key
+// once, with the read index off and on.
+func TestSnapshotBytesRepeat(t *testing.T) {
+	for _, fast := range []bool{false, true} {
+		t.Run(fmt.Sprintf("readindex=%v", fast), func(t *testing.T) {
+			c, err := New(Config{Store: newMemStore(16, 64<<10), TrackValues: true, ReadIndex: fast})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2000; i++ {
+				k := fmt.Sprintf("snap-%05d", i)
+				if err := c.Set(k, bytes.Repeat([]byte{byte(i)}, 200+i%300), 0); err != nil {
+					t.Fatal(err)
+				}
+				if i%7 == 0 {
+					c.Delete(fmt.Sprintf("snap-%05d", i/2))
+				}
+				if i%5 == 0 {
+					c.Set(fmt.Sprintf("snap-%05d", i/3), []byte("again"), 0)
+				}
+			}
+			a, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Fatalf("two snapshots of an idle engine differ (%d and %d bytes)", len(a), len(b))
+			}
+			keys, err := SnapshotKeys(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(keys) != c.Len() {
+				t.Fatalf("snapshot holds %d keys, the index %d", len(keys), c.Len())
+			}
+			for i := 1; i < len(keys); i++ {
+				if keys[i] == keys[i-1] {
+					t.Fatalf("key %s snapshotted twice", keys[i])
+				}
+			}
+		})
+	}
+}
+
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	st := newMemStore(8, 4096)
 	// One region of BufferMemory: the restored engine may hold exactly one
@@ -220,7 +269,7 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 		// Stale recovery metadata: an index entry that points at another
 		// key's intact item.
 		"right bytes, different key of equal length": func(t *testing.T, f fixture) string {
-			f.c.idx.put(f.c.idx.stripe("mictiv"), "mictiv", f.e)
+			f.c.idx.put(f.c.idx.hash("mictiv"), f.e)
 			return "mictiv"
 		},
 	}
