@@ -224,10 +224,10 @@ func BenchmarkAblationAdmission(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ablationRun(b, "admit_all", nil)
 		ablationRun(b, "admit_p50", func(c *harness.RigConfig) {
-			c.Admission = cache.NewProbAdmit(0.5, 9)
+			c.Admission, c.AdmissionSeed = cache.ProbAdmitFactory{P: 0.5}, 9
 		})
 		ablationRun(b, "reject_first", func(c *harness.RigConfig) {
-			c.Admission = cache.NewRejectFirstAdmit(1<<20, 1<<20)
+			c.Admission = cache.RejectFirstFactory{Bits: 1 << 20, Window: 1 << 20}
 		})
 	}
 }

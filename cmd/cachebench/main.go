@@ -17,7 +17,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -42,10 +41,9 @@ func main() {
 		warmup      = flag.Int("warmup", 0, "override warmup op count")
 		keys        = flag.Int64("keys", 0, "override key-space size")
 		seed        = flag.Uint64("seed", 0, "override workload seed")
-		traceFile   = flag.String("trace", "", "replay a trace file instead of an experiment")
-		traceFormat = flag.String("trace-format", "auto", "trace file format: auto|ops ('op key [len]' lines)|csv ('ts,key,size,op' records)")
+		traceFile   = flag.String("trace", "", "replay a CSV trace file ('ts,key,size,op' records) instead of an experiment")
 		scheme      = flag.String("scheme", "region", "scheme for -trace: block|file|zone|region")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address while running")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address while running")
 		jsonDir     = flag.String("json", "", "also write BENCH_<experiment>.json report files into this directory")
 		eventsFile  = flag.String("events", "", "record device/cache events and write them as JSON to this file")
 		traceCap    = flag.Int("trace-cap", obs.DefaultTraceCap, "event ring capacity for -events (newest kept)")
@@ -87,7 +85,7 @@ func main() {
 	}
 
 	if *traceFile != "" {
-		if err := replayTrace(env, *traceFile, *traceFormat, *scheme, *zones); err != nil {
+		if err := replayTrace(env, *traceFile, *scheme, *zones); err != nil {
 			fmt.Fprintf(os.Stderr, "cachebench trace: %v\n", err)
 			os.Exit(1)
 		}
@@ -261,48 +259,9 @@ func writeEvents(path string, tr *obs.Tracer) error {
 	return nil
 }
 
-// opStream is the surface both trace parsers share.
-type opStream interface {
-	Next() (workload.Op, bool)
-	Err() error
-}
-
-// openTrace opens a trace file in the requested format; "auto" sniffs the
-// head of the file for commas (the CSV shape) vs whitespace op lines.
-func openTrace(path, format string) (*os.File, opStream, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	br := bufio.NewReaderSize(f, 64<<10)
-	if format == "auto" {
-		head, _ := br.Peek(4 << 10)
-		format = "ops"
-		for _, line := range strings.Split(string(head), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" || strings.HasPrefix(line, "#") {
-				continue
-			}
-			if strings.Contains(line, ",") {
-				format = "csv"
-			}
-			break
-		}
-	}
-	switch format {
-	case "ops":
-		return f, workload.NewTrace(br), nil
-	case "csv":
-		return f, workload.NewCSVTrace(br), nil
-	default:
-		f.Close() //nolint:errcheck
-		return nil, nil, fmt.Errorf("unknown trace format %q (want auto, ops, or csv)", format)
-	}
-}
-
-// replayTrace runs a trace file against one scheme, built in env, and reports
-// the outcome.
-func replayTrace(env harness.Env, path, format, schemeName string, zones int) error {
+// replayTrace runs a CSV trace file (see workload.CSVTrace) against one
+// scheme, built in env, and reports the outcome.
+func replayTrace(env harness.Env, path, schemeName string, zones int) error {
 	s, err := harness.ParseScheme(schemeName)
 	if err != nil {
 		return err
@@ -313,7 +272,7 @@ func replayTrace(env harness.Env, path, format, schemeName string, zones int) er
 	hw := harness.DefaultHW(zones)
 	cfg := harness.RigConfig{
 		Scheme: s, HW: hw, CacheBytes: int64(zones) * hw.ZoneBytes() * 8 / 10,
-		Trace: env.Trace, Faults: env.Faults, AdmissionFactory: env.Admission,
+		Trace: env.Trace, Faults: env.Faults, Admission: env.Admission,
 	}
 	if s == harness.ZoneCache {
 		cfg.ZoneCount = zones
@@ -322,11 +281,12 @@ func replayTrace(env harness.Env, path, format, schemeName string, zones int) er
 	if err != nil {
 		return err
 	}
-	f, tr, err := openTrace(path, format)
+	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
+	tr := workload.NewCSVTrace(f)
 	ops := 0
 	for {
 		op, ok := tr.Next()

@@ -1,8 +1,8 @@
 // Command cacheserver serves a sharded znscache over the memcached text
 // protocol. It is the network face of the simulation: any memcached client
 // (or cmd/loadgen) can drive the paper's cache designs over TCP, with
-// metrics, request-stage spans, event tracing, and a graceful shutdown that
-// persists the cache snapshot before exit.
+// metrics, request-stage spans, a slow-request exemplar log, and a graceful
+// shutdown that persists the cache snapshot before exit.
 //
 // Shutdown ordering matters: on SIGINT/SIGTERM the server first drains
 // in-flight connections (server.Shutdown), and only then Closes the cache so
@@ -11,7 +11,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -41,8 +40,6 @@ type options struct {
 	idle        time.Duration
 	drain       time.Duration
 	metricsAddr string
-	eventsFile  string
-	traceCap    int
 	slowMs      int
 	fastReads   bool
 	spanEvery   int
@@ -63,10 +60,8 @@ func main() {
 	flag.IntVar(&o.maxValue, "max-value", 1<<20, "largest accepted value in bytes")
 	flag.DurationVar(&o.idle, "idle", 5*time.Minute, "idle connection timeout")
 	flag.DurationVar(&o.drain, "drain", 10*time.Second, "graceful shutdown drain deadline")
-	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address")
-	flag.StringVar(&o.eventsFile, "events", "", "record slow-request events and write them as JSON to this file on exit")
-	flag.IntVar(&o.traceCap, "trace-cap", obs.DefaultTraceCap, "event ring capacity for -events (newest kept)")
-	flag.IntVar(&o.slowMs, "slow-ms", 50, "slow-request threshold in milliseconds (-events trace and -span exemplar log)")
+	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve /metrics and /debug/pprof on this address")
+	flag.IntVar(&o.slowMs, "slow-ms", 50, "slow-request threshold in milliseconds (server_slow_requests_total and the -span exemplar log)")
 	flag.BoolVar(&o.fastReads, "fast-reads", true, "serve gets from the lock-free read index")
 	flag.IntVar(&o.spanEvery, "span", 0, "request-stage spans: observe 1 in N batches into per-stage histograms (0 disables spans entirely)")
 	flag.StringVar(&o.slowlogFile, "slowlog", "", "write the slow-request exemplar log (stage breakdowns) as JSON to this file on exit; requires -span")
@@ -139,18 +134,12 @@ func run(o options) error {
 		return err
 	}
 
-	var tracer *obs.Tracer
-	if o.eventsFile != "" {
-		tracer = obs.NewTracer(o.traceCap)
-	}
-
 	srv, err := server.New(server.Config{
 		Addr:          o.addr,
 		Backend:       c,
 		MaxConns:      o.maxConns,
 		MaxValueBytes: o.maxValue,
 		IdleTimeout:   o.idle,
-		Tracer:        tracer,
 		SlowThreshold: time.Duration(o.slowMs) * time.Millisecond,
 		Spans:         spans,
 		StatsExtra: func() map[string]string {
@@ -204,35 +193,11 @@ func run(o options) error {
 	}
 	fmt.Fprintf(os.Stderr, "cache snapshot persisted (%d shards)\n", len(c.Snapshots()))
 
-	if o.eventsFile != "" {
-		if err := writeEvents(o.eventsFile, tracer); err != nil {
-			return fmt.Errorf("events: %w", err)
-		}
-	}
 	if o.slowlogFile != "" {
 		if err := writeSlowLog(o.slowlogFile, spans); err != nil {
 			return fmt.Errorf("slowlog: %w", err)
 		}
 	}
-	return nil
-}
-
-// writeEvents dumps the retained trace ring as JSON.
-func writeEvents(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(tr.Events()); err != nil {
-		f.Close() //nolint:errcheck
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d events retained, %d total)\n", path, len(tr.Events()), tr.Total())
 	return nil
 }
 

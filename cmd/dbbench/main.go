@@ -25,7 +25,7 @@ func main() {
 		reads       = flag.Int("reads", 0, "override readrandom op count")
 		cacheZones  = flag.Int("cache-zones", 0, "override flash cache size in zones")
 		seed        = flag.Uint64("seed", 0, "override workload seed")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars, /debug/pprof on this address while running")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address while running")
 		jsonDir     = flag.String("json", "", "also write BENCH_<experiment>.json report files into this directory")
 		faultRate   = flag.Float64("faults", 0, "inject device faults (errors, torn writes, latency spikes) at this per-op rate under every scheme")
 		faultSeed   = flag.Uint64("fault-seed", 1, "seed for the -faults schedule")

@@ -31,8 +31,8 @@ func ExampleOpen() {
 	// false
 }
 
-// ExampleCache_SetWithTTL shows expiry on the simulated clock.
-func ExampleCache_SetWithTTL() {
+// ExampleShardedCache_SetWithTTL shows expiry on the simulated clock.
+func ExampleShardedCache_SetWithTTL() {
 	c, _ := znscache.Open(znscache.Config{Zones: 8, TrackValues: true})
 	defer c.Close()
 
@@ -41,7 +41,7 @@ func ExampleCache_SetWithTTL() {
 	fmt.Println("before expiry:", ok)
 
 	// Advance simulated time past the TTL (no real sleeping).
-	c.Rig().Clock.Advance(time.Minute)
+	c.Rig(0).Clock.Advance(time.Minute)
 	_, ok, _ = c.Get("session")
 	fmt.Println("after expiry:", ok)
 	// Output:

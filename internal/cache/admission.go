@@ -7,11 +7,10 @@
 //
 // Policies are stateful (PRNG streams, bloom bits, sketch counters) and are
 // mutated on every Admit, so one instance belongs to exactly one engine.
-// The AdmissionFactory seam exists so multi-engine frontends (cache.Sharded,
-// the harness rigs) build one independently-seeded instance per engine
-// instead of sharing a policy across shards — sharing is a data race under
-// concurrent cross-shard Sets and a determinism violation of Sharded's
-// replay contract, and NewSharded rejects it.
+// Config.Admission is therefore an AdmissionFactory: every engine — each
+// shard of a sharded cache, and each engine Restore rebuilds — builds its
+// own independently-seeded instance, and no instance is ever shared.
+// AdmitAll, being stateless, is its own factory.
 package cache
 
 import (
@@ -53,16 +52,6 @@ type AdmissionFactory interface {
 	New(p AdmissionParams) Admission
 }
 
-// SharedSafeAdmission marks policies whose Admit is safe to share across
-// concurrently-running engines (stateless, like AdmitAll). Policies without
-// this marker are rejected by NewSharded when one instance appears in more
-// than one shard.
-type SharedSafeAdmission interface {
-	Admission
-	// AdmissionSharedSafe is a marker; it is never called.
-	AdmissionSharedSafe()
-}
-
 // AdmissionMetrics is implemented by policies that export per-policy
 // instruments (admit/reject counters, the live admit-probability gauge).
 // Cache.MetricsInto forwards to it, so per-policy series appear wherever the
@@ -94,24 +83,18 @@ func (c *admissionCounters) Rejects() uint64 { return c.rejects.Load() }
 // ---------------------------------------------------------------------------
 // AdmitAll
 
-// AdmitAll admits everything (CacheLib's default). It is stateless and may
-// be shared across engines.
+// AdmitAll admits everything (CacheLib's default). It is stateless, so it
+// is its own factory.
 type AdmitAll struct{}
 
 // Admit implements Admission.
 func (AdmitAll) Admit(string, int) bool { return true }
 
-// AdmissionSharedSafe marks AdmitAll as shareable across engines.
-func (AdmitAll) AdmissionSharedSafe() {}
-
-// AdmitAllFactory builds AdmitAll policies.
-type AdmitAllFactory struct{}
-
 // Name implements AdmissionFactory.
-func (AdmitAllFactory) Name() string { return "all" }
+func (AdmitAll) Name() string { return "all" }
 
 // New implements AdmissionFactory.
-func (AdmitAllFactory) New(AdmissionParams) Admission { return AdmitAll{} }
+func (AdmitAll) New(AdmissionParams) Admission { return AdmitAll{} }
 
 // ---------------------------------------------------------------------------
 // ProbAdmit
@@ -669,7 +652,7 @@ func ParseAdmission(spec string, budgetBytesPerSec float64) (AdmissionFactory, e
 	case "", "none":
 		return nil, nil
 	case "all":
-		return AdmitAllFactory{}, nil
+		return AdmitAll{}, nil
 	case "prob":
 		p, err := strconv.ParseFloat(arg, 64)
 		if err != nil || p <= 0 || p > 1 {
@@ -721,14 +704,13 @@ func ParseAdmission(spec string, budgetBytesPerSec float64) (AdmissionFactory, e
 
 // Interface conformance.
 var (
-	_ SharedSafeAdmission = AdmitAll{}
-	_ AdmissionMetrics    = (*ProbAdmit)(nil)
-	_ AdmissionMetrics    = (*RejectFirstAdmit)(nil)
-	_ AdmissionMetrics    = (*DynamicRandomAdmit)(nil)
-	_ AdmissionMetrics    = (*FrequencyAdmit)(nil)
-	_ AdmissionFactory    = AdmitAllFactory{}
-	_ AdmissionFactory    = ProbAdmitFactory{}
-	_ AdmissionFactory    = RejectFirstFactory{}
-	_ AdmissionFactory    = DynamicRandomFactory{}
-	_ AdmissionFactory    = FrequencyFactory{}
+	_ AdmissionMetrics = (*ProbAdmit)(nil)
+	_ AdmissionMetrics = (*RejectFirstAdmit)(nil)
+	_ AdmissionMetrics = (*DynamicRandomAdmit)(nil)
+	_ AdmissionMetrics = (*FrequencyAdmit)(nil)
+	_ AdmissionFactory = AdmitAll{}
+	_ AdmissionFactory = ProbAdmitFactory{}
+	_ AdmissionFactory = RejectFirstFactory{}
+	_ AdmissionFactory = DynamicRandomFactory{}
+	_ AdmissionFactory = FrequencyFactory{}
 )

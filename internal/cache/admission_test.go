@@ -337,9 +337,9 @@ func newShardedWithAdmission(t testing.TB, n int, factory AdmissionFactory, seed
 	engines := make([]*Cache, n)
 	for i := range engines {
 		c, err := New(Config{
-			Store:            newMemStore(8, 64<<10),
-			AdmissionFactory: factory,
-			AdmissionSeed:    ShardSeed(seed, i),
+			Store:         newMemStore(8, 64<<10),
+			Admission:     factory,
+			AdmissionSeed: ShardSeed(seed, i),
 		})
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
@@ -360,31 +360,6 @@ func admissionTestFactories() []AdmissionFactory {
 		RejectFirstFactory{Bits: 1 << 16, Window: 10_000},
 		DynamicRandomFactory{BudgetBytesPerSec: 4 << 20},
 		FrequencyFactory{},
-	}
-}
-
-// TestNewShardedRejectsSharedAdmission is the regression test for the
-// shared-admission data race: one stateful policy instance visible from two
-// shards must be rejected at construction, while AdmitAll (stateless,
-// SharedSafeAdmission) and independent per-shard instances pass.
-func TestNewShardedRejectsSharedAdmission(t *testing.T) {
-	shared := NewRejectFirstAdmit(1024, 1000)
-	a, _ := New(Config{Store: newMemStore(4, 4096), Admission: shared})
-	b, _ := New(Config{Store: newMemStore(4, 4096), Admission: shared})
-	if _, err := NewSharded([]*Cache{a, b}); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("shared stateful admission instance accepted: %v", err)
-	}
-
-	c, _ := New(Config{Store: newMemStore(4, 4096), Admission: AdmitAll{}})
-	d, _ := New(Config{Store: newMemStore(4, 4096), Admission: AdmitAll{}})
-	if _, err := NewSharded([]*Cache{c, d}); err != nil {
-		t.Fatalf("shared AdmitAll rejected: %v", err)
-	}
-
-	// The factory seam builds independent instances — always accepted.
-	s := newShardedWithAdmission(t, 4, RejectFirstFactory{}, 1)
-	if s.NumShards() != 4 {
-		t.Fatalf("NumShards = %d", s.NumShards())
 	}
 }
 

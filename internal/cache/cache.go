@@ -139,18 +139,13 @@ type Config struct {
 	Store RegionStore
 	// Policy picks LRU (default) or FIFO region eviction.
 	Policy Policy
-	// Admission filters inserts; nil admits everything. An Admission
-	// instance belongs to exactly one engine — multi-engine frontends must
-	// use AdmissionFactory so each engine gets its own instance; NewSharded
-	// rejects shared stateful instances.
-	Admission Admission
-	// AdmissionFactory, when set (and Admission is nil), builds this
-	// engine's policy instance seeded with AdmissionSeed and bound to the
-	// engine's clock. This is the seam multi-engine frontends use to get
-	// per-engine instances from one shared configuration value.
-	AdmissionFactory AdmissionFactory
-	// AdmissionSeed seeds the policy instance built by AdmissionFactory
-	// (decorrelate shards with ShardSeed). Ignored when Admission is set.
+	// Admission builds the engine's own admission policy instance, seeded
+	// with AdmissionSeed and bound to the engine's clock; nil admits
+	// everything. An instance is stateful and belongs to one engine, so each
+	// engine New or Restore makes builds a fresh one.
+	Admission AdmissionFactory
+	// AdmissionSeed seeds the policy instance (decorrelate shards with
+	// ShardSeed).
 	AdmissionSeed uint64
 	// BufferMemory bounds DRAM spent on region buffers: the engine holds at
 	// most BufferMemory/RegionSize of them (with TrackValues; none without).
@@ -201,9 +196,9 @@ const fillLogCap = 4096
 // hash; the key, and so its length, is the caller's, so it is not stored.
 type entry struct {
 	// img is the region image the value lies in; nil when its bytes are not
-	// in memory (the read index is off, a metadata-only insert, or a restored
-	// entry not yet promoted by a verified sealed read). With TrackValues on,
-	// such an entry sends lock-free reads to the locked path.
+	// in memory (the read index is off, an insert without TrackValues, or a
+	// restored entry not yet promoted by a verified sealed read). With
+	// TrackValues on, such an entry sends lock-free reads to the locked path.
 	img    *image
 	region uint32 // id of the region the item lives in
 	offset uint32 // item start within region
@@ -289,8 +284,9 @@ type Cache struct {
 	// bytes per lookup).
 	readBuf sync.Pool
 
-	trace *obs.Tracer       // nil when tracing is disabled
-	spans *obs.SpanRecorder // nil when span sampling is disabled
+	admission Admission         // built by cfg.Admission for this engine
+	trace     *obs.Tracer       // nil when tracing is disabled
+	spans     *obs.SpanRecorder // nil when span sampling is disabled
 
 	// metrics
 	hitRatio    stats.HitRatio
@@ -330,12 +326,6 @@ func New(cfg Config) (*Cache, error) {
 	if (cfg.CPU == CPUModel{}) {
 		cfg.CPU = DefaultCPUModel()
 	}
-	if cfg.Admission == nil && cfg.AdmissionFactory != nil {
-		cfg.Admission = cfg.AdmissionFactory.New(AdmissionParams{
-			Seed:  cfg.AdmissionSeed,
-			Clock: cfg.Clock,
-		})
-	}
 	if cfg.Admission == nil {
 		cfg.Admission = AdmitAll{}
 	}
@@ -362,6 +352,7 @@ func New(cfg Config) (*Cache, error) {
 		getLat:        stats.NewHistogram(),
 		setLat:        stats.NewHistogram(),
 		firstEvictSeq: noEvictSeq,
+		admission:     cfg.Admission.New(AdmissionParams{Seed: cfg.AdmissionSeed, Clock: cfg.Clock}),
 		trace:         cfg.Trace,
 		spans:         cfg.Spans,
 	}
@@ -372,17 +363,14 @@ func New(cfg Config) (*Cache, error) {
 // Clock exposes the engine's virtual clock.
 func (c *Cache) Clock() *sim.Clock { return c.clock }
 
-// Admission exposes the engine's admission policy instance (inspection,
-// shared-instance validation in NewSharded). Never nil after New.
-func (c *Cache) Admission() Admission { return c.cfg.Admission }
-
 // RegionSize returns the store's region size.
 func (c *Cache) RegionSize() int64 { return c.store.RegionSize() }
 
 // Set inserts or replaces key with a value of length valLen. value may be
 // nil for a metadata-only insert (sizes, timing, and index behaviour are
-// identical; only payload bytes are absent). The engine copies value into
-// its region buffer and keeps no reference to it.
+// identical; only payload bytes are absent; with TrackValues the value is
+// valLen zero bytes). The engine copies value into its region buffer and
+// keeps no reference to it.
 func (c *Cache) Set(key string, value []byte, valLen int) error {
 	return c.SetTTL(key, value, valLen, 0)
 }
@@ -406,7 +394,7 @@ func (c *Cache) SetTTL(key string, value []byte, valLen int, ttl time.Duration) 
 	if size > c.store.RegionSize() {
 		return fmt.Errorf("%w: item %d > region %d", ErrItemTooLarge, size, c.store.RegionSize())
 	}
-	if !c.cfg.Admission.Admit(key, valLen) {
+	if !c.admission.Admit(key, valLen) {
 		c.rejects.Inc()
 		if c.trace != nil {
 			c.trace.Emit(obs.Event{T: start, Type: obs.EvReject, Zone: -1, Region: -1, Bytes: size})
@@ -463,10 +451,9 @@ func (c *Cache) SetTTL(key string, value []byte, valLen int, ttl time.Duration) 
 // [header: keyLen|valLen|flags|checksum][key][value]; the checksum guards
 // read-back integrity across region stores, migrations, and recovery, and
 // the key length and key let every read check that the item is its key's
-// (itemIs). A nil-value insert writes the header and key but no value, so
-// its open-region reads pass the key check, and its sealed reads of a
-// nonzero valLen fail the checksum over value bytes it never wrote. With
-// the read index on, the entry records where the value lies in the region's
+// (itemIs). A nil-value insert of valLen bytes writes valLen zero bytes as
+// its value, so every read of it, open or sealed, returns zeros. With the
+// read index on, the entry records where the value lies in the region's
 // image. With a ttl above zero, the entry's deadline is ttl past the clock
 // after the append.
 func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Duration) {
@@ -474,12 +461,17 @@ func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Durati
 	size := itemHeaderSize + int64(len(key)) + int64(valLen)
 	off := uint32(m.fill)
 	if c.cfg.TrackValues {
-		p := m.buf[m.fill:]
+		p := m.buf[m.fill : m.fill+size]
+		v := p[itemHeaderSize+len(key):]
+		if value == nil {
+			clear(v) // a recycled buffer holds an older region's bytes
+		} else {
+			copy(v, value)
+		}
 		binary.LittleEndian.PutUint16(p[0:], uint16(len(key)))
 		binary.LittleEndian.PutUint32(p[2:], uint32(valLen))
-		binary.LittleEndian.PutUint64(p[8:], itemChecksum(key, value))
+		binary.LittleEndian.PutUint64(p[8:], itemChecksum(key, v))
 		copy(p[itemHeaderSize:], key)
-		copy(p[itemHeaderSize+len(key):], value)
 	}
 	c.clock.Advance(c.cpu.AppendItem + c.cpu.AppendPerKiB*time.Duration((size+1023)/1024))
 	m.fill += size
@@ -488,7 +480,7 @@ func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Durati
 	if ttl > 0 {
 		e.expireAt = uint32(((c.clock.Now() + ttl) / time.Second) + 1)
 	}
-	if value != nil {
+	if value != nil || c.cfg.TrackValues {
 		e.img = m.img
 	}
 	// A replaced key's old copy becomes dead weight in its region
@@ -1093,7 +1085,7 @@ func (c *Cache) MetricsInto(r *obs.Registry, labels obs.Labels) {
 		r.Counter("cache_fast_get_misses_total", "Misses answered lock-free from the read index", ls, &ix.fastMisses)
 		r.Counter("cache_read_note_drops_total", "Deferred read notes shed on queue overflow", ls, &ix.noteDrops)
 	}
-	if am, ok := c.cfg.Admission.(AdmissionMetrics); ok {
+	if am, ok := c.admission.(AdmissionMetrics); ok {
 		am.MetricsInto(r, ls)
 	}
 }

@@ -139,10 +139,15 @@ func TestItemTooLarge(t *testing.T) {
 	}
 }
 
-// admitCounter admits everything and counts the calls.
+// admitCounter admits everything and counts the calls. It is its own
+// factory, so the test can read the count off the instance the engine uses.
 type admitCounter struct{ n int }
 
 func (a *admitCounter) Admit(string, int) bool { a.n++; return true }
+
+func (a *admitCounter) Name() string { return "counter" }
+
+func (a *admitCounter) New(AdmissionParams) Admission { return a }
 
 // TestKeyTooLongRejected: the item header and the key log hold a key's
 // length as a uint16, so a longer key is refused before admission and leaves
@@ -494,7 +499,7 @@ func TestDeepPipelineOverlapsFlushes(t *testing.T) {
 
 func TestAdmissionRejectCounts(t *testing.T) {
 	c, _ := newTestCache(t, 4, 64<<10, func(cfg *Config) {
-		cfg.Admission = NewProbAdmit(0, 1) // reject everything
+		cfg.Admission = ProbAdmitFactory{P: 0} // reject everything
 	})
 	c.Set("k", nil, 100)
 	if c.Contains("k") {
@@ -658,5 +663,39 @@ func TestViewlessSealedReadsStore(t *testing.T) {
 	c.MetricsInto(reg, obs.Labels{})
 	if got := gatherSum(t, reg, "cache_dram_bytes"); got != float64(held) {
 		t.Errorf("cache_dram_bytes = %v, the open and in-flight buffers are %d bytes", got, held)
+	}
+}
+
+// TestTrackedNilValueReadsZeros: with TrackValues, a nil-value insert (the
+// facade's SetSized) reads back as valLen zero bytes, open or sealed, with no
+// key lost, even in a recycled buffer that holds two earlier regions' junk.
+func TestTrackedNilValueReadsZeros(t *testing.T) {
+	c, _ := newTestCache(t, 8, 4096)
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		must(c.Set(fmt.Sprint("junk-", i), bytes.Repeat([]byte{0xAA}, 3000), 0))
+		must(c.SealOpen())
+		c.Drain()
+	}
+	keys := []string{"nil-0", "nil-1", "nil-2"}
+	for _, k := range keys {
+		must(c.Set(k, nil, 100))
+	}
+	for _, when := range []string{"open", "sealed"} {
+		if when == "sealed" {
+			must(c.SealOpen())
+		}
+		for _, k := range keys {
+			if v, ok, err := c.Get(k); err != nil || !ok || !bytes.Equal(v, make([]byte, 100)) {
+				t.Fatalf("%s Get(%s) = (%x, %v, %v), want 100 zero bytes", when, k, v, ok, err)
+			}
+		}
+	}
+	if st := c.Stats(); st.LostKeys != 0 || st.Quarantined != 0 {
+		t.Fatalf("%d keys lost, %d regions quarantined", st.LostKeys, st.Quarantined)
 	}
 }

@@ -7,8 +7,9 @@ import (
 	"time"
 )
 
-// TestCollisionOracle runs a seeded stream of sets, overwrites, TTL sets,
-// deletes, clock advances, seals and GetMulti batches through two engines
+// TestCollisionOracle runs a seeded stream of sets, overwrites, nil-value
+// inserts (whose value is valLen zero bytes), TTL sets, deletes, clock
+// advances, seals and GetMulti batches through two engines
 // whose index hash keeps 4 bits (collideHashes), so every key shares its
 // hash with several others and the index holds at most 15 entries per
 // engine. The item-bytes key check is then all that tells keys apart: every
@@ -72,7 +73,11 @@ func TestCollisionOracle(t *testing.T) {
 						}
 					case 7, 8, 9:
 						v := opValue(k, i, valLen)
-						if err := s.Set(k, v, 0); err != nil {
+						arg := v
+						if r>>48%3 == 0 {
+							arg, v = nil, make([]byte, valLen)
+						}
+						if err := s.Set(k, arg, valLen); err != nil {
 							t.Fatalf("op %d: set %s: %v", i, k, err)
 						}
 						last[k] = v

@@ -463,9 +463,9 @@ func (c *Cache) fastLookup(key string, t *fastTally) (val []byte, found, done bo
 		ib = e.img.p.Load()
 	}
 	if c.cfg.TrackValues && (ib == nil || ib.b == nil) {
-		// Value bytes not in memory (a metadata-only insert, a restored entry
-		// not yet promoted, or a region sealed over a store that lends no
-		// view): the locked path must perform the device read.
+		// Value bytes not in memory (a restored entry not yet promoted, or a
+		// region sealed over a store that lends no view): the locked path
+		// must perform the device read.
 		return nil, false, false
 	}
 	if ib != nil && !itemIs(ib.b[e.offset:], key) {

@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"reflect"
 	"strconv"
 	"sync"
 	"time"
@@ -53,15 +52,11 @@ func (sh *shard) lock() {
 }
 
 // NewSharded builds a sharded frontend over the given engines. Every engine
-// must be independent: its own RegionStore, its own Clock, and (for stateful
-// policies) its own Admission instance. Sharing a clock between shards would
-// serialize them through the clock mutex and make merged timings depend on
-// goroutine interleaving; sharing a stateful admission instance is a data
-// race (ProbAdmit's PRNG and RejectFirstAdmit's bloom bits mutate unlocked
-// on every Admit) and breaks per-shard replay determinism — both are
-// rejected. Build engines with Config.AdmissionFactory to get independent
-// per-shard instances; stateless policies marked
-// SharedSafeAdmission (AdmitAll) may be shared.
+// must be independent: its own RegionStore and its own Clock. Sharing a
+// clock between shards would serialize them through the clock mutex and make
+// merged timings depend on goroutine interleaving, so both are rejected.
+// Admission instances are never shared: Config.Admission is a factory, and
+// each engine builds its own instance.
 func NewSharded(engines []*Cache) (*Sharded, error) {
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("%w: sharded frontend needs at least 1 engine", ErrBadConfig)
@@ -79,20 +74,6 @@ func NewSharded(engines []*Cache) (*Sharded, error) {
 			return nil, fmt.Errorf("%w: shards %d and %d share a store", ErrBadConfig, j, i)
 		}
 		seen[e.store] = i
-		// Admission instances are checked by identity. Stateless policies
-		// opt out via the SharedSafeAdmission marker; non-comparable policy
-		// types (none in this package) are skipped — they cannot be map
-		// keys, and a duplicate would already have been caught by the
-		// pointer identity of their first comparable occurrence.
-		if a := e.Admission(); a != nil {
-			if _, shared := a.(SharedSafeAdmission); !shared && reflect.TypeOf(a).Comparable() {
-				if j, dup := seen[a]; dup {
-					return nil, fmt.Errorf("%w: shards %d and %d share a stateful admission policy instance (use Config.AdmissionFactory for per-shard instances)",
-						ErrBadConfig, j, i)
-				}
-				seen[a] = i
-			}
-		}
 	}
 	s := &Sharded{shards: make([]shard, len(engines))}
 	for i, e := range engines {

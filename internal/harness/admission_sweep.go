@@ -105,7 +105,7 @@ func RunAdmissionSweep(p AdmissionSweepParams) ([]AdmissionRow, error) {
 	baselines := make([]measuredBC, len(p.Schemes))
 	err := forEachPoint(len(p.Schemes), func(i int) error {
 		cfg := admissionRigConfig(p.Schemes[i], hw)
-		cfg.AdmissionFactory = cache.AdmitAllFactory{}
+		cfg.Admission = cache.AdmitAll{}
 		rig, err := p.Env.build(cfg)
 		if err != nil {
 			return fmt.Errorf("admission %v baseline: %w", p.Schemes[i], err)
@@ -152,7 +152,7 @@ func RunAdmissionSweep(p AdmissionSweepParams) ([]AdmissionRow, error) {
 			return fmt.Errorf("admission %v %q: %w", s, pt.policy, err)
 		}
 		cfg := admissionRigConfig(s, hw)
-		cfg.AdmissionFactory = factory
+		cfg.Admission = factory
 		cfg.AdmissionSeed = cache.ShardSeed(p.Seed, i)
 		rig, err := p.Env.build(cfg)
 		if err != nil {

@@ -171,16 +171,10 @@ type RigConfig struct {
 	// otherwise the Navy-faithful default (FIFO region order) is used.
 	Policy    cache.Policy
 	PolicySet bool
-	// Admission hands a pre-built policy instance to this rig's single
-	// engine. Prefer AdmissionFactory: an instance is bound to one engine,
-	// and handing the same instance to several rigs (or shards) is the data
-	// race the factory seam exists to prevent.
-	Admission cache.Admission
-	// AdmissionFactory builds the engine's admission policy, seeded with
+	// Admission builds the engine's admission policy, seeded with
 	// AdmissionSeed and bound to the engine's clock. Nil admits everything.
-	// Ignored when Admission is set.
-	AdmissionFactory cache.AdmissionFactory
-	AdmissionSeed    uint64
+	Admission     cache.AdmissionFactory
+	AdmissionSeed uint64
 	// MigrateAll turns off Region-Cache's §3.4 GC/cache co-design, which is
 	// on by default: GC drops a live region that sits in the coldest 30% of
 	// the engine's eviction order (the LRU tail, or under FIFO the oldest
@@ -322,8 +316,8 @@ func (e Env) build(cfg RigConfig) (*Rig, error) {
 	if cfg.Faults == nil {
 		cfg.Faults = e.Faults
 	}
-	if cfg.Admission == nil && cfg.AdmissionFactory == nil {
-		cfg.AdmissionFactory = e.Admission
+	if cfg.Admission == nil {
+		cfg.Admission = e.Admission
 	}
 	return Build(cfg)
 }
@@ -489,22 +483,21 @@ func Build(cfg RigConfig) (*Rig, error) {
 	// point the controller at this rig's device byte counter (unless the
 	// caller wired a source already). The devices above are assembled before
 	// the engine, so the method value reads live counters from the start.
-	if f, ok := cfg.AdmissionFactory.(cache.DynamicRandomFactory); ok && f.BytesWritten == nil {
+	if f, ok := cfg.Admission.(cache.DynamicRandomFactory); ok && f.BytesWritten == nil {
 		f.BytesWritten = rig.DeviceWriteBytes
-		cfg.AdmissionFactory = f
+		cfg.Admission = f
 	}
 	rig.engineCfg = cache.Config{
-		Store:            st,
-		Policy:           cfg.Policy,
-		Admission:        cfg.Admission,
-		AdmissionFactory: cfg.AdmissionFactory,
-		AdmissionSeed:    cfg.AdmissionSeed,
-		BufferMemory:     cfg.BufferMemory,
-		TrackValues:      cfg.TrackValues,
-		ReadIndex:        cfg.ReadIndex,
-		Clock:            cfg.Clock,
-		Trace:            cfg.Trace,
-		Spans:            cfg.Spans,
+		Store:         st,
+		Policy:        cfg.Policy,
+		Admission:     cfg.Admission,
+		AdmissionSeed: cfg.AdmissionSeed,
+		BufferMemory:  cfg.BufferMemory,
+		TrackValues:   cfg.TrackValues,
+		ReadIndex:     cfg.ReadIndex,
+		Clock:         cfg.Clock,
+		Trace:         cfg.Trace,
+		Spans:         cfg.Spans,
 	}
 	eng, err := cache.New(rig.engineCfg)
 	if err != nil {
@@ -520,9 +513,8 @@ func Build(cfg RigConfig) (*Rig, error) {
 
 // Restore replaces the rig's engine with one rebuilt from snap, a Snapshot of
 // an engine over the same store, with the configuration Build gave the
-// first: the restart a persistent cache exists to survive. A factory builds
-// the new engine a fresh admission policy; a RigConfig.Admission instance
-// passes to it as it is.
+// first: the restart a persistent cache exists to survive. The new engine
+// builds a fresh admission policy instance.
 func (r *Rig) Restore(snap []byte) error {
 	eng, err := cache.Restore(r.engineCfg, snap)
 	if err != nil {

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
@@ -10,25 +9,19 @@ import (
 	"time"
 )
 
-// expvarName is the /debug/vars key the registry is published under.
-const expvarName = "znscache"
-
 // NewMux builds the exposition mux for a registry:
 //
 //	/metrics       Prometheus text format (live, scrape-consistent)
-//	/debug/vars    expvar JSON, including the registry under "znscache"
 //	/debug/pprof/  the standard Go profiling endpoints
 //
 // The registry stays live — series registered after the mux is built appear
 // on the next scrape.
 func NewMux(reg *Registry) *http.ServeMux {
-	reg.PublishExpvar(expvarName)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WritePrometheus(w) //nolint:errcheck // client went away
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -39,7 +32,7 @@ func NewMux(reg *Registry) *http.ServeMux {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "znscache observability\n\n/metrics\n/debug/vars\n/debug/pprof/\n")
+		fmt.Fprint(w, "znscache observability\n\n/metrics\n/debug/pprof/\n")
 	})
 	return mux
 }

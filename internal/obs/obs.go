@@ -1,7 +1,9 @@
 // Package obs is the observability substrate for the simulated stack: a
 // metrics registry every layer (zns, ssd, f2fs, middle, store, cache,
-// sharded, lsm) registers its instruments into, a bounded typed event trace,
-// and live exposition over HTTP (Prometheus text format, expvar, pprof).
+// sharded, lsm) registers its instruments into, a bounded typed event trace
+// of simulated-time events, request-stage spans with a slow-request exemplar
+// log, and live exposition over HTTP (Prometheus text format on /metrics,
+// and pprof).
 //
 // The registry does not own the instruments — layers keep their existing
 // atomic counters, write-amplification accumulators, and latency histograms

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
@@ -239,45 +238,6 @@ func writeSeries(w io.Writer, m *metric) error {
 // round-trippable representation.
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// expvarSnapshot renders the registry as a JSON-friendly map for /debug/vars:
-// "name{labels}" -> value for counters and gauges, -> {count, sum_ns, p50_ns,
-// ...} for histograms. Keys are sorted so the output is stable.
-func (r *Registry) expvarSnapshot() map[string]interface{} {
-	samples := r.Gather()
-	out := make(map[string]interface{}, len(samples))
-	for _, s := range samples {
-		key := s.Name + s.Labels.String()
-		switch s.Kind {
-		case KindCounter:
-			out[key] = uint64(s.Value)
-		case KindGauge:
-			out[key] = s.Value
-		case KindHistogram:
-			out[key] = map[string]interface{}{
-				"count":   s.Hist.Count,
-				"sum_ns":  int64(s.Hist.Sum),
-				"mean_ns": int64(s.Hist.Mean),
-				"p50_ns":  int64(s.Hist.P50),
-				"p90_ns":  int64(s.Hist.P90),
-				"p99_ns":  int64(s.Hist.P99),
-				"p999_ns": int64(s.Hist.P999),
-				"max_ns":  int64(s.Hist.Max),
-			}
-		}
-	}
-	return out
-}
-
-// PublishExpvar exposes the registry under the given expvar name (visible at
-// /debug/vars). Publishing the same name twice is a no-op rather than the
-// panic expvar.Publish would raise, so binaries can call it unconditionally.
-func (r *Registry) PublishExpvar(name string) {
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() interface{} { return r.expvarSnapshot() }))
 }
 
 // SortSamples orders samples by name, then rendered labels — a convenience

@@ -153,7 +153,6 @@ func TestRegistryConcurrent(t *testing.T) {
 		if err := r.WritePrometheus(&buf); err != nil {
 			t.Errorf("WritePrometheus: %v", err)
 		}
-		_ = r.expvarSnapshot()
 	}
 	close(stop)
 	wg.Wait()
@@ -199,24 +198,5 @@ func TestSortSamples(t *testing.T) {
 	SortSamples(samples)
 	if samples[0].Labels.Get("a") != "1" || samples[1].Labels.Get("z") != "1" || samples[2].Name != "b" {
 		t.Fatalf("sorted order wrong: %+v", samples)
-	}
-}
-
-func TestExpvarSnapshot(t *testing.T) {
-	r := NewRegistry()
-	r.CounterFunc("n", "", L("k", "v"), func() uint64 { return 5 })
-	h := stats.NewHistogram()
-	h.Observe(2 * time.Millisecond)
-	r.Histogram("lat", "", nil, h)
-	snap := r.expvarSnapshot()
-	if got := snap[`n{k="v"}`]; got != uint64(5) {
-		t.Fatalf("counter expvar = %v (%T), want 5", got, got)
-	}
-	hm, ok := snap["lat"].(map[string]interface{})
-	if !ok {
-		t.Fatalf("histogram expvar = %T, want map", snap["lat"])
-	}
-	if hm["count"] != uint64(1) {
-		t.Fatalf("histogram count = %v, want 1", hm["count"])
 	}
 }

@@ -39,11 +39,6 @@ const (
 	// EvEvict: the engine evicted a region (Region = region id,
 	// Bytes = keys dropped from the index).
 	EvEvict
-	// EvSlowRequest: the network server finished a request slower than its
-	// configured threshold (T = wall-clock time since the server started,
-	// Bytes = request latency in nanoseconds, Zone/Region = -1). The one
-	// event type measured on the wall clock rather than the simulated one.
-	EvSlowRequest
 )
 
 // String names the event type for JSON export and diagnostics.
@@ -67,8 +62,6 @@ func (t EventType) String() string {
 		return "reject"
 	case EvEvict:
 		return "evict"
-	case EvSlowRequest:
-		return "slow_request"
 	}
 	return fmt.Sprintf("EventType(%d)", uint8(t))
 }

@@ -680,32 +680,18 @@ func (s *Server) renderBatch(c *conn, b *batch, lat time.Duration) {
 	m.batches.Inc()
 	m.batchOps.Add(uint64(len(b.ops)))
 	m.observeBatchSize(len(b.ops))
-	slow := s.cfg.SlowThreshold > 0 && lat >= s.cfg.SlowThreshold
+	if s.cfg.SlowThreshold > 0 && lat >= s.cfg.SlowThreshold {
+		m.slowRequests.Add(uint64(len(b.ops)))
+	}
 	var nGet, nSet, nDel int
 	for i := range b.ops {
 		o := &b.ops[i]
 		switch o.kind {
 		case opGet:
 			nGet++
-		case opSet:
-			nSet++
-		case opDel:
-			nDel++
-		}
-		if slow {
-			m.slowRequests.Inc()
-			s.cfg.Tracer.Emit(obs.Event{
-				T:      time.Since(s.start),
-				Type:   obs.EvSlowRequest,
-				Zone:   -1,
-				Region: -1,
-				Bytes:  int64(lat),
-			})
-		}
-		switch o.kind {
-		case opGet:
 			s.renderGet(w, b, o)
 		case opSet:
+			nSet++
 			if o.noreply {
 				break
 			}
@@ -715,6 +701,7 @@ func (s *Server) renderBatch(c *conn, b *batch, lat time.Duration) {
 				w.str(respStored)
 			}
 		case opDel:
+			nDel++
 			if o.noreply {
 				break
 			}

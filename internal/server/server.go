@@ -120,11 +120,10 @@ type Config struct {
 	// to the stats command — the cacheserver wires cache-level numbers
 	// (hit ratio, write amplification) through it.
 	StatsExtra func() map[string]string
-	// Tracer, when non-nil together with SlowThreshold, receives an
-	// EvSlowRequest event for every request slower than the threshold.
-	Tracer *obs.Tracer
-	// SlowThreshold is the latency above which a request is traced as slow
-	// (0 disables slow-request tracing).
+	// SlowThreshold is the batch execution latency at or above which each
+	// of the batch's requests counts into server_slow_requests_total (0
+	// disables the count). The slow-request record itself, with stages and
+	// identity, is the Spans recorder's exemplar log.
 	SlowThreshold time.Duration
 	// Spans, when non-nil, enables request-stage span collection: per-batch
 	// sock_read/parse/queue_wait/exec/flush durations settle into the

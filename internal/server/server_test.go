@@ -759,8 +759,7 @@ func TestShutdownContextForceCloses(t *testing.T) {
 
 func TestSlowRequestTracing(t *testing.T) {
 	b := newMapBackend()
-	tr := obs.NewTracer(64)
-	s := startServer(t, Config{Backend: b, Tracer: tr, SlowThreshold: time.Nanosecond})
+	s := startServer(t, Config{Backend: b, SlowThreshold: time.Nanosecond})
 	cl, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -769,16 +768,8 @@ func TestSlowRequestTracing(t *testing.T) {
 	if _, err := cl.Set("x", 0, 0, []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-	events := tr.Events()
-	if len(events) == 0 {
-		t.Fatal("no slow-request events with a 1ns threshold")
-	}
-	ev := events[0]
-	if ev.Type != obs.EvSlowRequest || ev.Zone != -1 || ev.Region != -1 || ev.Bytes <= 0 {
-		t.Fatalf("unexpected event %+v", ev)
-	}
-	if s.m.slowRequests.Load() == 0 {
-		t.Fatal("slow request not counted")
+	if n := s.m.slowRequests.Load(); n != 1 {
+		t.Fatalf("slow requests = %d, want 1 with a 1ns threshold", n)
 	}
 }
 

@@ -254,19 +254,5 @@ func TestCSVTraceParsing(t *testing.T) {
 	if tr.Err() != nil {
 		t.Fatalf("clean stream errored: %v", tr.Err())
 	}
-
-	// Errors carry line numbers and kill the stream.
-	bad := NewCSVTrace(strings.NewReader("1.0,k,100,get\nnot-a-ts,k,100,get\n"))
-	if _, ok := bad.Next(); !ok {
-		t.Fatalf("first record should parse")
-	}
-	if _, ok := bad.Next(); ok {
-		t.Fatalf("bad record should stop the stream")
-	}
-	if err := bad.Err(); err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("error %v lacks line number", err)
-	}
-	if _, ok := bad.Next(); ok {
-		t.Fatalf("dead stream revived")
-	}
+	// Errors carry line numbers and kill the stream: csvtrace_test.go.
 }

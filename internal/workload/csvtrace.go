@@ -8,8 +8,8 @@ import (
 	"strings"
 )
 
-// CSVTrace adapts public cache traces in the wiki/Twitter-cluster CSV shape
-// into the same op stream Trace produces:
+// CSVTrace replays public cache traces in the wiki/Twitter-cluster CSV
+// shape as an op stream, the one trace format cachebench -trace reads:
 //
 //	ts,key,size,op[,extra...]
 //
@@ -41,7 +41,9 @@ func (t *CSVTrace) Err() error { return t.err }
 func (t *CSVTrace) Line() int { return t.line }
 
 // Next returns the next operation; ok is false at end of stream or on the
-// first error (check Err). Like Trace, the stream is dead after an error.
+// first error (check Err). After an error the stream is dead: every further
+// Next returns false with the same error, so a scanner that hit ErrTooLong
+// never serves its truncated buffer as a record.
 func (t *CSVTrace) Next() (op Op, ok bool) {
 	if t.err != nil {
 		return Op{}, false

@@ -32,7 +32,7 @@ type KVConfig struct {
 // clock across the DB, the cache, and both devices.
 type KV struct {
 	db    *lsm.DB
-	cache *Cache
+	cache *ShardedCache
 	sec   *harness.EngineSecondary
 }
 
@@ -61,7 +61,9 @@ func OpenKV(cfg KVConfig) (*KV, error) {
 		if err != nil {
 			return nil, err
 		}
-		kv.cache = &Cache{rig: rig}
+		if kv.cache, err = newShardedCache([]*harness.Rig{rig}); err != nil {
+			return nil, err
+		}
 		kv.sec = &harness.EngineSecondary{Engine: rig.Engine}
 		lcfg.Secondary = kv.sec
 		lcfg.Clock = rig.Clock

@@ -13,8 +13,8 @@ import (
 // count. The simulated hardware and the cache capacity are partitioned
 // across shards — each shard owns Zones/Shards zones and CacheBytes/Shards
 // bytes of an independent device stack — so the total footprint matches a
-// single-engine cache of the same Config while operations on different
-// shards run concurrently.
+// one-shard cache of the same Config while operations on different shards
+// run concurrently.
 type ShardedConfig struct {
 	Config
 	// Shards is the number of independent engines (default 4). Zones must
@@ -22,11 +22,11 @@ type ShardedConfig struct {
 	Shards int
 }
 
-// ShardedCache is the concurrent frontend: Config's capacity split across
-// Shards independent engines, each with its own virtual clock, device stack,
-// and mutex. All methods are safe for concurrent use. Keys are partitioned
-// by hash, so a key always lands on the same shard; per-shard determinism is
-// preserved (see cache.Sharded).
+// ShardedCache is the cache: Config's capacity split across one (Open) or
+// more (OpenSharded) independent engines, each with its own virtual clock,
+// device stack, and mutex. All methods are safe for concurrent use. Keys are
+// partitioned by hash, so a key always lands on the same shard; per-shard
+// determinism is preserved (see cache.Sharded).
 type ShardedCache struct {
 	sh   *cache.Sharded
 	rigs []*harness.Rig
@@ -60,27 +60,33 @@ func OpenSharded(cfg ShardedConfig) (*ShardedCache, error) {
 		shardCfg.CacheBytes = cfg.CacheBytes / int64(cfg.Shards)
 	}
 
-	c := &ShardedCache{rigs: make([]*harness.Rig, cfg.Shards)}
-	engines := make([]*cache.Cache, cfg.Shards)
-	for i := range engines {
+	rigs := make([]*harness.Rig, cfg.Shards)
+	for i := range rigs {
 		// Each shard's admission policy instance is built by the shared
 		// factory with a shard-decorrelated seed: independent instances fix
 		// the cross-shard data race, the derived seeds keep replays
 		// deterministic per shard.
 		shardCfg.AdmissionSeed = cache.ShardSeed(cfg.AdmissionSeed, i)
-		single, err := Open(shardCfg)
+		rig, err := buildRig(shardCfg)
 		if err != nil {
 			return nil, fmt.Errorf("znscache: shard %d: %w", i, err)
 		}
-		c.rigs[i] = single.rig
-		engines[i] = single.rig.Engine
+		rigs[i] = rig
+	}
+	return newShardedCache(rigs)
+}
+
+// newShardedCache puts the frontend over rigs, one shard per rig.
+func newShardedCache(rigs []*harness.Rig) (*ShardedCache, error) {
+	engines := make([]*cache.Cache, len(rigs))
+	for i, rig := range rigs {
+		engines[i] = rig.Engine
 	}
 	sh, err := cache.NewSharded(engines)
 	if err != nil {
 		return nil, err
 	}
-	c.sh = sh
-	return c, nil
+	return &ShardedCache{sh: sh, rigs: rigs}, nil
 }
 
 // NumShards returns the shard count.
@@ -189,7 +195,8 @@ func (c *ShardedCache) Drain() { c.sh.Drain() }
 
 // Stats merges all shards into one snapshot: counters sum, latency
 // histograms merge exactly, and write amplification is the host-byte
-// weighted mean across shards (each shard amplifies its own write stream).
+// weighted mean across shards (each shard amplifies its own write stream;
+// one shard reports its rig's factor as it is).
 // SimulatedTime is the furthest shard clock — the makespan of a parallel
 // replay.
 func (c *ShardedCache) Stats() Stats {
@@ -207,6 +214,10 @@ func (c *ShardedCache) Stats() Stats {
 		GetP50:        ms.GetLatency.P50,
 		GetP99:        ms.GetLatency.P99,
 		SimulatedTime: ms.SimulatedTime,
+	}
+	if len(c.rigs) == 1 {
+		out.WriteAmplification = c.rigs[0].WAFactor()
+		return out
 	}
 	var hostTotal float64
 	var waSum float64
@@ -274,18 +285,10 @@ func (c *ShardedCache) Reopen() (*ShardedCache, error) {
 	if c.snaps == nil {
 		return nil, fmt.Errorf("znscache: no snapshots to reopen from (Close failed?)")
 	}
-	nc := &ShardedCache{rigs: c.rigs}
-	engines := make([]*cache.Cache, len(c.rigs))
 	for i, rig := range c.rigs {
 		if err := rig.Restore(c.snaps[i]); err != nil {
 			return nil, fmt.Errorf("znscache: shard %d reopen: %w", i, err)
 		}
-		engines[i] = rig.Engine
 	}
-	sh, err := cache.NewSharded(engines)
-	if err != nil {
-		return nil, err
-	}
-	nc.sh = sh
-	return nc, nil
+	return newShardedCache(c.rigs)
 }

@@ -11,7 +11,8 @@
 // time, not wall-clock time. See DESIGN.md for the system inventory and
 // EXPERIMENTS.md for the paper-versus-measured results.
 //
-// Quickstart:
+// Open returns a one-shard ShardedCache; OpenSharded splits the device and
+// the capacity across several independently locked engines. Quickstart:
 //
 //	c, err := znscache.Open(znscache.Config{
 //		Scheme:     znscache.RegionCache,
@@ -51,9 +52,9 @@ const (
 )
 
 // AdmissionFactory builds per-engine admission policy instances; see
-// package cache for the available factories (AdmitAllFactory,
-// ProbAdmitFactory, RejectFirstFactory, DynamicRandomFactory,
-// FrequencyFactory) and ParseAdmission for the bench-flag grammar.
+// package cache for the available factories (AdmitAll, ProbAdmitFactory,
+// RejectFirstFactory, DynamicRandomFactory, FrequencyFactory) and
+// ParseAdmission for the bench-flag grammar.
 type AdmissionFactory = cache.AdmissionFactory
 
 // ParseAdmission turns an admission spec string ("all", "prob:0.5",
@@ -110,14 +111,6 @@ var (
 	ErrClosed = errors.New("znscache: cache closed")
 )
 
-// Cache is a persistent cache instance over a simulated device stack.
-// Methods are not safe for concurrent use: the simulation is driven
-// single-threaded for determinism.
-type Cache struct {
-	rig    *harness.Rig
-	closed bool
-}
-
 // Stats is a point-in-time summary of cache and device behaviour.
 type Stats struct {
 	// Scheme is the backend design in use.
@@ -141,121 +134,38 @@ type Stats struct {
 	SimulatedTime time.Duration
 }
 
-// Open builds a cache per cfg.
-func Open(cfg Config) (*Cache, error) {
+// Open builds a one-shard cache per cfg: one engine over one device stack of
+// Zones zones (default 25), with CacheBytes defaulting to 80% of the device.
+func Open(cfg Config) (*ShardedCache, error) {
 	if cfg.Zones == 0 {
 		cfg.Zones = 25
 	}
+	rig, err := buildRig(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return newShardedCache([]*harness.Rig{rig})
+}
+
+// buildRig assembles the device stack and engine of one shard per cfg.
+func buildRig(cfg Config) (*harness.Rig, error) {
 	hw := harness.DefaultHW(cfg.Zones)
 	if cfg.CacheBytes == 0 {
 		cfg.CacheBytes = int64(cfg.Zones) * hw.ZoneBytes() * 8 / 10
 	}
 	rc := harness.RigConfig{
-		Scheme:           cfg.Scheme,
-		HW:               hw,
-		CacheBytes:       cfg.CacheBytes,
-		RegionBytes:      cfg.RegionBytes,
-		TrackValues:      cfg.TrackValues,
-		ReadIndex:        cfg.FastReads,
-		AdmissionFactory: cfg.Admission,
-		AdmissionSeed:    cfg.AdmissionSeed,
-		Spans:            cfg.Spans,
+		Scheme:        cfg.Scheme,
+		HW:            hw,
+		CacheBytes:    cfg.CacheBytes,
+		RegionBytes:   cfg.RegionBytes,
+		TrackValues:   cfg.TrackValues,
+		ReadIndex:     cfg.FastReads,
+		Admission:     cfg.Admission,
+		AdmissionSeed: cfg.AdmissionSeed,
+		Spans:         cfg.Spans,
 	}
 	if cfg.Scheme == ZoneCache {
 		rc.ZoneCount = int(cfg.CacheBytes / hw.ZoneBytes())
 	}
-	rig, err := harness.Build(rc)
-	if err != nil {
-		return nil, err
-	}
-	return &Cache{rig: rig}, nil
-}
-
-// Set inserts or replaces key with value.
-func (c *Cache) Set(key string, value []byte) error {
-	if c.closed {
-		return ErrClosed
-	}
-	return c.rig.Engine.Set(key, value, 0)
-}
-
-// SetSized inserts or replaces key with a metadata-only value of n bytes
-// (used when TrackValues is off).
-func (c *Cache) SetSized(key string, n int) error {
-	if c.closed {
-		return ErrClosed
-	}
-	return c.rig.Engine.Set(key, nil, n)
-}
-
-// SetWithTTL inserts key with a time-to-live measured on the simulated
-// clock; after ttl the item answers Get as a miss.
-func (c *Cache) SetWithTTL(key string, value []byte, ttl time.Duration) error {
-	if c.closed {
-		return ErrClosed
-	}
-	return c.rig.Engine.SetTTL(key, value, 0, ttl)
-}
-
-// Get returns the value for key. With TrackValues off, the returned slice
-// is nil even on a hit.
-func (c *Cache) Get(key string) ([]byte, bool, error) {
-	if c.closed {
-		return nil, false, ErrClosed
-	}
-	return c.rig.Engine.Get(key)
-}
-
-// Contains reports whether key is cached, without recency side effects.
-func (c *Cache) Contains(key string) bool {
-	if c.closed {
-		return false
-	}
-	return c.rig.Engine.Contains(key)
-}
-
-// Delete removes key; it reports whether the key was present.
-func (c *Cache) Delete(key string) bool {
-	if c.closed {
-		return false
-	}
-	return c.rig.Engine.Delete(key)
-}
-
-// Len returns the number of cached items.
-func (c *Cache) Len() int { return c.rig.Engine.Len() }
-
-// Stats snapshots cache and device counters.
-func (c *Cache) Stats() Stats {
-	st := c.rig.Engine.Stats()
-	return Stats{
-		Scheme:             c.rig.Scheme,
-		Items:              c.rig.Engine.Len(),
-		HitRatio:           st.HitRatio,
-		Hits:               st.Hits,
-		Misses:             st.Misses,
-		Sets:               st.Sets,
-		Deletes:            st.Deletes,
-		Evictions:          st.Evictions,
-		AdmitRejects:       st.AdmitRejects,
-		WriteAmplification: c.rig.WAFactor(),
-		GetP50:             st.GetLatency.P50,
-		GetP99:             st.GetLatency.P99,
-		SimulatedTime:      st.SimulatedTime,
-	}
-}
-
-// SimulatedTime returns the virtual clock position.
-func (c *Cache) SimulatedTime() time.Duration { return c.rig.Clock.Now() }
-
-// Rig exposes the underlying scheme assembly for advanced inspection
-// (device stats, middle-layer counters). The returned value shares state
-// with the cache.
-func (c *Cache) Rig() *harness.Rig { return c.rig }
-
-// Close marks the cache closed. The simulation holds no external
-// resources; Close exists for API symmetry and use-after-close detection.
-func (c *Cache) Close() error {
-	c.closed = true
-	return nil
+	return harness.Build(rc)
 }

@@ -4,6 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
+
+	"znscache/internal/cache"
+	"znscache/internal/harness"
+	"znscache/internal/sim"
 )
 
 func TestOpenAllSchemes(t *testing.T) {
@@ -41,8 +46,8 @@ func TestDefaultsApplied(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open defaults: %v", err)
 	}
-	if c.rig.Scheme != RegionCache {
-		t.Fatalf("default scheme = %v", c.rig.Scheme)
+	if c.Rig(0).Scheme != RegionCache {
+		t.Fatalf("default scheme = %v", c.Rig(0).Scheme)
 	}
 	if err := c.SetSized("k", 1000); err != nil {
 		t.Fatal(err)
@@ -183,3 +188,74 @@ func TestKVScan(t *testing.T) {
 		t.Fatalf("early-stop scan visited %d", count)
 	}
 }
+
+// TestOpenMatchesBareEngine: one seeded stream of sets, sized and TTL sets,
+// deletes, gets, contains and clock advances goes through Open(cfg) and the
+// engine harness.Build makes of the RigConfig Open's defaults spell out (80%
+// of the device as cache, the admission seed as given); every answer and the
+// final Stats must be identical. Runs with values write small items.
+func TestOpenMatchesBareEngine(t *testing.T) {
+	pay := bytes.Repeat([]byte("0123456789abcdef"), 1100)
+	for _, s := range []Scheme{BlockCache, FileCache, ZoneCache, RegionCache} {
+		for _, values := range []bool{false, true} {
+			cfg := Config{Scheme: s, Zones: 4, TrackValues: values,
+				Admission: cache.ProbAdmitFactory{P: 0.9}, AdmissionSeed: 7}
+			c, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("Open(%v): %v", s, err)
+			}
+			hw := harness.DefaultHW(4)
+			rc := harness.RigConfig{Scheme: s, HW: hw, CacheBytes: 4 * hw.ZoneBytes() * 8 / 10,
+				TrackValues: values, Admission: cfg.Admission, AdmissionSeed: 7}
+			if s == ZoneCache {
+				rc.ZoneCount = int(rc.CacheBytes / hw.ZoneBytes())
+			}
+			rig, err := harness.Build(rc)
+			if err != nil {
+				t.Fatalf("Build(%v): %v", s, err)
+			}
+			eng, maxLen := rig.Engine, map[bool]uint64{false: 16 << 10, true: 1 << 10}[values]
+			rng := sim.NewRand(uint64(s) + 1)
+			for i := 0; i < 30_000; i++ {
+				r := rng.Uint64()
+				k, n := fmt.Sprintf("key-%d", r%8192), 1+int(r>>16%maxLen)
+				v, ttl := pay[i%16:][:n], time.Duration(1+r>>48%3)*time.Second
+				var got, want any
+				switch r >> 32 % 16 {
+				case 0, 1, 2, 3, 4, 5:
+					got, want = answer(c.Get(k)), answer(eng.Get(k))
+				case 6, 7:
+					got, want = c.Set(k, v), eng.Set(k, v, 0)
+				case 8, 9:
+					got, want = c.SetSized(k, n), eng.Set(k, nil, n)
+				case 10:
+					got, want = c.SetWithTTL(k, v, ttl), eng.SetTTL(k, v, 0, ttl)
+				case 11:
+					got, want = c.Delete(k), eng.Delete(k)
+				case 12:
+					got, want = c.Contains(k), eng.Contains(k)
+				default:
+					c.Rig(0).Clock.Advance(ttl / 3)
+					rig.Clock.Advance(ttl / 3)
+				}
+				if got != want {
+					t.Fatalf("%v (values %v) op %d on %s: Open answered %v, the engine %v", s, values, i, k, got, want)
+				}
+			}
+			st := eng.Stats()
+			want := Stats{Scheme: s, Items: eng.Len(), HitRatio: st.HitRatio,
+				Hits: st.Hits, Misses: st.Misses, Sets: st.Sets, Deletes: st.Deletes,
+				Evictions: st.Evictions, AdmitRejects: st.AdmitRejects, WriteAmplification: rig.WAFactor(),
+				GetP50: st.GetLatency.P50, GetP99: st.GetLatency.P99, SimulatedTime: st.SimulatedTime}
+			if got := c.Stats(); got != want {
+				t.Fatalf("%v (values %v) Stats differ:\nOpen   %+v\nengine %+v", s, values, got, want)
+			}
+			if want.Hits == 0 || want.AdmitRejects == 0 || !values && want.Evictions == 0 {
+				t.Fatalf("%v (values %v): the stream exercised too little: %+v", s, values, want)
+			}
+		}
+	}
+}
+
+// answer makes a Get's results one comparable value.
+func answer(v []byte, ok bool, err error) [3]any { return [3]any{string(v), ok, err} }
