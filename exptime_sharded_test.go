@@ -10,8 +10,8 @@ import (
 
 // TestAbsoluteExptimeOnShardClockSharded drives the full serving stack — a
 // ShardedCache behind the memcached server — and asserts absolute exptimes
-// resolve on the per-shard simulated clocks (the ShardClocked extension and
-// the dispatch path's exec-time resolution), not the wall clock. WallBase is
+// resolve on the per-shard simulated clocks (the dispatch path's exec-time
+// resolution on the engine clock), not the wall clock. WallBase is
 // pinned far from the test's real wall time, so any wall-clock reading
 // produces wildly wrong TTLs the assertions would catch.
 func TestAbsoluteExptimeOnShardClockSharded(t *testing.T) {

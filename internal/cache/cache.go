@@ -91,7 +91,6 @@ var (
 	ErrItemTooLarge = errors.New("cache: item larger than region or key too long")
 	ErrBadConfig    = errors.New("cache: invalid configuration")
 	ErrEmptyKey     = errors.New("cache: empty key")
-	ErrChecksum     = errors.New("cache: on-flash checksum mismatch")
 	errNoRegion     = errors.New("cache: no evictable region")
 )
 

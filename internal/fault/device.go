@@ -185,27 +185,6 @@ func (d *ZonedDevice) Write(now time.Duration, data []byte, n int, off int64) (t
 	return lat + dec.spike, err
 }
 
-// Append implements zns.Zoned.
-func (d *ZonedDevice) Append(now time.Duration, data []byte, n int, z int) (time.Duration, int64, error) {
-	dec := d.inj.decideWrite(n / device.SectorSize)
-	if dec.err != nil {
-		if k := dec.tornSectors; k > 0 {
-			var prefix []byte
-			if data != nil {
-				prefix = data[:k*device.SectorSize]
-			}
-			d.inner.Append(now, prefix, k*device.SectorSize, z) //nolint:errcheck
-			d.observe(z, false)
-		}
-		return 0, 0, dec.err
-	}
-	lat, off, err := d.inner.Append(now, data, n, z)
-	if err == nil {
-		d.observe(z, false)
-	}
-	return lat + dec.spike, off, err
-}
-
 // Read implements zns.Zoned.
 func (d *ZonedDevice) Read(now time.Duration, p []byte, off int64) (time.Duration, error) {
 	dec := d.inj.decideRead()

@@ -15,7 +15,7 @@ import (
 // cap must equal its len, so an append to one value cannot write over the
 // next. A second batch reuses the arena and is served just as correctly.
 func TestExchangeValuesLiveUntilNextExchange(t *testing.T) {
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b})
 	cl, err := Dial(s.Addr())
 	if err != nil {
@@ -66,7 +66,7 @@ func TestExchangeValuesLiveUntilNextExchange(t *testing.T) {
 // bound leaves no arena behind once it is answered, and its values stay
 // intact; a batch of small values keeps a bounded arena for the next one.
 func TestExchangeDropsLargeValueArena(t *testing.T) {
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b})
 	cl, err := Dial(s.Addr())
 	if err != nil {

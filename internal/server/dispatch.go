@@ -19,11 +19,11 @@ import (
 // rendered in request order into a reusable response ring flushed with one
 // writev.
 
-// ShardedBackend is the optional Backend extension the dispatch path needs:
-// a shard-partitioned store whose mutations can be grouped per shard and
+// ShardedBackend is the Backend extension the dispatch path needs: a
+// shard-partitioned store whose mutations can be grouped per shard and
 // applied in one critical section. znscache.ShardedCache implements it; a
-// backend without it (the test map backend) is served inline, one op at a
-// time, exactly as the classic path did.
+// backend without it (the benchmark's no-op backend) is served inline, one
+// op at a time.
 type ShardedBackend interface {
 	Backend
 	// NumShards returns the shard count.
@@ -509,18 +509,15 @@ func (s *Server) finishSpan(c *conn) {
 	c.spanVerb, c.spanKey, c.spanShard = "", "", 0
 }
 
-// execInline serves a non-sharded backend: ops run one at a time in request
-// order, exactly the classic serving path.
+// execInline serves a backend that is not a ShardedBackend: ops run one at
+// a time in request order. With no shard clock, absolute exptimes resolve
+// on the wall clock measured from WallBase.
 func (s *Server) execInline(b *batch) {
 	be := s.cfg.Backend
 	for i := range b.ops {
 		o := &b.ops[i]
 		switch o.kind {
 		case opGet:
-			if s.multi != nil && o.k1-o.k0 > 1 {
-				s.multi.GetMulti(b.keys[o.k0:o.k1], b.vals[o.k0:o.k1], b.hits[o.k0:o.k1], b.errs[o.k0:o.k1])
-				break
-			}
 			for j := o.k0; j < o.k1; j++ {
 				b.vals[j], b.hits[j], b.errs[j] = be.Get(b.keys[j])
 			}
@@ -531,7 +528,7 @@ func (s *Server) execInline(b *batch) {
 			case setTTL:
 				o.err = be.SetWithTTL(o.key, o.body, o.ttl)
 			case setTTLAbs:
-				if ttl := o.ttl - s.backendNow(o.key); ttl <= 0 {
+				if ttl := o.ttl - time.Since(s.wallBase); ttl <= 0 {
 					be.Delete(o.key)
 				} else {
 					o.err = be.SetWithTTL(o.key, o.body, ttl)

@@ -14,8 +14,8 @@ import (
 // reply before the connection closes. The draining check in serveConn sits
 // after flushResp — this test keeps it there.
 func TestQuitMidBatchFlushesQueuedReplies(t *testing.T) {
-	b := newMapBackend()
-	b.m["k"] = encodeValue(0, []byte("v"))
+	b := newTestBackend(t)
+	b.put(t, "k", "v")
 	b.blockGet = make(chan struct{})
 	b.getEntered = make(chan struct{}, 1)
 	s := startServer(t, Config{Backend: b})

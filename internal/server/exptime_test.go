@@ -2,30 +2,19 @@ package server
 
 import (
 	"fmt"
-	"sync/atomic"
+	"sort"
 	"testing"
 	"time"
 )
 
-// clockedBackend is a mapBackend with a controllable per-shard simulated
-// clock: the regression tests for the absolute-exptime fix drive the clock
-// explicitly and assert the stored TTLs are exact functions of it (no
-// wall-clock reading can produce exact equality).
-type clockedBackend struct {
-	*mapBackend
-	now atomic.Int64 // simulated shard time, time.Duration ticks
-}
+// The engine keeps TTL deadlines in whole seconds of its clock, rounded up
+// past the instant of the set: an item whose deadline falls at or after a
+// whole second S (and before S+1s) is live until S+1s, gone from it on. The
+// tests below pin every deadline to that boundary: live 1ns before, gone at
+// it. No wall-clock reading can land an item on it exactly.
 
-func newClockedBackend() *clockedBackend {
-	return &clockedBackend{mapBackend: newMapBackend()}
-}
-
-func (b *clockedBackend) ShardNow(key string) time.Duration {
-	return time.Duration(b.now.Load())
-}
-
-// ttlLog reads the recorded (ttl, count) state; see mapBackend.ttlState.
-func (b *clockedBackend) set(t *testing.T, cl *Client, key string, exptime int64) {
+// setExp sets key to "v" with the given memcached exptime.
+func setExp(t *testing.T, cl *Client, key string, exptime int64) {
 	t.Helper()
 	if _, err := cl.Set(key, 0, exptime, []byte("v")); err != nil {
 		t.Fatalf("set %s exptime=%d: %v", key, exptime, err)
@@ -33,19 +22,19 @@ func (b *clockedBackend) set(t *testing.T, cl *Client, key string, exptime int64
 }
 
 // TestExptimeCutoffBoundaryOnShardClock pins WallBase and drives the shard
-// clock directly, asserting the 30-day-rule boundary:
+// clocks directly, asserting the 30-day-rule boundary:
 //
-//   - exptime == relativeExpCutoff: relative — TTL is exactly exptime
-//     seconds, the shard clock's position is irrelevant;
+//   - exptime == relativeExpCutoff: relative — the item lives exactly
+//     exptime seconds past its set on the shard clock, wherever that clock
+//     stood;
 //   - exptime == relativeExpCutoff+1: absolute — interpreted as a unix time
 //     anchored at WallBase, resolved against the shard clock at execution.
 //
-// Exact TTL equality is the regression teeth: the old expTTL read the wall
-// clock (time.Until) for absolute exptimes, which can never reproduce the
-// shard-clock arithmetic exactly.
+// The exact engine-clock deadlines are the regression teeth: an absolute
+// exptime resolved on the wall clock (time.Until) lands far from them.
 func TestExptimeCutoffBoundaryOnShardClock(t *testing.T) {
 	base := time.Unix(1_000_000_000, 0) // arbitrary pinned anchor
-	b := newClockedBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b, WallBase: base})
 	cl, err := Dial(s.Addr())
 	if err != nil {
@@ -53,57 +42,46 @@ func TestExptimeCutoffBoundaryOnShardClock(t *testing.T) {
 	}
 	defer cl.Close() //nolint:errcheck
 
-	// Park the shard clock far from zero so a relative TTL that accidentally
-	// consulted it would be visibly wrong.
-	b.now.Store(int64(100_000 * time.Second))
+	// Park the shard clocks far from zero so a relative TTL that accidentally
+	// read them as absolute would be visibly wrong.
+	const parked = 100_000 * time.Second
+	b.advanceAll(t, parked)
 
 	// At the cutoff: still relative.
-	b.set(t, cl, "rel", relativeExpCutoff)
-	if ttl, _ := b.ttlState(); ttl != relativeExpCutoff*time.Second {
-		t.Fatalf("exptime=cutoff TTL = %v, want exactly %v", ttl, relativeExpCutoff*time.Second)
-	}
+	setExp(t, cl, "rel", relativeExpCutoff)
 
 	// One past the cutoff: absolute. As a unix time it is ~Feb 1970, long
 	// before WallBase, so the value must be treated as already expired —
 	// observably a delete, never a store.
-	_, before := b.ttlState()
-	b.set(t, cl, "past", relativeExpCutoff+1)
-	if _, n := b.ttlState(); n != before {
-		t.Fatal("exptime=cutoff+1 (past unix time) reached SetWithTTL")
-	}
+	setExp(t, cl, "past", relativeExpCutoff+1)
 	if r, _ := cl.Get("past"); r.Hit {
 		t.Fatal("exptime=cutoff+1 (past unix time) left the key visible")
 	}
 
-	// A future absolute exptime resolves on the shard clock: deadline is
-	// exptime − WallBase, remaining TTL is deadline − ShardNow, exactly.
+	// A future absolute exptime resolves on the shard clock: its deadline is
+	// exptime − WallBase, wherever the shard clock stood at the set.
 	exptime := base.Unix() + 2_600_000
-	b.set(t, cl, "abs", exptime)
-	wantTTL := 2_600_000*time.Second - 100_000*time.Second
-	if ttl, _ := b.ttlState(); ttl != wantTTL {
-		t.Fatalf("absolute exptime TTL = %v, want exactly %v (shard-clock resolution)", ttl, wantTTL)
-	}
+	setExp(t, cl, "abs", exptime)
 
-	// Advance the shard clock past the deadline: the same exptime is now
+	// Move the shard clocks to that deadline: the same exptime is now
 	// expired on the shard clock (wall time has barely moved).
-	b.now.Store(int64(2_600_000 * time.Second))
-	_, before = b.ttlState()
-	b.set(t, cl, "abs2", exptime)
-	if _, n := b.ttlState(); n != before {
-		t.Fatal("shard-clock-expired absolute exptime reached SetWithTTL")
-	}
+	b.advanceAll(t, 2_600_000*time.Second)
+	setExp(t, cl, "abs2", exptime)
 	if r, _ := cl.Get("abs2"); r.Hit {
 		t.Fatal("shard-clock-expired absolute exptime left the key visible")
 	}
+
+	b.expiresAt(t, 2_600_001*time.Second, "abs")
+	b.expiresAt(t, parked+(relativeExpCutoff+1)*time.Second, "rel")
 }
 
 // TestAbsoluteExptimeReplayDeterministic replays one request sequence with
 // absolute exptimes twice, each run against a fresh server with the same
-// pinned WallBase and the same shard-clock schedule. Every resolved TTL must
-// be byte-identical across runs and equal to the predicted shard-clock
-// arithmetic — the determinism property the wall-clock expTTL broke (two
-// runs parse at different wall instants, so time.Until yields different
-// durations every time).
+// pinned WallBase and the same shard-clock schedule. Every item must expire
+// exactly at the predicted shard-clock deadline in both runs — the
+// determinism property a wall-clock resolution breaks (two runs parse at
+// different wall instants, so time.Until yields different durations every
+// time).
 func TestAbsoluteExptimeReplayDeterministic(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	schedule := []time.Duration{0, 7 * time.Second, 90 * time.Second, 3 * time.Hour}
@@ -113,48 +91,56 @@ func TestAbsoluteExptimeReplayDeterministic(t *testing.T) {
 		base.Unix() + 12_000_000, // ~139d after base
 	}
 
-	run := func() []time.Duration {
-		b := newClockedBackend()
+	type item struct {
+		key      string
+		deadline time.Duration
+	}
+	run := func() []item {
+		b := newTestBackend(t)
 		s := startServer(t, Config{Backend: b, WallBase: base})
 		cl, err := Dial(s.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer cl.Close() //nolint:errcheck
-		var ttls []time.Duration
-		for i, now := range schedule {
-			b.now.Store(int64(now))
-			for j, exp := range exptimes {
-				if exp-base.Unix() <= int64(now/time.Second) {
-					continue // would expire; only live stores record a TTL
+		var pending, checked []item
+		// check asserts the deadlines up to until, in deadline order, before
+		// the shard clocks move past them.
+		check := func(until time.Duration) {
+			sort.SliceStable(pending, func(i, j int) bool { return pending[i].deadline < pending[j].deadline })
+			for len(pending) > 0 && pending[0].deadline <= until {
+				d := pending[0].deadline
+				var keys []string
+				for len(pending) > 0 && pending[0].deadline == d {
+					keys = append(keys, pending[0].key)
+					checked, pending = append(checked, pending[0]), pending[1:]
 				}
-				b.set(t, cl, fmt.Sprintf("k%d_%d", i, j), exp)
-				ttl, _ := b.ttlState()
-				ttls = append(ttls, ttl)
+				b.expiresAt(t, d, keys...)
 			}
 		}
-		return ttls
+		for i, now := range schedule {
+			check(now)
+			b.advanceAll(t, now)
+			for j, exp := range exptimes {
+				key := fmt.Sprintf("k%d_%d", i, j)
+				setExp(t, cl, key, exp)
+				at := time.Duration(exp-base.Unix()) * time.Second
+				if at <= now {
+					if r, _ := cl.Get(key); r.Hit {
+						t.Fatalf("%s: exptime %v past the shard clock stored as live", key, at)
+					}
+					continue
+				}
+				pending = append(pending, item{key, at + time.Second})
+			}
+		}
+		check(1 << 62)
+		return checked
 	}
 
 	first := run()
 	second := run()
-	if len(first) != len(second) {
-		t.Fatalf("replay lengths differ: %d vs %d", len(first), len(second))
-	}
-	idx := 0
-	for _, now := range schedule {
-		for _, exp := range exptimes {
-			if exp-base.Unix() <= int64(now/time.Second) {
-				continue
-			}
-			want := time.Duration(exp-base.Unix())*time.Second - now
-			if first[idx] != want {
-				t.Fatalf("run 1 ttl[%d] = %v, want %v", idx, first[idx], want)
-			}
-			if first[idx] != second[idx] {
-				t.Fatalf("replay diverged at %d: %v vs %v", idx, first[idx], second[idx])
-			}
-			idx++
-		}
+	if fmt.Sprint(first) != fmt.Sprint(second) {
+		t.Fatalf("replay diverged:\n%v\n%v", first, second)
 	}
 }

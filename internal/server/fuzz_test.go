@@ -5,12 +5,6 @@ import (
 	"net"
 	"testing"
 	"time"
-
-	"znscache/internal/cache"
-	"znscache/internal/device"
-	"znscache/internal/flash"
-	"znscache/internal/ssd"
-	"znscache/internal/store"
 )
 
 // FuzzProtocol throws arbitrary bytes at a live server. The invariants: the
@@ -38,8 +32,15 @@ func FuzzProtocol(f *testing.F) {
 		f.Add([]byte(s))
 	}
 
-	b := newMapBackend()
-	b.m["k"] = encodeValue(0, []byte("v"))
+	srv := fuzzServer(f)
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzOneInput(t, srv, data) })
+}
+
+// fuzzServer serves a test backend holding "k", with timeouts short enough
+// that a stalled input ends quickly.
+func fuzzServer(f *testing.F) *Server {
+	b := newTestBackend(f)
+	b.put(f, "k", "v")
 	srv, err := New(Config{
 		Backend:     b,
 		ReadTimeout: 200 * time.Millisecond,
@@ -54,8 +55,7 @@ func FuzzProtocol(f *testing.F) {
 		defer cancel()
 		srv.Shutdown(ctx) //nolint:errcheck
 	})
-
-	f.Fuzz(func(t *testing.T, data []byte) { fuzzOneInput(t, srv, data) })
+	return srv
 }
 
 // fuzzOneInput throws data at srv over a fresh connection, drains whatever
@@ -93,8 +93,7 @@ func fuzzOneInput(t *testing.T, srv *Server, data []byte) {
 	cl.Close() //nolint:errcheck
 }
 
-// FuzzProto targets the batched parse/dispatch path over the real sharded
-// cache: multi-key gets, pipelined mixed batches with read-after-write and
+// FuzzProto targets the batched parse/dispatch path: multi-key gets, pipelined mixed batches with read-after-write and
 // write-after-read pairs, and mid-batch malformed commands all flow through
 // the phase splitter and the shard write groups. Same invariants as FuzzProtocol — no
 // panics, server stays responsive — but the seeds aim at the batch
@@ -125,84 +124,6 @@ func FuzzProto(f *testing.F) {
 		f.Add([]byte(s))
 	}
 
-	c := newFuzzSharded(f, 4)
-	srv, err := New(Config{
-		Backend:     c,
-		ReadTimeout: 200 * time.Millisecond,
-		IdleTimeout: 200 * time.Millisecond,
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	if srv.sharded == nil {
-		f.Fatal("sharded dispatch not active; FuzzProto would only cover the inline path")
-	}
-	go srv.Serve() //nolint:errcheck
-	f.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx) //nolint:errcheck
-	})
-
+	srv := fuzzServer(f)
 	f.Fuzz(func(t *testing.T, data []byte) { fuzzOneInput(t, srv, data) })
-}
-
-// fuzzSharded adapts cache.Sharded to this package's Backend +
-// ShardedBackend, so FuzzProto exercises the phase splitter and the shard
-// write groups against real cache engines without importing the root
-// package (which would close an import cycle through harness).
-type fuzzSharded struct{ sh *cache.Sharded }
-
-func (b *fuzzSharded) Get(key string) ([]byte, bool, error) { return b.sh.Get(key) }
-func (b *fuzzSharded) Set(key string, value []byte) error   { return b.sh.Set(key, value, len(value)) }
-func (b *fuzzSharded) SetWithTTL(key string, value []byte, ttl time.Duration) error {
-	return b.sh.SetTTL(key, value, len(value), ttl)
-}
-func (b *fuzzSharded) Delete(key string) bool  { return b.sh.Delete(key) }
-func (b *fuzzSharded) Len() int                { return b.sh.Len() }
-func (b *fuzzSharded) NumShards() int          { return b.sh.NumShards() }
-func (b *fuzzSharded) ShardFor(key string) int { return b.sh.ShardFor(key) }
-func (b *fuzzSharded) ExecShard(i int, fn func(*cache.Cache)) error {
-	b.sh.WithShard(i, fn)
-	return nil
-}
-
-// newFuzzSharded builds shards small block-cache engines, each over its own
-// tiny emulated SSD so values survive region flushes and Get returns real
-// payload bytes.
-func newFuzzSharded(tb testing.TB, shards int) *fuzzSharded {
-	tb.Helper()
-	const regionBytes = 64 << 10
-	engines := make([]*cache.Cache, shards)
-	for i := range engines {
-		dev, err := ssd.New(ssd.Config{
-			Geometry: flash.Geometry{
-				Channels: 2, DiesPerChan: 1, BlocksPerDie: 16,
-				PagesPerBlock: 16, PageSize: device.SectorSize,
-			},
-			Timing:    flash.DefaultTiming(),
-			StoreData: true,
-		})
-		if err != nil {
-			tb.Fatalf("shard %d ssd: %v", i, err)
-		}
-		regions := int(dev.Size() / regionBytes)
-		if regions > 8 {
-			regions = 8
-		}
-		st, err := store.NewBlockStore(dev, "block", regionBytes, regions)
-		if err != nil {
-			tb.Fatalf("shard %d store: %v", i, err)
-		}
-		eng, err := cache.New(cache.Config{Store: st, TrackValues: true})
-		if err != nil {
-			tb.Fatalf("shard %d engine: %v", i, err)
-		}
-		engines[i] = eng
-	}
-	sh, err := cache.NewSharded(engines)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return &fuzzSharded{sh: sh}
 }

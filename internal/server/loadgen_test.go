@@ -8,7 +8,7 @@ import (
 )
 
 func TestLoadgenClosedLoop(t *testing.T) {
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b})
 
 	res, err := Run(LoadConfig{
@@ -55,7 +55,7 @@ func TestLoadgenClosedLoop(t *testing.T) {
 }
 
 func TestLoadgenOpenLoop(t *testing.T) {
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b})
 
 	const target = 2000.0
@@ -97,7 +97,7 @@ func TestLoadgenDialError(t *testing.T) {
 }
 
 func TestLoadgenValueDist(t *testing.T) {
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b})
 
 	dist, err := workload.ParseSizeDist("pareto:1.2:1024:262144")

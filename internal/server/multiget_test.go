@@ -6,31 +6,14 @@ import (
 	"testing"
 )
 
-// errBackend injects per-key Get errors over a mapBackend, producing the
-// truncated multiget responses (SERVER_ERROR instead of END) the client's
-// error-marking logic has to survive.
-type errBackend struct {
-	*mapBackend
-	failKeys map[string]error
-}
-
-func (b *errBackend) Get(key string) ([]byte, bool, error) {
-	if err, ok := b.failKeys[key]; ok {
-		return nil, false, err
-	}
-	return b.mapBackend.Get(key)
-}
-
 // TestMultiGetMidStreamErrorMarksUnresolved covers the truncation case: the
 // server renders hits in request order and cuts the response at the first
 // backend error, so a requested key skipped before the cut (a presumed miss)
 // is in fact unresolved. Every key without a VALUE block must carry the
 // error — a zero-value Resp would be indistinguishable from a true miss.
 func TestMultiGetMidStreamErrorMarksUnresolved(t *testing.T) {
-	b := &errBackend{
-		mapBackend: newMapBackend(),
-		failKeys:   map[string]error{"k3": errors.New("disk on fire")},
-	}
+	b := newTestBackend(t)
+	b.failKeys = map[string]error{"k3": errors.New("disk on fire")}
 	s := startServer(t, Config{Backend: b})
 	cl, err := Dial(s.Addr())
 	if err != nil {
@@ -85,7 +68,7 @@ func TestMultiGetMidStreamErrorMarksUnresolved(t *testing.T) {
 // client's in-order matcher must land each block on its own slot — including
 // duplicates separated by a missing key.
 func TestMultiGetDuplicateKeys(t *testing.T) {
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b})
 	cl, err := Dial(s.Addr())
 	if err != nil {
@@ -126,10 +109,8 @@ func TestMultiGetDuplicateKeys(t *testing.T) {
 // error: the duplicate occurrence after the cut is unresolved even though an
 // earlier occurrence of the same key was answered.
 func TestMultiGetDuplicateKeysWithError(t *testing.T) {
-	b := &errBackend{
-		mapBackend: newMapBackend(),
-		failKeys:   map[string]error{"kerr": errors.New("bad sector")},
-	}
+	b := newTestBackend(t)
+	b.failKeys = map[string]error{"kerr": errors.New("bad sector")}
 	s := startServer(t, Config{Backend: b})
 	cl, err := Dial(s.Addr())
 	if err != nil {

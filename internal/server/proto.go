@@ -106,24 +106,12 @@ func (s *Server) discardBody(c *conn, br *bufio.Reader, n int64) (ok, badChunk b
 }
 
 // expDeadline converts an absolute memcached exptime (> relativeExpCutoff,
-// a unix time) to a deadline on the backend clock whose zero is WallBase.
-// The remaining TTL is deadline − backendNow(key), resolved at execution
-// time so it lands on the same clock relative TTLs already use; ≤0 means
-// already expired. (The old expTTL resolved absolute exptimes against the
-// wall clock at parse time, which put them on a different clock than the
-// shard-simulated relative TTLs and broke same-seed replay determinism.)
+// a unix time) to a deadline on the shard clock whose zero is WallBase. The
+// remaining TTL is the deadline less the owning engine's clock, resolved at
+// execution time (execShardGroup) so it lands on the clock relative TTLs
+// already use; ≤0 means already expired.
 func (s *Server) expDeadline(exptime int64) time.Duration {
 	return time.Unix(exptime, 0).Sub(s.wallBase)
-}
-
-// backendNow reads the backend clock for key: the owning shard's simulated
-// clock when the backend exposes one, else wall time since WallBase (which
-// makes deadline − now identical to time.Until(exptime) for plain backends).
-func (s *Server) backendNow(key string) time.Duration {
-	if s.clocked != nil {
-		return s.clocked.ShardNow(key)
-	}
-	return time.Since(s.wallBase)
 }
 
 // validKey applies memcached's key rules: 1..250 bytes, no whitespace or

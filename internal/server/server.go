@@ -16,8 +16,9 @@
 // forms are measured on the owning shard's simulated clock, the same clock
 // the cache's own TTL machinery uses. Absolute exptimes are anchored by
 // Config.WallBase (the wall instant declared to be shard time zero) and
-// resolved against ShardClocked.ShardNow at execution time, so a pinned
-// WallBase makes same-seed replays with absolute exptimes deterministic.
+// resolved against the owning engine's clock inside its shard's write group,
+// so a pinned WallBase makes same-seed replays with absolute exptimes
+// deterministic.
 //
 // Concurrency model: one goroutine per connection does all of that
 // connection's work — read, parse, execute (a sharded backend's write groups
@@ -47,9 +48,12 @@ import (
 	"znscache/internal/stats"
 )
 
-// Backend is the store the server fronts. znscache.ShardedCache satisfies it
-// directly; tests substitute a map. Implementations must be safe for
-// concurrent use — the server calls them from one goroutine per connection.
+// Backend is the store the server fronts. Every cache the server serves
+// also implements ShardedBackend (znscache.ShardedCache does); a Backend
+// without it is served one op at a time (dispatch.go), which the benchmark
+// uses to price the server's own cost over a no-op backend. Implementations
+// must be safe for concurrent use — the server calls them from one goroutine
+// per connection.
 type Backend interface {
 	// Get returns the value for key and whether it was present. The server
 	// only reads the value, until the response carrying it is written.
@@ -67,23 +71,12 @@ type Backend interface {
 	Len() int
 }
 
-// ShardClocked is an optional Backend extension for backends whose TTLs run
-// on per-shard simulated clocks (znscache.ShardedCache). ShardNow reports the
-// owning shard's current simulated time, so absolute memcached exptimes
-// resolve on the very clock the relative ones already use: simulated instant
-// Config.WallBase + ShardNow(key). Without it, absolute exptimes fall back to
-// the wall clock (time.Since(WallBase) cancels WallBase out exactly), the
-// right reading for a backend whose TTLs are wall-clock anyway.
-type ShardClocked interface {
-	// ShardNow returns the current simulated time of the shard owning key.
-	ShardNow(key string) time.Duration
-}
-
-// MultiGetter is an optional Backend extension: fetch many keys in one call.
-// znscache.ShardedCache implements it to account a batch's lock-free
-// lookups once per shard. The three result slices are parallel to keys and
-// fully owned by the caller; every slot must be written (hit, miss, or
-// error).
+// MultiGetter is an optional ShardedBackend extension: fetch many keys in
+// one call. znscache.ShardedCache implements it to account a batch's
+// lock-free lookups once per shard; a backend without it (the benchmark's
+// traced backend, which samples its Gets one by one) is asked key by key.
+// The three result slices are parallel to keys and fully owned by the
+// caller; every slot must be written (hit, miss, or error).
 type MultiGetter interface {
 	GetMulti(keys []string, vals [][]byte, hits []bool, errs []error)
 }
@@ -131,13 +124,13 @@ type Config struct {
 	// costs one pointer test per site on the serving path.
 	Spans *obs.SpanRecorder
 	// WallBase anchors absolute memcached exptimes (unix times past the
-	// 30-day cutoff) to the backend's clock: an absolute exptime T becomes
-	// the deadline T − WallBase on the owning shard's clock (ShardClocked
-	// backends) or on the wall clock measured from WallBase (plain
-	// backends — algebraically identical to time.Until(T)). Zero means
-	// "now" at New. Pinning it makes same-seed replays with absolute
-	// exptimes deterministic: the simulated instant each exptime maps to no
-	// longer depends on when the process started.
+	// 30-day cutoff) to the shard clocks: an absolute exptime T becomes the
+	// deadline T − WallBase on the owning engine's clock (a backend that is
+	// not a ShardedBackend has no shard clock and reads the wall clock from
+	// WallBase, algebraically time.Until(T)). Zero means "now" at New.
+	// Pinning it makes same-seed replays with absolute exptimes
+	// deterministic: the simulated instant each exptime maps to no longer
+	// depends on when the process started.
 	WallBase time.Time
 }
 
@@ -244,12 +237,8 @@ type Server struct {
 
 	// sharded is non-nil when Backend also implements ShardedBackend; it
 	// enables the phase-split shard-affinity dispatch path (dispatch.go).
-	// clocked is non-nil when Backend implements ShardClocked; absolute
-	// exptimes then resolve on the shard clock instead of the wall clock.
-	// multi is non-nil when Backend implements MultiGetter; multi-key gets
-	// on the inline path, and every phase's gets on the sharded path, then
-	// execute as one batched backend call.
-	clocked ShardClocked
+	// multi is non-nil when it also implements MultiGetter; every phase's
+	// gets then execute as one batched backend call.
 	multi   MultiGetter
 	sharded ShardedBackend
 
@@ -264,6 +253,10 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Backend == nil {
 		return nil, fmt.Errorf("server: Config.Backend is required")
+	}
+	sb, sharded := cfg.Backend.(ShardedBackend)
+	if sharded && sb.NumShards() < 1 {
+		return nil, fmt.Errorf("server: Config.Backend has %d shards, want at least 1", sb.NumShards())
 	}
 	cfg.fillDefaults()
 	ln, err := net.Listen("tcp", cfg.Addr)
@@ -284,14 +277,9 @@ func New(cfg Config) (*Server, error) {
 		s.wallBase = s.start
 	}
 	s.spans = cfg.Spans
-	if cb, ok := cfg.Backend.(ShardClocked); ok {
-		s.clocked = cb
-	}
-	if mg, ok := cfg.Backend.(MultiGetter); ok {
-		s.multi = mg
-	}
-	if sb, ok := cfg.Backend.(ShardedBackend); ok && sb.NumShards() > 0 {
+	if sharded {
 		s.sharded = sb
+		s.multi, _ = sb.(MultiGetter)
 	}
 	return s, nil
 }

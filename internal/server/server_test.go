@@ -9,97 +9,153 @@ import (
 	"net"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"znscache/internal/cache"
+	"znscache/internal/device"
+	"znscache/internal/flash"
 	"znscache/internal/obs"
+	"znscache/internal/ssd"
+	"znscache/internal/store"
 )
 
-// mapBackend is an in-memory Backend for protocol tests. It records the last
-// TTL passed to SetWithTTL so the exptime translation is assertable, and can
-// block Get on a channel to hold requests in flight for the shutdown tests.
-type mapBackend struct {
-	mu      sync.Mutex
-	m       map[string][]byte
-	lastTTL time.Duration
-	ttlSets int
-	deletes int
+// testBackend is the backend the package's tests serve: cache.Sharded over
+// four small engines, each over its own emulated SSD that keeps payload,
+// with regions large enough for every value the tests store. Get can be
+// parked (blockGet/getEntered, for the drain tests) or fail per key
+// (failKeys, for the multiget truncation tests); set the hooks before the
+// server starts. It has no GetMulti, so every get reaches them.
+type testBackend struct {
+	sh *cache.Sharded
 
 	// blockGet, when non-nil, is received from inside Get after signalling
 	// getEntered — the shutdown tests park a request here.
 	blockGet   chan struct{}
 	getEntered chan struct{}
+	failKeys   map[string]error
 }
 
-func newMapBackend() *mapBackend {
-	return &mapBackend{m: make(map[string][]byte)}
-}
-
-func (b *mapBackend) Get(key string) ([]byte, bool, error) {
-	b.mu.Lock()
-	blocked, entered := b.blockGet, b.getEntered
-	b.mu.Unlock()
-	if blocked != nil {
-		if entered != nil {
-			select {
-			case entered <- struct{}{}:
-			default:
-			}
+func newTestBackend(tb testing.TB) *testBackend {
+	tb.Helper()
+	const shards, regions, regionBytes = 4, 8, 1 << 20
+	// Probes read the shard clock without moving it (liveAt).
+	cpu := cache.DefaultCPUModel()
+	cpu.IndexLookup = 0
+	engines := make([]*cache.Cache, shards)
+	for i := range engines {
+		dev, err := ssd.New(ssd.Config{
+			Geometry: flash.Geometry{
+				Channels: 2, DiesPerChan: 2, BlocksPerDie: 40,
+				PagesPerBlock: 32, PageSize: device.SectorSize,
+			},
+			Timing:    flash.DefaultTiming(),
+			StoreData: true,
+		})
+		if err != nil {
+			tb.Fatalf("shard %d ssd: %v", i, err)
 		}
-		<-blocked
+		st, err := store.NewBlockStore(dev, "block", regionBytes, regions)
+		if err != nil {
+			tb.Fatalf("shard %d store: %v", i, err)
+		}
+		eng, err := cache.New(cache.Config{
+			Store: st, TrackValues: true, CPU: cpu, BufferMemory: 2 * regionBytes,
+		})
+		if err != nil {
+			tb.Fatalf("shard %d engine: %v", i, err)
+		}
+		engines[i] = eng
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	v, ok := b.m[key]
-	if !ok {
-		return nil, false, nil
+	sh, err := cache.NewSharded(engines)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, true, nil
+	return &testBackend{sh: sh}
 }
 
-func (b *mapBackend) Set(key string, value []byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.m[key] = append([]byte(nil), value...)
+func (b *testBackend) Get(key string) ([]byte, bool, error) {
+	if b.blockGet != nil {
+		select {
+		case b.getEntered <- struct{}{}:
+		default:
+		}
+		<-b.blockGet
+	}
+	if err := b.failKeys[key]; err != nil {
+		return nil, false, err
+	}
+	return b.sh.Get(key)
+}
+
+func (b *testBackend) Set(key string, value []byte) error { return b.sh.Set(key, value, 0) }
+func (b *testBackend) SetWithTTL(key string, value []byte, ttl time.Duration) error {
+	return b.sh.SetTTL(key, value, 0, ttl)
+}
+func (b *testBackend) Delete(key string) bool  { return b.sh.Delete(key) }
+func (b *testBackend) Len() int                { return b.sh.Len() }
+func (b *testBackend) NumShards() int          { return b.sh.NumShards() }
+func (b *testBackend) ShardFor(key string) int { return b.sh.ShardFor(key) }
+func (b *testBackend) ExecShard(i int, fn func(*cache.Cache)) error {
+	b.sh.WithShard(i, fn)
 	return nil
 }
 
-func (b *mapBackend) SetWithTTL(key string, value []byte, ttl time.Duration) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.m[key] = append([]byte(nil), value...)
-	b.lastTTL = ttl
-	b.ttlSets++
-	return nil
+// put stores val under key with zero flags, as a set would.
+func (b *testBackend) put(tb testing.TB, key, val string) {
+	tb.Helper()
+	if err := b.Set(key, encodeValue(0, []byte(val))); err != nil {
+		tb.Fatal(err)
+	}
 }
 
-func (b *mapBackend) Delete(key string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.deletes++
-	_, ok := b.m[key]
-	delete(b.m, key)
+// advance moves shard i's clock to at; a clock already past it fails tb.
+func (b *testBackend) advance(tb testing.TB, i int, at time.Duration) {
+	tb.Helper()
+	var now time.Duration
+	b.ExecShard(i, func(eng *cache.Cache) { now = eng.Clock().AdvanceTo(at) }) //nolint:errcheck
+	if now != at {
+		tb.Fatalf("shard %d clock at %v, past %v", i, now, at)
+	}
+}
+
+// advanceAll moves every shard clock to at.
+func (b *testBackend) advanceAll(tb testing.TB, at time.Duration) {
+	tb.Helper()
+	for i := 0; i < b.NumShards(); i++ {
+		b.advance(tb, i, at)
+	}
+}
+
+// liveAt reports whether key is live with its shard's clock moved to at.
+func (b *testBackend) liveAt(tb testing.TB, key string, at time.Duration) bool {
+	tb.Helper()
+	i := b.ShardFor(key)
+	b.advance(tb, i, at)
+	var ok bool
+	b.ExecShard(i, func(eng *cache.Cache) { ok = eng.Contains(key) }) //nolint:errcheck
 	return ok
 }
 
-func (b *mapBackend) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.m)
+// expiresAt asserts that every key is live 1ns before deadline on its
+// shard's clock and gone at it.
+func (b *testBackend) expiresAt(tb testing.TB, deadline time.Duration, keys ...string) {
+	tb.Helper()
+	for _, key := range keys {
+		if !b.liveAt(tb, key, deadline-1) {
+			tb.Fatalf("%s gone at %v, want live until %v", key, deadline-1, deadline)
+		}
+	}
+	for _, key := range keys {
+		if b.liveAt(tb, key, deadline) {
+			tb.Fatalf("%s live at %v, want gone at its deadline", key, deadline)
+		}
+	}
 }
 
-// ttlState reads the TTL-tracking fields under the lock: the response
-// arriving at the client does not synchronize the test goroutine with the
-// serving goroutine in the Go memory model, so assertions must take the
-// backend's own mutex.
-func (b *mapBackend) ttlState() (time.Duration, int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lastTTL, b.ttlSets
-}
+// plainBackend hides testBackend's shard methods: a Backend that is not a
+// ShardedBackend, served on the inline path.
+type plainBackend struct{ Backend }
 
 // startServer runs a server over the backend and tears it down with the test.
 func startServer(t *testing.T, cfg Config) *Server {
@@ -118,7 +174,11 @@ func startServer(t *testing.T, cfg Config) *Server {
 }
 
 func TestProtocolBasics(t *testing.T) {
-	b := newMapBackend()
+	t.Run("sharded", func(t *testing.T) { testProtocolBasics(t, newTestBackend(t)) })
+	t.Run("inline", func(t *testing.T) { testProtocolBasics(t, plainBackend{newTestBackend(t)}) })
+}
+
+func testProtocolBasics(t *testing.T, b Backend) {
 	s := startServer(t, Config{Backend: b})
 	cl, err := Dial(s.Addr())
 	if err != nil {
@@ -184,6 +244,39 @@ func TestProtocolBasics(t *testing.T) {
 	}
 }
 
+// noShards is a ShardedBackend that reports no shards.
+type noShards struct{ *testBackend }
+
+func (noShards) NumShards() int { return 0 }
+
+func TestNewRejectsShardlessBackend(t *testing.T) {
+	if _, err := New(Config{Backend: noShards{newTestBackend(t)}}); err == nil {
+		t.Fatal("New accepted a ShardedBackend with no shards")
+	}
+}
+
+// TestInlinePathExptimes serves a Backend that is not a ShardedBackend: with
+// no shard clock, absolute exptimes resolve on the wall clock from WallBase.
+func TestInlinePathExptimes(t *testing.T) {
+	s := startServer(t, Config{Backend: plainBackend{newTestBackend(t)}})
+	cl, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close() //nolint:errcheck
+	setExp(t, cl, "rel", 60)
+	setExp(t, cl, "future", time.Now().Add(time.Hour).Unix())
+	setExp(t, cl, "past", time.Now().Add(-time.Hour).Unix())
+	cl.QueueGetMulti([]string{"rel", "future", "past"})
+	rs, err := cl.Exchange()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rs[0].Hit || !rs[1].Hit || rs[2].Hit {
+		t.Fatalf("hits rel/future/past = %v/%v/%v, want true/true/false", rs[0].Hit, rs[1].Hit, rs[2].Hit)
+	}
+}
+
 // rawExchange writes raw bytes and reads until the deadline or n bytes of
 // response, for driving malformed input that Client cannot produce.
 func rawExchange(t *testing.T, addr string, req string) string {
@@ -238,7 +331,7 @@ func TestProtocolMalformed(t *testing.T) {
 		{"truncated set", "set k 0 0 10\r\nabc", ""}, // body never arrives; no reply owed
 		{"line too long", strings.Repeat("g", 5000) + "\r\n", "CLIENT_ERROR line too long"},
 	}
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b, ReadTimeout: 300 * time.Millisecond})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -265,7 +358,7 @@ func TestProtocolMalformed(t *testing.T) {
 // TestMalformedKillsOnlyOffender pins that a fatal protocol error severs the
 // offending connection and nothing else.
 func TestMalformedKillsOnlyOffender(t *testing.T) {
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b})
 
 	good, err := Dial(s.Addr())
@@ -302,7 +395,7 @@ func TestMalformedKillsOnlyOffender(t *testing.T) {
 }
 
 func TestNoreplyAndMultiGet(t *testing.T) {
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b})
 
 	nc, err := net.Dial("tcp", s.Addr())
@@ -327,56 +420,49 @@ func TestNoreplyAndMultiGet(t *testing.T) {
 	}
 }
 
+// TestExptimeSemantics serves memcached's exptime forms on the shard clocks,
+// parked at a whole second so each engine deadline is exact (see
+// exptime_test.go).
 func TestExptimeSemantics(t *testing.T) {
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b})
 	cl, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close() //nolint:errcheck
+	const parked = 1000 * time.Second
+	b.advanceAll(t, parked)
 
 	// Relative: seconds become a TTL.
-	if _, err := cl.Set("rel", 0, 60, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if ttl, _ := b.ttlState(); ttl != 60*time.Second {
-		t.Fatalf("relative exptime TTL = %v, want 60s", ttl)
-	}
-	// Zero: plain set, no TTL call.
-	_, ttlSets := b.ttlState()
-	if _, err := cl.Set("zero", 0, 0, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if _, n := b.ttlState(); n != ttlSets {
-		t.Fatal("exptime 0 used SetWithTTL")
-	}
+	setExp(t, cl, "rel", 60)
+	// Zero: no TTL.
+	setExp(t, cl, "zero", 0)
 	// Negative: already expired — observably deleted.
-	if _, err := cl.Set("neg", 0, -1, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
+	setExp(t, cl, "neg", -1)
 	if r, _ := cl.Get("neg"); r.Hit {
 		t.Fatal("negative exptime left the key visible")
 	}
-	// Absolute future unix time: TTL approximates the interval.
-	future := time.Now().Add(1 * time.Hour).Unix()
-	if _, err := cl.Set("abs", 0, future, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if ttl, _ := b.ttlState(); ttl < 59*time.Minute || ttl > 61*time.Minute {
-		t.Fatalf("absolute exptime TTL = %v, want ≈1h", ttl)
-	}
+	// Absolute future unix time, an hour past WallBase (the server's start):
+	// the deadline lies about an hour into shard time.
+	setExp(t, cl, "abs", time.Now().Add(time.Hour).Unix())
 	// Absolute past unix time: expired — deleted.
-	if _, err := cl.Set("past", 0, time.Now().Add(-time.Hour).Unix(), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
+	setExp(t, cl, "past", time.Now().Add(-time.Hour).Unix())
 	if r, _ := cl.Get("past"); r.Hit {
 		t.Fatal("past absolute exptime left the key visible")
+	}
+
+	b.expiresAt(t, parked+61*time.Second, "rel")
+	if !b.liveAt(t, "abs", 3590*time.Second) || b.liveAt(t, "abs", 3610*time.Second) {
+		t.Fatal("absolute exptime an hour out did not expire an hour into shard time")
+	}
+	if !b.liveAt(t, "zero", 3610*time.Second) {
+		t.Fatal("exptime 0 expired")
 	}
 }
 
 func TestOversizedValueRefusedConnectionSurvives(t *testing.T) {
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b, MaxValueBytes: 1024})
 
 	nc, err := net.Dial("tcp", s.Addr())
@@ -400,7 +486,7 @@ func TestOversizedValueRefusedConnectionSurvives(t *testing.T) {
 // mid-batch, twice over so the second batch reads over the first's arena,
 // and reads every value back.
 func TestSetBodiesSurviveArenaGrowth(t *testing.T) {
-	s := startServer(t, Config{Backend: newMapBackend()})
+	s := startServer(t, Config{Backend: newTestBackend(t)})
 	cl, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -432,9 +518,9 @@ func TestSetBodiesSurviveArenaGrowth(t *testing.T) {
 }
 
 func TestPipelinedBatchFlushesOnce(t *testing.T) {
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b})
-	b.m["k"] = encodeValue(0, []byte("v"))
+	b.put(t, "k", "v")
 
 	nc, err := net.Dial("tcp", s.Addr())
 	if err != nil {
@@ -466,7 +552,7 @@ func TestPipelinedBatchFlushesOnce(t *testing.T) {
 // executes as one batch with one flush, although every body is longer than
 // the command-line limit, and every get returns its set's bytes.
 func TestPipelinedLargeBodiesOneBatch(t *testing.T) {
-	s := startServer(t, Config{Backend: newMapBackend()})
+	s := startServer(t, Config{Backend: newTestBackend(t)})
 	nc, err := net.Dial("tcp", s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -530,7 +616,7 @@ func TestLineLimit(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := startServer(t, Config{Backend: newMapBackend(), MaxLineBytes: tc.limit})
+			s := startServer(t, Config{Backend: newTestBackend(t), MaxLineBytes: tc.limit})
 			nc, err := net.Dial("tcp", s.Addr())
 			if err != nil {
 				t.Fatal(err)
@@ -598,7 +684,7 @@ func TestLineLimitAcrossReadDeadline(t *testing.T) {
 }
 
 func TestConnectionLimitBackpressure(t *testing.T) {
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b, MaxConns: 2})
 
 	c1, err := Dial(s.Addr())
@@ -649,8 +735,8 @@ func TestConnectionLimitBackpressure(t *testing.T) {
 // pipelined batch already accepted when Shutdown begins is fully answered
 // before the connection closes.
 func TestGracefulShutdownDrainsInFlight(t *testing.T) {
-	b := newMapBackend()
-	b.m["k"] = encodeValue(0, []byte("v"))
+	b := newTestBackend(t)
+	b.put(t, "k", "v")
 	b.blockGet = make(chan struct{})
 	b.getEntered = make(chan struct{}, 1)
 	s := startServer(t, Config{Backend: b})
@@ -733,8 +819,8 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 }
 
 func TestShutdownContextForceCloses(t *testing.T) {
-	b := newMapBackend()
-	b.m["k"] = encodeValue(0, []byte("v"))
+	b := newTestBackend(t)
+	b.put(t, "k", "v")
 	b.blockGet = make(chan struct{})
 	b.getEntered = make(chan struct{}, 1)
 	defer close(b.blockGet) // unstick the handler after the test
@@ -758,7 +844,7 @@ func TestShutdownContextForceCloses(t *testing.T) {
 }
 
 func TestSlowRequestTracing(t *testing.T) {
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b, SlowThreshold: time.Nanosecond})
 	cl, err := Dial(s.Addr())
 	if err != nil {
@@ -774,7 +860,7 @@ func TestSlowRequestTracing(t *testing.T) {
 }
 
 func TestMetricsRegistration(t *testing.T) {
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b})
 	cl, err := Dial(s.Addr())
 	if err != nil {

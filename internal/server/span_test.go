@@ -12,12 +12,13 @@ import (
 // TestSpanStageSumMatchesRequestLatency checks the stage-sum invariant with
 // every batch sampled: queue_wait + exec partitions the measured request
 // window exactly, so their histogram sums and counts must equal the
-// server_request_latency histogram's. Over the map backend each command is a
-// one-op batch; over a sharded backend each pipeline is one batch of sets
-// spread over the shards, whose groups each wait for their shard's lock.
+// server_request_latency histogram's. On the inline path each command is a
+// one-op batch that waits for no lock; over a sharded backend each pipeline
+// is one batch of sets spread over the shards, whose groups each wait for
+// their shard's lock.
 func TestSpanStageSumMatchesRequestLatency(t *testing.T) {
-	t.Run("map", func(t *testing.T) {
-		rec, s, cl := spanServer(t, newMapBackend())
+	t.Run("inline", func(t *testing.T) {
+		rec, s, cl := spanServer(t, plainBackend{newTestBackend(t)})
 		const ops = 50
 		for i := 0; i < ops; i++ {
 			if _, err := cl.Set("k", 0, 0, []byte("v")); err != nil {
@@ -33,7 +34,7 @@ func TestSpanStageSumMatchesRequestLatency(t *testing.T) {
 		}
 	})
 	t.Run("sharded", func(t *testing.T) {
-		rec, s, cl := spanServer(t, newFuzzSharded(t, 4))
+		rec, s, cl := spanServer(t, newTestBackend(t))
 		const batches, width = 25, 8
 		for n := 0; n < batches; n++ {
 			for i := 0; i < width; i++ {
@@ -111,7 +112,7 @@ func checkStageSum(t *testing.T, rec *obs.SpanRecorder, s *Server, batches, widt
 // breakdown the acceptance criterion names.
 func TestForcedSlowRequestExemplar(t *testing.T) {
 	rec := obs.NewSpanRecorder(obs.SpanConfig{SampleEvery: 64, SlowThreshold: time.Nanosecond})
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b, Spans: rec})
 	cl, err := Dial(s.Addr())
 	if err != nil {
@@ -149,7 +150,7 @@ func TestSpanConcurrentPipelinedBatches(t *testing.T) {
 	rec := obs.NewSpanRecorder(obs.SpanConfig{
 		SampleEvery: 2, SlowThreshold: time.Nanosecond, SlowLogCap: 64,
 	})
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b, Spans: rec})
 
 	res, err := Run(LoadConfig{
@@ -188,7 +189,7 @@ func TestSpanConcurrentPipelinedBatches(t *testing.T) {
 // unlabeled aggregate plus one labeled series per verb, counts matching the
 // traffic sent.
 func TestPerVerbRequestLatency(t *testing.T) {
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b})
 	cl, err := Dial(s.Addr())
 	if err != nil {
@@ -229,7 +230,7 @@ func TestPerVerbRequestLatency(t *testing.T) {
 // TestLoadgenProgressTimeline drives a short run with progress sampling on
 // and checks the interval series accounts for every completed request.
 func TestLoadgenProgressTimeline(t *testing.T) {
-	b := newMapBackend()
+	b := newTestBackend(t)
 	s := startServer(t, Config{Backend: b})
 	var sb strings.Builder
 	res, err := Run(LoadConfig{

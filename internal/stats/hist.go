@@ -31,27 +31,20 @@ var bucketBounds = func() [histBuckets]float64 {
 	return b
 }()
 
+// bucketFor returns the bucket holding d: the i with bucketBounds[i-1] ≤ ns
+// < bucketBounds[i], found by binary search (no ns reaches the +Inf bound).
 func bucketFor(d time.Duration) int {
-	ns := float64(d.Nanoseconds())
-	if ns <= 0 {
-		return 0
+	ns := float64(d)
+	lo, hi := 0, histBuckets-1
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ns < bucketBounds[m] {
+			hi = m
+		} else {
+			lo = m + 1
+		}
 	}
-	// log_growth(ns) with clamping; direct computation avoids a scan.
-	i := int(math.Log(ns)/math.Log(histGrowth)) + 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
-	// The float math can land one bucket off; fix up against the bounds.
-	for i > 0 && ns < bucketBounds[i-1] {
-		i--
-	}
-	for i < histBuckets-1 && ns >= bucketBounds[i] {
-		i++
-	}
-	return i
+	return lo
 }
 
 // Histogram is a concurrency-safe log-bucketed latency histogram.

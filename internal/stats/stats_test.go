@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -154,6 +156,43 @@ func TestBucketForMonotone(t *testing.T) {
 			t.Fatalf("bucketFor not monotone at %v: %d < %d", d, b, prev)
 		}
 		prev = b
+	}
+}
+
+// refBucketFor is bucketFor's former formula: a logarithm, then fix-ups
+// against the bounds. bucketFor must agree with it everywhere.
+func refBucketFor(d time.Duration) int {
+	ns := float64(d.Nanoseconds())
+	if ns <= 0 {
+		return 0
+	}
+	i := min(max(int(math.Log(ns)/math.Log(histGrowth))+1, 0), histBuckets-1)
+	for i > 0 && ns < bucketBounds[i-1] {
+		i--
+	}
+	for i < histBuckets-1 && ns >= bucketBounds[i] {
+		i++
+	}
+	return i
+}
+
+// TestBucketForMatchesLogFormula compares bucketFor with the logarithmic
+// reference at every bound ±1ns and over a seeded log-uniform sweep.
+func TestBucketForMatchesLogFormula(t *testing.T) {
+	ds := []time.Duration{math.MinInt64, -1, 0, 1, math.MaxInt64}
+	for _, b := range bucketBounds[:histBuckets-1] {
+		for _, ns := range []float64{math.Floor(b), math.Ceil(b)} {
+			ds = append(ds, time.Duration(ns)-1, time.Duration(ns), time.Duration(ns)+1)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 100_000; i++ {
+		ds = append(ds, time.Duration(math.Exp(r.Float64()*40)))
+	}
+	for _, d := range ds {
+		if got, want := bucketFor(d), refBucketFor(d); got != want {
+			t.Fatalf("bucketFor(%d) = %d, log formula says %d", int64(d), got, want)
+		}
 	}
 }
 

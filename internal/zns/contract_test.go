@@ -31,7 +31,7 @@ func newContractDev(t *testing.T) *zns.Device {
 }
 
 // TestDeviceHonoursZoneContract drives the simulated ZNS device through the
-// full zone lifecycle — partial writes, fills, finish, reset, append — and
+// full zone lifecycle — partial writes, fills, finish, reset — and
 // runs the invariant checker after every step. The checker is the same one
 // the fault wrapper applies under the crash harness, so this test keeps the
 // reference device and the checker's notion of the contract in lockstep.
@@ -68,14 +68,14 @@ func TestDeviceHonoursZoneContract(t *testing.T) {
 	}
 	check("finish")
 
-	// Append into zone 2 via the append path.
-	if _, _, err := d.Append(0, buf, len(buf), 2); err != nil {
+	// Write at zone 2's write pointer.
+	if _, err := d.Write(0, buf, len(buf), 2*zs); err != nil {
 		t.Fatal(err)
 	}
-	check("append")
+	check("write at wp")
 
 	// Open zones up to the cap, then reset them all back to empty.
-	if _, _, err := d.Append(0, buf, len(buf), 3); err != nil {
+	if _, err := d.Write(0, buf, len(buf), 3*zs); err != nil {
 		t.Fatal(err)
 	}
 	check("open to cap")
@@ -96,7 +96,8 @@ func TestWrappedDeviceContractAudit(t *testing.T) {
 	buf := make([]byte, device.SectorSize)
 	for z := 0; z < 3; z++ {
 		for i := 0; i < 4; i++ {
-			if _, _, err := w.Append(0, buf, len(buf), z); err != nil {
+			off := int64(z)*w.ZoneSize() + int64(i)*device.SectorSize
+			if _, err := w.Write(0, buf, len(buf), off); err != nil {
 				t.Fatal(err)
 			}
 		}

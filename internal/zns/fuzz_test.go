@@ -8,7 +8,7 @@ import (
 // FuzzZoneOps feeds arbitrary byte streams through the same op decoder the
 // state-machine suite uses: byte 0 selects one of the four budget
 // configurations, every following 3-byte group decodes into a zone op
-// (write/append/read/reset/finish/close) addressed relative to the current
+// (write/read/reset/finish/close) addressed relative to the current
 // write pointer. Each op is cross-checked against the reference model —
 // error class, zone state, write pointer, budget counters, read-back data —
 // and the full zone contract is audited after

@@ -1,5 +1,5 @@
 // Randomized zone state-machine property suite: thousands of seeded op
-// sequences (write, append, read, reset, finish, close) run against the
+// sequences (write, read, reset, finish, close) run against the
 // simulated device and an independent reference model of the ZNS state
 // diagram, with every step cross-checked — returned error class, zone
 // state, write pointer, open/active budget accounting, and read-back data —
@@ -241,7 +241,6 @@ type opKind int
 
 const (
 	opWrite opKind = iota
-	opAppend
 	opRead
 	opReset
 	opFinish
@@ -273,15 +272,15 @@ func decodeOp(m *model, b0, b1, b2 byte) (kind opKind, zi int, p1, p2 int64, tag
 		}
 		return kind, zi, a, n, 0
 	case sel < 48:
-		kind = opAppend
+		// A write exactly at the write pointer; a full zone reads instead.
 		if z.wp >= m.spz {
-			return opRead, zi, 0, 0, 0 // full zone: read instead
+			return opRead, zi, 0, 0, 0
 		}
 		n := int64(b2)%2 + 1
 		if z.wp+n > m.spz {
 			n = m.spz - z.wp
 		}
-		return kind, zi, z.wp, n, 0
+		return opWrite, zi, z.wp, n, 0
 	case sel < 63:
 		kind = opRead
 		a := int64(b2) % m.spz
@@ -338,19 +337,6 @@ func smRun(tb testing.TB, b smBudget, dev zns.Zoned, inner *zns.Device, raw []by
 			} else {
 				wantErr = m.write(zi, p1, p2, t)
 				_, gotErr = dev.Write(0, data, len(data), off)
-			}
-		case opAppend:
-			t := nextTag()
-			data := sectorFill(t, p2)
-			if skip {
-				_, _, gotErr = dev.Append(0, data, len(data), zi)
-			} else {
-				wantErr = m.write(zi, p1, p2, t)
-				var off int64
-				_, off, gotErr = dev.Append(0, data, len(data), zi)
-				if gotErr == nil && off != int64(zi)*inner.ZoneSize()+p1*device.SectorSize {
-					tb.Fatalf("%s: append landed at %d, model expected sector %d", step, off, p1)
-				}
 			}
 		case opRead:
 			buf := make([]byte, p2*device.SectorSize)

@@ -139,9 +139,6 @@ type Zoned interface {
 	// Write appends n bytes at offset off (must equal the zone's write
 	// pointer). data may be nil for a metadata-only write.
 	Write(now time.Duration, data []byte, n int, off int64) (time.Duration, error)
-	// Append writes n bytes at zone z's write pointer, returning the
-	// assigned device offset.
-	Append(now time.Duration, data []byte, n int, z int) (time.Duration, int64, error)
 	// Read reads len(p) bytes at off; must not cross the write pointer.
 	Read(now time.Duration, p []byte, off int64) (time.Duration, error)
 	// View returns the n written bytes at off in place, read-only and
@@ -192,7 +189,6 @@ type Device struct {
 	// Table 1.
 	HostWrites stats.Counter // bytes
 	Resets     stats.Counter
-	Appends    stats.Counter
 	Finishes   stats.Counter
 	// FinishFill counts pages programmed to fill unwritten tails at finish —
 	// the zone-finish cost of partially written zones.
@@ -433,30 +429,6 @@ func (d *Device) writeLocked(now time.Duration, data []byte, n int, off int64) (
 	return latest - now, nil
 }
 
-// Append writes n bytes at zone z's current write pointer, returning the
-// assigned device offset — the zone-append primitive that lets multiple
-// writers share a zone without coordinating on the write pointer. The
-// offset is resolved and programmed in one critical section, so concurrent
-// appends to a zone get distinct offsets that tile it.
-func (d *Device) Append(now time.Duration, data []byte, n int, z int) (time.Duration, int64, error) {
-	if z < 0 || z >= d.numZones {
-		return 0, 0, fmt.Errorf("%w: %d", ErrZoneRange, z)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.state[z] == ZoneFull {
-		// The write pointer sits at the next zone's start; do not spill there.
-		return 0, 0, fmt.Errorf("%w: zone %d", ErrZoneFull, z)
-	}
-	off := int64(z)*d.zoneSize + d.wp[z]*device.SectorSize
-	lat, err := d.writeLocked(now, data, n, off)
-	if err != nil {
-		return 0, 0, err
-	}
-	d.Appends.Inc()
-	return lat, off, nil
-}
-
 // implicitOpenLocked transitions empty/closed → open, enforcing the open
 // cap and (for empty zones, which must acquire an active slot) the active
 // budget.
@@ -675,7 +647,6 @@ func (d *Device) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	ls := labels.With("layer", "zns")
 	r.Counter("zns_host_write_bytes_total", "Bytes written by the host to the ZNS device", ls, &d.HostWrites)
 	r.Counter("zns_zone_resets_total", "Zone reset commands executed", ls, &d.Resets)
-	r.Counter("zns_zone_appends_total", "Zone append commands executed", ls, &d.Appends)
 	r.Counter("zns_zone_finishes_total", "Zone finish commands executed", ls, &d.Finishes)
 	r.Counter("zns_finish_fill_pages_total", "Pages programmed to fill unwritten tails at zone finish", ls, &d.FinishFill)
 	r.Gauge("zns_open_zones", "Zones currently in the open state", ls, func() float64 {

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"sync"
+
 	"testing"
 	"testing/quick"
 	"time"
@@ -293,98 +293,6 @@ func TestFinishMakesZoneFull(t *testing.T) {
 	}
 }
 
-func TestAppendReturnsOffsets(t *testing.T) {
-	d := newTestDev(t)
-	_, off1, err := d.Append(0, nil, device.SectorSize, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, off2, err := d.Append(0, nil, 2*device.SectorSize, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off1 != 2*d.ZoneSize() || off2 != off1+device.SectorSize {
-		t.Fatalf("append offsets %d, %d", off1, off2)
-	}
-	if d.Appends.Load() != 2 {
-		t.Fatalf("Appends = %d", d.Appends.Load())
-	}
-}
-
-// TestAppendConcurrentOffsetsUnique: writers that share a zone through
-// Append never coordinate on the write pointer, so the device must assign
-// each append its own offset and program the zone's pages in order. Four
-// goroutines fill one 64-sector zone with tagged one-sector appends; every
-// append must succeed, the offsets must tile the zone, and each sector must
-// read back the tag of the append that got its offset.
-func TestAppendConcurrentOffsetsUnique(t *testing.T) {
-	const writers, perWriter, zone = 4, 16, 3
-	d := newTestDev(t)
-	if spz := d.ZoneSize() / device.SectorSize; spz != writers*perWriter {
-		t.Fatalf("zone holds %d sectors, want %d", spz, writers*perWriter)
-	}
-	offs := make([][]int64, writers)
-	errs := make(chan error, writers*perWriter)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				tag := byte(w*perWriter + i + 1)
-				_, off, err := d.Append(0, bytes.Repeat([]byte{tag}, device.SectorSize), device.SectorSize, zone)
-				if err != nil {
-					errs <- err
-					continue
-				}
-				offs[w] = append(offs[w], off)
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Errorf("concurrent Append: %v", err)
-	}
-	if t.Failed() {
-		return
-	}
-	owner := map[int64]byte{}
-	for w := range offs {
-		for i, off := range offs[w] {
-			if prev, dup := owner[off]; dup {
-				t.Fatalf("offset %d assigned twice (tags %d and %d)", off, prev, w*perWriter+i+1)
-			}
-			owner[off] = byte(w*perWriter + i + 1)
-		}
-	}
-	base := int64(zone) * d.ZoneSize()
-	got := make([]byte, device.SectorSize)
-	for s := int64(0); s < writers*perWriter; s++ {
-		off := base + s*device.SectorSize
-		tag, ok := owner[off]
-		if !ok {
-			t.Fatalf("no append landed at sector %d of the zone", s)
-		}
-		if _, err := d.Read(0, got, off); err != nil {
-			t.Fatalf("Read sector %d: %v", s, err)
-		}
-		if !bytes.Equal(got, bytes.Repeat([]byte{tag}, device.SectorSize)) {
-			t.Fatalf("sector %d reads tag %d, its append wrote %d", s, got[0], tag)
-		}
-	}
-	if z, _ := d.ZoneInfo(zone); z.State != ZoneFull {
-		t.Fatalf("zone state %v after the appends filled it, want FULL", z.State)
-	}
-	// A further append must not spill into the next zone.
-	if _, _, err := d.Append(0, nil, device.SectorSize, zone); !errors.Is(err, ErrZoneFull) {
-		t.Fatalf("append to full zone err = %v, want ErrZoneFull", err)
-	}
-	if z, _ := d.ZoneInfo(zone + 1); z.WP != 0 {
-		t.Fatalf("next zone wp = %d after append to a full zone", z.WP)
-	}
-}
-
 // TestReadDuringResetSeesOneGeneration: the device is shared by a writer
 // that fills a zone in four writes of one tag and resets it, over and over,
 // and a reader of the zone's first half. Every read must either find the
@@ -447,13 +355,6 @@ func TestReadDuringResetSeesOneGeneration(t *testing.T) {
 	}
 	<-done
 	t.Logf("%d reads of the written half, %d rejected beyond the write pointer", whole, partial)
-}
-
-func TestAppendToBadZone(t *testing.T) {
-	d := newTestDev(t)
-	if _, _, err := d.Append(0, nil, device.SectorSize, 99); !errors.Is(err, ErrZoneRange) {
-		t.Fatalf("append zone 99 err = %v", err)
-	}
 }
 
 func TestZonesSnapshot(t *testing.T) {

@@ -100,14 +100,6 @@ func (c *ShardedCache) ShardFor(key string) int { return c.sh.ShardFor(key) }
 // operations.
 func (c *ShardedCache) Rig(i int) *harness.Rig { return c.rigs[i] }
 
-// ShardNow returns the current simulated time of the shard owning key — the
-// clock every TTL on that shard is measured against. It satisfies the
-// serving layer's ShardClocked extension so absolute memcached exptimes
-// resolve on the shard clock rather than the wall clock.
-func (c *ShardedCache) ShardNow(key string) time.Duration {
-	return c.rigs[c.sh.ShardFor(key)].Clock.Now()
-}
-
 // Set inserts or replaces key with value.
 func (c *ShardedCache) Set(key string, value []byte) error {
 	if c.closed.Load() {
