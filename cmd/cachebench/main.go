@@ -1,16 +1,22 @@
-// Command cachebench reruns the paper's micro-benchmark evaluation (§4.1)
-// on the simulated device stack: CacheBench's bc mix against all four
-// schemes.
+// Command cachebench reruns the paper's evaluation on the simulated device
+// stack: the micro-benchmarks (§4.1, CacheBench's bc mix against all four
+// schemes) and the end-to-end runs (§4.2, an LSM key-value store, the
+// RocksDB stand-in, on a simulated HDD with each scheme as its flash
+// secondary cache).
 //
 // Experiments:
 //
-//	cachebench -experiment fig2    # overall throughput + hit ratio (Figure 2)
-//	cachebench -experiment fig3    # region buffer fill times (Figure 3)
-//	cachebench -experiment fig4    # OP-ratio sweep (Figure 4)
-//	cachebench -experiment table1  # WA factors under OP ratios (Table 1)
+//	cachebench -experiment fig2      # overall throughput + hit ratio (Figure 2)
+//	cachebench -experiment smallzone # Zone-Cache vs zone size (small-zone hypothesis)
+//	cachebench -experiment admission # admission policy × scheme: device writes vs hit ratio
 //	cachebench -experiment contracts # zone-resource limit sweep (open/active caps)
-//	cachebench -experiment cdn     # chunked large-object sweep: chunk size × scheme
-//	cachebench -experiment all     # everything
+//	cachebench -experiment cdn       # chunked large-object sweep: chunk size × scheme
+//	cachebench -experiment fig3      # region buffer fill times (Figure 3)
+//	cachebench -experiment fig4      # OP-ratio sweep (Figure 4)
+//	cachebench -experiment table1    # WA factors under OP ratios (Table 1)
+//	cachebench -experiment fig5      # RocksDB ops/s, hit ratio, P50/P99 per scheme (Figure 5)
+//	cachebench -experiment table2    # RocksDB Zone-Cache cache-size sweep (Table 2)
+//	cachebench -experiment all       # everything, fig5 and table2 last
 //
 // Scale flags shrink or grow the run; defaults regenerate the numbers in
 // EXPERIMENTS.md in a few minutes of wall-clock time.
@@ -31,7 +37,7 @@ import (
 
 func main() {
 	var (
-		experiment  = flag.String("experiment", "all", "fig2|fig3|fig4|table1|smallzone|admission|contracts|cdn|all")
+		experiment  = flag.String("experiment", "all", "fig2|fig3|fig4|table1|smallzone|admission|contracts|cdn|fig5|table2|all")
 		limits      = flag.String("limits", "", "comma-separated open-zone caps for -experiment contracts (default 14,8,4,2,1)")
 		chunkKiB    = flag.String("chunk-kib", "", "comma-separated bigobj chunk sizes in KiB for -experiment cdn (default 128,512)")
 		admission   = flag.String("admission", "", "admission policy for every rig: all|prob:P|reject-first[:BITS,WINDOW]|dynamic-random[:WINDOW_MS]|frequency[:THRESHOLD]")
@@ -39,7 +45,9 @@ func main() {
 		zones       = flag.Int("zones", 0, "override device zone count")
 		ops         = flag.Int("ops", 0, "override measured op count")
 		warmup      = flag.Int("warmup", 0, "override warmup op count")
-		keys        = flag.Int64("keys", 0, "override key-space size")
+		keys        = flag.Int64("keys", 0, "override key-space size (fig5/table2: fillrandom key count)")
+		reads       = flag.Int("reads", 0, "override readrandom op count (fig5/table2)")
+		cacheZones  = flag.Int("cache-zones", 0, "override flash cache size in zones (fig5/table2)")
 		seed        = flag.Uint64("seed", 0, "override workload seed")
 		traceFile   = flag.String("trace", "", "replay a CSV trace file ('ts,key,size,op' records) instead of an experiment")
 		scheme      = flag.String("scheme", "region", "scheme for -trace: block|file|zone|region")
@@ -114,11 +122,13 @@ func main() {
 	}
 
 	// run runs experiment f when -experiment is all or one of name's
-	// slash-separated names.
+	// slash-separated names; matched records that some experiment ran.
+	matched := false
 	run := func(name string, f func() error) {
 		if *experiment != "all" && !slices.Contains(strings.Split(name, "/"), *experiment) {
 			return
 		}
+		matched = true
 		if err := f(); err != nil {
 			fmt.Fprintf(os.Stderr, "cachebench %s: %v\n", name, err)
 			os.Exit(1)
@@ -135,7 +145,7 @@ func main() {
 			return err
 		}
 		harness.PrintFig2(os.Stdout, rows)
-		return report(harness.NewFig2Report(rows))
+		return report(&harness.Report{Experiment: "fig2", Fig2: rows})
 	})
 	run("smallzone", func() error {
 		p := harness.DefaultSmallZone()
@@ -146,7 +156,7 @@ func main() {
 			return err
 		}
 		harness.PrintSmallZone(os.Stdout, rows)
-		return report(harness.NewSmallZoneReport(rows))
+		return report(&harness.Report{Experiment: "smallzone", SmallZone: rows})
 	})
 	run("admission", func() error {
 		p := harness.DefaultAdmissionSweep()
@@ -158,7 +168,7 @@ func main() {
 			return err
 		}
 		harness.PrintAdmission(os.Stdout, rows)
-		return report(harness.NewAdmissionReport(rows))
+		return report(&harness.Report{Experiment: "admission", Admission: rows})
 	})
 	run("contracts", func() error {
 		p := harness.DefaultContracts()
@@ -176,7 +186,7 @@ func main() {
 			return err
 		}
 		harness.PrintContracts(os.Stdout, rows)
-		return report(harness.NewContractsReport(rows))
+		return report(&harness.Report{Experiment: "contracts", Contracts: rows})
 	})
 	run("cdn", func() error {
 		p := harness.CDNParams{Env: env}
@@ -195,7 +205,7 @@ func main() {
 			return err
 		}
 		harness.PrintCDN(os.Stdout, rows)
-		return report(harness.NewCDNReport(rows))
+		return report(&harness.Report{Experiment: "cdn", CDN: rows})
 	})
 	run("fig3", func() error {
 		p := harness.DefaultFig3()
@@ -206,7 +216,7 @@ func main() {
 			return err
 		}
 		harness.PrintFig3(os.Stdout, rows)
-		return report(harness.NewFig3Report(rows))
+		return report(&harness.Report{Experiment: "fig3", Fig3: rows})
 	})
 	// fig4 and table1 come from the same runs: either prints both.
 	run("fig4/table1", func() error {
@@ -218,12 +228,33 @@ func main() {
 			return err
 		}
 		harness.PrintFig4Table1(os.Stdout, rows)
-		return report(harness.NewFig4Table1Report(rows))
+		return report(&harness.Report{Experiment: "fig4_table1", Fig4Table1: rows})
 	})
 
-	switch *experiment {
-	case "all", "fig2", "fig3", "fig4", "table1", "smallzone", "admission", "contracts", "cdn":
-	default:
+	// fig5 and table2 run the LSM store over the flash cache (§4.2).
+	db := harness.DefaultFig5()
+	scale(nil, nil, nil, &db.Keys, &db.Seed)
+	set(&db.Reads, *reads)
+	set(&db.FlashCacheZones, *cacheZones)
+	db.Env = env
+	run("fig5", func() error {
+		rows, err := harness.RunFig5(db)
+		if err != nil {
+			return err
+		}
+		harness.PrintFig5(os.Stdout, rows)
+		return report(&harness.Report{Experiment: "fig5", Fig5: rows})
+	})
+	run("table2", func() error {
+		rows, err := harness.RunTable2(db)
+		if err != nil {
+			return err
+		}
+		harness.PrintTable2(os.Stdout, rows)
+		return report(&harness.Report{Experiment: "table2", Table2: rows})
+	})
+
+	if !matched {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		os.Exit(2)
 	}

@@ -110,10 +110,9 @@ func main() {
 	fmt.Printf("\nops=%d (get=%d set=%d del=%d fill=%d) errors=%d\n",
 		res.Ops, res.Gets, res.Sets, res.Deletes, res.Fills, res.Errors)
 	fmt.Printf("achieved %.0f ops/s over %v, hit ratio %.4f\n",
-		res.AchievedQPS, res.Elapsed.Round(time.Millisecond), res.HitRatio())
-	l := res.Latency
+		res.AchievedQPS, res.Elapsed.Round(time.Millisecond), res.HitRatio)
 	fmt.Printf("latency p50=%v p90=%v p99=%v p999=%v mean=%v max=%v\n",
-		l.P50, l.P90, l.P99, l.P999, l.Mean, l.Max)
+		res.P50, res.P90, res.P99, res.P999, res.Mean, res.Max)
 	if res.Multiget > 1 && len(res.GetBatchSizes) > 0 {
 		fmt.Printf("get batch sizes (multiget=%d):", res.Multiget)
 		for n := 1; n <= res.Multiget; n++ {
@@ -137,7 +136,7 @@ func main() {
 	}
 
 	if *jsonDir != "" {
-		rep := harness.NewServeReport([]harness.ServeRowJSON{toRow(res)})
+		rep := &harness.Report{Experiment: "serve", Serve: []server.LoadResult{*res}}
 		path, err := rep.WriteFile(*jsonDir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: report: %v\n", err)
@@ -176,54 +175,4 @@ func parseInts(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-// toRow converts a load result to the report wire form.
-func toRow(r *server.LoadResult) harness.ServeRowJSON {
-	return harness.ServeRowJSON{
-		Mode:             r.Mode,
-		Conns:            r.Conns,
-		Pipeline:         r.Pipeline,
-		TargetQPS:        r.TargetQPS,
-		AchievedQPS:      r.AchievedQPS,
-		Ops:              r.Ops,
-		Gets:             r.Gets,
-		Sets:             r.Sets,
-		Deletes:          r.Deletes,
-		Hits:             r.Hits,
-		Misses:           r.Misses,
-		Fills:            r.Fills,
-		Errors:           r.Errors,
-		HitRatio:         r.HitRatio(),
-		ElapsedNs:        r.Elapsed.Nanoseconds(),
-		P50Ns:            r.Latency.P50.Nanoseconds(),
-		P90Ns:            r.Latency.P90.Nanoseconds(),
-		P99Ns:            r.Latency.P99.Nanoseconds(),
-		P999Ns:           r.Latency.P999.Nanoseconds(),
-		MeanNs:           r.Latency.Mean.Nanoseconds(),
-		MaxNs:            r.Latency.Max.Nanoseconds(),
-		Multiget:         r.Multiget,
-		GetBatchSizes:    r.GetBatchSizes,
-		ValueSizeBuckets: r.ValueSizeBuckets,
-		Timeline:         toTimeline(r.Timeline),
-	}
-}
-
-// toTimeline converts the interval series to wire form (nil when progress
-// sampling was off, so the report field is omitted).
-func toTimeline(ts []server.IntervalStat) []harness.ServeIntervalJSON {
-	if len(ts) == 0 {
-		return nil
-	}
-	out := make([]harness.ServeIntervalJSON, len(ts))
-	for i, t := range ts {
-		out[i] = harness.ServeIntervalJSON{
-			TNs:   t.T.Nanoseconds(),
-			Ops:   t.Ops,
-			QPS:   t.QPS,
-			P50Ns: t.P50.Nanoseconds(),
-			P99Ns: t.P99.Nanoseconds(),
-		}
-	}
-	return out
 }

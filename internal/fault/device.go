@@ -21,9 +21,6 @@ func WrapBlock(dev device.BlockDevice, inj *Injector) *BlockDevice {
 	return &BlockDevice{inner: dev, inj: inj}
 }
 
-// Inner exposes the wrapped device.
-func (d *BlockDevice) Inner() device.BlockDevice { return d.inner }
-
 // ReadAt implements device.BlockDevice.
 func (d *BlockDevice) ReadAt(now time.Duration, p []byte, off int64) (time.Duration, error) {
 	dec := d.inj.decideRead()
@@ -93,9 +90,6 @@ func WrapZoned(dev zns.Zoned, inj *Injector) *ZonedDevice {
 	}
 	return &ZonedDevice{inner: dev, inj: inj, lastWP: wp}
 }
-
-// Inner exposes the wrapped device.
-func (d *ZonedDevice) Inner() zns.Zoned { return d.inner }
 
 // NumZones implements zns.Zoned.
 func (d *ZonedDevice) NumZones() int { return d.inner.NumZones() }

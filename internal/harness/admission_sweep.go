@@ -70,23 +70,6 @@ func DefaultAdmissionSweep() AdmissionSweepParams {
 	}
 }
 
-// admissionRigConfig mirrors the Figure 2 rig: 20/25 of the device as cache,
-// honest F2FS accounting, Zone-Cache on the whole device.
-func admissionRigConfig(s Scheme, hw HWProfile) RigConfig {
-	cfg := RigConfig{
-		Scheme:            s,
-		HW:                hw,
-		CacheBytes:        int64(hw.actualZones()) * hw.ZoneBytes() * 20 / 25,
-		OPRatio:           0.20,
-		FSMetaOverhead:    0.30,
-		FSMetaOverheadSet: true,
-	}
-	if s == ZoneCache {
-		cfg.ZoneCount = hw.actualZones()
-	}
-	return cfg
-}
-
 // RunAdmissionSweep measures hit ratio, write amplification, and device
 // bytes written for every (scheme, admission policy) pair — the §4.3
 // write-bandwidth/lifetime axis with admission control as the lever. Rows
@@ -104,7 +87,7 @@ func RunAdmissionSweep(p AdmissionSweepParams) ([]AdmissionRow, error) {
 	// are the "all" rows and the denominators for the dynamic-random budget.
 	baselines := make([]measuredBC, len(p.Schemes))
 	err := forEachPoint(len(p.Schemes), func(i int) error {
-		cfg := admissionRigConfig(p.Schemes[i], hw)
+		cfg := fig2RigConfig(p.Schemes[i], hw)
 		cfg.Admission = cache.AdmitAll{}
 		rig, err := p.Env.build(cfg)
 		if err != nil {
@@ -151,7 +134,7 @@ func RunAdmissionSweep(p AdmissionSweepParams) ([]AdmissionRow, error) {
 		if err != nil {
 			return fmt.Errorf("admission %v %q: %w", s, pt.policy, err)
 		}
-		cfg := admissionRigConfig(s, hw)
+		cfg := fig2RigConfig(s, hw)
 		cfg.Admission = factory
 		cfg.AdmissionSeed = cache.ShardSeed(p.Seed, i)
 		rig, err := p.Env.build(cfg)

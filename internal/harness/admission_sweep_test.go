@@ -63,10 +63,7 @@ func TestAdmissionSweepSmoke(t *testing.T) {
 	if !strings.Contains(buf.String(), "dynamic-random") {
 		t.Fatal("PrintAdmission output missing policy rows")
 	}
-	rep := NewAdmissionReport(rows)
-	if err := rep.Validate(); err != nil {
-		t.Fatalf("report: %v", err)
-	}
+	rep := roundTrip(t, &Report{Experiment: "admission", Admission: rows})
 	if len(rep.Admission) != len(rows) {
 		t.Fatalf("report rows = %d, want %d", len(rep.Admission), len(rows))
 	}

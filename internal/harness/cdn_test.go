@@ -1,10 +1,6 @@
 package harness
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 func smallCDNParams() CDNParams {
 	return CDNParams{
@@ -85,29 +81,7 @@ func TestCDNReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := NewCDNReport(rows)
-	if err := rep.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	dir := t.TempDir()
-	path, err := rep.WriteFile(dir)
-	if err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	if filepath.Base(path) != "BENCH_cdn.json" {
-		t.Fatalf("wrote %q, want BENCH_cdn.json", path)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
-	}
-	back, err := ParseReport(data)
-	if err != nil {
-		t.Fatalf("ParseReport: %v", err)
-	}
-	if err := back.Validate(); err != nil {
-		t.Fatalf("round-trip Validate: %v", err)
-	}
+	back := roundTrip(t, &Report{Experiment: "cdn", CDN: rows})
 	if len(back.CDN) != len(rows) {
 		t.Fatalf("round-trip rows = %d, want %d", len(back.CDN), len(rows))
 	}

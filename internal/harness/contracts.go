@@ -92,7 +92,6 @@ func RunContracts(p ContractsParams) ([]ContractsRow, error) {
 		p.MiddleOpenZones = 4
 	}
 	hw := DefaultHW(p.Zones)
-	cacheBytes := int64(hw.actualZones()) * hw.ZoneBytes() * 20 / 25
 
 	type point struct {
 		scheme Scheme
@@ -111,20 +110,10 @@ func RunContracts(p ContractsParams) ([]ContractsRow, error) {
 	rows := make([]ContractsRow, len(points))
 	err := forEachPoint(len(points), func(i int) error {
 		pt := points[i]
-		cfg := RigConfig{
-			Scheme:            pt.scheme,
-			HW:                hw,
-			CacheBytes:        cacheBytes,
-			OPRatio:           0.20,
-			FSMetaOverhead:    0.30,
-			FSMetaOverheadSet: true,
-			MaxOpenZones:      pt.limit,
-			MaxActiveZones:    pt.limit + p.ActiveSlack,
-			MiddleOpenZones:   p.MiddleOpenZones,
-		}
-		if pt.scheme == ZoneCache {
-			cfg.ZoneCount = hw.actualZones()
-		}
+		cfg := fig2RigConfig(pt.scheme, hw)
+		cfg.MaxOpenZones = pt.limit
+		cfg.MaxActiveZones = pt.limit + p.ActiveSlack
+		cfg.MiddleOpenZones = p.MiddleOpenZones
 		rig, err := p.Env.build(cfg)
 		if err != nil {
 			return fmt.Errorf("contracts %v open=%d: %w", pt.scheme, pt.limit, err)

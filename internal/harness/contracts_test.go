@@ -67,10 +67,7 @@ func TestContractsSweepSmoke(t *testing.T) {
 		t.Errorf("Block-Cache control rows differ across limits:\n  open=14: %+v\n  open=1:  %+v", a, b)
 	}
 
-	rep := NewContractsReport(rows)
-	if err := rep.Validate(); err != nil {
-		t.Fatalf("contracts report invalid: %v", err)
-	}
+	rep := roundTrip(t, &Report{Experiment: "contracts", Contracts: rows})
 	if len(rep.Contracts) != len(rows) {
 		t.Fatalf("report has %d rows, want %d", len(rep.Contracts), len(rows))
 	}

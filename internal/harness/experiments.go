@@ -143,28 +143,10 @@ func DefaultFig2() Fig2Params {
 // worker pool; output stays in presentation order.
 func RunFig2(p Fig2Params) ([]SchemeResult, error) {
 	hw := DefaultHW(p.Zones)
-	zoneBytes := hw.ZoneBytes()
-	deviceBytes := int64(hw.actualZones()) * zoneBytes
-	cacheBytes := deviceBytes * 20 / 25 // 20 GiB of 25 at paper scale
-
 	out := make([]SchemeResult, len(AllSchemes))
 	err := forEachPoint(len(AllSchemes), func(i int) error {
 		s := AllSchemes[i]
-		cfg := RigConfig{
-			Scheme:     s,
-			HW:         hw,
-			CacheBytes: cacheBytes,
-			OPRatio:    0.20,
-			// Honest F2FS capacity accounting: the paper needed 38 zones
-			// plus a 6 GiB block device for a 20 GiB cache (§4.1), so on
-			// the same 25-zone budget the file cache is much smaller.
-			FSMetaOverhead:    0.30,
-			FSMetaOverheadSet: true,
-		}
-		if s == ZoneCache {
-			cfg.ZoneCount = hw.actualZones() // the whole device, 0% OP
-		}
-		rig, err := p.Env.build(cfg)
+		rig, err := p.Env.build(fig2RigConfig(s, hw))
 		if err != nil {
 			return fmt.Errorf("fig2 %v: %w", s, err)
 		}
@@ -175,6 +157,27 @@ func RunFig2(p Fig2Params) ([]SchemeResult, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// fig2RigConfig is the Figure 2 rig, which the admission and contracts
+// sweeps rerun: 20/25 of the device as cache (20 GiB of 25 at paper scale),
+// 20% OP, and Zone-Cache on the whole device at 0% OP.
+func fig2RigConfig(s Scheme, hw HWProfile) RigConfig {
+	cfg := RigConfig{
+		Scheme:     s,
+		HW:         hw,
+		CacheBytes: int64(hw.actualZones()) * hw.ZoneBytes() * 20 / 25,
+		OPRatio:    0.20,
+		// Honest F2FS capacity accounting: the paper needed 38 zones plus
+		// a 6 GiB block device for a 20 GiB cache (§4.1), so on the same
+		// 25-zone budget the file cache is much smaller.
+		FSMetaOverhead:    0.30,
+		FSMetaOverheadSet: true,
+	}
+	if s == ZoneCache {
+		cfg.ZoneCount = hw.actualZones()
+	}
+	return cfg
 }
 
 // Fig3Result is the fill-time log of one region-size configuration.

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+
+	"znscache/internal/server"
 )
 
 // fmtDur renders a duration with millisecond-class precision.
@@ -172,124 +174,26 @@ func PrintSmallZone(w io.Writer, rows []SmallZoneRow) {
 // field changes meaning; adding fields is compatible.
 const ReportSchema = "znscache/bench-report/v1"
 
-// Report is one experiment's machine-readable result. Exactly one section is
-// populated, selected by Experiment. The sections hold the experiments' own
-// row types, whose json tags are the wire schema. Durations encode as int64
+// Report is one experiment's machine-readable result: a literal that names
+// its experiment and fills that experiment's section, e.g.
+// &Report{Experiment: "fig2", Fig2: rows}. The sections hold the
+// experiments' own row types (the serve section's is server.LoadResult),
+// whose json tags are the wire schema. Durations encode as int64
 // nanoseconds (keys suffixed _ns) so documents round-trip exactly through
 // JSON — float64 seconds would not — and schemes by their paper names.
 type Report struct {
-	Schema     string         `json:"schema"`
-	Experiment string         `json:"experiment"`
-	Fig2       []SchemeResult `json:"fig2,omitempty"`
-	Fig3       []Fig3Result   `json:"fig3,omitempty"`
-	Fig4Table1 []Fig4Row      `json:"fig4_table1,omitempty"`
-	Fig5       []Fig5Row      `json:"fig5,omitempty"`
-	Table2     []Table2Row    `json:"table2,omitempty"`
-	SmallZone  []SmallZoneRow `json:"smallzone,omitempty"`
-	Admission  []AdmissionRow `json:"admission,omitempty"`
-	Serve      []ServeRowJSON `json:"serve,omitempty"`
-	Contracts  []ContractsRow `json:"contracts,omitempty"`
-	CDN        []CDNRow       `json:"cdn,omitempty"`
-}
-
-// ServeRowJSON is one serving-benchmark run (cmd/loadgen against
-// cmd/cacheserver) in wire form. Latencies are wall-clock request times
-// measured at the client; hit_ratio is hits over get lookups.
-type ServeRowJSON struct {
-	Mode        string  `json:"mode"` // "closed" or "open"
-	Conns       int     `json:"conns"`
-	Pipeline    int     `json:"pipeline"`
-	TargetQPS   float64 `json:"target_qps,omitempty"`
-	AchievedQPS float64 `json:"achieved_qps"`
-	Ops         uint64  `json:"ops"`
-	Gets        uint64  `json:"gets"`
-	Sets        uint64  `json:"sets"`
-	Deletes     uint64  `json:"deletes"`
-	Hits        uint64  `json:"hits"`
-	Misses      uint64  `json:"misses"`
-	Fills       uint64  `json:"fills"`
-	Errors      uint64  `json:"errors"`
-	HitRatio    float64 `json:"hit_ratio"`
-	ElapsedNs   int64   `json:"elapsed_ns"`
-	P50Ns       int64   `json:"p50_ns"`
-	P90Ns       int64   `json:"p90_ns"`
-	P99Ns       int64   `json:"p99_ns"`
-	P999Ns      int64   `json:"p999_ns"`
-	MeanNs      int64   `json:"mean_ns"`
-	MaxNs       int64   `json:"max_ns"`
-	// Multiget is the loadgen's get-grouping width (absent when grouping was
-	// off); GetBatchSizes counts issued get commands by key count, so the
-	// report shows the batch-size distribution the server actually saw.
-	Multiget      int            `json:"multiget,omitempty"`
-	GetBatchSizes map[int]uint64 `json:"get_batch_sizes,omitempty"`
-	// ValueSizeBuckets histograms acknowledged set payload sizes into
-	// power-of-two buckets (key = bucket upper bound in bytes); the size
-	// mix the server actually stored, which matters under a heavy-tailed
-	// -valdist.
-	ValueSizeBuckets map[int]uint64 `json:"value_size_buckets,omitempty"`
-	// Timeline is the per-interval latency series captured when the loadgen
-	// ran with progress sampling on (absent otherwise). Intervals are
-	// disjoint; percentiles are interval-local.
-	Timeline []ServeIntervalJSON `json:"timeline,omitempty"`
-}
-
-// ServeIntervalJSON is one loadgen progress interval in wire form.
-type ServeIntervalJSON struct {
-	TNs   int64   `json:"t_ns"` // interval end, from run start
-	Ops   uint64  `json:"ops"`  // requests completed in the interval
-	QPS   float64 `json:"qps"`
-	P50Ns int64   `json:"p50_ns"`
-	P99Ns int64   `json:"p99_ns"`
-}
-
-// NewFig2Report wraps Figure 2 rows as a Report.
-func NewFig2Report(rows []SchemeResult) *Report {
-	return &Report{Schema: ReportSchema, Experiment: "fig2", Fig2: rows}
-}
-
-// NewFig3Report wraps Figure 3 rows as a Report.
-func NewFig3Report(rows []Fig3Result) *Report {
-	return &Report{Schema: ReportSchema, Experiment: "fig3", Fig3: rows}
-}
-
-// NewFig4Table1Report wraps the OP sweep (Figure 4 + Table 1) as a Report.
-func NewFig4Table1Report(rows []Fig4Row) *Report {
-	return &Report{Schema: ReportSchema, Experiment: "fig4_table1", Fig4Table1: rows}
-}
-
-// NewFig5Report wraps Figure 5 rows as a Report.
-func NewFig5Report(rows []Fig5Row) *Report {
-	return &Report{Schema: ReportSchema, Experiment: "fig5", Fig5: rows}
-}
-
-// NewTable2Report wraps Table 2 rows as a Report.
-func NewTable2Report(rows []Table2Row) *Report {
-	return &Report{Schema: ReportSchema, Experiment: "table2", Table2: rows}
-}
-
-// NewSmallZoneReport wraps the small-zone sweep as a Report.
-func NewSmallZoneReport(rows []SmallZoneRow) *Report {
-	return &Report{Schema: ReportSchema, Experiment: "smallzone", SmallZone: rows}
-}
-
-// NewAdmissionReport wraps admission sweep rows as a Report.
-func NewAdmissionReport(rows []AdmissionRow) *Report {
-	return &Report{Schema: ReportSchema, Experiment: "admission", Admission: rows}
-}
-
-// NewServeReport wraps serving-benchmark rows as a Report.
-func NewServeReport(rows []ServeRowJSON) *Report {
-	return &Report{Schema: ReportSchema, Experiment: "serve", Serve: rows}
-}
-
-// NewContractsReport wraps the unwritten-contracts sweep as a Report.
-func NewContractsReport(rows []ContractsRow) *Report {
-	return &Report{Schema: ReportSchema, Experiment: "contracts", Contracts: rows}
-}
-
-// NewCDNReport wraps CDN sweep rows as a Report.
-func NewCDNReport(rows []CDNRow) *Report {
-	return &Report{Schema: ReportSchema, Experiment: "cdn", CDN: rows}
+	Schema     string              `json:"schema"`
+	Experiment string              `json:"experiment"`
+	Fig2       []SchemeResult      `json:"fig2,omitempty"`
+	Fig3       []Fig3Result        `json:"fig3,omitempty"`
+	Fig4Table1 []Fig4Row           `json:"fig4_table1,omitempty"`
+	Fig5       []Fig5Row           `json:"fig5,omitempty"`
+	Table2     []Table2Row         `json:"table2,omitempty"`
+	SmallZone  []SmallZoneRow      `json:"smallzone,omitempty"`
+	Admission  []AdmissionRow      `json:"admission,omitempty"`
+	Serve      []server.LoadResult `json:"serve,omitempty"`
+	Contracts  []ContractsRow      `json:"contracts,omitempty"`
+	CDN        []CDNRow            `json:"cdn,omitempty"`
 }
 
 // PrintCDN renders the CDN sweep.
@@ -340,14 +244,19 @@ func (r *Report) Validate() error {
 	return nil
 }
 
-// WriteJSON renders the report as indented JSON.
+// WriteJSON renders the report as indented JSON, stamping ReportSchema when
+// Schema is unset.
 func (r *Report) WriteJSON(w io.Writer) error {
-	if err := r.Validate(); err != nil {
+	doc := *r
+	if doc.Schema == "" {
+		doc.Schema = ReportSchema
+	}
+	if err := doc.Validate(); err != nil {
 		return err
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(r)
+	return enc.Encode(&doc)
 }
 
 // WriteFile writes the report to dir/BENCH_<experiment>.json and returns the

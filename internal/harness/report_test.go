@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"znscache/internal/cache"
+	"znscache/internal/server"
 )
 
 func sampleSchemeResult(s Scheme) SchemeResult {
@@ -34,10 +36,10 @@ func sampleSchemeResult(s Scheme) SchemeResult {
 // golden mismatch.
 func sampleReports() map[string]*Report {
 	return map[string]*Report{
-		"fig2": NewFig2Report([]SchemeResult{
+		"fig2": {Experiment: "fig2", Fig2: []SchemeResult{
 			sampleSchemeResult(ZoneCache), sampleSchemeResult(RegionCache),
-		}),
-		"fig3": NewFig3Report([]Fig3Result{{
+		}},
+		"fig3": {Experiment: "fig3", Fig3: []Fig3Result{{
 			Label:       "Region-Cache 1 MiB",
 			RegionBytes: 1 << 20,
 			Records: []cache.FillRecord{
@@ -47,51 +49,52 @@ func sampleReports() map[string]*Report {
 			EvictionOnsetSeq: 42,
 			MeanBefore:       5 * time.Millisecond,
 			MeanAfter:        80 * time.Millisecond,
-		}}),
-		"fig4_table1": NewFig4Table1Report([]Fig4Row{
+		}}},
+		"fig4_table1": {Experiment: "fig4_table1", Fig4Table1: []Fig4Row{
 			{Scheme: BlockCache, OPRatio: 0.1, Result: sampleSchemeResult(BlockCache)},
-		}),
-		"fig5": NewFig5Report([]Fig5Row{{
+		}},
+		"fig5": {Experiment: "fig5", Fig5: []Fig5Row{{
 			Scheme: FileCache, ER: 25, OpsPerSec: 420.5, SecondaryHitRatio: 0.6,
 			P50: time.Millisecond, P99: 40 * time.Millisecond, SimTime: time.Minute,
-		}}),
-		"table2": NewTable2Report([]Table2Row{
+		}}},
+		"table2": {Experiment: "table2", Table2: []Table2Row{
 			{Zones: 5, CacheGiB: 5, OpsPerSec: 300, HitRatio: 0.55},
-		}),
-		"smallzone": NewSmallZoneReport([]SmallZoneRow{
+		}},
+		"smallzone": {Experiment: "smallzone", SmallZone: []SmallZoneRow{
 			{Label: "Zone-Cache 4 MiB", ZoneMiB: 4, Result: sampleSchemeResult(ZoneCache)},
-		}),
-		"admission": NewAdmissionReport([]AdmissionRow{{
+		}},
+		"admission": {Experiment: "admission", Admission: []AdmissionRow{{
 			Scheme: FileCache, Policy: "dynamic-random", Result: sampleSchemeResult(FileCache),
 			HostWriteBytes: 300 << 20, DeviceWriteBytes: 450 << 20,
 			DeviceBytesPerSec: 26.5e6, BudgetBytesPerSec: 13.25e6, AdmitRejects: 4321,
-		}}),
-		"serve": NewServeReport([]ServeRowJSON{{
+		}}},
+		"serve": {Experiment: "serve", Serve: []server.LoadResult{{
 			Mode: "open", Conns: 8, Pipeline: 16, TargetQPS: 30000, AchievedQPS: 29876.5,
 			Ops: 448000, Gets: 224000, Sets: 134400, Deletes: 89600,
 			Hits: 201600, Misses: 22400, Fills: 22400, Errors: 3, HitRatio: 0.9,
-			ElapsedNs: int64(15 * time.Second), P50Ns: 45000, P90Ns: 90000,
-			P99Ns: 310000, P999Ns: 1200000, MeanNs: 52000, MaxNs: 8000000,
+			Elapsed: 15 * time.Second, P50: 45 * time.Microsecond, P90: 90 * time.Microsecond,
+			P99: 310 * time.Microsecond, P999: 1200 * time.Microsecond,
+			Mean: 52 * time.Microsecond, Max: 8 * time.Millisecond,
 			Multiget:         4,
 			GetBatchSizes:    map[int]uint64{1: 100, 4: 55000},
 			ValueSizeBuckets: map[int]uint64{128: 60000, 4096: 74400},
-			Timeline: []ServeIntervalJSON{
-				{TNs: int64(time.Second), Ops: 29000, QPS: 29000, P50Ns: 44000, P99Ns: 300000},
-				{TNs: int64(2 * time.Second), Ops: 30100, QPS: 30100, P50Ns: 46000, P99Ns: 320000},
+			Timeline: []server.IntervalStat{
+				{T: time.Second, Ops: 29000, QPS: 29000, P50: 44 * time.Microsecond, P99: 300 * time.Microsecond},
+				{T: 2 * time.Second, Ops: 30100, QPS: 30100, P50: 46 * time.Microsecond, P99: 320 * time.Microsecond},
 			},
-		}}),
-		"contracts": NewContractsReport([]ContractsRow{{
+		}}},
+		"contracts": {Experiment: "contracts", Contracts: []ContractsRow{{
 			Scheme: RegionCache, MaxOpen: 4, MaxActive: 6, Result: sampleSchemeResult(RegionCache),
 			BudgetStalls: 17, ZoneFinishes: 9, StallTime: 250 * time.Millisecond,
-		}}),
-		"cdn": NewCDNReport([]CDNRow{{
+		}}},
+		"cdn": {Experiment: "cdn", CDN: []CDNRow{{
 			Scheme: ZoneCache, ChunkBytes: 128 << 10, Ops: 2500,
 			SimTime: 3 * time.Second, OpsPerSec: 833.25,
 			Reads: 2000, ObjectHits: 1500, Fills: 500, Deletes: 500,
 			ObjectHitRatio: 0.75, ServedBytes: 900 << 20, FillBytes: 300 << 20,
 			ChunkHits: 7000, ChunkMisses: 900, PartialMisses: 40,
 			ManifestRepairs: 5, EvictionsDeferred: 12, WAFactor: 1.75,
-		}}),
+		}}},
 	}
 }
 
@@ -105,9 +108,6 @@ func TestReportRoundTrip(t *testing.T) {
 		t.Fatalf("%d sample reports, want one per experiment (10)", len(reports))
 	}
 	for experiment, rep := range reports {
-		if rep.Experiment != experiment {
-			t.Errorf("builder for %q stamped experiment %q", experiment, rep.Experiment)
-		}
 		golden, err := os.ReadFile(filepath.Join("testdata", "report_"+experiment+".json"))
 		if err != nil {
 			t.Fatal(err)
@@ -134,7 +134,7 @@ func TestReportRoundTrip(t *testing.T) {
 }
 
 func TestReportValidate(t *testing.T) {
-	good := NewTable2Report([]Table2Row{{Zones: 4}})
+	good := &Report{Schema: ReportSchema, Experiment: "table2", Table2: []Table2Row{{Zones: 4}}}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid report rejected: %v", err)
 	}
@@ -142,6 +142,9 @@ func TestReportValidate(t *testing.T) {
 	bad.Schema = "something/else"
 	if err := bad.Validate(); err == nil {
 		t.Error("wrong schema accepted")
+	}
+	if err := bad.WriteJSON(io.Discard); err == nil {
+		t.Error("wrong schema written")
 	}
 	bad = *good
 	bad.Experiment = "fig9"
@@ -167,9 +170,30 @@ func TestReportValidate(t *testing.T) {
 		t.Error("unknown scheme name parsed")
 	}
 	var buf bytes.Buffer
-	if err := NewFig2Report([]SchemeResult{{Scheme: Scheme(7)}}).WriteJSON(&buf); err == nil {
+	if err := (&Report{Experiment: "fig2", Fig2: []SchemeResult{{Scheme: Scheme(7)}}}).WriteJSON(&buf); err == nil {
 		t.Errorf("out-of-range scheme encoded: %s", buf.Bytes())
 	}
+
+	// WriteJSON stamps ReportSchema on a literal that leaves Schema unset.
+	buf.Reset()
+	if err := (&Report{Experiment: "table2", Table2: good.Table2}).WriteJSON(&buf); err != nil ||
+		!strings.Contains(buf.String(), `"schema": "`+ReportSchema+`"`) {
+		t.Errorf("unset schema: %v\n%s", err, buf.Bytes())
+	}
+}
+
+// roundTrip writes rep as JSON and parses it back.
+func roundTrip(t *testing.T, rep *Report) *Report {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatalf("%s report: %v", rep.Experiment, err)
+	}
+	back, err := ParseReport(buf.Bytes())
+	if err != nil {
+		t.Fatalf("%s report: %v", rep.Experiment, err)
+	}
+	return back
 }
 
 // TestParseScheme: the binaries' -scheme names map to the four schemes, and
@@ -190,7 +214,7 @@ func TestParseScheme(t *testing.T) {
 
 func TestReportWriteFile(t *testing.T) {
 	dir := t.TempDir()
-	rep := NewFig2Report([]SchemeResult{sampleSchemeResult(ZoneCache)})
+	rep := &Report{Experiment: "fig2", Fig2: []SchemeResult{sampleSchemeResult(ZoneCache)}}
 	path, err := rep.WriteFile(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +234,7 @@ func TestReportWriteFile(t *testing.T) {
 		t.Fatalf("parsed file content wrong: %+v", parsed.Fig2[0])
 	}
 	// An invalid document must not reach disk.
-	broken := &Report{Schema: ReportSchema, Experiment: "fig2"}
+	broken := &Report{Experiment: "fig2"}
 	if _, err := broken.WriteFile(dir); err == nil {
 		t.Fatal("sectionless report written without error")
 	}

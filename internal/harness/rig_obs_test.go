@@ -249,12 +249,12 @@ func TestSealedGetByScheme(t *testing.T) {
 	}
 }
 
-// TestExperimentsHandEnvToEveryRig runs every cachebench and dbbench
-// experiment, tiny, in an Env of a counting admission factory, a fault
-// schedule and a tracer, and pins per experiment how many rigs it built, how
-// many run on a fault injector and how many engines took their admission
-// policy from Env. The tracer has seen every rig when it holds one admit or
-// reject event per set the rigs' engines counted. The global registry
+// TestExperimentsHandEnvToEveryRig runs every cachebench experiment, tiny,
+// in an Env of a counting admission factory, a fault schedule and a tracer,
+// and pins per experiment how many rigs it built, how many run on a fault
+// injector and how many engines took their admission policy from Env. The
+// tracer has seen every rig when it holds one admit or reject event per set
+// the rigs' engines counted. The global registry
 // enumerates the rigs, so this test must not run in parallel.
 func TestExperimentsHandEnvToEveryRig(t *testing.T) {
 	cases := []struct {

@@ -85,66 +85,72 @@ func (c *LoadConfig) fillDefaults() {
 	}
 }
 
-// LoadResult is one run's outcome. Latencies are wall-clock request (batch
-// round-trip) times; every request in a batch observes the batch latency.
+// LoadResult is one run's outcome, and the serve report's row: its json
+// tags are the wire form of the "serve" section (durations as integer
+// nanoseconds). Latencies are wall-clock request (batch round-trip) times
+// measured at the client; every request in a batch observes the batch
+// latency.
 type LoadResult struct {
-	Mode            string // "closed" or "open"
-	Conns, Pipeline int
-	TargetQPS       float64
+	Mode      string  `json:"mode"` // "closed" or "open"
+	Conns     int     `json:"conns"`
+	Pipeline  int     `json:"pipeline"`
+	TargetQPS float64 `json:"target_qps,omitempty"`
+	// AchievedQPS is Ops over Elapsed.
+	AchievedQPS float64 `json:"achieved_qps"`
 
-	Ops     uint64 // requests sent (including fills)
-	Gets    uint64
-	Sets    uint64
-	Deletes uint64
-	Hits    uint64
-	Misses  uint64
-	Fills   uint64 // read-through fills issued after misses
-	Errors  uint64 // transport failures and server-reported error replies
+	Ops     uint64 `json:"ops"` // requests sent (including fills)
+	Gets    uint64 `json:"gets"`
+	Sets    uint64 `json:"sets"`
+	Deletes uint64 `json:"deletes"`
+	Hits    uint64 `json:"hits"`
+	Misses  uint64 `json:"misses"`
+	Fills   uint64 `json:"fills"`  // read-through fills issued after misses
+	Errors  uint64 `json:"errors"` // transport failures and server-reported error replies
+	// HitRatio is Hits over get lookups (0 when no gets completed).
+	HitRatio float64 `json:"hit_ratio"`
 
-	Elapsed     time.Duration
-	AchievedQPS float64
-	Latency     stats.HistSnapshot
+	Elapsed time.Duration `json:"elapsed_ns"`
+	// P50 … Max summarize the whole run's request latency histogram.
+	P50  time.Duration `json:"p50_ns"`
+	P90  time.Duration `json:"p90_ns"`
+	P99  time.Duration `json:"p99_ns"`
+	P999 time.Duration `json:"p999_ns"`
+	Mean time.Duration `json:"mean_ns"`
+	Max  time.Duration `json:"max_ns"`
 
 	// Multiget echoes LoadConfig.Multiget (0/1 when grouping was off).
-	Multiget int
+	Multiget int `json:"multiget,omitempty"`
 	// GetBatchSizes counts issued get commands by the number of keys they
 	// carried: GetBatchSizes[n] multi-key gets went out with n keys each
 	// (n == 1 means a plain single-key get). Empty when no gets were sent.
-	GetBatchSizes map[int]uint64
+	GetBatchSizes map[int]uint64 `json:"get_batch_sizes,omitempty"`
 
 	// ValueSizeBuckets histograms the value sizes of acknowledged sets
 	// (fills included) into power-of-two buckets: ValueSizeBuckets[b]
 	// counts sets whose payload length n satisfied b/2 < n <= b. Under a
 	// heavy-tailed -valdist this is how the report shows the size mix the
 	// server actually stored. Empty when no sets completed.
-	ValueSizeBuckets map[int]uint64
+	ValueSizeBuckets map[int]uint64 `json:"value_size_buckets,omitempty"`
 
 	// Timeline holds one entry per LoadConfig.Progress interval (nil when
 	// progress sampling was off). Intervals are disjoint: each entry's
 	// latency percentiles cover only the requests completed in that window,
 	// so the series shows warmup, GC stalls, and saturation over the run in
 	// a way the whole-run histogram cannot.
-	Timeline []IntervalStat
+	Timeline []IntervalStat `json:"timeline,omitempty"`
 }
 
 // IntervalStat is one progress interval's headline numbers.
 type IntervalStat struct {
 	// T is the interval's end, measured from the start of the run.
-	T time.Duration
+	T time.Duration `json:"t_ns"`
 	// Ops is the number of requests completed in the interval.
-	Ops uint64
+	Ops uint64 `json:"ops"`
 	// QPS is Ops over the interval length.
-	QPS float64
+	QPS float64 `json:"qps"`
 	// P50/P99 are interval-local request latencies.
-	P50, P99 time.Duration
-}
-
-// HitRatio returns hits over get lookups (0 when no gets completed).
-func (r *LoadResult) HitRatio() float64 {
-	if r.Hits+r.Misses == 0 {
-		return 0
-	}
-	return float64(r.Hits) / float64(r.Hits+r.Misses)
+	P50 time.Duration `json:"p50_ns"`
+	P99 time.Duration `json:"p99_ns"`
 }
 
 // loadCounters aggregates across connection goroutines.
@@ -256,6 +262,7 @@ func Run(cfg LoadConfig) (*LoadResult, error) {
 	if err, ok := dialErr.Load().(error); ok {
 		return nil, fmt.Errorf("server: loadgen dial: %w", err)
 	}
+	lat := hist.Snapshot()
 	res := &LoadResult{
 		Mode:      mode,
 		Conns:     cfg.Conns,
@@ -270,8 +277,16 @@ func Run(cfg LoadConfig) (*LoadResult, error) {
 		Fills:     ctr.fills.Load(),
 		Errors:    ctr.errs.Load(),
 		Elapsed:   elapsed,
-		Latency:   hist.Snapshot(),
+		P50:       lat.P50,
+		P90:       lat.P90,
+		P99:       lat.P99,
+		P999:      lat.P999,
+		Mean:      lat.Mean,
+		Max:       lat.Max,
 		Multiget:  cfg.Multiget,
+	}
+	if res.Hits+res.Misses > 0 {
+		res.HitRatio = float64(res.Hits) / float64(res.Hits+res.Misses)
 	}
 	if len(sizes) > 0 {
 		res.GetBatchSizes = sizes

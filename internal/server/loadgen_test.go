@@ -46,10 +46,10 @@ func TestLoadgenClosedLoop(t *testing.T) {
 	if res.AchievedQPS <= 0 || res.Elapsed <= 0 {
 		t.Fatalf("AchievedQPS=%v Elapsed=%v", res.AchievedQPS, res.Elapsed)
 	}
-	if res.Latency.Count == 0 || res.Latency.P99 < res.Latency.P50 {
-		t.Fatalf("latency snapshot broken: %+v", res.Latency)
+	if res.P50 <= 0 || res.P99 < res.P50 {
+		t.Fatalf("latency percentiles broken: p50=%v p99=%v", res.P50, res.P99)
 	}
-	if hr := res.HitRatio(); hr <= 0 || hr >= 1 {
+	if hr := res.HitRatio; hr <= 0 || hr >= 1 {
 		t.Fatalf("HitRatio = %v", hr)
 	}
 }
