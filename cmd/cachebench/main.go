@@ -60,6 +60,17 @@ func main() {
 	)
 	flag.Parse()
 
+	selected := *experiment
+	if *traceFile != "" {
+		selected = "trace"
+	}
+	var given []string
+	flag.Visit(func(f *flag.Flag) { given = append(given, f.Name) })
+	if f := unreadScaleFlag(selected, *admission, given); f != "" {
+		fmt.Fprintf(os.Stderr, "cachebench: -%s is not read by %s\n", f, selected)
+		os.Exit(2)
+	}
+
 	env, err := harness.ParseEnv(*admission, *admitBudget, *faultRate, *faultSeed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cachebench: %v\n", err)
@@ -260,6 +271,43 @@ func main() {
 	}
 }
 
+// scaleFlags names the scale flags each experiment, and a -trace replay,
+// reads. A scale flag that no selected run reads is refused, so a mistyped
+// one cannot yield a default-sized result.
+var scaleFlags = map[string][]string{
+	"fig2":      {"zones", "ops", "warmup", "keys"},
+	"fig4":      {"zones", "ops", "warmup", "keys"},
+	"table1":    {"zones", "ops", "warmup", "keys"},
+	"smallzone": {"ops", "keys"},
+	"admission": {"zones", "ops", "warmup", "keys", "admit-budget"},
+	"contracts": {"zones", "ops", "warmup", "keys", "limits"},
+	"cdn":       {"zones", "ops", "warmup", "keys", "chunk-kib"},
+	"fig3":      {"zones"},
+	"fig5":      {"keys", "reads", "cache-zones"},
+	"table2":    {"keys", "reads", "cache-zones"},
+	"trace":     {"zones"},
+	"all": {"zones", "ops", "warmup", "keys", "reads", "cache-zones",
+		"limits", "chunk-kib", "admit-budget"},
+}
+
+// unreadScaleFlag returns the first scale flag in given that run (an
+// experiment, or "trace") does not read, or "" if it reads them all or is
+// unknown. Under -admission dynamic-random every rig reads -admit-budget.
+func unreadScaleFlag(run, admission string, given []string) string {
+	reads, ok := scaleFlags[run]
+	if !ok {
+		return ""
+	}
+	for _, f := range given {
+		if !slices.Contains(scaleFlags["all"], f) || slices.Contains(reads, f) ||
+			f == "admit-budget" && strings.HasPrefix(admission, "dynamic-random") {
+			continue
+		}
+		return f
+	}
+	return ""
+}
+
 // parseLimits parses the -limits flag: comma-separated positive ints.
 func parseLimits(s string) ([]int, error) {
 	var out []int
@@ -325,16 +373,7 @@ func replayTrace(env harness.Env, path, schemeName string, zones int) error {
 			break
 		}
 		ops++
-		switch op.Kind {
-		case workload.OpGet:
-			if _, hit, _ := rig.Engine.Get(op.Key); !hit && op.ValLen > 0 {
-				rig.Engine.Set(op.Key, nil, op.ValLen) //nolint:errcheck
-			}
-		case workload.OpSet:
-			rig.Engine.Set(op.Key, nil, op.ValLen) //nolint:errcheck
-		case workload.OpDelete:
-			rig.Engine.Delete(op.Key)
-		}
+		harness.ReadThrough(rig.Engine, op)
 	}
 	if err := tr.Err(); err != nil {
 		return err

@@ -217,17 +217,7 @@ func cacheExercise(hw harness.HWProfile, ops, watch int) error {
 	}
 	gen := workload.NewBC(workload.BCConfig{Keys: 16 << 10, Seed: 1})
 	for i := 0; i < ops; i++ {
-		op := gen.Next()
-		switch op.Kind {
-		case workload.OpGet:
-			if _, ok, _ := rig.Engine.Get(op.Key); !ok {
-				rig.Engine.Set(op.Key, nil, op.ValLen) //nolint:errcheck
-			}
-		case workload.OpSet:
-			rig.Engine.Set(op.Key, nil, op.ValLen) //nolint:errcheck
-		case workload.OpDelete:
-			rig.Engine.Delete(op.Key)
-		}
+		harness.ReadThrough(rig.Engine, gen.Next())
 		w.maybe(i, ops)
 	}
 	st := rig.Engine.Stats()

@@ -84,17 +84,7 @@ func buildLayer(minEmpty int, threshold float64, eng **cache.Cache, coDesign boo
 func drive(eng *cache.Cache) {
 	gen := workload.NewBC(workload.BCConfig{Keys: 96 << 10, Seed: 3})
 	for i := 0; i < ops; i++ {
-		op := gen.Next()
-		switch op.Kind {
-		case workload.OpGet:
-			if _, ok, _ := eng.Get(op.Key); !ok {
-				eng.Set(op.Key, nil, op.ValLen) //nolint:errcheck
-			}
-		case workload.OpSet:
-			eng.Set(op.Key, nil, op.ValLen) //nolint:errcheck
-		case workload.OpDelete:
-			eng.Delete(op.Key)
-		}
+		harness.ReadThrough(eng, gen.Next())
 	}
 }
 

@@ -202,9 +202,9 @@ type entry struct {
 	region uint32 // id of the region the item lives in
 	offset uint32 // item start within region
 	valLen uint32
-	// expireAt is the virtual-clock second after which the item is dead
-	// (0 = no TTL). Second granularity keeps the entry compact, as
-	// CacheLib does.
+	// expireAt is the TTL deadline rounded up to a whole virtual-clock
+	// second, from which on the item is dead (0 = no TTL). Second
+	// granularity keeps the entry compact, as CacheLib does.
 	expireAt uint32
 }
 
@@ -477,7 +477,7 @@ func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Durati
 	m.keys.append(key)
 	e := entry{region: uint32(c.regions.open), offset: off, valLen: uint32(valLen)}
 	if ttl > 0 {
-		e.expireAt = uint32(((c.clock.Now() + ttl) / time.Second) + 1)
+		e.expireAt = uint32((c.clock.Now() + ttl + time.Second - 1) / time.Second)
 	}
 	if value != nil || c.cfg.TrackValues {
 		e.img = m.img

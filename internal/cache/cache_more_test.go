@@ -166,6 +166,16 @@ func TestTTLExpiryOnVirtualClock(t *testing.T) {
 	if _, ok, _ := c.Get("short"); !ok {
 		t.Fatal("re-set item missing")
 	}
+
+	// With sets and lookups free, a 2 s TTL set at 0 s ends at 2 s.
+	w, _ := newTestCache(t, 4, 64<<10, func(cfg *Config) { cfg.CPU = CPUModel{EvictPerKey: time.Microsecond} })
+	w.SetTTL("whole", []byte("v"), 0, 2*time.Second)
+	w.Clock().Advance(2*time.Second - 1)
+	before := w.Contains("whole")
+	w.Clock().Advance(1)
+	if after := w.Contains("whole"); !before || after {
+		t.Fatalf("2 s TTL set at 0 s: live at 2s-1ns %v, at 2s %v; want true, false", before, after)
+	}
 }
 
 func TestTTLSurvivesSnapshot(t *testing.T) {

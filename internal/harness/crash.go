@@ -3,56 +3,65 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"sort"
+	"strings"
+	"time"
 
+	"znscache/internal/bigobj"
 	"znscache/internal/cache"
 	"znscache/internal/fault"
 	"znscache/internal/sim"
 )
 
-// Crash-consistency harness. A persistent cache's recovery contract is
-// asymmetric: after a crash it may forget acknowledged keys (a cache miss
-// is always correct), but a hit must return exactly a value the client
-// wrote — never torn, stale-beyond-the-index, or cross-keyed bytes. The
-// harness runs a seeded workload against a fault-injected rig, kills the
+// Crash-consistency drill. A persistent cache's recovery contract is
+// asymmetric: after a crash it may forget acknowledged keys (a miss is
+// always correct), but a hit must return exactly a value the client wrote.
+// The drill runs a seeded workload against a fault-injected rig, kills the
 // simulated process at a seeded device-write count, rebuilds the engine
-// from the last snapshot over the surviving device state, and replays an
-// oracle over every key the snapshot could have preserved.
+// from the last snapshot over the surviving device state (zone write
+// pointers, the middle layer's map table and filesystem metadata survive;
+// the engine's DRAM state does not), and replays an oracle over every key
+// the snapshot could have preserved.
 //
-// The oracle: a post-recovery hit for key k must return either the value
-// acknowledged for k at the snapshot cut, or a value acknowledged for k
-// after the cut (possible when a post-snapshot rewrite of the same key
-// landed at the very index slot the snapshot recorded, which the per-item
-// checksum then legitimately verifies). Anything else is WrongData and is
-// a hard failure; a miss of a once-acked key is merely Lost, the accounted
-// cost of crashing.
+// The oracle: a recovered hit for key k must return the value acknowledged
+// for k at the snapshot cut, or one acknowledged after it (a post-cut
+// rewrite can land at the very index slot the snapshot recorded, which the
+// item checksum then legitimately verifies). Anything else is WrongData, a
+// hard failure; a miss of an acknowledged key is merely Lost.
 //
-// The simulated crash kills the cache process: the engine's DRAM state is
-// discarded and rebuilt from the snapshot. Device and translation state
-// (zone write pointers, the middle layer's map table, filesystem metadata)
-// survive, as their on-device persistence is out of scope for the cache's
-// own recovery story.
+// The drill has two subjects: single engine values, and chunked objects
+// (bigobj). An object's manifest can survive restore while chunks were
+// lost to the crash; serving it short or spliced would be wrong data at
+// object scale, so an object is served whole or counted lost as one.
 
 // CrashParams configures one crash-consistency run.
 type CrashParams struct {
 	Scheme Scheme
 	// Seed drives the workload, the fault schedule, and the crash point.
 	Seed uint64
-	// Keys is the working-set size (default 48).
+	// Keys is the working-set size (default 48; at most 24 objects).
 	Keys int
 	// WarmOps is how many Sets run before the snapshot cut (default 250).
+	// Objects are chunk streams: they put a fifth as many, at least 20.
 	WarmOps int
 	// MaxPostOps bounds the Sets issued after the cut while waiting for the
-	// crash trigger (default 400).
+	// crash trigger (default 600; objects put a fifth as many).
 	MaxPostOps int
 	// Faults sets the transient-fault rates active throughout the run; the
 	// crash trigger is armed on top. Seed is overridden with Seed.
 	Faults fault.Config
 	// CorruptSnapshot enables the mutation check: the snapshot is corrupted
 	// (cache.CorruptSnapshotForTest) and the restored engine verifies no
-	// checksums, so a sound harness MUST report WrongData > 0. It proves
-	// the oracle actually detects wrong data.
+	// checksums, so a sound oracle MUST report WrongData > 0. Engine values
+	// only: a run with ChunkSize > 0 refuses it.
 	CorruptSnapshot bool
+	// ChunkSize selects the subject: 0 drills engine values, > 0 drills
+	// bigobj objects of this chunk payload size.
+	ChunkSize int
+	// EagerRepair sweeps the restored snapshot's object keys with
+	// Store.Repair before the oracle; false leaves detection to reads.
+	EagerRepair bool
 }
 
 func (p *CrashParams) fillDefaults() {
@@ -65,14 +74,20 @@ func (p *CrashParams) fillDefaults() {
 	if p.MaxPostOps == 0 {
 		p.MaxPostOps = 600
 	}
+	if p.ChunkSize > 0 {
+		// Objects are 1-2 orders larger than values: a smaller catalog
+		// keeps the tiny rig churning instead of thrashing.
+		p.Keys = min(p.Keys, 24)
+		p.WarmOps = max(p.WarmOps/5, 20)
+		p.MaxPostOps /= 5
+	}
 }
 
 // CrashReport is the oracle's verdict for one run.
 type CrashReport struct {
 	Scheme Scheme
 	Seed   uint64
-	// Crashed reports whether the armed crash point fired before the
-	// post-snapshot op budget ran out.
+	// Crashed reports whether the crash fired within the post-cut budget.
 	Crashed bool
 	// CrashWrites is the device-write count the crash fired at.
 	CrashWrites uint64
@@ -80,18 +95,28 @@ type CrashReport struct {
 	// recovery: served with a verified value, or forgotten.
 	Hits, Lost int
 	// WrongData counts hits whose value matches nothing ever acknowledged
-	// for that key. It must be zero for a correct cache.
+	// for that key, short object reads included. It must be zero.
 	WrongData int
-	// RestoreDrops is the engine's count of snapshot entries its repair
-	// pass refused to trust.
+	// PartialFailures counts lost objects whose manifest outlived a chunk.
+	PartialFailures int
+	// Repairs counts manifests the restored object store dropped.
+	Repairs uint64
+	// RestoreDrops counts snapshot entries the engine's repair refused.
 	RestoreDrops uint64
 	// GCDrops counts the regions Region-Cache's co-design GC dropped between
 	// the snapshot cut and the crash: regions the snapshot still indexes
 	// whose bytes the device no longer maps.
 	GCDrops uint64
-	// Quarantined/Retries expose the degradation counters accumulated
-	// across the whole run (pre-crash engine + recovered engine).
+	// Quarantined/Retries sum the degradation counters of the pre-crash
+	// and the recovered engine.
 	Quarantined, Retries uint64
+	// SubChunkAcked and OneChunkAcked count the objects acknowledged at the
+	// cut that live wholly in their manifest: shorter than one chunk, or
+	// exactly one.
+	SubChunkAcked, OneChunkAcked int
+	// MidPutCrash reports that the crash fired between a multi-chunk put's
+	// chunk writes and its manifest write.
+	MidPutCrash bool
 	// ContractErr is any ZNS zone-contract violation the fault wrapper
 	// observed (nil for Block-Cache or a clean run).
 	ContractErr error
@@ -110,26 +135,6 @@ func (r *CrashReport) Err() error {
 	return nil
 }
 
-// crashHW is the tiny profile crash runs use: 10 × 256 KiB zones on a
-// 4-die array, so hundreds of seeded runs finish in seconds while every
-// structure (multiple regions per zone, zone resets, GC) still cycles.
-func crashHW() HWProfile {
-	return HWProfile{Zones: 10, BlocksPerZone: 4, PagesPerBlock: 16, Channels: 4, DiesPerChan: 1}
-}
-
-// crashRigConfig sizes a scheme onto the tiny profile.
-func crashRigConfig(p CrashParams) RigConfig {
-	hw := crashHW()
-	return RigConfig{
-		Scheme:      p.Scheme,
-		HW:          hw,
-		CacheBytes:  6 * hw.ZoneBytes(), // 6 zones of cache, 4 of slack
-		RegionBytes: 64 << 10,
-		TrackValues: true,
-		Faults:      &p.Faults,
-	}
-}
-
 // RunCrash executes one seeded crash-consistency run and returns the
 // oracle's report. Identical params replay identical runs.
 func RunCrash(p CrashParams) (*CrashReport, error) {
@@ -141,46 +146,54 @@ func RunCrash(p CrashParams) (*CrashReport, error) {
 // one.
 func runCrash(p CrashParams) (*CrashReport, *Rig, error) {
 	p.fillDefaults()
+	if p.CorruptSnapshot && p.ChunkSize > 0 {
+		return nil, nil, fmt.Errorf("harness: CorruptSnapshot drills engine values only, not chunked objects")
+	}
 	p.Faults.Seed = p.Seed
-	rig, err := Build(crashRigConfig(p))
+	// A tiny profile, 10 × 256 KiB zones on 4 dies, 6 of them cache: every
+	// structure (regions per zone, zone resets, GC) cycles within seconds.
+	hw := HWProfile{Zones: 10, BlocksPerZone: 4, PagesPerBlock: 16, Channels: 4, DiesPerChan: 1}
+	rig, err := Build(RigConfig{Scheme: p.Scheme, HW: hw, CacheBytes: 6 * hw.ZoneBytes(),
+		RegionBytes: 64 << 10, TrackValues: true, Faults: &p.Faults})
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: crash rig: %w", err)
 	}
-	rng := sim.NewRand(p.Seed ^ 0x9e3779b97f4a7c15)
+	// Each subject keeps its own seed salt, key names and smoke length.
+	var s crashSubject = engineValues{rig}
+	salt, name, smokes := uint64(0x9e3779b97f4a7c15), "key", 32
+	if p.ChunkSize > 0 {
+		o := &chunkedObjects{rig: rig, chunk: p.ChunkSize, eager: p.EagerRepair,
+			probe: &crashProbe{Cache: rig.Engine, faults: rig.Faults}}
+		if err := o.open(o.probe); err != nil {
+			return nil, nil, fmt.Errorf("harness: bigobj store: %w", err)
+		}
+		s, salt, name, smokes = o, 0xb10b0b1ec7a5a5a5, "obj", 8
+	}
+	rng := sim.NewRand(p.Seed ^ salt)
 	rep := &CrashReport{Scheme: p.Scheme, Seed: p.Seed}
 
-	keyOf := func(i int) string { return fmt.Sprintf("key-%03d", i) }
-	value := func() []byte {
-		b := make([]byte, 64+rng.Intn(3<<10))
-		rng.Bytes(b)
-		return b
+	write := func() (string, []byte, bool) {
+		k := fmt.Sprintf("%s-%03d", name, rng.Intn(p.Keys))
+		v := s.value(rng)
+		return k, v, s.put(k, v) == nil
 	}
-	acked := make(map[string][]byte, p.Keys)
-	writeOne := func() {
-		k := keyOf(rng.Intn(p.Keys))
-		v := value()
-		if err := rig.Engine.Set(k, v, 0); err == nil {
-			acked[k] = v
+
+	// Phase 1: warm the cache, transient faults armed, no crash yet. atCut
+	// ends as the oracle's expectation at the snapshot cut.
+	atCut := make(map[string][]byte, p.Keys)
+	for i := 0; i < p.WarmOps; i++ {
+		if k, v, ok := write(); ok {
+			atCut[k] = v
 		}
 	}
 
-	// Phase 1: warm the cache, transient faults armed, no crash yet.
-	for i := 0; i < p.WarmOps; i++ {
-		writeOne()
-	}
-
-	// The snapshot cut. atSnap freezes the oracle's expectation for every
-	// key the recovered index may still serve.
+	// The snapshot cut.
 	snap, err := rig.Engine.Snapshot()
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: snapshot: %w", err)
 	}
 	cutDrops := rig.Engine.Stats().CoDesignDrops
-	atSnap := make(map[string][]byte, len(acked))
-	for k, v := range acked {
-		atSnap[k] = v
-	}
-	afterSnap := make(map[string][][]byte, p.Keys)
+	afterCut := make(map[string][][]byte, p.Keys)
 
 	// Phase 2: arm the crash a seeded distance ahead and write into it.
 	// The distance scales with the warm phase's device-write rate so the
@@ -188,16 +201,10 @@ func runCrash(p CrashParams) (*CrashReport, *Rig, error) {
 	// region is one device write per quarter megabyte, while f2fs splits
 	// each flush into dozens of per-block writes.
 	w0 := rig.Faults.Writes()
-	span := int(w0 / 2)
-	if span < 2 {
-		span = 2
-	}
-	rig.Faults.ArmCrash(w0 + 1 + uint64(rng.Intn(span)))
+	rig.Faults.ArmCrash(w0 + 1 + uint64(rng.Intn(max(int(w0/2), 2))))
 	for i := 0; i < p.MaxPostOps && !rig.Faults.Crashed(); i++ {
-		k := keyOf(rng.Intn(p.Keys))
-		v := value()
-		if err := rig.Engine.Set(k, v, 0); err == nil {
-			afterSnap[k] = append(afterSnap[k], v)
+		if k, v, ok := write(); ok {
+			afterCut[k] = append(afterCut[k], v)
 		}
 	}
 	rep.Crashed = rig.Faults.Crashed()
@@ -219,38 +226,42 @@ func runCrash(p CrashParams) (*CrashReport, *Rig, error) {
 	if err := rig.Restore(snap); err != nil {
 		return nil, nil, fmt.Errorf("harness: restore: %w", err)
 	}
+	if err := s.reopen(snap); err != nil {
+		return nil, nil, fmt.Errorf("harness: reopen: %w", err)
+	}
 
 	// Oracle replay over every key acknowledged at the cut, in a fixed
 	// order so the run stays seed-deterministic.
-	keys := make([]string, 0, len(atSnap))
-	for k := range atSnap {
+	keys := make([]string, 0, len(atCut))
+	for k := range atCut {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		v, ok, err := rig.Engine.Get(k)
-		if err != nil {
-			return nil, nil, fmt.Errorf("harness: recovered Get(%q): %w", k, err)
-		}
-		if !ok {
+		v, ok, partial, err := s.read(k)
+		switch {
+		case err != nil:
+			return nil, nil, fmt.Errorf("harness: recovered read %q: %w", k, err)
+		case !ok:
 			rep.Lost++
-			continue
-		}
-		if matchesOracle(v, atSnap[k], afterSnap[k]) {
+			if partial {
+				rep.PartialFailures++
+			}
+		case matchesOracle(v, atCut[k], afterCut[k]):
 			rep.Hits++
-		} else {
+		default:
 			rep.WrongData++
 		}
 	}
 
-	// The recovered engine must keep serving: a short smoke workload.
-	for i := 0; i < 32; i++ {
-		k := keyOf(rng.Intn(p.Keys))
-		if err := rig.Engine.Set(k, value(), 0); err != nil {
-			return nil, nil, fmt.Errorf("harness: post-recovery Set: %w", err)
+	// The recovered subject must keep serving what it is given.
+	for i := 0; i < smokes; i++ {
+		k, v, ok := write()
+		if !ok {
+			return nil, nil, fmt.Errorf("harness: post-recovery put %q failed", k)
 		}
-		if _, _, err := rig.Engine.Get(k); err != nil {
-			return nil, nil, fmt.Errorf("harness: post-recovery Get: %w", err)
+		if got, ok, _, err := s.read(k); err != nil || !ok || !bytes.Equal(got, v) {
+			return nil, nil, fmt.Errorf("harness: post-recovery read %q: hit %v, err %v", k, ok, err)
 		}
 	}
 
@@ -261,6 +272,7 @@ func runCrash(p CrashParams) (*CrashReport, *Rig, error) {
 	if rig.FaultZoned != nil {
 		rep.ContractErr = rig.FaultZoned.CheckContract()
 	}
+	s.report(rep, atCut)
 	return rep, rig, nil
 }
 
@@ -276,4 +288,134 @@ func matchesOracle(got, atCut []byte, later [][]byte) bool {
 		}
 	}
 	return false
+}
+
+// crashSubject is what the drill writes, recovers and reads back; the rest
+// of the drill is shared.
+type crashSubject interface {
+	// value draws the next value to write.
+	value(rng *sim.Rand) []byte
+	// put writes k=v before the crash.
+	put(k string, v []byte) error
+	// reopen rebuilds the subject over the rig's restored engine.
+	reopen(snap []byte) error
+	// read returns k's value; ok false is a miss, partial one through the
+	// clean partial-object path.
+	read(k string) (v []byte, ok, partial bool, err error)
+	// report fills the subject's own fields of rep; atCut holds the values
+	// acknowledged at the snapshot cut.
+	report(rep *CrashReport, atCut map[string][]byte)
+}
+
+// engineValues drills single engine values: Set before the crash, Get
+// after.
+type engineValues struct{ rig *Rig }
+
+func (engineValues) value(rng *sim.Rand) []byte {
+	b := make([]byte, 64+rng.Intn(3<<10))
+	rng.Bytes(b)
+	return b
+}
+
+func (e engineValues) put(k string, v []byte) error { return e.rig.Engine.Set(k, v, 0) }
+
+func (engineValues) reopen([]byte) error { return nil }
+
+func (e engineValues) read(k string) ([]byte, bool, bool, error) {
+	v, ok, err := e.rig.Engine.Get(k)
+	return v, ok, false, err
+}
+
+func (engineValues) report(*CrashReport, map[string][]byte) {}
+
+// chunkedObjects drills bigobj objects: Put through crashProbe before the
+// crash, a whole-object range read after.
+type chunkedObjects struct {
+	rig   *Rig
+	chunk int
+	eager bool
+	probe *crashProbe
+	store *bigobj.Store
+}
+
+// crashProbe is the pre-crash store's backend: the rig's engine, noting
+// whether the crash fired during a chunk write ("<objkey>/<n>"), which only
+// multi-chunk puts make and make before their manifest.
+type crashProbe struct {
+	*cache.Cache
+	faults *fault.Injector
+	midPut bool
+}
+
+func (c *crashProbe) SetTTL(key string, value []byte, valLen int, ttl time.Duration) error {
+	was := c.faults.Crashed()
+	err := c.Cache.SetTTL(key, value, valLen, ttl)
+	c.midPut = c.midPut || !was && c.faults.Crashed() && strings.Contains(key, "/")
+	return err
+}
+
+// open builds the object store over backend.
+func (o *chunkedObjects) open(backend bigobj.Backend) (err error) {
+	o.store, err = bigobj.New(bigobj.Config{Backend: backend, ChunkSize: o.chunk, Clock: o.rig.Clock})
+	return err
+}
+
+// value: a quarter of the objects fit one chunk (half of those exactly),
+// so their manifest carries them whole; the rest run 1-5 chunks with
+// ragged tails, and most of those span regions.
+func (o *chunkedObjects) value(rng *sim.Rand) []byte {
+	n := o.chunk + rng.Intn(4*o.chunk) + rng.Intn(1000)
+	switch rng.Intn(8) {
+	case 0:
+		n = 1 + rng.Intn(o.chunk-1)
+	case 1:
+		n = o.chunk
+	}
+	b := make([]byte, n)
+	rng.Bytes(b)
+	return b
+}
+
+func (o *chunkedObjects) put(k string, v []byte) error {
+	return o.store.Put(k, bytes.NewReader(v), 0)
+}
+
+func (o *chunkedObjects) reopen(snap []byte) error {
+	if err := o.open(o.rig.Engine); err != nil || !o.eager {
+		return err
+	}
+	keys, err := cache.SnapshotKeys(snap)
+	if err != nil {
+		return err
+	}
+	// Chunk keys fail the manifest decode and are skipped; only object
+	// keys are candidates.
+	o.store.Repair(keys)
+	return nil
+}
+
+// read counts a missing manifest as a whole-object loss, and a read error
+// as the clean partial-object failure: the manifest outlived its chunks
+// and the read refused to serve a short object.
+func (o *chunkedObjects) read(k string) ([]byte, bool, bool, error) {
+	rr, err := o.store.NewRangeReader(k, 0, -1)
+	if err != nil {
+		return nil, false, false, nil
+	}
+	data, err := io.ReadAll(rr)
+	rr.Close()
+	return data, err == nil, err != nil, nil
+}
+
+func (o *chunkedObjects) report(rep *CrashReport, atCut map[string][]byte) {
+	for _, v := range atCut {
+		switch {
+		case len(v) < o.chunk:
+			rep.SubChunkAcked++
+		case len(v) == o.chunk:
+			rep.OneChunkAcked++
+		}
+	}
+	rep.MidPutCrash = o.probe.midPut
+	rep.Repairs = o.store.Stats().ManifestRepairs
 }

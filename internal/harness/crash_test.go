@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"znscache/internal/fault"
@@ -79,41 +80,40 @@ func TestCrashConsistencyProperty(t *testing.T) {
 	}
 }
 
-// TestCrashRunDeterministic verifies a (scheme, seed) pair replays the
-// exact same report — the property a failing seed's bug report rests on.
+// TestCrashRunDeterministic verifies a run replays the exact same report,
+// for each subject — the property a failing seed's bug report rests on.
 func TestCrashRunDeterministic(t *testing.T) {
-	p := CrashParams{Scheme: RegionCache, Seed: 12345, Faults: crashFaults()}
-	a, err := RunCrash(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunCrash(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same params, different reports:\n%+v\n%+v", a, b)
+	for name, p := range map[string]CrashParams{
+		"values":  {Scheme: RegionCache, Seed: 12345, Faults: crashFaults()},
+		"objects": {Scheme: RegionCache, Seed: 99, ChunkSize: 8 << 10},
+	} {
+		a, err := RunCrash(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := RunCrash(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: same params, different reports:\n%+v\n%+v", name, a, b)
+		}
 	}
 }
 
-// TestCrashRestoreKeepsBuildConfig: both drills restore through the rig, so
+// TestCrashRestoreKeepsBuildConfig: the drill restores through the rig, so
 // the recovered engine evicts in the order Build chose (FIFO), not in the
-// engine package's default (LRU).
+// engine package's default (LRU), for either subject.
 func TestCrashRestoreKeepsBuildConfig(t *testing.T) {
 	for _, sch := range AllSchemes {
-		_, rig, err := runCrash(CrashParams{Scheme: sch, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !evictsOldestFirst(t, rig) {
-			t.Errorf("%v: the engine RunCrash restored keeps a just-read region past its turn", sch)
-		}
-		_, rig, err = runBigObjCrash(BigObjCrashParams{CrashParams: CrashParams{Scheme: sch, Seed: 3}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !evictsOldestFirst(t, rig) {
-			t.Errorf("%v: the engine RunBigObjCrash restored keeps a just-read region past its turn", sch)
+		for _, chunk := range []int{0, 8 << 10} {
+			_, rig, err := runCrash(CrashParams{Scheme: sch, Seed: 3, ChunkSize: chunk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !evictsOldestFirst(t, rig) {
+				t.Errorf("%v chunk %d: the restored engine keeps a just-read region past its turn", sch, chunk)
+			}
 		}
 	}
 }
@@ -164,6 +164,66 @@ func TestCrashHarnessDetectsBrokenRepair(t *testing.T) {
 		}
 		if !detected {
 			t.Errorf("%v: corrupted snapshot + disabled checksum produced no WrongData in 8 seeds; the oracle cannot detect wrong data", sch)
+		}
+	}
+	// An object run refuses the mutation rather than running without it.
+	if _, err := RunCrash(CrashParams{Scheme: RegionCache, Seed: 1, ChunkSize: 8 << 10, CorruptSnapshot: true}); err == nil {
+		t.Error("CorruptSnapshot with ChunkSize > 0 ran")
+	}
+}
+
+// TestBigObjCrashOracle drills chunked objects across schemes × repair
+// modes × seeds: every object acknowledged at the cut is served whole or
+// counted lost, and the zone contract holds. Over the drill, objects that
+// live wholly in their manifest (shorter than a chunk, and exactly one)
+// were acknowledged at the cut, and some crash fell between a multi-chunk
+// put's chunk writes and its manifest write.
+func TestBigObjCrashOracle(t *testing.T) {
+	var mu sync.Mutex
+	var subChunk, oneChunk, midPut int
+	t.Cleanup(func() { // runs once every parallel subtest is done
+		if subChunk == 0 || oneChunk == 0 {
+			t.Errorf("acknowledged at the cut: %d sub-chunk and %d one-chunk objects, want both > 0", subChunk, oneChunk)
+		}
+		if midPut == 0 {
+			t.Error("no crash fell between a multi-chunk put's chunk writes and its manifest write")
+		}
+	})
+	for _, sch := range AllSchemes {
+		for _, mode := range []string{"lazy", "eager"} {
+			for _, seed := range []uint64{1, 7, 23} {
+				p := CrashParams{Scheme: sch, Seed: seed, ChunkSize: 8 << 10, EagerRepair: mode == "eager"}
+				t.Run(fmt.Sprintf("%v/%s/%d", sch, mode, seed), func(t *testing.T) {
+					t.Parallel()
+					rep, err := RunCrash(p)
+					if err != nil {
+						t.Fatalf("RunCrash: %v", err)
+					}
+					if !rep.Crashed {
+						t.Fatalf("crash never fired (writes=%d)", rep.CrashWrites)
+					}
+					if err := rep.Err(); err != nil {
+						t.Fatalf("oracle: %v (hits=%d lost=%d partial=%d repairs=%d)",
+							err, rep.Hits, rep.Lost, rep.PartialFailures, rep.Repairs)
+					}
+					if rep.Hits+rep.Lost == 0 {
+						t.Fatal("oracle replayed zero objects")
+					}
+					mu.Lock()
+					subChunk += rep.SubChunkAcked
+					oneChunk += rep.OneChunkAcked
+					if rep.MidPutCrash {
+						midPut++
+					}
+					mu.Unlock()
+					if p.EagerRepair && rep.PartialFailures > 0 {
+						// The eager sweep visits every snapshot key before the
+						// replay, so no broken manifest should survive to fail
+						// lazily.
+						t.Errorf("eager repair left %d lazy partial failures", rep.PartialFailures)
+					}
+				})
+			}
 		}
 	}
 }

@@ -29,6 +29,23 @@ func RunBC(rig *Rig, keys int64, warmupOps, measureOps int, seed uint64) SchemeR
 	return runBCMeasured(rig, keys, warmupOps, measureOps, seed).SchemeResult
 }
 
+// ReadThrough applies one CacheBench op to eng: a get that misses inserts
+// the object (CacheBench's read-through fill), a set inserts, a delete
+// removes. A get that carries no size (a trace record without one) has
+// nothing to fill; bc gets always carry one.
+func ReadThrough(eng *cache.Cache, op workload.Op) {
+	switch op.Kind {
+	case workload.OpGet:
+		if _, hit, _ := eng.Get(op.Key); !hit && op.ValLen > 0 {
+			eng.Set(op.Key, nil, op.ValLen) //nolint:errcheck
+		}
+	case workload.OpSet:
+		eng.Set(op.Key, nil, op.ValLen) //nolint:errcheck
+	case workload.OpDelete:
+		eng.Delete(op.Key)
+	}
+}
+
 // measuredBC is RunBC's result plus the measured-window byte and admission
 // deltas the write-budget experiments need.
 type measuredBC struct {
@@ -48,22 +65,8 @@ func runBCMeasured(rig *Rig, keys int64, warmupOps, measureOps int, seed uint64)
 	gen := workload.NewBC(workload.BCConfig{Keys: keys, Seed: seed})
 	eng := rig.Engine
 
-	apply := func(op workload.Op) {
-		switch op.Kind {
-		case workload.OpGet:
-			// Read-through: CacheBench inserts the object on a miss.
-			if _, ok, _ := eng.Get(op.Key); !ok {
-				eng.Set(op.Key, nil, op.ValLen) //nolint:errcheck
-			}
-		case workload.OpSet:
-			eng.Set(op.Key, nil, op.ValLen) //nolint:errcheck
-		case workload.OpDelete:
-			eng.Delete(op.Key)
-		}
-	}
-
 	for i := 0; i < warmupOps; i++ {
-		apply(gen.Next())
+		ReadThrough(eng, gen.Next())
 	}
 	// Reset measurement state at the window boundary.
 	startStats := eng.Stats()
@@ -73,7 +76,7 @@ func runBCMeasured(rig *Rig, keys int64, warmupOps, measureOps int, seed uint64)
 	eng.SetLatencyHistogram().Reset()
 
 	for i := 0; i < measureOps; i++ {
-		apply(gen.Next())
+		ReadThrough(eng, gen.Next())
 	}
 	eng.Drain()
 	endStats := eng.Stats()

@@ -418,11 +418,9 @@ func (db *DB) compact(level int) error {
 	}
 	if readBytes > 0 {
 		n := (readBytes + device.SectorSize - 1) / device.SectorSize * device.SectorSize
-		buf := make([]byte, device.SectorSize)
 		// One seek plus streaming: model as a single big sequential read at
 		// the first input's offset.
-		_ = buf
-		lat, err := db.cfg.Disk.ReadAt(db.clock.Now(), make([]byte, int(min64(n, 1<<20))), inputs[0].diskOff)
+		lat, err := db.cfg.Disk.ReadAt(db.clock.Now(), make([]byte, min(n, 1<<20)), inputs[0].diskOff)
 		if err != nil {
 			return fmt.Errorf("lsm: compaction read: %w", err)
 		}
@@ -533,11 +531,4 @@ func (db *DB) SecondaryHitRatio() float64 {
 		return 0
 	}
 	return float64(db.SecondaryHits.Load()) / float64(l)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

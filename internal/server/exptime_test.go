@@ -7,11 +7,13 @@ import (
 	"time"
 )
 
-// The engine keeps TTL deadlines in whole seconds of its clock, rounded up
-// past the instant of the set: an item whose deadline falls at or after a
-// whole second S (and before S+1s) is live until S+1s, gone from it on. The
-// tests below pin every deadline to that boundary: live 1ns before, gone at
-// it. No wall-clock reading can land an item on it exactly.
+// The engine keeps TTL deadlines in whole seconds of its clock, rounded up:
+// an item whose deadline falls after a whole second S−1s and at or before S
+// is live until S, gone from it on. The test backend's sets cost no engine
+// CPU, so a relative TTL of n s set at a whole second, and an absolute
+// exptime T, land exactly on a whole second: the item lives n s, or until
+// T. The tests below pin every deadline to that boundary: live 1ns before,
+// gone at it. No wall-clock reading can land an item on it exactly.
 
 // setExp sets key to "v" with the given memcached exptime.
 func setExp(t *testing.T, cl *Client, key string, exptime int64) {
@@ -62,6 +64,7 @@ func TestExptimeCutoffBoundaryOnShardClock(t *testing.T) {
 	// exptime − WallBase, wherever the shard clock stood at the set.
 	exptime := base.Unix() + 2_600_000
 	setExp(t, cl, "abs", exptime)
+	b.expiresAt(t, 2_600_000*time.Second, "abs")
 
 	// Move the shard clocks to that deadline: the same exptime is now
 	// expired on the shard clock (wall time has barely moved).
@@ -71,8 +74,7 @@ func TestExptimeCutoffBoundaryOnShardClock(t *testing.T) {
 		t.Fatal("shard-clock-expired absolute exptime left the key visible")
 	}
 
-	b.expiresAt(t, 2_600_001*time.Second, "abs")
-	b.expiresAt(t, parked+(relativeExpCutoff+1)*time.Second, "rel")
+	b.expiresAt(t, parked+relativeExpCutoff*time.Second, "rel")
 }
 
 // TestAbsoluteExptimeReplayDeterministic replays one request sequence with
@@ -131,7 +133,7 @@ func TestAbsoluteExptimeReplayDeterministic(t *testing.T) {
 					}
 					continue
 				}
-				pending = append(pending, item{key, at + time.Second})
+				pending = append(pending, item{key, at})
 			}
 		}
 		check(1 << 62)
