@@ -35,19 +35,29 @@ import (
 	"znscache/internal/workload"
 )
 
+// sizes holds the scale flags: each overrides an experiment's default
+// size when set, and is refused when no selected run reads it.
+type sizes struct {
+	zones, ops, warmup, reads, cacheZones int
+	keys                                  int64
+	limits, chunkKiB                      string
+	admitBudget                           float64
+}
+
 func main() {
+	var sz sizes
+	flag.StringVar(&sz.limits, "limits", "", "comma-separated open-zone caps for -experiment contracts (default 14,8,4,2,1)")
+	flag.StringVar(&sz.chunkKiB, "chunk-kib", "", "comma-separated bigobj chunk sizes in KiB for -experiment cdn (default 128,512)")
+	flag.Float64Var(&sz.admitBudget, "admit-budget", 0, "device-write budget in bytes per simulated second (required by -admission dynamic-random; overrides the admission sweep's derived budgets)")
+	flag.IntVar(&sz.zones, "zones", 0, "override device zone count")
+	flag.IntVar(&sz.ops, "ops", 0, "override measured op count")
+	flag.IntVar(&sz.warmup, "warmup", 0, "override warmup op count")
+	flag.Int64Var(&sz.keys, "keys", 0, "override key-space size (fig5/table2: fillrandom key count)")
+	flag.IntVar(&sz.reads, "reads", 0, "override readrandom op count (fig5/table2)")
+	flag.IntVar(&sz.cacheZones, "cache-zones", 0, "override flash cache size in zones (fig5/table2)")
 	var (
 		experiment  = flag.String("experiment", "all", "fig2|fig3|fig4|table1|smallzone|admission|contracts|cdn|fig5|table2|all")
-		limits      = flag.String("limits", "", "comma-separated open-zone caps for -experiment contracts (default 14,8,4,2,1)")
-		chunkKiB    = flag.String("chunk-kib", "", "comma-separated bigobj chunk sizes in KiB for -experiment cdn (default 128,512)")
 		admission   = flag.String("admission", "", "admission policy for every rig: all|prob:P|reject-first[:BITS,WINDOW]|dynamic-random[:WINDOW_MS]|frequency[:THRESHOLD]")
-		admitBudget = flag.Float64("admit-budget", 0, "device-write budget in bytes per simulated second (required by -admission dynamic-random; overrides the admission sweep's derived budgets)")
-		zones       = flag.Int("zones", 0, "override device zone count")
-		ops         = flag.Int("ops", 0, "override measured op count")
-		warmup      = flag.Int("warmup", 0, "override warmup op count")
-		keys        = flag.Int64("keys", 0, "override key-space size (fig5/table2: fillrandom key count)")
-		reads       = flag.Int("reads", 0, "override readrandom op count (fig5/table2)")
-		cacheZones  = flag.Int("cache-zones", 0, "override flash cache size in zones (fig5/table2)")
 		seed        = flag.Uint64("seed", 0, "override workload seed")
 		traceFile   = flag.String("trace", "", "replay a CSV trace file ('ts,key,size,op' records) instead of an experiment")
 		scheme      = flag.String("scheme", "region", "scheme for -trace: block|file|zone|region")
@@ -60,66 +70,14 @@ func main() {
 	)
 	flag.Parse()
 
-	selected := *experiment
-	if *traceFile != "" {
-		selected = "trace"
-	}
-	var given []string
-	flag.Visit(func(f *flag.Flag) { given = append(given, f.Name) })
-	if f := unreadScaleFlag(selected, *admission, given); f != "" {
-		fmt.Fprintf(os.Stderr, "cachebench: -%s is not read by %s\n", f, selected)
-		os.Exit(2)
-	}
-
-	env, err := harness.ParseEnv(*admission, *admitBudget, *faultRate, *faultSeed)
+	env, err := harness.ParseEnv(*admission, sz.admitBudget, *faultRate, *faultSeed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cachebench: %v\n", err)
 		os.Exit(2)
 	}
-	if env.Admission != nil {
-		fmt.Fprintf(os.Stderr, "admission policy armed: %s\n", env.Admission.Name())
-	}
-	if env.Faults != nil {
-		fmt.Fprintf(os.Stderr, "fault injection armed: rate %g, seed %d\n", *faultRate, *faultSeed)
-	}
-
-	reg := obs.NewRegistry()
-	if *metricsAddr != "" {
-		harness.SetMetricsRegistry(reg)
-		srv, err := obs.StartServer(*metricsAddr, reg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cachebench metrics: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close() //nolint:errcheck
-		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics\n", srv.Addr())
-	}
 	if *eventsFile != "" {
 		env.Trace = obs.NewTracer(*traceCap)
-		defer func() {
-			if err := writeEvents(*eventsFile, env.Trace); err != nil {
-				fmt.Fprintf(os.Stderr, "cachebench events: %v\n", err)
-			}
-		}()
 	}
-
-	if *traceFile != "" {
-		if err := replayTrace(env, *traceFile, *scheme, *zones); err != nil {
-			fmt.Fprintf(os.Stderr, "cachebench trace: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	// scale overrides an experiment's size fields with the -zones, -ops,
-	// -warmup, -keys and -seed flags set; nil marks a field it lacks.
-	scale := func(z, o, w *int, k *int64, sd *uint64) {
-		set(z, *zones)
-		set(o, *ops)
-		set(w, *warmup)
-		set(k, *keys)
-		set(sd, *seed)
-	}
-
 	report := func(rep *harness.Report) error {
 		if *jsonDir == "" {
 			return nil
@@ -131,181 +89,244 @@ func main() {
 		fmt.Printf("wrote %s\n", path)
 		return nil
 	}
+	all := experiments(sz, *seed, env, report)
+	runs := selected(all, *experiment, *traceFile)
+	if len(runs) == 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
+		os.Exit(2)
+	}
+	var given []string
+	flag.Visit(func(f *flag.Flag) { given = append(given, f.Name) })
+	if f := unreadScaleFlag(all, runs, *admission, given); f != "" {
+		fmt.Fprintf(os.Stderr, "cachebench: -%s is not read by %s\n", f, names(runs))
+		os.Exit(2)
+	}
 
-	// run runs experiment f when -experiment is all or one of name's
-	// slash-separated names; matched records that some experiment ran.
-	matched := false
-	run := func(name string, f func() error) {
-		if *experiment != "all" && !slices.Contains(strings.Split(name, "/"), *experiment) {
-			return
+	if env.Admission != nil {
+		fmt.Fprintf(os.Stderr, "admission policy armed: %s\n", env.Admission.Name())
+	}
+	if env.Faults != nil {
+		fmt.Fprintf(os.Stderr, "fault injection armed: rate %g, seed %d\n", *faultRate, *faultSeed)
+	}
+	reg := obs.NewRegistry()
+	if *metricsAddr != "" {
+		harness.SetMetricsRegistry(reg)
+		srv, err := obs.StartServer(*metricsAddr, reg)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "cachebench metrics: %v\n", err)
+			os.Exit(1)
 		}
-		matched = true
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "cachebench %s: %v\n", name, err)
+		defer srv.Close() //nolint:errcheck
+		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics\n", srv.Addr())
+	}
+	if env.Trace != nil {
+		defer func() {
+			if err := writeEvents(*eventsFile, env.Trace); err != nil {
+				fmt.Fprintf(os.Stderr, "cachebench events: %v\n", err)
+			}
+		}()
+	}
+
+	if *traceFile != "" {
+		if err := replayTrace(env, *traceFile, *scheme, sz.zones); err != nil {
+			fmt.Fprintf(os.Stderr, "cachebench trace: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
+	for _, e := range runs {
+		if err := e.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "cachebench %s: %v\n", e.names, err)
 			os.Exit(1)
 		}
 		fmt.Println()
 	}
+}
 
-	run("fig2", func() error {
-		p := harness.DefaultFig2()
-		scale(&p.Zones, &p.MeasureOps, &p.WarmupOps, &p.Keys, &p.Seed)
-		p.Env = env
-		rows, err := harness.RunFig2(p)
-		if err != nil {
-			return err
-		}
-		harness.PrintFig2(os.Stdout, rows)
-		return report(&harness.Report{Experiment: "fig2", Fig2: rows})
-	})
-	run("smallzone", func() error {
-		p := harness.DefaultSmallZone()
-		scale(nil, &p.MeasureOps, nil, &p.Keys, &p.Seed)
-		p.Env = env
-		rows, err := harness.RunSmallZone(p)
-		if err != nil {
-			return err
-		}
-		harness.PrintSmallZone(os.Stdout, rows)
-		return report(&harness.Report{Experiment: "smallzone", SmallZone: rows})
-	})
-	run("admission", func() error {
-		p := harness.DefaultAdmissionSweep()
-		scale(&p.Zones, &p.MeasureOps, &p.WarmupOps, &p.Keys, &p.Seed)
-		set(&p.BudgetBytesPerSec, *admitBudget)
-		p.Env = env
-		rows, err := harness.RunAdmissionSweep(p)
-		if err != nil {
-			return err
-		}
-		harness.PrintAdmission(os.Stdout, rows)
-		return report(&harness.Report{Experiment: "admission", Admission: rows})
-	})
-	run("contracts", func() error {
-		p := harness.DefaultContracts()
-		scale(&p.Zones, &p.MeasureOps, &p.WarmupOps, &p.Keys, &p.Seed)
-		p.Env = env
-		if *limits != "" {
-			parsed, err := parseLimits(*limits)
-			if err != nil {
-				return err
-			}
-			p.Limits = parsed
-		}
-		rows, err := harness.RunContracts(p)
-		if err != nil {
-			return err
-		}
-		harness.PrintContracts(os.Stdout, rows)
-		return report(&harness.Report{Experiment: "contracts", Contracts: rows})
-	})
-	run("cdn", func() error {
-		p := harness.CDNParams{Env: env}
-		scale(&p.Zones, &p.MeasureOps, &p.WarmupOps, &p.Objects, &p.Seed)
-		if *chunkKiB != "" {
-			kib, err := parseLimits(*chunkKiB)
-			if err != nil {
-				return fmt.Errorf("-chunk-kib: %w", err)
-			}
-			for _, k := range kib {
-				p.ChunkSizes = append(p.ChunkSizes, k<<10)
-			}
-		}
-		rows, err := harness.RunCDN(p)
-		if err != nil {
-			return err
-		}
-		harness.PrintCDN(os.Stdout, rows)
-		return report(&harness.Report{Experiment: "cdn", CDN: rows})
-	})
-	run("fig3", func() error {
-		p := harness.DefaultFig3()
-		scale(&p.Zones, nil, nil, nil, &p.Seed)
-		p.Env = env
-		rows, err := harness.RunFig3(p)
-		if err != nil {
-			return err
-		}
-		harness.PrintFig3(os.Stdout, rows)
-		return report(&harness.Report{Experiment: "fig3", Fig3: rows})
-	})
-	// fig4 and table1 come from the same runs: either prints both.
-	run("fig4/table1", func() error {
-		p := harness.DefaultFig4()
-		scale(&p.Zones, &p.MeasureOps, &p.WarmupOps, &p.Keys, &p.Seed)
-		p.Env = env
-		rows, err := harness.RunFig4Table1(p)
-		if err != nil {
-			return err
-		}
-		harness.PrintFig4Table1(os.Stdout, rows)
-		return report(&harness.Report{Experiment: "fig4_table1", Fig4Table1: rows})
-	})
+// An experiment is one -experiment entry: the slash-separated names that
+// select it, the scale flags it reads, and its run.
+type experiment struct {
+	names string
+	reads []string
+	run   func() error
+}
 
+// experiments lists every experiment in the order -experiment all runs
+// them, fig5 and table2 last. Each builds its rigs in env, at the scale sz
+// and seed give, and hands its report to report.
+func experiments(sz sizes, seed uint64, env harness.Env, report func(*harness.Report) error) []experiment {
+	// scale overrides an experiment's size fields with the -zones, -ops,
+	// -warmup, -keys and -seed flags set; nil marks a field it lacks.
+	scale := func(z, o, w *int, k *int64, sd *uint64) {
+		set(z, sz.zones)
+		set(o, sz.ops)
+		set(w, sz.warmup)
+		set(k, sz.keys)
+		set(sd, seed)
+	}
 	// fig5 and table2 run the LSM store over the flash cache (§4.2).
 	db := harness.DefaultFig5()
 	scale(nil, nil, nil, &db.Keys, &db.Seed)
-	set(&db.Reads, *reads)
-	set(&db.FlashCacheZones, *cacheZones)
+	set(&db.Reads, sz.reads)
+	set(&db.FlashCacheZones, sz.cacheZones)
 	db.Env = env
-	run("fig5", func() error {
-		rows, err := harness.RunFig5(db)
-		if err != nil {
-			return err
-		}
-		harness.PrintFig5(os.Stdout, rows)
-		return report(&harness.Report{Experiment: "fig5", Fig5: rows})
-	})
-	run("table2", func() error {
-		rows, err := harness.RunTable2(db)
-		if err != nil {
-			return err
-		}
-		harness.PrintTable2(os.Stdout, rows)
-		return report(&harness.Report{Experiment: "table2", Table2: rows})
-	})
+	micro := []string{"zones", "ops", "warmup", "keys"}
+	lsm := []string{"keys", "reads", "cache-zones"}
 
-	if !matched {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
-		os.Exit(2)
+	return []experiment{
+		{"fig2", micro, func() error {
+			p := harness.DefaultFig2()
+			scale(&p.Zones, &p.MeasureOps, &p.WarmupOps, &p.Keys, &p.Seed)
+			p.Env = env
+			rows, err := harness.RunFig2(p)
+			if err != nil {
+				return err
+			}
+			harness.PrintFig2(os.Stdout, rows)
+			return report(&harness.Report{Experiment: "fig2", Fig2: rows})
+		}},
+		{"smallzone", []string{"ops", "keys"}, func() error {
+			p := harness.DefaultSmallZone()
+			scale(nil, &p.MeasureOps, nil, &p.Keys, &p.Seed)
+			p.Env = env
+			rows, err := harness.RunSmallZone(p)
+			if err != nil {
+				return err
+			}
+			harness.PrintSmallZone(os.Stdout, rows)
+			return report(&harness.Report{Experiment: "smallzone", SmallZone: rows})
+		}},
+		{"admission", append(micro, "admit-budget"), func() error {
+			p := harness.DefaultAdmissionSweep()
+			scale(&p.Zones, &p.MeasureOps, &p.WarmupOps, &p.Keys, &p.Seed)
+			set(&p.BudgetBytesPerSec, sz.admitBudget)
+			p.Env = env
+			rows, err := harness.RunAdmissionSweep(p)
+			if err != nil {
+				return err
+			}
+			harness.PrintAdmission(os.Stdout, rows)
+			return report(&harness.Report{Experiment: "admission", Admission: rows})
+		}},
+		{"contracts", append(micro, "limits"), func() error {
+			p := harness.DefaultContracts()
+			scale(&p.Zones, &p.MeasureOps, &p.WarmupOps, &p.Keys, &p.Seed)
+			p.Env = env
+			if sz.limits != "" {
+				parsed, err := parseLimits(sz.limits)
+				if err != nil {
+					return err
+				}
+				p.Limits = parsed
+			}
+			rows, err := harness.RunContracts(p)
+			if err != nil {
+				return err
+			}
+			harness.PrintContracts(os.Stdout, rows)
+			return report(&harness.Report{Experiment: "contracts", Contracts: rows})
+		}},
+		{"cdn", append(micro, "chunk-kib"), func() error {
+			p := harness.CDNParams{Env: env}
+			scale(&p.Zones, &p.MeasureOps, &p.WarmupOps, &p.Objects, &p.Seed)
+			if sz.chunkKiB != "" {
+				kib, err := parseLimits(sz.chunkKiB)
+				if err != nil {
+					return fmt.Errorf("-chunk-kib: %w", err)
+				}
+				for _, k := range kib {
+					p.ChunkSizes = append(p.ChunkSizes, k<<10)
+				}
+			}
+			rows, err := harness.RunCDN(p)
+			if err != nil {
+				return err
+			}
+			harness.PrintCDN(os.Stdout, rows)
+			return report(&harness.Report{Experiment: "cdn", CDN: rows})
+		}},
+		{"fig3", []string{"zones"}, func() error {
+			p := harness.DefaultFig3()
+			scale(&p.Zones, nil, nil, nil, &p.Seed)
+			p.Env = env
+			rows, err := harness.RunFig3(p)
+			if err != nil {
+				return err
+			}
+			harness.PrintFig3(os.Stdout, rows)
+			return report(&harness.Report{Experiment: "fig3", Fig3: rows})
+		}},
+		// fig4 and table1 come from the same runs: either prints both.
+		{"fig4/table1", micro, func() error {
+			p := harness.DefaultFig4()
+			scale(&p.Zones, &p.MeasureOps, &p.WarmupOps, &p.Keys, &p.Seed)
+			p.Env = env
+			rows, err := harness.RunFig4Table1(p)
+			if err != nil {
+				return err
+			}
+			harness.PrintFig4Table1(os.Stdout, rows)
+			return report(&harness.Report{Experiment: "fig4_table1", Fig4Table1: rows})
+		}},
+		{"fig5", lsm, func() error {
+			rows, err := harness.RunFig5(db)
+			if err != nil {
+				return err
+			}
+			harness.PrintFig5(os.Stdout, rows)
+			return report(&harness.Report{Experiment: "fig5", Fig5: rows})
+		}},
+		{"table2", lsm, func() error {
+			rows, err := harness.RunTable2(db)
+			if err != nil {
+				return err
+			}
+			harness.PrintTable2(os.Stdout, rows)
+			return report(&harness.Report{Experiment: "table2", Table2: rows})
+		}},
 	}
 }
 
-// scaleFlags names the scale flags each experiment, and a -trace replay,
-// reads. A scale flag that no selected run reads is refused, so a mistyped
-// one cannot yield a default-sized result.
-var scaleFlags = map[string][]string{
-	"fig2":      {"zones", "ops", "warmup", "keys"},
-	"fig4":      {"zones", "ops", "warmup", "keys"},
-	"table1":    {"zones", "ops", "warmup", "keys"},
-	"smallzone": {"ops", "keys"},
-	"admission": {"zones", "ops", "warmup", "keys", "admit-budget"},
-	"contracts": {"zones", "ops", "warmup", "keys", "limits"},
-	"cdn":       {"zones", "ops", "warmup", "keys", "chunk-kib"},
-	"fig3":      {"zones"},
-	"fig5":      {"keys", "reads", "cache-zones"},
-	"table2":    {"keys", "reads", "cache-zones"},
-	"trace":     {"zones"},
-	"all": {"zones", "ops", "warmup", "keys", "reads", "cache-zones",
-		"limits", "chunk-kib", "admit-budget"},
+// selected returns the runs the command line picks: a -trace replay, which
+// reads -zones, or the experiments of all that -experiment names (every one
+// for "all").
+func selected(all []experiment, name, traceFile string) []experiment {
+	if traceFile != "" {
+		return []experiment{{names: "trace", reads: []string{"zones"}}}
+	}
+	var runs []experiment
+	for _, e := range all {
+		if name == "all" || slices.Contains(strings.Split(e.names, "/"), name) {
+			runs = append(runs, e)
+		}
+	}
+	return runs
 }
 
-// unreadScaleFlag returns the first scale flag in given that run (an
-// experiment, or "trace") does not read, or "" if it reads them all or is
-// unknown. Under -admission dynamic-random every rig reads -admit-budget.
-func unreadScaleFlag(run, admission string, given []string) string {
-	reads, ok := scaleFlags[run]
-	if !ok {
-		return ""
+// unreadScaleFlag returns the first flag in given that some experiment of
+// all reads but no run in runs does, or "" if there is none, so a mistyped
+// scale flag cannot yield a default-sized result. Under -admission
+// dynamic-random every rig reads -admit-budget.
+func unreadScaleFlag(all, runs []experiment, admission string, given []string) string {
+	reads := func(exps []experiment, f string) bool {
+		return slices.ContainsFunc(exps, func(e experiment) bool { return slices.Contains(e.reads, f) })
 	}
 	for _, f := range given {
-		if !slices.Contains(scaleFlags["all"], f) || slices.Contains(reads, f) ||
-			f == "admit-budget" && strings.HasPrefix(admission, "dynamic-random") {
-			continue
+		if reads(all, f) && !reads(runs, f) &&
+			!(f == "admit-budget" && strings.HasPrefix(admission, "dynamic-random")) {
+			return f
 		}
-		return f
 	}
 	return ""
+}
+
+// names joins the names of runs for a message.
+func names(runs []experiment) string {
+	var out []string
+	for _, e := range runs {
+		out = append(out, e.names)
+	}
+	return strings.Join(out, ", ")
 }
 
 // parseLimits parses the -limits flag: comma-separated positive ints.

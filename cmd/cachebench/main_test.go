@@ -1,24 +1,32 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"znscache/internal/harness"
+)
 
 func TestUnreadScaleFlag(t *testing.T) {
+	all := experiments(sizes{}, 0, harness.Env{}, nil)
 	for _, c := range []struct {
-		run, admission string
-		given          []string
-		want           string
+		experiment, trace, admission string
+		given                        []string
+		want                         string
 	}{
-		{"table2", "", []string{"keys", "reads", "zones"}, "zones"},
-		{"fig2", "", []string{"zones", "reads"}, "reads"},
-		{"fig2", "", []string{"zones", "ops", "warmup", "keys", "seed", "json"}, ""},
-		{"fig2", "", []string{"admit-budget"}, "admit-budget"},
-		{"fig2", "dynamic-random", []string{"admit-budget"}, ""},
-		{"all", "", []string{"zones", "reads", "limits", "chunk-kib", "cache-zones"}, ""},
-		{"trace", "", []string{"zones", "scheme"}, ""},
-		{"trace", "", []string{"ops"}, "ops"},
+		{"table2", "", "", []string{"keys", "reads", "zones"}, "zones"},
+		{"fig2", "", "", []string{"zones", "reads"}, "reads"},
+		{"fig2", "", "", []string{"zones", "ops", "warmup", "keys", "seed", "json"}, ""},
+		{"fig2", "", "", []string{"admit-budget"}, "admit-budget"},
+		{"fig2", "", "dynamic-random", []string{"admit-budget"}, ""},
+		{"table1", "", "", []string{"zones", "limits"}, "limits"},
+		{"all", "", "", []string{"zones", "ops", "warmup", "keys", "reads", "cache-zones", "limits", "chunk-kib", "admit-budget"}, ""},
+		{"all", "t.csv", "", []string{"zones", "scheme"}, ""},
+		{"all", "t.csv", "", []string{"ops"}, "ops"},
 	} {
-		if got := unreadScaleFlag(c.run, c.admission, c.given); got != c.want {
-			t.Errorf("unreadScaleFlag(%q, %q, %v) = %q, want %q", c.run, c.admission, c.given, got, c.want)
+		runs := selected(all, c.experiment, c.trace)
+		if got := unreadScaleFlag(all, runs, c.admission, c.given); got != c.want {
+			t.Errorf("-experiment %q -trace %q -admission %q %v: unread %q, want %q",
+				c.experiment, c.trace, c.admission, c.given, got, c.want)
 		}
 	}
 }

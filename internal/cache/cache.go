@@ -375,8 +375,9 @@ func (c *Cache) Set(key string, value []byte, valLen int) error {
 }
 
 // SetTTL is Set with a time-to-live measured on the virtual clock; the
-// item expires ttl after insertion (0 = never). Expired items answer Get
-// as misses and are lazily removed from the index.
+// item expires ttl after the clock the set found, rounded up to a whole
+// second (0 = never). Expired items answer Get as misses and are lazily
+// removed from the index.
 func (c *Cache) SetTTL(key string, value []byte, valLen int, ttl time.Duration) error {
 	if key == "" {
 		return ErrEmptyKey
@@ -434,7 +435,11 @@ func (c *Cache) SetTTL(key string, value []byte, valLen int, ttl time.Duration) 
 			return err
 		}
 	}
-	c.appendItem(key, value, valLen, ttl)
+	var expireAt uint32
+	if ttl > 0 {
+		expireAt = uint32((start + ttl + time.Second - 1) / time.Second)
+	}
+	c.appendItem(key, value, valLen, expireAt)
 	c.hostBytes.Add(uint64(size))
 	c.setLat.Observe(c.clock.Now() - start)
 	if sampled {
@@ -453,9 +458,8 @@ func (c *Cache) SetTTL(key string, value []byte, valLen int, ttl time.Duration) 
 // (itemIs). A nil-value insert of valLen bytes writes valLen zero bytes as
 // its value, so every read of it, open or sealed, returns zeros. With the
 // read index on, the entry records where the value lies in the region's
-// image. With a ttl above zero, the entry's deadline is ttl past the clock
-// after the append.
-func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Duration) {
+// image. expireAt is the entry's TTL deadline in whole seconds (0 = none).
+func (c *Cache) appendItem(key string, value []byte, valLen int, expireAt uint32) {
 	m := &c.regions.meta[c.regions.open]
 	size := itemHeaderSize + int64(len(key)) + int64(valLen)
 	off := uint32(m.fill)
@@ -475,10 +479,7 @@ func (c *Cache) appendItem(key string, value []byte, valLen int, ttl time.Durati
 	c.clock.Advance(c.cpu.AppendItem + c.cpu.AppendPerKiB*time.Duration((size+1023)/1024))
 	m.fill += size
 	m.keys.append(key)
-	e := entry{region: uint32(c.regions.open), offset: off, valLen: uint32(valLen)}
-	if ttl > 0 {
-		e.expireAt = uint32((c.clock.Now() + ttl + time.Second - 1) / time.Second)
-	}
+	e := entry{region: uint32(c.regions.open), offset: off, valLen: uint32(valLen), expireAt: expireAt}
 	if value != nil || c.cfg.TrackValues {
 		e.img = m.img
 	}

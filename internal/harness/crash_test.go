@@ -35,7 +35,6 @@ func TestCrashConsistencyProperty(t *testing.T) {
 		iters = 12
 	}
 	for _, sch := range AllSchemes {
-		sch := sch
 		t.Run(sch.String(), func(t *testing.T) {
 			t.Parallel()
 			warmUps := []int{0} // the default
@@ -80,13 +79,12 @@ func TestCrashConsistencyProperty(t *testing.T) {
 	}
 }
 
-// TestCrashRunDeterministic verifies a value run replays the exact same
+// TestCrashRunDeterministic verifies a value run, and
+// TestBigObjCrashDeterminism a chunked-object run, replays the exact same
 // report — the property a failing seed's bug report rests on.
 func TestCrashRunDeterministic(t *testing.T) {
 	assertCrashDeterministic(t, CrashParams{Scheme: RegionCache, Seed: 12345, Faults: crashFaults()})
 }
-
-// TestBigObjCrashDeterminism is the same check for a chunked-object run.
 func TestBigObjCrashDeterminism(t *testing.T) {
 	assertCrashDeterministic(t, CrashParams{Scheme: RegionCache, Seed: 99, ChunkSize: 8 << 10})
 }
@@ -163,9 +161,7 @@ func TestCrashHarnessDetectsBrokenRepair(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v seed %d: %v", sch, seed, err)
 			}
-			if rep.WrongData > 0 {
-				detected = true
-			}
+			detected = rep.WrongData > 0
 		}
 		if !detected {
 			t.Errorf("%v: corrupted snapshot + disabled checksum produced no WrongData in 8 seeds; the oracle cannot detect wrong data", sch)
@@ -221,10 +217,7 @@ func TestBigObjCrashOracle(t *testing.T) {
 						midPut++
 					}
 					mu.Unlock()
-					if p.EagerRepair && rep.PartialFailures > 0 {
-						// The eager sweep visits every snapshot key before the
-						// replay, so no broken manifest should survive to fail
-						// lazily.
+					if p.EagerRepair && rep.PartialFailures > 0 { // the sweep ran before the replay
 						t.Errorf("eager repair left %d lazy partial failures", rep.PartialFailures)
 					}
 				})

@@ -220,13 +220,11 @@ func TestTable2Monotone(t *testing.T) {
 	}
 	for i := 1; i < len(rows); i++ {
 		if rows[i].HitRatio < rows[i-1].HitRatio {
-			t.Errorf("hit ratio fell from %.4f (z=%d) to %.4f (z=%d)",
-				rows[i-1].HitRatio, rows[i-1].Zones, rows[i].HitRatio, rows[i].Zones)
+			t.Errorf("hit ratio fell from %.4f (z=%d) to %.4f (z=%d)", rows[i-1].HitRatio, rows[i-1].Zones, rows[i].HitRatio, rows[i].Zones)
 		}
 	}
 	if first, last := rows[0], rows[len(rows)-1]; last.HitRatio <= first.HitRatio {
-		t.Errorf("hit ratio %.4f at z=%d is not above %.4f at z=%d: the sweep is flat",
-			last.HitRatio, last.Zones, first.HitRatio, first.Zones)
+		t.Errorf("hit ratio %.4f at z=%d is not above %.4f at z=%d: the sweep is flat", last.HitRatio, last.Zones, first.HitRatio, first.Zones)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 // written for it.
 func TestFullFidelityRoundTrip(t *testing.T) {
 	for _, s := range AllSchemes {
-		s := s
 		t.Run(s.String(), func(t *testing.T) {
 			hw := DefaultHW(10)
 			cfg := RigConfig{

@@ -7,13 +7,11 @@ import (
 	"time"
 )
 
-// The engine keeps TTL deadlines in whole seconds of its clock, rounded up:
-// an item whose deadline falls after a whole second S−1s and at or before S
-// is live until S, gone from it on. The test backend's sets cost no engine
-// CPU, so a relative TTL of n s set at a whole second, and an absolute
-// exptime T, land exactly on a whole second: the item lives n s, or until
-// T. The tests below pin every deadline to that boundary: live 1ns before,
-// gone at it. No wall-clock reading can land an item on it exactly.
+// The engine keeps TTL deadlines in whole seconds of its clock, rounded up,
+// counted from the shard clock a set found: a relative TTL of n s set at a
+// whole second lives n s, an absolute exptime T lives until T. The tests
+// below pin every deadline to that boundary: live 1ns before, gone at it.
+// No wall-clock reading can land an item on it exactly.
 
 // setExp sets key to "v" with the given memcached exptime.
 func setExp(t *testing.T, cl *Client, key string, exptime int64) {

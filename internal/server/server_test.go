@@ -39,10 +39,9 @@ type testBackend struct {
 func newTestBackend(tb testing.TB) *testBackend {
 	tb.Helper()
 	const shards, regions, regionBytes = 4, 8, 1 << 20
-	// Only eviction costs engine CPU: probes read the shard clock without
-	// moving it (liveAt), and a set's TTL deadline is measured from the
-	// shard clock the set found.
-	cpu := cache.CPUModel{EvictPerKey: cache.DefaultCPUModel().EvictPerKey}
+	// Probes read the shard clock without moving it (liveAt).
+	cpu := cache.DefaultCPUModel()
+	cpu.IndexLookup = 0
 	engines := make([]*cache.Cache, shards)
 	for i := range engines {
 		dev, err := ssd.New(ssd.Config{
