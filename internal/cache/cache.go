@@ -303,6 +303,7 @@ type Cache struct {
 	retriesCtr  stats.Counter // store operations retried after an error
 	lostKeys    stats.Counter // keys dropped because their bytes became unreachable
 	restoreDrop stats.Counter // snapshot entries dropped by the Restore repair pass
+	compactions stats.Counter // key logs rewritten to their live keys
 }
 
 // New builds an engine over the given store.
@@ -478,14 +479,17 @@ func (c *Cache) appendItem(key string, value []byte, valLen int, expireAt uint32
 	}
 	c.clock.Advance(c.cpu.AppendItem + c.cpu.AppendPerKiB*time.Duration((size+1023)/1024))
 	m.fill += size
-	m.keys.append(key)
+	c.logKey(&m.keys, key)
 	e := entry{region: uint32(c.regions.open), offset: off, valLen: uint32(valLen), expireAt: expireAt}
 	if value != nil || c.cfg.TrackValues {
 		e.img = m.img
 	}
-	// A replaced key's old copy becomes dead weight in its region
-	// (reclaimed only when that region is evicted).
-	c.idx.put(c.idx.hash(key), e)
+	// A replaced key's old copy becomes dead weight in its region: its
+	// flash bytes until the region is evicted, its key-log record until the
+	// log is compacted.
+	if old, ok := c.idx.put(c.idx.hash(key), e); ok {
+		c.died(old.region)
+	}
 }
 
 // itemIs reports whether the item at the start of b is key's: its header's
@@ -559,12 +563,11 @@ func (c *Cache) dropRegionKeys(id int) {
 }
 
 // unindexRegion removes every entry still pointing at region id, and returns
-// how many it removed. The lookups and deletes by key-log slice do not
-// allocate.
+// how many it removed: one probe per logged key, by key-log slice, with no
+// allocation. The region's generation ends after it, log and all.
 func (c *Cache) unindexRegion(id int) (n int) {
 	c.regions.meta[id].keys.each(func(kb []byte) bool {
-		if h, e, ok := c.idx.lookupLog(kb); ok && int(e.region) == id {
-			c.idx.drop(h)
+		if _, ok := c.idx.takeIn(c.idx.hashLog(kb), uint32(id)); ok {
 			n++
 		}
 		return true
@@ -572,10 +575,20 @@ func (c *Cache) unindexRegion(id int) (n int) {
 	return n
 }
 
+// unindex removes the entry of hash h, if any, and reports whether there was
+// one; its key dies in its region's log.
+func (c *Cache) unindex(h uint64) bool {
+	e, ok := c.idx.take(h)
+	if ok {
+		c.died(e.region)
+	}
+	return ok
+}
+
 // expire is lazy TTL expiry: the entry of hash h, past its deadline, leaves
 // the index; the flash copy dies with its region.
 func (c *Cache) expire(h uint64) {
-	c.idx.drop(h)
+	c.unindex(h)
 	c.expirations.Inc()
 }
 
@@ -583,7 +596,7 @@ func (c *Cache) expire(h uint64) {
 // unreadable or unverifiable, and charges the failure to its region —
 // quarantining the region once it exhausts its budget.
 func (c *Cache) loseKey(h uint64, e entry) {
-	c.idx.drop(h)
+	c.unindex(h)
 	c.lostKeys.Inc()
 	if id := int(e.region); c.regions.charge(id) {
 		c.dropRegionKeys(id)
@@ -654,6 +667,11 @@ func (c *Cache) rollRegion() error {
 		if rt.flush(id, c.clock.Now()+lat) {
 			c.completeFlush(id)
 		}
+		// Keys the region outlived while open are compacted away now that its
+		// log is complete.
+		if m.keys.sparse() {
+			c.compactLog(id)
+		}
 	}
 
 	// The next region comes off the free list, which eviction refills when
@@ -710,7 +728,7 @@ func (c *Cache) evict() error {
 		// Index cleanup under the shared lock: the insertion-time spike of
 		// Figure 3a. Zone-sized regions remove tens of thousands of keys here.
 		c.unindexRegion(id)
-		c.clock.Advance(c.cpu.EvictPerKey * time.Duration(m.keys.len()))
+		c.clock.Advance(c.cpu.EvictPerKey * time.Duration(m.keys.appended))
 
 		now := c.clock.Now()
 		lat, err := c.retryStore(func(t time.Duration) (time.Duration, error) {
@@ -723,7 +741,7 @@ func (c *Cache) evict() error {
 		c.clock.Advance(lat)
 		c.evicts.Inc()
 		if c.trace != nil {
-			c.trace.Emit(obs.Event{T: now, Type: obs.EvEvict, Zone: -1, Region: int32(id), Bytes: int64(m.keys.len())})
+			c.trace.Emit(obs.Event{T: now, Type: obs.EvEvict, Zone: -1, Region: int32(id), Bytes: int64(m.keys.appended)})
 		}
 		c.regions.evicted(id)
 		return nil
@@ -855,7 +873,7 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 					// or a hash shared with that key. The region's bytes are
 					// sound, so only the entry goes; the region is not
 					// charged toward quarantine.
-					c.idx.drop(h)
+					c.unindex(h)
 					c.lostKeys.Inc()
 				}
 				c.hitRatio.Miss()
@@ -927,7 +945,7 @@ func (c *Cache) Contains(key string) bool {
 func (c *Cache) Delete(key string) bool {
 	c.dels.Inc()
 	c.clock.Advance(c.cpu.IndexRemove)
-	return c.idx.drop(c.idx.hash(key))
+	return c.unindex(c.idx.hash(key))
 }
 
 // Len returns the number of indexed items.
@@ -950,7 +968,7 @@ func (c *Cache) InvalidateRegion(id int) {
 		return
 	}
 	c.unindexRegion(id)
-	c.clock.Advance(c.cpu.EvictPerKey * time.Duration(c.regions.meta[id].keys.len()))
+	c.clock.Advance(c.cpu.EvictPerKey * time.Duration(c.regions.meta[id].keys.appended))
 	c.regions.drop(id)
 	c.drops.Inc()
 }
@@ -1074,6 +1092,9 @@ func (c *Cache) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	r.Counter("cache_restore_dropped_entries_total", "Snapshot entries dropped by the Restore repair pass", ls, &c.restoreDrop)
 	r.Gauge("cache_region_buffer_bytes", "DRAM held in region buffers (open, in-flight and spare)", ls,
 		func() float64 { return float64(c.regions.bufBytes.Load()) })
+	r.Gauge("cache_index_bytes", "DRAM held by the key index: its slots and the region key logs' buffers", ls,
+		func() float64 { return float64(c.idx.indexBytes.Load()) })
+	r.Counter("cache_key_log_compactions_total", "Region key logs rewritten to their live keys", ls, &c.compactions)
 	if ix := c.idx; ix.shared {
 		r.Gauge("cache_dram_bytes", "Bytes of the region buffers behind read-index images: the open and flushing regions'", ls,
 			func() float64 { return float64(ix.dramBytes.Load()) })

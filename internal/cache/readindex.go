@@ -111,24 +111,32 @@ const (
 	maxLoadDen = 4
 )
 
-// get returns h's entry.
-func (t *table) get(h uint64) (entry, bool) {
+// find returns the index of h's slot, or -1 when h has no entry.
+func (t *table) find(h uint64) int {
 	if t.n == 0 {
-		return entry{}, false
+		return -1
 	}
 	mask := len(t.slots) - 1
 	for i := int(h >> t.shift); ; i = (i + 1) & mask {
 		switch t.slots[i].hash {
 		case h:
-			return t.slots[i].e, true
+			return i
 		case 0:
-			return entry{}, false
+			return -1
 		}
 	}
 }
 
-// set installs e as h's entry.
-func (t *table) set(h uint64, e entry) {
+// get returns h's entry.
+func (t *table) get(h uint64) (entry, bool) {
+	if i := t.find(h); i >= 0 {
+		return t.slots[i].e, true
+	}
+	return entry{}, false
+}
+
+// set installs e as h's entry and returns the entry it replaced, if any.
+func (t *table) set(h uint64, e entry) (old entry, replaced bool) {
 	if (t.n+1)*maxLoadDen > len(t.slots)*maxLoadNum {
 		t.grow()
 	}
@@ -139,23 +147,16 @@ func (t *table) set(h uint64, e entry) {
 	}
 	if t.slots[i].hash == 0 {
 		t.n++
+	} else {
+		old, replaced = t.slots[i].e, true
 	}
 	t.slots[i] = slot{hash: h, e: e}
+	return old, replaced
 }
 
-// remove deletes h's entry and reports whether there was one.
-func (t *table) remove(h uint64) bool {
-	if t.n == 0 {
-		return false
-	}
+// removeAt deletes the entry in slot i.
+func (t *table) removeAt(i int) {
 	mask := len(t.slots) - 1
-	i := int(h >> t.shift)
-	for t.slots[i].hash != h {
-		if t.slots[i].hash == 0 {
-			return false
-		}
-		i = (i + 1) & mask
-	}
 	// Backward shift: a later slot of the run moves into the hole at i when
 	// its home lies at or before i, that is when it sits at least as far from
 	// its home as from the hole.
@@ -167,7 +168,6 @@ func (t *table) remove(h uint64) bool {
 	}
 	t.slots[i] = slot{}
 	t.n--
-	return true
 }
 
 // grow doubles the table, or makes its first minSlots slots.
@@ -218,6 +218,9 @@ type index struct {
 	// dramBytes is the bytes of the region buffers behind images: the open
 	// and flushing regions' (gauge cache_dram_bytes).
 	dramBytes atomic.Int64
+	// indexBytes is what the index holds per key: its slots and the capacity
+	// of the region key logs' buffers (gauge cache_index_bytes).
+	indexBytes atomic.Int64
 
 	noteMu sync.Mutex
 	notes  []readNote
@@ -292,28 +295,45 @@ func (ix *index) load(h uint64) (entry, bool) {
 	return e, ok
 }
 
-// put installs e as the entry of hash h.
-func (ix *index) put(h uint64, e entry) {
+// put installs e as the entry of hash h and returns the entry it replaced,
+// if any.
+func (ix *index) put(h uint64, e entry) (old entry, replaced bool) {
 	s := ix.stripe(h)
+	n := len(s.slots)
 	if ix.shared {
 		s.mu.Lock()
-		s.set(h, e)
+		old, replaced = s.set(h, e)
 		s.mu.Unlock()
-		return
+	} else {
+		old, replaced = s.set(h, e)
 	}
-	s.set(h, e)
+	if len(s.slots) != n {
+		ix.indexBytes.Add(int64(len(s.slots)-n) * int64(unsafe.Sizeof(slot{})))
+	}
+	return old, replaced
 }
 
-// drop removes the entry of hash h and reports whether there was one.
-func (ix *index) drop(h uint64) bool {
+// anyRegion, as takeIn's region, matches an entry in any region.
+const anyRegion = ^uint32(0)
+
+// take removes the entry of hash h and returns it.
+func (ix *index) take(h uint64) (entry, bool) { return ix.takeIn(h, anyRegion) }
+
+// takeIn removes the entry of hash h and returns it if it points into region
+// id: eviction's one probe per logged key.
+func (ix *index) takeIn(h uint64, id uint32) (entry, bool) {
 	s := ix.stripe(h)
 	if ix.shared {
 		s.mu.Lock()
-		ok := s.remove(h)
-		s.mu.Unlock()
-		return ok
+		defer s.mu.Unlock()
 	}
-	return s.remove(h)
+	i := s.find(h)
+	if i < 0 || (id != anyRegion && s.slots[i].e.region != id) {
+		return entry{}, false
+	}
+	e := s.slots[i].e
+	s.removeAt(i)
+	return e, true
 }
 
 // len returns the number of entries.
@@ -328,35 +348,23 @@ func (ix *index) len() int {
 // eachEntry calls fn for every entry and its key, region by region in id
 // order and within a region in key-log order, so two walks of an unchanged
 // engine agree. The index keeps no keys, but the key logs hold every indexed
-// key (the region-live invariant): an entry's key is the last one its region
-// logged under the entry's hash, since every later Set of that hash went to
-// the same region or a newer one.
+// key (the region-live invariant): keepLive, applied to a copy of each log,
+// leaves exactly the keys of the entries pointing into its region.
 func (c *Cache) eachEntry(fn func(key string, e entry)) {
-	last := make(map[uint64]int) // hash -> ordinal of its last key in the log
+	var buf []byte
 	for id := range c.regions.meta {
 		kl := &c.regions.meta[id].keys
 		if kl.len() == 0 {
 			continue
 		}
-		clear(last)
-		i := 0
-		kl.each(func(kb []byte) bool {
-			if h, e, ok := c.idx.lookupLog(kb); ok && int(e.region) == id {
-				last[h] = i
-			}
-			i++
+		live := keyLog{data: append(buf[:0], kl.data...), n: kl.n, dead: kl.dead}
+		c.keepLive(id, &live)
+		live.each(func(kb []byte) bool {
+			e, _ := c.idx.get(c.idx.hashLog(kb))
+			fn(string(kb), e)
 			return true
 		})
-		i = 0
-		kl.each(func(kb []byte) bool {
-			h := c.idx.hashLog(kb)
-			if j, ok := last[h]; ok && j == i {
-				e, _ := c.idx.get(h)
-				fn(string(kb), e)
-			}
-			i++
-			return true
-		})
+		buf = live.data
 	}
 }
 

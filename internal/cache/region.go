@@ -299,7 +299,7 @@ func (r *regionTable) save(s *snapshotData) {
 	s.Regions = make([]snapRegion, len(r.meta))
 	for i := range r.meta {
 		m := &r.meta[i]
-		s.Regions[i] = snapRegion{State: m.state, Keys: m.keys.strings(), Fill: m.fill}
+		s.Regions[i] = snapRegion{State: m.state, Appended: m.keys.appended, Fill: m.fill}
 	}
 	for e := r.order.Front(); e != nil; e = e.Next() {
 		s.Order = append(s.Order, e.Value.(int))
@@ -309,6 +309,7 @@ func (r *regionTable) save(s *snapshotData) {
 // load replaces the table with a validated snapshot's. A flushing region
 // loads sealed: the simulation's stores complete the writes they
 // acknowledged. The open region reopens empty at at: its buffer was DRAM.
+// Key logs load empty: Restore logs each key it indexes.
 func (r *regionTable) load(s *snapshotData, at time.Duration) {
 	r.empty(&r.meta[r.open])
 	for i := range r.meta {
@@ -317,7 +318,6 @@ func (r *regionTable) load(s *snapshotData, at time.Duration) {
 		if m.state == regionFlushing {
 			m.state = regionSealed
 		}
-		m.keys.setStrings(src.Keys)
 		m.fill = src.Fill
 	}
 	for _, id := range s.Order {

@@ -32,11 +32,13 @@ type snapEntry struct {
 	ExpireAt uint32
 }
 
-// snapRegion mirrors the durable part of regionMeta.
+// snapRegion mirrors the durable part of regionMeta. Appended is the key
+// log's appended count, the region's eviction charge; its keys are those of
+// the entries that point into it.
 type snapRegion struct {
-	State regionState
-	Keys  []string
-	Fill  int64
+	State    regionState
+	Appended int
+	Fill     int64
 }
 
 type snapshotData struct {
@@ -130,6 +132,9 @@ func (s *snapshotData) validate() error {
 		if r.Fill < 0 || r.Fill > s.RegionSize {
 			return fmt.Errorf("cache: region %d: fill %d outside [0, %d]", i, r.Fill, s.RegionSize)
 		}
+		if r.Appended < 0 {
+			return fmt.Errorf("cache: region %d: %d keys appended", i, r.Appended)
+		}
 	}
 	for i := range s.Entries {
 		e := &s.Entries[i]
@@ -175,19 +180,27 @@ func Restore(cfg Config, snapshot []byte) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := c.restore(snapshot); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// restore is Restore into c, a new engine.
+func (c *Cache) restore(snapshot []byte) error {
 	var s snapshotData
 	if err := gob.NewDecoder(bytes.NewReader(snapshot)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("cache: snapshot decode: %w", err)
+		return fmt.Errorf("cache: snapshot decode: %w", err)
 	}
 	if s.Version != snapshotVersion {
-		return nil, fmt.Errorf("cache: snapshot version %d unsupported", s.Version)
+		return fmt.Errorf("cache: snapshot version %d unsupported", s.Version)
 	}
 	if s.RegionSize != c.store.RegionSize() || s.NumRegions != c.store.NumRegions() {
-		return nil, fmt.Errorf("cache: snapshot taken against %d regions of %d bytes; store has %d of %d",
+		return fmt.Errorf("cache: snapshot taken against %d regions of %d bytes; store has %d of %d",
 			s.NumRegions, s.RegionSize, c.store.NumRegions(), c.store.RegionSize())
 	}
 	if err := s.validate(); err != nil {
-		return nil, err
+		return err
 	}
 
 	c.seq = s.Seq
@@ -225,9 +238,23 @@ func Restore(cfg Config, snapshot []byte) (*Cache, error) {
 		// Restored values live on flash, not in memory: the entry has no
 		// image, so the lock-free path answers Contains and misses, and a
 		// verified sealed read promotes the key to servable on first touch.
-		c.idx.put(c.idx.hash(e.Key), ent)
+		// The key goes into its region's log, which so holds exactly the
+		// restored keys, in the snapshot's order. Two keys that share a hash
+		// under this engine's seed keep the later entry: the earlier key
+		// dies in its log.
+		c.logKey(&m.keys, e.Key)
+		if old, ok := c.idx.put(c.idx.hash(e.Key), ent); ok {
+			c.died(old.region)
+		}
 	}
-	return c, nil
+	// A region still charges eviction for every key it was given, dead
+	// ones included. A snapshot without the count charges the keys logged.
+	for i := range c.regions.meta {
+		if m := &c.regions.meta[i]; m.state == regionSealed {
+			m.keys.appended = max(m.keys.appended, s.Regions[i].Appended)
+		}
+	}
+	return nil
 }
 
 // CorruptSnapshotForTest mutates recovery metadata in a structurally valid

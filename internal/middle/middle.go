@@ -142,6 +142,9 @@ type Layer struct {
 	// (migration reads/writes plus the zone reset) — the device-busy time GC
 	// steals from foreground traffic.
 	GCTimeNs stats.Counter
+	// GCErrors counts collection passes that failed: a migration or a
+	// reset the device refused.
+	GCErrors stats.Counter
 	// Trace receives GC victim/migrate/drop events; nil disables tracing.
 	Trace *obs.Tracer
 }
@@ -482,16 +485,33 @@ func (l *Layer) WriteRegion(now time.Duration, id int, data []byte) (time.Durati
 	defer l.mu.Unlock()
 	l.invalidateLocked(id)
 	lat, err := l.placeRegionLocked(now, id, data)
+	if errors.Is(err, ErrNoSpace) {
+		// Neither an empty nor an open zone: collection runs ahead of this
+		// placement (a zero-valid or emergency victim), and it is tried once
+		// more. Otherwise a device whose resets failed until both pools ran
+		// dry would refuse every write for good, for collection runs only
+		// after a write lands.
+		l.tryCollectLocked(now)
+		lat, err = l.placeRegionLocked(now, id, data)
+	}
 	if err != nil {
 		return 0, err
 	}
 	l.WA.AddHost(uint64(l.cfg.RegionSize))
 	l.WA.AddMedia(uint64(l.cfg.RegionSize))
-	// Background GC: issued at `now`, not charged to this host write.
-	if err := l.collectLocked(now); err != nil {
-		return 0, err
-	}
+	// Background GC: issued at `now`, not charged to this host write, and
+	// its error does not fail the write, which has landed.
+	l.tryCollectLocked(now)
 	return lat, nil
+}
+
+// tryCollectLocked is a collection pass for WriteRegion. A failed pass is
+// counted, not returned: its victim stays collectable, and the next pass
+// retries it.
+func (l *Layer) tryCollectLocked(now time.Duration) {
+	if err := l.collectLocked(now); err != nil {
+		l.GCErrors.Inc()
+	}
 }
 
 // ReadRegion implements cache.RegionStore: mapping lookup, then one device
@@ -699,6 +719,7 @@ func (l *Layer) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	r.Counter("middle_gc_dropped_regions_total", "Regions dropped by the co-design filter", ls, &l.Dropped)
 	r.Counter("middle_zone_resets_total", "Zones reclaimed (reset) by GC", ls, &l.Resets)
 	r.Counter("middle_gc_busy_nanoseconds_total", "Simulated time spent in GC reclaim (migrations + resets)", ls, &l.GCTimeNs)
+	r.Counter("middle_gc_errors_total", "GC passes that failed on a migration or reset the device refused", ls, &l.GCErrors)
 	r.Counter("middle_zones_abandoned_total", "Zones retired after a torn/failed write", ls, &l.Abandoned)
 	r.Counter("middle_zone_finish_total", "Zone finishes issued by the layer (exhausted, abandoned, or budget-evicted zones)", ls, &l.ZoneFinishes)
 	r.Counter("middle_budget_stall_total", "Region flushes stalled on the device zone-resource budget", ls, &l.BudgetStalls)

@@ -1,8 +1,10 @@
 package middle
 
 import (
+	"errors"
 	"math/bits"
 	"testing"
+	"time"
 
 	"znscache/internal/device"
 	"znscache/internal/zns"
@@ -199,5 +201,51 @@ func TestDeviceWAIsAlwaysOne(t *testing.T) {
 	hostSectors := dev.HostWrites.Load() / uint64(device.SectorSize)
 	if progs := dev.Array().Programs.Load(); progs != hostSectors {
 		t.Fatalf("device programs %d != host sectors %d", progs, hostSectors)
+	}
+}
+
+// resetFails refuses every zone reset while broken is set, as a failing or
+// crashed device does.
+type resetFails struct {
+	zns.Zoned
+	broken bool
+}
+
+func (d *resetFails) Reset(now time.Duration, z int) (time.Duration, error) {
+	if d.broken {
+		return 0, errors.New("injected reset failure")
+	}
+	return d.Zoned.Reset(now, z)
+}
+
+// TestWriteLandsAfterResetsRecover drives the layer into the state that no
+// write got out of while collection ran only after a placement landed:
+// resets fail until the empty pool and the open set are both empty, so
+// every write finds no zone. Then the device revives, and the next write
+// must land, as must the writes after it.
+func TestWriteLandsAfterResetsRecover(t *testing.T) {
+	dev := &resetFails{Zoned: newZNS(t, false), broken: true}
+	l, err := New(dev, Config{RegionSize: testRegion, OpenZones: 2, MinEmptyZones: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Eight regions rewritten over and over: each rewrite kills the old
+	// copy, so zones fill with dead slots that only a reset gives back.
+	for i := 0; ; i++ {
+		if _, err := l.WriteRegion(0, i%8, nil); errors.Is(err, ErrNoSpace) {
+			break
+		}
+		if i > 100_000 {
+			t.Fatal("the layer never ran out of zones")
+		}
+	}
+	if len(l.empty) != 0 || len(l.openSet) != 0 {
+		t.Fatalf("out of space with %d empty and %d open zones", len(l.empty), len(l.openSet))
+	}
+	dev.broken = false
+	for i := 0; i < 2000; i++ {
+		if _, err := l.WriteRegion(0, i%8, nil); err != nil {
+			t.Fatalf("write %d after the device revived: %v", i, err)
+		}
 	}
 }
