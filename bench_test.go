@@ -233,8 +233,8 @@ func BenchmarkAblationAdmission(b *testing.B) {
 }
 
 func BenchmarkAblationGCThresholds(b *testing.B) {
-	// Covered in depth by examples/gctuning; here the watermark sweep runs
-	// through the public facade at one OP point.
+	// The OP sweep through the rig; TestGCVictimThreshold (internal/harness)
+	// sweeps the victim threshold.
 	for i := 0; i < b.N; i++ {
 		for _, op := range []float64{0.10, 0.20, 0.30} {
 			op := op

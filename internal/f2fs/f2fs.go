@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -211,7 +210,7 @@ func Mount(dev zns.Zoned, cfg Config) (*FS, error) {
 // UsableBytes is the capacity available to files after the OP reserve.
 func (fs *FS) UsableBytes() int64 { return fs.usableBlocks * BlockSize }
 
-// FreeZones reports the free-zone pool size (tests, zonectl).
+// FreeZones reports the free-zone pool size (the f2fs_free_zones gauge).
 func (fs *FS) FreeZones() int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -627,16 +626,4 @@ func (fs *FS) LiveBlocks() int64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return fs.liveBlocks
-}
-
-// Files lists file names (zonectl).
-func (fs *FS) Files() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	out := make([]string, 0, len(fs.files))
-	for n := range fs.files {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

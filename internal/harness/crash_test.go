@@ -174,14 +174,21 @@ func TestCrashHarnessDetectsBrokenRepair(t *testing.T) {
 }
 
 // TestBigObjCrashOracle drills chunked objects across schemes × repair
-// modes × seeds: every object acknowledged at the cut is served whole or
-// counted lost, and the zone contract holds. Over the drill, objects that
-// live wholly in their manifest (shorter than a chunk, and exactly one)
-// were acknowledged at the cut, and some crash fell between a multi-chunk
-// put's chunk writes and its manifest write.
+// modes × warm-up budgets × seeds: every object acknowledged at the cut is
+// served whole or counted lost, and the zone contract holds. At the default
+// budget, objects that live wholly in their manifest (shorter than a chunk,
+// and exactly one) are acknowledged at the cut, and some crash falls
+// between a multi-chunk put's chunk writes and its manifest write. At
+// WarmOps 500 (100 object puts) the cache has cycled, so the post-cut
+// writes evict chunk regions the snapshot indexes: Region-Cache's restore
+// drops entries, and a manifest can outlive a chunk. Few seeds show that,
+// so this budget runs more of them, and across the drill some lazy run must
+// take the partial-object path and some eager run must repair a manifest.
+// The budget also runs lazily under crashFaults, where some object must
+// come back partial.
 func TestBigObjCrashOracle(t *testing.T) {
 	var mu sync.Mutex
-	var subChunk, oneChunk, midPut int
+	var subChunk, oneChunk, midPut, lazyPartial, faultedPartial, eagerRepair, regionDrops int
 	t.Cleanup(func() { // runs once every parallel subtest is done
 		if subChunk == 0 || oneChunk == 0 {
 			t.Errorf("acknowledged at the cut: %d sub-chunk and %d one-chunk objects, want both > 0", subChunk, oneChunk)
@@ -189,12 +196,29 @@ func TestBigObjCrashOracle(t *testing.T) {
 		if midPut == 0 {
 			t.Error("no crash fell between a multi-chunk put's chunk writes and its manifest write")
 		}
+		if lazyPartial == 0 || faultedPartial == 0 || eagerRepair == 0 || regionDrops == 0 {
+			t.Errorf("runs with partial failures: %d lazy, %d faulted; %d eager runs with repairs, %d Region-Cache runs with restore drops; want each > 0",
+				lazyPartial, faultedPartial, eagerRepair, regionDrops)
+		}
 	})
+	seeds, cycled := []uint64{1, 7, 23}, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	for _, sch := range AllSchemes {
-		for _, mode := range []string{"lazy", "eager"} {
-			for _, seed := range []uint64{1, 7, 23} {
-				p := CrashParams{Scheme: sch, Seed: seed, ChunkSize: 8 << 10, EagerRepair: mode == "eager"}
-				t.Run(fmt.Sprintf("%v/%s/%d", sch, mode, seed), func(t *testing.T) {
+		for _, c := range []struct {
+			name          string
+			warm          int
+			eager, faults bool // faulted runs are lazy
+			seeds         []uint64
+		}{
+			{"lazy", 0, false, false, seeds}, {"eager", 0, true, false, seeds},
+			{"cycled-lazy", 500, false, false, cycled}, {"cycled-eager", 500, true, false, cycled},
+			{"cycled-faulted", 500, false, true, cycled},
+		} {
+			for _, seed := range c.seeds {
+				p := CrashParams{Scheme: sch, Seed: seed, WarmOps: c.warm, ChunkSize: 8 << 10, EagerRepair: c.eager}
+				if c.faults {
+					p.Faults = crashFaults()
+				}
+				t.Run(fmt.Sprintf("%v/%s/%d", sch, c.name, seed), func(t *testing.T) {
 					t.Parallel()
 					rep, err := RunCrash(p)
 					if err != nil {
@@ -215,6 +239,18 @@ func TestBigObjCrashOracle(t *testing.T) {
 					oneChunk += rep.OneChunkAcked
 					if rep.MidPutCrash {
 						midPut++
+					}
+					if c.eager && rep.Repairs > 0 {
+						eagerRepair++
+					}
+					if !c.eager && rep.PartialFailures > 0 && c.faults {
+						faultedPartial++
+					}
+					if !c.eager && rep.PartialFailures > 0 && !c.faults {
+						lazyPartial++
+					}
+					if sch == RegionCache && rep.RestoreDrops > 0 {
+						regionDrops++
 					}
 					mu.Unlock()
 					if p.EagerRepair && rep.PartialFailures > 0 { // the sweep ran before the replay

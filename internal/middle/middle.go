@@ -216,7 +216,7 @@ func (l *Layer) RegionSize() int64 { return l.cfg.RegionSize }
 // Device exposes the ZNS device for stats.
 func (l *Layer) Device() zns.Zoned { return l.dev }
 
-// EmptyZones reports the reclaimable-pool size (tests, zonectl).
+// EmptyZones reports the reclaimable-pool size (the middle_empty_zones gauge).
 func (l *Layer) EmptyZones() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()

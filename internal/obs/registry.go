@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -238,16 +237,4 @@ func writeSeries(w io.Writer, m *metric) error {
 // round-trippable representation.
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// SortSamples orders samples by name, then rendered labels — a convenience
-// for consumers (zonectl's watch dump, tests) that want a stable view
-// independent of registration order.
-func SortSamples(samples []Sample) {
-	sort.Slice(samples, func(i, j int) bool {
-		if samples[i].Name != samples[j].Name {
-			return samples[i].Name < samples[j].Name
-		}
-		return samples[i].Labels.String() < samples[j].Labels.String()
-	})
 }

@@ -188,15 +188,3 @@ func TestWritePrometheusGolden(t *testing.T) {
 		t.Fatalf("exposition drifted from %s.\ngot:\n%s\nwant:\n%s", golden, buf.String(), want)
 	}
 }
-
-func TestSortSamples(t *testing.T) {
-	samples := []Sample{
-		{Name: "b"},
-		{Name: "a", Labels: L("z", "1")},
-		{Name: "a", Labels: L("a", "1")},
-	}
-	SortSamples(samples)
-	if samples[0].Labels.Get("a") != "1" || samples[1].Labels.Get("z") != "1" || samples[2].Name != "b" {
-		t.Fatalf("sorted order wrong: %+v", samples)
-	}
-}

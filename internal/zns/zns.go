@@ -46,7 +46,7 @@ const (
 	ZoneFull
 )
 
-// String names the state for diagnostics and zonectl.
+// String names the state for diagnostics.
 func (s ZoneState) String() string {
 	switch s {
 	case ZoneEmpty:
@@ -640,9 +640,9 @@ func (d *Device) Finish(now time.Duration, z int) (time.Duration, error) {
 }
 
 // MetricsInto implements obs.MetricSource: aggregate device counters plus a
-// per-zone state/write-pointer/reset-count gauge set, which is what zonectl's
-// watch mode and the Prometheus exposition render as the zone map. The
-// per-zone closures read through ZoneInfo and are scrape-safe mid-run.
+// per-zone state/write-pointer/reset-count gauge set, which the Prometheus
+// exposition renders as the zone map. The per-zone closures read through
+// ZoneInfo and are scrape-safe mid-run.
 func (d *Device) MetricsInto(r *obs.Registry, labels obs.Labels) {
 	ls := labels.With("layer", "zns")
 	r.Counter("zns_host_write_bytes_total", "Bytes written by the host to the ZNS device", ls, &d.HostWrites)
