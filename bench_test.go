@@ -15,6 +15,10 @@ package znscache
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -159,91 +163,170 @@ func BenchmarkSmallZoneHypothesis(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) ---
 
-// ablationRun drives the bc mix on a Region-Cache rig and reports
-// throughput, hit, and WAF.
-func ablationRun(b *testing.B, label string, mutate func(*harness.RigConfig)) {
-	b.Helper()
-	hw := harness.DefaultHW(25)
-	cfg := harness.RigConfig{
-		Scheme:     harness.RegionCache,
-		HW:         hw,
-		CacheBytes: int64(hw.Zones) * hw.ZoneBytes() * 20 / 25,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	rig, err := harness.Build(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res := harness.RunBC(rig, 72<<10, 250_000, 150_000, 1)
-	b.ReportMetric(res.OpsPerSec, label+"_ops/s")
-	b.ReportMetric(res.HitRatio*100, label+"_hit%")
-	b.ReportMetric(res.WAFactor, label+"_WAF")
+// ablationVariant is one configuration an ablation compares.
+type ablationVariant struct {
+	label  string
+	mutate func(*harness.RigConfig)
 }
 
-func BenchmarkAblationRegionSize(b *testing.B) {
+// ablationRuns drives the bc mix on a Region-Cache rig (25 zones, a cache
+// of 20 of them) once per variant, GOMAXPROCS at a time, and returns the
+// results by label.
+func ablationRuns(tb testing.TB, vs ...ablationVariant) map[string]harness.SchemeResult {
+	tb.Helper()
+	res, errs := make([]harness.SchemeResult, len(vs)), make([]error, len(vs))
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, v := range vs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			hw := harness.DefaultHW(25)
+			cfg := harness.RigConfig{
+				Scheme:     harness.RegionCache,
+				HW:         hw,
+				CacheBytes: int64(hw.Zones) * hw.ZoneBytes() * 20 / 25,
+			}
+			if v.mutate != nil {
+				v.mutate(&cfg)
+			}
+			rig, err := harness.Build(cfg)
+			if errs[i] = err; err == nil {
+				res[i] = harness.RunBC(rig, 72<<10, 250_000, 150_000, 1)
+			}
+		}()
+	}
+	wg.Wait()
+	out := make(map[string]harness.SchemeResult, len(vs))
+	for i, v := range vs {
+		if errs[i] != nil {
+			tb.Fatalf("%s: %v", v.label, errs[i])
+		}
+		out[v.label] = res[i]
+	}
+	return out
+}
+
+// benchAblation runs the variants b.N times and reports each one's
+// throughput, hit ratio and WAF.
+func benchAblation(b *testing.B, vs ...ablationVariant) {
 	for i := 0; i < b.N; i++ {
-		// 256 KiB up to the full zone (the 64-slot bitmap bounds the
-		// smallest usable region at zone/64).
-		for _, rs := range []int64{256 << 10, 1 << 20, 4 << 20, 16 << 20} {
-			rs := rs
-			ablationRun(b, fmt.Sprintf("region%dKiB", rs>>10), func(c *harness.RigConfig) {
-				c.RegionBytes = rs
-			})
+		for label, r := range ablationRuns(b, vs...) {
+			b.ReportMetric(r.OpsPerSec, label+"_ops/s")
+			b.ReportMetric(r.HitRatio*100, label+"_hit%")
+			b.ReportMetric(r.WAFactor, label+"_WAF")
 		}
 	}
 }
 
-func BenchmarkAblationPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ablationRun(b, "fifo", func(c *harness.RigConfig) {
-			c.Policy, c.PolicySet = cache.FIFO, true
-		})
-		ablationRun(b, "lru", func(c *harness.RigConfig) {
-			c.Policy, c.PolicySet = cache.LRU, true
-		})
+// regionSizeVariants run 256 KiB up to the full zone (the 64-slot bitmap
+// bounds the smallest usable region at zone/64).
+func regionSizeVariants() []ablationVariant {
+	var vs []ablationVariant
+	for _, rs := range []int64{256 << 10, 1 << 20, 4 << 20, 16 << 20} {
+		vs = append(vs, ablationVariant{fmt.Sprintf("region%dKiB", rs>>10), func(c *harness.RigConfig) {
+			c.RegionBytes = rs
+		}})
+	}
+	return vs
+}
+
+// policyVariants run allocation-ordered and access-ordered region eviction.
+func policyVariants() []ablationVariant {
+	return []ablationVariant{
+		{"fifo", func(c *harness.RigConfig) { c.Policy, c.PolicySet = cache.FIFO, true }},
+		{"lru", func(c *harness.RigConfig) { c.Policy, c.PolicySet = cache.LRU, true }},
 	}
 }
+
+// admissionVariants run admit-all, 50 % random admission and
+// reject-first-access.
+func admissionVariants() []ablationVariant {
+	return []ablationVariant{
+		{"admit_all", nil},
+		{"admit_p50", func(c *harness.RigConfig) {
+			c.Admission, c.AdmissionSeed = cache.ProbAdmitFactory{P: 0.5}, 9
+		}},
+		{"reject_first", func(c *harness.RigConfig) {
+			c.Admission = cache.RejectFirstFactory{Bits: 1 << 20, Window: 1 << 20}
+		}},
+	}
+}
+
+// opVariants repeat Table 1's OP sweep through the rig;
+// TestGCVictimThreshold (internal/harness) sweeps the victim threshold.
+func opVariants() []ablationVariant {
+	var vs []ablationVariant
+	for _, op := range []float64{0.10, 0.20, 0.30} {
+		vs = append(vs, ablationVariant{fmt.Sprintf("op%.0f", op*100), func(c *harness.RigConfig) {
+			hw := harness.DefaultHW(25)
+			c.CacheBytes = int64(float64(int64(hw.Zones)*hw.ZoneBytes()) * (1 - op))
+			c.OPRatio = op
+		}})
+	}
+	return vs
+}
+
+func BenchmarkAblationRegionSize(b *testing.B) { benchAblation(b, regionSizeVariants()...) }
+
+func BenchmarkAblationPolicy(b *testing.B) { benchAblation(b, policyVariants()...) }
 
 func BenchmarkAblationCoDesign(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		// Access-ordered eviction scatters deaths, giving GC real work for
-		// the co-design to save.
-		ablationRun(b, "migrate_all", func(c *harness.RigConfig) {
+	// Access-ordered eviction scatters deaths, giving GC real work for the
+	// co-design to save.
+	benchAblation(b,
+		ablationVariant{"migrate_all", func(c *harness.RigConfig) {
 			c.Policy, c.PolicySet = cache.LRU, true
 			c.MigrateAll = true
-		})
-		ablationRun(b, "codesign_drop", func(c *harness.RigConfig) {
-			c.Policy, c.PolicySet = cache.LRU, true
-		})
-	}
+		}},
+		ablationVariant{"codesign_drop", func(c *harness.RigConfig) { c.Policy, c.PolicySet = cache.LRU, true }},
+	)
 }
 
-func BenchmarkAblationAdmission(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		ablationRun(b, "admit_all", nil)
-		ablationRun(b, "admit_p50", func(c *harness.RigConfig) {
-			c.Admission, c.AdmissionSeed = cache.ProbAdmitFactory{P: 0.5}, 9
-		})
-		ablationRun(b, "reject_first", func(c *harness.RigConfig) {
-			c.Admission = cache.RejectFirstFactory{Bits: 1 << 20, Window: 1 << 20}
-		})
-	}
-}
+func BenchmarkAblationAdmission(b *testing.B) { benchAblation(b, admissionVariants()...) }
 
-func BenchmarkAblationGCThresholds(b *testing.B) {
-	// The OP sweep through the rig; TestGCVictimThreshold (internal/harness)
-	// sweeps the victim threshold.
-	for i := 0; i < b.N; i++ {
-		for _, op := range []float64{0.10, 0.20, 0.30} {
-			op := op
-			ablationRun(b, fmt.Sprintf("op%.0f", op*100), func(c *harness.RigConfig) {
-				hw := harness.DefaultHW(25)
-				c.CacheBytes = int64(float64(int64(hw.Zones)*hw.ZoneBytes()) * (1 - op))
-				c.OPRatio = op
-			})
+func BenchmarkAblationGCThresholds(b *testing.B) { benchAblation(b, opVariants()...) }
+
+// TestAblationDirections pins the directions EXPERIMENTS.md's ablation notes
+// state, on the ablation benchmarks' own runs (simulated clock, so exact):
+//   - regions up to a quarter zone run within 5 % of each other's ops/s, and
+//     the zone-sized region below 80 % of the slowest of them;
+//   - allocation-ordered (FIFO) eviction kills zones whole, so GC migrates
+//     nothing and WAF is exactly 1 at every OP; access-ordered (LRU)
+//     eviction scatters deaths and WAF rises above 1 at the same hit ratio
+//     (within 0.1 pt);
+//   - 50 % random admission runs fastest with the lowest hit ratio,
+//     reject-first-access between it and admit-all on both.
+func TestAblationDirections(t *testing.T) {
+	vs := append(append(append(regionSizeVariants(), policyVariants()...), admissionVariants()...), opVariants()...)
+	r := ablationRuns(t, vs...)
+
+	small := []float64{r["region256KiB"].OpsPerSec, r["region1024KiB"].OpsPerSec, r["region4096KiB"].OpsPerSec}
+	lo, hi := slices.Min(small), slices.Max(small)
+	if hi > 1.05*lo {
+		t.Errorf("256 KiB–4 MiB regions run %.0f–%.0f ops/s, more than 5 %% apart", lo, hi)
+	}
+	if zone := r["region16384KiB"].OpsPerSec; zone >= 0.8*lo {
+		t.Errorf("the zone-sized region runs %.0f ops/s, not below 80 %% of %.0f", zone, lo)
+	}
+
+	for _, label := range []string{"fifo", "op10", "op20", "op30"} {
+		if w := r[label].WAFactor; w != 1 {
+			t.Errorf("%s: FIFO eviction WAF %v, want exactly 1", label, w)
 		}
+	}
+	fifo, lru := r["fifo"], r["lru"]
+	if lru.WAFactor <= 1 || math.Abs(lru.HitRatio-fifo.HitRatio) > 0.001 {
+		t.Errorf("LRU eviction: WAF %.3f, hit ratio %.4f against FIFO's %.4f", lru.WAFactor, lru.HitRatio, fifo.HitRatio)
+	}
+
+	all, p50, first := r["admit_all"], r["admit_p50"], r["reject_first"]
+	if !(p50.OpsPerSec > first.OpsPerSec && first.OpsPerSec > all.OpsPerSec) ||
+		!(all.HitRatio > first.HitRatio && first.HitRatio > p50.HitRatio) {
+		t.Errorf("admission: ops/s all %.0f, reject-first %.0f, p50 %.0f; hit all %.4f, reject-first %.4f, p50 %.4f",
+			all.OpsPerSec, first.OpsPerSec, p50.OpsPerSec, all.HitRatio, first.HitRatio, p50.HitRatio)
 	}
 }
 

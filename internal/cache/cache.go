@@ -45,9 +45,11 @@ type RegionStore interface {
 	// RegionSize is the fixed region size in bytes (sector-aligned).
 	RegionSize() int64
 	// WriteRegion persists a full region. data may be nil (metadata-only).
-	// Implementations copy data before returning and never retain it: the
-	// engine recycles the buffer for another region once the flush
-	// completes.
+	// Implementations copy data before returning and never retain it:
+	// without the read index the engine recycles the buffer for another
+	// region once the flush completes. A buffer the engine never writes
+	// again goes to RegionKeeper.KeepRegion instead, where the store offers
+	// it.
 	WriteRegion(now time.Duration, id int, data []byte) (time.Duration, error)
 	// ReadRegion reads n bytes at sector-aligned offset off within region
 	// id into p (p may be nil for a metadata-only read of n bytes).
@@ -75,6 +77,15 @@ type SyncCoster interface {
 // read index serves values out of them without a lock (DESIGN.md §12).
 type RegionViewer interface {
 	RegionView(id int) ([]byte, bool)
+}
+
+// RegionKeeper is an optional RegionStore extension, used with the read index
+// on, where a flushed buffer is never written again (release): KeepRegion is
+// WriteRegion of a buffer the store may keep as the region's bytes instead of
+// copying it. The buffer is the store's from a successful return on; a failed
+// write keeps nothing, and the engine may hand the same buffer to a retry.
+type RegionKeeper interface {
+	KeepRegion(now time.Duration, id int, data []byte) (time.Duration, error)
 }
 
 // Policy selects the region eviction order.
@@ -641,7 +652,12 @@ func (c *Cache) rollRegion() error {
 	if c.spans != nil {
 		w0 = time.Now()
 	}
+	keeper, keep := c.store.(RegionKeeper)
+	keep = keep && c.idx.shared && m.buf != nil
 	lat, err := c.retryStore(func(t time.Duration) (time.Duration, error) {
+		if keep {
+			return keeper.KeepRegion(t, id, m.buf)
+		}
 		return c.store.WriteRegion(t, id, m.buf)
 	})
 	if c.spans != nil {

@@ -7,3 +7,8 @@ var RegionLiveErr = regionLiveErr
 // collideHashes narrows c's index hash to 4 bits, so that keys share hashes
 // all the time: the collision oracle's seam. Call it before the first insert.
 func collideHashes(c *Cache) { c.idx.hashMask = 0xF }
+
+// OpenBuffer returns the open region's id and buffer.
+func OpenBuffer(c *Cache) (id int, buf []byte) {
+	return c.regions.open, c.regions.meta[c.regions.open].buf
+}

@@ -74,7 +74,8 @@ var (
 	// drops no payload: the segment goes at the zone's reset.
 	sharedSegments = lifetimeLayout{"shared", 4, 48}
 	// A 192 KiB zone has 64 KiB segments (device.NewSegments), one per
-	// region, so every eviction releases its region's segment.
+	// region, so every eviction releases its region's segment, and the device
+	// keeps each flushed buffer as its region's segment (RegionKeeper).
 	wholeSegments = lifetimeLayout{"whole", 3, 39}
 )
 
@@ -278,9 +279,10 @@ func lifetimeQuiescent(t *testing.T, s *cache.Sharded, view bool) {
 
 // TestImageLifetimeOracle runs the storm over a store that lends views and
 // over one that does not, with regions sharing payload segments, and over a
-// store that lends views with a segment per region, whose evictions release
-// segments under held views; each time once more on an engine restored from
-// a snapshot of the first, whose keys become servable by promotion.
+// store that lends views with a segment per region, which keeps the flushed
+// buffers as its segments and whose evictions release segments under held
+// views; each time once more on an engine restored from a snapshot of the
+// first, whose keys become servable by promotion.
 func TestImageLifetimeOracle(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -300,9 +302,13 @@ func TestImageLifetimeOracle(t *testing.T) {
 				t.Fatalf("GC migrated %d regions and reset %d zones: the storm never moved bytes under an image",
 					layer.Migrated.Load(), layer.Resets.Load())
 			}
-			_, dropped := layer.Device().(*zns.Device).Payload()
+			dev := layer.Device().(*zns.Device)
+			_, dropped := dev.Payload()
 			if (c.lay == wholeSegments) != (dropped > 0) {
 				t.Fatalf("evictions dropped %d payload bytes with %s segments", dropped, c.lay.name)
+			}
+			if kept := dev.Kept.Load(); (c.lay == wholeSegments) != (kept > 0) {
+				t.Fatalf("the device kept %d flushed bytes with %s segments", kept, c.lay.name)
 			}
 			snaps, err := s.Snapshot()
 			if err != nil {

@@ -36,7 +36,9 @@ import (
 //     (or moves slots, or doubles the table), so a reader always copies out a
 //     complete entry. The bytes behind an image are never written again: a
 //     region buffer is appended to only past what its entries point at and is
-//     never recycled, and a store's view is immutable (RegionViewer). A sealed
+//     never recycled, and a store's view is immutable (RegionViewer). A store
+//     may keep the flushed buffer itself as the region's bytes (RegionKeeper),
+//     so a sealed image can point at the same memory it did before. A sealed
 //     region over a store that lends no view has an image without bytes: its
 //     reads take the locked path, which reads the store.
 //   - Stripe locks are leaf locks: never nested, never held across a call out

@@ -226,7 +226,8 @@ func (r *regionTable) empty(m *regionMeta) {
 // store), or failed (its keys are dropped). Without the read index the
 // buffer goes to the spare list. With it the buffer is left to the
 // collector: a read-index image, or a value a reader still holds, may point
-// into it, and its bytes must never change.
+// into it, and its bytes must never change. A store that kept the buffer
+// (RegionKeeper) holds it as the region's bytes from the flush on.
 func (r *regionTable) release(m *regionMeta) {
 	if m.buf == nil {
 		return

@@ -24,11 +24,12 @@ const segmentBytes = 256 << 10
 // behind a view never change: the owner writes and zeroes only above its
 // write pointer, never below a viewed range, and Zero and Drop leave a viewed
 // segment to its views instead of pooling it, so the view keeps the old array
-// alive and the next Write there starts a new one.
+// alive and the next Write there starts a new one. A segment Keep took from
+// its writer is left the same way: the writer still holds it.
 type Segments struct {
 	size   int64     // bytes per segment
 	segs   []*[]byte // by offset / size; nil reads as zeros
-	viewed []bool    // by segment: handed out by View since it was allocated
+	viewed []bool    // by segment: handed out by View, or taken by Keep, since it was allocated
 	held   int64     // bytes of the segments in segs
 	free   sync.Pool // *[]byte segments released by Zero and Drop, reused by Write
 }
@@ -78,6 +79,21 @@ func (s *Segments) Write(off int64, data []byte) {
 		data = data[n:]
 		off += int64(n)
 	}
+}
+
+// Keep is Write of a buffer handed over: when data is exactly the empty,
+// aligned segment at off, the store keeps data as that segment instead of
+// copying it and reports kept. The segment counts as viewed, so Zero and
+// Drop leave it to its owner and never pool it. Any other write is copied.
+func (s *Segments) Keep(off int64, data []byte) (kept bool) {
+	if s == nil || off%s.size != 0 || int64(len(data)) != s.size || s.segs[off/s.size] != nil {
+		s.Write(off, data)
+		return false
+	}
+	i := off / s.size
+	s.segs[i], s.viewed[i] = &data, true
+	s.held += s.size
+	return true
 }
 
 // Read fills p with the bytes at off.

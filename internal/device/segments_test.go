@@ -130,3 +130,58 @@ func TestSegmentsDrop(t *testing.T) {
 		t.Error("a metadata-only store released or held bytes")
 	}
 }
+
+// TestSegmentsKeep: Keep takes a buffer that is exactly one empty, aligned
+// segment as that segment, in place, and copies any other write. A kept
+// segment never goes to the pool, whether zeroed or dropped, so its owner's
+// bytes stay as they are while the offset is written again.
+func TestSegmentsKeep(t *testing.T) {
+	s := NewSegments(4*segmentBytes, segmentBytes)
+	for _, c := range []struct {
+		name string
+		off  int64
+		n    int
+	}{
+		{"short", 0, segmentBytes - 4096},
+		{"unaligned", 4096, segmentBytes},
+		{"across two segments", segmentBytes + 4096, segmentBytes},
+	} {
+		data := bytes.Repeat([]byte{7}, c.n)
+		if s.Keep(c.off, data) {
+			t.Errorf("%s: Keep kept the buffer", c.name)
+		}
+		got := make([]byte, c.n)
+		if s.Read(got, c.off); !bytes.Equal(got, data) || &(*s.segs[c.off/segmentBytes])[0] == &data[0] {
+			t.Errorf("%s: the write was not copied", c.name)
+		}
+		s.Zero(0, 4*segmentBytes)
+	}
+	s.Write(3*segmentBytes+4096, []byte{1})
+	if s.Keep(3*segmentBytes, make([]byte, segmentBytes)) {
+		t.Error("Keep kept a buffer over a segment already written")
+	}
+
+	for _, release := range []func(){
+		func() { s.Zero(0, segmentBytes) },
+		func() { s.Drop(0, segmentBytes) },
+	} {
+		buf := bytes.Repeat([]byte{0xAB}, segmentBytes)
+		held := s.Held()
+		if !s.Keep(0, buf) || &(*s.segs[0])[0] != &buf[0] || s.Held() != held+segmentBytes {
+			t.Fatal("Keep copied a whole empty segment")
+		}
+		release()
+		// Enough writes to take back anything the pool holds.
+		for i := 0; i < 4; i++ {
+			s.Write(0, bytes.Repeat([]byte{byte(i)}, segmentBytes))
+			s.Zero(0, segmentBytes)
+		}
+		if !bytes.Equal(buf, bytes.Repeat([]byte{0xAB}, segmentBytes)) {
+			t.Fatal("a kept buffer came back from the pool and was written over")
+		}
+	}
+	var nilStore *Segments
+	if nilStore.Keep(0, make([]byte, segmentBytes)) {
+		t.Error("a metadata-only store kept a buffer")
+	}
+}

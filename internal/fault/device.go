@@ -160,6 +160,18 @@ func (d *ZonedDevice) recordLocked(format string, args ...interface{}) {
 // sectors, leaving the zone's write pointer mid-write — exactly the state a
 // power cut leaves a real zone in.
 func (d *ZonedDevice) Write(now time.Duration, data []byte, n int, off int64) (time.Duration, error) {
+	return d.write(now, data, n, off, false)
+}
+
+// Keep implements zns.Zoned. Only a write that passes through whole hands
+// data over to the inner device; a torn prefix is copied, so a failed write
+// is never kept.
+func (d *ZonedDevice) Keep(now time.Duration, data []byte, off int64) (time.Duration, error) {
+	return d.write(now, data, len(data), off, true)
+}
+
+// write is Write, or Keep when keep is set.
+func (d *ZonedDevice) write(now time.Duration, data []byte, n int, off int64, keep bool) (time.Duration, error) {
 	dec := d.inj.decideWrite(n / device.SectorSize)
 	if dec.err != nil {
 		if k := dec.tornSectors; k > 0 {
@@ -172,7 +184,13 @@ func (d *ZonedDevice) Write(now time.Duration, data []byte, n int, off int64) (t
 		}
 		return 0, dec.err
 	}
-	lat, err := d.inner.Write(now, data, n, off)
+	var lat time.Duration
+	var err error
+	if keep {
+		lat, err = d.inner.Keep(now, data, off)
+	} else {
+		lat, err = d.inner.Write(now, data, n, off)
+	}
 	if err == nil {
 		d.observe(d.zoneOf(off), false)
 	}

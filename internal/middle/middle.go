@@ -297,7 +297,10 @@ func (l *Layer) writableZoneLocked() (int, error) {
 // accounting. The zone is abandoned — retired to the full set with its
 // remaining slots unusable, so GC reclaims it later — and the error is
 // returned; the caller's retry re-routes to a different zone.
-func (l *Layer) placeRegionLocked(now time.Duration, id int, data []byte) (time.Duration, error) {
+//
+// With keep set, a whole region's data is handed to the device
+// (zns.Zoned.Keep) instead of copied; only a host placement sets it.
+func (l *Layer) placeRegionLocked(now time.Duration, id int, data []byte, keep bool) (time.Duration, error) {
 	z, err := l.writableZoneLocked()
 	if err != nil {
 		return 0, err
@@ -310,7 +313,11 @@ func (l *Layer) placeRegionLocked(now time.Duration, id int, data []byte) (time.
 	// Two frees per in-flight zone bounds the juggle: each retry either
 	// closes or retires one zone, and there are at most inFlight candidates.
 	for attempt := 0; ; attempt++ {
-		lat, err = l.dev.Write(now+stall, data, int(l.cfg.RegionSize), off)
+		if keep && int64(len(data)) == l.cfg.RegionSize {
+			lat, err = l.dev.Keep(now+stall, data, off)
+		} else {
+			lat, err = l.dev.Write(now+stall, data, int(l.cfg.RegionSize), off)
+		}
 		if err == nil {
 			break
 		}
@@ -478,13 +485,24 @@ func (l *Layer) invalidateLocked(id int) {
 // the region, append the new copy to an open zone, then let the background
 // collector catch up if the empty pool is low.
 func (l *Layer) WriteRegion(now time.Duration, id int, data []byte) (time.Duration, error) {
+	return l.writeRegion(now, id, data, false)
+}
+
+// KeepRegion implements cache.RegionKeeper: WriteRegion, with data handed to
+// the device to keep as the region's bytes.
+func (l *Layer) KeepRegion(now time.Duration, id int, data []byte) (time.Duration, error) {
+	return l.writeRegion(now, id, data, true)
+}
+
+// writeRegion is WriteRegion, or KeepRegion when keep is set.
+func (l *Layer) writeRegion(now time.Duration, id int, data []byte, keep bool) (time.Duration, error) {
 	if id < 0 || id >= l.cfg.NumRegions {
 		return 0, fmt.Errorf("%w: %d", ErrRegion, id)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.invalidateLocked(id)
-	lat, err := l.placeRegionLocked(now, id, data)
+	lat, err := l.placeRegionLocked(now, id, data, keep)
 	if errors.Is(err, ErrNoSpace) {
 		// Neither an empty nor an open zone: collection runs ahead of this
 		// placement (a zero-valid or emergency victim), and it is tried once
@@ -492,7 +510,7 @@ func (l *Layer) WriteRegion(now time.Duration, id int, data []byte) (time.Durati
 		// dry would refuse every write for good, for collection runs only
 		// after a write lands.
 		l.tryCollectLocked(now)
-		lat, err = l.placeRegionLocked(now, id, data)
+		lat, err = l.placeRegionLocked(now, id, data, keep)
 	}
 	if err != nil {
 		return 0, err
@@ -668,7 +686,7 @@ func (l *Layer) reclaimZoneLocked(now time.Duration, victim int) (time.Duration,
 			l.full[victim] = struct{}{}
 			return 0, fmt.Errorf("middle: GC read: %w", err)
 		}
-		wlat, err := l.placeRegionLocked(cur+rlat, id, buf)
+		wlat, err := l.placeRegionLocked(cur+rlat, id, buf, false)
 		if err != nil {
 			l.full[victim] = struct{}{}
 			return 0, fmt.Errorf("middle: GC write: %w", err)
@@ -752,4 +770,5 @@ func (l *Layer) RegionReadableBytes(id int) (int64, bool) {
 var (
 	_ cache.RegionStore  = (*Layer)(nil)
 	_ cache.RegionViewer = (*Layer)(nil)
+	_ cache.RegionKeeper = (*Layer)(nil)
 )

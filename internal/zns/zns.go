@@ -139,6 +139,10 @@ type Zoned interface {
 	// Write appends n bytes at offset off (must equal the zone's write
 	// pointer). data may be nil for a metadata-only write.
 	Write(now time.Duration, data []byte, n int, off int64) (time.Duration, error)
+	// Keep is Write of len(data) bytes whose buffer the caller hands over:
+	// the device may keep data as its payload instead of copying it, so the
+	// caller must never write data again. A write that fails is never kept.
+	Keep(now time.Duration, data []byte, off int64) (time.Duration, error)
 	// Read reads len(p) bytes at off; must not cross the write pointer.
 	Read(now time.Duration, p []byte, off int64) (time.Duration, error)
 	// View returns the n written bytes at off in place, read-only and
@@ -193,6 +197,8 @@ type Device struct {
 	// FinishFill counts pages programmed to fill unwritten tails at finish —
 	// the zone-finish cost of partially written zones.
 	FinishFill stats.Counter
+	// Kept counts payload bytes Keep kept as handed over instead of copying.
+	Kept stats.Counter
 	// Trace receives zone lifecycle events; nil disables tracing.
 	Trace *obs.Tracer
 }
@@ -381,12 +387,20 @@ func (d *Device) programRange(now time.Duration, z int, startSector, count int64
 func (d *Device) Write(now time.Duration, data []byte, n int, off int64) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.writeLocked(now, data, n, off)
+	return d.writeLocked(now, data, n, off, false)
 }
 
-// writeLocked is Write with d.mu held by the caller, which keeps it held
-// until the sectors are programmed.
-func (d *Device) writeLocked(now time.Duration, data []byte, n int, off int64) (time.Duration, error) {
+// Keep implements Zoned: a write of exactly one empty payload segment keeps
+// data as that segment (device.Segments.Keep), and any other is copied.
+func (d *Device) Keep(now time.Duration, data []byte, off int64) (time.Duration, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.writeLocked(now, data, len(data), off, true)
+}
+
+// writeLocked is Write, or Keep when keep is set, with d.mu held by the
+// caller, which keeps it held until the sectors are programmed.
+func (d *Device) writeLocked(now time.Duration, data []byte, n int, off int64, keep bool) (time.Duration, error) {
 	if err := device.CheckRange(off, n, d.Size()); err != nil {
 		return 0, err
 	}
@@ -420,10 +434,13 @@ func (d *Device) writeLocked(now time.Duration, data []byte, n int, off int64) (
 	if err != nil {
 		return 0, err
 	}
-	if data != nil {
-		d.data.Write(off, data)
-	} else {
+	switch {
+	case data == nil:
 		d.data.Zero(off, int64(n))
+	case keep && d.data.Keep(off, data):
+		d.Kept.Add(uint64(n))
+	default:
+		d.data.Write(off, data)
 	}
 	d.HostWrites.Add(uint64(n))
 	return latest - now, nil
@@ -662,6 +679,7 @@ func (d *Device) MetricsInto(r *obs.Registry, labels obs.Labels) {
 		held, _ := d.Payload()
 		return float64(held)
 	})
+	r.Counter("zns_payload_kept_bytes_total", "Payload bytes kept as the writer handed them over, not copied", ls, &d.Kept)
 	r.CounterFunc("zns_payload_dropped_bytes_total", "Payload bytes released because the layer above unmapped them", ls, func() uint64 {
 		_, dropped := d.Payload()
 		return uint64(dropped)
