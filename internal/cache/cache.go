@@ -70,22 +70,16 @@ type SyncCoster interface {
 	WriteSyncCost() time.Duration
 }
 
-// RegionViewer is an optional RegionStore extension, consulted with the read
-// index on when a flush completes and when a restored region is first read:
-// RegionView lends region id's bytes in place, read-only, with ok=false when
-// the store cannot. The bytes must never change while anyone holds them; the
-// read index serves values out of them without a lock (DESIGN.md §12).
-type RegionViewer interface {
-	RegionView(id int) ([]byte, bool)
-}
-
 // RegionKeeper is an optional RegionStore extension, used with the read index
 // on, where a flushed buffer is never written again (release): KeepRegion is
 // WriteRegion of a buffer the store may keep as the region's bytes instead of
-// copying it. The buffer is the store's from a successful return on; a failed
-// write keeps nothing, and the engine may hand the same buffer to a retry.
+// copying it, and kept reports whether it did. The buffer is the store's from
+// a successful return on; a failed write keeps nothing, and the engine may
+// hand the same buffer to a retry. A kept buffer's bytes never change, so
+// the read index goes on serving the region's values out of it without a
+// lock (DESIGN.md §12).
 type RegionKeeper interface {
-	KeepRegion(now time.Duration, id int, data []byte) (time.Duration, error)
+	KeepRegion(now time.Duration, id int, data []byte) (lat time.Duration, kept bool, err error)
 }
 
 // Policy selects the region eviction order.
@@ -182,7 +176,7 @@ type Config struct {
 	// ReadIndex enables the lock-free read path (readindex.go): the engine's
 	// index is split into 64 stripes whose writes take a stripe lock, each
 	// entry also records where its value lies in memory (its region's
-	// buffer, later the store's view of the region), and
+	// buffer, while open, flushing, or kept by the store), and
 	// TryFastGet/TryFastContains answer lookups against the index under one
 	// stripe read lock instead of the shard lock. Region buffers are then
 	// never recycled. Off by default — single-threaded replays keep the exact
@@ -207,8 +201,8 @@ const fillLogCap = 4096
 type entry struct {
 	// img is the region image the value lies in; nil when its bytes are not
 	// in memory (the read index is off, an insert without TrackValues, or a
-	// restored entry not yet promoted by a verified sealed read). With
-	// TrackValues on, such an entry sends lock-free reads to the locked path.
+	// restored entry). With TrackValues on, such an entry sends lock-free
+	// reads to the locked path.
 	img    *image
 	region uint32 // id of the region the item lives in
 	offset uint32 // item start within region
@@ -654,9 +648,11 @@ func (c *Cache) rollRegion() error {
 	}
 	keeper, keep := c.store.(RegionKeeper)
 	keep = keep && c.idx.shared && m.buf != nil
-	lat, err := c.retryStore(func(t time.Duration) (time.Duration, error) {
+	m.kept = false
+	lat, err := c.retryStore(func(t time.Duration) (lat time.Duration, err error) {
 		if keep {
-			return keeper.KeepRegion(t, id, m.buf)
+			lat, m.kept, err = keeper.KeepRegion(t, id, m.buf)
+			return lat, err
 		}
 		return c.store.WriteRegion(t, id, m.buf)
 	})
@@ -703,27 +699,20 @@ func (c *Cache) rollRegion() error {
 
 // completeFlush retires an in-flight flush, advancing the clock to its
 // completion if it has not finished yet. The region is sealed — its reads go
-// to the store — so it lets go of its buffer, and its read-index image moves
-// to the store's view of the region, or to no bytes when the store lends no
-// view.
+// to the store — so it lets go of its buffer. Its read-index image stays on
+// the buffer when the store kept it, now as the store's bytes, and holds no
+// bytes otherwise.
 func (c *Cache) completeFlush(id int) {
 	m := &c.regions.meta[id]
 	c.clock.AdvanceTo(m.flushDone)
+	var kept []byte
+	if m.kept {
+		kept = m.buf
+	}
 	c.regions.seal(id)
 	if m.img != nil {
-		c.idx.seal(m.img, c.storeView(id))
+		c.idx.seal(m.img, kept)
 	}
-}
-
-// storeView returns the store's view of region id when the store lends one
-// covering every byte the region holds, and nil otherwise.
-func (c *Cache) storeView(id int) []byte {
-	if v, ok := c.store.(RegionViewer); ok {
-		if b, ok := v.RegionView(id); ok && int64(len(b)) >= c.regions.meta[id].fill {
-			return b
-		}
-	}
-	return nil
 }
 
 // evict reclaims the policy victim for the free list. A victim still
@@ -895,11 +884,6 @@ func (c *Cache) GetBuf(key string, buf []byte) ([]byte, bool, error) {
 				c.hitRatio.Miss()
 				c.getLat.Observe(c.clock.Now() - start)
 				return nil, false, nil
-			}
-			// Promote the verified item so later Gets for this restored key
-			// go lock-free.
-			if c.promote(&e) {
-				c.idx.put(h, e)
 			}
 		}
 	default:
@@ -1115,9 +1099,9 @@ func (c *Cache) MetricsInto(r *obs.Registry, labels obs.Labels) {
 		r.Gauge("cache_dram_bytes", "Bytes of the region buffers behind read-index images: the open and flushing regions'", ls,
 			func() float64 { return float64(ix.dramBytes.Load()) })
 		r.Counter("cache_fast_get_hits_total", "Gets answered lock-free from the read index", ls, &ix.fastHits)
-		r.Counter("cache_fast_get_tier_hits_total", "Lock-free hits by where the value lay: memory held for the index or the store's view",
+		r.Counter("cache_fast_get_tier_hits_total", "Lock-free hits by where the value lay: memory held for the index or a buffer the store kept",
 			ls.With("tier", "dram"), &ix.dramHits)
-		r.Counter("cache_fast_get_tier_hits_total", "Lock-free hits by where the value lay: memory held for the index or the store's view",
+		r.Counter("cache_fast_get_tier_hits_total", "Lock-free hits by where the value lay: memory held for the index or a buffer the store kept",
 			ls.With("tier", "store"), &ix.storeHits)
 		r.Counter("cache_fast_get_misses_total", "Misses answered lock-free from the read index", ls, &ix.fastMisses)
 		r.Counter("cache_read_note_drops_total", "Deferred read notes shed on queue overflow", ls, &ix.noteDrops)

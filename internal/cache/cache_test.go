@@ -56,15 +56,17 @@ func (s *memStore) ReadRegion(now time.Duration, id int, p []byte, n int, off in
 	return s.readLat, nil
 }
 
-// RegionView lends a written region's copy: WriteRegion replaces the copy
-// and EvictRegion forgets it, neither writes into it.
-func (s *memStore) RegionView(id int) ([]byte, bool) {
-	d, ok := s.data[id]
-	return d, ok
+// KeepRegion keeps data itself as region id's bytes: WriteRegion replaces
+// them and EvictRegion forgets them, neither writes into them.
+func (s *memStore) KeepRegion(now time.Duration, id int, data []byte) (time.Duration, bool, error) {
+	s.writes++
+	s.data[id] = data
+	return s.writeLat, true, nil
 }
 
-// viewlessStore hides its store's RegionView: only RegionStore's methods
-// are promoted from the embedded interface.
+// viewlessStore hides its store's KeepRegion, so it copies every flush and a
+// sealed region's image holds no bytes: only RegionStore's methods are
+// promoted from the embedded interface.
 type viewlessStore struct{ RegionStore }
 
 func (s *memStore) EvictRegion(now time.Duration, id int) (time.Duration, error) {
@@ -597,7 +599,7 @@ func TestMetadataOnlyGetReturnsNil(t *testing.T) {
 	}
 }
 
-// TestViewlessSealedReadsStore: over a store that lends no view, a sealed
+// TestViewlessSealedReadsStore: over a store that keeps no buffer, a sealed
 // region's image holds no bytes. Its keys are not served lock-free; the
 // locked Get reads each from the store, charging the read to the clock. A
 // deleted key is not served, keys in the open region still are, and the
@@ -630,7 +632,7 @@ func TestViewlessSealedReadsStore(t *testing.T) {
 	}
 	for k, v := range want {
 		if _, _, done := c.TryFastGet(k); done {
-			t.Errorf("TryFastGet(%s) answered lock-free from a sealed region over a store that lends no view", k)
+			t.Errorf("TryFastGet(%s) answered lock-free from a sealed region over a store that keeps no buffer", k)
 		}
 		reads, now := st.reads, c.clock.Now()
 		got, found, err := c.Get(k)

@@ -16,13 +16,13 @@ import (
 )
 
 // The image-lifetime oracle: lock-free readers are served values in place —
-// out of region buffers, then out of the device's payload segments or, over a
-// store that lends no view, by a locked read of the store — while a
-// writer rolls regions, completes flushes, evicts (which drops the evicted
-// region's payload on the device), and makes the middle layer migrate
-// regions and reset zones under them. Every served value carries a tag
-// derived from its key and length, so bytes that changed under a reader, or
-// came from another region's generation, fail the check.
+// out of region buffers, which stay the region's image once sealed when the
+// device kept the buffer as its payload segment — or by a locked read of the
+// store, while a writer rolls regions, completes flushes, evicts (which drops
+// the evicted region's payload on the device), and makes the middle layer
+// migrate regions and reset zones under them. Every served value carries a
+// tag derived from its key and length, so bytes that changed under a reader,
+// or came from another region's generation, fail the check.
 
 const (
 	lifetimeRegion  = 64 << 10
@@ -57,36 +57,44 @@ func (r *splitmix) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// hideView is a store that lends no view, so a sealed region's image moves
-// from its buffer to no bytes.
-type hideView struct{ cache.RegionStore }
-
 // lifetimeLayout is how the stack's 64 KiB regions lie on the device's
-// payload segments.
+// payload segments, and how the storm drives the engine.
 type lifetimeLayout struct {
 	name          string
 	blocksPerZone int // 64 KiB blocks per zone
+	zones         int // a multiple of four
 	numRegions    int
+	// kept: a zone's segments are 64 KiB (device.NewSegments), one per
+	// region, so the device keeps each flushed buffer as its region's
+	// segment (RegionKeeper) and every eviction releases a segment.
+	kept bool
+	// drain: the storm drains the flush pipeline now and then (Drain,
+	// SealOpen); without it only a full pipeline lands a flush.
+	drain bool
 }
 
-var (
-	// Four regions share each 256 KiB zone's one segment, so an eviction
-	// drops no payload: the segment goes at the zone's reset.
-	sharedSegments = lifetimeLayout{"shared", 4, 48}
-	// A 192 KiB zone has 64 KiB segments (device.NewSegments), one per
-	// region, so every eviction releases its region's segment, and the device
-	// keeps each flushed buffer as its region's segment (RegionKeeper).
-	wholeSegments = lifetimeLayout{"whole", 3, 39}
-)
+var lifetimeLayouts = []lifetimeLayout{
+	// Four regions share each 256 KiB zone's one segment, so no buffer is
+	// kept, a sealed region's image has no bytes, and an eviction drops no
+	// payload: the segment goes at the zone's reset.
+	{name: "view=false", blocksPerZone: 4, zones: 16, numRegions: 48, drain: true},
+	// A 192 KiB zone, filled to all but four of the regions the layer
+	// allows, so GC migrates live regions.
+	{name: "segment-per-region", blocksPerZone: 3, zones: 16, numRegions: 39, kept: true, drain: true},
+	// A segment per region on eight zones with no drain, so up to three of
+	// the four buffers are in flight, and GC migrates regions out of freshly
+	// filled zones and resets them before those regions' flushes land: a
+	// kept segment is released while the engine still serves its buffer.
+	{name: "kept-in-flight", blocksPerZone: 3, zones: 8, numRegions: 15, kept: true},
+}
 
-// lifetimeStack is a one-shard cache over a middle layer on a 16-zone device,
-// filled to all but four of the regions the layer allows, so GC migrates
-// live regions.
-func lifetimeStack(t *testing.T, lay lifetimeLayout, view bool) (*cache.Sharded, cache.Config, *middle.Layer) {
+// lifetimeStack is a one-shard cache over a middle layer on a device of
+// lay's zones, holding lay's regions.
+func lifetimeStack(t *testing.T, lay lifetimeLayout) (*cache.Sharded, cache.Config, *middle.Layer) {
 	t.Helper()
 	dev, err := zns.New(zns.Config{
 		Geometry: flash.Geometry{
-			Channels: 2, DiesPerChan: 2, BlocksPerDie: 4 * lay.blocksPerZone,
+			Channels: 2, DiesPerChan: 2, BlocksPerDie: lay.zones / 4 * lay.blocksPerZone,
 			PagesPerBlock: 16, PageSize: device.SectorSize,
 		},
 		Timing:        flash.DefaultTiming(),
@@ -102,12 +110,8 @@ func lifetimeStack(t *testing.T, lay lifetimeLayout, view bool) (*cache.Sharded,
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st cache.RegionStore = layer
-	if !view {
-		st = hideView{layer}
-	}
 	cfg := cache.Config{
-		Store: st, Policy: cache.LRU, TrackValues: true, ReadIndex: true,
+		Store: layer, Policy: cache.LRU, TrackValues: true, ReadIndex: true,
 		BufferMemory: lifetimeBuffers * lifetimeRegion,
 	}
 	return lifetimeSharded(t, cfg, nil), cfg, layer
@@ -130,10 +134,11 @@ func lifetimeSharded(t *testing.T, cfg cache.Config, c *cache.Cache) *cache.Shar
 }
 
 // lifetimeStorm runs one writer against three readers until the writer has
-// made sets ops. Readers check every value they are served, and check the
-// values of their previous batch again after the next one: a value must not
-// change for as long as its holder keeps it.
-func lifetimeStorm(t *testing.T, s *cache.Sharded, seed uint64, sets int) {
+// made sets ops, draining the flush pipeline now and then when drain is set.
+// Readers check every value they are served, and check the values of their
+// previous batch again after the next one: a value must not change for as
+// long as its holder keeps it.
+func lifetimeStorm(t *testing.T, s *cache.Sharded, seed uint64, sets int, drain bool) {
 	t.Helper()
 	var wg sync.WaitGroup
 	var done atomic.Bool
@@ -145,12 +150,12 @@ func lifetimeStorm(t *testing.T, s *cache.Sharded, seed uint64, sets int) {
 		for i := 0; i < sets; {
 			r := rng.next()
 			k := lifetimeKey(r >> 8)
-			switch r % 16 {
-			case 0:
+			switch op := r % 16; {
+			case op == 0:
 				s.Delete(k)
-			case 1:
+			case op == 1 && drain:
 				s.WithShard(0, func(c *cache.Cache) { c.Drain() })
-			case 2:
+			case op == 2 && drain:
 				s.WithShard(0, func(c *cache.Cache) {
 					if err := c.SealOpen(); err != nil {
 						t.Errorf("SealOpen: %v", err)
@@ -223,10 +228,11 @@ func lifetimeStorm(t *testing.T, s *cache.Sharded, seed uint64, sets int) {
 }
 
 // lifetimeQuiescent checks every key once no other goroutine runs: the
-// lock-free answer equals the locked Get's, memory behind images is the open
-// and in-flight region buffers (the cache_region_buffer_bytes gauge), within
-// BufferMemory, and every entry points at a live region.
-func lifetimeQuiescent(t *testing.T, s *cache.Sharded, view bool) {
+// lock-free answer equals the locked Get's, memory held for images is the
+// open and in-flight region buffers (the cache_region_buffer_bytes gauge),
+// within BufferMemory, lock-free hits came out of buffers the store kept
+// exactly when it keeps them, and every entry points at a live region.
+func lifetimeQuiescent(t *testing.T, s *cache.Sharded, kept bool) {
 	t.Helper()
 	s.WithShard(0, func(c *cache.Cache) {
 		for i := uint64(0); i < lifetimeKeys; i++ {
@@ -266,10 +272,10 @@ func lifetimeQuiescent(t *testing.T, s *cache.Sharded, view bool) {
 				dram, bufs, lifetimeBuffers*lifetimeRegion)
 		}
 		switch {
-		case view && storeHits == 0:
-			t.Error("no lock-free hit was served from the store's view")
-		case !view && storeHits != 0:
-			t.Errorf("%v lock-free hits served from a store that lends no view", storeHits)
+		case kept && storeHits == 0:
+			t.Error("no lock-free hit was served from a buffer the store kept")
+		case !kept && storeHits != 0:
+			t.Errorf("%v lock-free hits served from buffers of a store that keeps none", storeHits)
 		}
 		if err := cache.RegionLiveErr(c); err != nil {
 			t.Error(err)
@@ -277,38 +283,30 @@ func lifetimeQuiescent(t *testing.T, s *cache.Sharded, view bool) {
 	})
 }
 
-// TestImageLifetimeOracle runs the storm over a store that lends views and
-// over one that does not, with regions sharing payload segments, and over a
-// store that lends views with a segment per region, which keeps the flushed
-// buffers as its segments and whose evictions release segments under held
-// views; each time once more on an engine restored from a snapshot of the
-// first, whose keys become servable by promotion.
+// TestImageLifetimeOracle runs the storm over each layout: regions sharing
+// payload segments, whose sealed images hold no bytes; a segment per region,
+// whose sealed images stay on the buffers the device kept and whose
+// evictions release segments under them; and a segment per region with a
+// deeper flush pipeline that is never drained, on so few zones that GC
+// migrates regions and resets their zones while their flushes are still in
+// flight. Each runs once more on an engine restored from a snapshot of the
+// first, whose restored keys read the store.
 func TestImageLifetimeOracle(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		lay  lifetimeLayout
-		view bool
-	}{
-		{"view=true", sharedSegments, true},
-		{"view=false", sharedSegments, false},
-		{"segment-per-region", wholeSegments, true},
-	} {
-		view := c.view
-		t.Run(c.name, func(t *testing.T) {
-			s, cfg, layer := lifetimeStack(t, c.lay, view)
-			lifetimeStorm(t, s, 1, 12000)
-			lifetimeQuiescent(t, s, view)
+	for _, lay := range lifetimeLayouts {
+		t.Run(lay.name, func(t *testing.T) {
+			s, cfg, layer := lifetimeStack(t, lay)
+			lifetimeStorm(t, s, 1, 12000, lay.drain)
+			lifetimeQuiescent(t, s, lay.kept)
 			if layer.Migrated.Load() == 0 || layer.Resets.Load() == 0 {
 				t.Fatalf("GC migrated %d regions and reset %d zones: the storm never moved bytes under an image",
 					layer.Migrated.Load(), layer.Resets.Load())
 			}
 			dev := layer.Device().(*zns.Device)
-			_, dropped := dev.Payload()
-			if (c.lay == wholeSegments) != (dropped > 0) {
-				t.Fatalf("evictions dropped %d payload bytes with %s segments", dropped, c.lay.name)
+			if _, dropped := dev.Payload(); lay.kept != (dropped > 0) {
+				t.Fatalf("evictions dropped %d payload bytes with a segment per region %v", dropped, lay.kept)
 			}
-			if kept := dev.Kept.Load(); (c.lay == wholeSegments) != (kept > 0) {
-				t.Fatalf("the device kept %d flushed bytes with %s segments", kept, c.lay.name)
+			if kept := dev.Kept.Load(); lay.kept != (kept > 0) {
+				t.Fatalf("the device kept %d flushed bytes with a segment per region %v", kept, lay.kept)
 			}
 			snaps, err := s.Snapshot()
 			if err != nil {
@@ -320,8 +318,8 @@ func TestImageLifetimeOracle(t *testing.T) {
 			}
 			resets := layer.Resets.Load()
 			rs := lifetimeSharded(t, cfg, r)
-			lifetimeStorm(t, rs, 2, 12000)
-			lifetimeQuiescent(t, rs, view)
+			lifetimeStorm(t, rs, 2, 12000, lay.drain)
+			lifetimeQuiescent(t, rs, lay.kept)
 			if layer.Resets.Load() == resets {
 				t.Fatal("no zone was reset after the restore")
 			}

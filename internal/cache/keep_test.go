@@ -24,7 +24,7 @@ const keepRegion = 256 << 10
 // keepStack builds a middle layer over sixteen 1 MiB zones, with faults from
 // inj under it when inj is not nil, and the engine config for a 16-region
 // cache over it that holds two region buffers.
-func keepStack(t *testing.T, readIndex bool, inj *fault.Injector) (cache.Config, *middle.Layer, *zns.Device) {
+func keepStack(t *testing.T, readIndex bool, inj *fault.Injector) (cache.Config, *zns.Device) {
 	t.Helper()
 	dev, err := zns.New(zns.Config{
 		Geometry: flash.Geometry{
@@ -49,7 +49,7 @@ func keepStack(t *testing.T, readIndex bool, inj *fault.Injector) (cache.Config,
 	return cache.Config{
 		Store: layer, Policy: cache.FIFO, TrackValues: true, ReadIndex: readIndex,
 		BufferMemory: 2 * keepRegion,
-	}, layer, dev
+	}, dev
 }
 
 // bufferBytes reads the cache_region_buffer_bytes gauge.
@@ -66,14 +66,14 @@ func bufferBytes(c *cache.Cache) float64 {
 
 // TestKeptFlushDoesNotAllocate rolls regions of one item each over the
 // middle layer and a zns device with payload. With the read index on the
-// device keeps the flushed buffer: a roll allocates only the successor
-// buffer, and the region's view, like its image before and after the seal,
-// is the engine buffer's memory. With it off the device copies, the buffer
-// goes back to the spare list and buffers stay within BufferMemory.
+// device keeps each flushed buffer whole: a roll allocates only the successor
+// buffer, and the region's image is the engine buffer's memory before and
+// after the seal. With it off the device copies, the buffer goes back to the
+// spare list and buffers stay within BufferMemory.
 func TestKeptFlushDoesNotAllocate(t *testing.T) {
 	for _, readIndex := range []bool{true, false} {
 		t.Run(fmt.Sprintf("readindex=%v", readIndex), func(t *testing.T) {
-			cfg, layer, dev := keepStack(t, readIndex, nil)
+			cfg, dev := keepStack(t, readIndex, nil)
 			c, err := cache.New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -84,17 +84,18 @@ func TestKeptFlushDoesNotAllocate(t *testing.T) {
 				if err := c.Set(k, lifetimeTag(k, 1000), 0); err != nil {
 					t.Fatal(err)
 				}
-				id, buf := cache.OpenBuffer(c)
+				_, buf := cache.OpenBuffer(c)
 				before, _, _ := c.TryFastGet(k)
+				kept := dev.Kept.Load()
 				if err := c.SealOpen(); err != nil {
 					t.Fatal(err)
 				}
-				view, ok := layer.RegionView(id)
-				if !ok {
-					t.Fatalf("region %d lends no view", id)
+				var want uint64
+				if readIndex {
+					want = keepRegion
 				}
-				if shared := &view[0] == &buf[0]; shared != readIndex {
-					t.Fatalf("roll %d: the view shares the engine buffer: %v", i, shared)
+				if got := dev.Kept.Load() - kept; got != want {
+					t.Fatalf("roll %d: the device kept %d bytes of the flush with the read index %v, want %d", i, got, readIndex, want)
 				}
 				if readIndex {
 					after, found, done := c.TryFastGet(k)
@@ -125,21 +126,19 @@ func TestKeptFlushDoesNotAllocate(t *testing.T) {
 			if perRoll < keepRegion || perRoll >= keepRegion+keepRegion/4 {
 				t.Errorf("a roll allocates %d bytes, want one %d-byte region and change", perRoll, keepRegion)
 			}
-			if kept := dev.Kept.Load(); (kept > 0) != readIndex {
-				t.Errorf("the device kept %d bytes with the read index %v", kept, readIndex)
-			}
 		})
 	}
 }
 
 // TestKeptFlushFaultRetry tears kept flushes through fault.ZonedDevice while
-// a reader serves lock-free hits. A torn write copies its prefix and keeps
-// nothing, and the engine's retry lands the whole region: after every roll,
-// each key of the flushed region reads back its own value, lock-free and
-// locked, out of the buffer the device kept.
+// a reader serves hits. A torn write copies its prefix and keeps nothing,
+// and the engine's retry lands the whole region, which the device keeps:
+// after every roll, each key of the flushed region reads back its own value,
+// locked and lock-free, the latter out of the same memory as before the
+// flush.
 func TestKeptFlushFaultRetry(t *testing.T) {
 	inj := fault.NewInjector(fault.Config{Seed: 5, TornWriteRate: 0.3})
-	cfg, layer, dev := keepStack(t, true, inj)
+	cfg, dev := keepStack(t, true, inj)
 	s := lifetimeSharded(t, cfg, nil)
 	const rolls, perRegion = 24, 200
 
@@ -178,23 +177,29 @@ func TestKeptFlushFaultRetry(t *testing.T) {
 			}
 		}
 		s.WithShard(0, func(c *cache.Cache) {
-			id, buf := cache.OpenBuffer(c)
-			retries := c.Stats().StoreRetries
+			before := make([]*byte, len(keys))
+			for j, k := range keys {
+				v, _, _ := c.TryFastGet(k)
+				before[j] = &v[0]
+			}
+			retries, kept := c.Stats().StoreRetries, dev.Kept.Load()
 			if err := c.SealOpen(); err != nil {
 				t.Fatal(err)
 			}
 			if c.Stats().StoreRetries > retries {
 				retried++
 			}
-			view, ok := layer.RegionView(id)
-			if !ok || &view[0] != &buf[0] {
-				t.Fatalf("roll %d: region %d is not the buffer the engine flushed (view %v)", r, id, ok)
+			if got := dev.Kept.Load() - kept; got != keepRegion {
+				t.Fatalf("roll %d: the device kept %d bytes of the flush, want the %d-byte buffer", r, got, keepRegion)
 			}
 			for j, k := range keys {
 				fv, ffound, fdone := c.TryFastGet(k)
 				lv, lfound, err := c.Get(k)
 				if err != nil || !ffound || !fdone || !bytes.Equal(fv, vals[j]) || !bytes.Equal(lv, vals[j]) {
 					t.Fatalf("roll %d: %s: lock-free (%d bytes, %v), locked (%d bytes, %v, %v)", r, k, len(fv), ffound, len(lv), lfound, err)
+				}
+				if &fv[0] != before[j] {
+					t.Fatalf("roll %d: %s: the sealed image moved off the buffer the engine flushed", r, k)
 				}
 			}
 		})

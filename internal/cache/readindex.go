@@ -36,11 +36,11 @@ import (
 //     (or moves slots, or doubles the table), so a reader always copies out a
 //     complete entry. The bytes behind an image are never written again: a
 //     region buffer is appended to only past what its entries point at and is
-//     never recycled, and a store's view is immutable (RegionViewer). A store
-//     may keep the flushed buffer itself as the region's bytes (RegionKeeper),
-//     so a sealed image can point at the same memory it did before. A sealed
-//     region over a store that lends no view has an image without bytes: its
-//     reads take the locked path, which reads the store.
+//     never recycled, and a store that kept it as the region's bytes
+//     (RegionKeeper) never writes it either. So a sealed image stays on the
+//     buffer the store kept. A sealed region whose buffer the store did not
+//     keep has an image without bytes, as has a restored entry: their reads
+//     take the locked path, which reads the store.
 //   - Stripe locks are leaf locks: never nested, never held across a call out
 //     of this file, never taken under noteMu.
 //   - Readers never write the index. A reader that finds an expired entry
@@ -62,16 +62,16 @@ import (
 
 // image is what one region generation's entries point into: the region
 // buffer while the region is open or flushing, and from completeFlush on the
-// store's view of the region, or no bytes when the store lends no view. Every
+// same buffer when the store kept it, or no bytes when it did not. Every
 // generation gets a fresh image, so an entry a reader loaded before an
 // eviction still reads its own generation's bytes.
 type image struct{ p atomic.Pointer[imageBytes] }
 
 // imageBytes is laid out as the region is; b is nil once a region sealed
-// over a store that lends no view.
+// whose buffer the store did not keep.
 type imageBytes struct {
 	b       []byte
-	onStore bool // b is the store's view (or nil), not memory held for the index
+	onStore bool // b is the store's kept buffer (or nil), not memory held for the index
 }
 
 // readNote is one deferred side effect observed by the lock-free path, for
@@ -231,7 +231,7 @@ type index struct {
 	fastHits   stats.Counter // gets answered without the shard lock
 	fastMisses stats.Counter // misses answered without the shard lock
 	dramHits   stats.Counter // fast hits whose image was a region buffer
-	storeHits  stats.Counter // fast hits whose image was the store's view
+	storeHits  stats.Counter // fast hits whose image was a buffer the store kept
 	noteDrops  stats.Counter // deferred notes shed on queue overflow
 }
 
@@ -378,8 +378,8 @@ func (ix *index) dramImage(b []byte) *image {
 	return img
 }
 
-// seal moves img off its buffer onto the store's view b, or onto no bytes
-// when b is nil.
+// seal hands img's bytes to the store: b is the buffer the store kept, or
+// nil when it kept none.
 func (ix *index) seal(img *image, b []byte) {
 	ix.retire(img)
 	img.p.Store(&imageBytes{b: b, onStore: true})
@@ -407,9 +407,9 @@ func (ix *index) note(n readNote) {
 // TryFastGet attempts to answer a Get without the shard lock. done reports
 // whether the lookup was fully answered; when done is false the caller must
 // retry on the locked path, which reads the store. On a hit the returned
-// slice lies in a region image — a region buffer or the store's view — which
-// never changes: callers may keep it as long as they like, and must treat
-// it as read-only.
+// slice lies in a region image — a region buffer, maybe one the store kept —
+// which never changes: callers may keep it as long as they like, and must
+// treat it as read-only.
 //
 // Accounting on the fast path: the op and hit/miss counters are atomic and
 // updated before return; the latency histogram observes the constant index
@@ -473,9 +473,9 @@ func (c *Cache) fastLookup(key string, t *fastTally) (val []byte, found, done bo
 		ib = e.img.p.Load()
 	}
 	if c.cfg.TrackValues && (ib == nil || ib.b == nil) {
-		// Value bytes not in memory (a restored entry not yet promoted, or a
-		// region sealed over a store that lends no view): the locked path
-		// must perform the device read.
+		// Value bytes not in memory (a restored entry, or a region sealed
+		// over a store that did not keep its buffer): the locked path must
+		// perform the device read.
 		return nil, false, false
 	}
 	if ib != nil && !itemIs(ib.b[e.offset:], key) {
@@ -556,29 +556,6 @@ func (c *Cache) drainReadNotes() {
 		c.regions.touch(int(e.region))
 	}
 	ix.spare = batch[:0]
-}
-
-// promote points e, a sealed entry whose value was just read and verified, at
-// its region's image so later reads of the key go lock-free, and reports
-// whether it changed e; the caller writes e back. A restored region gets its
-// image from the store's view on its first promotion. No-op when the read
-// index is off, the entry has an image already, or its region has none and
-// the store lends no view.
-func (c *Cache) promote(e *entry) bool {
-	if !c.idx.shared || e.img != nil {
-		return false
-	}
-	m := &c.regions.meta[e.region]
-	if m.img == nil {
-		b := c.storeView(int(e.region))
-		if b == nil {
-			return false
-		}
-		m.img = new(image)
-		m.img.p.Store(&imageBytes{b: b, onStore: true})
-	}
-	e.img = m.img
-	return true
 }
 
 // FastReadStats reports the lock-free path's counters: gets answered without

@@ -44,6 +44,7 @@ type regionMeta struct {
 	openedAt  time.Duration
 	elem      *list.Element // position in eviction order (sealed/flushing)
 	buf       []byte        // non-nil only while open/flushing and TrackValues
+	kept      bool          // the store kept buf at the flush (RegionKeeper)
 	img       *image        // read-index image of this generation; nil without one
 	fails     int           // exhausted-retry failures; quarantine trigger
 }
@@ -324,6 +325,7 @@ func (r *regionTable) load(s *snapshotData, at time.Duration) {
 	for _, id := range s.Order {
 		r.meta[id].elem = r.order.PushBack(id)
 	}
+	r.orderVer++ // cold must not answer from the empty order's set
 	open := &r.meta[s.Open]
 	r.empty(open)
 	open.state = regionFree

@@ -62,10 +62,17 @@ func (s *opStore) RegionReadableBytes(id int) (int64, bool) {
 	return n, ok
 }
 
-// viewOpStore is an opStore that lends region views.
+// viewOpStore is an opStore that keeps flushed buffers, so sealed regions'
+// images hold their bytes. A failed write keeps nothing.
 type viewOpStore struct{ *opStore }
 
-func (s viewOpStore) RegionView(id int) ([]byte, bool) { return s.mem.RegionView(id) }
+func (s viewOpStore) KeepRegion(now time.Duration, id int, data []byte) (time.Duration, bool, error) {
+	if s.failWrites > 0 {
+		s.failWrites--
+		return 0, false, errFlaky
+	}
+	return s.mem.KeepRegion(now, id, data)
+}
 
 // The suite's geometry: eight 4 KiB regions hold three or four items each,
 // so short sequences roll and evict.
@@ -122,7 +129,7 @@ type regionOp struct {
 type regionSuiteConfig struct {
 	policy    Policy
 	readIndex bool
-	view      bool
+	view      bool  // the store keeps flushed buffers (viewOpStore)
 	buffers   int64 // BufferMemory in regions
 }
 
@@ -527,6 +534,16 @@ func (r *regionRun) check() error {
 	if rt.bufBytes.Load() != held {
 		return fmt.Errorf("buffer gauge %d, buffers held %d", rt.bufBytes.Load(), held)
 	}
+	// GC may drop exactly the sealed regions among the last ⌊0.3·n⌋ of the
+	// n in the eviction order.
+	cold := len(m.order) * 3 / 10
+	for id := range rt.meta {
+		i := slices.Index(m.order, id)
+		want := m.regions[id].state == regionSealed && i >= len(m.order)-cold
+		if got := r.c.RegionDroppable(id); got != want {
+			return fmt.Errorf("RegionDroppable(%d) = %v; the model has it %d at %d of order %v", id, got, m.regions[id].state, i, m.order)
+		}
+	}
 	return nil
 }
 
@@ -554,7 +571,7 @@ func regionSeedOps(config byte, seed uint64, n int) []byte {
 }
 
 // TestRegionLifecycleProperty runs seeded op sequences over LRU and FIFO,
-// the read index off and on, and stores with and without RegionView;
+// the read index off and on, and stores that keep flushed buffers or copy;
 // successive seeds of a configuration hold one, two and three region
 // buffers.
 func TestRegionLifecycleProperty(t *testing.T) {

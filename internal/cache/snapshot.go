@@ -236,12 +236,11 @@ func (c *Cache) restore(snapshot []byte) error {
 		}
 		ent := entry{region: uint32(e.Region), offset: e.Offset, valLen: e.ValLen, expireAt: e.ExpireAt}
 		// Restored values live on flash, not in memory: the entry has no
-		// image, so the lock-free path answers Contains and misses, and a
-		// verified sealed read promotes the key to servable on first touch.
-		// The key goes into its region's log, which so holds exactly the
-		// restored keys, in the snapshot's order. Two keys that share a hash
-		// under this engine's seed keep the later entry: the earlier key
-		// dies in its log.
+		// image, so the lock-free path answers Contains and misses, and
+		// every hit is a locked read of the store. The key goes into its
+		// region's log, which so holds exactly the restored keys, in the
+		// snapshot's order. Two keys that share a hash under this engine's
+		// seed keep the later entry: the earlier key dies in its log.
 		c.logKey(&m.keys, e.Key)
 		if old, ok := c.idx.put(c.idx.hash(e.Key), ent); ok {
 			c.died(old.region)

@@ -324,73 +324,60 @@ func TestChecksumDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestGetBufPromotionKeepsOwnCopy: a restored engine's read index holds
-// entries without bytes until a verified sealed read promotes them. When that
-// read lands in a caller's buffer, the index must not keep the buffer: it
-// points the key into the store's view of the region, or, over a store that
-// lends no view, leaves the key to the locked path, which reads the store
-// again. Scribbling on the buffer afterwards cannot change what either path
-// serves. A zero-length value is promoted too.
-func TestGetBufPromotionKeepsOwnCopy(t *testing.T) {
+// TestRestoredKeyReadsStore: a restored engine's entries have no image, so
+// over a store that keeps flushed buffers, where the key was served lock-free
+// before the snapshot, every get of a restored key falls to the locked path
+// and reads the store once. A read into a caller's buffer is not kept:
+// scribbling on the buffer cannot change what the next get serves. A
+// zero-length value reads the store too.
+func TestRestoredKeyReadsStore(t *testing.T) {
 	for _, n := range []int{900, 0} {
 		t.Run(fmt.Sprintf("%dB", n), func(t *testing.T) {
-			for _, view := range []bool{true, false} {
-				t.Run(fmt.Sprintf("view=%v", view), func(t *testing.T) {
-					var st RegionStore = newMemStore(8, 4096)
-					if !view {
-						st = viewlessStore{st}
-					}
-					cfg := Config{Store: st, TrackValues: true, ReadIndex: true}
-					c, err := New(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					want := make([]byte, n)
-					for i := range want {
-						want[i] = byte(i*5 + 3)
-					}
-					c.Set("k", want, 0)
-					for i := 0; c.Stats().Flushes < 2; i++ {
-						c.Set(fmt.Sprintf("fill-%04d", i), bytes.Repeat([]byte{byte(i)}, 900), 0)
-					}
-					c.Drain()
-					snap, err := c.Snapshot()
-					if err != nil {
-						t.Fatal(err)
-					}
-					r, err := Restore(cfg, snap)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if _, _, done := r.TryFastGet("k"); done {
-						t.Fatal("restored entry served lock-free before any verified read")
-					}
-					buf := make([]byte, ReadSpan(len("k"), len(want)))
-					got, ok, err := r.GetBuf("k", buf)
-					if !ok || err != nil || !bytes.Equal(got, want) {
-						t.Fatalf("sealed GetBuf = (%v, %v), bytes equal %v", ok, err, bytes.Equal(got, want))
-					}
-					for i := range buf {
-						buf[i] = 0xAA
-					}
-					v, found, done := r.TryFastGet("k")
-					if !view {
-						if done || entryOf(r, "k").img != nil {
-							t.Fatalf("TryFastGet over a store that lends no view = (found %v, done %v), want the locked path", found, done)
-						}
-						if v, found, _ = r.Get("k"); !found {
-							t.Fatal("locked Get after the sealed read missed")
-						}
-					} else if !done || !found {
-						t.Fatalf("TryFastGet after promotion = (found %v, done %v)", found, done)
-					}
-					if !bytes.Equal(v, want) {
-						t.Fatal("read index serves the caller's scribbled buffer")
-					}
-					if ib := r.regions.meta[entryOf(r, "k").region].img; view && (ib == nil || !ib.p.Load().onStore) {
-						t.Fatal("promotion over a store that lends views did not point into the view")
-					}
-				})
+			st := newMemStore(8, 4096)
+			cfg := Config{Store: st, TrackValues: true, ReadIndex: true}
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]byte, n)
+			for i := range want {
+				want[i] = byte(i*5 + 3)
+			}
+			c.Set("k", want, 0)
+			for i := 0; c.Stats().Flushes < 2; i++ {
+				c.Set(fmt.Sprintf("fill-%04d", i), bytes.Repeat([]byte{byte(i)}, 900), 0)
+			}
+			c.Drain()
+			if _, found, done := c.TryFastGet("k"); !found || !done {
+				t.Fatalf("sealed key before the snapshot: TryFastGet = (found %v, done %v), want a lock-free hit", found, done)
+			}
+			snap, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := Restore(cfg, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, ReadSpan(len("k"), len(want)))
+			for i := 0; i < 4; i++ {
+				if _, _, done := r.TryFastGet("k"); done {
+					t.Fatalf("get %d: restored key answered lock-free", i)
+				}
+				reads := st.reads
+				got, ok, err := r.GetBuf("k", buf)
+				if !ok || err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("get %d: GetBuf = (%v, %v), bytes equal %v", i, ok, err, bytes.Equal(got, want))
+				}
+				if st.reads != reads+1 {
+					t.Fatalf("get %d: %d store reads, want 1", i, st.reads-reads)
+				}
+				for j := range buf {
+					buf[j] = 0xAA
+				}
+			}
+			if entryOf(r, "k").img != nil {
+				t.Fatal("a restored entry gained an image")
 			}
 		})
 	}

@@ -20,18 +20,17 @@ const segmentBytes = 256 << 10
 // A nil *Segments is a metadata-only device's store: it keeps nothing and
 // reads as zeros. Segments takes no lock: the owning device's lock guards it.
 //
-// View hands out bytes in place, to be read with no lock at all. The bytes
-// behind a view never change: the owner writes and zeroes only above its
-// write pointer, never below a viewed range, and Zero and Drop leave a viewed
-// segment to its views instead of pooling it, so the view keeps the old array
-// alive and the next Write there starts a new one. A segment Keep took from
-// its writer is left the same way: the writer still holds it.
+// Keep takes a writer's buffer as a segment instead of copying it, and the
+// writer may go on reading it with no lock at all. Its bytes never change:
+// the device writes and zeroes only above its write pointer, and Zero and
+// Drop leave a kept segment to its writer instead of pooling it, so the next
+// Write there starts a new array.
 type Segments struct {
-	size   int64     // bytes per segment
-	segs   []*[]byte // by offset / size; nil reads as zeros
-	viewed []bool    // by segment: handed out by View, or taken by Keep, since it was allocated
-	held   int64     // bytes of the segments in segs
-	free   sync.Pool // *[]byte segments released by Zero and Drop, reused by Write
+	size int64     // bytes per segment
+	segs []*[]byte // by offset / size; nil reads as zeros
+	kept []bool    // by segment: taken by Keep, so never pooled
+	held int64     // bytes of the segments in segs
+	free sync.Pool // *[]byte segments released by Zero and Drop, reused by Write
 }
 
 // NewSegments returns an empty store over size bytes. With zone > 0 the
@@ -43,22 +42,7 @@ func NewSegments(size, zone int64) *Segments {
 		seg /= 2
 	}
 	n := (size + seg - 1) / seg
-	return &Segments{size: seg, segs: make([]*[]byte, n), viewed: make([]bool, n)}
-}
-
-// View returns the n bytes at off in place, read-only, when they lie in one
-// written segment; ok is false otherwise (a nil store, a range across two
-// segments, or one never written).
-func (s *Segments) View(off int64, n int) (p []byte, ok bool) {
-	if s == nil || n <= 0 {
-		return nil, false
-	}
-	i, in := off/s.size, off%s.size
-	if in+int64(n) > s.size || s.segs[i] == nil {
-		return nil, false
-	}
-	s.viewed[i] = true
-	return (*s.segs[i])[in : in+int64(n) : in+int64(n)], true
+	return &Segments{size: seg, segs: make([]*[]byte, n), kept: make([]bool, n)}
 }
 
 // Write copies data to off.
@@ -83,15 +67,15 @@ func (s *Segments) Write(off int64, data []byte) {
 
 // Keep is Write of a buffer handed over: when data is exactly the empty,
 // aligned segment at off, the store keeps data as that segment instead of
-// copying it and reports kept. The segment counts as viewed, so Zero and
-// Drop leave it to its owner and never pool it. Any other write is copied.
+// copying it and reports kept. Zero and Drop leave a kept segment to its
+// owner and never pool it. Any other write is copied.
 func (s *Segments) Keep(off int64, data []byte) (kept bool) {
 	if s == nil || off%s.size != 0 || int64(len(data)) != s.size || s.segs[off/s.size] != nil {
 		s.Write(off, data)
 		return false
 	}
 	i := off / s.size
-	s.segs[i], s.viewed[i] = &data, true
+	s.segs[i], s.kept[i] = &data, true
 	s.held += s.size
 	return true
 }
@@ -116,8 +100,8 @@ func (s *Segments) Read(p []byte, off int64) {
 }
 
 // Zero makes [off, off+n) read as zeros: a segment the range covers whole
-// goes back to the pool (or, once viewed, to the views that hold it), a
-// partly covered one has the range cleared.
+// goes back to the pool (or, once kept, to its owner), a partly covered one
+// has the range cleared.
 func (s *Segments) Zero(off, n int64) {
 	for s != nil && n > 0 {
 		i, in := off/s.size, off%s.size
@@ -136,9 +120,8 @@ func (s *Segments) Zero(off, n int64) {
 
 // Drop forgets [off, off+n), which nobody reads again, and returns the bytes
 // it released: a segment the range covers whole is released as Zero releases
-// it, and a partly covered one keeps all of its bytes. Clearing part of a
-// segment would change bytes behind any view of the rest of it, and nothing
-// reads the part that died.
+// it, and a partly covered one keeps all of its bytes: nothing reads the
+// part that died, so it is not cleared.
 func (s *Segments) Drop(off, n int64) (released int64) {
 	for s != nil && n > 0 {
 		i, in := off/s.size, off%s.size
@@ -161,13 +144,12 @@ func (s *Segments) Held() int64 {
 	return s.held
 }
 
-// release gives segment i back to the pool or, once viewed, to the views
-// that hold it.
+// release gives segment i back to the pool or, once kept, to its owner.
 func (s *Segments) release(i int64) {
-	if !s.viewed[i] {
+	if !s.kept[i] {
 		s.free.Put(s.segs[i])
 	}
-	s.segs[i], s.viewed[i] = nil, false
+	s.segs[i], s.kept[i] = nil, false
 	s.held -= s.size
 }
 

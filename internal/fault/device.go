@@ -160,18 +160,19 @@ func (d *ZonedDevice) recordLocked(format string, args ...interface{}) {
 // sectors, leaving the zone's write pointer mid-write — exactly the state a
 // power cut leaves a real zone in.
 func (d *ZonedDevice) Write(now time.Duration, data []byte, n int, off int64) (time.Duration, error) {
-	return d.write(now, data, n, off, false)
+	lat, _, err := d.write(now, data, n, off, false)
+	return lat, err
 }
 
 // Keep implements zns.Zoned. Only a write that passes through whole hands
 // data over to the inner device; a torn prefix is copied, so a failed write
 // is never kept.
-func (d *ZonedDevice) Keep(now time.Duration, data []byte, off int64) (time.Duration, error) {
+func (d *ZonedDevice) Keep(now time.Duration, data []byte, off int64) (time.Duration, bool, error) {
 	return d.write(now, data, len(data), off, true)
 }
 
 // write is Write, or Keep when keep is set.
-func (d *ZonedDevice) write(now time.Duration, data []byte, n int, off int64, keep bool) (time.Duration, error) {
+func (d *ZonedDevice) write(now time.Duration, data []byte, n int, off int64, keep bool) (lat time.Duration, kept bool, err error) {
 	dec := d.inj.decideWrite(n / device.SectorSize)
 	if dec.err != nil {
 		if k := dec.tornSectors; k > 0 {
@@ -182,19 +183,17 @@ func (d *ZonedDevice) write(now time.Duration, data []byte, n int, off int64, ke
 			d.inner.Write(now, prefix, k*device.SectorSize, off) //nolint:errcheck
 			d.observe(d.zoneOf(off), false)
 		}
-		return 0, dec.err
+		return 0, false, dec.err
 	}
-	var lat time.Duration
-	var err error
 	if keep {
-		lat, err = d.inner.Keep(now, data, off)
+		lat, kept, err = d.inner.Keep(now, data, off)
 	} else {
 		lat, err = d.inner.Write(now, data, n, off)
 	}
 	if err == nil {
 		d.observe(d.zoneOf(off), false)
 	}
-	return lat + dec.spike, err
+	return lat + dec.spike, kept, err
 }
 
 // Read implements zns.Zoned.
@@ -206,10 +205,6 @@ func (d *ZonedDevice) Read(now time.Duration, p []byte, off int64) (time.Duratio
 	lat, err := d.inner.Read(now, p, off)
 	return lat + dec.spike, err
 }
-
-// View implements zns.Zoned. It injects nothing: a view is not a device
-// command, and its bytes were already written through Write.
-func (d *ZonedDevice) View(off int64, n int) ([]byte, bool) { return d.inner.View(off, n) }
 
 // DropPayload implements zns.Zoned. It injects nothing: dropping host bytes
 // is not a device command.

@@ -175,21 +175,28 @@ type dropInjector struct {
 
 func (d *dropInjector) WriteRegion(now time.Duration, id int, data []byte) (time.Duration, error) {
 	lat, err := d.RegionStore.WriteRegion(now, id, data)
+	d.landed(err)
+	return lat, err
+}
+
+// KeepRegion passes the hand-over through to the middle layer, so the engine
+// serves sealed hits as it does over the bare layer.
+func (d *dropInjector) KeepRegion(now time.Duration, id int, data []byte) (time.Duration, bool, error) {
+	lat, kept, err := d.RegionStore.(cache.RegionKeeper).KeepRegion(now, id, data)
+	d.landed(err)
+	return lat, kept, err
+}
+
+// landed hands the engine this flush's drops once it has landed.
+func (d *dropInjector) landed(err error) {
 	if err != nil {
-		return lat, err
+		return
 	}
 	for len(d.drops) > 0 && d.drops[0].flush == d.flushes {
 		d.rig.Engine.InvalidateRegion(d.drops[0].region)
 		d.drops = d.drops[1:]
 	}
 	d.flushes++
-	return lat, nil
-}
-
-// RegionView passes the middle layer's view through, so the engine serves
-// sealed hits as it does over the bare layer.
-func (d *dropInjector) RegionView(id int) ([]byte, bool) {
-	return d.RegionStore.(cache.RegionViewer).RegionView(id)
 }
 
 // cdRun is one run of a stream.

@@ -181,11 +181,16 @@ func runCrash(p CrashParams) (*CrashReport, *Rig, error) {
 	}
 
 	// Phase 1: warm the cache, transient faults armed, no crash yet. atCut
-	// ends as the oracle's expectation at the snapshot cut.
+	// ends as the oracle's expectation at the snapshot cut, and turnover as
+	// the device writes issued by the first eviction: one cache turnover.
 	atCut := make(map[string][]byte, p.Keys)
+	var turnover uint64
 	for i := 0; i < p.WarmOps; i++ {
 		if k, v, ok := write(); ok {
 			atCut[k] = v
+		}
+		if turnover == 0 && rig.Engine.Stats().Evictions > 0 {
+			turnover = rig.Faults.Writes()
 		}
 	}
 
@@ -201,9 +206,16 @@ func runCrash(p CrashParams) (*CrashReport, *Rig, error) {
 	// The distance scales with the warm phase's device-write rate so the
 	// op budget reaches the crash point on every scheme: a zone-sized
 	// region is one device write per quarter megabyte, while f2fs splits
-	// each flush into dozens of per-block writes.
+	// each flush into dozens of per-block writes. It is at most one cache
+	// turnover's writes, so a longer warm-up does not push the crash past
+	// the op budget, nor past the point where the cache has forgotten the
+	// cut.
 	w0 := rig.Faults.Writes()
-	rig.Faults.ArmCrash(w0 + 1 + uint64(rng.Intn(max(int(w0/2), 2))))
+	span := w0 / 2
+	if turnover > 0 {
+		span = min(span, turnover)
+	}
+	rig.Faults.ArmCrash(w0 + 1 + uint64(rng.Intn(max(int(span), 2))))
 	for i := 0; i < p.MaxPostOps && !rig.Faults.Crashed(); i++ {
 		if k, v, ok := write(); ok {
 			afterCut[k] = append(afterCut[k], v)

@@ -193,9 +193,10 @@ func TestPayloadMetricsFollowEvictions(t *testing.T) {
 }
 
 // TestSealedGetByScheme: with the read index on, a Get of a sealed key is
-// served lock-free out of the store's view on Region-Cache, whose 256 KiB
-// regions are one payload segment each, and reads the store on Block-, File-
-// and Zone-Cache, whose stores lend no view. Both return the key's bytes.
+// served lock-free out of the flushed buffer on Region-Cache, whose 256 KiB
+// regions are one payload segment each, so the device keeps the buffer, and
+// reads the store on Block-, File- and Zone-Cache, whose stores keep none.
+// Both return the key's bytes.
 func TestSealedGetByScheme(t *testing.T) {
 	for _, scheme := range AllSchemes {
 		t.Run(scheme.String(), func(t *testing.T) {

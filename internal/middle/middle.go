@@ -299,22 +299,23 @@ func (l *Layer) writableZoneLocked() (int, error) {
 // returned; the caller's retry re-routes to a different zone.
 //
 // With keep set, a whole region's data is handed to the device
-// (zns.Zoned.Keep) instead of copied; only a host placement sets it.
-func (l *Layer) placeRegionLocked(now time.Duration, id int, data []byte, keep bool) (time.Duration, error) {
+// (zns.Zoned.Keep) instead of copied, and kept reports whether the device
+// kept it; only a host placement sets it.
+func (l *Layer) placeRegionLocked(now time.Duration, id int, data []byte, keep bool) (lat time.Duration, kept bool, err error) {
 	z, err := l.writableZoneLocked()
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	zm := &l.zones[z]
 	slot := zm.written
 	off := l.slotOffset(z, slot)
-	var lat, stall time.Duration
+	var stall time.Duration
 	stalled := false
 	// Two frees per in-flight zone bounds the juggle: each retry either
 	// closes or retires one zone, and there are at most inFlight candidates.
 	for attempt := 0; ; attempt++ {
 		if keep && int64(len(data)) == l.cfg.RegionSize {
-			lat, err = l.dev.Keep(now+stall, data, off)
+			lat, kept, err = l.dev.Keep(now+stall, data, off)
 		} else {
 			lat, err = l.dev.Write(now+stall, data, int(l.cfg.RegionSize), off)
 		}
@@ -333,10 +334,10 @@ func (l *Layer) placeRegionLocked(now time.Duration, id int, data []byte, keep b
 			// Budget exhausted and nothing freeable: the zone's state is
 			// intact (the device rejected before writing), so surface the
 			// error without retiring it.
-			return 0, fmt.Errorf("middle: zone write: %w", err)
+			return 0, false, fmt.Errorf("middle: zone write: %w", err)
 		}
 		l.abandonZoneLocked(z)
-		return 0, fmt.Errorf("middle: zone write: %w", err)
+		return 0, false, fmt.Errorf("middle: zone write: %w", err)
 	}
 	if stalled {
 		l.BudgetStalls.Inc()
@@ -356,7 +357,7 @@ func (l *Layer) placeRegionLocked(now time.Duration, id int, data []byte, keep b
 			}
 		}
 	}
-	return stall + lat, nil
+	return stall + lat, kept, nil
 }
 
 // freeBudgetLocked releases one unit of zone-resource budget so a stalled
@@ -485,24 +486,25 @@ func (l *Layer) invalidateLocked(id int) {
 // the region, append the new copy to an open zone, then let the background
 // collector catch up if the empty pool is low.
 func (l *Layer) WriteRegion(now time.Duration, id int, data []byte) (time.Duration, error) {
-	return l.writeRegion(now, id, data, false)
+	lat, _, err := l.writeRegion(now, id, data, false)
+	return lat, err
 }
 
 // KeepRegion implements cache.RegionKeeper: WriteRegion, with data handed to
 // the device to keep as the region's bytes.
-func (l *Layer) KeepRegion(now time.Duration, id int, data []byte) (time.Duration, error) {
+func (l *Layer) KeepRegion(now time.Duration, id int, data []byte) (time.Duration, bool, error) {
 	return l.writeRegion(now, id, data, true)
 }
 
 // writeRegion is WriteRegion, or KeepRegion when keep is set.
-func (l *Layer) writeRegion(now time.Duration, id int, data []byte, keep bool) (time.Duration, error) {
+func (l *Layer) writeRegion(now time.Duration, id int, data []byte, keep bool) (time.Duration, bool, error) {
 	if id < 0 || id >= l.cfg.NumRegions {
-		return 0, fmt.Errorf("%w: %d", ErrRegion, id)
+		return 0, false, fmt.Errorf("%w: %d", ErrRegion, id)
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.invalidateLocked(id)
-	lat, err := l.placeRegionLocked(now, id, data, keep)
+	lat, kept, err := l.placeRegionLocked(now, id, data, keep)
 	if errors.Is(err, ErrNoSpace) {
 		// Neither an empty nor an open zone: collection runs ahead of this
 		// placement (a zero-valid or emergency victim), and it is tried once
@@ -510,17 +512,17 @@ func (l *Layer) writeRegion(now time.Duration, id int, data []byte, keep bool) (
 		// dry would refuse every write for good, for collection runs only
 		// after a write lands.
 		l.tryCollectLocked(now)
-		lat, err = l.placeRegionLocked(now, id, data, keep)
+		lat, kept, err = l.placeRegionLocked(now, id, data, keep)
 	}
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	l.WA.AddHost(uint64(l.cfg.RegionSize))
 	l.WA.AddMedia(uint64(l.cfg.RegionSize))
 	// Background GC: issued at `now`, not charged to this host write, and
 	// its error does not fail the write, which has landed.
 	l.tryCollectLocked(now)
-	return lat, nil
+	return lat, kept, nil
 }
 
 // tryCollectLocked is a collection pass for WriteRegion. A failed pass is
@@ -559,19 +561,6 @@ func (l *Layer) ReadRegion(now time.Duration, id int, p []byte, n int, off int64
 		return 0, fmt.Errorf("middle: zone read: %w", err)
 	}
 	return lat, nil
-}
-
-// RegionView implements cache.RegionViewer: region id's bytes where they lie
-// on the device. A GC migration moves the region but not the view, which
-// keeps the old copy alive until its holder lets go.
-func (l *Layer) RegionView(id int) ([]byte, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	m, ok := l.mapTable[id]
-	if !ok {
-		return nil, false
-	}
-	return l.dev.View(l.slotOffset(m.zone, m.slot), int(l.cfg.RegionSize))
 }
 
 // EvictRegion implements cache.RegionStore: a metadata operation on the
@@ -686,7 +675,7 @@ func (l *Layer) reclaimZoneLocked(now time.Duration, victim int) (time.Duration,
 			l.full[victim] = struct{}{}
 			return 0, fmt.Errorf("middle: GC read: %w", err)
 		}
-		wlat, err := l.placeRegionLocked(cur+rlat, id, buf, false)
+		wlat, _, err := l.placeRegionLocked(cur+rlat, id, buf, false)
 		if err != nil {
 			l.full[victim] = struct{}{}
 			return 0, fmt.Errorf("middle: GC write: %w", err)
@@ -769,6 +758,5 @@ func (l *Layer) RegionReadableBytes(id int) (int64, bool) {
 
 var (
 	_ cache.RegionStore  = (*Layer)(nil)
-	_ cache.RegionViewer = (*Layer)(nil)
 	_ cache.RegionKeeper = (*Layer)(nil)
 )

@@ -62,9 +62,8 @@ func regionBytes(id, gen int, n int64) []byte {
 	return b
 }
 
-// heldView is a view lent by RegionView and the bytes it showed then, which
-// the model never changes.
-type heldView struct{ v, want []byte }
+// heldKept is a buffer the device kept and a copy of the bytes it held then.
+type heldKept struct{ b, want []byte }
 
 // payloadRun drives one layer against a model of what it maps.
 type payloadRun struct {
@@ -73,7 +72,7 @@ type payloadRun struct {
 	l      *Layer
 	rng    *sim.Rand
 	want   map[int][]byte // mapped region -> the bytes last written for it
-	views  []heldView
+	kept   []heldKept
 	buf    []byte // one region, read back
 	gen    int
 	faulty bool // injected faults may leave bytes no mapping accounts for
@@ -90,7 +89,8 @@ type payloadRun struct {
 //   - the layer maps exactly the regions the model does (a failed write
 //     is asked where its region ended up), and each reads back the bytes
 //     last written for it;
-//   - every view lent by RegionView still shows the bytes it showed then;
+//   - every buffer KeepRegion handed over and the device kept still
+//     holds the bytes it held then;
 //   - zns_payload_bytes is the segments that overlap a mapped region plus
 //     the written segments no one slot covers whole, which only a reset
 //     frees. Under injected faults a torn write or a failed reclaim leaves
@@ -134,26 +134,26 @@ func runPayload(t *testing.T, pc payloadCase, filter, faults bool, seed uint64) 
 	}
 	r.l, r.buf = l, make([]byte, pc.region)
 	const ops = 300
-	views := 0
+	kept := 0
 	for op := 0; op < ops; op++ {
 		id := r.rng.Intn(cfg.NumRegions)
 		switch k := r.rng.Intn(10); {
 		case k < 6:
-			r.write(id)
+			r.write(id, false)
 		case k < 9:
 			if _, err := l.EvictRegion(0, id); err != nil {
 				t.Fatalf("seed %d op %d: EvictRegion(%d): %v", seed, op, id, err)
 			}
 			delete(r.want, id)
 		default:
-			if v, ok := l.RegionView(id); ok {
-				hv := heldView{v: v, want: r.want[id]}
-				if len(r.views) < 6 {
-					r.views = append(r.views, hv)
+			if b := r.write(id, true); b != nil {
+				hk := heldKept{b: b, want: bytes.Clone(b)}
+				if len(r.kept) < 6 {
+					r.kept = append(r.kept, hk)
 				} else {
-					r.views[r.rng.Intn(len(r.views))] = hv
+					r.kept[r.rng.Intn(len(r.kept))] = hk
 				}
-				views++
+				kept++
 			}
 		}
 		if err := r.check(); err != nil {
@@ -168,8 +168,8 @@ func runPayload(t *testing.T, pc payloadCase, filter, faults bool, seed uint64) 
 		t.Fatalf("seed %d: the drop filter dropped nothing", seed)
 	case pc.region >= payloadSeg && dropped == 0:
 		t.Fatalf("seed %d: no payload was dropped", seed)
-	case pc.region <= payloadSeg && views == 0:
-		t.Fatalf("seed %d: RegionView lent nothing", seed)
+	case (pc.region == payloadSeg) != (kept > 0):
+		t.Fatalf("seed %d: the device kept %d buffers of %d-byte regions", seed, kept, pc.region)
 	case faults && r.failed == 0:
 		t.Fatalf("seed %d: no write failed", seed)
 	}
@@ -181,12 +181,22 @@ func payloadRegions(dev *zns.Device, region int64) int {
 	return (dev.NumZones() - 3) * int(dev.ZoneSize()/region)
 }
 
-// write writes a new generation of region id and updates the model.
-func (r *payloadRun) write(id int) {
+// write writes a new generation of region id, through KeepRegion when keep
+// is set, and updates the model. It returns the buffer the device kept, or
+// nil.
+func (r *payloadRun) write(id int, keep bool) []byte {
 	r.gen++
 	data := regionBytes(id, r.gen, r.l.cfg.RegionSize)
 	r.want[id] = data // before the call: the GC it runs may drop id again
-	if _, err := r.l.WriteRegion(0, id, data); err != nil {
+	var err error
+	kept := false
+	if keep {
+		r.want[id] = bytes.Clone(data)
+		_, kept, err = r.l.KeepRegion(0, id, data)
+	} else {
+		_, err = r.l.WriteRegion(0, id, data)
+	}
+	if err != nil {
 		if !r.faulty {
 			r.t.Fatalf("WriteRegion(%d): %v", id, err)
 		}
@@ -196,6 +206,10 @@ func (r *payloadRun) write(id int) {
 			delete(r.want, id)
 		}
 	}
+	if !kept {
+		return nil
+	}
+	return data
 }
 
 // check compares the layer and the device with the model.
@@ -217,9 +231,9 @@ func (r *payloadRun) check() error {
 			return fmt.Errorf("region %d (zone %d slot %d) reads back other bytes", id, m.zone, m.slot)
 		}
 	}
-	for i, hv := range r.views {
-		if !bytes.Equal(hv.v, hv.want) {
-			return fmt.Errorf("held view %d changed", i)
+	for i, hk := range r.kept {
+		if !bytes.Equal(hk.b, hk.want) {
+			return fmt.Errorf("kept buffer %d changed", i)
 		}
 	}
 	// The segments the mapping needs, and those only a reset frees.

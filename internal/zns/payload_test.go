@@ -150,40 +150,35 @@ func TestPayloadRecycledZoneReadsZeros(t *testing.T) {
 	}
 }
 
-// TestPayloadViewOutlivesReset: View lends written bytes below the write
-// pointer of one zone, and those bytes stay as they were after the zone is
-// reset and rewritten while another goroutine reads them.
-func TestPayloadViewOutlivesReset(t *testing.T) {
+// TestPayloadKeptOutlivesReset: Keep takes a buffer that is exactly one
+// empty payload segment as that segment and copies any other write, and a
+// failed write keeps nothing. A kept buffer's bytes stay as they were while
+// its zone is reset and rewritten under a goroutine that reads them.
+func TestPayloadKeptOutlivesReset(t *testing.T) {
 	d, err := New(payloadConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sectorPattern(8*device.SectorSize, 3)
-	if _, err := d.Write(0, want, len(want), 0); err != nil {
+	const seg = 256 << 10
+	buf := sectorPattern(seg, 3)
+	want := bytes.Clone(buf)
+	if _, kept, err := d.Keep(0, buf, seg); err == nil || kept {
+		t.Fatalf("Keep past the write pointer = (kept %v, %v), want an error", kept, err)
+	}
+	if _, kept, err := d.Keep(0, buf[:8*device.SectorSize], 0); err != nil || kept {
+		t.Fatalf("Keep of part of a segment = (kept %v, %v), want a copy", kept, err)
+	}
+	if _, err := d.Reset(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		name string
-		off  int64
-		n    int
-	}{
-		{"past the write pointer", 0, 9 * device.SectorSize},
-		{"across two segments", 256<<10 - device.SectorSize, 2 * device.SectorSize},
-		{"past the device", d.Size() - device.SectorSize, 2 * device.SectorSize},
-	} {
-		if _, ok := d.View(c.off, c.n); ok {
-			t.Errorf("%s: View lent bytes", c.name)
-		}
-	}
-	v, ok := d.View(device.SectorSize, 4*device.SectorSize)
-	if !ok || !bytes.Equal(v, want[device.SectorSize:5*device.SectorSize]) {
-		t.Fatalf("View = (%v), or wrong bytes", ok)
+	if _, kept, err := d.Keep(0, buf, 0); err != nil || !kept || d.Kept.Load() != seg {
+		t.Fatalf("Keep of a whole empty segment = (kept %v, %v), %d bytes kept", kept, err, d.Kept.Load())
 	}
 	done := make(chan bool)
 	go func() {
 		same := true
 		for i := 0; i < 200; i++ {
-			same = same && bytes.Equal(v, want[device.SectorSize:5*device.SectorSize])
+			same = same && bytes.Equal(buf, want)
 		}
 		done <- same
 	}()
@@ -196,7 +191,7 @@ func TestPayloadViewOutlivesReset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !<-done || !bytes.Equal(v, want[device.SectorSize:5*device.SectorSize]) {
-		t.Fatal("a view's bytes changed under zone resets and rewrites")
+	if !<-done || !bytes.Equal(buf, want) {
+		t.Fatal("a kept buffer's bytes changed under zone resets and rewrites")
 	}
 }

@@ -141,19 +141,15 @@ type Zoned interface {
 	Write(now time.Duration, data []byte, n int, off int64) (time.Duration, error)
 	// Keep is Write of len(data) bytes whose buffer the caller hands over:
 	// the device may keep data as its payload instead of copying it, so the
-	// caller must never write data again. A write that fails is never kept.
-	Keep(now time.Duration, data []byte, off int64) (time.Duration, error)
+	// caller must never write data again, and reports whether it did. A
+	// kept buffer's bytes never change, so the caller may go on reading
+	// them. A write that fails is never kept.
+	Keep(now time.Duration, data []byte, off int64) (lat time.Duration, kept bool, err error)
 	// Read reads len(p) bytes at off; must not cross the write pointer.
 	Read(now time.Duration, p []byte, off int64) (time.Duration, error)
-	// View returns the n written bytes at off in place, read-only and
-	// unchanging for as long as the caller holds them, or ok=false when the
-	// device cannot lend them (no payload store, or not in one segment).
-	// It is free on the device clock: callers that serve from it model a
-	// DRAM copy, not a flash read.
-	View(off int64, n int) (p []byte, ok bool)
 	// DropPayload tells the device that nothing reads the n bytes at off
 	// again, so it may forget its host copy of them. Reads of the range are
-	// undefined afterwards; views already lent keep their bytes. It changes
+	// undefined afterwards; kept buffers keep their bytes. It changes
 	// no zone state, write pointer or flash page and is free on the device
 	// clock: the flash behind the range comes back when its zone is reset.
 	DropPayload(off, n int64)
@@ -387,12 +383,13 @@ func (d *Device) programRange(now time.Duration, z int, startSector, count int64
 func (d *Device) Write(now time.Duration, data []byte, n int, off int64) (time.Duration, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.writeLocked(now, data, n, off, false)
+	lat, _, err := d.writeLocked(now, data, n, off, false)
+	return lat, err
 }
 
 // Keep implements Zoned: a write of exactly one empty payload segment keeps
 // data as that segment (device.Segments.Keep), and any other is copied.
-func (d *Device) Keep(now time.Duration, data []byte, off int64) (time.Duration, error) {
+func (d *Device) Keep(now time.Duration, data []byte, off int64) (time.Duration, bool, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.writeLocked(now, data, len(data), off, true)
@@ -400,29 +397,29 @@ func (d *Device) Keep(now time.Duration, data []byte, off int64) (time.Duration,
 
 // writeLocked is Write, or Keep when keep is set, with d.mu held by the
 // caller, which keeps it held until the sectors are programmed.
-func (d *Device) writeLocked(now time.Duration, data []byte, n int, off int64, keep bool) (time.Duration, error) {
+func (d *Device) writeLocked(now time.Duration, data []byte, n int, off int64, keep bool) (lat time.Duration, kept bool, err error) {
 	if err := device.CheckRange(off, n, d.Size()); err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	if data != nil && len(data) != n {
-		return 0, fmt.Errorf("zns: data length %d != n %d", len(data), n)
+		return 0, false, fmt.Errorf("zns: data length %d != n %d", len(data), n)
 	}
 	if n == 0 {
-		return 0, nil
+		return 0, false, nil
 	}
 	z := d.zoneOf(off)
 	if d.zoneOf(off+int64(n)-1) != z {
-		return 0, fmt.Errorf("%w: [%d,+%d)", ErrCrossZone, off, n)
+		return 0, false, fmt.Errorf("%w: [%d,+%d)", ErrCrossZone, off, n)
 	}
 	if d.state[z] == ZoneFull {
-		return 0, fmt.Errorf("%w: zone %d", ErrZoneFull, z)
+		return 0, false, fmt.Errorf("%w: zone %d", ErrZoneFull, z)
 	}
 	wp := d.wp[z]
 	if wpOff := int64(z)*d.zoneSize + wp*device.SectorSize; off != wpOff {
-		return 0, fmt.Errorf("%w: zone %d wp=%d got=%d", ErrNotWritePointer, z, wpOff, off)
+		return 0, false, fmt.Errorf("%w: zone %d wp=%d got=%d", ErrNotWritePointer, z, wpOff, off)
 	}
 	if err := d.implicitOpenLocked(z); err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	count := int64(n) / device.SectorSize
 	d.wp[z] = wp + count
@@ -432,18 +429,19 @@ func (d *Device) writeLocked(now time.Duration, data []byte, n int, off int64, k
 	}
 	latest, err := d.programRange(now, z, wp, count)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	switch {
 	case data == nil:
 		d.data.Zero(off, int64(n))
 	case keep && d.data.Keep(off, data):
 		d.Kept.Add(uint64(n))
+		kept = true
 	default:
 		d.data.Write(off, data)
 	}
 	d.HostWrites.Add(uint64(n))
-	return latest - now, nil
+	return latest - now, kept, nil
 }
 
 // implicitOpenLocked transitions empty/closed → open, enforcing the open
@@ -533,23 +531,6 @@ func (d *Device) Read(now time.Duration, p []byte, off int64) (time.Duration, er
 	}
 	d.data.Read(p, off)
 	return latest - now, nil
-}
-
-// View implements Zoned over the payload segments: the range must lie in
-// one zone, below its write pointer. Zones are append-only below the write
-// pointer and Reset drops a viewed segment rather than recycling it
-// (device.Segments), so the bytes stay as they are after a Reset too.
-func (d *Device) View(off int64, n int) ([]byte, bool) {
-	if n <= 0 || off < 0 || off+int64(n) > d.Size() {
-		return nil, false
-	}
-	z := d.zoneOf(off)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if off+int64(n) > int64(z)*d.zoneSize+d.wp[z]*device.SectorSize {
-		return nil, false
-	}
-	return d.data.View(off, n)
 }
 
 // DropPayload implements Zoned: it releases every payload segment the range
