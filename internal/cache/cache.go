@@ -195,15 +195,11 @@ type Config struct {
 // spare; FillCount and EvictionOnset stay exact regardless.
 const fillLogCap = 4096
 
-// entry is one index record, 24 bytes: where an item lives, where its
-// value lies in memory, and its TTL deadline. The index keys it by the key's
-// hash; the key, and so its length, is the caller's, so it is not stored.
+// entry is one index record, 16 bytes and no pointer: where an item lives
+// and its TTL deadline. Lock-free readers find its value in memory through
+// its region's image (index.images). The index keys it by the key's hash;
+// the key, and so its length, is the caller's, so it is not stored.
 type entry struct {
-	// img is the region image the value lies in; nil when its bytes are not
-	// in memory (the read index is off, an insert without TrackValues, or a
-	// restored entry). With TrackValues on, such an entry sends lock-free
-	// reads to the locked path.
-	img    *image
 	region uint32 // id of the region the item lives in
 	offset uint32 // item start within region
 	valLen uint32
@@ -346,7 +342,11 @@ func New(cfg Config) (*Cache, error) {
 	if cfg.TrackValues {
 		bufSize = cfg.Store.RegionSize()
 	}
-	idx := newIndex(cfg.ReadIndex, cfg.Policy == LRU)
+	var images int
+	if cfg.ReadIndex && cfg.TrackValues {
+		images = cfg.Store.NumRegions()
+	}
+	idx := newIndex(cfg.ReadIndex, cfg.Policy == LRU, images)
 	c := &Cache{
 		cfg:           cfg,
 		store:         cfg.Store,
@@ -486,9 +486,6 @@ func (c *Cache) appendItem(key string, value []byte, valLen int, expireAt uint32
 	m.fill += size
 	c.logKey(&m.keys, key)
 	e := entry{region: uint32(c.regions.open), offset: off, valLen: uint32(valLen), expireAt: expireAt}
-	if value != nil || c.cfg.TrackValues {
-		e.img = m.img
-	}
 	// A replaced key's old copy becomes dead weight in its region: its
 	// flash bytes until the region is evicted, its key-log record until the
 	// log is compacted.
@@ -583,7 +580,7 @@ func (c *Cache) unindexRegion(id int) (n int) {
 // unindex removes the entry of hash h, if any, and reports whether there was
 // one; its key dies in its region's log.
 func (c *Cache) unindex(h uint64) bool {
-	e, ok := c.idx.take(h)
+	e, ok := c.idx.takeIn(h, anyRegion)
 	if ok {
 		c.died(e.region)
 	}
@@ -705,14 +702,7 @@ func (c *Cache) rollRegion() error {
 func (c *Cache) completeFlush(id int) {
 	m := &c.regions.meta[id]
 	c.clock.AdvanceTo(m.flushDone)
-	var kept []byte
-	if m.kept {
-		kept = m.buf
-	}
 	c.regions.seal(id)
-	if m.img != nil {
-		c.idx.seal(m.img, kept)
-	}
 }
 
 // evict reclaims the policy victim for the free list. A victim still

@@ -627,8 +627,9 @@ func TestViewlessSealedReadsStore(t *testing.T) {
 	}
 	c.Drain()
 
-	if m := &c.regions.meta[entryOf(c, "a").region]; m.state != regionSealed || m.img.p.Load().b != nil {
-		t.Fatalf("region state %v: want a sealed region whose image has no bytes", m.state)
+	id := entryOf(c, "a").region
+	if img := c.idx.imageOf(id); c.regions.meta[id].state != regionSealed || img == nil || img.b != nil {
+		t.Fatalf("region state %v: want a sealed region whose image has no bytes", c.regions.meta[id].state)
 	}
 	for k, v := range want {
 		if _, _, done := c.TryFastGet(k); done {

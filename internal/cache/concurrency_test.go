@@ -272,13 +272,9 @@ func checkQuiescentShard(t *testing.T, s *Sharded, wantTouches bool) {
 		// those.
 		var held int64
 		for i := range c.regions.meta {
-			m := &c.regions.meta[i]
-			if m.img == nil {
-				continue
-			}
-			if ib := m.img.p.Load(); !ib.onStore {
-				held += int64(len(ib.b))
-				if m.state == regionSealed {
+			if img := c.idx.imageOf(uint32(i)); img != nil && !img.onStore {
+				held += int64(len(img.b))
+				if c.regions.meta[i].state == regionSealed {
 					t.Errorf("sealed region %d's image is still on its buffer", i)
 				}
 			}

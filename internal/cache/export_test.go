@@ -12,3 +12,12 @@ func collideHashes(c *Cache) { c.idx.hashMask = 0xF }
 func OpenBuffer(c *Cache) (id int, buf []byte) {
 	return c.regions.open, c.regions.meta[c.regions.open].buf
 }
+
+// imageOf returns region id's image: nil without images, and for a region
+// that has none.
+func (ix *index) imageOf(id uint32) *image {
+	if ix.images == nil {
+		return nil
+	}
+	return ix.images[id].Load()
+}

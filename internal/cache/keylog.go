@@ -119,7 +119,7 @@ func (c *Cache) died(id uint32) {
 func (c *Cache) keepLive(id int, kl *keyLog) {
 	live := kl.n - kl.dead
 	kl.filter(func(kb []byte) bool {
-		_, e, ok := c.idx.lookupLog(kb)
+		e, ok := c.idx.get(c.idx.hashLog(kb))
 		return ok && int(e.region) == id
 	})
 	if kl.n > live {

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"znscache/internal/stats"
@@ -12,9 +13,10 @@ import (
 
 // This file implements the engine's index and the lock-free read path
 // (DESIGN.md §12). The index is keyed by hash, as Navy's is: a table of
-// stripes, each an open-addressed table of 32-byte slots that hold a key's
-// 64-bit hash and its entry — where the item lies on flash, where its value
-// lies in memory and its TTL deadline. The key itself is not stored. Where
+// stripes, each an open-addressed table of 24-byte slots that hold a key's
+// 64-bit hash and its entry — where the item lies on flash and its TTL
+// deadline. A slot holds no pointer, so the collector never scans the
+// tables. The key itself is not stored. Where
 // the item's bytes are in memory or being read anyway, the reader checks the
 // item header's key length and key bytes against the key it looked up, and a
 // mismatch is a miss (itemIs). The metadata-only engine (TrackValues off),
@@ -34,13 +36,22 @@ import (
 //   - A reader's lookup is one stripe read lock around one probe. Every
 //     engine write takes its stripe's write lock and replaces one slot whole
 //     (or moves slots, or doubles the table), so a reader always copies out a
-//     complete entry. The bytes behind an image are never written again: a
+//     complete entry.
+//   - A value's bytes are found through its region's image, one pointer per
+//     region (images), which the reader loads under the same stripe read
+//     lock as the entry. A region gets a new generation's image only in
+//     openNext (its seal swaps in the same generation's), and by then every
+//     entry of its old generation has left the index under its stripe's
+//     write lock; so an image loaded beside an entry is that entry's
+//     generation's.
+//   - The bytes behind an image are never written again: a
 //     region buffer is appended to only past what its entries point at and is
 //     never recycled, and a store that kept it as the region's bytes
 //     (RegionKeeper) never writes it either. So a sealed image stays on the
 //     buffer the store kept. A sealed region whose buffer the store did not
-//     keep has an image without bytes, as has a restored entry: their reads
-//     take the locked path, which reads the store.
+//     keep has an image without bytes, and a restored engine's sealed
+//     regions have no image: their reads take the locked path, which reads
+//     the store.
 //   - Stripe locks are leaf locks: never nested, never held across a call out
 //     of this file, never taken under noteMu.
 //   - Readers never write the index. A reader that finds an expired entry
@@ -57,19 +68,16 @@ import (
 //     observes the constant index-lookup cost in the latency histogram and
 //     leaves the clock to the mutators.
 //
-// Without Config.ReadIndex no reader exists: the table has one stripe and
-// the engine takes no stripe lock.
+// Without Config.ReadIndex no reader exists: the table has one stripe, the
+// engine takes no stripe lock, and regions have no images.
 
-// image is what one region generation's entries point into: the region
-// buffer while the region is open or flushing, and from completeFlush on the
-// same buffer when the store kept it, or no bytes when it did not. Every
-// generation gets a fresh image, so an entry a reader loaded before an
-// eviction still reads its own generation's bytes.
-type image struct{ p atomic.Pointer[imageBytes] }
-
-// imageBytes is laid out as the region is; b is nil once a region sealed
-// whose buffer the store did not keep.
-type imageBytes struct {
+// image is one region generation's bytes as readers see them, laid out as
+// the region is: the region buffer while the region is open or flushing, and
+// from its seal on the same buffer when the store kept it, or no bytes when
+// it did not. An image never changes; a seal installs a new one, so a reader
+// that loaded an image before a seal or an eviction still reads its own
+// generation's bytes.
+type image struct {
 	b       []byte
 	onStore bool // b is the store's kept buffer (or nil), not memory held for the index
 }
@@ -90,7 +98,8 @@ const readNoteCap = 4096
 // fixed by its hash, so readers of different keys rarely meet on one lock.
 const readStripes = 64
 
-// slot is one index record, 32 bytes: a key's hash and its entry.
+// slot is one index record, 24 bytes and no pointer: a key's hash and its
+// entry.
 type slot struct {
 	hash uint64 // 0 marks an empty slot; the index hash is never 0
 	e    entry
@@ -217,6 +226,9 @@ type index struct {
 	// them.
 	touch   bool
 	stripes []stripe // readStripes when shared, else one
+	// images holds each region's current image, by region id: only with
+	// shared set and values tracked, else nil. Only the engine stores them.
+	images []atomic.Pointer[image]
 	// dramBytes is the bytes of the region buffers behind images: the open
 	// and flushing regions' (gauge cache_dram_bytes).
 	dramBytes atomic.Int64
@@ -235,8 +247,13 @@ type index struct {
 	noteDrops  stats.Counter // deferred notes shed on queue overflow
 }
 
-func newIndex(shared, touch bool) *index {
+// newIndex returns an empty index; images is the number of regions whose
+// images readers look up, 0 for none.
+func newIndex(shared, touch bool, images int) *index {
 	ix := &index{shared: shared, touch: touch, seed: maphash.MakeSeed(), hashMask: ^uint64(0)}
+	if images > 0 {
+		ix.images = make([]atomic.Pointer[image], images)
+	}
 	n := 1
 	if shared {
 		n = readStripes
@@ -281,20 +298,22 @@ func (ix *index) lookup(key string) (uint64, entry, bool) {
 	return h, e, ok
 }
 
-// lookupLog is lookup for a key-log slice.
-func (ix *index) lookupLog(key []byte) (uint64, entry, bool) {
-	h := ix.hashLog(key)
-	e, ok := ix.get(h)
-	return h, e, ok
-}
-
-// load is a reader's lookup, under the stripe's read lock.
-func (ix *index) load(h uint64) (entry, bool) {
+// load is a reader's lookup: h's entry and its region's image, both read
+// under the stripe's read lock, so the image is the entry's generation's. An
+// entry past its deadline at now is a miss that queues an expiry note: the
+// engine deletes the entry when it drains the note.
+func (ix *index) load(h uint64, now time.Duration) (e entry, img *image, ok bool) {
 	s := ix.stripe(h)
 	s.mu.RLock()
-	e, ok := s.get(h)
+	if e, ok = s.get(h); ok && ix.images != nil {
+		img = ix.images[e.region].Load()
+	}
 	s.mu.RUnlock()
-	return e, ok
+	if ok && e.expired(now) {
+		ix.note(readNote{h: h, expire: true})
+		return entry{}, nil, false
+	}
+	return e, img, ok
 }
 
 // put installs e as the entry of hash h and returns the entry it replaced,
@@ -317,9 +336,6 @@ func (ix *index) put(h uint64, e entry) (old entry, replaced bool) {
 
 // anyRegion, as takeIn's region, matches an entry in any region.
 const anyRegion = ^uint32(0)
-
-// take removes the entry of hash h and returns it.
-func (ix *index) take(h uint64) (entry, bool) { return ix.takeIn(h, anyRegion) }
 
 // takeIn removes the entry of hash h and returns it if it points into region
 // id: eviction's one probe per logged key.
@@ -370,25 +386,15 @@ func (c *Cache) eachEntry(fn func(key string, e entry)) {
 	}
 }
 
-// dramImage returns an image over b, a region buffer.
-func (ix *index) dramImage(b []byte) *image {
-	img := new(image)
-	img.p.Store(&imageBytes{b: b})
-	ix.dramBytes.Add(int64(len(b)))
-	return img
-}
-
-// seal hands img's bytes to the store: b is the buffer the store kept, or
-// nil when it kept none.
-func (ix *index) seal(img *image, b []byte) {
-	ix.retire(img)
-	img.p.Store(&imageBytes{b: b, onStore: true})
-}
-
-// retire takes img's bytes, unless they are the store's, out of dramBytes.
-func (ix *index) retire(img *image) {
-	if ib := img.p.Load(); !ib.onStore {
-		ix.dramBytes.Add(-int64(len(ib.b)))
+// setImage makes img region id's image; regions must have images. A reader
+// that loaded the old one keeps it, and its bytes, alive. dramBytes counts
+// the bytes of the images not on the store.
+func (ix *index) setImage(id int, img *image) {
+	if img != nil && !img.onStore {
+		ix.dramBytes.Add(int64(len(img.b)))
+	}
+	if old := ix.images[id].Swap(img); old != nil && !old.onStore {
+		ix.dramBytes.Add(-int64(len(old.b)))
 	}
 }
 
@@ -457,20 +463,10 @@ func (c *Cache) fastLookup(key string, t *fastTally) (val []byte, found, done bo
 		return nil, false, false
 	}
 	h := ix.hash(key)
-	e, ok := ix.load(h)
-	if ok && e.expired(c.clock.Now()) {
-		// The engine deletes the entry when it drains the note.
-		ix.note(readNote{h: h, expire: true})
-		ok = false
-	}
+	e, ib, ok := ix.load(h, c.clock.Now())
 	if !ok {
 		t.misses++
 		return nil, false, true
-	}
-	// The image is loaded once: a seal may take its bytes away at any time.
-	var ib *imageBytes
-	if e.img != nil {
-		ib = e.img.p.Load()
 	}
 	if c.cfg.TrackValues && (ib == nil || ib.b == nil) {
 		// Value bytes not in memory (a restored entry, or a region sealed
@@ -509,12 +505,7 @@ func (c *Cache) TryFastContains(key string) (found, done bool) {
 	if !ix.shared {
 		return false, false
 	}
-	h := ix.hash(key)
-	e, ok := ix.load(h)
-	if ok && e.expired(c.clock.Now()) {
-		ix.note(readNote{h: h, expire: true})
-		ok = false
-	}
+	_, _, ok := ix.load(ix.hash(key), c.clock.Now())
 	return ok, true
 }
 

@@ -45,7 +45,6 @@ type regionMeta struct {
 	elem      *list.Element // position in eviction order (sealed/flushing)
 	buf       []byte        // non-nil only while open/flushing and TrackValues
 	kept      bool          // the store kept buf at the flush (RegionKeeper)
-	img       *image        // read-index image of this generation; nil without one
 	fails     int           // exhausted-retry failures; quarantine trigger
 }
 
@@ -124,8 +123,8 @@ func (r *regionTable) openNext(at time.Duration) {
 			m.buf = make([]byte, r.bufSize)
 			r.bufBytes.Add(r.bufSize)
 		}
-		if r.idx.shared {
-			m.img = r.idx.dramImage(m.buf)
+		if r.idx.images != nil {
+			r.idx.setImage(id, &image{b: m.buf})
 		}
 	}
 	r.open = id
@@ -161,6 +160,13 @@ func (r *regionTable) seal(id int) {
 	m.state = regionSealed
 	i := slices.Index(r.inflight, id)
 	r.inflight = slices.Delete(r.inflight, i, i+1)
+	if r.idx.images != nil {
+		img := &image{onStore: true} // no bytes, unless the store kept the buffer
+		if m.kept {
+			img.b = m.buf
+		}
+		r.idx.setImage(id, img)
+	}
 	r.release(m)
 }
 
@@ -191,7 +197,7 @@ func (r *regionTable) drop(id int) {
 func (r *regionTable) quarantine(id int) {
 	m := r.slot(id, regionOpen, regionSealed)
 	r.leave(m)
-	r.empty(m)
+	r.empty(id)
 	m.state = regionQuarantined
 	r.quarantines.Inc()
 }
@@ -205,20 +211,20 @@ func (r *regionTable) charge(id int) bool {
 
 // toFree ends region id's generation and puts it on the free list.
 func (r *regionTable) toFree(id int, m *regionMeta) {
-	r.empty(m)
+	r.empty(id)
 	m.state = regionFree
 	r.free = append(r.free, id)
 }
 
-// empty ends a region's generation: its content, image and buffer go.
-// Entries a reader already loaded keep the image, and its bytes, alive.
-func (r *regionTable) empty(m *regionMeta) {
+// empty ends region id's generation: its content, image and buffer go.
+// A reader that already loaded the image keeps it, and its bytes, alive.
+func (r *regionTable) empty(id int) {
+	m := &r.meta[id]
 	r.release(m)
 	m.keys.reset()
 	m.fill = 0
-	if m.img != nil {
-		r.idx.retire(m.img)
-		m.img = nil
+	if r.idx.images != nil {
+		r.idx.setImage(id, nil)
 	}
 }
 
@@ -313,7 +319,7 @@ func (r *regionTable) save(s *snapshotData) {
 // acknowledged. The open region reopens empty at at: its buffer was DRAM.
 // Key logs load empty: Restore logs each key it indexes.
 func (r *regionTable) load(s *snapshotData, at time.Duration) {
-	r.empty(&r.meta[r.open])
+	r.empty(r.open)
 	for i := range r.meta {
 		m, src := &r.meta[i], &s.Regions[i]
 		m.state = src.State
@@ -326,9 +332,8 @@ func (r *regionTable) load(s *snapshotData, at time.Duration) {
 		r.meta[id].elem = r.order.PushBack(id)
 	}
 	r.orderVer++ // cold must not answer from the empty order's set
-	open := &r.meta[s.Open]
-	r.empty(open)
-	open.state = regionFree
+	r.empty(s.Open)
+	r.meta[s.Open].state = regionFree
 	r.free = append(slices.Clone(s.Free), s.Open)
 	r.openNext(at)
 }

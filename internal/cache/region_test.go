@@ -514,10 +514,11 @@ func (r *regionRun) check() error {
 			return fmt.Errorf("region %d (state %d) is listed %d times in free, order and open", i, rm.state, listed[i])
 		}
 		buffered := rm.state == regionOpen || rm.state == regionFlushing
-		if (rm.buf != nil) != buffered || r.sc.readIndex && buffered && rm.img == nil {
-			return fmt.Errorf("region %d (state %d): buffer %v, image %v", i, rm.state, rm.buf != nil, rm.img != nil)
+		img := r.c.idx.imageOf(uint32(i))
+		if (rm.buf != nil) != buffered || r.sc.readIndex && buffered && img == nil {
+			return fmt.Errorf("region %d (state %d): buffer %v, image %v", i, rm.state, rm.buf != nil, img != nil)
 		}
-		if (rm.state == regionFree || quarantined) && (rm.img != nil || rm.fill != 0 || rm.keys.len() != 0) {
+		if (rm.state == regionFree || quarantined) && (img != nil || rm.fill != 0 || rm.keys.len() != 0) {
 			return fmt.Errorf("region %d (state %d) keeps content", i, rm.state)
 		}
 		if rm.fill > opRegionSize {

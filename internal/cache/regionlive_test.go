@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 	"unsafe"
@@ -157,14 +158,37 @@ func TestRegionLiveMatchesIndex(t *testing.T) {
 }
 
 // TestEntryIs24Bytes pins the index entry's size, and the slot's: a 64-bit
-// hash and one entry are the index's whole per-key cost beside the table's
-// empty slots.
+// hash and one 16-byte entry are the index's whole per-key cost beside the
+// table's empty slots. A slot holds no pointer, so the collector never scans
+// the tables; lock-free readers find a value's bytes through its region's
+// image instead.
 func TestEntryIs24Bytes(t *testing.T) {
-	if n := unsafe.Sizeof(entry{}); n != 24 {
-		t.Fatalf("entry is %d bytes, want 24", n)
+	if n := unsafe.Sizeof(entry{}); n != 16 {
+		t.Fatalf("entry is %d bytes, want 16", n)
 	}
-	if n := unsafe.Sizeof(slot{}); n != 32 {
-		t.Fatalf("slot is %d bytes, want 32", n)
+	if n := unsafe.Sizeof(slot{}); n != 24 {
+		t.Fatalf("slot is %d bytes, want 24", n)
+	}
+	if !pointerFree(reflect.TypeOf(slot{})) {
+		t.Fatal("slot holds a pointer")
+	}
+}
+
+// pointerFree reports whether a value of type t holds no pointer, so that
+// the collector never scans a slice of them.
+func pointerFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !pointerFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	case reflect.Array:
+		return t.Len() == 0 || pointerFree(t.Elem())
+	default:
+		return t.Kind() <= reflect.Complex128
 	}
 }
 
@@ -229,5 +253,31 @@ func TestIndexBytesFallOnCompaction(t *testing.T) {
 	// The compacted logs hold the 32 live keys of 2 + 32 bytes, exactly.
 	if after >= before || logs != 32*34 {
 		t.Fatalf("cache_index_bytes %v -> %v; the compacted logs hold %v bytes, want %d", before, after, logs, 32*34)
+	}
+}
+
+// TestIndexAllocPerKey bounds the DRAM the index holds per key, as the
+// cache_index_bytes gauge counts it (slots and key logs, not heap, so the
+// figure repeats): 2^16 distinct 16-byte keys, set metadata-only into an
+// engine with the read index off and one with it on, fill 24-byte slots to
+// half, 48 bytes a key, beside key logs of 18 bytes a key and their append
+// slack; 68.3 bytes a key in all. Slots of 32 bytes would take 84.3.
+func TestIndexAllocPerKey(t *testing.T) {
+	const n = 1 << 16
+	for _, readIndex := range []bool{false, true} {
+		c, err := New(Config{Store: newMemStore(64, 1<<20), ReadIndex: readIndex})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if err := c.Set(fmt.Sprintf("idx-%012d", i), nil, 16); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reg := obs.NewRegistry()
+		c.MetricsInto(reg, obs.Labels{})
+		if perKey := gatherSum(t, reg, "cache_index_bytes") / n; perKey > 70 {
+			t.Errorf("read index %v: the index holds %.1f bytes a key, want at most 70", readIndex, perKey)
+		}
 	}
 }

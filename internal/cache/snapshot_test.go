@@ -376,7 +376,7 @@ func TestRestoredKeyReadsStore(t *testing.T) {
 					buf[j] = 0xAA
 				}
 			}
-			if entryOf(r, "k").img != nil {
+			if r.idx.imageOf(entryOf(r, "k").region) != nil {
 				t.Fatal("a restored entry gained an image")
 			}
 		})

@@ -25,6 +25,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -101,12 +102,14 @@ func (c *Config) fillDefaults() {
 }
 
 // blockRef identifies the logical owner of one live device block, needed to
-// relocate it during cleaning. The zero value (file nil) is a dead block.
+// relocate it during cleaning, with no pointer for the collector to scan.
+// The zero value is a dead block.
 type blockRef struct {
-	file   *File
-	idx    int64 // file block index, or node block index when isNode
-	isNode bool
+	file uint32 // File.num
+	idx  uint32 // file block index, or node block index | nodeBit
 }
+
+const nodeBit = 1 << 31
 
 // segment tracks one zone's occupancy.
 type segment struct {
@@ -121,7 +124,7 @@ type FS struct {
 	cfg Config
 
 	mu       sync.Mutex
-	files    map[string]*File
+	files    []*File   // by file number minus one: in creation order
 	segs     []segment // indexed by zone
 	freeZone []int
 	dataSeg  int // zone of the open data segment, -1 if none
@@ -160,12 +163,13 @@ type nodeKey struct {
 type File struct {
 	fs   *FS
 	name string
+	num  uint32 // 1 + its index in fs.files
 	size int64
 	// blocks maps file block index -> device block index (-1 = hole).
-	blocks []int64
+	blocks []int32
 	// nodeLive maps node block index -> device block of its latest version
 	// (-1 = never flushed).
-	nodeLive []int64
+	nodeLive []int32
 	// lastWriteCost is the MetaLatency the latest WriteAt charged, until
 	// TakeLastWriteStall takes it. Guarded by fs.mu.
 	lastWriteCost time.Duration
@@ -178,6 +182,10 @@ func Mount(dev zns.Zoned, cfg Config) (*FS, error) {
 		return nil, fmt.Errorf("%w: OP ratio %v", ErrBadConfig, cfg.OPRatio)
 	}
 	n := dev.NumZones()
+	blocks := int64(n) * (dev.ZoneSize() / BlockSize)
+	if blocks > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: %d blocks; block maps address at most %d", ErrBadConfig, blocks, math.MaxInt32)
+	}
 	reserve := int(float64(n)*(cfg.OPRatio+cfg.MetaOverhead) + 0.5)
 	if reserve < 3 {
 		reserve = 3
@@ -188,9 +196,8 @@ func Mount(dev zns.Zoned, cfg Config) (*FS, error) {
 	fs := &FS{
 		dev:          dev,
 		cfg:          cfg,
-		files:        make(map[string]*File),
 		segs:         make([]segment, n),
-		refs:         make([]blockRef, int64(n)*(dev.ZoneSize()/BlockSize)),
+		refs:         make([]blockRef, blocks),
 		dirtyNodes:   make(map[nodeKey]struct{}),
 		dataSeg:      -1,
 		nodeSeg:      -1,
@@ -243,11 +250,11 @@ func (fs *FS) Create(name string, size int64) (*File, error) {
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if _, ok := fs.files[name]; ok {
-		return nil, fmt.Errorf("%w: %s", ErrExists, name)
-	}
 	var committed int64
 	for _, f := range fs.files {
+		if f.name == name {
+			return nil, fmt.Errorf("%w: %s", ErrExists, name)
+		}
 		committed += f.size
 	}
 	if committed+size > fs.UsableBytes() {
@@ -258,9 +265,10 @@ func (fs *FS) Create(name string, size int64) (*File, error) {
 	f := &File{
 		fs:       fs,
 		name:     name,
+		num:      uint32(len(fs.files) + 1),
 		size:     size,
-		blocks:   make([]int64, nBlocks),
-		nodeLive: make([]int64, (nBlocks+PointersPerNode-1)/PointersPerNode),
+		blocks:   make([]int32, nBlocks),
+		nodeLive: make([]int32, (nBlocks+PointersPerNode-1)/PointersPerNode),
 	}
 	for i := range f.blocks {
 		f.blocks[i] = -1
@@ -268,7 +276,7 @@ func (fs *FS) Create(name string, size int64) (*File, error) {
 	for i := range f.nodeLive {
 		f.nodeLive[i] = -1
 	}
-	fs.files[name] = f
+	fs.files = append(fs.files, f)
 	return f, nil
 }
 
@@ -276,11 +284,12 @@ func (fs *FS) Create(name string, size int64) (*File, error) {
 func (fs *FS) Open(name string) (*File, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	f, ok := fs.files[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
+	for _, f := range fs.files {
+		if f.name == name {
+			return f, nil
+		}
 	}
-	return f, nil
+	return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
 }
 
 // blockOffset converts a device block index to a byte offset.
@@ -369,7 +378,7 @@ func (f *File) WriteAt(now time.Duration, data []byte, n int, off int64) (time.D
 	for i := int64(0); i < blocks; i++ {
 		idx := firstIdx + i
 		if old := f.blocks[idx]; old != -1 {
-			fs.invalidateLocked(old)
+			fs.invalidateLocked(int64(old))
 		} else {
 			fs.liveBlocks++
 		}
@@ -381,8 +390,8 @@ func (f *File) WriteAt(now time.Duration, data []byte, n int, off int64) (time.D
 		if werr != nil {
 			return 0, werr
 		}
-		f.blocks[idx] = dst
-		fs.refs[dst] = blockRef{file: f, idx: idx}
+		f.blocks[idx] = int32(dst)
+		fs.refs[dst] = blockRef{file: f.num, idx: uint32(idx)}
 		fs.dirtyNodes[nodeKey{file: f, idx: idx / PointersPerNode}] = struct{}{}
 		if done > latest {
 			latest = done
@@ -427,7 +436,7 @@ func (f *File) ReadAt(now time.Duration, p []byte, off int64) (time.Duration, er
 			}
 			continue
 		}
-		lat, err := fs.dev.Read(now, dst, blockOffset(b))
+		lat, err := fs.dev.Read(now, dst, blockOffset(int64(b)))
 		if err != nil {
 			return 0, fmt.Errorf("f2fs: read: %w", err)
 		}
@@ -470,14 +479,14 @@ func (fs *FS) checkpointLocked(now time.Duration) (time.Duration, error) {
 	})
 	for _, k := range fs.ckptOrder {
 		if old := k.file.nodeLive[k.idx]; old != -1 {
-			fs.invalidateLocked(old)
+			fs.invalidateLocked(int64(old))
 		}
 		dst, done, err := fs.appendBlockLocked(now, nil, true)
 		if err != nil {
 			return now, err
 		}
-		k.file.nodeLive[k.idx] = dst
-		fs.refs[dst] = blockRef{file: k.file, idx: k.idx, isNode: true}
+		k.file.nodeLive[k.idx] = int32(dst)
+		fs.refs[dst] = blockRef{file: k.file.num, idx: uint32(k.idx) | nodeBit}
 		if done > latest {
 			latest = done
 		}
@@ -582,24 +591,25 @@ func (fs *FS) drainVictimLocked(now time.Duration, quantum int) (time.Duration, 
 		b := int64(z)*blocksPerZone + fs.victimScan
 		fs.victimScan++
 		ref := fs.refs[b]
-		if ref.file == nil {
+		if ref.file == 0 {
 			continue
 		}
+		f, node := fs.files[ref.file-1], ref.idx&nodeBit != 0
 		// Read the live block and append it to the proper log.
 		buf := fs.cleanBuf
 		rlat, err := fs.dev.Read(now, buf, blockOffset(b))
 		if err != nil {
 			return now, false, fmt.Errorf("f2fs: clean read: %w", err)
 		}
-		dst, done, err := fs.appendBlockLocked(now+rlat, buf, ref.isNode)
+		dst, done, err := fs.appendBlockLocked(now+rlat, buf, node)
 		if err != nil {
 			return now, false, err
 		}
 		fs.invalidateLocked(b)
-		if ref.isNode {
-			ref.file.nodeLive[ref.idx] = dst
+		if node {
+			f.nodeLive[ref.idx&^nodeBit] = int32(dst)
 		} else {
-			ref.file.blocks[ref.idx] = dst
+			f.blocks[ref.idx] = int32(dst)
 		}
 		fs.refs[dst] = ref
 		now = done

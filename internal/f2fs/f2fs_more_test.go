@@ -5,8 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"znscache/internal/device"
 	"znscache/internal/flash"
@@ -247,5 +251,48 @@ func BenchmarkFSWriteCleaning(b *testing.B) {
 	b.StopTimer()
 	if b.N >= int(blocks) && fs.CleanRuns.Load() == runs {
 		b.Fatal("the cleaner did not run in the timed window")
+	}
+}
+
+// TestBlockRefIs8Bytes pins the reverse map's record: a file number and a
+// block index with the node bit, and no pointer, so the collector never
+// scans the map.
+func TestBlockRefIs8Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(blockRef{}); n != 8 {
+		t.Fatalf("blockRef is %d bytes, want 8", n)
+	}
+	rt := reflect.TypeOf(blockRef{})
+	for i := 0; i < rt.NumField(); i++ {
+		if k := rt.Field(i).Type.Kind(); k > reflect.Complex128 {
+			t.Fatalf("blockRef.%s is a %v: the reverse map would hold pointers", rt.Field(i).Name, k)
+		}
+	}
+}
+
+// hugeZoned is a device of zones zones of zoneSize bytes that only reports
+// its geometry.
+type hugeZoned struct {
+	zns.Zoned
+	zones    int
+	zoneSize int64
+}
+
+func (d hugeZoned) NumZones() int   { return d.zones }
+func (d hugeZoned) ZoneSize() int64 { return d.zoneSize }
+
+// TestMountRefusesBlocksBeyondInt32: a device with one block more than a
+// 32-bit block map addresses is refused before any map is allocated.
+func TestMountRefusesBlocksBeyondInt32(t *testing.T) {
+	const zoneBlocks = 1 << 10
+	dev := hugeZoned{zones: (math.MaxInt32 + 1) / zoneBlocks, zoneSize: zoneBlocks * BlockSize}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Mount(dev, Config{})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("Mount of %d blocks: %v, want ErrBadConfig", int64(dev.zones)*zoneBlocks, err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("Mount allocated %d bytes before refusing", n)
 	}
 }

@@ -35,7 +35,7 @@ func checkMapping(s *SSD) error {
 			continue
 		}
 		mapped++
-		if s.p2l[ppn] != int64(lpn) {
+		if s.p2l[ppn] != int32(lpn) {
 			return fmt.Errorf("lpn %d -> ppn %d -> lpn %d", lpn, ppn, s.p2l[ppn])
 		}
 		if st, _ := s.array.State(s.addrOf(ppn)); st != flash.PageValid {
@@ -48,7 +48,7 @@ func checkMapping(s *SSD) error {
 			continue
 		}
 		owned++
-		if s.l2p[lpn] != int64(ppn) {
+		if s.l2p[lpn] != int32(ppn) {
 			return fmt.Errorf("ppn %d claims lpn %d, which maps to ppn %d", ppn, lpn, s.l2p[lpn])
 		}
 	}

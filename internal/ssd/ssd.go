@@ -17,6 +17,7 @@ package ssd
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -47,7 +48,7 @@ var (
 	errBadMapping = errors.New("ssd: l2p and p2l disagree")
 )
 
-const unmapped = int64(-1)
+const unmapped = -1
 
 // SSD is a simulated regular SSD. It is safe for concurrent use: mu is the
 // one lock of the device, guarding the FTL tables, the payload segments and
@@ -59,8 +60,8 @@ type SSD struct {
 	data  *device.Segments // payload by LBA; nil without StoreData
 
 	mu       sync.Mutex
-	l2p      []int64 // logical page -> physical page (block*ppb+page)
-	p2l      []int64 // physical page -> logical page
+	l2p      []int32 // logical page -> physical page (block*ppb+page)
+	p2l      []int32 // physical page -> logical page
 	openBlks []int   // one open block per die for host/GC writes
 	openNext int     // round-robin cursor over openBlks
 	allocRun int     // consecutive allocations on the current open block
@@ -81,8 +82,8 @@ type SSD struct {
 	reserveBlks   []int
 	reserveTarget int
 	inGC          bool
-	fullBlks      map[int]struct{}
-	exported      int64 // host-visible bytes
+	full          []bool // by block: filled, and not yet collected
+	exported      int64  // host-visible bytes
 
 	// Observability.
 	WA       stats.WriteAmp
@@ -103,6 +104,9 @@ func New(cfg Config) (*SSD, error) {
 	}
 	if cfg.OPRatio < 0 || cfg.OPRatio >= 1 {
 		return nil, fmt.Errorf("%w: OP ratio %v", ErrBadConfig, cfg.OPRatio)
+	}
+	if p := cfg.Geometry.Pages(); p > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: %d pages; the page maps address at most %d", ErrBadConfig, p, math.MaxInt32)
 	}
 	arr, err := flash.NewArray(cfg.Geometry, cfg.Timing, false)
 	if err != nil {
@@ -137,9 +141,9 @@ func New(cfg Config) (*SSD, error) {
 	s := &SSD{
 		cfg:        cfg,
 		array:      arr,
-		l2p:        make([]int64, exportedPages),
-		p2l:        make([]int64, totalPages),
-		fullBlks:   make(map[int]struct{}),
+		l2p:        make([]int32, exportedPages),
+		p2l:        make([]int32, totalPages),
+		full:       make([]bool, geo.Blocks()),
 		exported:   exportedPages * int64(geo.PageSize),
 		chunkPages: min(2, geo.PagesPerBlock),
 		gcLow:      gcLow,
@@ -206,7 +210,7 @@ func (s *SSD) allocPageLocked() flash.Addr {
 		// Block filled: retire it and open a fresh one in its slot. GC
 		// migrations may dip into the reserve; host writes never do (the
 		// watermark check keeps the general pool stocked for them).
-		s.fullBlks[blk] = struct{}{}
+		s.full[blk] = true
 		var next int
 		switch {
 		case len(s.freeBlks) > 0:
@@ -221,13 +225,13 @@ func (s *SSD) allocPageLocked() flash.Addr {
 	}
 }
 
-func (s *SSD) ppn(a flash.Addr) int64 {
-	return int64(a.Block)*int64(s.cfg.Geometry.PagesPerBlock) + int64(a.Page)
+func (s *SSD) ppn(a flash.Addr) int32 {
+	return int32(a.Block*s.cfg.Geometry.PagesPerBlock + a.Page)
 }
 
-func (s *SSD) addrOf(ppn int64) flash.Addr {
-	ppb := int64(s.cfg.Geometry.PagesPerBlock)
-	return flash.Addr{Block: int(ppn / ppb), Page: int(ppn % ppb)}
+func (s *SSD) addrOf(ppn int32) flash.Addr {
+	ppb := s.cfg.Geometry.PagesPerBlock
+	return flash.Addr{Block: int(ppn) / ppb, Page: int(ppn) % ppb}
 }
 
 // WriteAt implements device.BlockDevice. Each sector is written
@@ -279,7 +283,7 @@ func (s *SSD) WriteAt(now time.Duration, data []byte, n int, off int64) (time.Du
 		}
 		p := s.ppn(addr)
 		s.l2p[lpn] = p
-		s.p2l[p] = lpn
+		s.p2l[p] = int32(lpn)
 		if done > latest {
 			latest = done
 		}
@@ -326,7 +330,7 @@ func (s *SSD) ReadAt(now time.Duration, p []byte, off int64) (time.Duration, err
 			clear(p[i*device.SectorSize : (i+1)*device.SectorSize])
 			continue
 		}
-		if back := s.p2l[ppn]; back != lpn {
+		if back := s.p2l[ppn]; int64(back) != lpn {
 			s.mu.Unlock()
 			return 0, fmt.Errorf("ssd: read: lpn %d maps to ppn %d, which maps back to lpn %d: %w",
 				lpn, ppn, back, errBadMapping)
@@ -358,7 +362,7 @@ func (s *SSD) collectLocked(now time.Duration) (time.Duration, bool) {
 		if !ok {
 			break // nothing collectable; device is pathologically full
 		}
-		delete(s.fullBlks, victim)
+		s.full[victim] = false
 		cur = s.migrateAndEraseLocked(cur, victim)
 		// Erased capacity refills the GC reserve before the general pool.
 		if len(s.reserveBlks) < s.reserveTarget {
@@ -374,12 +378,11 @@ func (s *SSD) collectLocked(now time.Duration) (time.Duration, bool) {
 // pickVictimLocked chooses the full block with the fewest valid pages
 // (greedy policy), skipping open blocks.
 func (s *SSD) pickVictimLocked() (int, bool) {
-	// Ties break toward the lowest block index: map iteration order is
-	// random per run, and letting it pick among equal-valid victims makes
-	// GC latencies (and thus simulated throughput) drift across runs.
+	// Ties break toward the lowest block index, the first the scan meets, so
+	// GC latencies (and thus simulated throughput) repeat across runs.
 	best, bestValid := -1, 1<<31
-	for b := range s.fullBlks {
-		if v := s.array.ValidPages(b); v < bestValid || (v == bestValid && b < best) {
+	for b, full := range s.full {
+		if v := s.array.ValidPages(b); full && v < bestValid {
 			best, bestValid = b, v
 		}
 	}
@@ -393,10 +396,10 @@ func (s *SSD) pickVictimLocked() (int, bool) {
 // it is kept by LBA, which migration does not change.
 func (s *SSD) migrateAndEraseLocked(now time.Duration, victim int) time.Duration {
 	geo := s.cfg.Geometry
-	base := int64(victim) * int64(geo.PagesPerBlock)
+	base := int32(victim * geo.PagesPerBlock)
 	latest := now
 	for p := 0; p < geo.PagesPerBlock; p++ {
-		oldPPN := base + int64(p)
+		oldPPN := base + int32(p)
 		lpn := s.p2l[oldPPN]
 		if lpn == unmapped {
 			continue

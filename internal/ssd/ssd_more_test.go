@@ -2,7 +2,10 @@ package ssd
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -111,10 +114,10 @@ func TestConcurrentRangesSurviveGC(t *testing.T) {
 	}
 	span := s.Size() / device.SectorSize / owners
 	gens := make([][]uint64, owners) // last generation per sector, 0 = never written
-	homes := make([][]int64, owners) // physical page seen right after that write
+	homes := make([][]int32, owners) // physical page seen right after that write
 	var wg sync.WaitGroup
 	for w := range gens {
-		gens[w], homes[w] = make([]uint64, span), make([]int64, span)
+		gens[w], homes[w] = make([]uint64, span), make([]int32, span)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -158,7 +161,7 @@ func TestConcurrentRangesSurviveGC(t *testing.T) {
 // span sectors starting at LBA first, recording each sector's last
 // generation in gen and its physical page in home, and after every write
 // checks the whole span reads back as tagged.
-func churnRange(s *SSD, first, writes int64, seed uint64, gen []uint64, home []int64) error {
+func churnRange(s *SSD, first, writes int64, seed uint64, gen []uint64, home []int32) error {
 	span := int64(len(gen))
 	rng := sim.NewRand(seed)
 	page := make([]byte, device.SectorSize)
@@ -222,5 +225,25 @@ func BenchmarkSSDWriteGC(b *testing.B) {
 	b.StopTimer()
 	if b.N >= int(sectors) && s.GCRuns.Load() == runs {
 		b.Fatal("no GC ran in the timed window")
+	}
+}
+
+// TestNewRefusesPagesBeyondInt32: a geometry with one page more than the
+// 32-bit page maps address is refused before the flash array or any map is
+// allocated.
+func TestNewRefusesPagesBeyondInt32(t *testing.T) {
+	cfg := testConfig()
+	cfg.Geometry.Channels, cfg.Geometry.DiesPerChan = 1, 1
+	cfg.Geometry.PagesPerBlock = 1 << 8
+	cfg.Geometry.BlocksPerDie = (math.MaxInt32 + 1) / cfg.Geometry.PagesPerBlock
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := New(cfg)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("New with %d pages: %v, want ErrBadConfig", cfg.Geometry.Pages(), err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("New allocated %d bytes before refusing", n)
 	}
 }
